@@ -9,7 +9,6 @@ high-resolution baseline.
 from .model import (
     CaseError,
     Region,
-    Resolution,
     ResourceCluster,
     Series,
     Site,
@@ -32,6 +31,7 @@ from .temporal import (
 from .expansion import (
     BuildOptions,
     ExpansionSolution,
+    InvestmentVector,
     build_expansion_lp,
     build_operations_lp,
     extract_prices,
@@ -40,7 +40,6 @@ from .expansion import (
 from .lp import LinearProgram, Solution, solve_simplex
 from .benders import BendersResult, solve_benders
 from .translate import (
-    InvestmentVector,
     Portfolio,
     SiteAllocation,
     allocate_storage,
@@ -87,7 +86,6 @@ __all__ = [
     "Portfolio",
     "Region",
     "RegionPartition",
-    "Resolution",
     "ResourceCluster",
     "RunConfig",
     "Series",

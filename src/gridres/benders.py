@@ -27,12 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import (
+    INVESTMENT_PREFIXES,
     BuildOptions,
     ExpansionSolution,
     VarIndex,
+    add_investment_columns,
     add_reserve_rows,
     build_lp,
     extract_solution,
+    fixed_cost,
     investment_entries,
 )
 from .lp import GE, LpBuilder, Solution, solve_simplex
@@ -54,11 +57,6 @@ class BendersResult:
     def converged(self) -> bool:
         return self.status == "optimal"
 
-    def log_lines(self) -> list:
-        return [
-            f"{it} {lb!r} {ub!r} {gap!r}" for it, lb, ub, gap in self.log
-        ]
-
 
 @dataclass
 class _Cut:
@@ -68,43 +66,27 @@ class _Cut:
     slope: np.ndarray  # reduced costs per investment variable
 
 
-def _fixed_cost_of(case: SystemCase, inv: dict) -> float:
-    total = 0.0
-    for name, _kind, _eid, _lo, _hi, cost in investment_entries(case):
-        total += cost * inv[name]
-    for c in case.clusters:
-        total += c.fom_cost * c.existing_capacity
-    return total
-
-
-def _solve_master(case: SystemCase, entries, cuts, reserve: bool):
+def _solve_master(case: SystemCase, cuts, reserve: bool):
     b = LpBuilder()
     ix = VarIndex()
-    cols = {}
-    for name, _kind, _eid, lo, hi, cost in entries:
-        cols[name] = b.var(name, lo, hi, cost)
-        ix.inv[name] = cols[name]
-        ix.inv_order.append(name)
-    for c in case.clusters:
-        b.obj_offset += c.fom_cost * c.existing_capacity
+    add_investment_columns(case, b, ix)
     theta = {p: b.var(f"theta[{p}]", 0.0, np.inf, 1.0) for p in range(case.n_periods)}
     if reserve:
         add_reserve_rows(case, b, ix)
-    order = [name for name, *_ in entries]
+    cols = list(ix.inv.values())
     for i, cut in enumerate(cuts):
         terms = [(theta[cut.period], 1.0)]
         rhs = cut.value
-        for j, name in enumerate(order):
+        for j, col in enumerate(cols):
             z = cut.slope[j]
             if z != 0.0:
-                terms.append((cols[name], -z))
+                terms.append((col, -z))
                 rhs -= z * cut.point[j]
         b.row(f"cut[{i}]", GE, rhs, terms)
     sol = solve_simplex(b.build())
     if not sol.is_optimal:
         raise RuntimeError(f"master problem {sol.status}")
-    x = np.array([sol.x[cols[name]] for name in order])
-    return sol.objective, x
+    return sol.objective, sol.x[cols]
 
 
 def _pin(lp, inv_cols, values: np.ndarray) -> None:
@@ -135,12 +117,7 @@ def _assemble(case: SystemCase, subs, best) -> ExpansionSolution:
         variable_cost=variable,
         nse_cost_total=nse_cost_total,
         carbon_fee_cost=fee,
-        vre_new=first.vre_new,
-        thermal_new=first.thermal_new,
-        thermal_retired=first.thermal_retired,
-        storage_new_power=first.storage_new_power,
-        storage_new_energy=first.storage_new_energy,
-        line_expansion=first.line_expansion,
+        **{kind: getattr(first, kind) for kind in INVESTMENT_PREFIXES},
         dispatch=cat(lambda p: p.dispatch),
         startups=cat(lambda p: p.startups),
         charge=cat(lambda p: p.charge),
@@ -169,9 +146,10 @@ def solve_benders(
         raise ValueError("stab_weight must be in [0, 1)")
     if sub_jobs < 1:
         raise ValueError("sub_jobs must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     uc = uc or case.uc_mode
-    entries = investment_entries(case)
-    order = [name for name, *_ in entries]
+    order = [name for name, *_ in investment_entries(case)]
 
     subs = []
     for p in range(case.n_periods):
@@ -196,7 +174,7 @@ def solve_benders(
     gap = np.inf
 
     for it in range(1, max_iter + 1):
-        lower, x_master = _solve_master(case, entries, cuts, reserve)
+        lower, x_master = _solve_master(case, cuts, reserve)
         trial = x_master if best_x is None else (1.0 - stab_weight) * x_master + stab_weight * best_x
 
         for p in range(case.n_periods):
@@ -212,7 +190,7 @@ def solve_benders(
                 raise RuntimeError(f"subproblem {p} {sol.status}")
         ops_total = sum(s.objective for s in sols)
 
-        ub_trial = _fixed_cost_of(case, dict(zip(order, trial))) + ops_total
+        ub_trial = fixed_cost(case, dict(zip(order, trial))) + ops_total
         if ub_trial < best_ub:
             best_ub = ub_trial
             best_x = trial.copy()

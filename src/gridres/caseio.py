@@ -356,8 +356,10 @@ def load_system(directory: str) -> SystemCase:
     return require_valid(case)
 
 
-def _write_csv(directory: str, name: str, header: list[str], rows) -> None:
-    with open(os.path.join(directory, name), "w", newline="") as fh:
+def write_csv(path: str, header, rows) -> None:
+    """The one CSV writer: "\\n" line ends, floats as repr (shortest
+    round-trip form), booleans as true/false."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -368,15 +370,13 @@ def write_case(case: SystemCase, directory: str) -> str:
     """Serialize a case to a directory, overwriting existing files."""
     os.makedirs(directory, exist_ok=True)
 
-    _write_csv(
-        directory,
-        "regions.csv",
+    write_csv(
+        os.path.join(directory, "regions.csv"),
         ["id", "urban_population", "reserve_margin"],
         [(r.id, r.urban_population, r.reserve_margin) for r in case.regions],
     )
-    _write_csv(
-        directory,
-        "demand.csv",
+    write_csv(
+        os.path.join(directory, "demand.csv"),
         ["region", "hour", "mw"],
         (
             (r.id, h, r.demand.values[h])
@@ -384,9 +384,8 @@ def write_case(case: SystemCase, directory: str) -> str:
             for h in range(r.demand.hours)
         ),
     )
-    _write_csv(
-        directory,
-        "sites.csv",
+    write_csv(
+        os.path.join(directory, "sites.csv"),
         ["id", "fine_region", "cluster", "tech", "capacity_limit_mw", "lcoe", "spur_cost", "spur_capacity_mw"],
         (
             (
@@ -402,15 +401,13 @@ def write_case(case: SystemCase, directory: str) -> str:
             for s in case.sites
         ),
     )
-    _write_csv(
-        directory,
-        "site_profiles.csv",
+    write_csv(
+        os.path.join(directory, "site_profiles.csv"),
         ["site", "hour", "cf"],
         ((s.id, h, s.profile.values[h]) for s in case.sites for h in range(s.profile.hours)),
     )
-    _write_csv(
-        directory,
-        "units.csv",
+    write_csv(
+        os.path.join(directory, "units.csv"),
         [
             "id",
             "fine_region",
@@ -441,9 +438,8 @@ def write_case(case: SystemCase, directory: str) -> str:
             for u in case.units
         ),
     )
-    _write_csv(
-        directory,
-        "clusters.csv",
+    write_csv(
+        os.path.join(directory, "clusters.csv"),
         [
             "id",
             "region",
@@ -486,18 +482,16 @@ def write_case(case: SystemCase, directory: str) -> str:
             for c in case.clusters
         ),
     )
-    _write_csv(
-        directory,
-        "storage.csv",
+    write_csv(
+        os.path.join(directory, "storage.csv"),
         ["id", "region", "power_cost", "energy_cost", "efficiency_rt", "existing_power_mw", "existing_energy_mwh"],
         (
             (s.id, s.region, s.power_cost, s.energy_cost, s.efficiency_rt, s.existing_power, s.existing_energy)
             for s in case.storage
         ),
     )
-    _write_csv(
-        directory,
-        "lines.csv",
+    write_csv(
+        os.path.join(directory, "lines.csv"),
         ["id", "kind", "from", "to", "fine_from", "fine_to", "capacity_mw", "expansion_cost", "max_expansion_mw"],
         (
             (
@@ -514,21 +508,18 @@ def write_case(case: SystemCase, directory: str) -> str:
             for l in case.lines
         ),
     )
-    _write_csv(
-        directory,
-        "scalars.csv",
+    write_csv(
+        os.path.join(directory, "scalars.csv"),
         ["nse_cost", "carbon_fee", "period_length", "uc_mode", "extremes_included"],
         [(case.nse_cost, case.carbon_fee, case.period_length, case.uc_mode, case.extremes_included)],
     )
-    _write_csv(
-        directory,
-        "periods.csv",
+    write_csv(
+        os.path.join(directory, "periods.csv"),
         ["period", "weight"],
         ((p, w) for p, w in enumerate(case.period_weights)),
     )
-    _write_csv(
-        directory,
-        "partition.csv",
+    write_csv(
+        os.path.join(directory, "partition.csv"),
         ["fine_region", "region"],
         ((f, case.partition[f]) for f in sorted(case.partition)),
     )

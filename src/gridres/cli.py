@@ -15,27 +15,23 @@ from dataclasses import replace
 
 from .benders import solve_benders
 from .caseio import load_system, write_case
+from .expansion import InvestmentVector
 from .metrics import format_summary, write_report
 from .pipeline import (
     ConfigError,
     RunConfig,
-    _fmt,
-    _replay_operations,
-    _write_rows,
     read_investments,
+    replay_operations,
     rescore_from_artifacts,
     resolve_partition,
     run_ladder,
     summarize,
+    write_investments,
+    write_operations,
 )
 from .spatial import aggregate_spatial
 from .temporal import apply_temporal, cluster_timesteps, write_reduction
-from .translate import (
-    InvestmentVector,
-    translate_solution,
-    write_allocation,
-    write_portfolio,
-)
+from .translate import translate_solution, write_allocation, write_portfolio
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,11 +146,7 @@ def _cmd_expand(rc: RunConfig, args) -> int:
         print(f"did not converge: gap {res.gap:.3e} after {res.iterations} iterations",
               file=sys.stderr)
         return 2
-    _write_rows(
-        f"{rc.out_dir}/investments.csv",
-        ("variable", "value"),
-        ((k, _fmt(v)) for k, v in sorted(res.solution.investment_values().items())),
-    )
+    write_investments(res.solution.investment_values(), f"{rc.out_dir}/investments.csv")
     print(f"objective {res.objective:.6e} in {res.iterations} iterations "
           f"(gap {res.gap:.2e}); wrote {rc.out_dir}/investments.csv")
     return 0
@@ -173,19 +165,8 @@ def _cmd_translate(rc: RunConfig, args) -> int:
 
 def _cmd_operate(rc: RunConfig, args) -> int:
     fine = rc.load_fine()
-    _, portfolio, operations = _replay_operations(fine, args.allocation)
-    _write_rows(
-        f"{rc.out_dir}/operations.csv",
-        ("metric", "value"),
-        (
-            ("objective", _fmt(operations.objective)),
-            ("variable_cost", _fmt(operations.variable_cost)),
-            ("nse_cost", _fmt(operations.nse_cost_total)),
-            ("carbon_fee_cost", _fmt(operations.carbon_fee_cost)),
-            ("total_nse", _fmt(operations.total_nse)),
-            ("total_emissions", _fmt(operations.total_emissions)),
-        ),
-    )
+    _, _, operations = replay_operations(fine, args.allocation)
+    write_operations(operations, f"{rc.out_dir}/operations.csv")
     print(f"dispatch cost {operations.objective:.6e}; wrote {rc.out_dir}/operations.csv")
     return 0
 

@@ -62,29 +62,112 @@ class VarIndex:
     balance_row: dict = field(default_factory=dict)  # (region, k) -> row
     hours: list = field(default_factory=list)  # global hour index per k
     hour_weight: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    inv_order: list = field(default_factory=list)  # investment names in order
+
+
+# The one encoding of investment decisions: every investment column is named
+# "<prefix>[<entity id>]", and its prefix maps to the ExpansionSolution field
+# that holds the decision. Everything else derives from this table.
+INVESTMENT_PREFIXES = {
+    "vre_new": "xv",
+    "thermal_new": "xg",
+    "thermal_retired": "ret",
+    "storage_new_power": "xp",
+    "storage_new_energy": "xe",
+    "line_expansion": "xl",
+}
+_KIND_OF_PREFIX = {prefix: kind for kind, prefix in INVESTMENT_PREFIXES.items()}
+
+
+def investment_name(kind: str, eid: str) -> str:
+    return f"{INVESTMENT_PREFIXES[kind]}[{eid}]"
 
 
 def investment_entries(case: SystemCase):
-    """Ordered investment variables: (name, kind, entity id, lo, hi, cost).
+    """Ordered investment variables: (name, kind, entity id, lo, hi, cost),
+    where kind is the ExpansionSolution field holding the decision.
 
     The order is the shared contract between monolithic LPs, decomposition
     masters and subproblems.
     """
+
+    def entry(kind, eid, hi, cost):
+        return (investment_name(kind, eid), kind, eid, 0.0, hi, cost)
+
     entries = []
     for c in case.vre_clusters:
-        entries.append((f"xv[{c.id}]", "vre_new", c.id, 0.0, c.max_new_capacity, c.fixed_cost + c.fom_cost))
+        entries.append(entry("vre_new", c.id, c.max_new_capacity, c.fixed_cost + c.fom_cost))
     for c in case.thermal_clusters:
-        entries.append((f"xg[{c.id}]", "thermal_new", c.id, 0.0, c.max_new_capacity, c.fixed_cost + c.fom_cost))
+        entries.append(entry("thermal_new", c.id, c.max_new_capacity, c.fixed_cost + c.fom_cost))
     for c in case.thermal_clusters:
-        entries.append((f"ret[{c.id}]", "thermal_ret", c.id, 0.0, c.existing_capacity, -c.fom_cost))
+        entries.append(entry("thermal_retired", c.id, c.existing_capacity, -c.fom_cost))
     for s in case.storage:
-        entries.append((f"xp[{s.id}]", "storage_power", s.id, 0.0, np.inf, s.power_cost))
+        entries.append(entry("storage_new_power", s.id, np.inf, s.power_cost))
     for s in case.storage:
-        entries.append((f"xe[{s.id}]", "storage_energy", s.id, 0.0, np.inf, s.energy_cost))
+        entries.append(entry("storage_new_energy", s.id, np.inf, s.energy_cost))
     for l in case.interregional_lines:
-        entries.append((f"xl[{l.id}]", "line_exp", l.id, 0.0, l.max_expansion, l.expansion_cost))
+        entries.append(entry("line_expansion", l.id, l.max_expansion, l.expansion_cost))
     return entries
+
+
+def fixed_cost(case: SystemCase, values: dict) -> float:
+    """Annualized investment plus fixed O&M on live capacity for named
+    investment values, summed entity by entity in case order."""
+
+    def v(kind, eid):
+        return values[investment_name(kind, eid)]
+
+    total = 0.0
+    for c in case.vre_clusters:
+        new = v("vre_new", c.id)
+        total += c.fixed_cost * new + c.fom_cost * (c.existing_capacity + new)
+    for c in case.thermal_clusters:
+        new = v("thermal_new", c.id)
+        live = c.existing_capacity - v("thermal_retired", c.id) + new
+        total += c.fixed_cost * new + c.fom_cost * live
+    for s in case.storage:
+        total += s.power_cost * v("storage_new_power", s.id) + s.energy_cost * v("storage_new_energy", s.id)
+    for l in case.interregional_lines:
+        total += l.expansion_cost * v("line_expansion", l.id)
+    return total
+
+
+@dataclass
+class InvestmentVector:
+    """Just the investment decisions of an expansion solution, enough to
+    drive translation without the dispatch series."""
+
+    vre_new: dict = field(default_factory=dict)
+    thermal_new: dict = field(default_factory=dict)
+    thermal_retired: dict = field(default_factory=dict)
+    storage_new_power: dict = field(default_factory=dict)
+    storage_new_energy: dict = field(default_factory=dict)
+    line_expansion: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_named_values(cls, values: dict) -> "InvestmentVector":
+        """Parse {"xv[c]": mw, "xg[c]": ..., ...} as written by
+        ExpansionSolution.investment_values."""
+        out = cls()
+        for name, value in values.items():
+            prefix, _, rest = name.partition("[")
+            if prefix not in _KIND_OF_PREFIX or not rest.endswith("]"):
+                raise ValueError(f"unrecognized investment variable {name!r}")
+            getattr(out, _KIND_OF_PREFIX[prefix])[rest[:-1]] = float(value)
+        return out
+
+
+def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=None, include_cost=True) -> None:
+    """Investment columns in investment_entries order, pinned where fix
+    names them; with costs, the fixed O&M of existing capacity is the
+    objective offset."""
+    fix = fix or {}
+    for name, _kind, _eid, lo, hi, cost in investment_entries(case):
+        if name in fix:
+            lo = hi = float(fix[name])
+        ix.inv[name] = b.var(name, lo, hi, cost if include_cost else 0.0)
+    if include_cost:
+        for c in case.clusters:
+            b.obj_offset += c.fom_cost * c.existing_capacity
 
 
 def _blocks(case: SystemCase, opts: BuildOptions):
@@ -105,21 +188,8 @@ def _blocks(case: SystemCase, opts: BuildOptions):
 def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIndex]:
     b = LpBuilder()
     ix = VarIndex()
-    fix = opts.fix or {}
     override = opts.line_capacity_override or {}
-
-    # -- investment columns -------------------------------------------------
-    for name, _kind, _eid, lo, hi, cost in investment_entries(case):
-        if name in fix:
-            v = float(fix[name])
-            col = b.var(name, v, v, cost if opts.include_investment_cost else 0.0)
-        else:
-            col = b.var(name, lo, hi, cost if opts.include_investment_cost else 0.0)
-        ix.inv[name] = col
-        ix.inv_order.append(name)
-    if opts.include_investment_cost:
-        for c in case.clusters:
-            b.obj_offset += c.fom_cost * c.existing_capacity
+    add_investment_columns(case, b, ix, opts.fix, opts.include_investment_cost)
 
     blocks = _blocks(case, opts)
     ix.hours = [h for hours, _w in blocks for h in hours]
@@ -199,7 +269,7 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
                 )
 
         for c in case.vre_clusters:
-            xv = ix.inv[f"xv[{c.id}]"]
+            xv = ix.inv[investment_name("vre_new", c.id)]
             prof = c.aggregate_profile.values
             for k in range(nk):
                 rho = prof[hours[k]]
@@ -211,8 +281,8 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
                 )
 
         for c in case.thermal_clusters:
-            xg = ix.inv[f"xg[{c.id}]"]
-            ret = ix.inv[f"ret[{c.id}]"]
+            xg = ix.inv[investment_name("thermal_new", c.id)]
+            ret = ix.inv[investment_name("thermal_retired", c.id)]
             th = c.thermal
             e0 = c.existing_capacity
             for k in range(nk):
@@ -258,8 +328,8 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
                     )
 
         for s in case.storage:
-            xp = ix.inv[f"xp[{s.id}]"]
-            xe = ix.inv[f"xe[{s.id}]"]
+            xp = ix.inv[investment_name("storage_new_power", s.id)]
+            xe = ix.inv[investment_name("storage_new_energy", s.id)]
             for k in range(nk):
                 kk = k0 + k
                 prev = k0 + (k - 1) % nk
@@ -281,7 +351,7 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
         for l in case.interregional_lines:
             if l.id in override:
                 continue  # flow bounds already carry the operating capacity
-            xl = ix.inv[f"xl[{l.id}]"]
+            xl = ix.inv[investment_name("line_expansion", l.id)]
             for k in range(nk):
                 kk = k0 + k
                 b.row(f"fw[{l.id},{kk}]", LE, l.capacity, [(ix.flow_fwd[(l.id, kk)], 1.0), (xl, -1.0)])
@@ -303,17 +373,17 @@ def add_reserve_rows(case: SystemCase, b: LpBuilder, ix: VarIndex) -> None:
         terms = []
         for c in case.thermal_clusters:
             if c.region == r.id:
-                terms.append((ix.inv[f"xg[{c.id}]"], 1.0))
-                terms.append((ix.inv[f"ret[{c.id}]"], -1.0))
+                terms.append((ix.inv[investment_name("thermal_new", c.id)], 1.0))
+                terms.append((ix.inv[investment_name("thermal_retired", c.id)], -1.0))
                 rhs -= c.existing_capacity
         for c in case.vre_clusters:
             if c.region == r.id:
                 credit = float(np.max(c.aggregate_profile.values))
-                terms.append((ix.inv[f"xv[{c.id}]"], credit))
+                terms.append((ix.inv[investment_name("vre_new", c.id)], credit))
                 rhs -= credit * c.existing_capacity
         for s in case.storage:
             if s.region == r.id:
-                terms.append((ix.inv[f"xp[{s.id}]"], 1.0))
+                terms.append((ix.inv[investment_name("storage_new_power", s.id)], 1.0))
                 rhs -= s.existing_power
         b.row(f"reserve[{r.id}]", GE, rhs, terms)
 
@@ -381,20 +451,11 @@ class ExpansionSolution:
         return float(sum(self.emissions_by_cluster.values()))
 
     def investment_values(self) -> dict:
-        out = {}
-        for cid, v in self.vre_new.items():
-            out[f"xv[{cid}]"] = v
-        for cid, v in self.thermal_new.items():
-            out[f"xg[{cid}]"] = v
-        for cid, v in self.thermal_retired.items():
-            out[f"ret[{cid}]"] = v
-        for sid, v in self.storage_new_power.items():
-            out[f"xp[{sid}]"] = v
-        for sid, v in self.storage_new_energy.items():
-            out[f"xe[{sid}]"] = v
-        for lid, v in self.line_expansion.items():
-            out[f"xl[{lid}]"] = v
-        return out
+        return {
+            investment_name(kind, eid): v
+            for kind in INVESTMENT_PREFIXES
+            for eid, v in getattr(self, kind).items()
+        }
 
 
 def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> ExpansionSolution:
@@ -407,12 +468,10 @@ def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> Expansion
     def series(index_map, key) -> np.ndarray:
         return np.array([x[index_map[(key, k)]] for k in range(nk)])
 
-    vre_new = {c.id: float(x[ix.inv[f"xv[{c.id}]"]]) for c in case.vre_clusters}
-    thermal_new = {c.id: float(x[ix.inv[f"xg[{c.id}]"]]) for c in case.thermal_clusters}
-    thermal_ret = {c.id: float(x[ix.inv[f"ret[{c.id}]"]]) for c in case.thermal_clusters}
-    sto_p = {s.id: float(x[ix.inv[f"xp[{s.id}]"]]) for s in case.storage}
-    sto_e = {s.id: float(x[ix.inv[f"xe[{s.id}]"]]) for s in case.storage}
-    line_x = {l.id: float(x[ix.inv[f"xl[{l.id}]"]]) for l in case.interregional_lines}
+    values = {name: float(x[col]) for name, col in ix.inv.items()}
+    decisions = {kind: {} for kind in INVESTMENT_PREFIXES}
+    for name, kind, eid, *_ in investment_entries(case):
+        decisions[kind][eid] = values[name]
 
     dispatch = {c.id: series(ix.gen, c.id) for c in case.clusters}
     charge = {s.id: series(ix.charge, s.id) for s in case.storage}
@@ -424,17 +483,6 @@ def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> Expansion
     }
     nse = {r.id: series(ix.nse, r.id) for r in case.regions}
     spill = {r.id: series(ix.spill, r.id) for r in case.regions}
-
-    fixed = 0.0
-    for c in case.vre_clusters:
-        fixed += c.fixed_cost * vre_new[c.id] + c.fom_cost * (c.existing_capacity + vre_new[c.id])
-    for c in case.thermal_clusters:
-        live = c.existing_capacity - thermal_ret[c.id] + thermal_new[c.id]
-        fixed += c.fixed_cost * thermal_new[c.id] + c.fom_cost * live
-    for s in case.storage:
-        fixed += s.power_cost * sto_p[s.id] + s.energy_cost * sto_e[s.id]
-    for l in case.interregional_lines:
-        fixed += l.expansion_cost * line_x[l.id]
 
     variable = 0.0
     fee_cost = 0.0
@@ -455,16 +503,11 @@ def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> Expansion
 
     return ExpansionSolution(
         objective=float(sol.objective),
-        fixed_cost=fixed,
+        fixed_cost=fixed_cost(case, values),
         variable_cost=variable,
         nse_cost_total=nse_cost_total,
         carbon_fee_cost=fee_cost,
-        vre_new=vre_new,
-        thermal_new=thermal_new,
-        thermal_retired=thermal_ret,
-        storage_new_power=sto_p,
-        storage_new_energy=sto_e,
-        line_expansion=line_x,
+        **decisions,
         dispatch=dispatch,
         startups=startups,
         charge=charge,

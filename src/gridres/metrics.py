@@ -14,11 +14,11 @@ arbitrage earned there. Fixed costs are excluded and reported separately.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .caseio import write_csv
 from .expansion import ExpansionSolution
 from .model import SystemCase
 from .translate import SiteAllocation
@@ -311,12 +311,7 @@ def build_report(
 
 
 def write_report(reports, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("case", "metric", "key", "value"))
-        for rep in reports:
-            for combo, metric, key, value in rep.rows():
-                w.writerow((combo, metric, key, repr(float(value)) if isinstance(value, float) else value))
+    write_csv(path, ("case", "metric", "key", "value"), (row for rep in reports for row in rep.rows()))
 
 
 def format_summary(reports) -> str:

@@ -50,10 +50,6 @@ class Series:
     def n_periods(self) -> int:
         return self.hours // self.period_length
 
-    def period(self, p: int) -> np.ndarray:
-        lo = p * self.period_length
-        return self.values[lo : lo + self.period_length]
-
     def equals(self, other: "Series") -> bool:
         return (
             self.period_length == other.period_length
@@ -201,15 +197,6 @@ class TransmissionLine:
 
 
 @dataclass(frozen=True)
-class Resolution:
-    n_regions: int
-    n_periods: int
-    period_length: int
-    uc_mode: str
-    extremes_included: bool
-
-
-@dataclass(frozen=True)
 class Violation:
     entity: str
     rule: str
@@ -274,16 +261,6 @@ class SystemCase:
     def n_periods(self) -> int:
         return self.regions[0].demand.n_periods
 
-    @property
-    def resolution(self) -> Resolution:
-        return Resolution(
-            n_regions=len(self.regions),
-            n_periods=self.n_periods,
-            period_length=self.period_length,
-            uc_mode=self.uc_mode,
-            extremes_included=self.extremes_included,
-        )
-
     # -- lookups ---------------------------------------------------------
 
     @cached_property
@@ -331,18 +308,8 @@ class SystemCase:
         return tuple(l for l in self.lines if l.kind == "interregional")
 
     @cached_property
-    def demand_matrix(self) -> np.ndarray:
-        """(regions, hours) in region id order."""
-        m = np.vstack([r.demand.values for r in self.regions])
-        m.setflags(write=False)
-        return m
-
-    @cached_property
     def fine_regions(self) -> tuple[str, ...]:
         return tuple(sorted(self.partition))
-
-    def weight_of_period(self, p: int) -> float:
-        return self.period_weights[p]
 
     # -- comparison ------------------------------------------------------
 

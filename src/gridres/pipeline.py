@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .benders import solve_benders
-from .caseio import load_system, write_case
+from .caseio import load_system, write_case, write_csv
 from .expansion import (
     BuildOptions,
     ExpansionSolution,
@@ -122,6 +122,13 @@ class RunConfig:
             raise ConfigError("stab_weight must be in [0, 1)")
         if self.jobs < 1 or self.sub_jobs < 1:
             raise ConfigError("jobs and sub_jobs must be >= 1")
+        if not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise ConfigError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        # negated comparisons so that NaN is rejected too
+        if not self.gap_tol >= 0.0:
+            raise ConfigError(f"gap_tol must be >= 0, got {self.gap_tol!r}")
+        if not self.beta >= 0.0:
+            raise ConfigError(f"beta must be >= 0, got {self.beta!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -256,16 +263,25 @@ class CaseResult:
         return self.error is None
 
 
-def _write_rows(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+def write_investments(values: dict, path: str) -> None:
+    """investments.csv: named investment values (see investment_entries), by name."""
+    write_csv(path, ("variable", "value"), ((k, float(v)) for k, v in sorted(values.items())))
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def write_operations(operations: ExpansionSolution, path: str) -> None:
+    """operations.csv: headline numbers of a fine-resolution dispatch."""
+    write_csv(
+        path,
+        ("metric", "value"),
+        (
+            ("objective", float(operations.objective)),
+            ("variable_cost", float(operations.variable_cost)),
+            ("nse_cost", float(operations.nse_cost_total)),
+            ("carbon_fee_cost", float(operations.carbon_fee_cost)),
+            ("total_nse", float(operations.total_nse)),
+            ("total_emissions", float(operations.total_emissions)),
+        ),
+    )
 
 
 def run_case(
@@ -281,7 +297,7 @@ def run_case(
     art = os.path.join(rc.out_dir, combo.name)
     os.makedirs(art, exist_ok=True)
     out.artifacts_dir = art
-    _write_rows(
+    write_csv(
         os.path.join(art, "combo.csv"),
         ("field", "value"),
         (("name", combo.name), ("k", combo.k_label), ("uc", combo.uc)),
@@ -331,17 +347,12 @@ def run_case(
                 raise RuntimeError(
                     f"no convergence in {bres.iterations} iterations, gap {bres.gap:.3e}"
                 )
-            _write_rows(
+            write_csv(
                 os.path.join(art, "benders_log.csv"),
                 ("iteration", "lower_bound", "upper_bound", "gap"),
-                ((it, _fmt(lb), _fmt(ub), _fmt(g)) for it, lb, ub, g in bres.log),
+                ((it, float(lb), float(ub), float(g)) for it, lb, ub, g in bres.log),
             )
-            inv = bres.solution.investment_values()
-            _write_rows(
-                os.path.join(art, "investments.csv"),
-                ("variable", "value"),
-                ((k, _fmt(v)) for k, v in sorted(inv.items())),
-            )
+            write_investments(bres.solution.investment_values(), os.path.join(art, "investments.csv"))
         except Exception as e:
             raise StageError(stage, str(e)) from e
 
@@ -364,18 +375,7 @@ def run_case(
             if not sol.is_optimal:
                 raise RuntimeError(f"operations LP is {sol.status}")
             operations = extract_solution(portfolio.case, ix, sol)
-            _write_rows(
-                os.path.join(art, "operations.csv"),
-                ("metric", "value"),
-                (
-                    ("objective", _fmt(operations.objective)),
-                    ("variable_cost", _fmt(operations.variable_cost)),
-                    ("nse_cost", _fmt(operations.nse_cost_total)),
-                    ("carbon_fee_cost", _fmt(operations.carbon_fee_cost)),
-                    ("total_nse", _fmt(operations.total_nse)),
-                    ("total_emissions", _fmt(operations.total_emissions)),
-                ),
-            )
+            write_operations(operations, os.path.join(art, "operations.csv"))
         except Exception as e:
             raise StageError(stage, str(e)) from e
 
@@ -457,14 +457,14 @@ def _ladder_row(res: CaseResult):
         res.n_regions,
         res.combo.k_label,
         res.combo.uc,
-        _fmt(_sco_column(r, ("solar",))),
-        _fmt(_sco_column(r, WIND_TECHS)),
-        _fmt(r.mse_cap),
-        _fmt(r.mse_profit),
-        _fmt(r.mse_emiss),
-        _fmt(r.total_cost),
-        _fmt(r.total_nse),
-        _fmt(r.total_emissions),
+        float(_sco_column(r, ("solar",))),
+        float(_sco_column(r, WIND_TECHS)),
+        float(r.mse_cap),
+        float(r.mse_profit),
+        float(r.mse_emiss),
+        float(r.total_cost),
+        float(r.total_nse),
+        float(r.total_emissions),
     )
 
 
@@ -516,12 +516,12 @@ def run_ladder(rc: RunConfig) -> ExperimentReport:
     ladder_path = os.path.join(rc.out_dir, "ladder.csv")
     timing_path = os.path.join(rc.out_dir, "ladder_timing.csv")
     report_path = os.path.join(rc.out_dir, "report.csv")
-    _write_rows(
+    write_csv(
         ladder_path,
         LADDER_COLUMNS,
         (_ladder_row(r) for r in results if r.ok),
     )
-    _write_rows(
+    write_csv(
         timing_path,
         ("combo", "runtime_s", "status"),
         ((r.combo.name, f"{r.runtime_s:.6f}", "ok" if r.ok else r.error) for r in results),
@@ -599,7 +599,7 @@ def _replay_phase1(combo_dir: str) -> tuple:
     return coarse, extract_solution(coarse, ix, sol)
 
 
-def _replay_operations(fine: SystemCase, allocation_path: str, uc: str = "relaxed"):
+def replay_operations(fine: SystemCase, allocation_path: str, uc: str = "relaxed"):
     allocation = read_allocation(allocation_path)
     portfolio = build_portfolio(fine, allocation)
     lp, ix = build_operations_lp(fine, portfolio, uc=uc)
@@ -615,10 +615,10 @@ def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> 
     fine = rc.load_fine()
     meta = _read_combo_meta(combo_dir)
     coarse, expansion = _replay_phase1(combo_dir)
-    allocation, portfolio, operations = _replay_operations(
+    allocation, portfolio, operations = replay_operations(
         fine, os.path.join(combo_dir, "allocation.csv")
     )
-    hrb_allocation, hrb_portfolio, hrb_operations = _replay_operations(
+    hrb_allocation, hrb_portfolio, hrb_operations = replay_operations(
         fine, os.path.join(baseline_dir, "allocation.csv")
     )
     return build_report(

@@ -87,8 +87,9 @@ def _check_total(fine: SystemCase, partition: RegionPartition) -> None:
         raise CaseError(f"partition maps unknown regions {sorted(extra)}", vs)
 
 
-def _fine_adjacency(fine: SystemCase) -> dict:
-    adj: dict = {r.id: set() for r in fine.regions}
+def fine_adjacency(fine: SystemCase) -> dict:
+    """Fine region -> neighbouring fine regions over interregional lines."""
+    adj: dict = {r: set() for r in fine.fine_regions}
     for l in fine.interregional_lines:
         a, b = l.fine_endpoints
         adj[a].add(b)
@@ -120,7 +121,7 @@ def urban_sinks(fine: SystemCase, members: list) -> list:
 
 def _respur(fine: SystemCase, partition: RegionPartition) -> dict:
     """site id -> (coarse region, sink fine region) for every sited spur."""
-    adj = _fine_adjacency(fine)
+    adj = fine_adjacency(fine)
     out = {}
     for coarse in partition.coarse_names:
         members = partition.members(coarse)

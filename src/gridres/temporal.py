@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .caseio import write_csv
 from .model import WIND_TECHS, Series, SystemCase
 from .prng import Rng
 
@@ -235,11 +236,11 @@ def apply_temporal(case: SystemCase, red: TemporalReduction) -> SystemCase:
 
 
 def write_reduction(red: TemporalReduction, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("representative", "weight", "is_extreme"))
-        for rep, wt, ex in zip(red.representatives, red.weights, red.extreme_flags):
-            w.writerow((rep, wt, "true" if ex else "false"))
+    write_csv(
+        path,
+        ("representative", "weight", "is_extreme"),
+        ((rep, wt, bool(ex)) for rep, wt, ex in zip(red.representatives, red.weights, red.extreme_flags)),
+    )
 
 
 def read_reduction(path: str, period_length: int) -> TemporalReduction:

@@ -32,8 +32,10 @@ import csv
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .expansion import ExpansionSolution
+from .caseio import write_csv
+from .expansion import ExpansionSolution, InvestmentVector, investment_entries
 from .model import ResourceCluster, StorageCluster, SystemCase
+from .spatial import fine_adjacency
 
 
 @dataclass
@@ -61,18 +63,11 @@ class Portfolio:
     line_capacity: dict = field(default_factory=dict)  # fine interregional line -> MW
 
     def investment_fixing(self, case: SystemCase) -> dict:
-        fix = {}
-        for c in case.vre_clusters:
-            fix[f"xv[{c.id}]"] = self.vre_new.get(c.id, 0.0)
-        for c in case.thermal_clusters:
-            fix[f"xg[{c.id}]"] = self.thermal_new.get(c.id, 0.0)
-            fix[f"ret[{c.id}]"] = self.thermal_retired.get(c.id, 0.0)
-        for s in case.storage:
-            fix[f"xp[{s.id}]"] = self.storage_new_power.get(s.id, 0.0)
-            fix[f"xe[{s.id}]"] = self.storage_new_energy.get(s.id, 0.0)
-        for l in case.interregional_lines:
-            fix[f"xl[{l.id}]"] = 0.0  # operating capacity rides on the flow bounds
-        return fix
+        # operating line capacity rides on the flow bounds, so expansion stays 0
+        return {
+            name: 0.0 if kind == "line_expansion" else getattr(self, kind).get(eid, 0.0)
+            for name, kind, eid, *_ in investment_entries(case)
+        }
 
     def total_vre_capacity(self, cluster_id: str) -> float:
         c = self.case.cluster_by_id[cluster_id]
@@ -169,15 +164,6 @@ def retire_units(retired_mw: float, units) -> list:
 # -- transmission redistricting ------------------------------------------------
 
 
-def _fine_adjacency(fine: SystemCase) -> dict:
-    adj: dict = {r: set() for r in fine.fine_regions}
-    for l in fine.interregional_lines:
-        a, b = l.fine_endpoints
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
 def _shortest_path(origin: str, target: str, allowed: set, adj: dict) -> list | None:
     """BFS path as a region list; deterministic via sorted neighbor order."""
     if origin == target:
@@ -210,14 +196,14 @@ def _fine_line_between(fine: SystemCase, a: str, b: str):
 
 
 def redistrict_transmission(
-    coarse_sol: ExpansionSolution,
+    coarse_sol: ExpansionSolution | InvestmentVector,
     coarse: SystemCase,
     fine: SystemCase,
     allocation: SiteAllocation,
     beta: float = 1.0,
 ) -> dict:
     caps = {l.id: 0.0 for l in fine.interregional_lines}
-    adj = _fine_adjacency(fine)
+    adj = fine_adjacency(fine)
     members = {c: [] for c in set(coarse.partition.values())}
     for f, c in coarse.partition.items():
         members[c].append(f)
@@ -299,7 +285,7 @@ def _template_storage(fine_region: str, coarse_storage: StorageCluster) -> Stora
 
 
 def translate_solution(
-    coarse_sol: ExpansionSolution,
+    coarse_sol: ExpansionSolution | InvestmentVector,
     coarse: SystemCase,
     fine: SystemCase,
     beta: float = 1.0,
@@ -465,39 +451,6 @@ def build_portfolio(fine_case: SystemCase, allocation: SiteAllocation) -> Portfo
     )
 
 
-@dataclass
-class InvestmentVector:
-    """Just the investment decisions of an expansion solution, enough to
-    drive translation without the dispatch series."""
-
-    vre_new: dict = field(default_factory=dict)
-    thermal_new: dict = field(default_factory=dict)
-    thermal_retired: dict = field(default_factory=dict)
-    storage_new_power: dict = field(default_factory=dict)
-    storage_new_energy: dict = field(default_factory=dict)
-    line_expansion: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_named_values(cls, values: dict) -> "InvestmentVector":
-        """Parse {"xv[c]": mw, "xg[c]": ..., ...} as written by
-        ExpansionSolution.investment_values."""
-        fields_by_prefix = {
-            "xv": "vre_new",
-            "xg": "thermal_new",
-            "ret": "thermal_retired",
-            "xp": "storage_new_power",
-            "xe": "storage_new_energy",
-            "xl": "line_expansion",
-        }
-        out = cls()
-        for name, value in values.items():
-            prefix, _, rest = name.partition("[")
-            if prefix not in fields_by_prefix or not rest.endswith("]"):
-                raise ValueError(f"unrecognized investment variable {name!r}")
-            getattr(out, fields_by_prefix[prefix])[rest[:-1]] = float(value)
-        return out
-
-
 _ALLOCATION_KINDS = (
     "site", "unit", "cluster", "storage_power", "storage_energy", "line",
 )
@@ -534,26 +487,21 @@ def write_allocation(allocation: SiteAllocation, path: str) -> None:
     rows = []
     for coarse_id in sorted(allocation.provenance):
         for kind, entity, mw in allocation.provenance[coarse_id]:
-            rows.append((kind, entity, mw, coarse_id))
+            rows.append((kind, entity, float(mw), coarse_id))
     for lid in sorted(allocation.line_capacity):
-        rows.append(("line", lid, allocation.line_capacity[lid], ""))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("entity_kind", "entity_id", "mw", "provenance_cluster"))
-        for kind, entity, mw, prov in rows:
-            w.writerow((kind, entity, repr(float(mw)), prov))
+        rows.append(("line", lid, float(allocation.line_capacity[lid]), ""))
+    write_csv(path, ("entity_kind", "entity_id", "mw", "provenance_cluster"), rows)
 
 
 def write_portfolio(portfolio: Portfolio, path: str) -> None:
     case = portfolio.case
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("fine_cluster", "mw", "mwh"))
-        for c in sorted(case.vre_clusters, key=lambda c: c.id):
-            w.writerow((c.id, repr(portfolio.total_vre_capacity(c.id)), ""))
-        for c in sorted(case.thermal_clusters, key=lambda c: c.id):
-            w.writerow((c.id, repr(portfolio.total_thermal_capacity(c.id)), ""))
-        for s in sorted(case.storage, key=lambda s: s.id):
-            p = s.existing_power + portfolio.storage_new_power.get(s.id, 0.0)
-            e = s.existing_energy + portfolio.storage_new_energy.get(s.id, 0.0)
-            w.writerow((s.id, repr(float(p)), repr(float(e))))
+    rows = []
+    for c in sorted(case.vre_clusters, key=lambda c: c.id):
+        rows.append((c.id, float(portfolio.total_vre_capacity(c.id)), ""))
+    for c in sorted(case.thermal_clusters, key=lambda c: c.id):
+        rows.append((c.id, float(portfolio.total_thermal_capacity(c.id)), ""))
+    for s in sorted(case.storage, key=lambda s: s.id):
+        p = s.existing_power + portfolio.storage_new_power.get(s.id, 0.0)
+        e = s.existing_energy + portfolio.storage_new_energy.get(s.id, 0.0)
+        rows.append((s.id, float(p), float(e)))
+    write_csv(path, ("fine_cluster", "mw", "mwh"), rows)

@@ -69,6 +69,8 @@ def test_parameter_validation():
         solve_benders(case, stab_weight=1.0)
     with pytest.raises(ValueError):
         solve_benders(case, sub_jobs=0)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve_benders(case, max_iter=0)
 
 
 def test_stabilized_run_still_converges():

@@ -362,3 +362,13 @@ def test_operations_lp_couples_periods_cyclically():
     g = es.dispatch["g1"]
     # chronology spans the period boundary: hour 1 -> 2 is a real ramp limit
     assert abs(g[2] - g[1]) <= 2.0 + 1e-8
+
+
+def test_fixed_cost_is_the_investment_part_of_the_objective(synth_small):
+    lp, ix = build_expansion_lp(synth_small)
+    sol = solve_simplex(lp)
+    assert sol.is_optimal
+    es = extract_solution(synth_small, ix, sol)
+    cols = list(ix.inv.values())
+    investment_part = float(lp.obj[cols] @ sol.x[cols]) + lp.obj_offset
+    assert es.fixed_cost == pytest.approx(investment_part, rel=1e-9)

@@ -46,7 +46,6 @@ def test_series_period_shape():
     s = Series(np.arange(6, dtype=float), 3)
     assert s.hours == 6
     assert s.n_periods == 2
-    assert np.array_equal(s.period(1), [3.0, 4.0, 5.0])
 
 
 def test_series_rejects_misaligned_periods():
@@ -173,13 +172,6 @@ def test_equals_detects_scalar_change():
     case = _basic_case()
     assert case.equals(case)
     assert not case.equals(case.with_updates(carbon_fee=1.0))
-
-
-def test_resolution_descriptor():
-    case = _basic_case()
-    res = case.resolution
-    assert (res.n_regions, res.n_periods, res.period_length) == (1, 1, 3)
-    assert res.uc_mode == "relaxed"
 
 
 # -- shared numerics -----------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import os
 
 import pytest
+import yaml
 
 from gridres.cli import main as cli_main
 from gridres.pipeline import (
@@ -89,6 +90,16 @@ def test_config_validates_solver_knobs():
         RunConfig.from_dict({**base, "stab_weight": 1.0})
     with pytest.raises(ConfigError, match="jobs and sub_jobs must be >= 1"):
         RunConfig.from_dict({**base, "jobs": 0})
+    with pytest.raises(ConfigError, match="max_iter must be an integer >= 1, got 0"):
+        RunConfig.from_dict({**base, "max_iter": 0})
+    with pytest.raises(ConfigError, match="gap_tol must be >= 0, got -1"):
+        RunConfig.from_dict({**base, "gap_tol": -1.0})
+    with pytest.raises(ConfigError, match="beta must be >= 0, got -2"):
+        RunConfig.from_dict({**base, "beta": -2.0})
+    # YAML .nan parses to a float NaN, which fails every comparison
+    for key in ("max_iter", "gap_tol", "beta"):
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            RunConfig.from_dict({**base, **yaml.safe_load(f"{key}: .nan")})
 
 
 def test_config_rejects_bad_synth_block():

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gridres.expansion import INVESTMENT_PREFIXES, investment_entries
 from gridres.model import Region, require_valid
 from gridres.prng import Rng
 from gridres.spatial import RegionPartition, aggregate_spatial
@@ -439,3 +440,13 @@ def test_investment_vector_parses_named_values():
         InvestmentVector.from_named_values({"zz[q]": 1.0})
     with pytest.raises(ValueError, match="unrecognized"):
         InvestmentVector.from_named_values({"xv": 1.0})
+
+
+def test_investment_vector_round_trips_solution_values(synth_small):
+    sol = _solved(synth_small)
+    assert all(getattr(sol, kind) for kind in INVESTMENT_PREFIXES)  # every family present
+    values = sol.investment_values()
+    assert list(values) == [name for name, *_ in investment_entries(synth_small)]
+    v = InvestmentVector.from_named_values(values)
+    for kind in INVESTMENT_PREFIXES:
+        assert getattr(v, kind) == getattr(sol, kind)
