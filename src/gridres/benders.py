@@ -70,29 +70,25 @@ def _solve_master(case: SystemCase, cuts, reserve: bool):
     b = LpBuilder()
     ix = VarIndex()
     add_investment_columns(case, b, ix)
-    theta = {p: b.var(f"theta[{p}]", 0.0, np.inf, 1.0) for p in range(case.n_periods)}
+    theta = b.vars(case.n_periods, 0.0, np.inf, 1.0)
     if reserve:
         add_reserve_rows(case, b, ix)
-    cols = list(ix.inv.values())
-    for i, cut in enumerate(cuts):
-        terms = [(theta[cut.period], 1.0)]
+    inv = np.arange(ix.inv.start, ix.inv.stop)
+    for cut in cuts:
+        nz = np.flatnonzero(cut.slope)
         rhs = cut.value
-        for j, col in enumerate(cols):
-            z = cut.slope[j]
-            if z != 0.0:
-                terms.append((col, -z))
-                rhs -= z * cut.point[j]
-        b.row(f"cut[{i}]", GE, rhs, terms)
+        for j in nz:  # left to right: a dot product would round differently
+            rhs -= cut.slope[j] * cut.point[j]
+        b.row("cut", GE, rhs, [(theta[cut.period], 1.0), *zip(inv[nz], -cut.slope[nz])])
     sol = solve_simplex(b.build())
     if not sol.is_optimal:
         raise RuntimeError(f"master problem {sol.status}")
-    return sol.objective, sol.x[cols]
+    return sol.objective, sol.x[ix.inv]
 
 
-def _pin(lp, inv_cols, values: np.ndarray) -> None:
-    for j, col in enumerate(inv_cols):
-        lp.lo[col] = values[j]
-        lp.hi[col] = values[j]
+def _pin(lp, inv: slice, values: np.ndarray) -> None:
+    lp.lo[inv] = values
+    lp.hi[inv] = values
 
 
 def _assemble(case: SystemCase, subs, best) -> ExpansionSolution:
@@ -160,9 +156,8 @@ def solve_benders(
             fix={name: 0.0 for name in order},
             include_investment_cost=False,
         )
-        lp, ix = build_lp(case, opts)
-        subs.append((lp, ix))
-    inv_cols = [subs[0][1].inv[name] for name in order]
+        subs.append(build_lp(case, opts))
+    inv = subs[0][1].inv
 
     cuts: list[_Cut] = []
     best_ub = np.inf
@@ -173,39 +168,38 @@ def solve_benders(
     lower = -np.inf
     gap = np.inf
 
-    for it in range(1, max_iter + 1):
-        lower, x_master = _solve_master(case, cuts, reserve)
-        trial = x_master if best_x is None else (1.0 - stab_weight) * x_master + stab_weight * best_x
+    # one pool for the whole solve; with sub_jobs == 1 it starts no thread
+    with ThreadPoolExecutor(max_workers=sub_jobs) as pool:
+        solve_all = pool.map if sub_jobs > 1 else map
+        for it in range(1, max_iter + 1):
+            lower, x_master = _solve_master(case, cuts, reserve)
+            trial = x_master if best_x is None else (1.0 - stab_weight) * x_master + stab_weight * best_x
 
-        for p in range(case.n_periods):
-            _pin(subs[p][0], inv_cols, trial)
-        if sub_jobs > 1:
+            for lp, _ix in subs:
+                _pin(lp, inv, trial)
             # each subproblem owns its LP object; solves are independent
-            with ThreadPoolExecutor(max_workers=sub_jobs) as pool:
-                sols = list(pool.map(lambda s: solve_simplex(s[0]), subs))
-        else:
-            sols = [solve_simplex(lp) for lp, _ix in subs]
-        for p, sol in enumerate(sols):
-            if not sol.is_optimal:
-                raise RuntimeError(f"subproblem {p} {sol.status}")
-        ops_total = sum(s.objective for s in sols)
+            sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs]))
+            for p, sol in enumerate(sols):
+                if not sol.is_optimal:
+                    raise RuntimeError(f"subproblem {p} {sol.status}")
+            ops_total = sum(s.objective for s in sols)
 
-        ub_trial = fixed_cost(case, dict(zip(order, trial))) + ops_total
-        if ub_trial < best_ub:
-            best_ub = ub_trial
-            best_x = trial.copy()
-            best_sols = sols
-        gap = (best_ub - lower) / max(1.0, abs(best_ub))
-        log.append((it, lower, best_ub, gap))
-        if gap <= gap_tol:
-            status = "optimal"
-            break
-        for p in range(case.n_periods):
-            slope = np.array([sols[p].reduced_costs[col] for col in inv_cols])
-            cuts.append(_Cut(period=p, value=sols[p].objective, point=trial.copy(), slope=slope))
+            ub_trial = fixed_cost(case, dict(zip(order, trial))) + ops_total
+            if ub_trial < best_ub:
+                best_ub = ub_trial
+                best_x = trial.copy()
+                best_sols = sols
+            gap = (best_ub - lower) / max(1.0, abs(best_ub))
+            log.append((it, lower, best_ub, gap))
+            if gap <= gap_tol:
+                status = "optimal"
+                break
+            for p, sol in enumerate(sols):
+                slope = sol.reduced_costs[inv].copy()
+                cuts.append(_Cut(period=p, value=sol.objective, point=trial.copy(), slope=slope))
 
-    for p in range(case.n_periods):  # re-pin at the incumbent before extraction
-        _pin(subs[p][0], inv_cols, best_x)
+    for lp, _ix in subs:  # re-pin at the incumbent before extraction
+        _pin(lp, inv, best_x)
     solution = _assemble(case, subs, best_sols)
     return BendersResult(
         status=status,

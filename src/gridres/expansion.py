@@ -18,6 +18,31 @@ balance duals stay inside [0, nse_cost].
 Unit commitment modes: "relaxed" uses a continuous committed-capacity
 variable with startup costs on increases and gen in [min_output*c, c];
 "none" drops commitment and forces gen >= min_output * live capacity.
+
+Layout (pinned by tests/test_layout.py). Columns: the investment columns
+first, in investment_entries order; then chronology block by block, and
+within a block entity by entity (VRE clusters, thermal clusters, storage,
+lines, regions), family by family, hour by hour:
+
+    VRE      gen
+    thermal  gen [commit start shut]       (bracketed: uc "relaxed" only)
+    storage  charge discharge soc
+    line     flow_fwd flow_rev
+    region   nse spill
+
+Rows, block by block: the balance rows hour-major (every region of an hour
+before the next hour), then entity by entity with each entity's rows
+interleaved per hour (bracketed rows only where they apply):
+
+    VRE      gen <= profile * capacity
+    thermal  commit <= capacity, gen <= commit, [gen >= min * commit],
+             commit - previous commit = start - shut      (uc "relaxed")
+             gen <= capacity, [gen >= min * capacity]     (uc "none")
+             then [ramp up, ramp down]
+    storage  soc balance, soc <= energy, charge <= power, discharge <= power
+    line     fwd <= capacity, rev <= capacity             (no override)
+
+and last the per-region reserve rows when requested.
 """
 
 from __future__ import annotations
@@ -45,21 +70,29 @@ class BuildOptions:
 
 @dataclass
 class VarIndex:
-    """Column/row handles into a built LP."""
+    """Column and row indices into a built LP.
 
-    inv: dict = field(default_factory=dict)  # investment var name -> col
-    gen: dict = field(default_factory=dict)  # (cluster, k) -> col
-    commit: dict = field(default_factory=dict)
-    start: dict = field(default_factory=dict)
-    shut: dict = field(default_factory=dict)
-    charge: dict = field(default_factory=dict)
-    discharge: dict = field(default_factory=dict)
-    soc: dict = field(default_factory=dict)
-    flow_fwd: dict = field(default_factory=dict)
-    flow_rev: dict = field(default_factory=dict)
-    nse: dict = field(default_factory=dict)
-    spill: dict = field(default_factory=dict)
-    balance_row: dict = field(default_factory=dict)  # (region, k) -> row
+    inv is the slice of investment columns, in investment_entries order.
+    Every other family is an (entities, hours) array of indices: gen over
+    case.clusters; commit, start and shut over case.thermal_clusters (no
+    entities unless uc is "relaxed"); charge, discharge and soc over
+    case.storage; flow_fwd and flow_rev over case.interregional_lines; nse,
+    spill and balance_row over case.regions.
+    """
+
+    inv: slice | None = None
+    gen: np.ndarray | None = None
+    commit: np.ndarray | None = None
+    start: np.ndarray | None = None
+    shut: np.ndarray | None = None
+    charge: np.ndarray | None = None
+    discharge: np.ndarray | None = None
+    soc: np.ndarray | None = None
+    flow_fwd: np.ndarray | None = None
+    flow_rev: np.ndarray | None = None
+    nse: np.ndarray | None = None
+    spill: np.ndarray | None = None
+    balance_row: np.ndarray | None = None
     hours: list = field(default_factory=list)  # global hour index per k
     hour_weight: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -161,13 +194,39 @@ def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=Non
     names them; with costs, the fixed O&M of existing capacity is the
     objective offset."""
     fix = fix or {}
-    for name, _kind, _eid, lo, hi, cost in investment_entries(case):
-        if name in fix:
-            lo = hi = float(fix[name])
-        ix.inv[name] = b.var(name, lo, hi, cost if include_cost else 0.0)
+    entries = investment_entries(case)
+    lo = [float(fix[name]) if name in fix else lo for name, _k, _e, lo, _h, _c in entries]
+    hi = [float(fix[name]) if name in fix else hi for name, _k, _e, _l, hi, _c in entries]
+    cost = [cost if include_cost else 0.0 for *_, cost in entries]
+    cols = b.vars(len(entries), lo, hi, cost)
+    ix.inv = slice(int(cols[0]), int(cols[-1]) + 1) if len(cols) else slice(0, 0)
     if include_cost:
         for c in case.clusters:
             b.obj_offset += c.fom_cost * c.existing_capacity
+
+
+def _investment_columns(case: SystemCase, ix: VarIndex) -> dict:
+    """kind -> investment column per entity of that kind, in case order."""
+    kinds = np.array([kind for _n, kind, *_ in investment_entries(case)])
+    cols = np.arange(ix.inv.start, ix.inv.stop)
+    return {kind: cols[kinds == kind] for kind in INVESTMENT_PREFIXES}
+
+
+def _hourly_rows(b: LpBuilder, nk: int, groups) -> np.ndarray:
+    """One row block over nk hours with the rows of an hour interleaved:
+    groups lists (sense, rhs, terms) per row of an hour, terms are
+    (column, coefficient) pairs, and each rhs, column and coefficient is a
+    scalar or an (nk,) array. Returns the (nk, len(groups)) row indices."""
+    terms = [(i, col, coef) for i, (_s, _r, group) in enumerate(groups) for col, coef in group]
+    rows, cols, vals = (np.empty((len(terms), nk), dtype) for dtype in (int, int, float))
+    for t, (i, col, coef) in enumerate(terms):
+        rows[t], cols[t], vals[t] = i, col, coef
+    rows += np.arange(nk) * len(groups)
+    rhs = np.empty((len(groups), nk))
+    for i, (_sense, value, _terms) in enumerate(groups):
+        rhs[i] = value
+    senses = np.tile([sense for sense, _r, _t in groups], nk)
+    return b.rows(senses, rhs.T.ravel(), rows.ravel(), cols.ravel(), vals.ravel()).reshape(nk, len(groups))
 
 
 def _blocks(case: SystemCase, opts: BuildOptions):
@@ -175,11 +234,11 @@ def _blocks(case: SystemCase, opts: BuildOptions):
     plen = case.period_length
     periods = opts.periods if opts.periods is not None else tuple(range(case.n_periods))
     per_period = [
-        (list(range(p * plen, (p + 1) * plen)), np.full(plen, case.period_weights[p]))
+        (np.arange(p * plen, (p + 1) * plen), np.full(plen, case.period_weights[p]))
         for p in periods
     ]
     if opts.year_chronology:
-        hours = [h for hs, _ in per_period for h in hs]
+        hours = np.concatenate([hs for hs, _ in per_period])
         weights = np.concatenate([w for _, w in per_period])
         return [(hours, weights)]
     return per_period
@@ -189,173 +248,126 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
     b = LpBuilder()
     ix = VarIndex()
     override = opts.line_capacity_override or {}
+    relaxed = opts.uc == "relaxed"
     add_investment_columns(case, b, ix, opts.fix, opts.include_investment_cost)
+    inv = _investment_columns(case, ix)
 
     blocks = _blocks(case, opts)
-    ix.hours = [h for hours, _w in blocks for h in hours]
+    ix.hours = np.concatenate([hours for hours, _w in blocks]).tolist()
     ix.hour_weight = np.concatenate([w for _hours, w in blocks])
+    nk_all = len(ix.hours)
+    n_committed = len(case.thermal_clusters) if relaxed else 0
 
-    demand = {r.id: r.demand.values for r in case.regions}
+    def family(n_entities) -> np.ndarray:
+        return np.zeros((n_entities, nk_all), dtype=int)
 
-    # -- operations columns, block by block ----------------------------------
+    ix.gen = family(len(case.clusters))
+    ix.commit, ix.start, ix.shut = (family(n_committed) for _ in range(3))
+    ix.charge, ix.discharge, ix.soc = (family(len(case.storage)) for _ in range(3))
+    ix.flow_fwd, ix.flow_rev = (family(len(case.interregional_lines)) for _ in range(2))
+    ix.nse, ix.spill, ix.balance_row = (family(len(case.regions)) for _ in range(3))
+    cluster_pos = {c.id: i for i, c in enumerate(case.clusters)}
+    demand = [r.demand.values for r in case.regions]
+
     k0 = 0
     for hours, w in blocks:
         nk = len(hours)
+        ks = slice(k0, k0 + nk)
+
+        # -- columns -----------------------------------------------------------
         for c in case.vre_clusters:
-            for k in range(nk):
-                ix.gen[(c.id, k0 + k)] = b.var(f"g[{c.id},{k0 + k}]")
-        for c in case.thermal_clusters:
-            mc = c.thermal.marginal_cost(case.carbon_fee)
-            for k in range(nk):
-                ix.gen[(c.id, k0 + k)] = b.var(f"g[{c.id},{k0 + k}]", obj=w[k] * mc)
-            if opts.uc == "relaxed":
-                for k in range(nk):
-                    ix.commit[(c.id, k0 + k)] = b.var(f"c[{c.id},{k0 + k}]")
-                for k in range(nk):
-                    ix.start[(c.id, k0 + k)] = b.var(
-                        f"su[{c.id},{k0 + k}]", obj=w[k] * c.thermal.start_cost
-                    )
-                for k in range(nk):
-                    ix.shut[(c.id, k0 + k)] = b.var(f"sd[{c.id},{k0 + k}]")
-        for s in case.storage:
-            for k in range(nk):
-                ix.charge[(s.id, k0 + k)] = b.var(f"ch[{s.id},{k0 + k}]")
-            for k in range(nk):
-                ix.discharge[(s.id, k0 + k)] = b.var(f"dis[{s.id},{k0 + k}]")
-            for k in range(nk):
-                ix.soc[(s.id, k0 + k)] = b.var(f"soc[{s.id},{k0 + k}]")
-        for l in case.interregional_lines:
+            ix.gen[cluster_pos[c.id], ks] = b.vars(nk)
+        for i, c in enumerate(case.thermal_clusters):
+            ix.gen[cluster_pos[c.id], ks] = b.vars(nk, obj=w * c.thermal.marginal_cost(case.carbon_fee))
+            if relaxed:
+                ix.commit[i, ks] = b.vars(nk)
+                ix.start[i, ks] = b.vars(nk, obj=w * c.thermal.start_cost)
+                ix.shut[i, ks] = b.vars(nk)
+        for i, _s in enumerate(case.storage):
+            ix.charge[i, ks] = b.vars(nk)
+            ix.discharge[i, ks] = b.vars(nk)
+            ix.soc[i, ks] = b.vars(nk)
+        for i, l in enumerate(case.interregional_lines):
             cap = override.get(l.id)
             hi = cap if cap is not None else np.inf
-            for k in range(nk):
-                ix.flow_fwd[(l.id, k0 + k)] = b.var(f"f+[{l.id},{k0 + k}]", 0.0, hi)
-            for k in range(nk):
-                ix.flow_rev[(l.id, k0 + k)] = b.var(f"f-[{l.id},{k0 + k}]", 0.0, hi)
-        for r in case.regions:
-            dvals = demand[r.id]
-            for k in range(nk):
-                ix.nse[(r.id, k0 + k)] = b.var(
-                    f"nse[{r.id},{k0 + k}]", 0.0, dvals[hours[k]], w[k] * case.nse_cost
-                )
-            for k in range(nk):
-                ix.spill[(r.id, k0 + k)] = b.var(f"sp[{r.id},{k0 + k}]")
-        k0 += nk
+            ix.flow_fwd[i, ks] = b.vars(nk, 0.0, hi)
+            ix.flow_rev[i, ks] = b.vars(nk, 0.0, hi)
+        for i, _r in enumerate(case.regions):
+            ix.nse[i, ks] = b.vars(nk, 0.0, demand[i][hours], w * case.nse_cost)
+            ix.spill[i, ks] = b.vars(nk)
 
-    # -- rows ------------------------------------------------------------------
-    k0 = 0
-    for hours, w in blocks:
-        nk = len(hours)
-        for k in range(nk):
-            kk = k0 + k
-            h = hours[k]
-            for r in case.regions:
-                terms = [(ix.nse[(r.id, kk)], 1.0), (ix.spill[(r.id, kk)], -1.0)]
-                for c in case.clusters:
-                    if c.region == r.id:
-                        terms.append((ix.gen[(c.id, kk)], 1.0))
-                for s in case.storage:
-                    if s.region == r.id:
-                        terms.append((ix.discharge[(s.id, kk)], 1.0))
-                        terms.append((ix.charge[(s.id, kk)], -1.0))
-                for l in case.interregional_lines:
-                    if l.endpoints[0] == r.id:
-                        terms.append((ix.flow_fwd[(l.id, kk)], -1.0))
-                        terms.append((ix.flow_rev[(l.id, kk)], 1.0))
-                    elif l.endpoints[1] == r.id:
-                        terms.append((ix.flow_fwd[(l.id, kk)], 1.0))
-                        terms.append((ix.flow_rev[(l.id, kk)], -1.0))
-                ix.balance_row[(r.id, kk)] = b.row(
-                    f"bal[{r.id},{kk}]", EQ, demand[r.id][h], terms
-                )
+        # -- rows --------------------------------------------------------------
+        balance = []
+        for i, r in enumerate(case.regions):
+            terms = [(ix.nse[i, ks], 1.0), (ix.spill[i, ks], -1.0)]
+            for c in case.clusters:
+                if c.region == r.id:
+                    terms.append((ix.gen[cluster_pos[c.id], ks], 1.0))
+            for j, s in enumerate(case.storage):
+                if s.region == r.id:
+                    terms.append((ix.discharge[j, ks], 1.0))
+                    terms.append((ix.charge[j, ks], -1.0))
+            for j, l in enumerate(case.interregional_lines):
+                if l.endpoints[0] == r.id:
+                    terms.append((ix.flow_fwd[j, ks], -1.0))
+                    terms.append((ix.flow_rev[j, ks], 1.0))
+                elif l.endpoints[1] == r.id:
+                    terms.append((ix.flow_fwd[j, ks], 1.0))
+                    terms.append((ix.flow_rev[j, ks], -1.0))
+            balance.append((EQ, demand[i][hours], terms))
+        ix.balance_row[:, ks] = _hourly_rows(b, nk, balance).T
 
-        for c in case.vre_clusters:
-            xv = ix.inv[investment_name("vre_new", c.id)]
-            prof = c.aggregate_profile.values
-            for k in range(nk):
-                rho = prof[hours[k]]
-                b.row(
-                    f"vcap[{c.id},{k0 + k}]",
-                    LE,
-                    rho * c.existing_capacity,
-                    [(ix.gen[(c.id, k0 + k)], 1.0), (xv, -rho)],
-                )
+        for c, xv in zip(case.vre_clusters, inv["vre_new"]):
+            rho = c.aggregate_profile.values[hours]
+            _hourly_rows(b, nk, [(LE, rho * c.existing_capacity, [(ix.gen[cluster_pos[c.id], ks], 1.0), (xv, -rho)])])
 
-        for c in case.thermal_clusters:
-            xg = ix.inv[investment_name("thermal_new", c.id)]
-            ret = ix.inv[investment_name("thermal_retired", c.id)]
+        for i, c in enumerate(case.thermal_clusters):
+            xg = inv["thermal_new"][i]
+            ret = inv["thermal_retired"][i]
             th = c.thermal
             e0 = c.existing_capacity
-            for k in range(nk):
-                kk = k0 + k
-                prev = k0 + (k - 1) % nk
-                g = ix.gen[(c.id, kk)]
-                if opts.uc == "relaxed":
-                    cm = ix.commit[(c.id, kk)]
-                    b.row(f"ccap[{c.id},{kk}]", LE, e0, [(cm, 1.0), (xg, -1.0), (ret, 1.0)])
-                    b.row(f"gc[{c.id},{kk}]", LE, 0.0, [(g, 1.0), (cm, -1.0)])
-                    if th.min_output > 0:
-                        b.row(f"gmin[{c.id},{kk}]", GE, 0.0, [(g, 1.0), (cm, -th.min_output)])
-                    b.row(
-                        f"link[{c.id},{kk}]",
-                        EQ,
-                        0.0,
-                        [
-                            (cm, 1.0),
-                            (ix.commit[(c.id, prev)], -1.0),
-                            (ix.start[(c.id, kk)], -1.0),
-                            (ix.shut[(c.id, kk)], 1.0),
-                        ],
-                    )
-                else:
-                    b.row(f"gcap[{c.id},{kk}]", LE, e0, [(g, 1.0), (xg, -1.0), (ret, 1.0)])
-                    if th.min_output > 0:
-                        b.row(
-                            f"gmin[{c.id},{kk}]",
-                            GE,
-                            th.min_output * e0,
-                            [(g, 1.0), (xg, -th.min_output), (ret, th.min_output)],
-                        )
-                if th.ramp_rate < 1.0:
-                    gp = ix.gen[(c.id, prev)]
-                    r = th.ramp_rate
-                    b.row(
-                        f"rup[{c.id},{kk}]", LE, r * e0,
-                        [(g, 1.0), (gp, -1.0), (xg, -r), (ret, r)],
-                    )
-                    b.row(
-                        f"rdn[{c.id},{kk}]", LE, r * e0,
-                        [(gp, 1.0), (g, -1.0), (xg, -r), (ret, r)],
-                    )
-
-        for s in case.storage:
-            xp = ix.inv[investment_name("storage_new_power", s.id)]
-            xe = ix.inv[investment_name("storage_new_energy", s.id)]
-            for k in range(nk):
-                kk = k0 + k
-                prev = k0 + (k - 1) % nk
-                b.row(
-                    f"soc[{s.id},{kk}]",
-                    EQ,
-                    0.0,
-                    [
-                        (ix.soc[(s.id, kk)], 1.0),
-                        (ix.soc[(s.id, prev)], -1.0),
-                        (ix.charge[(s.id, kk)], -s.efficiency_rt),
-                        (ix.discharge[(s.id, kk)], 1.0),
-                    ],
+            g = ix.gen[cluster_pos[c.id], ks]
+            if relaxed:
+                cm = ix.commit[i, ks]
+                rows = [
+                    (LE, e0, [(cm, 1.0), (xg, -1.0), (ret, 1.0)]),
+                    (LE, 0.0, [(g, 1.0), (cm, -1.0)]),
+                ]
+                if th.min_output > 0:
+                    rows.append((GE, 0.0, [(g, 1.0), (cm, -th.min_output)]))
+                rows.append(
+                    (EQ, 0.0, [(cm, 1.0), (np.roll(cm, 1), -1.0), (ix.start[i, ks], -1.0), (ix.shut[i, ks], 1.0)])
                 )
-                b.row(f"emax[{s.id},{kk}]", LE, s.existing_energy, [(ix.soc[(s.id, kk)], 1.0), (xe, -1.0)])
-                b.row(f"chp[{s.id},{kk}]", LE, s.existing_power, [(ix.charge[(s.id, kk)], 1.0), (xp, -1.0)])
-                b.row(f"dsp[{s.id},{kk}]", LE, s.existing_power, [(ix.discharge[(s.id, kk)], 1.0), (xp, -1.0)])
+            else:
+                rows = [(LE, e0, [(g, 1.0), (xg, -1.0), (ret, 1.0)])]
+                if th.min_output > 0:
+                    rows.append((GE, th.min_output * e0, [(g, 1.0), (xg, -th.min_output), (ret, th.min_output)]))
+            if th.ramp_rate < 1.0:
+                gp = np.roll(g, 1)  # cyclic: hour 0 follows the block's last hour
+                r = th.ramp_rate
+                rows.append((LE, r * e0, [(g, 1.0), (gp, -1.0), (xg, -r), (ret, r)]))
+                rows.append((LE, r * e0, [(gp, 1.0), (g, -1.0), (xg, -r), (ret, r)]))
+            _hourly_rows(b, nk, rows)
 
-        for l in case.interregional_lines:
+        for i, s in enumerate(case.storage):
+            xp = inv["storage_new_power"][i]
+            xe = inv["storage_new_energy"][i]
+            soc, ch, dis = ix.soc[i, ks], ix.charge[i, ks], ix.discharge[i, ks]
+            _hourly_rows(b, nk, [
+                (EQ, 0.0, [(soc, 1.0), (np.roll(soc, 1), -1.0), (ch, -s.efficiency_rt), (dis, 1.0)]),
+                (LE, s.existing_energy, [(soc, 1.0), (xe, -1.0)]),
+                (LE, s.existing_power, [(ch, 1.0), (xp, -1.0)]),
+                (LE, s.existing_power, [(dis, 1.0), (xp, -1.0)]),
+            ])
+
+        for i, l in enumerate(case.interregional_lines):
             if l.id in override:
                 continue  # flow bounds already carry the operating capacity
-            xl = ix.inv[investment_name("line_expansion", l.id)]
-            for k in range(nk):
-                kk = k0 + k
-                b.row(f"fw[{l.id},{kk}]", LE, l.capacity, [(ix.flow_fwd[(l.id, kk)], 1.0), (xl, -1.0)])
-                b.row(f"rv[{l.id},{kk}]", LE, l.capacity, [(ix.flow_rev[(l.id, kk)], 1.0), (xl, -1.0)])
+            xl = inv["line_expansion"][i]
+            _hourly_rows(b, nk, [
+                (LE, l.capacity, [(ix.flow_fwd[i, ks], 1.0), (xl, -1.0)]),
+                (LE, l.capacity, [(ix.flow_rev[i, ks], 1.0), (xl, -1.0)]),
+            ])
         k0 += nk
 
     if opts.reserve:
@@ -367,23 +379,24 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
 def add_reserve_rows(case: SystemCase, b: LpBuilder, ix: VarIndex) -> None:
     """Per-region firm capacity >= (1 + margin) * peak demand. VRE counts at
     its period-max profile over the case's own hours, storage at power."""
+    inv = _investment_columns(case, ix)
     for r in case.regions:
         peak = float(np.max(r.demand.values))
         rhs = (1.0 + r.reserve_margin) * peak
         terms = []
-        for c in case.thermal_clusters:
+        for i, c in enumerate(case.thermal_clusters):
             if c.region == r.id:
-                terms.append((ix.inv[investment_name("thermal_new", c.id)], 1.0))
-                terms.append((ix.inv[investment_name("thermal_retired", c.id)], -1.0))
+                terms.append((inv["thermal_new"][i], 1.0))
+                terms.append((inv["thermal_retired"][i], -1.0))
                 rhs -= c.existing_capacity
-        for c in case.vre_clusters:
+        for i, c in enumerate(case.vre_clusters):
             if c.region == r.id:
                 credit = float(np.max(c.aggregate_profile.values))
-                terms.append((ix.inv[investment_name("vre_new", c.id)], credit))
+                terms.append((inv["vre_new"][i], credit))
                 rhs -= credit * c.existing_capacity
-        for s in case.storage:
+        for i, s in enumerate(case.storage):
             if s.region == r.id:
-                terms.append((ix.inv[investment_name("storage_new_power", s.id)], 1.0))
+                terms.append((inv["storage_new_power"][i], 1.0))
                 rhs -= s.existing_power
         b.row(f"reserve[{r.id}]", GE, rhs, terms)
 
@@ -463,39 +476,35 @@ def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> Expansion
         raise ValueError(f"cannot extract from a {sol.status} solution")
     x = sol.x
     w = ix.hour_weight
-    nk = len(ix.hours)
 
-    def series(index_map, key) -> np.ndarray:
-        return np.array([x[index_map[(key, k)]] for k in range(nk)])
-
-    values = {name: float(x[col]) for name, col in ix.inv.items()}
+    values = {}
     decisions = {kind: {} for kind in INVESTMENT_PREFIXES}
-    for name, kind, eid, *_ in investment_entries(case):
-        decisions[kind][eid] = values[name]
+    for (name, kind, eid, *_), v in zip(investment_entries(case), x[ix.inv].tolist()):
+        values[name] = decisions[kind][eid] = v
 
-    dispatch = {c.id: series(ix.gen, c.id) for c in case.clusters}
-    charge = {s.id: series(ix.charge, s.id) for s in case.storage}
-    discharge = {s.id: series(ix.discharge, s.id) for s in case.storage}
-    soc = {s.id: series(ix.soc, s.id) for s in case.storage}
+    dispatch = {c.id: x[ix.gen[i]] for i, c in enumerate(case.clusters)}
+    charge = {s.id: x[ix.charge[i]] for i, s in enumerate(case.storage)}
+    discharge = {s.id: x[ix.discharge[i]] for i, s in enumerate(case.storage)}
+    soc = {s.id: x[ix.soc[i]] for i, s in enumerate(case.storage)}
     flow = {
-        l.id: series(ix.flow_fwd, l.id) - series(ix.flow_rev, l.id)
-        for l in case.interregional_lines
+        l.id: x[ix.flow_fwd[i]] - x[ix.flow_rev[i]]
+        for i, l in enumerate(case.interregional_lines)
     }
-    nse = {r.id: series(ix.nse, r.id) for r in case.regions}
-    spill = {r.id: series(ix.spill, r.id) for r in case.regions}
+    nse = {r.id: x[ix.nse[i]] for i, r in enumerate(case.regions)}
+    spill = {r.id: x[ix.spill[i]] for i, r in enumerate(case.regions)}
 
     variable = 0.0
     fee_cost = 0.0
     emissions = {}
     startups = {}
-    for c in case.thermal_clusters:
+    for i, c in enumerate(case.thermal_clusters):
         th = c.thermal
         energy = dispatch[c.id] * w
         variable += float(energy.sum()) * (th.fuel_cost * th.heat_rate + th.vom)
         emissions[c.id] = float(energy.sum()) * th.heat_rate * th.emission_factor
         fee_cost += case.carbon_fee * emissions[c.id]
-        if ix.start:
-            startups[c.id] = series(ix.start, c.id)
+        if len(ix.start):
+            startups[c.id] = x[ix.start[i]]
             variable += float((startups[c.id] * w).sum()) * th.start_cost
     nse_cost_total = case.nse_cost * float(sum((v * w).sum() for v in nse.values()))
 
@@ -527,16 +536,13 @@ def extract_prices(case: SystemCase, ix: VarIndex, sol: Solution) -> dict:
     """Zonal prices: balance-row dual / period weight, bounds-checked."""
     if not sol.is_optimal:
         raise ValueError(f"no prices on a {sol.status} solution")
-    duals = sol.row_duals
-    w = ix.hour_weight
-    nk = len(ix.hours)
     max_mc = 0.0
     for c in case.thermal_clusters:
         max_mc = max(max_mc, c.thermal.marginal_cost(case.carbon_fee) + c.thermal.start_cost)
     cap = max(case.nse_cost, max_mc)
     out = {}
-    for r in case.regions:
-        p = np.array([duals[ix.balance_row[(r.id, k)]] for k in range(nk)]) / w
+    for r, rows in zip(case.regions, ix.balance_row):
+        p = sol.row_duals[rows] / ix.hour_weight
         lo, hi = float(p.min()), float(p.max())
         if lo < -PRICE_TOL * (1.0 + cap) or hi > cap * (1.0 + PRICE_TOL) + PRICE_TOL:
             raise ValueError(f"price out of bounds in {r.id}: [{lo}, {hi}]")

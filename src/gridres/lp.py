@@ -19,7 +19,7 @@ silently wrong Solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,12 +41,10 @@ class LinearProgram:
     obj: np.ndarray  # (n,)
     lo: np.ndarray  # (n,)
     hi: np.ndarray  # (n,), np.inf allowed
-    senses: list[str]
+    senses: np.ndarray  # (m,) of LE / EQ / GE
     rhs: np.ndarray  # (m,)
     a_matrix: sp.csr_matrix  # (m, n)
     obj_offset: float = 0.0
-    col_names: list[str] = field(default_factory=list)
-    row_names: list[str] = field(default_factory=list)
 
     @property
     def n_vars(self) -> int:
@@ -78,58 +76,77 @@ class LinearProgram:
 
 
 class LpBuilder:
-    """Incremental construction with named columns and rows."""
+    """Construction in column and row blocks; var and row are the
+    one-element cases, and their names are not stored. Zero coefficients
+    are dropped and duplicate (row, column) entries are summed."""
 
     def __init__(self):
-        self._obj: list[float] = []
-        self._lo: list[float] = []
-        self._hi: list[float] = []
-        self._col_names: list[str] = []
-        self._senses: list[str] = []
-        self._rhs: list[float] = []
-        self._row_names: list[str] = []
-        self._ai: list[int] = []
-        self._aj: list[int] = []
-        self._av: list[float] = []
+        self._n = 0
+        self._m = 0
+        self._obj: list[np.ndarray] = []
+        self._lo: list[np.ndarray] = []
+        self._hi: list[np.ndarray] = []
+        self._senses: list[np.ndarray] = []
+        self._rhs: list[np.ndarray] = []
+        self._ai: list[np.ndarray] = []
+        self._aj: list[np.ndarray] = []
+        self._av: list[np.ndarray] = []
         self.obj_offset = 0.0
 
+    def vars(self, n: int, lo=0.0, hi=np.inf, obj=0.0) -> np.ndarray:
+        """n columns; lo, hi and obj are scalars or (n,) arrays."""
+        for parts, value in ((self._lo, lo), (self._hi, hi), (self._obj, obj)):
+            block = np.empty(n)
+            block[:] = value
+            parts.append(block)
+        self._n += n
+        return np.arange(self._n - n, self._n)
+
+    def rows(self, senses, rhs, rows, cols, vals) -> np.ndarray:
+        """len(rhs) rows; senses is one sense or one per row, and rows are
+        local (0 is this block's first row)."""
+        rhs = np.asarray(rhs, dtype=float)
+        m = rhs.size
+        block = np.full(m, senses) if np.ndim(senses) == 0 else np.asarray(senses)
+        bad = (block != LE) & (block != EQ) & (block != GE)
+        if bad.any():
+            raise ValueError(f"bad sense {str(block[bad][0])!r}")
+        vals = np.asarray(vals, dtype=float)
+        keep = vals != 0.0
+        self._senses.append(block)
+        self._rhs.append(rhs)
+        self._ai.append(np.asarray(rows, dtype=int)[keep] + self._m)
+        self._aj.append(np.asarray(cols, dtype=int)[keep])
+        self._av.append(vals[keep])
+        self._m += m
+        return np.arange(self._m - m, self._m)
+
     def var(self, name: str, lo: float = 0.0, hi: float = np.inf, obj: float = 0.0) -> int:
-        self._col_names.append(name)
-        self._lo.append(lo)
-        self._hi.append(hi)
-        self._obj.append(obj)
-        return len(self._col_names) - 1
+        return int(self.vars(1, lo, hi, obj)[0])
 
     def row(self, name: str, sense: str, rhs: float, terms) -> int:
-        if sense not in (LE, EQ, GE):
-            raise ValueError(f"bad sense {sense!r}")
-        i = len(self._senses)
-        self._row_names.append(name)
-        self._senses.append(sense)
-        self._rhs.append(rhs)
-        for j, coef in terms:
-            if coef != 0.0:
-                self._ai.append(i)
-                self._aj.append(j)
-                self._av.append(coef)
-        return i
+        terms = list(terms)
+        cols, vals = [j for j, _v in terms], [v for _j, v in terms]
+        return int(self.rows(sense, [rhs], np.zeros(len(terms)), cols, vals)[0])
 
     def build(self) -> LinearProgram:
-        n, m = len(self._col_names), len(self._senses)
+        def cat(parts, dtype):
+            return np.concatenate(parts) if parts else np.zeros(0, dtype)
+
         a = sp.coo_matrix(
-            (self._av, (self._ai, self._aj)), shape=(m, n), dtype=float
+            (cat(self._av, float), (cat(self._ai, int), cat(self._aj, int))),
+            shape=(self._m, self._n),
+            dtype=float,
         ).tocsr()
         a.sum_duplicates()
         return LinearProgram(
-            obj=np.array(self._obj, dtype=float),
-            lo=np.array(self._lo, dtype=float),
-            hi=np.array(self._hi, dtype=float),
-            senses=list(self._senses),
-            rhs=np.array(self._rhs, dtype=float),
+            obj=cat(self._obj, float),
+            lo=cat(self._lo, float),
+            hi=cat(self._hi, float),
+            senses=cat(self._senses, "<U2"),
+            rhs=cat(self._rhs, float),
             a_matrix=a,
             obj_offset=self.obj_offset,
-            col_names=self._col_names,
-            row_names=self._row_names,
         )
 
 
@@ -167,42 +184,28 @@ _BOUND_ACTIVE_TOL = 1e-9
 
 
 def kkt_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> KktResiduals:
-    ax = lp.a_matrix @ x
-    primal = 0.0
-    for i, sense in enumerate(lp.senses):
-        gap = ax[i] - lp.rhs[i]
-        if sense == LE:
-            primal = max(primal, gap)
-        elif sense == GE:
-            primal = max(primal, -gap)
-        else:
-            primal = max(primal, abs(gap))
+    le = lp.senses == LE
+    ge = lp.senses == GE
+    gap = lp.a_matrix @ x - lp.rhs
+    row_primal = np.where(le, gap, np.where(ge, -gap, np.abs(gap)))
+    # max() keeps its first argument on ties, so an all-zero residual is
+    # +0.0 as in a running maximum started at 0.0
     primal = max(
-        primal,
+        0.0,
+        float(np.max(row_primal, initial=0.0)),
         float(np.max(lp.lo - x, initial=0.0)),
         float(np.max(x - lp.hi, initial=0.0)),
     )
 
     z = lp.obj - lp.a_matrix.T @ y
-    dual = 0.0
-    for i, sense in enumerate(lp.senses):
-        if sense == LE:
-            dual = max(dual, y[i])  # must be <= 0
-        elif sense == GE:
-            dual = max(dual, -y[i])  # must be >= 0
+    # LE duals must be <= 0, GE duals >= 0; equalities impose nothing
+    row_dual = np.where(le, y, np.where(ge, -y, 0.0))
     span = lp.hi - lp.lo
     at_lo = (x - lp.lo) <= _BOUND_ACTIVE_TOL * (1.0 + np.abs(lp.lo))
     at_hi = (lp.hi - x) <= _BOUND_ACTIVE_TOL * (1.0 + np.abs(lp.hi))
-    fixed = span <= _BOUND_ACTIVE_TOL
-    for j in range(lp.n_vars):
-        if fixed[j]:
-            continue  # fixed columns impose nothing on z
-        if at_lo[j]:
-            dual = max(dual, -z[j])
-        elif at_hi[j]:
-            dual = max(dual, z[j])
-        else:
-            dual = max(dual, abs(z[j]))
+    fixed = span <= _BOUND_ACTIVE_TOL  # fixed columns impose nothing on z
+    col_dual = np.where(fixed, 0.0, np.where(at_lo, -z, np.where(at_hi, z, np.abs(z))))
+    dual = max(0.0, float(np.max(row_dual, initial=0.0)), float(np.max(col_dual, initial=0.0)))
 
     # complementarity as the relative duality gap with sign-clipped reduced
     # costs (wrong signs are already charged to the dual residual)
@@ -226,28 +229,20 @@ def kkt_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> KktResidua
 
 def solve_simplex(lp: LinearProgram, check: bool = True) -> Solution:
     """Solve to optimality (or prove infeasible/unbounded) deterministically."""
-    senses = np.array([{LE: 0, EQ: 1, GE: 2}[s] for s in lp.senses])
-    le_rows = np.nonzero(senses == 0)[0]
-    ge_rows = np.nonzero(senses == 2)[0]
-    eq_rows = np.nonzero(senses == 1)[0]
-
-    a_csr = lp.a_matrix
-    a_ub = None
-    b_ub = None
-    ub_rows = list(le_rows) + list(ge_rows)
-    if ub_rows:
-        parts = []
-        rhs_parts = []
-        if len(le_rows):
-            parts.append(a_csr[le_rows])
-            rhs_parts.append(lp.rhs[le_rows])
-        if len(ge_rows):
-            parts.append(-a_csr[ge_rows])
-            rhs_parts.append(-lp.rhs[ge_rows])
-        a_ub = sp.vstack(parts, format="csr")
-        b_ub = np.concatenate(rhs_parts)
-    a_eq = a_csr[eq_rows] if len(eq_rows) else None
-    b_eq = lp.rhs[eq_rows] if len(eq_rows) else None
+    # HiGHS via linprog takes A_ub x <= b_ub: LE rows, then negated GE rows
+    le_rows = np.nonzero(lp.senses == LE)[0]
+    ge_rows = np.nonzero(lp.senses == GE)[0]
+    eq_rows = np.nonzero(lp.senses == EQ)[0]
+    ub_rows = np.concatenate([le_rows, ge_rows])
+    a_ub = b_ub = a_eq = b_eq = None
+    if ub_rows.size:
+        sign = np.repeat([1.0, -1.0], [le_rows.size, ge_rows.size])
+        a_ub = lp.a_matrix[ub_rows]
+        a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
+        b_ub = sign * lp.rhs[ub_rows]
+    if eq_rows.size:
+        a_eq = lp.a_matrix[eq_rows]
+        b_eq = lp.rhs[eq_rows]
 
     res = linprog(
         c=lp.obj,
@@ -268,11 +263,9 @@ def solve_simplex(lp: LinearProgram, check: bool = True) -> Solution:
 
     x = np.asarray(res.x, dtype=float)
     y = np.zeros(lp.n_rows)
-    if ub_rows:
-        marg = np.asarray(res.ineqlin.marginals, dtype=float)
-        y[le_rows] = marg[: len(le_rows)]
-        y[ge_rows] = -marg[len(le_rows) :]
-    if len(eq_rows):
+    if ub_rows.size:
+        y[ub_rows] = sign * np.asarray(res.ineqlin.marginals, dtype=float)
+    if eq_rows.size:
         y[eq_rows] = np.asarray(res.eqlin.marginals, dtype=float)
 
     kkt = kkt_residuals(lp, x, y)

@@ -370,11 +370,7 @@ def run_case(
         # 5: fine-resolution dispatch of the translated build
         stage = "operate"
         try:
-            lp, ix = build_operations_lp(fine, portfolio, uc="relaxed")
-            sol = solve_simplex(lp)
-            if not sol.is_optimal:
-                raise RuntimeError(f"operations LP is {sol.status}")
-            operations = extract_solution(portfolio.case, ix, sol)
+            operations = dispatch_portfolio(portfolio)
             write_operations(operations, os.path.join(art, "operations.csv"))
         except Exception as e:
             raise StageError(stage, str(e)) from e
@@ -599,14 +595,23 @@ def _replay_phase1(combo_dir: str) -> tuple:
     return coarse, extract_solution(coarse, ix, sol)
 
 
-def replay_operations(fine: SystemCase, allocation_path: str, uc: str = "relaxed"):
-    allocation = read_allocation(allocation_path)
-    portfolio = build_portfolio(fine, allocation)
-    lp, ix = build_operations_lp(fine, portfolio, uc=uc)
+def dispatch_portfolio(portfolio, uc: str = "relaxed") -> ExpansionSolution:
+    """Dispatch a translated build over the full chronology of its case,
+    which includes any template cluster the translation created."""
+    lp, ix = build_operations_lp(portfolio.case, portfolio, uc=uc)
     sol = solve_simplex(lp)
     if not sol.is_optimal:
-        raise RuntimeError(f"operations replay is {sol.status}")
-    return allocation, portfolio, extract_solution(portfolio.case, ix, sol)
+        raise RuntimeError(f"operations LP is {sol.status}")
+    return extract_solution(portfolio.case, ix, sol)
+
+
+def replay_operations(fine: SystemCase, allocation_path: str, uc: str = "relaxed"):
+    """Re-dispatch a saved allocation on the fine case. An allocation onto a
+    template cluster is refused ("unknown fine thermal cluster"): rebuilding
+    the template needs the coarse case, which the allocation file lacks."""
+    allocation = read_allocation(allocation_path)
+    portfolio = build_portfolio(fine, allocation)
+    return allocation, portfolio, dispatch_portfolio(portfolio, uc=uc)
 
 
 def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> MetricsReport:

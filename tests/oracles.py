@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from gridres.lp import EQ, GE, LE, LpBuilder
+from gridres.lp import _BOUND_ACTIVE_TOL, EQ, GE, LE, KktResiduals, LpBuilder
 from gridres.prng import Rng
 
 FEAS_TOL = 1e-9
@@ -74,6 +74,64 @@ def vertex_optimum(lp):
     if not np.any(feas):
         return None
     return float(np.min(xs[feas] @ lp.obj)) + lp.obj_offset
+
+
+def reference_kkt_residuals(lp, x, y):
+    """Row-by-row and column-by-column KKT residuals, the loop form that
+    gridres.lp.kkt_residuals computes with array operations."""
+    ax = lp.a_matrix @ x
+    primal = 0.0
+    for i, sense in enumerate(lp.senses):
+        gap = ax[i] - lp.rhs[i]
+        if sense == LE:
+            primal = max(primal, gap)
+        elif sense == GE:
+            primal = max(primal, -gap)
+        else:
+            primal = max(primal, abs(gap))
+    primal = max(
+        primal,
+        float(np.max(lp.lo - x, initial=0.0)),
+        float(np.max(x - lp.hi, initial=0.0)),
+    )
+
+    z = lp.obj - lp.a_matrix.T @ y
+    dual = 0.0
+    for i, sense in enumerate(lp.senses):
+        if sense == LE:
+            dual = max(dual, y[i])  # must be <= 0
+        elif sense == GE:
+            dual = max(dual, -y[i])  # must be >= 0
+    span = lp.hi - lp.lo
+    at_lo = (x - lp.lo) <= _BOUND_ACTIVE_TOL * (1.0 + np.abs(lp.lo))
+    at_hi = (lp.hi - x) <= _BOUND_ACTIVE_TOL * (1.0 + np.abs(lp.hi))
+    fixed = span <= _BOUND_ACTIVE_TOL
+    for j in range(lp.n_vars):
+        if fixed[j]:
+            continue  # fixed columns impose nothing on z
+        if at_lo[j]:
+            dual = max(dual, -z[j])
+        elif at_hi[j]:
+            dual = max(dual, z[j])
+        else:
+            dual = max(dual, abs(z[j]))
+
+    primal_obj = float(lp.obj @ x)
+    dual_obj = float(lp.rhs @ y)
+    zp = np.where(z > 0, z, 0.0)
+    zn = np.where(z < 0, z, 0.0)
+    lo_term = np.where(np.isfinite(lp.lo), lp.lo, 0.0) * zp
+    hi_term = np.where(np.isfinite(lp.hi), lp.hi, 0.0) * zn
+    dual_obj += float(lo_term.sum() + hi_term.sum())
+    compl = abs(primal_obj - dual_obj) / (1.0 + abs(primal_obj))
+
+    return KktResiduals(
+        primal=float(primal),
+        dual=float(dual),
+        compl=float(compl),
+        primal_scale=1.0 + float(np.max(np.abs(lp.rhs), initial=0.0)),
+        dual_scale=1.0 + float(np.max(np.abs(lp.obj), initial=0.0)),
+    )
 
 
 def random_boxed_lp(seed, feasible=True):

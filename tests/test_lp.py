@@ -3,7 +3,7 @@ import pytest
 
 from gridres.lp import EQ, GE, LE, LpBuilder, Solution, kkt_residuals, solve_simplex
 
-from oracles import random_boxed_lp, vertex_optimum
+from oracles import random_boxed_lp, reference_kkt_residuals, vertex_optimum
 
 
 def test_textbook_maximum():
@@ -140,6 +140,22 @@ def test_kkt_clean_on_random_corpus():
         assert sol.kkt.primal <= 1e-7 * sol.kkt.primal_scale
         assert sol.kkt.dual <= 1e-7 * sol.kkt.dual_scale
         assert sol.kkt.compl <= 1e-6
+
+
+def test_kkt_residuals_equal_the_loop_reference_on_random_corpus():
+    rng = np.random.default_rng(0)
+    for seed in range(60, 90):
+        lp = random_boxed_lp(seed, feasible=True)
+        sol = solve_simplex(lp)
+        points = [(sol.x, sol.row_duals)]
+        # off-optimum points make every residual branch nonzero somewhere
+        for _ in range(3):
+            points.append((
+                sol.x + rng.normal(scale=0.5, size=lp.n_vars),
+                sol.row_duals + rng.normal(scale=0.5, size=lp.n_rows),
+            ))
+        for x, y in points:
+            assert kkt_residuals(lp, x, y) == reference_kkt_residuals(lp, x, y), f"seed {seed}"
 
 
 def test_kkt_flags_a_wrong_primal_point():

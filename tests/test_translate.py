@@ -7,6 +7,7 @@ import pytest
 
 from gridres.expansion import INVESTMENT_PREFIXES, investment_entries
 from gridres.model import Region, require_valid
+from gridres.pipeline import dispatch_portfolio
 from gridres.prng import Rng
 from gridres.spatial import RegionPartition, aggregate_spatial
 from gridres.translate import (
@@ -386,7 +387,9 @@ def test_merged_translation_conserves_every_total(synth_small):
     require_valid(portfolio.case)
 
 
-def test_investment_into_a_bare_region_creates_a_template():
+def _translate_into_a_bare_region():
+    """10 MW of coarse gas for a fine region B that has demand but no gas
+    cluster of its own."""
     uA = make_unit("uA", "A", "gA", 5.0)
     fine = make_case(
         [
@@ -398,7 +401,11 @@ def test_investment_into_a_bare_region_creates_a_template():
     )
     coarse = aggregate_spatial(fine, RegionPartition.from_mapping({"A": "W", "B": "W"}))
     sol = investments(thermal_new={"W_gas": 10.0})
-    alloc, portfolio = translate_solution(sol, coarse, fine)
+    return translate_solution(sol, coarse, fine)
+
+
+def test_investment_into_a_bare_region_creates_a_template():
+    alloc, portfolio = _translate_into_a_bare_region()
     # all demand sits in B, so the full 10 MW lands there on a fresh cluster
     assert alloc.thermal_new == {"B_gas_tpl": 10.0}
     assert "B_gas_tpl" in {c.id for c in portfolio.case.clusters}
@@ -406,6 +413,15 @@ def test_investment_into_a_bare_region_creates_a_template():
     assert tpl.existing_capacity == 0.0
     assert tpl.region == "B"
     assert portfolio.thermal_new["B_gas_tpl"] == 10.0
+
+
+def test_operate_stage_dispatches_a_template_cluster():
+    # the pipeline's operate stage builds and extracts on the portfolio's
+    # case, which holds the template; the fine case alone does not
+    _alloc, portfolio = _translate_into_a_bare_region()
+    ops = dispatch_portfolio(portfolio)
+    np.testing.assert_allclose(ops.dispatch["B_gas_tpl"], [6.0, 6.0], atol=1e-9)
+    assert ops.total_nse == pytest.approx(0.0, abs=1e-9)
 
 
 def test_allocation_file_round_trip(tmp_path, synth_small):
