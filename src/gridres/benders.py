@@ -69,10 +69,10 @@ class _Cut:
 def _solve_master(case: SystemCase, cuts, reserve: bool):
     b = LpBuilder()
     ix = VarIndex()
-    add_investment_columns(case, b, ix)
+    inv_of_kind = add_investment_columns(case, b, ix)
     theta = b.vars(case.n_periods, 0.0, np.inf, 1.0)
     if reserve:
-        add_reserve_rows(case, b, ix)
+        add_reserve_rows(case, b, inv_of_kind)
     inv = np.arange(ix.inv.start, ix.inv.stop)
     for cut in cuts:
         nz = np.flatnonzero(cut.slope)

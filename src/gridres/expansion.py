@@ -189,10 +189,11 @@ class InvestmentVector:
         return out
 
 
-def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=None, include_cost=True) -> None:
+def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=None, include_cost=True) -> dict:
     """Investment columns in investment_entries order, pinned where fix
     names them; with costs, the fixed O&M of existing capacity is the
-    objective offset."""
+    objective offset. Returns kind -> column per entity of that kind, in
+    case order."""
     fix = fix or {}
     entries = investment_entries(case)
     lo = [float(fix[name]) if name in fix else lo for name, _k, _e, lo, _h, _c in entries]
@@ -203,13 +204,10 @@ def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=Non
     if include_cost:
         for c in case.clusters:
             b.obj_offset += c.fom_cost * c.existing_capacity
-
-
-def _investment_columns(case: SystemCase, ix: VarIndex) -> dict:
-    """kind -> investment column per entity of that kind, in case order."""
-    kinds = np.array([kind for _n, kind, *_ in investment_entries(case)])
-    cols = np.arange(ix.inv.start, ix.inv.stop)
-    return {kind: cols[kinds == kind] for kind in INVESTMENT_PREFIXES}
+    inv = {kind: [] for kind in INVESTMENT_PREFIXES}
+    for (_n, kind, *_), col in zip(entries, cols.tolist()):
+        inv[kind].append(col)
+    return inv
 
 
 def _hourly_rows(b: LpBuilder, nk: int, groups) -> np.ndarray:
@@ -249,8 +247,7 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
     ix = VarIndex()
     override = opts.line_capacity_override or {}
     relaxed = opts.uc == "relaxed"
-    add_investment_columns(case, b, ix, opts.fix, opts.include_investment_cost)
-    inv = _investment_columns(case, ix)
+    inv = add_investment_columns(case, b, ix, opts.fix, opts.include_investment_cost)
 
     blocks = _blocks(case, opts)
     ix.hours = np.concatenate([hours for hours, _w in blocks]).tolist()
@@ -371,15 +368,15 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
         k0 += nk
 
     if opts.reserve:
-        add_reserve_rows(case, b, ix)
+        add_reserve_rows(case, b, inv)
 
     return b.build(), ix
 
 
-def add_reserve_rows(case: SystemCase, b: LpBuilder, ix: VarIndex) -> None:
+def add_reserve_rows(case: SystemCase, b: LpBuilder, inv: dict) -> None:
     """Per-region firm capacity >= (1 + margin) * peak demand. VRE counts at
-    its period-max profile over the case's own hours, storage at power."""
-    inv = _investment_columns(case, ix)
+    its period-max profile over the case's own hours, storage at power.
+    inv is the kind -> columns map from add_investment_columns."""
     for r in case.regions:
         peak = float(np.max(r.demand.values))
         rhs = (1.0 + r.reserve_margin) * peak

@@ -595,23 +595,24 @@ def _replay_phase1(combo_dir: str) -> tuple:
     return coarse, extract_solution(coarse, ix, sol)
 
 
-def dispatch_portfolio(portfolio, uc: str = "relaxed") -> ExpansionSolution:
-    """Dispatch a translated build over the full chronology of its case,
-    which includes any template cluster the translation created."""
-    lp, ix = build_operations_lp(portfolio.case, portfolio, uc=uc)
+def dispatch_portfolio(portfolio) -> ExpansionSolution:
+    """Dispatch a translated build, with relaxed unit commitment, over the
+    full chronology of its case, which includes any template cluster the
+    translation created."""
+    lp, ix = build_operations_lp(portfolio.case, portfolio, uc="relaxed")
     sol = solve_simplex(lp)
     if not sol.is_optimal:
         raise RuntimeError(f"operations LP is {sol.status}")
     return extract_solution(portfolio.case, ix, sol)
 
 
-def replay_operations(fine: SystemCase, allocation_path: str, uc: str = "relaxed"):
+def replay_operations(fine: SystemCase, allocation_path: str):
     """Re-dispatch a saved allocation on the fine case. An allocation onto a
     template cluster is refused ("unknown fine thermal cluster"): rebuilding
     the template needs the coarse case, which the allocation file lacks."""
     allocation = read_allocation(allocation_path)
     portfolio = build_portfolio(fine, allocation)
-    return allocation, portfolio, dispatch_portfolio(portfolio, uc=uc)
+    return allocation, portfolio, dispatch_portfolio(portfolio)
 
 
 def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> MetricsReport:
