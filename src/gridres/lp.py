@@ -11,19 +11,37 @@ Optimal solutions are KKT-checked before being returned:
     dual    max reduced-cost sign violation     <= 1e-7 * (1 + ||c||inf)
     compl   relative duality gap                <= 1e-6
 
-The backend is HiGHS dual simplex via scipy, which is deterministic for a
-fixed input and returns basic solutions (exact complementarity up to
-round-off). Numerical breakdown surfaces as SolverNumericsError, never as a
-silently wrong Solution.
+The backend is HiGHS dual simplex, which is deterministic for a fixed input
+and returns basic solutions (exact complementarity up to round-off). Where
+scipy ships its HiGHS bindings (``scipy.optimize._highspy._core``, scipy
+1.15 on), ``highs_attempt`` drives them directly. It hands HiGHS the model
+``linprog(method="highs-ds")`` builds (LE rows, then negated GE rows, then
+EQ rows, in CSC form, infinite bounds as kHighsInf) under the options
+linprog sets, so its solutions are bit-identical to linprog's; only
+linprog's per-solve input cleaning, option checks and bound-multiplier
+loop are skipped. Where the bindings are missing, ``linprog_attempt``
+solves through linprog. The choice is made once, at import.
+
+A solve that ends in any status other than optimal, infeasible or
+unbounded, or whose optimum fails the KKT check, is re-solved once with
+interior point plus crossover (``SolveStats.retried``). Only if that fails
+too does it surface as SolverNumericsError, never as a silently wrong
+Solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+
+try:
+    import scipy.optimize._highspy._core as highs
+except ImportError:  # scipy < 1.15
+    highs = None
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -166,6 +184,16 @@ class KktResiduals:
         )
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    rows: int
+    cols: int
+    nnz: int
+    run_s: float | None  # HiGHS run time over all attempts; None through linprog
+    iterations: int  # simplex iterations over all attempts (linprog's nit)
+    retried: bool  # the first attempt failed and interior point re-solved
+
+
 @dataclass
 class Solution:
     status: str  # optimal | infeasible | unbounded
@@ -174,6 +202,7 @@ class Solution:
     row_duals: np.ndarray | None  # d(objective)/d(rhs) per row
     reduced_costs: np.ndarray | None  # c - A^T y
     kkt: KktResiduals | None
+    stats: SolveStats | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -227,58 +256,199 @@ def kkt_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> KktResidua
     )
 
 
-def solve_simplex(lp: LinearProgram, check: bool = True) -> Solution:
-    """Solve to optimality (or prove infeasible/unbounded) deterministically."""
-    # HiGHS via linprog takes A_ub x <= b_ub: LE rows, then negated GE rows
-    le_rows = np.nonzero(lp.senses == LE)[0]
-    ge_rows = np.nonzero(lp.senses == GE)[0]
-    eq_rows = np.nonzero(lp.senses == EQ)[0]
-    ub_rows = np.concatenate([le_rows, ge_rows])
-    a_ub = b_ub = a_eq = b_eq = None
-    if ub_rows.size:
-        sign = np.repeat([1.0, -1.0], [le_rows.size, ge_rows.size])
-        a_ub = lp.a_matrix[ub_rows]
-        a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
-        b_ub = sign * lp.rhs[ub_rows]
-    if eq_rows.size:
-        a_eq = lp.a_matrix[eq_rows]
-        b_eq = lp.rhs[eq_rows]
+@dataclass
+class Attempt:
+    """One backend run. x and y are None unless the status is optimal; y is
+    in the LP's row order and sign convention."""
 
+    status: str  # optimal | infeasible | unbounded | failed
+    message: str
+    objective: float | None = None  # without obj_offset
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None
+    run_s: float | None = None
+    iterations: int = 0
+
+
+class _StackedRows(NamedTuple):
+    """The rows as linprog hands them to HiGHS: LE rows, then negated GE
+    rows, then EQ rows."""
+
+    order: np.ndarray  # LP row of each stacked row
+    sign: np.ndarray  # -1.0 on GE rows, 1.0 elsewhere
+    n_ineq: int  # LE and GE rows, which come first
+    a_matrix: sp.csr_matrix  # signed rows, in stacked order
+    rhs: np.ndarray  # signed rhs, in stacked order
+
+
+def _stacked_rows(lp: LinearProgram) -> _StackedRows:
+    le = np.nonzero(lp.senses == LE)[0]
+    ge = np.nonzero(lp.senses == GE)[0]
+    eq = np.nonzero(lp.senses == EQ)[0]
+    order = np.concatenate([le, ge, eq])
+    sign = np.repeat([1.0, -1.0, 1.0], [le.size, ge.size, eq.size])
+    a = lp.a_matrix[order]
+    a.data *= np.repeat(sign, np.diff(a.indptr))
+    return _StackedRows(order, sign, le.size + ge.size, a, sign * lp.rhs[order])
+
+
+def _row_duals(rows: _StackedRows, duals) -> np.ndarray:
+    """Duals of the stacked rows back in the LP's row order and signs."""
+    y = np.empty(rows.order.size)
+    y[rows.order] = rows.sign * np.asarray(duals, dtype=float)
+    return y
+
+
+def _highs_options(**values):
+    """The options linprog sets for a HiGHS solve, plus values."""
+    opts = highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = False
+    opts.log_to_console = False
+    for name, value in values.items():
+        setattr(opts, name, value)
+    return opts
+
+
+if highs is not None:
+    _SIMPLEX = _highs_options(solver="simplex")
+    _IPM = _highs_options(solver="ipm", run_crossover="on")
+
+
+def _highs_inf(v: np.ndarray) -> np.ndarray:
+    # only the infinite entries change, so no 0 * inf arises
+    return np.where(np.isinf(v), np.copysign(highs.kHighsInf, v), v)
+
+
+def highs_attempt(lp: LinearProgram, ipm: bool) -> Attempt:
+    """Solve through scipy's bundled HiGHS bindings, with the model and
+    options linprog(method="highs-ds") builds (``highs-ipm`` when ipm)."""
+    rows = _stacked_rows(lp)
+    a = rows.a_matrix.tocsc()
+    row_lower = rows.rhs.copy()
+    row_lower[: rows.n_ineq] = -np.inf
+    h = highs._Highs()
+    h.passOptions(_IPM if ipm else _SIMPLEX)
+    # The array form of passModel copies each array in one go (setting the
+    # fields of a HighsLp converts element by element, ten times slower on
+    # a 22k-nonzero LP). It reads one integrality entry per column, so an
+    # all-continuous array of full length is passed.
+    status = h.passModel(
+        lp.n_vars,
+        lp.n_rows,
+        a.nnz,
+        int(highs.MatrixFormat.kColwise),
+        int(highs.ObjSense.kMinimize),
+        0.0,
+        lp.obj,
+        _highs_inf(lp.lo),
+        _highs_inf(lp.hi),
+        _highs_inf(row_lower),
+        _highs_inf(rows.rhs),
+        a.indptr,
+        a.indices,
+        a.data,
+        np.zeros(lp.n_vars, dtype=np.int32),
+    )
+    if status == highs.HighsStatus.kError:
+        return Attempt("failed", "HiGHS rejected the model")
+    run_status = h.run()
+    model_status = h.getModelStatus()
+    info = h.getInfo()
+    out = Attempt(
+        "failed",
+        f"HiGHS status {h.modelStatusToString(model_status)}",
+        run_s=h.getRunTime(),
+        iterations=info.simplex_iteration_count,
+    )
+    if run_status == highs.HighsStatus.kError:
+        return out
+    if model_status == highs.HighsModelStatus.kInfeasible:
+        out.status = "infeasible"
+    elif model_status == highs.HighsModelStatus.kUnbounded:
+        out.status = "unbounded"
+    elif model_status == highs.HighsModelStatus.kOptimal:
+        solution = h.getSolution()
+        out.status = "optimal"
+        out.objective = info.objective_function_value
+        out.x = np.array(solution.col_value, dtype=float)
+        out.y = _row_duals(rows, solution.row_dual)
+    return out
+
+
+def linprog_attempt(lp: LinearProgram, ipm: bool) -> Attempt:
+    """Solve through scipy's linprog (method ``highs-ds``, or ``highs-ipm``,
+    which runs crossover by default)."""
+    rows = _stacked_rows(lp)
+    k = rows.n_ineq
     res = linprog(
         c=lp.obj,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
+        A_ub=rows.a_matrix[:k] if k else None,
+        b_ub=rows.rhs[:k] if k else None,
+        A_eq=rows.a_matrix[k:] if k < lp.n_rows else None,
+        b_eq=rows.rhs[k:] if k < lp.n_rows else None,
         bounds=np.column_stack([lp.lo, lp.hi]),
-        method="highs-ds",
+        method="highs-ipm" if ipm else "highs-ds",
     )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
+    out = Attempt(status, f"solver failure: {res.message}", iterations=int(res.nit))
+    if status == "optimal":
+        out.objective = float(res.fun)
+        out.x = np.asarray(res.x, dtype=float)
+        out.y = _row_duals(rows, np.concatenate([res.ineqlin.marginals, res.eqlin.marginals]))
+    return out
 
-    if res.status == 2:
-        return Solution("infeasible", None, None, None, None, None)
-    if res.status == 3:
-        return Solution("unbounded", None, None, None, None, None)
-    if res.status != 0:
-        raise SolverNumericsError(f"solver failure: {res.message}")
 
-    x = np.asarray(res.x, dtype=float)
-    y = np.zeros(lp.n_rows)
-    if ub_rows.size:
-        y[ub_rows] = sign * np.asarray(res.ineqlin.marginals, dtype=float)
-    if eq_rows.size:
-        y[eq_rows] = np.asarray(res.eqlin.marginals, dtype=float)
+BACKEND = highs_attempt if highs is not None else linprog_attempt
 
-    kkt = kkt_residuals(lp, x, y)
-    if check and not kkt.ok():
-        raise SolverNumericsError(
-            f"KKT residuals out of tolerance: primal {kkt.primal:.3e} "
-            f"dual {kkt.dual:.3e} compl {kkt.compl:.3e}"
+
+def solve_with(lp: LinearProgram, attempt, check: bool = True) -> Solution:
+    """Solve with one attempt function, re-solving once with interior point
+    plus crossover when the first run fails or (with check) its optimum
+    fails the KKT check."""
+    runs = []
+    for ipm in (False, True):
+        run = attempt(lp, ipm)
+        runs.append(run)
+        if run.status in ("infeasible", "unbounded"):
+            return Solution(run.status, None, None, None, None, None, _stats(lp, runs))
+        if run.status != "optimal":
+            continue
+        kkt = kkt_residuals(lp, run.x, run.y)
+        if check and not kkt.ok():
+            run.message = (
+                f"KKT residuals out of tolerance: primal {kkt.primal:.3e} "
+                f"dual {kkt.dual:.3e} compl {kkt.compl:.3e}"
+            )
+            continue
+        return Solution(
+            status="optimal",
+            objective=float(run.objective) + lp.obj_offset,
+            x=run.x,
+            row_duals=run.y,
+            reduced_costs=lp.obj - lp.a_matrix.T @ run.y,
+            kkt=kkt,
+            stats=_stats(lp, runs),
         )
-    return Solution(
-        status="optimal",
-        objective=float(res.fun) + lp.obj_offset,
-        x=x,
-        row_duals=y,
-        reduced_costs=lp.obj - lp.a_matrix.T @ y,
-        kkt=kkt,
+    raise SolverNumericsError(
+        f"dual simplex: {runs[0].message}; interior point: {runs[1].message}"
     )
+
+
+def _stats(lp: LinearProgram, runs) -> SolveStats:
+    times = [r.run_s for r in runs]
+    return SolveStats(
+        rows=lp.n_rows,
+        cols=lp.n_vars,
+        nnz=int(lp.a_matrix.nnz),
+        run_s=None if None in times else sum(times),
+        iterations=sum(r.iterations for r in runs),
+        retried=len(runs) > 1,
+    )
+
+
+def solve_simplex(lp: LinearProgram, check: bool = True) -> Solution:
+    """Solve to optimality (or prove infeasible/unbounded) deterministically."""
+    return solve_with(lp, BACKEND, check)

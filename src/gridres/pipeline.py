@@ -606,12 +606,13 @@ def dispatch_portfolio(portfolio) -> ExpansionSolution:
     return extract_solution(portfolio.case, ix, sol)
 
 
-def replay_operations(fine: SystemCase, allocation_path: str):
-    """Re-dispatch a saved allocation on the fine case. An allocation onto a
-    template cluster is refused ("unknown fine thermal cluster"): rebuilding
-    the template needs the coarse case, which the allocation file lacks."""
+def replay_operations(fine: SystemCase, allocation_path: str, coarse: SystemCase | None = None):
+    """Re-dispatch a saved allocation on the fine case. Given the coarse case
+    the allocation was translated from, template clusters and storage in it
+    are rebuilt from their provenance cluster; without it, an allocation
+    onto a template is refused ("unknown fine thermal cluster")."""
     allocation = read_allocation(allocation_path)
-    portfolio = build_portfolio(fine, allocation)
+    portfolio = build_portfolio(fine, allocation, coarse)
     return allocation, portfolio, dispatch_portfolio(portfolio)
 
 
@@ -622,7 +623,7 @@ def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> 
     meta = _read_combo_meta(combo_dir)
     coarse, expansion = _replay_phase1(combo_dir)
     allocation, portfolio, operations = replay_operations(
-        fine, os.path.join(combo_dir, "allocation.csv")
+        fine, os.path.join(combo_dir, "allocation.csv"), coarse
     )
     hrb_allocation, hrb_portfolio, hrb_operations = replay_operations(
         fine, os.path.join(baseline_dir, "allocation.csv")

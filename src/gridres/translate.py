@@ -284,6 +284,39 @@ def _template_storage(fine_region: str, coarse_storage: StorageCluster) -> Stora
     )
 
 
+def _template_region(entity: str, suffix: str, fine: SystemCase) -> str | None:
+    region = entity[: -len(suffix)]
+    return region if entity.endswith(suffix) and region in fine.region_by_id else None
+
+
+def _with_templates(fine: SystemCase, coarse: SystemCase, allocation: SiteAllocation) -> SystemCase:
+    """fine plus the template clusters and storage that the allocation's
+    provenance names, each built from the first coarse cluster in id order
+    that feeds it, as translate_solution creates them."""
+    clusters: dict = {}
+    storage: dict = {}
+    for coarse_id in sorted(allocation.provenance):
+        for kind, entity, _mw in allocation.provenance[coarse_id]:
+            if entity in fine.cluster_by_id or entity in fine.storage_by_id:
+                continue
+            if kind == "cluster" and entity not in clusters:
+                src = coarse.cluster_by_id.get(coarse_id)
+                region = _template_region(entity, f"_{src.tech}_tpl", fine) if src else None
+                if region:
+                    clusters[entity] = _template_thermal(region, src)
+            elif kind in ("storage_power", "storage_energy") and entity not in storage:
+                src = coarse.storage_by_id.get(coarse_id)
+                region = _template_region(entity, "_storage_tpl", fine) if src else None
+                if region:
+                    storage[entity] = _template_storage(region, src)
+    if not (clusters or storage):
+        return fine
+    return fine.with_updates(
+        clusters=fine.clusters + tuple(clusters.values()),
+        storage=fine.storage + tuple(storage.values()),
+    )
+
+
 def translate_solution(
     coarse_sol: ExpansionSolution | InvestmentVector,
     coarse: SystemCase,
@@ -309,7 +342,6 @@ def translate_solution(
             alloc.site_investment[s.id] = alloc.site_investment.get(s.id, 0.0) + mw
 
     # thermal investment and retirement
-    extra_clusters: list = []
     fine_thermal_by_region: dict = {}
     for c in fine.thermal_clusters:
         fine_thermal_by_region.setdefault((c.region, c.tech), []).append(c)
@@ -331,7 +363,6 @@ def translate_solution(
                     target = min(targets, key=lambda t: t.id)
                 else:
                     target = _template_thermal(r, c)
-                    extra_clusters.append(target)
                     fine_thermal_by_region.setdefault((r, c.tech), []).append(target)
                 alloc.thermal_new[target.id] = alloc.thermal_new.get(target.id, 0.0) + mw
                 prov.append(("cluster", target.id, mw))
@@ -352,7 +383,6 @@ def translate_solution(
         r = fine.site_by_id[sid].fine_region
         vre_by_region[r] = vre_by_region.get(r, 0.0) + mw
 
-    extra_storage: list = []
     fine_storage_by_region: dict = {}
     for s in fine.storage:
         fine_storage_by_region.setdefault(s.region, []).append(s)
@@ -375,7 +405,6 @@ def translate_solution(
                 target = min(targets, key=lambda t: t.id)
             else:
                 target = _template_storage(r, s)
-                extra_storage.append(target)
                 fine_storage_by_region[r] = [target]
             alloc.storage_power[target.id] = alloc.storage_power.get(target.id, 0.0) + p_shares.get(r, 0.0)
             alloc.storage_energy[target.id] = alloc.storage_energy.get(target.id, 0.0) + e_shares.get(r, 0.0)
@@ -385,22 +414,23 @@ def translate_solution(
             alloc.provenance[s.id] = tuple(prov)
 
     alloc.line_capacity = redistrict_transmission(coarse_sol, coarse, fine, alloc, beta=beta)
-
-    ops_case = fine
-    if extra_clusters or extra_storage:
-        ops_case = fine.with_updates(
-            clusters=tuple(list(fine.clusters) + extra_clusters),
-            storage=tuple(list(fine.storage) + extra_storage),
-        )
-    return alloc, build_portfolio(ops_case, alloc)
+    return alloc, build_portfolio(fine, alloc, coarse)
 
 
-def build_portfolio(fine_case: SystemCase, allocation: SiteAllocation) -> Portfolio:
+def build_portfolio(
+    fine_case: SystemCase, allocation: SiteAllocation, coarse: SystemCase | None = None
+) -> Portfolio:
     """Turn an allocation into per-cluster capacities on the fine case.
 
     Every fine cluster gets an entry, zero if untouched. An empty
-    allocation therefore reproduces the existing system as-is.
+    allocation therefore reproduces the existing system as-is. Given the
+    coarse case the allocation was translated from, the template clusters
+    and storage it names (``<region>_<tech>_tpl``, ``<region>_storage_tpl``)
+    are rebuilt from their provenance cluster and added to the portfolio's
+    case; without it, an allocation onto a template is refused.
     """
+    if coarse is not None:
+        fine_case = _with_templates(fine_case, coarse, allocation)
     vre_new = {c.id: 0.0 for c in fine_case.vre_clusters}
     for sid, mw in allocation.site_investment.items():
         fc = fine_case.cluster_of_member.get(sid)

@@ -200,6 +200,40 @@ def synth_small():
 
 
 @pytest.fixture(scope="session")
+def synth_small_lps(synth_small):
+    """The LPs built over synth_small, by name: both uc modes of the
+    expansion, one single-period Benders subproblem and the operations LP
+    of a portfolio with new gas and an expanded line."""
+    from gridres.expansion import (
+        BuildOptions,
+        build_expansion_lp,
+        build_lp,
+        build_operations_lp,
+        investment_entries,
+    )
+    from gridres.translate import SiteAllocation, build_portfolio
+
+    case = synth_small
+    subproblem = BuildOptions(
+        uc="relaxed",
+        reserve=False,
+        periods=(1,),
+        fix={name: 0.0 for name, *_ in investment_entries(case)},
+        include_investment_cost=False,
+    )
+    line = case.interregional_lines[0]
+    allocation = SiteAllocation(line_capacity={line.id: 1.5 * line.capacity})
+    portfolio = build_portfolio(case, allocation)
+    portfolio.thermal_new[case.thermal_clusters[0].id] = 25.0
+    return {
+        "expansion_relaxed": build_expansion_lp(case, uc="relaxed")[0],
+        "expansion_none": build_expansion_lp(case, uc="none")[0],
+        "subproblem": build_lp(case, subproblem)[0],
+        "operations": build_operations_lp(case, portfolio)[0],
+    }
+
+
+@pytest.fixture(scope="session")
 def synth_medium():
     """3 regions x 4 day-periods, used where two regions are too degenerate."""
     from gridres.syngen import SynthConfig, generate

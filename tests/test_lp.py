@@ -1,7 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gridres.lp import EQ, GE, LE, LpBuilder, Solution, kkt_residuals, solve_simplex
+from gridres import lp as lp_module
+from gridres.lp import (
+    EQ,
+    GE,
+    LE,
+    Attempt,
+    LpBuilder,
+    Solution,
+    SolverNumericsError,
+    highs,
+    highs_attempt,
+    kkt_residuals,
+    linprog_attempt,
+    solve_simplex,
+    solve_with,
+)
 
 from oracles import random_boxed_lp, reference_kkt_residuals, vertex_optimum
 
@@ -18,17 +35,25 @@ def test_textbook_maximum():
     assert sol.x[y] == pytest.approx(2.0)
 
 
-def test_infeasible_detected():
+def _infeasible_lp():
     b = LpBuilder()
     v = b.var("v", 0.0, 1.0, 1.0)
     b.row("bad", GE, 2.0, [(v, 1.0)])
-    assert solve_simplex(b.build()).status == "infeasible"
+    return b.build()
+
+
+def _unbounded_lp():
+    b = LpBuilder()
+    b.var("v", 0.0, np.inf, -1.0)
+    return b.build()
+
+
+def test_infeasible_detected():
+    assert solve_simplex(_infeasible_lp()).status == "infeasible"
 
 
 def test_unbounded_detected():
-    b = LpBuilder()
-    v = b.var("v", 0.0, np.inf, -1.0)
-    assert solve_simplex(b.build()).status == "unbounded"
+    assert solve_simplex(_unbounded_lp()).status == "unbounded"
 
 
 def test_obj_offset_carried_through():
@@ -187,3 +212,99 @@ def test_lp_dump_is_parseable_text(tmp_path):
     assert "objective" in text
     assert "rows" in text
     assert "triplets" in text
+
+
+# -- backends, the interior-point retry and solve statistics ---------------------
+
+needs_highs = pytest.mark.skipif(highs is None, reason="scipy ships no HiGHS bindings")
+BACKENDS = [
+    pytest.param(highs_attempt, id="highs", marks=needs_highs),
+    pytest.param(linprog_attempt, id="linprog"),
+]
+
+
+def _assert_identical(a, b):
+    assert a.status == b.status
+    assert a.objective == b.objective
+    for field in ("x", "row_duals", "reduced_costs"):
+        u, v = getattr(a, field), getattr(b, field)
+        assert (u is None) == (v is None), field
+        if u is not None:
+            assert np.array_equal(u, v), field
+            assert np.array_equal(np.signbit(u), np.signbit(v)), field
+    assert a.kkt == b.kkt
+
+
+@needs_highs
+def test_direct_backend_matches_linprog_on_random_corpus():
+    lps = [random_boxed_lp(seed, feasible=True) for seed in range(50)]
+    lps += [random_boxed_lp(seed, feasible=False) for seed in range(200, 240)]
+    lps += [_infeasible_lp(), _unbounded_lp()]
+    statuses = set()
+    for lp in lps:
+        direct = solve_with(lp, highs_attempt)
+        _assert_identical(direct, solve_with(lp, linprog_attempt))
+        statuses.add(direct.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+@needs_highs
+@pytest.mark.parametrize("name", ["expansion_relaxed", "expansion_none", "subproblem", "operations"])
+def test_direct_backend_matches_linprog_on_synth_lps(synth_small_lps, name):
+    lp = synth_small_lps[name]
+    direct = solve_with(lp, highs_attempt)
+    assert direct.is_optimal
+    _assert_identical(direct, solve_with(lp, linprog_attempt))
+
+
+def test_solve_stats_describe_the_lp_and_its_run(synth_small_lps):
+    lp = synth_small_lps["operations"]
+    stats = solve_simplex(lp).stats
+    assert (stats.rows, stats.cols, stats.nnz) == (lp.n_rows, lp.n_vars, lp.a_matrix.nnz)
+    assert stats.iterations > 0
+    assert stats.run_s is None if highs is None else stats.run_s > 0.0
+    assert not stats.retried
+    assert solve_simplex(_infeasible_lp()).stats.rows == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_failed_first_attempt_is_retried_with_interior_point(monkeypatch, backend):
+    calls = []
+
+    def failing_first(lp, ipm):
+        calls.append(ipm)
+        return backend(lp, ipm) if ipm else Attempt("failed", "forced failure")
+
+    monkeypatch.setattr(lp_module, "BACKEND", failing_first)
+    lp = random_boxed_lp(seed=3, feasible=True)
+    sol = solve_simplex(lp)
+    assert calls == [False, True]
+    assert sol.is_optimal and sol.kkt.ok()
+    assert sol.stats.retried
+    assert sol.objective == pytest.approx(vertex_optimum(lp), abs=1e-8)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_kkt_failure_is_retried_with_interior_point(monkeypatch, backend):
+    calls = []
+    real = lp_module.kkt_residuals
+
+    def off_first(lp, x, y):
+        calls.append(None)
+        kkt = real(lp, x, y)
+        return replace(kkt, primal=np.inf) if len(calls) == 1 else kkt
+
+    monkeypatch.setattr(lp_module, "BACKEND", backend)
+    monkeypatch.setattr(lp_module, "kkt_residuals", off_first)
+    lp = random_boxed_lp(seed=3, feasible=True)
+    sol = solve_simplex(lp)
+    assert len(calls) == 2
+    assert sol.is_optimal and sol.kkt.ok()
+    assert sol.stats.retried
+    assert sol.objective == pytest.approx(vertex_optimum(lp), abs=1e-8)
+
+
+def test_a_failed_retry_raises(monkeypatch):
+    monkeypatch.setattr(lp_module, "BACKEND", lambda lp, ipm: Attempt("failed", f"forced ipm={ipm}"))
+    with pytest.raises(SolverNumericsError, match="forced ipm=False.*forced ipm=True"):
+        solve_simplex(random_boxed_lp(seed=3, feasible=True))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gridres.expansion import INVESTMENT_PREFIXES, investment_entries
-from gridres.model import Region, require_valid
-from gridres.pipeline import dispatch_portfolio
+from gridres.model import Region, StorageCluster, require_valid
+from gridres.pipeline import dispatch_portfolio, replay_operations
 from gridres.prng import Rng
 from gridres.spatial import RegionPartition, aggregate_spatial
 from gridres.translate import (
@@ -388,9 +388,14 @@ def test_merged_translation_conserves_every_total(synth_small):
 
 
 def _translate_into_a_bare_region():
-    """10 MW of coarse gas for a fine region B that has demand but no gas
-    cluster of its own."""
+    """10 MW of coarse gas and 2 MW / 8 MWh of coarse storage for a fine
+    region B that has demand but neither a gas cluster nor storage of its
+    own. Returns (fine, coarse, allocation, portfolio)."""
     uA = make_unit("uA", "A", "gA", 5.0)
+    sA = StorageCluster(
+        id="sA", region="A", power_cost=10.0, energy_cost=1.0,
+        efficiency_rt=0.9, existing_power=1.0, existing_energy=4.0,
+    )
     fine = make_case(
         [
             Region(id="A", urban_population=0, reserve_margin=0.0, demand=series([0.0, 0.0])),
@@ -398,14 +403,19 @@ def _translate_into_a_bare_region():
         ],
         [make_thermal_cluster("gA", "A", [uA], max_new=50.0)],
         units=[uA],
+        storage=[sA],
     )
     coarse = aggregate_spatial(fine, RegionPartition.from_mapping({"A": "W", "B": "W"}))
-    sol = investments(thermal_new={"W_gas": 10.0})
-    return translate_solution(sol, coarse, fine)
+    sol = investments(
+        thermal_new={"W_gas": 10.0},
+        storage_new_power={"W_storage": 2.0},
+        storage_new_energy={"W_storage": 8.0},
+    )
+    return (fine, coarse, *translate_solution(sol, coarse, fine))
 
 
 def test_investment_into_a_bare_region_creates_a_template():
-    alloc, portfolio = _translate_into_a_bare_region()
+    _fine, _coarse, alloc, portfolio = _translate_into_a_bare_region()
     # all demand sits in B, so the full 10 MW lands there on a fresh cluster
     assert alloc.thermal_new == {"B_gas_tpl": 10.0}
     assert "B_gas_tpl" in {c.id for c in portfolio.case.clusters}
@@ -413,15 +423,39 @@ def test_investment_into_a_bare_region_creates_a_template():
     assert tpl.existing_capacity == 0.0
     assert tpl.region == "B"
     assert portfolio.thermal_new["B_gas_tpl"] == 10.0
+    # storage follows demand too, onto a fresh B_storage_tpl
+    assert alloc.storage_power == {"B_storage_tpl": 2.0}
+    assert portfolio.case.storage_by_id["B_storage_tpl"].existing_power == 0.0
 
 
 def test_operate_stage_dispatches_a_template_cluster():
     # the pipeline's operate stage builds and extracts on the portfolio's
     # case, which holds the template; the fine case alone does not
-    _alloc, portfolio = _translate_into_a_bare_region()
+    _fine, _coarse, _alloc, portfolio = _translate_into_a_bare_region()
     ops = dispatch_portfolio(portfolio)
     np.testing.assert_allclose(ops.dispatch["B_gas_tpl"], [6.0, 6.0], atol=1e-9)
     assert ops.total_nse == pytest.approx(0.0, abs=1e-9)
+
+
+def test_replay_rebuilds_templates_from_the_coarse_case(tmp_path):
+    fine, coarse, alloc, portfolio = _translate_into_a_bare_region()
+    path = str(tmp_path / "allocation.csv")
+    write_allocation(alloc, path)
+    _back, replayed, ops = replay_operations(fine, path, coarse)
+    assert replayed.case.equals(portfolio.case)
+    assert replayed.thermal_new == portfolio.thermal_new
+    assert replayed.storage_new_power == portfolio.storage_new_power
+    assert replayed.storage_new_energy == portfolio.storage_new_energy
+    want = dispatch_portfolio(portfolio)
+    assert ops.objective == want.objective
+    for field in ("dispatch", "charge", "discharge", "soc", "prices"):
+        got, exp = getattr(ops, field), getattr(want, field)
+        assert got.keys() == exp.keys(), field
+        for key in exp:
+            assert np.array_equal(got[key], exp[key]), (field, key)
+    # without the coarse case the template cannot be rebuilt
+    with pytest.raises(ValueError, match="unknown fine thermal cluster B_gas_tpl"):
+        replay_operations(fine, path)
 
 
 def test_allocation_file_round_trip(tmp_path, synth_small):
