@@ -12,15 +12,29 @@ where z_j is the reduced cost of pinned investment column j in the
 subproblem optimum (its objective coefficient there is zero, so z_j is
 the sensitivity of v_p to moving both bounds together).
 
-Subproblem LPs are built once and re-pinned in place each iteration;
-cuts are inserted sorted by period index so results do not depend on
-completion order. An optional convex-combination step toward the
-incumbent (stab_weight in [0, 1)) damps the master iterate; 0 is pure
-Benders.
+The master's investment columns, cost variables and reserve rows are
+built once per solve; each cut's row is appended once, when the cut is
+made, in period order, so results do not depend on completion order. The
+master is solved cold each iteration.
+
+Subproblem LPs are built once and re-pinned in place each iteration. Only
+the pinned investment bounds change between iterations, so a subproblem's
+last optimal basis stays dual feasible: from its second solve on, each
+subproblem warm-starts dual simplex from its own last basis
+(``solve_simplex(lp, basis=...)``), and its first solve is cold. A warm
+optimum can be a different vertex with the same objective up to round-off,
+so after the loop the subproblems whose incumbent solution came from a
+warm start are re-solved cold at the incumbent before extraction; the
+extracted solution is then what a cold solve at the incumbent gives.
+
+An optional convex-combination step toward the incumbent (stab_weight in
+[0, 1)) damps the master iterate; 0 is pure Benders. ``BendersResult.timing``
+holds per-iteration wall times and subproblem simplex work.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -50,6 +64,10 @@ class BendersResult:
     gap: float
     iterations: int
     log: list = field(default_factory=list)  # (iteration, lb, ub, gap)
+    # (iteration, master_s, sub_s, sub_iterations, warm_fallbacks) where
+    # sub_iterations sums the subproblems' simplex iterations and
+    # warm_fallbacks counts warm starts that ended in a cold solve
+    timing: list = field(default_factory=list)
     solution: ExpansionSolution | None = None
     investment: dict = field(default_factory=dict)
 
@@ -58,32 +76,33 @@ class BendersResult:
         return self.status == "optimal"
 
 
-@dataclass
-class _Cut:
-    period: int
-    value: float  # v_p(x)
-    point: np.ndarray  # iterate the cut was generated at
-    slope: np.ndarray  # reduced costs per investment variable
+class _Master:
+    """Investment columns, one nonnegative cost variable per period and the
+    reserve rows, built once; add_cut appends one row per cut."""
 
+    def __init__(self, case: SystemCase, reserve: bool):
+        self.builder = LpBuilder()
+        ix = VarIndex()
+        inv_of_kind = add_investment_columns(case, self.builder, ix)
+        self.theta = self.builder.vars(case.n_periods, 0.0, np.inf, 1.0)
+        if reserve:
+            add_reserve_rows(case, self.builder, inv_of_kind)
+        self.inv = ix.inv
 
-def _solve_master(case: SystemCase, cuts, reserve: bool):
-    b = LpBuilder()
-    ix = VarIndex()
-    inv_of_kind = add_investment_columns(case, b, ix)
-    theta = b.vars(case.n_periods, 0.0, np.inf, 1.0)
-    if reserve:
-        add_reserve_rows(case, b, inv_of_kind)
-    inv = np.arange(ix.inv.start, ix.inv.stop)
-    for cut in cuts:
-        nz = np.flatnonzero(cut.slope)
-        rhs = cut.value
+    def add_cut(self, period: int, value: float, point: np.ndarray, slope: np.ndarray) -> None:
+        """theta_p >= value + slope . (x - point)"""
+        nz = np.flatnonzero(slope)
+        rhs = value
         for j in nz:  # left to right: a dot product would round differently
-            rhs -= cut.slope[j] * cut.point[j]
-        b.row("cut", GE, rhs, [(theta[cut.period], 1.0), *zip(inv[nz], -cut.slope[nz])])
-    sol = solve_simplex(b.build())
-    if not sol.is_optimal:
-        raise RuntimeError(f"master problem {sol.status}")
-    return sol.objective, sol.x[ix.inv]
+            rhs -= slope[j] * point[j]
+        cols = self.inv.start + nz
+        self.builder.row("cut", GE, rhs, [(self.theta[period], 1.0), *zip(cols, -slope[nz])])
+
+    def solve(self):
+        sol = solve_simplex(self.builder.build())
+        if not sol.is_optimal:
+            raise RuntimeError(f"master problem {sol.status}")
+        return sol.objective, sol.x[self.inv]
 
 
 def _pin(lp, inv: slice, values: np.ndarray) -> None:
@@ -159,29 +178,40 @@ def solve_benders(
         subs.append(build_lp(case, opts))
     inv = subs[0][1].inv
 
-    cuts: list[_Cut] = []
+    master = _Master(case, reserve)
     best_ub = np.inf
     best_x = None
     best_sols: list[Solution] | None = None
+    bases = [None] * case.n_periods  # each subproblem's last optimal basis
     log = []
+    timing = []
     status = "max_iter"
     lower = -np.inf
     gap = np.inf
+
+    def solve_sub(lp, basis=None):
+        return solve_simplex(lp, basis=basis)
 
     # one pool for the whole solve; with sub_jobs == 1 it starts no thread
     with ThreadPoolExecutor(max_workers=sub_jobs) as pool:
         solve_all = pool.map if sub_jobs > 1 else map
         for it in range(1, max_iter + 1):
-            lower, x_master = _solve_master(case, cuts, reserve)
+            t0 = time.perf_counter()
+            lower, x_master = master.solve()
+            t1 = time.perf_counter()
             trial = x_master if best_x is None else (1.0 - stab_weight) * x_master + stab_weight * best_x
 
             for lp, _ix in subs:
                 _pin(lp, inv, trial)
             # each subproblem owns its LP object; solves are independent
-            sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs]))
+            sols = list(solve_all(solve_sub, [lp for lp, _ix in subs], bases))
+            t2 = time.perf_counter()
             for p, sol in enumerate(sols):
                 if not sol.is_optimal:
                     raise RuntimeError(f"subproblem {p} {sol.status}")
+            fallbacks = sum(b is not None and not s.stats.warm for b, s in zip(bases, sols))
+            timing.append((it, t1 - t0, t2 - t1, sum(s.stats.iterations for s in sols), fallbacks))
+            bases = [s.basis for s in sols]
             ops_total = sum(s.objective for s in sols)
 
             ub_trial = fixed_cost(case, dict(zip(order, trial))) + ops_total
@@ -195,11 +225,16 @@ def solve_benders(
                 status = "optimal"
                 break
             for p, sol in enumerate(sols):
-                slope = sol.reduced_costs[inv].copy()
-                cuts.append(_Cut(period=p, value=sol.objective, point=trial.copy(), slope=slope))
+                master.add_cut(p, sol.objective, trial, sol.reduced_costs[inv])
 
-    for lp, _ix in subs:  # re-pin at the incumbent before extraction
-        _pin(lp, inv, best_x)
+        for lp, _ix in subs:  # re-pin at the incumbent before extraction
+            _pin(lp, inv, best_x)
+        # a warm optimum may be another vertex: extract what a cold solve gives
+        warm = [p for p, s in enumerate(best_sols) if s.stats.warm]
+        for p, sol in zip(warm, solve_all(solve_sub, [subs[p][0] for p in warm])):
+            if not sol.is_optimal:
+                raise RuntimeError(f"subproblem {p} {sol.status}")
+            best_sols[p] = sol
     solution = _assemble(case, subs, best_sols)
     return BendersResult(
         status=status,
@@ -208,6 +243,7 @@ def solve_benders(
         gap=gap,
         iterations=len(log),
         log=log,
+        timing=timing,
         solution=solution,
         investment=dict(zip(order, (float(v) for v in best_x))),
     )

@@ -22,7 +22,20 @@ linprog's per-solve input cleaning, option checks and bound-multiplier
 loop are skipped. Where the bindings are missing, ``linprog_attempt``
 solves through linprog. The choice is made once, at import.
 
-A solve that ends in any status other than optimal, infeasible or
+An optimal HiGHS run also returns its basis (``Solution.basis``, an opaque
+value; None through linprog). ``solve_simplex(lp, basis=...)`` first tries
+a warm start from it: a fresh model of the same arrays, the basis set,
+dual simplex with Devex dual edge weights. HiGHS skips presolve when it
+starts from a basis. The caller hands back the basis of an earlier solve
+of the same LP whose bounds have since changed, as Benders does after
+re-pinning a subproblem; the basis stays dual feasible, so dual simplex
+restarts from it. The warm optimum gets the same KKT check
+(``SolveStats.warm``). A rejected basis, a status other than optimal or a
+failed KKT check falls through to the cold attempt. A warm optimum may be
+a different vertex than the cold one, with the same objective up to
+round-off.
+
+A cold solve that ends in any status other than optimal, infeasible or
 unbounded, or whose optimum fails the KKT check, is re-solved once with
 interior point plus crossover (``SolveStats.retried``). Only if that fails
 too does it surface as SolverNumericsError, never as a silently wrong
@@ -191,7 +204,8 @@ class SolveStats:
     nnz: int
     run_s: float | None  # HiGHS run time over all attempts; None through linprog
     iterations: int  # simplex iterations over all attempts (linprog's nit)
-    retried: bool  # the first attempt failed and interior point re-solved
+    retried: bool  # the simplex attempts failed and interior point re-solved
+    warm: bool = False  # the solution came from the warm start
 
 
 @dataclass
@@ -203,6 +217,7 @@ class Solution:
     reduced_costs: np.ndarray | None  # c - A^T y
     kkt: KktResiduals | None
     stats: SolveStats | None = None
+    basis: object | None = None  # HiGHS basis of the optimum; None through linprog
 
     @property
     def is_optimal(self) -> bool:
@@ -268,6 +283,7 @@ class Attempt:
     y: np.ndarray | None = None
     run_s: float | None = None
     iterations: int = 0
+    basis: object | None = None
 
 
 class _StackedRows(NamedTuple):
@@ -315,6 +331,9 @@ def _highs_options(**values):
 if highs is not None:
     _SIMPLEX = _highs_options(solver="simplex")
     _IPM = _highs_options(solver="ipm", run_crossover="on")
+    # Devex dual edge weights: from a warm basis they are cheaper to set up
+    # than the steepest-edge weights HiGHS picks by default
+    _WARM = _highs_options(solver="simplex", simplex_dual_edge_weight_strategy=1)
 
 
 def _highs_inf(v: np.ndarray) -> np.ndarray:
@@ -322,15 +341,16 @@ def _highs_inf(v: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(v), np.copysign(highs.kHighsInf, v), v)
 
 
-def highs_attempt(lp: LinearProgram, ipm: bool) -> Attempt:
+def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     """Solve through scipy's bundled HiGHS bindings, with the model and
-    options linprog(method="highs-ds") builds (``highs-ipm`` when ipm)."""
+    options linprog(method="highs-ds") builds (``highs-ipm`` when ipm).
+    With a basis, dual simplex starts from it under the warm options."""
     rows = _stacked_rows(lp)
     a = rows.a_matrix.tocsc()
     row_lower = rows.rhs.copy()
     row_lower[: rows.n_ineq] = -np.inf
     h = highs._Highs()
-    h.passOptions(_IPM if ipm else _SIMPLEX)
+    h.passOptions(_IPM if ipm else _SIMPLEX if basis is None else _WARM)
     # The array form of passModel copies each array in one go (setting the
     # fields of a HighsLp converts element by element, ten times slower on
     # a 22k-nonzero LP). It reads one integrality entry per column, so an
@@ -354,6 +374,8 @@ def highs_attempt(lp: LinearProgram, ipm: bool) -> Attempt:
     )
     if status == highs.HighsStatus.kError:
         return Attempt("failed", "HiGHS rejected the model")
+    if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
+        return Attempt("failed", "HiGHS rejected the basis", run_s=0.0)
     run_status = h.run()
     model_status = h.getModelStatus()
     info = h.getInfo()
@@ -375,12 +397,16 @@ def highs_attempt(lp: LinearProgram, ipm: bool) -> Attempt:
         out.objective = info.objective_function_value
         out.x = np.array(solution.col_value, dtype=float)
         out.y = _row_duals(rows, solution.row_dual)
+        out.basis = h.getBasis()
     return out
 
 
-def linprog_attempt(lp: LinearProgram, ipm: bool) -> Attempt:
+def linprog_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     """Solve through scipy's linprog (method ``highs-ds``, or ``highs-ipm``,
-    which runs crossover by default)."""
+    which runs crossover by default). linprog takes no starting basis, so a
+    warm attempt fails at once and the solve goes on cold."""
+    if basis is not None:
+        return Attempt("failed", "linprog takes no starting basis")
     rows = _stacked_rows(lp)
     k = rows.n_ineq
     res = linprog(
@@ -404,16 +430,22 @@ def linprog_attempt(lp: LinearProgram, ipm: bool) -> Attempt:
 BACKEND = highs_attempt if highs is not None else linprog_attempt
 
 
-def solve_with(lp: LinearProgram, attempt, check: bool = True) -> Solution:
-    """Solve with one attempt function, re-solving once with interior point
-    plus crossover when the first run fails or (with check) its optimum
-    fails the KKT check."""
+def solve_with(lp: LinearProgram, attempt, check: bool = True, basis=None) -> Solution:
+    """Solve with one attempt function: warm from basis first when one is
+    given, then cold, then once more with interior point plus crossover.
+    An attempt is accepted once it ends infeasible or unbounded, or optimal
+    and (with check) passing the KKT check."""
+    tries = [(False, None), (True, None)]
+    if basis is not None:
+        tries.insert(0, (False, basis))
     runs = []
-    for ipm in (False, True):
-        run = attempt(lp, ipm)
+    for ipm, start in tries:
+        run = attempt(lp, ipm) if start is None else attempt(lp, ipm, start)
         runs.append(run)
         if run.status in ("infeasible", "unbounded"):
-            return Solution(run.status, None, None, None, None, None, _stats(lp, runs))
+            if start is not None:
+                continue  # a warm start must end optimal; a cold run decides the rest
+            return Solution(run.status, None, None, None, None, None, _stats(lp, runs, ipm, start))
         if run.status != "optimal":
             continue
         kkt = kkt_residuals(lp, run.x, run.y)
@@ -430,14 +462,15 @@ def solve_with(lp: LinearProgram, attempt, check: bool = True) -> Solution:
             row_duals=run.y,
             reduced_costs=lp.obj - lp.a_matrix.T @ run.y,
             kkt=kkt,
-            stats=_stats(lp, runs),
+            stats=_stats(lp, runs, ipm, start),
+            basis=run.basis,
         )
     raise SolverNumericsError(
-        f"dual simplex: {runs[0].message}; interior point: {runs[1].message}"
+        f"dual simplex: {runs[-2].message}; interior point: {runs[-1].message}"
     )
 
 
-def _stats(lp: LinearProgram, runs) -> SolveStats:
+def _stats(lp: LinearProgram, runs, ipm: bool, start) -> SolveStats:
     times = [r.run_s for r in runs]
     return SolveStats(
         rows=lp.n_rows,
@@ -445,10 +478,13 @@ def _stats(lp: LinearProgram, runs) -> SolveStats:
         nnz=int(lp.a_matrix.nnz),
         run_s=None if None in times else sum(times),
         iterations=sum(r.iterations for r in runs),
-        retried=len(runs) > 1,
+        retried=ipm,
+        warm=start is not None,
     )
 
 
-def solve_simplex(lp: LinearProgram, check: bool = True) -> Solution:
-    """Solve to optimality (or prove infeasible/unbounded) deterministically."""
-    return solve_with(lp, BACKEND, check)
+def solve_simplex(lp: LinearProgram, check: bool = True, basis=None) -> Solution:
+    """Solve to optimality (or prove infeasible/unbounded) deterministically.
+    basis is Solution.basis of an earlier solve of an LP of the same shape;
+    the warm start it gives falls back to a cold solve on any failure."""
+    return solve_with(lp, BACKEND, check, basis)

@@ -12,7 +12,9 @@ aborts only its own combo; the error is tagged with the stage name and
 the ladder carries on.
 
 ladder.csv holds only deterministic columns so reruns with the same seed
-are byte-identical; wall-clock numbers go to ladder_timing.csv instead.
+are byte-identical; wall-clock numbers go to side files instead:
+ladder_timing.csv per ladder and <combo>/benders_timing.csv per Benders
+solve. A failed combo leaves its full traceback in <combo>/error.txt.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -302,6 +305,9 @@ def run_case(
         ("field", "value"),
         (("name", combo.name), ("k", combo.k_label), ("uc", combo.uc)),
     )
+    error_path = os.path.join(art, "error.txt")
+    if os.path.exists(error_path):  # left by an earlier run into this directory
+        os.remove(error_path)
 
     try:
         if fine is None:
@@ -342,6 +348,11 @@ def run_case(
                 max_iter=rc.max_iter,
                 stab_weight=rc.stab_weight,
                 sub_jobs=rc.sub_jobs,
+            )
+            write_csv(
+                os.path.join(art, "benders_timing.csv"),
+                ("iteration", "master_s", "sub_s", "sub_iterations", "warm_fallbacks"),
+                bres.timing,
             )
             if not bres.converged:
                 raise RuntimeError(
@@ -414,10 +425,12 @@ def run_case(
         out.report = report
         if combo.name == HRB_NAME:
             out.baseline = baseline
-    except StageError as e:
-        out.error = str(e)
-    except Exception as e:  # config/load problems before stage 1
-        out.error = f"setup: {e}"
+    except Exception as e:
+        # a StageError names its stage; anything else is a config or load
+        # problem before stage 1
+        out.error = str(e) if isinstance(e, StageError) else f"setup: {e}"
+        with open(error_path, "w") as fh:
+            fh.write("".join(traceback.format_exception(e)))
 
     out.runtime_s = time.perf_counter() - t0
     return out

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from gridres.benders import solve_benders
-from gridres.expansion import build_expansion_lp, extract_solution
-from gridres.lp import solve_simplex
+from gridres import benders as benders_module
+from gridres.benders import _Master, solve_benders
+from gridres.expansion import (
+    VarIndex,
+    add_investment_columns,
+    add_reserve_rows,
+    build_expansion_lp,
+    extract_solution,
+)
+from gridres.lp import GE, LpBuilder, solve_simplex
 from gridres.syngen import SynthConfig, generate
 
 from conftest import make_unit, one_bus_case
@@ -140,3 +147,86 @@ def test_min_output_case_agrees_across_uc_modes():
         r = solve_benders(case, uc=uc, reserve=False)
         assert r.converged
         assert r.objective == pytest.approx(mono.objective, rel=1e-6)
+
+
+def _solutions_equal(a, b):
+    for key, u in vars(a).items():
+        v = getattr(b, key)
+        if isinstance(u, dict):
+            assert u.keys() == v.keys(), key
+            for k in u:
+                assert np.array_equal(u[k], v[k]), (key, k)
+        else:
+            assert np.array_equal(u, v), key
+
+
+def test_reruns_are_identical():
+    cfg = SynthConfig(n_regions=2, periods=3, period_length=12)
+    case = generate(cfg, seed=7)
+    first, second = solve_benders(case), solve_benders(case)
+    for key in ("status", "objective", "lower_bound", "gap", "iterations", "log", "investment"):
+        assert getattr(first, key) == getattr(second, key), key
+    _solutions_equal(first.solution, second.solution)
+    # the work done matches too, only the wall times differ
+    assert [t[3:] for t in first.timing] == [t[3:] for t in second.timing]
+
+
+def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
+    cfg = SynthConfig(n_regions=2, periods=3, period_length=12)
+    case = generate(cfg, seed=7)
+    calls = []
+    real = benders_module.solve_simplex
+
+    def spy(lp, check=True, basis=None):
+        sol = real(lp, check, basis)
+        calls.append((basis is not None, sol.stats.warm))
+        return sol
+
+    monkeypatch.setattr(benders_module, "solve_simplex", spy)
+    r = solve_benders(case)
+    assert r.iterations > 1
+    assert [row[0] for row in r.timing] == list(range(1, r.iterations + 1))
+    assert all(row[4] == 0 for row in r.timing)  # no warm start fell back
+    assert all(given == warm for given, warm in calls)
+    # every subproblem solve after a period's first is warm; the masters,
+    # the first solves and the extraction re-solves at the incumbent are cold
+    n = case.n_periods
+    assert sum(warm for _given, warm in calls) == n * (r.iterations - 1)
+    assert sum(not warm for _given, warm in calls) == r.iterations + n + n
+
+
+def _master_from_scratch(case, reserve, cuts):
+    """The master as a fresh build from the whole cut list."""
+    b = LpBuilder()
+    ix = VarIndex()
+    inv_of_kind = add_investment_columns(case, b, ix)
+    theta = b.vars(case.n_periods, 0.0, np.inf, 1.0)
+    if reserve:
+        add_reserve_rows(case, b, inv_of_kind)
+    inv = np.arange(ix.inv.start, ix.inv.stop)
+    for period, value, point, slope in cuts:
+        nz = np.flatnonzero(slope)
+        rhs = value
+        for j in nz:
+            rhs -= slope[j] * point[j]
+        b.row("cut", GE, rhs, [(theta[period], 1.0), *zip(inv[nz], -slope[nz])])
+    return b.build()
+
+
+@pytest.mark.parametrize("reserve", [True, False])
+def test_incremental_master_equals_a_fresh_build(tmp_path, synth_small, reserve):
+    case = synth_small
+    master = _Master(case, reserve)
+    n_inv = master.inv.stop - master.inv.start
+    rng = np.random.default_rng(5)
+    cuts = []
+    for it in range(4):
+        point = rng.uniform(0.0, 50.0, n_inv)
+        for p in range(case.n_periods):
+            slope = rng.normal(scale=1e3, size=n_inv) * (rng.uniform(size=n_inv) < 0.6)
+            cuts.append((p, float(rng.uniform(1e5, 1e7)), point, slope))
+            master.add_cut(*cuts[-1])
+        got, want = tmp_path / f"got{it}.lp", tmp_path / f"want{it}.lp"
+        master.builder.build().dump(str(got))
+        _master_from_scratch(case, reserve, cuts).dump(str(want))
+        assert got.read_text() == want.read_text(), f"after {len(cuts)} cuts"

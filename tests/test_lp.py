@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridres import lp as lp_module
+from gridres.expansion import investment_entries
 from gridres.lp import (
     EQ,
     GE,
@@ -308,3 +309,93 @@ def test_a_failed_retry_raises(monkeypatch):
     monkeypatch.setattr(lp_module, "BACKEND", lambda lp, ipm: Attempt("failed", f"forced ipm={ipm}"))
     with pytest.raises(SolverNumericsError, match="forced ipm=False.*forced ipm=True"):
         solve_simplex(random_boxed_lp(seed=3, feasible=True))
+
+
+# -- warm starts from a basis ------------------------------------------------------
+
+
+def _assert_warm_matches_cold(lp, basis):
+    warm = solve_simplex(lp, basis=basis)
+    cold = solve_simplex(lp)
+    assert warm.is_optimal and cold.is_optimal
+    assert warm.stats.warm and not cold.stats.warm
+    assert not warm.stats.retried
+    assert warm.kkt.ok()
+    assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+    assert warm.basis is not None
+    return warm
+
+
+@needs_highs
+def test_warm_resolve_after_a_bound_change_matches_cold_on_random_corpus():
+    for seed in range(50):
+        lp = random_boxed_lp(seed, feasible=True)
+        first = solve_simplex(lp)
+        # widening the box keeps the interior point the rows are anchored to
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        lo[::2] -= 0.5
+        hi[1::2] += 0.5
+        _assert_warm_matches_cold(replace(lp, lo=lo, hi=hi), first.basis)
+
+
+@needs_highs
+def test_warm_resolve_of_a_repinned_subproblem_matches_cold(synth_small, synth_small_lps):
+    lp = synth_small_lps["subproblem"]
+    inv = slice(0, len(investment_entries(synth_small)))  # investment columns come first
+    basis = solve_simplex(lp).basis
+    for level in (5.0, 40.0, 0.5):
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        lo[inv] = hi[inv] = level
+        basis = _assert_warm_matches_cold(replace(lp, lo=lo, hi=hi), basis).basis
+
+
+@needs_highs
+def test_a_basis_of_the_wrong_shape_falls_back_to_the_cold_solve():
+    lp = random_boxed_lp(seed=3, feasible=True)
+    other = random_boxed_lp(seed=4, feasible=True)
+    assert (other.n_vars, other.n_rows) != (lp.n_vars, lp.n_rows)
+    sol = solve_simplex(lp, basis=solve_simplex(other).basis)
+    assert not sol.stats.warm and not sol.stats.retried
+    _assert_identical(sol, solve_simplex(lp))
+
+
+def _warm_fails_by_status(monkeypatch):
+    real = lp_module.BACKEND
+
+    def attempt(lp, ipm, basis=None):
+        return real(lp, ipm) if basis is None else Attempt("failed", "forced warm failure")
+
+    monkeypatch.setattr(lp_module, "BACKEND", attempt)
+
+
+def _warm_fails_kkt(monkeypatch):
+    calls = []
+    real = lp_module.kkt_residuals
+
+    def off_first(lp, x, y):
+        calls.append(None)
+        kkt = real(lp, x, y)
+        return replace(kkt, dual=np.inf) if len(calls) == 1 else kkt
+
+    monkeypatch.setattr(lp_module, "kkt_residuals", off_first)
+
+
+@needs_highs
+@pytest.mark.parametrize("fail", [_warm_fails_by_status, _warm_fails_kkt], ids=["status", "kkt"])
+def test_a_failed_warm_attempt_falls_back_to_the_cold_solve(monkeypatch, synth_small_lps, fail):
+    lp = synth_small_lps["operations"]
+    cold = solve_simplex(lp)
+    fail(monkeypatch)
+    sol = solve_simplex(lp, basis=cold.basis)
+    assert not sol.stats.warm and not sol.stats.retried
+    _assert_identical(sol, cold)
+
+
+def test_linprog_takes_no_basis_and_solves_cold(monkeypatch):
+    lp = random_boxed_lp(seed=3, feasible=True)
+    monkeypatch.setattr(lp_module, "BACKEND", linprog_attempt)
+    cold = solve_simplex(lp)
+    assert cold.basis is None
+    sol = solve_simplex(lp, basis=object())
+    assert not sol.stats.warm
+    _assert_identical(sol, cold)

@@ -6,6 +6,7 @@ import os
 import pytest
 import yaml
 
+from gridres import pipeline
 from gridres.cli import main as cli_main
 from gridres.pipeline import (
     Combo,
@@ -228,6 +229,29 @@ def test_run_case_tags_errors_with_the_stage(tmp_path):
     assert os.path.exists(os.path.join(str(tmp_path), combo.name, "combo.csv"))
 
 
+def test_a_failed_stage_leaves_its_traceback(tmp_path, monkeypatch):
+    fine = generate(SynthConfig(**TINY_SYNTH), seed=3)
+    rc = RunConfig(out_dir=str(tmp_path), synth=SynthConfig(**TINY_SYNTH), seed=3)
+
+    def broken_translation(*args, **kwargs):
+        raise ZeroDivisionError("forced translate failure")
+
+    monkeypatch.setattr(pipeline, "translate_solution", broken_translation)
+    res = run_case(rc, Combo(HRB_NAME, None, None, "relaxed"), fine, None)
+    assert res.error == "translate: forced translate failure"
+    with open(os.path.join(res.artifacts_dir, "error.txt")) as fh:
+        text = fh.read()
+    assert text.startswith("Traceback (most recent call last):")
+    assert "in broken_translation" in text  # the frame that raised
+    assert "ZeroDivisionError: forced translate failure" in text
+    assert text.rstrip().endswith("StageError: translate: forced translate failure")
+
+    # a later successful run into the same directory clears the stale file
+    monkeypatch.undo()
+    assert run_case(rc, Combo(HRB_NAME, None, None, "relaxed"), fine, None).ok
+    assert not os.path.exists(os.path.join(res.artifacts_dir, "error.txt"))
+
+
 def test_ladder_needs_a_second_combo(tmp_path):
     rc = RunConfig(out_dir=str(tmp_path), synth=SynthConfig(**TINY_SYNTH))
     with pytest.raises(ConfigError, match="at least one combo besides the baseline"):
@@ -307,6 +331,20 @@ def test_combo_artifacts_present(ladder_run):
     assert not os.path.exists(os.path.join(out, "hrb", "reduction.csv"))
 
 
+def test_benders_timing_has_one_row_per_iteration(ladder_run):
+    _, out, _ = ladder_run
+    combo = os.path.join(out, "r1-k1-relaxed")
+    log = _read_csv(os.path.join(combo, "benders_log.csv"))
+    rows = _read_csv(os.path.join(combo, "benders_timing.csv"))
+    assert rows[0] == ["iteration", "master_s", "sub_s", "sub_iterations", "warm_fallbacks"]
+    assert [r[0] for r in rows[1:]] == [r[0] for r in log[1:]]
+    for r in rows[1:]:
+        assert float(r[1]) > 0.0 and float(r[2]) > 0.0
+        assert int(r[3]) >= 0
+        assert r[4] == "0"
+    assert not os.path.exists(os.path.join(combo, "error.txt"))
+
+
 def test_timing_file_reports_every_combo(ladder_run):
     _, out, _ = ladder_run
     rows = _read_csv(os.path.join(out, "ladder_timing.csv"))
@@ -378,6 +416,7 @@ def test_failed_combo_does_not_sink_the_ladder(tmp_path):
     timing = {r[0]: r[2] for r in _read_csv(out / "ladder_timing.csv")[1:]}
     assert timing["bad-kall-relaxed"].startswith("aggregate: partition file not found")
     assert timing["hrb"] == "ok"
+    assert (out / "bad-kall-relaxed" / "error.txt").read_text().startswith("Traceback")
 
 
 # -- other CLI commands -----------------------------------------------------------------
