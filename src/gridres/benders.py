@@ -13,9 +13,14 @@ subproblem optimum (its objective coefficient there is zero, so z_j is
 the sensitivity of v_p to moving both bounds together).
 
 The master's investment columns, cost variables and reserve rows are
-built once per solve; each cut's row is appended once, when the cut is
-made, in period order, so results do not depend on completion order. The
-master is solved cold each iteration.
+built once per solve; each cut's row is added once, when the cut is made,
+in period order, so results do not depend on completion order. Each
+iteration appends the new cut rows to the built master LP
+(``LpBuilder.extend``) and solves it in one HiGHS model kept for the whole
+solve (``lp.KeptModel``): the first master solve is cold, and each later
+one adds the new rows to the kept model and restarts dual simplex from its
+basis. A warm master optimum that is not optimal or fails the KKT check
+falls back to a cold solve.
 
 Subproblem LPs are built once and re-pinned in place each iteration. Only
 the pinned investment bounds change between iterations, so a subproblem's
@@ -52,7 +57,7 @@ from .expansion import (
     fixed_cost,
     investment_entries,
 )
-from .lp import GE, LpBuilder, Solution, solve_simplex
+from .lp import GE, KeptModel, LpBuilder, Solution, solve_simplex
 from .model import SystemCase
 
 
@@ -78,7 +83,8 @@ class BendersResult:
 
 class _Master:
     """Investment columns, one nonnegative cost variable per period and the
-    reserve rows, built once; add_cut appends one row per cut."""
+    reserve rows, built once; add_cut adds one row per cut, and each solve
+    appends the new cuts to the built LP and solves it in the kept model."""
 
     def __init__(self, case: SystemCase, reserve: bool):
         self.builder = LpBuilder()
@@ -88,6 +94,8 @@ class _Master:
         if reserve:
             add_reserve_rows(case, self.builder, inv_of_kind)
         self.inv = ix.inv
+        self.lp = self.builder.build()
+        self.kept = KeptModel()
 
     def add_cut(self, period: int, value: float, point: np.ndarray, slope: np.ndarray) -> None:
         """theta_p >= value + slope . (x - point)"""
@@ -99,7 +107,8 @@ class _Master:
         self.builder.row("cut", GE, rhs, [(self.theta[period], 1.0), *zip(cols, -slope[nz])])
 
     def solve(self):
-        sol = solve_simplex(self.builder.build())
+        self.lp = self.builder.extend(self.lp)
+        sol = solve_simplex(self.lp, kept=self.kept)
         if not sol.is_optimal:
             raise RuntimeError(f"master problem {sol.status}")
         return sol.objective, sol.x[self.inv]

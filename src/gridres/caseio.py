@@ -356,14 +356,30 @@ def load_system(directory: str) -> SystemCase:
     return require_valid(case)
 
 
+def _true_false(x) -> str:
+    return "true" if x else "false"
+
+
+# _fmt's result for the common cell types, looked up by exact type; any
+# other type (np.int64, np.float32, a subclass) goes through _fmt
+_FMT_OF_TYPE = {
+    str: str,
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    int: int.__repr__,
+    bool: _true_false,
+    np.bool_: _true_false,
+}
+
+
 def write_csv(path: str, header, rows) -> None:
     """The one CSV writer: "\\n" line ends, floats as repr (shortest
     round-trip form), booleans as true/false."""
+    fmt = _FMT_OF_TYPE.get
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows([fmt(type(x), _fmt)(x) for x in row] for row in rows)
 
 
 def write_case(case: SystemCase, directory: str) -> str:

@@ -22,6 +22,13 @@ linprog's per-solve input cleaning, option checks and bound-multiplier
 loop are skipped. Where the bindings are missing, ``linprog_attempt``
 solves through linprog. The choice is made once, at import.
 
+A LinearProgram's obj, senses, rhs and a_matrix are read-only from
+construction on; only the column bounds lo and hi may change, in place.
+So the arrays handed to HiGHS that derive from the rows (the stacked rows
+in CSC form and their bounds), and A^T for the reduced costs, are built on
+an LP's first solve and cached on it: a re-pinned Benders subproblem does
+not re-stack its rows.
+
 An optimal HiGHS run also returns its basis (``Solution.basis``, an opaque
 value; None through linprog). ``solve_simplex(lp, basis=...)`` first tries
 a warm start from it: a fresh model of the same arrays, the basis set,
@@ -35,6 +42,15 @@ failed KKT check falls through to the cold attempt. A warm optimum may be
 a different vertex than the cold one, with the same objective up to
 round-off.
 
+An LP that only grows by rows, as the Benders master does, is solved in
+one kept HiGHS model (``solve_simplex(lp, kept=KeptModel())``). The first
+solve is cold, and the model of its optimum is kept. Each later solve
+appends the LP's new rows to the kept model (``addRows``; they enter with
+basic slacks, so the kept basis stays dual feasible) and restarts dual
+simplex from the kept basis. That optimum gets the same KKT check
+(``SolveStats.warm``); a status other than optimal or a failed check falls
+through to the cold attempt, whose model is then kept instead.
+
 A cold solve that ends in any status other than optimal, infeasible or
 unbounded, or whose optimum fails the KKT check, is re-solved once with
 interior point plus crossover (``SolveStats.retried``). Only if that fails
@@ -45,6 +61,7 @@ Solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -67,8 +84,12 @@ class SolverNumericsError(RuntimeError):
     """The backend failed to produce a trustworthy solution."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearProgram:
+    """obj, senses, rhs and a_matrix are read-only from construction on, so
+    the arrays the solver derives from them are built once per LP and
+    cached; only lo and hi may change, in place."""
+
     obj: np.ndarray  # (n,)
     lo: np.ndarray  # (n,)
     hi: np.ndarray  # (n,), np.inf allowed
@@ -76,6 +97,20 @@ class LinearProgram:
     rhs: np.ndarray  # (m,)
     a_matrix: sp.csr_matrix  # (m, n)
     obj_offset: float = 0.0
+
+    def __post_init__(self):
+        a = self.a_matrix
+        for v in (self.obj, self.senses, self.rhs, a.data, a.indices, a.indptr):
+            v.flags.writeable = False
+
+    @cached_property
+    def _rows(self) -> _StackedRows:
+        return _stacked_rows(self)
+
+    @cached_property
+    def _at(self) -> sp.csc_matrix:
+        """A^T, for reduced costs."""
+        return self.a_matrix.T
 
     @property
     def n_vars(self) -> int:
@@ -160,25 +195,58 @@ class LpBuilder:
         cols, vals = [j for j, _v in terms], [v for _j, v in terms]
         return int(self.rows(sense, [rhs], np.zeros(len(terms)), cols, vals)[0])
 
-    def build(self) -> LinearProgram:
-        def cat(parts, dtype):
-            return np.concatenate(parts) if parts else np.zeros(0, dtype)
-
+    def _csr(self, first: int, row0: int) -> sp.csr_matrix:
+        """Row blocks first.. as one matrix whose row 0 is row row0."""
+        rows = _cat(self._ai[first:], int) - row0
         a = sp.coo_matrix(
-            (cat(self._av, float), (cat(self._ai, int), cat(self._aj, int))),
-            shape=(self._m, self._n),
+            (_cat(self._av[first:], float), (rows, _cat(self._aj[first:], int))),
+            shape=(self._m - row0, self._n),
             dtype=float,
         ).tocsr()
         a.sum_duplicates()
+        return a
+
+    def build(self) -> LinearProgram:
         return LinearProgram(
-            obj=cat(self._obj, float),
-            lo=cat(self._lo, float),
-            hi=cat(self._hi, float),
-            senses=cat(self._senses, "<U2"),
-            rhs=cat(self._rhs, float),
+            obj=_cat(self._obj, float),
+            lo=_cat(self._lo, float),
+            hi=_cat(self._hi, float),
+            senses=_cat(self._senses, "<U2"),
+            rhs=_cat(self._rhs, float),
+            a_matrix=self._csr(0, 0),
+            obj_offset=self.obj_offset,
+        )
+
+    def extend(self, lp: LinearProgram) -> LinearProgram:
+        """lp, an earlier build of this builder, with the rows added since
+        then appended: the LP build() gives, without re-assembling the rows
+        lp holds. No column may have been added since."""
+        ends = np.cumsum([r.size for r in self._rhs])
+        first = int(np.searchsorted(ends, lp.n_rows, side="right"))  # first new block
+        if lp.n_vars != self._n or (ends[first - 1] if first else 0) != lp.n_rows:
+            raise ValueError("lp is not an earlier build of this builder")
+        a, new = lp.a_matrix, self._csr(first, lp.n_rows)
+        a = sp.csr_matrix(
+            (
+                np.concatenate([a.data, new.data]),
+                np.concatenate([a.indices, new.indices]),
+                np.concatenate([a.indptr, new.indptr[1:] + a.nnz]),
+            ),
+            shape=(self._m, self._n),
+        )
+        return LinearProgram(
+            obj=lp.obj,
+            lo=lp.lo.copy(),
+            hi=lp.hi.copy(),
+            senses=np.concatenate([lp.senses, *self._senses[first:]]),
+            rhs=np.concatenate([lp.rhs, *self._rhs[first:]]),
             a_matrix=a,
             obj_offset=self.obj_offset,
         )
+
+
+def _cat(parts, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype)
 
 
 @dataclass(frozen=True)
@@ -241,7 +309,7 @@ def kkt_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> KktResidua
         float(np.max(x - lp.hi, initial=0.0)),
     )
 
-    z = lp.obj - lp.a_matrix.T @ y
+    z = lp.obj - lp._at @ y
     # LE duals must be <= 0, GE duals >= 0; equalities impose nothing
     row_dual = np.where(le, y, np.where(ge, -y, 0.0))
     span = lp.hi - lp.lo
@@ -284,17 +352,20 @@ class Attempt:
     run_s: float | None = None
     iterations: int = 0
     basis: object | None = None
+    model: object | None = None  # the optimal HiGHS model, for a KeptModel
 
 
 class _StackedRows(NamedTuple):
     """The rows as linprog hands them to HiGHS: LE rows, then negated GE
-    rows, then EQ rows."""
+    rows, then EQ rows. Built once per LP (LinearProgram._rows)."""
 
     order: np.ndarray  # LP row of each stacked row
     sign: np.ndarray  # -1.0 on GE rows, 1.0 elsewhere
     n_ineq: int  # LE and GE rows, which come first
-    a_matrix: sp.csr_matrix  # signed rows, in stacked order
+    a_matrix: sp.csc_matrix  # signed rows, in stacked order
     rhs: np.ndarray  # signed rhs, in stacked order
+    row_lower: np.ndarray  # HiGHS row bounds: -kHighsInf on inequalities
+    row_upper: np.ndarray
 
 
 def _stacked_rows(lp: LinearProgram) -> _StackedRows:
@@ -305,13 +376,18 @@ def _stacked_rows(lp: LinearProgram) -> _StackedRows:
     sign = np.repeat([1.0, -1.0, 1.0], [le.size, ge.size, eq.size])
     a = lp.a_matrix[order]
     a.data *= np.repeat(sign, np.diff(a.indptr))
-    return _StackedRows(order, sign, le.size + ge.size, a, sign * lp.rhs[order])
+    rhs = sign * lp.rhs[order]
+    lower = rhs.copy()
+    lower[: le.size + ge.size] = -np.inf
+    return _StackedRows(
+        order, sign, le.size + ge.size, a.tocsc(), rhs, _highs_inf(lower), _highs_inf(rhs)
+    )
 
 
-def _row_duals(rows: _StackedRows, duals) -> np.ndarray:
-    """Duals of the stacked rows back in the LP's row order and signs."""
-    y = np.empty(rows.order.size)
-    y[rows.order] = rows.sign * np.asarray(duals, dtype=float)
+def _row_duals(order: np.ndarray, sign: np.ndarray, duals) -> np.ndarray:
+    """Duals of the model rows back in the LP's row order and signs."""
+    y = np.empty(order.size)
+    y[order] = sign * np.asarray(duals, dtype=float)
     return y
 
 
@@ -338,17 +414,16 @@ if highs is not None:
 
 def _highs_inf(v: np.ndarray) -> np.ndarray:
     # only the infinite entries change, so no 0 * inf arises
-    return np.where(np.isinf(v), np.copysign(highs.kHighsInf, v), v)
+    inf = np.inf if highs is None else highs.kHighsInf
+    return np.where(np.isinf(v), np.copysign(inf, v), v)
 
 
 def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     """Solve through scipy's bundled HiGHS bindings, with the model and
     options linprog(method="highs-ds") builds (``highs-ipm`` when ipm).
     With a basis, dual simplex starts from it under the warm options."""
-    rows = _stacked_rows(lp)
-    a = rows.a_matrix.tocsc()
-    row_lower = rows.rhs.copy()
-    row_lower[: rows.n_ineq] = -np.inf
+    rows = lp._rows
+    a = rows.a_matrix
     h = highs._Highs()
     h.passOptions(_IPM if ipm else _SIMPLEX if basis is None else _WARM)
     # The array form of passModel copies each array in one go (setting the
@@ -365,8 +440,8 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
         lp.obj,
         _highs_inf(lp.lo),
         _highs_inf(lp.hi),
-        _highs_inf(row_lower),
-        _highs_inf(rows.rhs),
+        rows.row_lower,
+        rows.row_upper,
         a.indptr,
         a.indices,
         a.data,
@@ -376,13 +451,19 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
         return Attempt("failed", "HiGHS rejected the model")
     if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
         return Attempt("failed", "HiGHS rejected the basis", run_s=0.0)
+    return _run(h, rows.order, rows.sign)
+
+
+def _run(h, order: np.ndarray, sign: np.ndarray) -> Attempt:
+    """Run HiGHS; model row i is LP row order[i] times sign[i]."""
+    t0 = h.getRunTime()  # the run clock adds up over runs of one model
     run_status = h.run()
     model_status = h.getModelStatus()
     info = h.getInfo()
     out = Attempt(
         "failed",
         f"HiGHS status {h.modelStatusToString(model_status)}",
-        run_s=h.getRunTime(),
+        run_s=h.getRunTime() - t0,
         iterations=info.simplex_iteration_count,
     )
     if run_status == highs.HighsStatus.kError:
@@ -396,9 +477,56 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
         out.status = "optimal"
         out.objective = info.objective_function_value
         out.x = np.array(solution.col_value, dtype=float)
-        out.y = _row_duals(rows, solution.row_dual)
+        out.y = _row_duals(order, sign, solution.row_dual)
         out.basis = h.getBasis()
+        out.model = h
     return out
+
+
+class KeptModel:
+    """A HiGHS model kept between the solves of one LP that only grows by
+    appended rows, as the Benders master does. ``solve_simplex(lp,
+    kept=...)`` keeps the model of the HiGHS optimum it accepts. The next
+    solve, of the same LP with rows appended (``LpBuilder.extend``),
+    appends them to the kept model and restarts dual simplex from the kept
+    basis, under the cold options: HiGHS skips presolve from a valid
+    basis. A solve that accepts no HiGHS optimum drops the model."""
+
+    def __init__(self):
+        self.highs = None
+        self.order = self.sign = None  # LP row and sign of each model row
+
+    def keep(self, lp: LinearProgram, run: Attempt) -> None:
+        """Keep the model of the accepted run (none if it has none)."""
+        if run.model is not None and run.model is not self.highs:
+            run.model.passOptions(_SIMPLEX)  # a model of the ipm retry would run ipm
+            self.order, self.sign = lp._rows.order, lp._rows.sign
+        self.highs = run.model
+
+    def attempt(self, lp: LinearProgram) -> Attempt:
+        h, known = self.highs, self.order.size
+        if lp.n_vars != h.getNumCol() or lp.n_rows < known:
+            return Attempt("failed", "the LP is not the kept model's grown by rows", run_s=0.0)
+        if lp.n_rows > known:
+            senses = lp.senses[known:]
+            sign = np.where(senses == GE, -1.0, 1.0)
+            rhs = sign * lp.rhs[known:]
+            lower = np.where(senses == EQ, rhs, -np.inf)
+            a = lp.a_matrix
+            starts = a.indptr[known:]  # of the new rows, then the end
+            first = starts[0]
+            h.addRows(
+                sign.size,
+                _highs_inf(lower),
+                _highs_inf(rhs),
+                a.nnz - first,
+                starts[:-1] - first,
+                a.indices[first:],
+                a.data[first:] * np.repeat(sign, np.diff(starts)),
+            )
+            self.order = np.concatenate([self.order, np.arange(known, lp.n_rows)])
+            self.sign = np.concatenate([self.sign, sign])
+        return _run(h, self.order, self.sign)
 
 
 def linprog_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
@@ -407,7 +535,7 @@ def linprog_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     warm attempt fails at once and the solve goes on cold."""
     if basis is not None:
         return Attempt("failed", "linprog takes no starting basis")
-    rows = _stacked_rows(lp)
+    rows = lp._rows
     k = rows.n_ineq
     res = linprog(
         c=lp.obj,
@@ -423,29 +551,36 @@ def linprog_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     if status == "optimal":
         out.objective = float(res.fun)
         out.x = np.asarray(res.x, dtype=float)
-        out.y = _row_duals(rows, np.concatenate([res.ineqlin.marginals, res.eqlin.marginals]))
+        duals = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+        out.y = _row_duals(rows.order, rows.sign, duals)
     return out
 
 
 BACKEND = highs_attempt if highs is not None else linprog_attempt
 
 
-def solve_with(lp: LinearProgram, attempt, check: bool = True, basis=None) -> Solution:
-    """Solve with one attempt function: warm from basis first when one is
-    given, then cold, then once more with interior point plus crossover.
-    An attempt is accepted once it ends infeasible or unbounded, or optimal
-    and (with check) passing the KKT check."""
-    tries = [(False, None), (True, None)]
+def solve_with(lp: LinearProgram, attempt, check: bool = True, basis=None, kept=None) -> Solution:
+    """Solve with one attempt function: warm from the kept model, then from
+    basis, when given, then cold, then once more with interior point plus
+    crossover. An attempt is accepted once it ends infeasible or unbounded,
+    or optimal and (with check) passing the KKT check. kept ends up holding
+    the HiGHS model of the accepted attempt's optimum, or none."""
+    tries = []
+    if kept is not None and kept.highs is not None:
+        tries.append((lambda: kept.attempt(lp), "warm"))
     if basis is not None:
-        tries.insert(0, (False, basis))
+        tries.append((lambda: attempt(lp, False, basis), "warm"))
+    tries += [(lambda: attempt(lp, False), "cold"), (lambda: attempt(lp, True), "ipm")]
     runs = []
-    for ipm, start in tries:
-        run = attempt(lp, ipm) if start is None else attempt(lp, ipm, start)
+    for solve, kind in tries:
+        run = solve()
         runs.append(run)
         if run.status in ("infeasible", "unbounded"):
-            if start is not None:
+            if kind == "warm":
                 continue  # a warm start must end optimal; a cold run decides the rest
-            return Solution(run.status, None, None, None, None, None, _stats(lp, runs, ipm, start))
+            if kept is not None:
+                kept.keep(lp, run)
+            return Solution(run.status, None, None, None, None, None, _stats(lp, runs, kind))
         if run.status != "optimal":
             continue
         kkt = kkt_residuals(lp, run.x, run.y)
@@ -455,22 +590,26 @@ def solve_with(lp: LinearProgram, attempt, check: bool = True, basis=None) -> So
                 f"dual {kkt.dual:.3e} compl {kkt.compl:.3e}"
             )
             continue
+        if kept is not None:
+            kept.keep(lp, run)
         return Solution(
             status="optimal",
             objective=float(run.objective) + lp.obj_offset,
             x=run.x,
             row_duals=run.y,
-            reduced_costs=lp.obj - lp.a_matrix.T @ run.y,
+            reduced_costs=lp.obj - lp._at @ run.y,
             kkt=kkt,
-            stats=_stats(lp, runs, ipm, start),
+            stats=_stats(lp, runs, kind),
             basis=run.basis,
         )
+    if kept is not None:
+        kept.highs = None
     raise SolverNumericsError(
         f"dual simplex: {runs[-2].message}; interior point: {runs[-1].message}"
     )
 
 
-def _stats(lp: LinearProgram, runs, ipm: bool, start) -> SolveStats:
+def _stats(lp: LinearProgram, runs, kind: str) -> SolveStats:
     times = [r.run_s for r in runs]
     return SolveStats(
         rows=lp.n_rows,
@@ -478,13 +617,15 @@ def _stats(lp: LinearProgram, runs, ipm: bool, start) -> SolveStats:
         nnz=int(lp.a_matrix.nnz),
         run_s=None if None in times else sum(times),
         iterations=sum(r.iterations for r in runs),
-        retried=ipm,
-        warm=start is not None,
+        retried=kind == "ipm",
+        warm=kind == "warm",
     )
 
 
-def solve_simplex(lp: LinearProgram, check: bool = True, basis=None) -> Solution:
+def solve_simplex(lp: LinearProgram, check: bool = True, basis=None, kept=None) -> Solution:
     """Solve to optimality (or prove infeasible/unbounded) deterministically.
     basis is Solution.basis of an earlier solve of an LP of the same shape;
-    the warm start it gives falls back to a cold solve on any failure."""
-    return solve_with(lp, BACKEND, check, basis)
+    kept is a KeptModel of earlier solves of this LP before rows were
+    appended. The warm start either gives falls back to a cold solve on any
+    failure."""
+    return solve_with(lp, BACKEND, check, basis, kept)

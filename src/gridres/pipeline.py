@@ -13,8 +13,10 @@ the ladder carries on.
 
 ladder.csv holds only deterministic columns so reruns with the same seed
 are byte-identical; wall-clock numbers go to side files instead:
-ladder_timing.csv per ladder and <combo>/benders_timing.csv per Benders
-solve. A failed combo leaves its full traceback in <combo>/error.txt.
+ladder_timing.csv per ladder, <combo>/stage_timing.csv per combo (the wall
+seconds of its set-up and of each stage it reached, summing to its
+runtime_s) and <combo>/benders_timing.csv per Benders solve. A failed
+combo leaves its full traceback in <combo>/error.txt.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ HRB_NAME = "hrb"
 _FAILED_BASELINE = "baseline-failed"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     out_dir: str
@@ -119,13 +125,30 @@ class RunConfig:
             if uc not in ("none", "relaxed"):
                 raise ConfigError(f"unknown uc mode {uc!r}")
         for k in self.k_values:
-            if k != "all" and (not isinstance(k, int) or k < 1):
+            if k != "all" and (not _is_int(k) or k < 1):
                 raise ConfigError(f"k must be a positive integer or 'all', got {k!r}")
+        # two combos with one name would write into one directory
+        for key, values in (
+            ("partition name", [p.name for p in self.partitions]),
+            ("k_values entry", self.k_values),
+            ("uc_modes entry", self.uc_modes),
+        ):
+            repeated = sorted({str(v) for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"repeated {key}: {', '.join(repeated)}")
+        for key in ("stab_weight", "gap_tol", "beta"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+        for key in ("jobs", "sub_jobs"):
+            value = getattr(self, key)
+            if not _is_int(value):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not 0.0 <= self.stab_weight < 1.0:
             raise ConfigError("stab_weight must be in [0, 1)")
         if self.jobs < 1 or self.sub_jobs < 1:
             raise ConfigError("jobs and sub_jobs must be >= 1")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
+        if not _is_int(self.max_iter) or self.max_iter < 1:
             raise ConfigError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         # negated comparisons so that NaN is rejected too
         if not self.gap_tol >= 0.0:
@@ -308,13 +331,18 @@ def run_case(
     error_path = os.path.join(art, "error.txt")
     if os.path.exists(error_path):  # left by an earlier run into this directory
         os.remove(error_path)
+    starts = [("setup", t0)]  # (stage, start time) of each stage reached
+
+    def enter(name: str) -> str:
+        starts.append((name, time.perf_counter()))
+        return name
 
     try:
         if fine is None:
             fine = rc.load_fine()
 
         # 1: spatial aggregation
-        stage = "aggregate"
+        stage = enter("aggregate")
         try:
             partition = resolve_partition(fine, combo.partition)
             coarse = aggregate_spatial(fine, partition)
@@ -324,7 +352,7 @@ def run_case(
         out.n_regions = len(coarse.regions)
 
         # 2: temporal reduction
-        stage = "cluster"
+        stage = enter("cluster")
         try:
             reduced = coarse
             if combo.k is not None and combo.k < coarse.n_periods:
@@ -338,7 +366,7 @@ def run_case(
             raise StageError(stage, str(e)) from e
 
         # 3: capacity expansion with reserves
-        stage = "expand"
+        stage = enter("expand")
         try:
             bres = solve_benders(
                 reduced,
@@ -368,7 +396,7 @@ def run_case(
             raise StageError(stage, str(e)) from e
 
         # 4: translate the coarse build onto the fine system
-        stage = "translate"
+        stage = enter("translate")
         try:
             allocation, portfolio = translate_solution(
                 bres.solution, coarse, fine, beta=rc.beta
@@ -379,7 +407,7 @@ def run_case(
             raise StageError(stage, str(e)) from e
 
         # 5: fine-resolution dispatch of the translated build
-        stage = "operate"
+        stage = enter("operate")
         try:
             operations = dispatch_portfolio(portfolio)
             write_operations(operations, os.path.join(art, "operations.csv"))
@@ -387,7 +415,7 @@ def run_case(
             raise StageError(stage, str(e)) from e
 
         # 6: score against the baseline
-        stage = "metrics"
+        stage = enter("metrics")
         try:
             if combo.name == HRB_NAME:
                 baseline = Baseline(
@@ -432,7 +460,14 @@ def run_case(
         with open(error_path, "w") as fh:
             fh.write("".join(traceback.format_exception(e)))
 
-    out.runtime_s = time.perf_counter() - t0
+    end = time.perf_counter()
+    out.runtime_s = end - t0
+    stops = [t for _name, t in starts[1:]] + [end]
+    write_csv(
+        os.path.join(art, "stage_timing.csv"),
+        ("stage", "seconds"),
+        ((name, stop - start) for (name, start), stop in zip(starts, stops)),
+    )
     return out
 
 

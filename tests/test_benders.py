@@ -12,7 +12,9 @@ from gridres.expansion import (
     build_expansion_lp,
     extract_solution,
 )
-from gridres.lp import GE, LpBuilder, solve_simplex
+from gridres import lp as lp_module
+from gridres.lp import GE, Attempt, KeptModel, LpBuilder, linprog_attempt, solve_simplex
+from gridres.pipeline import RunConfig
 from gridres.syngen import SynthConfig, generate
 
 from conftest import make_unit, one_bus_case
@@ -177,9 +179,10 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     calls = []
     real = benders_module.solve_simplex
 
-    def spy(lp, check=True, basis=None):
-        sol = real(lp, check, basis)
-        calls.append((basis is not None, sol.stats.warm))
+    def spy(lp, check=True, basis=None, kept=None):
+        given = basis is not None or (kept is not None and kept.highs is not None)
+        sol = real(lp, check, basis, kept)
+        calls.append((given, sol.stats.warm))
         return sol
 
     monkeypatch.setattr(benders_module, "solve_simplex", spy)
@@ -188,11 +191,12 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     assert [row[0] for row in r.timing] == list(range(1, r.iterations + 1))
     assert all(row[4] == 0 for row in r.timing)  # no warm start fell back
     assert all(given == warm for given, warm in calls)
-    # every subproblem solve after a period's first is warm; the masters,
-    # the first solves and the extraction re-solves at the incumbent are cold
+    # every master and subproblem solve after the first of its LP is warm;
+    # the first master, the first subproblem solves and the extraction
+    # re-solves at the incumbent are cold
     n = case.n_periods
-    assert sum(warm for _given, warm in calls) == n * (r.iterations - 1)
-    assert sum(not warm for _given, warm in calls) == r.iterations + n + n
+    assert sum(warm for _given, warm in calls) == (n + 1) * (r.iterations - 1)
+    assert sum(not warm for _given, warm in calls) == 1 + n + n
 
 
 def _master_from_scratch(case, reserve, cuts):
@@ -230,3 +234,96 @@ def test_incremental_master_equals_a_fresh_build(tmp_path, synth_small, reserve)
         master.builder.build().dump(str(got))
         _master_from_scratch(case, reserve, cuts).dump(str(want))
         assert got.read_text() == want.read_text(), f"after {len(cuts)} cuts"
+
+
+@pytest.mark.parametrize("reserve", [True, False])
+def test_master_lp_grows_into_a_fresh_build(tmp_path, synth_small, reserve):
+    case = synth_small
+    master = _Master(case, reserve)
+    n_inv = master.inv.stop - master.inv.start
+    rng = np.random.default_rng(6)
+    for it in range(3):
+        point = rng.uniform(0.0, 50.0, n_inv)
+        for p in range(case.n_periods):
+            slope = rng.normal(scale=1e3, size=n_inv) * (rng.uniform(size=n_inv) < 0.6)
+            master.add_cut(p, float(rng.uniform(1e5, 1e7)), point, slope)
+        master.solve()
+        got, want = tmp_path / f"got{it}.lp", tmp_path / f"want{it}.lp"
+        master.lp.dump(str(got))
+        master.builder.build().dump(str(want))
+        assert got.read_text() == want.read_text(), f"round {it}"
+
+
+class _NeverKept(KeptModel):
+    """Every master solve cold, as before the master was kept."""
+
+    def keep(self, lp, run):
+        self.highs = None
+
+
+def _master_solves(monkeypatch):
+    """Record the master solutions of solve_benders (the calls that pass kept)."""
+    sols = []
+    real = benders_module.solve_simplex
+
+    def spy(lp, check=True, basis=None, kept=None):
+        sol = real(lp, check, basis, kept)
+        if kept is not None:
+            sols.append(sol)
+        return sol
+
+    monkeypatch.setattr(benders_module, "solve_simplex", spy)
+    return sols
+
+
+@pytest.mark.parametrize("reserve", [True, False])
+def test_kept_master_matches_a_cold_master(monkeypatch, synth_small, reserve):
+    # the pipeline's damping: without it, a round-off change of one trial
+    # point can pick another optimal dual vertex of a subproblem, and with
+    # it another cut, so kept and cold masters part ways on synth_small
+    stab = RunConfig.stab_weight
+    kept_sols = _master_solves(monkeypatch)
+    kept = solve_benders(synth_small, reserve=reserve, stab_weight=stab)
+    monkeypatch.undo()
+    monkeypatch.setattr(benders_module, "KeptModel", _NeverKept)
+    cold_sols = _master_solves(monkeypatch)
+    cold = solve_benders(synth_small, reserve=reserve, stab_weight=stab)
+
+    assert kept.converged and cold.converged
+    assert kept.iterations == cold.iterations > 1
+    assert kept.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert [s.stats.warm for s in kept_sols] == [False] + [True] * (kept.iterations - 1)
+    assert not any(s.stats.warm for s in cold_sols)
+    for k, c in zip(kept_sols, cold_sols):
+        assert k.kkt.ok()
+        assert k.objective == pytest.approx(c.objective, rel=1e-9)
+
+
+def test_failing_warm_masters_fall_back_to_the_cold_master(monkeypatch):
+    case = generate(SynthConfig(n_regions=2, periods=3, period_length=12), seed=7)
+    monkeypatch.setattr(benders_module, "KeptModel", _NeverKept)
+    cold = solve_benders(case)
+    monkeypatch.undo()
+
+    tried = []
+
+    def failing(self, lp):
+        tried.append(lp.n_rows)
+        return Attempt("failed", "forced warm failure", run_s=0.0)
+
+    monkeypatch.setattr(KeptModel, "attempt", failing)
+    sols = _master_solves(monkeypatch)
+    r = solve_benders(case)
+    assert len(tried) == r.iterations - 1  # every master after the first tried warm
+    assert not any(s.stats.warm or s.stats.retried for s in sols)
+    for key in ("status", "objective", "lower_bound", "iterations", "log", "investment"):
+        assert getattr(r, key) == getattr(cold, key), key
+
+
+def test_masters_solve_cold_through_linprog(monkeypatch):
+    monkeypatch.setattr(lp_module, "BACKEND", linprog_attempt)  # as without HiGHS bindings
+    sols = _master_solves(monkeypatch)
+    r = solve_benders(one_bus_case([10.0, 10.0], fixed_cost=100.0))
+    assert r.converged and r.iterations > 1
+    assert len(sols) == r.iterations
+    assert not any(s.stats.warm for s in sols)

@@ -1,12 +1,15 @@
 """Round-trip and error-reporting contract of the CSV case format."""
 
+import csv
+import io
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridres.caseio import load_system, write_case
+from gridres.caseio import _fmt, load_system, write_case, write_csv
 from gridres.model import CaseError, Region
 from gridres.spatial import RegionPartition, aggregate_spatial
 from gridres.syngen import SynthConfig, generate
@@ -173,3 +176,22 @@ def test_round_trip_property(tmp_path_factory, seed, n_regions, periods):
     directory = str(tmp_path_factory.mktemp("case"))
     write_case(case, directory)
     assert load_system(directory).equals(case)
+
+
+def test_write_csv_formats_every_cell_type_as_fmt_does(tmp_path):
+    row = (
+        "R1", "", 1.5, -0.0, 0.1, float("nan"), float("inf"), -float("inf"), 1e300,
+        np.float64(-0.0), np.float64(2.5), np.float64("nan"), np.float32(0.1),
+        0, -7, 2**70, np.int64(4), np.int32(-3),
+        True, False, np.bool_(True), np.bool_(False), None,
+    )
+    path = tmp_path / "mixed.csv"
+    write_csv(str(path), ["c"] * len(row), [row, row[::-1]])
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["c"] * len(row))
+    for r in (row, row[::-1]):
+        writer.writerow([_fmt(x) for x in r])
+    assert path.read_bytes() == want.getvalue().encode()
+    cells = path.read_text().splitlines()[1].split(",")
+    assert cells[3] == "-0.0" and cells[5] == "nan" and cells[18] == "true"

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from gridres import lp as lp_module
-from gridres.expansion import investment_entries
+from gridres.expansion import BuildOptions, build_lp, investment_entries
 from gridres.lp import (
     EQ,
     GE,
     LE,
     Attempt,
+    KeptModel,
     LpBuilder,
     Solution,
     SolverNumericsError,
@@ -399,3 +400,105 @@ def test_linprog_takes_no_basis_and_solves_cold(monkeypatch):
     sol = solve_simplex(lp, basis=object())
     assert not sol.stats.warm
     _assert_identical(sol, cold)
+
+
+# -- arrays built once per LP, and the kept model ----------------------------------
+
+
+def test_an_lp_is_read_only_but_for_its_bounds():
+    lp = random_boxed_lp(seed=3, feasible=True)
+    for array in (lp.obj, lp.senses, lp.rhs, lp.a_matrix.data, lp.a_matrix.indices):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    with pytest.raises(AttributeError):
+        lp.rhs = lp.rhs.copy()
+    lp.lo[0] = lp.hi[0] = 0.5  # bounds stay writable: Benders re-pins them
+
+
+@needs_highs
+def test_a_repinned_lp_solves_from_its_cache_as_a_fresh_build_does(synth_small):
+    names = [name for name, *_ in investment_entries(synth_small)]
+
+    def subproblem(level):
+        opts = BuildOptions(
+            uc="relaxed", reserve=False, periods=(1,),
+            fix={name: level for name in names}, include_investment_cost=False,
+        )
+        return build_lp(synth_small, opts)
+
+    lp, ix = subproblem(0.0)
+    basis = solve_simplex(lp).basis  # builds the cached arrays
+    for level in (5.0, 40.0):
+        lp.lo[ix.inv] = lp.hi[ix.inv] = level
+        fresh, _ = subproblem(level)
+        for field in ("obj", "lo", "hi", "senses", "rhs"):
+            assert np.array_equal(getattr(lp, field), getattr(fresh, field)), field
+        _assert_identical(solve_simplex(lp), solve_simplex(fresh))
+        _assert_identical(solve_simplex(lp, basis=basis), solve_simplex(fresh, basis=basis))
+
+
+def test_extend_appends_the_rows_added_since_the_build():
+    b = LpBuilder()
+    x = b.vars(3, 0.0, 10.0, [1.0, 2.0, -1.0])
+    b.row("r0", GE, 1.0, [(x[0], 1.0), (x[1], 1.0)])
+    first = b.build()
+    b.rows([LE, EQ], [4.0, 2.0], [0, 0, 1, 1], [x[2], x[0], x[1], x[1]], [1.0, 2.0, 3.0, -1.0])
+    b.row("r3", GE, 0.5, [(x[2], 1.0)])
+    grown, built = b.extend(first), b.build()
+    for field in ("obj", "lo", "hi", "senses", "rhs"):
+        assert np.array_equal(getattr(grown, field), getattr(built, field)), field
+    assert (grown.a_matrix != built.a_matrix).nnz == 0
+    assert np.array_equal(grown.a_matrix.indices, built.a_matrix.indices)
+    assert b.extend(built).n_rows == built.n_rows
+    b.var("late")
+    with pytest.raises(ValueError, match="not an earlier build"):
+        b.extend(built)
+    two = LpBuilder()
+    two.vars(3)
+    two.rows(GE, [1.0, 2.0], [0, 1], [0, 1], [1.0, 1.0])
+    with pytest.raises(ValueError, match="not an earlier build"):
+        two.extend(first)  # one row: it ends inside two's first block
+
+
+def _growing_lps(n_rounds):
+    """A master-like LP and the LPs it grows into, one row per round."""
+    rng = np.random.default_rng(2)
+    b = LpBuilder()
+    x = b.vars(6, 0.0, 20.0, rng.uniform(1.0, 3.0, 6))
+    theta = b.var("theta", 0.0, np.inf, 1.0)
+    b.row("need", GE, 10.0, [(j, 1.0) for j in x])
+    lps = [b.build()]
+    for _ in range(n_rounds):
+        slope = -rng.uniform(0.5, 2.0, 6)
+        b.row("cut", GE, float(rng.uniform(20.0, 40.0)), [(theta, 1.0), *zip(x, -slope)])
+        lps.append(b.extend(lps[-1]))
+    return lps
+
+
+@needs_highs
+def test_a_kept_model_solves_each_grown_lp_warm_as_a_cold_solve_does():
+    kept = KeptModel()
+    for i, lp in enumerate(_growing_lps(4)):
+        sol = solve_simplex(lp, kept=kept)
+        cold = solve_simplex(lp)
+        assert sol.stats.warm == (i > 0) and not sol.stats.retried
+        assert sol.kkt.ok()
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert kept.highs is not None
+
+
+@needs_highs
+@pytest.mark.parametrize("fail", [_warm_fails_by_status, _warm_fails_kkt], ids=["status", "kkt"])
+def test_a_failed_kept_model_falls_back_to_the_cold_solve(monkeypatch, fail):
+    first, grown = _growing_lps(1)
+    kept = KeptModel()
+    solve_simplex(first, kept=kept)
+    dropped = kept.highs
+    if fail is _warm_fails_by_status:
+        monkeypatch.setattr(KeptModel, "attempt", lambda self, lp: Attempt("failed", "forced", run_s=0.0))
+    else:
+        fail(monkeypatch)
+    sol = solve_simplex(grown, kept=kept)
+    assert not sol.stats.warm and not sol.stats.retried
+    _assert_identical(sol, solve_simplex(grown))
+    assert kept.highs is not None and kept.highs is not dropped  # the cold model is kept

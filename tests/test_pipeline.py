@@ -103,6 +103,30 @@ def test_config_validates_solver_knobs():
             RunConfig.from_dict({**base, **yaml.safe_load(f"{key}: .nan")})
 
 
+def test_config_rejects_repeated_combo_fields():
+    base = {"out_dir": "o", "input_dir": "i"}
+    parts = [{"name": "p", "regions": 1}, {"name": "p", "regions": 2}]
+    with pytest.raises(ConfigError, match="repeated partition name: p"):
+        RunConfig.from_dict({**base, "partitions": parts})
+    with pytest.raises(ConfigError, match="repeated k_values entry: 2"):
+        RunConfig.from_dict({**base, "k_values": [2, "all", 2]})
+    with pytest.raises(ConfigError, match="repeated uc_modes entry: none"):
+        RunConfig.from_dict({**base, "uc_modes": ["none", "relaxed", "none"]})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("gap_tol", "1e-4"), ("beta", "1"), ("stab_weight", None), ("gap_tol", True),
+        ("max_iter", "200"), ("max_iter", 2.0), ("max_iter", True),
+        ("jobs", "2"), ("jobs", 1.5), ("sub_jobs", "1"), ("sub_jobs", None),
+    ],
+)
+def test_config_names_a_wrongly_typed_field(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        RunConfig.from_dict({"out_dir": "o", "input_dir": "i", key: value})
+
+
 def test_config_rejects_bad_synth_block():
     with pytest.raises(ConfigError, match="bad synth config"):
         RunConfig.from_dict({"out_dir": "o", "synth": {"n_rooms": 4}})
@@ -252,6 +276,22 @@ def test_a_failed_stage_leaves_its_traceback(tmp_path, monkeypatch):
     assert not os.path.exists(os.path.join(res.artifacts_dir, "error.txt"))
 
 
+def test_a_failed_combo_times_the_stages_it_reached(tmp_path, monkeypatch):
+    fine = generate(SynthConfig(**TINY_SYNTH), seed=3)
+    rc = RunConfig(out_dir=str(tmp_path), synth=SynthConfig(**TINY_SYNTH), seed=3)
+
+    def broken_operation(*args, **kwargs):
+        raise ZeroDivisionError("forced operate failure")
+
+    monkeypatch.setattr(pipeline, "dispatch_portfolio", broken_operation)
+    res = run_case(rc, Combo(HRB_NAME, None, None, "relaxed"), fine, None)
+    assert res.error == "operate: forced operate failure"
+    rows = _read_csv(os.path.join(res.artifacts_dir, "stage_timing.csv"))
+    assert rows[0] == ["stage", "seconds"]
+    assert [r[0] for r in rows[1:]] == ["setup", "aggregate", "cluster", "expand", "translate", "operate"]
+    assert all(float(r[1]) >= 0.0 for r in rows[1:])
+
+
 def test_ladder_needs_a_second_combo(tmp_path):
     rc = RunConfig(out_dir=str(tmp_path), synth=SynthConfig(**TINY_SYNTH))
     with pytest.raises(ConfigError, match="at least one combo besides the baseline"):
@@ -343,6 +383,22 @@ def test_benders_timing_has_one_row_per_iteration(ladder_run):
         assert int(r[3]) >= 0
         assert r[4] == "0"
     assert not os.path.exists(os.path.join(combo, "error.txt"))
+
+
+def test_stage_timing_sums_to_the_combo_runtime(ladder_run):
+    _, out, _ = ladder_run
+    runtime = {r[0]: float(r[1]) for r in _read_csv(os.path.join(out, "ladder_timing.csv"))[1:]}
+    for name in ("hrb", "r1-kall-relaxed", "r1-k1-relaxed", "ident-k1-relaxed"):
+        rows = _read_csv(os.path.join(out, name, "stage_timing.csv"))
+        assert rows[0] == ["stage", "seconds"]
+        assert [r[0] for r in rows[1:]] == [
+            "setup", "aggregate", "cluster", "expand", "translate", "operate", "metrics",
+        ]
+        seconds = [float(r[1]) for r in rows[1:]]
+        assert all(s >= 0.0 for s in seconds)
+        assert sum(seconds) == pytest.approx(runtime[name], rel=0.02), name
+    # a combo that reuses the baseline runs no stage of its own
+    assert not os.path.exists(os.path.join(out, "ident-kall-relaxed", "stage_timing.csv"))
 
 
 def test_timing_file_reports_every_combo(ladder_run):
