@@ -487,17 +487,18 @@ def test_a_kept_model_solves_each_grown_lp_warm_as_a_cold_solve_does():
         assert kept.highs is not None
 
 
+def _kept_fails_by_status(monkeypatch):
+    monkeypatch.setattr(KeptModel, "attempt", lambda self, lp: Attempt("failed", "forced", run_s=0.0))
+
+
 @needs_highs
-@pytest.mark.parametrize("fail", [_warm_fails_by_status, _warm_fails_kkt], ids=["status", "kkt"])
+@pytest.mark.parametrize("fail", [_kept_fails_by_status, _warm_fails_kkt], ids=["status", "kkt"])
 def test_a_failed_kept_model_falls_back_to_the_cold_solve(monkeypatch, fail):
     first, grown = _growing_lps(1)
     kept = KeptModel()
     solve_simplex(first, kept=kept)
     dropped = kept.highs
-    if fail is _warm_fails_by_status:
-        monkeypatch.setattr(KeptModel, "attempt", lambda self, lp: Attempt("failed", "forced", run_s=0.0))
-    else:
-        fail(monkeypatch)
+    fail(monkeypatch)
     sol = solve_simplex(grown, kept=kept)
     assert not sol.stats.warm and not sol.stats.retried
     _assert_identical(sol, solve_simplex(grown))
