@@ -11,36 +11,34 @@ Optimal solutions are KKT-checked before being returned:
     dual    max reduced-cost sign violation     <= 1e-7 * (1 + ||c||inf)
     compl   relative duality gap                <= 1e-6
 
-The backend is HiGHS dual simplex, which is deterministic for a fixed input
-and returns basic solutions (exact complementarity up to round-off). Where
-scipy ships its HiGHS bindings (``scipy.optimize._highspy._core``, scipy
-1.15 on), ``highs_attempt`` drives them directly. It hands HiGHS the model
-``linprog(method="highs-ds")`` builds (LE rows, then negated GE rows, then
-EQ rows, in CSC form, infinite bounds as kHighsInf) under the options
-linprog sets, so its solutions are bit-identical to linprog's; only
-linprog's per-solve input cleaning, option checks and bound-multiplier
-loop are skipped. Where the bindings are missing, ``linprog_attempt``
-solves through linprog. The choice is made once, at import.
+Every LP is solved by HiGHS dual simplex through scipy's bundled bindings
+(``scipy.optimize._highspy._core``, scipy 1.15 on). HiGHS is deterministic
+for a fixed input and returns basic solutions (exact complementarity up to
+round-off). It receives the LP as the builder laid it out: every row keeps
+its position and sign, the matrix goes in CSC form, and each row's bounds
+come from its sense and rhs (LE ``-inf..rhs``, GE ``rhs..inf``, EQ
+``rhs..rhs``). For a minimization HiGHS's row duals satisfy
+``col_dual = c - A^T row_dual`` and are d(objective)/d(row bound), which is
+the convention above, so they are returned as they come.
 
 A LinearProgram's obj, senses, rhs and a_matrix are read-only from
 construction on; only the column bounds lo and hi may change, in place.
-So the arrays handed to HiGHS that derive from the rows (the stacked rows
-in CSC form and their bounds), and A^T for the reduced costs, are built on
-an LP's first solve and cached on it: a re-pinned Benders subproblem does
-not re-stack its rows.
+So what derives from the rows (the LE and GE masks of senses, the CSC
+matrix and its row bounds) and A^T for the reduced costs are built on an
+LP's first solve and cached on it: a re-pinned Benders subproblem does not
+rebuild them.
 
 An optimal HiGHS run also returns its basis (``Solution.basis``, an opaque
-value; None through linprog). ``solve_simplex(lp, basis=...)`` first tries
-a warm start from it: a fresh model of the same arrays, the basis set,
-dual simplex with Devex dual edge weights. HiGHS skips presolve when it
-starts from a basis. The caller hands back the basis of an earlier solve
-of the same LP whose bounds have since changed, as Benders does after
-re-pinning a subproblem; the basis stays dual feasible, so dual simplex
-restarts from it. The warm optimum gets the same KKT check
-(``SolveStats.warm``). A rejected basis, a status other than optimal or a
-failed KKT check falls through to the cold attempt. A warm optimum may be
-a different vertex than the cold one, with the same objective up to
-round-off.
+value). ``solve_simplex(lp, basis=...)`` first tries a warm start from it:
+a fresh model of the same arrays, the basis set, dual simplex with Devex
+dual edge weights. HiGHS skips presolve when it starts from a basis. The
+caller hands back the basis of an earlier solve of the same LP whose
+bounds have since changed, as Benders does after re-pinning a subproblem;
+the basis stays dual feasible, so dual simplex restarts from it. The warm
+optimum gets the same KKT check (``SolveStats.warm``). A rejected basis, a
+status other than optimal or a failed KKT check falls through to the cold
+attempt. A warm optimum may be a different vertex than the cold one, with
+the same objective up to round-off.
 
 An LP that only grows by rows, as the Benders master does, is solved in
 one kept HiGHS model (``solve_simplex(lp, kept=KeptModel())``). The first
@@ -62,16 +60,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
+import scipy.optimize._highspy._core as highs
 import scipy.sparse as sp
-from scipy.optimize import linprog
-
-try:
-    import scipy.optimize._highspy._core as highs
-except ImportError:  # scipy < 1.15
-    highs = None
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -81,7 +73,7 @@ COMPL_TOL = 1e-6
 
 
 class SolverNumericsError(RuntimeError):
-    """The backend failed to produce a trustworthy solution."""
+    """HiGHS failed to produce a trustworthy solution."""
 
 
 @dataclass(frozen=True)
@@ -104,8 +96,17 @@ class LinearProgram:
             v.flags.writeable = False
 
     @cached_property
-    def _rows(self) -> _StackedRows:
-        return _stacked_rows(self)
+    def _le(self) -> np.ndarray:
+        return self.senses == LE
+
+    @cached_property
+    def _ge(self) -> np.ndarray:
+        return self.senses == GE
+
+    @cached_property
+    def _highs_rows(self) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+        """The matrix in CSC form and the row bounds, as HiGHS takes them."""
+        return (self.a_matrix.tocsc(), *_row_bounds(self))
 
     @cached_property
     def _at(self) -> sp.csc_matrix:
@@ -270,8 +271,8 @@ class SolveStats:
     rows: int
     cols: int
     nnz: int
-    run_s: float | None  # HiGHS run time over all attempts; None through linprog
-    iterations: int  # simplex iterations over all attempts (linprog's nit)
+    run_s: float  # HiGHS run time over all attempts
+    iterations: int  # simplex iterations over all attempts
     retried: bool  # the simplex attempts failed and interior point re-solved
     warm: bool = False  # the solution came from the warm start
 
@@ -285,7 +286,7 @@ class Solution:
     reduced_costs: np.ndarray | None  # c - A^T y
     kkt: KktResiduals | None
     stats: SolveStats | None = None
-    basis: object | None = None  # HiGHS basis of the optimum; None through linprog
+    basis: object | None = None  # HiGHS basis of the optimum
 
     @property
     def is_optimal(self) -> bool:
@@ -296,8 +297,7 @@ _BOUND_ACTIVE_TOL = 1e-9
 
 
 def kkt_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> KktResiduals:
-    le = lp.senses == LE
-    ge = lp.senses == GE
+    le, ge = lp._le, lp._ge
     gap = lp.a_matrix @ x - lp.rhs
     row_primal = np.where(le, gap, np.where(ge, -gap, np.abs(gap)))
     # max() keeps its first argument on ties, so an all-zero residual is
@@ -341,58 +341,28 @@ def kkt_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> KktResidua
 
 @dataclass
 class Attempt:
-    """One backend run. x and y are None unless the status is optimal; y is
-    in the LP's row order and sign convention."""
+    """One HiGHS run. x and y are None unless the status is optimal."""
 
     status: str  # optimal | infeasible | unbounded | failed
     message: str
     objective: float | None = None  # without obj_offset
     x: np.ndarray | None = None
     y: np.ndarray | None = None
-    run_s: float | None = None
+    run_s: float = 0.0
     iterations: int = 0
     basis: object | None = None
     model: object | None = None  # the optimal HiGHS model, for a KeptModel
 
 
-class _StackedRows(NamedTuple):
-    """The rows as linprog hands them to HiGHS: LE rows, then negated GE
-    rows, then EQ rows. Built once per LP (LinearProgram._rows)."""
-
-    order: np.ndarray  # LP row of each stacked row
-    sign: np.ndarray  # -1.0 on GE rows, 1.0 elsewhere
-    n_ineq: int  # LE and GE rows, which come first
-    a_matrix: sp.csc_matrix  # signed rows, in stacked order
-    rhs: np.ndarray  # signed rhs, in stacked order
-    row_lower: np.ndarray  # HiGHS row bounds: -kHighsInf on inequalities
-    row_upper: np.ndarray
-
-
-def _stacked_rows(lp: LinearProgram) -> _StackedRows:
-    le = np.nonzero(lp.senses == LE)[0]
-    ge = np.nonzero(lp.senses == GE)[0]
-    eq = np.nonzero(lp.senses == EQ)[0]
-    order = np.concatenate([le, ge, eq])
-    sign = np.repeat([1.0, -1.0, 1.0], [le.size, ge.size, eq.size])
-    a = lp.a_matrix[order]
-    a.data *= np.repeat(sign, np.diff(a.indptr))
-    rhs = sign * lp.rhs[order]
-    lower = rhs.copy()
-    lower[: le.size + ge.size] = -np.inf
-    return _StackedRows(
-        order, sign, le.size + ge.size, a.tocsc(), rhs, _highs_inf(lower), _highs_inf(rhs)
-    )
-
-
-def _row_duals(order: np.ndarray, sign: np.ndarray, duals) -> np.ndarray:
-    """Duals of the model rows back in the LP's row order and signs."""
-    y = np.empty(order.size)
-    y[order] = sign * np.asarray(duals, dtype=float)
-    return y
+def _row_bounds(lp: LinearProgram, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """HiGHS row bounds of rows first..: LE -inf..rhs, GE rhs..inf, EQ rhs..rhs."""
+    rhs = lp.rhs[first:]
+    return np.where(lp._le[first:], -np.inf, rhs), np.where(lp._ge[first:], np.inf, rhs)
 
 
 def _highs_options(**values):
-    """The options linprog sets for a HiGHS solve, plus values."""
+    """The options of every HiGHS solve, plus values. HiGHS writes its log
+    to the process's stdout unless output is off."""
     opts = highs.HighsOptions()
     opts.presolve = "on"
     opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -404,26 +374,18 @@ def _highs_options(**values):
     return opts
 
 
-if highs is not None:
-    _SIMPLEX = _highs_options(solver="simplex")
-    _IPM = _highs_options(solver="ipm", run_crossover="on")
-    # Devex dual edge weights: from a warm basis they are cheaper to set up
-    # than the steepest-edge weights HiGHS picks by default
-    _WARM = _highs_options(solver="simplex", simplex_dual_edge_weight_strategy=1)
-
-
-def _highs_inf(v: np.ndarray) -> np.ndarray:
-    # only the infinite entries change, so no 0 * inf arises
-    inf = np.inf if highs is None else highs.kHighsInf
-    return np.where(np.isinf(v), np.copysign(inf, v), v)
+_SIMPLEX = _highs_options(solver="simplex")
+_IPM = _highs_options(solver="ipm", run_crossover="on")
+# Devex dual edge weights: from a warm basis they are cheaper to set up
+# than the steepest-edge weights HiGHS picks by default
+_WARM = _highs_options(solver="simplex", simplex_dual_edge_weight_strategy=1)
 
 
 def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
-    """Solve through scipy's bundled HiGHS bindings, with the model and
-    options linprog(method="highs-ds") builds (``highs-ipm`` when ipm).
-    With a basis, dual simplex starts from it under the warm options."""
-    rows = lp._rows
-    a = rows.a_matrix
+    """Solve in a fresh HiGHS model: dual simplex, or interior point plus
+    crossover when ipm. With a basis, dual simplex starts from it under the
+    warm options."""
+    a, row_lower, row_upper = lp._highs_rows
     h = highs._Highs()
     h.passOptions(_IPM if ipm else _SIMPLEX if basis is None else _WARM)
     # The array form of passModel copies each array in one go (setting the
@@ -438,10 +400,10 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
         int(highs.ObjSense.kMinimize),
         0.0,
         lp.obj,
-        _highs_inf(lp.lo),
-        _highs_inf(lp.hi),
-        rows.row_lower,
-        rows.row_upper,
+        lp.lo,
+        lp.hi,
+        row_lower,
+        row_upper,
         a.indptr,
         a.indices,
         a.data,
@@ -450,12 +412,11 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     if status == highs.HighsStatus.kError:
         return Attempt("failed", "HiGHS rejected the model")
     if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
-        return Attempt("failed", "HiGHS rejected the basis", run_s=0.0)
-    return _run(h, rows.order, rows.sign)
+        return Attempt("failed", "HiGHS rejected the basis")
+    return _run(h)
 
 
-def _run(h, order: np.ndarray, sign: np.ndarray) -> Attempt:
-    """Run HiGHS; model row i is LP row order[i] times sign[i]."""
+def _run(h) -> Attempt:
     t0 = h.getRunTime()  # the run clock adds up over runs of one model
     run_status = h.run()
     model_status = h.getModelStatus()
@@ -477,100 +438,61 @@ def _run(h, order: np.ndarray, sign: np.ndarray) -> Attempt:
         out.status = "optimal"
         out.objective = info.objective_function_value
         out.x = np.array(solution.col_value, dtype=float)
-        out.y = _row_duals(order, sign, solution.row_dual)
+        out.y = np.array(solution.row_dual, dtype=float)
         out.basis = h.getBasis()
         out.model = h
     return out
 
 
 class KeptModel:
-    """A HiGHS model kept between the solves of one LP that only grows by
-    appended rows, as the Benders master does. ``solve_simplex(lp,
-    kept=...)`` keeps the model of the HiGHS optimum it accepts. The next
-    solve, of the same LP with rows appended (``LpBuilder.extend``),
-    appends them to the kept model and restarts dual simplex from the kept
-    basis, under the cold options: HiGHS skips presolve from a valid
-    basis. A solve that accepts no HiGHS optimum drops the model."""
+    """The HiGHS model of the last accepted optimum of an LP that only grows
+    by appended rows (``LpBuilder.extend``); see the module docstring. It
+    re-runs under the cold options: HiGHS skips presolve from a valid basis."""
 
     def __init__(self):
         self.highs = None
-        self.order = self.sign = None  # LP row and sign of each model row
 
-    def keep(self, lp: LinearProgram, run: Attempt) -> None:
+    def keep(self, run: Attempt) -> None:
         """Keep the model of the accepted run (none if it has none)."""
         if run.model is not None and run.model is not self.highs:
             run.model.passOptions(_SIMPLEX)  # a model of the ipm retry would run ipm
-            self.order, self.sign = lp._rows.order, lp._rows.sign
         self.highs = run.model
 
     def attempt(self, lp: LinearProgram) -> Attempt:
-        h, known = self.highs, self.order.size
+        h = self.highs
+        known = h.getNumRow()
         if lp.n_vars != h.getNumCol() or lp.n_rows < known:
-            return Attempt("failed", "the LP is not the kept model's grown by rows", run_s=0.0)
+            return Attempt("failed", "the LP is not the kept model's grown by rows")
         if lp.n_rows > known:
-            senses = lp.senses[known:]
-            sign = np.where(senses == GE, -1.0, 1.0)
-            rhs = sign * lp.rhs[known:]
-            lower = np.where(senses == EQ, rhs, -np.inf)
             a = lp.a_matrix
             starts = a.indptr[known:]  # of the new rows, then the end
             first = starts[0]
             h.addRows(
-                sign.size,
-                _highs_inf(lower),
-                _highs_inf(rhs),
+                lp.n_rows - known,
+                *_row_bounds(lp, known),
                 a.nnz - first,
                 starts[:-1] - first,
                 a.indices[first:],
-                a.data[first:] * np.repeat(sign, np.diff(starts)),
+                a.data[first:],
             )
-            self.order = np.concatenate([self.order, np.arange(known, lp.n_rows)])
-            self.sign = np.concatenate([self.sign, sign])
-        return _run(h, self.order, self.sign)
+        return _run(h)
 
 
-def linprog_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
-    """Solve through scipy's linprog (method ``highs-ds``, or ``highs-ipm``,
-    which runs crossover by default). linprog takes no starting basis, so a
-    warm attempt fails at once and the solve goes on cold."""
-    if basis is not None:
-        return Attempt("failed", "linprog takes no starting basis")
-    rows = lp._rows
-    k = rows.n_ineq
-    res = linprog(
-        c=lp.obj,
-        A_ub=rows.a_matrix[:k] if k else None,
-        b_ub=rows.rhs[:k] if k else None,
-        A_eq=rows.a_matrix[k:] if k < lp.n_rows else None,
-        b_eq=rows.rhs[k:] if k < lp.n_rows else None,
-        bounds=np.column_stack([lp.lo, lp.hi]),
-        method="highs-ipm" if ipm else "highs-ds",
-    )
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
-    out = Attempt(status, f"solver failure: {res.message}", iterations=int(res.nit))
-    if status == "optimal":
-        out.objective = float(res.fun)
-        out.x = np.asarray(res.x, dtype=float)
-        duals = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
-        out.y = _row_duals(rows.order, rows.sign, duals)
-    return out
-
-
-BACKEND = highs_attempt if highs is not None else linprog_attempt
-
-
-def solve_with(lp: LinearProgram, attempt, check: bool = True, basis=None, kept=None) -> Solution:
-    """Solve with one attempt function: warm from the kept model, then from
-    basis, when given, then cold, then once more with interior point plus
-    crossover. An attempt is accepted once it ends infeasible or unbounded,
-    or optimal and (with check) passing the KKT check. kept ends up holding
-    the HiGHS model of the accepted attempt's optimum, or none."""
+def solve_simplex(lp: LinearProgram, check: bool = True, basis=None, kept=None) -> Solution:
+    """Solve to optimality (or prove infeasible/unbounded) deterministically:
+    warm from the kept model, then from basis, when given, then cold, then
+    once more with interior point plus crossover. basis is Solution.basis
+    of an earlier solve of an LP of the same shape; kept is a KeptModel of
+    earlier solves of this LP before rows were appended. An attempt is
+    accepted once it ends infeasible or unbounded, or optimal and (with
+    check) passing the KKT check. kept ends up holding the HiGHS model of
+    the accepted attempt's optimum, or none."""
     tries = []
     if kept is not None and kept.highs is not None:
         tries.append((lambda: kept.attempt(lp), "warm"))
     if basis is not None:
-        tries.append((lambda: attempt(lp, False, basis), "warm"))
-    tries += [(lambda: attempt(lp, False), "cold"), (lambda: attempt(lp, True), "ipm")]
+        tries.append((lambda: highs_attempt(lp, False, basis), "warm"))
+    tries += [(lambda: highs_attempt(lp, False), "cold"), (lambda: highs_attempt(lp, True), "ipm")]
     runs = []
     for solve, kind in tries:
         run = solve()
@@ -579,7 +501,7 @@ def solve_with(lp: LinearProgram, attempt, check: bool = True, basis=None, kept=
             if kind == "warm":
                 continue  # a warm start must end optimal; a cold run decides the rest
             if kept is not None:
-                kept.keep(lp, run)
+                kept.keep(run)
             return Solution(run.status, None, None, None, None, None, _stats(lp, runs, kind))
         if run.status != "optimal":
             continue
@@ -591,7 +513,7 @@ def solve_with(lp: LinearProgram, attempt, check: bool = True, basis=None, kept=
             )
             continue
         if kept is not None:
-            kept.keep(lp, run)
+            kept.keep(run)
         return Solution(
             status="optimal",
             objective=float(run.objective) + lp.obj_offset,
@@ -610,22 +532,12 @@ def solve_with(lp: LinearProgram, attempt, check: bool = True, basis=None, kept=
 
 
 def _stats(lp: LinearProgram, runs, kind: str) -> SolveStats:
-    times = [r.run_s for r in runs]
     return SolveStats(
         rows=lp.n_rows,
         cols=lp.n_vars,
         nnz=int(lp.a_matrix.nnz),
-        run_s=None if None in times else sum(times),
+        run_s=sum(r.run_s for r in runs),
         iterations=sum(r.iterations for r in runs),
         retried=kind == "ipm",
         warm=kind == "warm",
     )
-
-
-def solve_simplex(lp: LinearProgram, check: bool = True, basis=None, kept=None) -> Solution:
-    """Solve to optimality (or prove infeasible/unbounded) deterministically.
-    basis is Solution.basis of an earlier solve of an LP of the same shape;
-    kept is a KeptModel of earlier solves of this LP before rows were
-    appended. The warm start either gives falls back to a cold solve on any
-    failure."""
-    return solve_with(lp, BACKEND, check, basis, kept)

@@ -22,6 +22,7 @@ combo leaves its full traceback in <combo>/error.txt.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 import traceback
@@ -41,9 +42,9 @@ from .expansion import (
 )
 from .lp import solve_simplex
 from .metrics import MetricsReport, build_report, format_summary, write_report
-from .model import WIND_TECHS, SystemCase
+from .model import VRE_TECHS, WIND_TECHS, SystemCase
 from .spatial import RegionPartition, aggregate_spatial
-from .syngen import SynthConfig, generate
+from .syngen import PATHWAY_CARBON_FEE, SynthConfig, generate
 from .temporal import apply_temporal, cluster_timesteps, write_reduction
 from .translate import (
     SiteAllocation,
@@ -76,6 +77,10 @@ class PartitionSpec:
     def __post_init__(self):
         if (self.path is None) == (self.n_regions is None):
             raise ConfigError(f"partition {self.name}: give exactly one of path / regions")
+        if self.n_regions is not None and not (_is_int(self.n_regions) and self.n_regions >= 1):
+            raise ConfigError(
+                f"partition {self.name}: regions must be an integer >= 1, got {self.n_regions!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,41 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(low: float, value) -> bool:
+    return _is_number(value) and low <= value < math.inf  # also rejects NaN
+
+
+# synth field -> (test, what it must be); a count is an integer >= 1
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_NONNEGATIVE = (lambda v: _finite(0.0, v), "a finite number >= 0")
+_SYNTH_CHECKS = {
+    **dict.fromkeys(("n_regions", "periods", "period_length", "units_per_plant"), _COUNT),
+    "sites_per_region": (
+        lambda d: isinstance(d, dict) and set(d) <= set(VRE_TECHS)
+        and all(_is_int(c) and c >= 0 for c in d.values()),
+        f"a map of some of {', '.join(VRE_TECHS)} to integers >= 0",
+    ),
+    "demand_peak_range": (
+        lambda r: isinstance(r, (list, tuple)) and len(r) == 2
+        and _finite(0.0, r[0]) and r[0] > 0.0 and _finite(r[0], r[1]),
+        "[low, high] with 0 < low <= high, both finite",
+    ),
+    **dict.fromkeys(
+        ("spatial_correlation_length", "profile_noise", "demand_noise", "line_capacity_frac"),
+        _NONNEGATIVE,
+    ),
+    "pathway": (
+        lambda v: isinstance(v, str) and v in PATHWAY_CARBON_FEE,
+        f"one of {', '.join(PATHWAY_CARBON_FEE)}",
+    ),
+    "nse_cost": (lambda v: _finite(0.0, v) and v > 0.0, "a finite number > 0"),
+}
+
+
 @dataclass
 class RunConfig:
     out_dir: str
@@ -121,6 +161,11 @@ class RunConfig:
     def __post_init__(self):
         if (self.input_dir is None) == (self.synth is None):
             raise ConfigError("give exactly one of input dir / synthetic config")
+        if self.synth is not None:
+            for key, (ok, what) in _SYNTH_CHECKS.items():
+                value = getattr(self.synth, key)
+                if not ok(value):
+                    raise ConfigError(f"synth.{key} must be {what}, got {value!r}")
         for uc in self.uc_modes:
             if uc not in ("none", "relaxed"):
                 raise ConfigError(f"unknown uc mode {uc!r}")
@@ -138,9 +183,9 @@ class RunConfig:
                 raise ConfigError(f"repeated {key}: {', '.join(repeated)}")
         for key in ("stab_weight", "gap_tol", "beta"):
             value = getattr(self, key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
-        for key in ("jobs", "sub_jobs"):
+        for key in ("seed", "jobs", "sub_jobs"):
             value = getattr(self, key)
             if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -167,6 +212,8 @@ class RunConfig:
                 raise ConfigError(f"bad synth config: {e}") from None
         parts = []
         for p in d.pop("partitions", ()) or ():
+            if not isinstance(p, dict) or "name" not in p:
+                raise ConfigError(f"a partition needs a name and a path or regions, got {p!r}")
             parts.append(
                 PartitionSpec(
                     name=str(p["name"]),
@@ -212,6 +259,18 @@ class RunConfig:
         if self.input_dir is not None:
             return load_system(self.input_dir)
         return generate(self.synth, seed=self.seed)
+
+    def check_fine(self, fine: SystemCase) -> None:
+        """Reject partition region counts and k values that fine cannot take."""
+        for p in self.partitions:
+            if p.n_regions is not None and p.n_regions > len(fine.regions):
+                raise ConfigError(
+                    f"partition {p.name}: regions {p.n_regions} exceeds the "
+                    f"{len(fine.regions)} regions of the fine system"
+                )
+        for k in self.k_values:
+            if k != "all" and k > fine.n_periods:
+                raise ConfigError(f"k {k} exceeds the {fine.n_periods} periods of the fine system")
 
     def combos(self) -> list:
         out = [Combo(HRB_NAME, None, None, "relaxed")]
@@ -532,8 +591,9 @@ def run_ladder(rc: RunConfig) -> ExperimentReport:
     combos = rc.combos()
     if len(combos) < 2:
         raise ConfigError("a ladder needs at least one combo besides the baseline")
-    os.makedirs(rc.out_dir, exist_ok=True)
     fine = rc.load_fine()
+    rc.check_fine(fine)
+    os.makedirs(rc.out_dir, exist_ok=True)
     if rc.synth is not None:
         write_case(fine, os.path.join(rc.out_dir, "system"))
 

@@ -12,8 +12,7 @@ from gridres.expansion import (
     build_expansion_lp,
     extract_solution,
 )
-from gridres import lp as lp_module
-from gridres.lp import GE, Attempt, KeptModel, LpBuilder, linprog_attempt, solve_simplex
+from gridres.lp import GE, Attempt, KeptModel, LpBuilder, solve_simplex
 from gridres.pipeline import RunConfig
 from gridres.syngen import SynthConfig, generate
 
@@ -257,7 +256,7 @@ def test_master_lp_grows_into_a_fresh_build(tmp_path, synth_small, reserve):
 class _NeverKept(KeptModel):
     """Every master solve cold, as before the master was kept."""
 
-    def keep(self, lp, run):
+    def keep(self, run):
         self.highs = None
 
 
@@ -318,12 +317,3 @@ def test_failing_warm_masters_fall_back_to_the_cold_master(monkeypatch):
     assert not any(s.stats.warm or s.stats.retried for s in sols)
     for key in ("status", "objective", "lower_bound", "iterations", "log", "investment"):
         assert getattr(r, key) == getattr(cold, key), key
-
-
-def test_masters_solve_cold_through_linprog(monkeypatch):
-    monkeypatch.setattr(lp_module, "BACKEND", linprog_attempt)  # as without HiGHS bindings
-    sols = _master_solves(monkeypatch)
-    r = solve_benders(one_bus_case([10.0, 10.0], fixed_cost=100.0))
-    assert r.converged and r.iterations > 1
-    assert len(sols) == r.iterations
-    assert not any(s.stats.warm for s in sols)

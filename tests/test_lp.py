@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from gridres import lp as lp_module
 from gridres.expansion import BuildOptions, build_lp, investment_entries
@@ -14,12 +16,8 @@ from gridres.lp import (
     LpBuilder,
     Solution,
     SolverNumericsError,
-    highs,
-    highs_attempt,
     kkt_residuals,
-    linprog_attempt,
     solve_simplex,
-    solve_with,
 )
 
 from oracles import random_boxed_lp, reference_kkt_residuals, vertex_optimum
@@ -216,13 +214,7 @@ def test_lp_dump_is_parseable_text(tmp_path):
     assert "triplets" in text
 
 
-# -- backends, the interior-point retry and solve statistics ---------------------
-
-needs_highs = pytest.mark.skipif(highs is None, reason="scipy ships no HiGHS bindings")
-BACKENDS = [
-    pytest.param(highs_attempt, id="highs", marks=needs_highs),
-    pytest.param(linprog_attempt, id="linprog"),
-]
+# -- agreement with linprog, the interior-point retry and solve statistics -------
 
 
 def _assert_identical(a, b):
@@ -237,26 +229,47 @@ def _assert_identical(a, b):
     assert a.kkt == b.kkt
 
 
-@needs_highs
+def _assert_agrees_with_linprog(sol, lp):
+    """scipy's linprog (highs-ds) on the LP as linprog takes it, LE rows
+    and negated GE rows as A_ub, EQ rows as A_eq, is the oracle: the same
+    status, the objective to 1e-9 relative, and a KKT-clean optimum."""
+    le, ge, eq = (lp.senses == s for s in (LE, GE, EQ))
+    a = lp.a_matrix
+    b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
+    res = linprog(
+        lp.obj,
+        A_ub=sp.vstack([a[le], -a[ge]]) if b_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=a[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=np.column_stack([lp.lo, lp.hi]),
+        method="highs-ds",
+    )
+    assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    if sol.is_optimal:
+        want = res.fun + lp.obj_offset
+        assert abs(sol.objective - want) <= 1e-9 * max(1.0, abs(want))
+        assert sol.kkt.ok()
+
+
 def test_direct_backend_matches_linprog_on_random_corpus():
     lps = [random_boxed_lp(seed, feasible=True) for seed in range(50)]
     lps += [random_boxed_lp(seed, feasible=False) for seed in range(200, 240)]
     lps += [_infeasible_lp(), _unbounded_lp()]
     statuses = set()
     for lp in lps:
-        direct = solve_with(lp, highs_attempt)
-        _assert_identical(direct, solve_with(lp, linprog_attempt))
-        statuses.add(direct.status)
+        sol = solve_simplex(lp)
+        _assert_agrees_with_linprog(sol, lp)
+        statuses.add(sol.status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
-@needs_highs
 @pytest.mark.parametrize("name", ["expansion_relaxed", "expansion_none", "subproblem", "operations"])
 def test_direct_backend_matches_linprog_on_synth_lps(synth_small_lps, name):
     lp = synth_small_lps[name]
-    direct = solve_with(lp, highs_attempt)
-    assert direct.is_optimal
-    _assert_identical(direct, solve_with(lp, linprog_attempt))
+    sol = solve_simplex(lp)
+    assert sol.is_optimal
+    _assert_agrees_with_linprog(sol, lp)
 
 
 def test_solve_stats_describe_the_lp_and_its_run(synth_small_lps):
@@ -264,20 +277,20 @@ def test_solve_stats_describe_the_lp_and_its_run(synth_small_lps):
     stats = solve_simplex(lp).stats
     assert (stats.rows, stats.cols, stats.nnz) == (lp.n_rows, lp.n_vars, lp.a_matrix.nnz)
     assert stats.iterations > 0
-    assert stats.run_s is None if highs is None else stats.run_s > 0.0
+    assert stats.run_s > 0.0
     assert not stats.retried
     assert solve_simplex(_infeasible_lp()).stats.rows == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_failed_first_attempt_is_retried_with_interior_point(monkeypatch, backend):
+def test_a_failed_first_attempt_is_retried_with_interior_point(monkeypatch):
     calls = []
+    real = lp_module.highs_attempt
 
     def failing_first(lp, ipm):
         calls.append(ipm)
-        return backend(lp, ipm) if ipm else Attempt("failed", "forced failure")
+        return real(lp, ipm) if ipm else Attempt("failed", "forced failure")
 
-    monkeypatch.setattr(lp_module, "BACKEND", failing_first)
+    monkeypatch.setattr(lp_module, "highs_attempt", failing_first)
     lp = random_boxed_lp(seed=3, feasible=True)
     sol = solve_simplex(lp)
     assert calls == [False, True]
@@ -286,8 +299,7 @@ def test_a_failed_first_attempt_is_retried_with_interior_point(monkeypatch, back
     assert sol.objective == pytest.approx(vertex_optimum(lp), abs=1e-8)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_kkt_failure_is_retried_with_interior_point(monkeypatch, backend):
+def test_a_kkt_failure_is_retried_with_interior_point(monkeypatch):
     calls = []
     real = lp_module.kkt_residuals
 
@@ -296,7 +308,6 @@ def test_a_kkt_failure_is_retried_with_interior_point(monkeypatch, backend):
         kkt = real(lp, x, y)
         return replace(kkt, primal=np.inf) if len(calls) == 1 else kkt
 
-    monkeypatch.setattr(lp_module, "BACKEND", backend)
     monkeypatch.setattr(lp_module, "kkt_residuals", off_first)
     lp = random_boxed_lp(seed=3, feasible=True)
     sol = solve_simplex(lp)
@@ -307,7 +318,7 @@ def test_a_kkt_failure_is_retried_with_interior_point(monkeypatch, backend):
 
 
 def test_a_failed_retry_raises(monkeypatch):
-    monkeypatch.setattr(lp_module, "BACKEND", lambda lp, ipm: Attempt("failed", f"forced ipm={ipm}"))
+    monkeypatch.setattr(lp_module, "highs_attempt", lambda lp, ipm: Attempt("failed", f"forced ipm={ipm}"))
     with pytest.raises(SolverNumericsError, match="forced ipm=False.*forced ipm=True"):
         solve_simplex(random_boxed_lp(seed=3, feasible=True))
 
@@ -327,7 +338,6 @@ def _assert_warm_matches_cold(lp, basis):
     return warm
 
 
-@needs_highs
 def test_warm_resolve_after_a_bound_change_matches_cold_on_random_corpus():
     for seed in range(50):
         lp = random_boxed_lp(seed, feasible=True)
@@ -339,7 +349,6 @@ def test_warm_resolve_after_a_bound_change_matches_cold_on_random_corpus():
         _assert_warm_matches_cold(replace(lp, lo=lo, hi=hi), first.basis)
 
 
-@needs_highs
 def test_warm_resolve_of_a_repinned_subproblem_matches_cold(synth_small, synth_small_lps):
     lp = synth_small_lps["subproblem"]
     inv = slice(0, len(investment_entries(synth_small)))  # investment columns come first
@@ -350,7 +359,6 @@ def test_warm_resolve_of_a_repinned_subproblem_matches_cold(synth_small, synth_s
         basis = _assert_warm_matches_cold(replace(lp, lo=lo, hi=hi), basis).basis
 
 
-@needs_highs
 def test_a_basis_of_the_wrong_shape_falls_back_to_the_cold_solve():
     lp = random_boxed_lp(seed=3, feasible=True)
     other = random_boxed_lp(seed=4, feasible=True)
@@ -361,12 +369,12 @@ def test_a_basis_of_the_wrong_shape_falls_back_to_the_cold_solve():
 
 
 def _warm_fails_by_status(monkeypatch):
-    real = lp_module.BACKEND
+    real = lp_module.highs_attempt
 
     def attempt(lp, ipm, basis=None):
         return real(lp, ipm) if basis is None else Attempt("failed", "forced warm failure")
 
-    monkeypatch.setattr(lp_module, "BACKEND", attempt)
+    monkeypatch.setattr(lp_module, "highs_attempt", attempt)
 
 
 def _warm_fails_kkt(monkeypatch):
@@ -381,7 +389,6 @@ def _warm_fails_kkt(monkeypatch):
     monkeypatch.setattr(lp_module, "kkt_residuals", off_first)
 
 
-@needs_highs
 @pytest.mark.parametrize("fail", [_warm_fails_by_status, _warm_fails_kkt], ids=["status", "kkt"])
 def test_a_failed_warm_attempt_falls_back_to_the_cold_solve(monkeypatch, synth_small_lps, fail):
     lp = synth_small_lps["operations"]
@@ -389,16 +396,6 @@ def test_a_failed_warm_attempt_falls_back_to_the_cold_solve(monkeypatch, synth_s
     fail(monkeypatch)
     sol = solve_simplex(lp, basis=cold.basis)
     assert not sol.stats.warm and not sol.stats.retried
-    _assert_identical(sol, cold)
-
-
-def test_linprog_takes_no_basis_and_solves_cold(monkeypatch):
-    lp = random_boxed_lp(seed=3, feasible=True)
-    monkeypatch.setattr(lp_module, "BACKEND", linprog_attempt)
-    cold = solve_simplex(lp)
-    assert cold.basis is None
-    sol = solve_simplex(lp, basis=object())
-    assert not sol.stats.warm
     _assert_identical(sol, cold)
 
 
@@ -415,7 +412,6 @@ def test_an_lp_is_read_only_but_for_its_bounds():
     lp.lo[0] = lp.hi[0] = 0.5  # bounds stay writable: Benders re-pins them
 
 
-@needs_highs
 def test_a_repinned_lp_solves_from_its_cache_as_a_fresh_build_does(synth_small):
     names = [name for name, *_ in investment_entries(synth_small)]
 
@@ -475,7 +471,6 @@ def _growing_lps(n_rounds):
     return lps
 
 
-@needs_highs
 def test_a_kept_model_solves_each_grown_lp_warm_as_a_cold_solve_does():
     kept = KeptModel()
     for i, lp in enumerate(_growing_lps(4)):
@@ -491,7 +486,6 @@ def _kept_fails_by_status(monkeypatch):
     monkeypatch.setattr(KeptModel, "attempt", lambda self, lp: Attempt("failed", "forced", run_s=0.0))
 
 
-@needs_highs
 @pytest.mark.parametrize("fail", [_kept_fails_by_status, _warm_fails_kkt], ids=["status", "kkt"])
 def test_a_failed_kept_model_falls_back_to_the_cold_solve(monkeypatch, fail):
     first, grown = _growing_lps(1)
@@ -503,3 +497,26 @@ def test_a_failed_kept_model_falls_back_to_the_cold_solve(monkeypatch, fail):
     assert not sol.stats.warm and not sol.stats.retried
     _assert_identical(sol, solve_simplex(grown))
     assert kept.highs is not None and kept.highs is not dropped  # the cold model is kept
+
+
+# -- nothing on stdout or stderr ---------------------------------------------------
+
+
+def test_solves_write_nothing_to_stdout_or_stderr(capfd, monkeypatch, synth_small, synth_small_lps):
+    # HiGHS logs to the process's file descriptors, not through sys.stdout,
+    # so capfd is what sees it; a benchmark's last stdout line must stay its
+    # result
+    from gridres.benders import solve_benders
+
+    lp = synth_small_lps["operations"]
+    capfd.readouterr()
+    cold = solve_simplex(lp)
+    assert solve_simplex(lp, basis=cold.basis).stats.warm
+    assert solve_benders(synth_small, stab_weight=0.3).iterations > 1
+    real = lp_module.highs_attempt
+    monkeypatch.setattr(
+        lp_module, "highs_attempt",
+        lambda lp, ipm: real(lp, ipm) if ipm else Attempt("failed", "forced failure"),
+    )
+    assert solve_simplex(lp).stats.retried
+    assert capfd.readouterr() == ("", "")

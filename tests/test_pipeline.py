@@ -2,9 +2,13 @@
 
 import csv
 import os
+import re
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gridres import pipeline
 from gridres.cli import main as cli_main
@@ -137,6 +141,96 @@ def test_partition_spec_needs_exactly_one_source():
         PartitionSpec("p", path="p.csv", n_regions=2)
     with pytest.raises(ConfigError, match="exactly one"):
         PartitionSpec("p")
+
+
+def _perturbed(field, value, out_dir="o"):
+    """A valid tiny ladder config with one field, a key path, set to value."""
+    d = {
+        "out_dir": out_dir,
+        "seed": 3,
+        "k_values": ["all", 1],
+        "synth": {
+            **TINY_SYNTH,
+            "sites_per_region": dict(TINY_SYNTH["sites_per_region"]),
+            "demand_peak_range": [600.0, 1400.0],
+        },
+        "partitions": [{"name": "r1", "regions": 1}],
+    }
+    target = d
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    return d
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (("partitions", 0, "regions"), "1", "partition r1: regions must be an integer >= 1, got '1'"),
+        (("partitions", 0, "regions"), 0, "partition r1: regions must be an integer >= 1, got 0"),
+        (("partitions", 0), {"regions": 1}, "a partition needs a name"),
+        (("synth", "n_regions"), -1, "synth.n_regions must be an integer >= 1, got -1"),
+        (("synth", "n_regions"), "2", "synth.n_regions must be an integer >= 1, got '2'"),
+        (("synth", "periods"), 0, "synth.periods must be an integer >= 1, got 0"),
+        (("synth", "units_per_plant"), 1.0, "synth.units_per_plant must be an integer"),
+        (("synth", "profile_noise"), float("nan"), "synth.profile_noise must be a finite number"),
+        (("synth", "demand_noise"), -0.1, "synth.demand_noise must be a finite number >= 0"),
+        (("synth", "nse_cost"), 0.0, "synth.nse_cost must be a finite number > 0"),
+        (("synth", "demand_peak_range"), [900.0, 600.0], "synth.demand_peak_range must be"),
+        (("synth", "demand_peak_range"), [600.0, float("inf")], "synth.demand_peak_range must be"),
+        (("synth", "sites_per_region", "solar"), -1, "synth.sites_per_region must be a map"),
+        (("synth", "sites_per_region", "geothermal"), 1, "synth.sites_per_region must be a map"),
+        (("synth", "pathway"), "XX", "synth.pathway must be one of BAU, CP, got 'XX'"),
+        (("seed",), "3", "seed must be an integer"),
+    ],
+)
+def test_config_names_a_bad_field_at_load(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        RunConfig.from_dict(_perturbed(field, value))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (("partitions", 0, "regions"), 9, "partition r1: regions 9 exceeds the 2 regions"),
+        (("k_values", 1), 3, "k 3 exceeds the 2 periods"),
+    ],
+)
+def test_ladder_checks_the_config_against_the_fine_system_first(tmp_path, field, value, message):
+    rc = RunConfig.from_dict(_perturbed(field, value, str(tmp_path / "out")))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        run_ladder(rc)
+    assert not (tmp_path / "out").exists()  # no combo, not even the baseline, ran
+
+
+FIELDS = [
+    ("seed",), ("k_values", 1), ("partitions", 0, "regions"),
+    *[("synth", key) for key in (
+        "n_regions", "periods", "period_length", "units_per_plant", "spatial_correlation_length",
+        "profile_noise", "demand_noise", "line_capacity_frac", "nse_cost",
+    )],
+    ("synth", "demand_peak_range", 0), ("synth", "sites_per_region", "solar"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(FIELDS),
+    value=st.one_of(
+        st.integers(-1, 3),
+        st.sampled_from([0.0, 0.25, 2.5, -0.5, 1e6, float("nan"), float("inf"), "2", None, True, [1]]),
+    ),
+)
+def test_a_perturbed_config_fails_at_load_or_runs_clean(field, value):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            rc = RunConfig.from_dict(_perturbed(field, value, out))
+            report = run_ladder(rc)
+        except ConfigError:
+            event("ConfigError")
+            return
+        event("ran")
+        assert [r.error for r in report.results if not r.ok] == []
 
 
 def test_config_from_yaml(tmp_path):
