@@ -261,16 +261,13 @@ class RunConfig:
         return generate(self.synth, seed=self.seed)
 
     def check_fine(self, fine: SystemCase) -> None:
-        """Reject partition region counts and k values that fine cannot take."""
+        """Reject partition region counts that fine cannot take."""
         for p in self.partitions:
             if p.n_regions is not None and p.n_regions > len(fine.regions):
                 raise ConfigError(
                     f"partition {p.name}: regions {p.n_regions} exceeds the "
                     f"{len(fine.regions)} regions of the fine system"
                 )
-        for k in self.k_values:
-            if k != "all" and k > fine.n_periods:
-                raise ConfigError(f"k {k} exceeds the {fine.n_periods} periods of the fine system")
 
     def combos(self) -> list:
         out = [Combo(HRB_NAME, None, None, "relaxed")]

@@ -499,6 +499,20 @@ def test_a_failed_kept_model_falls_back_to_the_cold_solve(monkeypatch, fail):
     assert kept.highs is not None and kept.highs is not dropped  # the cold model is kept
 
 
+def test_every_solver_run_goes_through_linprog(monkeypatch):
+    # the benchmark's tracer times lp.linprog as the solver's share of a solve
+    runs = []
+    real = lp_module.linprog
+    monkeypatch.setattr(lp_module, "linprog", lambda h: runs.append(h) or real(h))
+    kept = KeptModel()
+    for lp in _growing_lps(2):
+        solve_simplex(lp, kept=kept)
+    assert len(runs) == 3 and runs[1] is runs[2] is kept.highs
+    lp = random_boxed_lp(seed=3, feasible=True)
+    solve_simplex(lp, basis=solve_simplex(lp).basis)
+    assert len(runs) == 5
+
+
 # -- nothing on stdout or stderr ---------------------------------------------------
 
 

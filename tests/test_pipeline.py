@@ -189,16 +189,9 @@ def test_config_names_a_bad_field_at_load(field, value, message):
         RunConfig.from_dict(_perturbed(field, value))
 
 
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        (("partitions", 0, "regions"), 9, "partition r1: regions 9 exceeds the 2 regions"),
-        (("k_values", 1), 3, "k 3 exceeds the 2 periods"),
-    ],
-)
-def test_ladder_checks_the_config_against_the_fine_system_first(tmp_path, field, value, message):
-    rc = RunConfig.from_dict(_perturbed(field, value, str(tmp_path / "out")))
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+def test_ladder_checks_the_config_against_the_fine_system_first(tmp_path):
+    rc = RunConfig.from_dict(_perturbed(("partitions", 0, "regions"), 9, str(tmp_path / "out")))
+    with pytest.raises(ConfigError, match="^partition r1: regions 9 exceeds the 2 regions"):
         run_ladder(rc)
     assert not (tmp_path / "out").exists()  # no combo, not even the baseline, ran
 
