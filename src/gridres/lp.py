@@ -21,12 +21,40 @@ come from its sense and rhs (LE ``-inf..rhs``, GE ``rhs..inf``, EQ
 ``col_dual = c - A^T row_dual`` and are d(objective)/d(row bound), which is
 the convention above, so they are returned as they come.
 
+The bindings are loaded from their file (``_load_highs``), under their own
+name and into ``sys.modules``, so that importing this module does not run
+the ``scipy.optimize`` package (linalg, fft, linprog and more, about 0.4 s
+of a cold start). A later ``import scipy.optimize`` finds that name in
+``sys.modules`` and reuses the same module object; it has to, because
+pybind11 cannot register the same types twice. Where the name is already
+imported, that module is used. Without the file (scipy older than 1.15)
+the import fails with an ImportError.
+
+The constraint matrix is a ``CsrMatrix``: numpy arrays in compressed
+sparse row form, so this module does not import scipy.sparse (about 0.2 s
+of a cold start). It holds the values scipy.sparse would hold, and what
+derives from it is computed in scipy's order, so HiGHS receives the same
+arrays bit for bit and the KKT check computes the same residuals:
+
+- ``LpBuilder`` sorts the (row, column, value) triplets by row and column
+  with a stable sort and sums duplicates in the order they were added,
+  keeping a zero that a sum produces, as ``coo_matrix.tocsr()`` does. (A
+  sum of three or more duplicates may round differently from scipy's,
+  whose sort does not keep their order within a long row; the LPs of a
+  ladder have no duplicates.)
+- ``A x`` and ``A^T y`` are ``np.bincount`` over the row and the column of
+  each entry, so each output adds its products in entry order starting
+  from 0.0, as scipy's ``csr_matvec`` and ``csc_matvec`` do.
+- The CSC arrays HiGHS takes come from a stable sort by column, the order
+  of scipy's ``tocsc()``.
+
 A LinearProgram's obj, senses, rhs and a_matrix are read-only from
 construction on; only the column bounds lo and hi may change, in place.
 So what derives from the rows (the LE and GE masks of senses, the CSC
-matrix and its row bounds) and A^T for the reduced costs are built on an
+arrays and the row bounds, the row of each matrix entry) is built on an
 LP's first solve and cached on it: a re-pinned Benders subproblem does not
-rebuild them.
+rebuild them. The reduced costs of an accepted optimum are computed once,
+for both its KKT check and its Solution.
 
 An optimal HiGHS run also returns its basis (``Solution.basis``, an opaque
 value). ``solve_simplex(lp, basis=...)`` first tries a warm start from it:
@@ -62,12 +90,37 @@ Solution.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.optimize._highspy._core as highs
-import scipy.sparse as sp
+
+
+def _load_highs():
+    """scipy's HiGHS bindings, loaded from their file without running the
+    scipy.optimize package; see the module docstring."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    path = scipy and os.path.join(
+        os.path.dirname(scipy.origin), "optimize", "_highspy",
+        "_core" + importlib.machinery.EXTENSION_SUFFIXES[0],
+    )
+    if not (path and os.path.isfile(path)):
+        raise ImportError(f"gridres needs scipy>=1.15, whose HiGHS bindings {name} were not found")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+highs = _load_highs()
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -78,6 +131,60 @@ COMPL_TOL = 1e-6
 
 class SolverNumericsError(RuntimeError):
     """HiGHS failed to produce a trustworthy solution."""
+
+
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A sparse (m, n) matrix in compressed sparse row form: the entries of
+    row i are data[indptr[i]:indptr[i + 1]], in the columns
+    indices[indptr[i]:indptr[i + 1]], ascending. The index arrays are
+    np.intp, numpy's own index type; what goes to HiGHS is converted to its
+    int32. Built by LpBuilder; see the module docstring."""
+
+    data: np.ndarray  # (nnz,) float
+    indices: np.ndarray  # (nnz,) the column of each entry
+    indptr: np.ndarray  # (m + 1,)
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape: tuple[int, int]) -> CsrMatrix:
+        """The matrix of (row, column, value) triplets. Duplicates are summed
+        in the order given; a sum of 0.0 stays an entry."""
+        order = np.argsort(rows * shape[1] + cols, kind="stable")  # by row, then column
+        rows, cols = rows[order], cols[order]
+        first = np.ones(rows.size, dtype=bool)  # the first triplet of each entry
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        data = np.bincount(np.cumsum(first) - 1, weights=vals[order], minlength=int(first.sum()))
+        indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows[first], minlength=shape[0]), out=indptr[1:])
+        return cls(data, cols[first], indptr, shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.data.size)
+
+    @cached_property
+    def entry_rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x."""
+        products = self.data * x[self.indices]
+        return np.bincount(self.entry_rows, weights=products, minlength=self.shape[0])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T y."""
+        products = self.data * y[self.entry_rows]
+        return np.bincount(self.indices, weights=products, minlength=self.shape[1])
+
+    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The same matrix in compressed sparse column form, as HiGHS takes
+        it: int32 (indptr, indices) and data, rows ascending in a column."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(self.shape[1] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.indices, minlength=self.shape[1]), out=indptr[1:])
+        return indptr, self.entry_rows[order].astype(np.int32), self.data[order]
 
 
 @dataclass(frozen=True)
@@ -91,7 +198,7 @@ class LinearProgram:
     hi: np.ndarray  # (n,), np.inf allowed
     senses: np.ndarray  # (m,) of LE / EQ / GE
     rhs: np.ndarray  # (m,)
-    a_matrix: sp.csr_matrix  # (m, n)
+    a_matrix: CsrMatrix  # (m, n)
     obj_offset: float = 0.0
 
     def __post_init__(self):
@@ -108,14 +215,10 @@ class LinearProgram:
         return self.senses == GE
 
     @cached_property
-    def _highs_rows(self) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-        """The matrix in CSC form and the row bounds, as HiGHS takes them."""
-        return (self.a_matrix.tocsc(), *_row_bounds(self))
-
-    @cached_property
-    def _at(self) -> sp.csc_matrix:
-        """A^T, for reduced costs."""
-        return self.a_matrix.T
+    def _highs_rows(self) -> tuple[np.ndarray, ...]:
+        """The matrix's CSC (indptr, indices, data) and the row bounds, as
+        HiGHS takes them."""
+        return (*self.a_matrix.csc(), *_row_bounds(self))
 
     @property
     def n_vars(self) -> int:
@@ -129,7 +232,7 @@ class LinearProgram:
         """Plain-text sparse dump: an objective section (index coefficient),
         a bounds section (index lo hi), a rows section (index sense rhs) and
         a triplets section (row col coefficient)."""
-        coo = self.a_matrix.tocoo()
+        a = self.a_matrix
         with open(path, "w") as fh:
             fh.write(f"min {self.n_vars} {self.n_rows} offset {self.obj_offset!r}\n")
             fh.write("objective\n")
@@ -142,7 +245,7 @@ class LinearProgram:
             for i in range(self.n_rows):
                 fh.write(f"{i} {self.senses[i]} {self.rhs[i]!r}\n")
             fh.write("triplets\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
+            for i, j, v in zip(a.entry_rows, a.indices, a.data):
                 fh.write(f"{i} {j} {v!r}\n")
 
 
@@ -200,16 +303,14 @@ class LpBuilder:
         cols, vals = [j for j, _v in terms], [v for _j, v in terms]
         return int(self.rows(sense, [rhs], np.zeros(len(terms)), cols, vals)[0])
 
-    def _csr(self, first: int, row0: int) -> sp.csr_matrix:
+    def _csr(self, first: int, row0: int) -> CsrMatrix:
         """Row blocks first.. as one matrix whose row 0 is row row0."""
-        rows = _cat(self._ai[first:], int) - row0
-        a = sp.coo_matrix(
-            (_cat(self._av[first:], float), (rows, _cat(self._aj[first:], int))),
-            shape=(self._m - row0, self._n),
-            dtype=float,
-        ).tocsr()
-        a.sum_duplicates()
-        return a
+        return CsrMatrix.from_triplets(
+            _cat(self._ai[first:], int) - row0,
+            _cat(self._aj[first:], int),
+            _cat(self._av[first:], float),
+            (self._m - row0, self._n),
+        )
 
     def build(self) -> LinearProgram:
         return LinearProgram(
@@ -230,14 +331,12 @@ class LpBuilder:
         first = int(np.searchsorted(ends, lp.n_rows, side="right"))  # first new block
         if lp.n_vars != self._n or (ends[first - 1] if first else 0) != lp.n_rows:
             raise ValueError("lp is not an earlier build of this builder")
-        a, new = lp.a_matrix, self._csr(first, lp.n_rows)
-        a = sp.csr_matrix(
-            (
-                np.concatenate([a.data, new.data]),
-                np.concatenate([a.indices, new.indices]),
-                np.concatenate([a.indptr, new.indptr[1:] + a.nnz]),
-            ),
-            shape=(self._m, self._n),
+        a, new = lp.a_matrix, self._csr(first, lp.n_rows)  # sorts only the new rows
+        a = CsrMatrix(
+            np.concatenate([a.data, new.data]),
+            np.concatenate([a.indices, new.indices]),
+            np.concatenate([a.indptr, new.indptr[1:] + a.nnz]),
+            (self._m, self._n),
         )
         return LinearProgram(
             obj=lp.obj,
@@ -300,9 +399,12 @@ class Solution:
 _BOUND_ACTIVE_TOL = 1e-9
 
 
-def kkt_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> KktResiduals:
+def kkt_residuals(
+    lp: LinearProgram, x: np.ndarray, y: np.ndarray, *, z: np.ndarray | None = None
+) -> KktResiduals:
+    """The KKT residuals of (x, y); z, when given, is c - A^T y."""
     le, ge = lp._le, lp._ge
-    gap = lp.a_matrix @ x - lp.rhs
+    gap = lp.a_matrix.matvec(x) - lp.rhs
     row_primal = np.where(le, gap, np.where(ge, -gap, np.abs(gap)))
     # max() keeps its first argument on ties, so an all-zero residual is
     # +0.0 as in a running maximum started at 0.0
@@ -313,7 +415,8 @@ def kkt_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> KktResidua
         float(np.max(x - lp.hi, initial=0.0)),
     )
 
-    z = lp.obj - lp._at @ y
+    if z is None:
+        z = reduced_costs(lp, y)
     # LE duals must be <= 0, GE duals >= 0; equalities impose nothing
     row_dual = np.where(le, y, np.where(ge, -y, 0.0))
     span = lp.hi - lp.lo
@@ -341,6 +444,11 @@ def kkt_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> KktResidua
         primal_scale=1.0 + float(np.max(np.abs(lp.rhs), initial=0.0)),
         dual_scale=1.0 + float(np.max(np.abs(lp.obj), initial=0.0)),
     )
+
+
+def reduced_costs(lp: LinearProgram, y: np.ndarray) -> np.ndarray:
+    """c - A^T y."""
+    return lp.obj - lp.a_matrix.rmatvec(y)
 
 
 @dataclass
@@ -389,7 +497,7 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     """Solve in a fresh HiGHS model: dual simplex, or interior point plus
     crossover when ipm. With a basis, dual simplex starts from it under the
     warm options."""
-    a, row_lower, row_upper = lp._highs_rows
+    start, index, value, row_lower, row_upper = lp._highs_rows
     h = highs._Highs()
     h.passOptions(_IPM if ipm else _SIMPLEX if basis is None else _WARM)
     # The array form of passModel copies each array in one go (setting the
@@ -399,7 +507,7 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     status = h.passModel(
         lp.n_vars,
         lp.n_rows,
-        a.nnz,
+        value.size,
         int(highs.MatrixFormat.kColwise),
         int(highs.ObjSense.kMinimize),
         0.0,
@@ -408,9 +516,9 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
         lp.hi,
         row_lower,
         row_upper,
-        a.indptr,
-        a.indices,
-        a.data,
+        start,
+        index,
+        value,
         np.zeros(lp.n_vars, dtype=np.int32),
     )
     if status == highs.HighsStatus.kError:
@@ -482,8 +590,8 @@ class KeptModel:
                 lp.n_rows - known,
                 *_row_bounds(lp, known),
                 a.nnz - first,
-                starts[:-1] - first,
-                a.indices[first:],
+                (starts[:-1] - first).astype(np.int32),
+                a.indices[first:].astype(np.int32),
                 a.data[first:],
             )
         return _run(h)
@@ -516,7 +624,8 @@ def solve_simplex(lp: LinearProgram, check: bool = True, basis=None, kept=None) 
             return Solution(run.status, None, None, None, None, None, _stats(lp, runs, kind))
         if run.status != "optimal":
             continue
-        kkt = kkt_residuals(lp, run.x, run.y)
+        z = reduced_costs(lp, run.y)
+        kkt = kkt_residuals(lp, run.x, run.y, z=z)
         if check and not kkt.ok():
             run.message = (
                 f"KKT residuals out of tolerance: primal {kkt.primal:.3e} "
@@ -530,7 +639,7 @@ def solve_simplex(lp: LinearProgram, check: bool = True, basis=None, kept=None) 
             objective=float(run.objective) + lp.obj_offset,
             x=run.x,
             row_duals=run.y,
-            reduced_costs=lp.obj - lp._at @ run.y,
+            reduced_costs=z,
             kkt=kkt,
             stats=_stats(lp, runs, kind),
             basis=run.basis,

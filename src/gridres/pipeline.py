@@ -261,13 +261,26 @@ class RunConfig:
         return generate(self.synth, seed=self.seed)
 
     def check_fine(self, fine: SystemCase) -> None:
-        """Reject partition region counts that fine cannot take."""
+        """Reject partitions that fine cannot take: a region count above its
+        regions, or a partition file that cannot be read or does not map
+        exactly its regions."""
+        ids = {r.id for r in fine.regions}
         for p in self.partitions:
             if p.n_regions is not None and p.n_regions > len(fine.regions):
                 raise ConfigError(
                     f"partition {p.name}: regions {p.n_regions} exceeds the "
                     f"{len(fine.regions)} regions of the fine system"
                 )
+            if p.path is not None:
+                try:
+                    mapped = set(load_partition_file(p.path).mapping)
+                except (OSError, ValueError) as e:
+                    raise ConfigError(f"partition {p.name}: {e}") from None
+                if mapped != ids:
+                    raise ConfigError(
+                        f"partition {p.name}: {p.path} misses fine regions "
+                        f"{sorted(ids - mapped)} and maps unknown regions {sorted(mapped - ids)}"
+                    )
 
     def combos(self) -> list:
         out = [Combo(HRB_NAME, None, None, "relaxed")]

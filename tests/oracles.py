@@ -8,11 +8,17 @@ circularity.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from gridres.lp import _BOUND_ACTIVE_TOL, EQ, GE, LE, KktResiduals, LpBuilder
 from gridres.prng import Rng
 
 FEAS_TOL = 1e-9
+
+
+def scipy_csr(a):
+    """A CsrMatrix as the scipy.sparse matrix of the same arrays."""
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def vertex_optimum(lp):
@@ -24,7 +30,7 @@ def vertex_optimum(lp):
     objective, or None when no feasible vertex exists.
     """
     n = lp.n_vars
-    dense = lp.a_matrix.toarray()
+    dense = scipy_csr(lp.a_matrix).toarray()
 
     normals = [dense[i] for i in range(lp.n_rows)]
     offsets = [lp.rhs[i] for i in range(lp.n_rows)]
@@ -79,7 +85,7 @@ def vertex_optimum(lp):
 def reference_kkt_residuals(lp, x, y):
     """Row-by-row and column-by-column KKT residuals, the loop form that
     gridres.lp.kkt_residuals computes with array operations."""
-    ax = lp.a_matrix @ x
+    ax = scipy_csr(lp.a_matrix) @ x
     primal = 0.0
     for i, sense in enumerate(lp.senses):
         gap = ax[i] - lp.rhs[i]
@@ -95,7 +101,7 @@ def reference_kkt_residuals(lp, x, y):
         float(np.max(x - lp.hi, initial=0.0)),
     )
 
-    z = lp.obj - lp.a_matrix.T @ y
+    z = lp.obj - scipy_csr(lp.a_matrix).T @ y
     dual = 0.0
     for i, sense in enumerate(lp.senses):
         if sense == LE:

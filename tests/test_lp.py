@@ -20,7 +20,7 @@ from gridres.lp import (
     solve_simplex,
 )
 
-from oracles import random_boxed_lp, reference_kkt_residuals, vertex_optimum
+from oracles import random_boxed_lp, reference_kkt_residuals, scipy_csr, vertex_optimum
 
 
 def test_textbook_maximum():
@@ -234,7 +234,7 @@ def _assert_agrees_with_linprog(sol, lp):
     and negated GE rows as A_ub, EQ rows as A_eq, is the oracle: the same
     status, the objective to 1e-9 relative, and a KKT-clean optimum."""
     le, ge, eq = (lp.senses == s for s in (LE, GE, EQ))
-    a = lp.a_matrix
+    a = scipy_csr(lp.a_matrix)
     b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
     res = linprog(
         lp.obj,
@@ -303,9 +303,9 @@ def test_a_kkt_failure_is_retried_with_interior_point(monkeypatch):
     calls = []
     real = lp_module.kkt_residuals
 
-    def off_first(lp, x, y):
+    def off_first(lp, x, y, **kwargs):
         calls.append(None)
-        kkt = real(lp, x, y)
+        kkt = real(lp, x, y, **kwargs)
         return replace(kkt, primal=np.inf) if len(calls) == 1 else kkt
 
     monkeypatch.setattr(lp_module, "kkt_residuals", off_first)
@@ -381,9 +381,9 @@ def _warm_fails_kkt(monkeypatch):
     calls = []
     real = lp_module.kkt_residuals
 
-    def off_first(lp, x, y):
+    def off_first(lp, x, y, **kwargs):
         calls.append(None)
-        kkt = real(lp, x, y)
+        kkt = real(lp, x, y, **kwargs)
         return replace(kkt, dual=np.inf) if len(calls) == 1 else kkt
 
     monkeypatch.setattr(lp_module, "kkt_residuals", off_first)
@@ -433,6 +433,73 @@ def test_a_repinned_lp_solves_from_its_cache_as_a_fresh_build_does(synth_small):
         _assert_identical(solve_simplex(lp, basis=basis), solve_simplex(fresh, basis=basis))
 
 
+def _add_block(b, triplets, rows, cols, vals, m):
+    """b.rows of m LE rows, its triplets recorded with global row numbers."""
+    rows, cols, vals = (np.asarray(v, dtype=t) for v, t in ((rows, int), (cols, int), (vals, float)))
+    triplets.append((rows + b._m, cols, vals))
+    b.rows(LE, np.zeros(m), rows, cols, vals)
+
+
+def _add_random_blocks(b, triplets, rng, count):
+    for _ in range(count):
+        m = int(rng.integers(0, 12))  # 0: an empty block
+        k = int(rng.integers(0, 4 * m + 1))  # some rows stay empty
+        # small integer values: (row, column) pairs repeat often, some sum
+        # to zero, and every sum is exact in whatever order it is taken
+        vals = rng.integers(-2, 3, k).astype(float)
+        _add_block(b, triplets, rng.integers(0, max(m, 1), k), rng.integers(0, b._n, k), vals, m)
+
+
+def _scipy_matrix(triplets, shape):
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*triplets))
+    keep = vals != 0.0  # the builder drops zero coefficients
+    a = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    a.sum_duplicates()
+    return a
+
+
+def _assert_equals_scipy(a, want, rng):
+    assert a.shape == want.shape
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, field), getattr(want, field)), field
+    x, y = rng.normal(size=a.shape[1]), rng.normal(size=a.shape[0])
+    assert np.array_equal(a.matvec(x), want @ x)
+    assert np.array_equal(a.rmatvec(y), want.T @ y)
+    csc = want.tocsc()
+    for got, field in zip(a.csc(), ("indptr", "indices", "data")):
+        assert np.array_equal(got, getattr(csc, field)), field
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_the_built_matrix_equals_scipy_sparse(seed):
+    rng = np.random.default_rng(seed)
+    b, triplets = LpBuilder(), []
+    b.vars(int(rng.integers(2, 8)))
+    _add_random_blocks(b, triplets, rng, 3)
+    # a duplicate that cancels to an explicit zero, then an empty row
+    _add_block(b, triplets, [0, 0, 0], [0, 0, b._n - 1], [1.5, -1.5, 2.0], 2)
+    _add_block(b, triplets, [], [], [], 0)
+    built = b.build()
+    _assert_equals_scipy(built.a_matrix, _scipy_matrix(triplets, (b._m, b._n)), rng)
+    assert (built.a_matrix.data == 0.0).any()
+    _add_random_blocks(b, triplets, rng, 3)
+    grown = b.extend(built)
+    _assert_equals_scipy(grown.a_matrix, _scipy_matrix(triplets, (b._m, b._n)), rng)
+
+
+def test_duplicates_are_summed_in_the_order_given():
+    # (1.0 + 1e16) - 1e16 is 0.0, as 1e16 + 1.0 rounds to 1e16; the
+    # reverse order sums to 1.0
+    cols = [0, *range(1, 21), 0, *range(21, 40), 0]
+    vals = [1.0, *[2.0] * 20, 1e16, *[2.0] * 19, -1e16]
+    b = LpBuilder()
+    b.vars(40)
+    b.rows(LE, [0.0], np.zeros(len(cols)), cols, vals)
+    a = b.build().a_matrix
+    assert np.array_equal(a.indices, np.arange(40))
+    assert a.data[0] == 0.0  # and stays an entry
+
+
 def test_extend_appends_the_rows_added_since_the_build():
     b = LpBuilder()
     x = b.vars(3, 0.0, 10.0, [1.0, 2.0, -1.0])
@@ -443,7 +510,7 @@ def test_extend_appends_the_rows_added_since_the_build():
     grown, built = b.extend(first), b.build()
     for field in ("obj", "lo", "hi", "senses", "rhs"):
         assert np.array_equal(getattr(grown, field), getattr(built, field)), field
-    assert (grown.a_matrix != built.a_matrix).nnz == 0
+    assert (scipy_csr(grown.a_matrix) != scipy_csr(built.a_matrix)).nnz == 0
     assert np.array_equal(grown.a_matrix.indices, built.a_matrix.indices)
     assert b.extend(built).n_rows == built.n_rows
     b.var("late")

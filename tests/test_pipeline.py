@@ -4,6 +4,7 @@ import csv
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
@@ -194,6 +195,33 @@ def test_ladder_checks_the_config_against_the_fine_system_first(tmp_path):
     with pytest.raises(ConfigError, match="^partition r1: regions 9 exceeds the 2 regions"):
         run_ladder(rc)
     assert not (tmp_path / "out").exists()  # no combo, not even the baseline, ran
+
+
+def _path_partition_config(tmp_path, path):
+    d = yaml.safe_load(CONFIG_TEMPLATE.format(out_dir=tmp_path / "out"))
+    d["partitions"][0] = {"name": "fromfile", "path": str(path)}
+    return RunConfig.from_dict(d)
+
+
+def test_ladder_rejects_a_missing_partition_file_first(tmp_path):
+    missing = tmp_path / "gone.csv"
+    message = f"partition fromfile: partition file not found: {missing}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_ladder(_path_partition_config(tmp_path, missing))
+    assert not (tmp_path / "out").exists()
+
+
+def test_ladder_rejects_a_partition_file_of_other_regions_first(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("fine_region,region\nR01,A\nX9,A\n")
+    with pytest.raises(
+        ConfigError,
+        match=re.escape(
+            f"partition fromfile: {path} misses fine regions ['R02'] and maps unknown regions ['X9']"
+        ),
+    ):
+        run_ladder(_path_partition_config(tmp_path, path))
+    assert not (tmp_path / "out").exists()
 
 
 FIELDS = [
@@ -533,7 +561,16 @@ def test_rescoring_from_artifacts_matches(ladder_run):
     assert rep.mse_profit == pytest.approx(persisted[("mse_profit", "")], rel=1e-6, abs=1e-6)
 
 
-def test_failed_combo_does_not_sink_the_ladder(tmp_path):
+def test_failed_combo_does_not_sink_the_ladder(tmp_path, monkeypatch):
+    real = pipeline.aggregate_spatial
+
+    def failing_for_bad(fine, partition):
+        if partition.coarse_names == ("BAD",):
+            raise ValueError("forced aggregate failure")
+        return real(fine, partition)
+
+    monkeypatch.setattr(pipeline, "aggregate_spatial", failing_for_bad)
+    (tmp_path / "bad.csv").write_text("fine_region,region\nR01,BAD\nR02,BAD\n")
     cfg = tmp_path / "run.yaml"
     out = tmp_path / "out"
     cfg.write_text(
@@ -548,7 +585,7 @@ def test_failed_combo_does_not_sink_the_ladder(tmp_path):
         "  units_per_plant: 1\n"
         "partitions:\n"
         "  - name: bad\n"
-        f"    path: {tmp_path / 'gone.csv'}\n"
+        f"    path: {tmp_path / 'bad.csv'}\n"
         "  - name: ident\n"
         "    regions: 2\n"
     )
@@ -557,9 +594,40 @@ def test_failed_combo_does_not_sink_the_ladder(tmp_path):
     rows = _read_csv(out / "ladder.csv")
     assert [r[0] for r in rows[1:]] == ["hrb", "ident-kall-relaxed"]
     timing = {r[0]: r[2] for r in _read_csv(out / "ladder_timing.csv")[1:]}
-    assert timing["bad-kall-relaxed"].startswith("aggregate: partition file not found")
+    assert timing["bad-kall-relaxed"] == "aggregate: forced aggregate failure"
     assert timing["hrb"] == "ok"
     assert (out / "bad-kall-relaxed" / "error.txt").read_text().startswith("Traceback")
+
+
+def _deterministic_files(out):
+    """Every file of a ladder's output but the wall-clock side files, by
+    path relative to out."""
+    return {
+        os.path.relpath(os.path.join(d, f), out): Path(d, f).read_bytes()
+        for d, _, files in os.walk(out)
+        for f in files
+        if "timing" not in f
+    }
+
+
+def test_a_process_pool_ladder_equals_a_serial_one(tmp_path):
+    def ladder(jobs):
+        rc = RunConfig(
+            out_dir=str(tmp_path / f"jobs{jobs}"),
+            synth=SynthConfig(n_regions=4, periods=3, period_length=24),
+            seed=2,
+            partitions=(PartitionSpec("p1", n_regions=1), PartitionSpec("p2", n_regions=2)),
+            k_values=(1, 2),
+            jobs=jobs,
+        )
+        report = run_ladder(rc)
+        assert report.ok
+        return _deterministic_files(rc.out_dir)
+
+    serial, pooled = ladder(1), ladder(2)
+    assert {"ladder.csv", "report.csv", os.path.join("p2-k1-relaxed", "benders_log.csv")} <= set(serial)
+    assert sorted(pooled) == sorted(serial)
+    assert [name for name in serial if pooled[name] != serial[name]] == []
 
 
 # -- other CLI commands -----------------------------------------------------------------
