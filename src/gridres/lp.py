@@ -15,9 +15,9 @@ Every LP is solved by HiGHS dual simplex through scipy's bundled bindings
 (``scipy.optimize._highspy._core``, scipy 1.15 on). HiGHS is deterministic
 for a fixed input and returns basic solutions (exact complementarity up to
 round-off). It receives the LP as the builder laid it out: every row keeps
-its position and sign, the matrix goes in CSC form, and each row's bounds
-come from its sense and rhs (LE ``-inf..rhs``, GE ``rhs..inf``, EQ
-``rhs..rhs``). For a minimization HiGHS's row duals satisfy
+its position and sign, the matrix goes in as the builder's own CSR arrays,
+and each row's bounds come from its sense and rhs (LE ``-inf..rhs``, GE
+``rhs..inf``, EQ ``rhs..rhs``). For a minimization HiGHS's row duals satisfy
 ``col_dual = c - A^T row_dual`` and are d(objective)/d(row bound), which is
 the convention above, so they are returned as they come.
 
@@ -33,8 +33,9 @@ the import fails with an ImportError.
 The constraint matrix is a ``CsrMatrix``: numpy arrays in compressed
 sparse row form, so this module does not import scipy.sparse (about 0.2 s
 of a cold start). It holds the values scipy.sparse would hold, and what
-derives from it is computed in scipy's order, so HiGHS receives the same
-arrays bit for bit and the KKT check computes the same residuals:
+derives from it is computed in scipy's order, so HiGHS receives the arrays
+scipy's CSR matrix would hold, bit for bit, and the KKT check computes the
+same residuals:
 
 - ``LpBuilder`` sorts the (row, column, value) triplets by row and column
   with a stable sort and sums duplicates in the order they were added,
@@ -45,16 +46,14 @@ arrays bit for bit and the KKT check computes the same residuals:
 - ``A x`` and ``A^T y`` are ``np.bincount`` over the row and the column of
   each entry, so each output adds its products in entry order starting
   from 0.0, as scipy's ``csr_matvec`` and ``csc_matvec`` do.
-- The CSC arrays HiGHS takes come from a stable sort by column, the order
-  of scipy's ``tocsc()``.
 
 A LinearProgram's obj, senses, rhs and a_matrix are read-only from
 construction on; only the column bounds lo and hi may change, in place.
-So what derives from the rows (the LE and GE masks of senses, the CSC
-arrays and the row bounds, the row of each matrix entry) is built on an
-LP's first solve and cached on it: a re-pinned Benders subproblem does not
-rebuild them. The reduced costs of an accepted optimum are computed once,
-for both its KKT check and its Solution.
+So what derives from the rows (the LE and GE masks of senses, the row
+bounds, the row of each matrix entry) is built on an LP's first solve and
+cached on it: a re-pinned Benders subproblem does not rebuild them. The
+reduced costs of an accepted optimum are computed once, for both its KKT
+check and its Solution.
 
 An optimal HiGHS run also returns its basis (``Solution.basis``, an opaque
 value). ``solve_simplex(lp, basis=...)`` first tries a warm start from it:
@@ -138,8 +137,9 @@ class CsrMatrix:
     """A sparse (m, n) matrix in compressed sparse row form: the entries of
     row i are data[indptr[i]:indptr[i + 1]], in the columns
     indices[indptr[i]:indptr[i + 1]], ascending. The index arrays are
-    np.intp, numpy's own index type; what goes to HiGHS is converted to its
-    int32. Built by LpBuilder; see the module docstring."""
+    np.intp, numpy's own index type; the HiGHS bindings convert them to
+    int32 as they copy them in. Built by LpBuilder; see the module
+    docstring."""
 
     data: np.ndarray  # (nnz,) float
     indices: np.ndarray  # (nnz,) the column of each entry
@@ -178,14 +178,6 @@ class CsrMatrix:
         products = self.data * y[self.entry_rows]
         return np.bincount(self.indices, weights=products, minlength=self.shape[1])
 
-    def csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The same matrix in compressed sparse column form, as HiGHS takes
-        it: int32 (indptr, indices) and data, rows ascending in a column."""
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.zeros(self.shape[1] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.indices, minlength=self.shape[1]), out=indptr[1:])
-        return indptr, self.entry_rows[order].astype(np.int32), self.data[order]
-
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -215,10 +207,10 @@ class LinearProgram:
         return self.senses == GE
 
     @cached_property
-    def _highs_rows(self) -> tuple[np.ndarray, ...]:
-        """The matrix's CSC (indptr, indices, data) and the row bounds, as
-        HiGHS takes them."""
-        return (*self.a_matrix.csc(), *_row_bounds(self))
+    def _row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """HiGHS's (lower, upper) row bounds: LE -inf..rhs, GE rhs..inf, EQ
+        rhs..rhs."""
+        return np.where(self._le, -np.inf, self.rhs), np.where(self._ge, np.inf, self.rhs)
 
     @property
     def n_vars(self) -> int:
@@ -252,7 +244,11 @@ class LinearProgram:
 class LpBuilder:
     """Construction in column and row blocks; var and row are the
     one-element cases, and their names are not stored. Zero coefficients
-    are dropped and duplicate (row, column) entries are summed."""
+    are dropped and duplicate (row, column) entries are summed.
+
+    var and row keep their unused name parameter because the benchmark's
+    own tests (ladderbench/tests) call them with one, and those files
+    change only together with the benchmark."""
 
     def __init__(self):
         self._n = 0
@@ -466,12 +462,6 @@ class Attempt:
     model: object | None = None  # the optimal HiGHS model, for a KeptModel
 
 
-def _row_bounds(lp: LinearProgram, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """HiGHS row bounds of rows first..: LE -inf..rhs, GE rhs..inf, EQ rhs..rhs."""
-    rhs = lp.rhs[first:]
-    return np.where(lp._le[first:], -np.inf, rhs), np.where(lp._ge[first:], np.inf, rhs)
-
-
 def _highs_options(**values):
     """The options of every HiGHS solve, plus values. HiGHS writes its log
     to the process's stdout unless output is off."""
@@ -497,7 +487,7 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     """Solve in a fresh HiGHS model: dual simplex, or interior point plus
     crossover when ipm. With a basis, dual simplex starts from it under the
     warm options."""
-    start, index, value, row_lower, row_upper = lp._highs_rows
+    a = lp.a_matrix
     h = highs._Highs()
     h.passOptions(_IPM if ipm else _SIMPLEX if basis is None else _WARM)
     # The array form of passModel copies each array in one go (setting the
@@ -507,18 +497,17 @@ def highs_attempt(lp: LinearProgram, ipm: bool, basis=None) -> Attempt:
     status = h.passModel(
         lp.n_vars,
         lp.n_rows,
-        value.size,
-        int(highs.MatrixFormat.kColwise),
+        a.nnz,
+        int(highs.MatrixFormat.kRowwise),
         int(highs.ObjSense.kMinimize),
         0.0,
         lp.obj,
         lp.lo,
         lp.hi,
-        row_lower,
-        row_upper,
-        start,
-        index,
-        value,
+        *lp._row_bounds,
+        a.indptr,
+        a.indices,
+        a.data,
         np.zeros(lp.n_vars, dtype=np.int32),
     )
     if status == highs.HighsStatus.kError:
@@ -583,15 +572,16 @@ class KeptModel:
         if lp.n_vars != h.getNumCol() or lp.n_rows < known:
             return Attempt("failed", "the LP is not the kept model's grown by rows")
         if lp.n_rows > known:
-            a = lp.a_matrix
+            a, (lower, upper) = lp.a_matrix, lp._row_bounds
             starts = a.indptr[known:]  # of the new rows, then the end
             first = starts[0]
             h.addRows(
                 lp.n_rows - known,
-                *_row_bounds(lp, known),
+                lower[known:],
+                upper[known:],
                 a.nnz - first,
-                (starts[:-1] - first).astype(np.int32),
-                a.indices[first:].astype(np.int32),
+                starts[:-1] - first,
+                a.indices[first:],
                 a.data[first:],
             )
         return _run(h)

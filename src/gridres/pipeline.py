@@ -27,6 +27,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import yaml
@@ -402,27 +403,28 @@ def run_case(
         os.remove(error_path)
     starts = [("setup", t0)]  # (stage, start time) of each stage reached
 
-    def enter(name: str) -> str:
+    @contextmanager
+    def stage(name: str):
+        """Time the stage name and tag its failure with it."""
         starts.append((name, time.perf_counter()))
-        return name
+        try:
+            yield
+        except Exception as e:
+            raise StageError(name, str(e)) from e
 
     try:
         if fine is None:
             fine = rc.load_fine()
 
         # 1: spatial aggregation
-        stage = enter("aggregate")
-        try:
+        with stage("aggregate"):
             partition = resolve_partition(fine, combo.partition)
             coarse = aggregate_spatial(fine, partition)
             write_case(coarse, os.path.join(art, "coarse"))
-        except Exception as e:
-            raise StageError(stage, str(e)) from e
         out.n_regions = len(coarse.regions)
 
         # 2: temporal reduction
-        stage = enter("cluster")
-        try:
+        with stage("cluster"):
             reduced = coarse
             if combo.k is not None and combo.k < coarse.n_periods:
                 red = cluster_timesteps(
@@ -431,12 +433,9 @@ def run_case(
                 reduced = apply_temporal(coarse, red)
                 write_reduction(red, os.path.join(art, "reduction.csv"))
                 write_case(reduced, os.path.join(art, "reduced"))
-        except Exception as e:
-            raise StageError(stage, str(e)) from e
 
         # 3: capacity expansion with reserves
-        stage = enter("expand")
-        try:
+        with stage("expand"):
             bres = solve_benders(
                 reduced,
                 uc=combo.uc,
@@ -461,31 +460,22 @@ def run_case(
                 ((it, float(lb), float(ub), float(g)) for it, lb, ub, g in bres.log),
             )
             write_investments(bres.solution.investment_values(), os.path.join(art, "investments.csv"))
-        except Exception as e:
-            raise StageError(stage, str(e)) from e
 
         # 4: translate the coarse build onto the fine system
-        stage = enter("translate")
-        try:
+        with stage("translate"):
             allocation, portfolio = translate_solution(
                 bres.solution, coarse, fine, beta=rc.beta
             )
             write_allocation(allocation, os.path.join(art, "allocation.csv"))
             write_portfolio(portfolio, os.path.join(art, "portfolio.csv"))
-        except Exception as e:
-            raise StageError(stage, str(e)) from e
 
         # 5: fine-resolution dispatch of the translated build
-        stage = enter("operate")
-        try:
+        with stage("operate"):
             operations = dispatch_portfolio(portfolio)
             write_operations(operations, os.path.join(art, "operations.csv"))
-        except Exception as e:
-            raise StageError(stage, str(e)) from e
 
         # 6: score against the baseline
-        stage = enter("metrics")
-        try:
+        with stage("metrics"):
             if combo.name == HRB_NAME:
                 baseline = Baseline(
                     allocation=allocation,
@@ -516,8 +506,6 @@ def run_case(
                 hrb_ops_case=baseline.ops_case,
             )
             write_report([report], os.path.join(art, "report.csv"))
-        except Exception as e:
-            raise StageError(stage, str(e)) from e
 
         out.report = report
         if combo.name == HRB_NAME:

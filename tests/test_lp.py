@@ -465,9 +465,6 @@ def _assert_equals_scipy(a, want, rng):
     x, y = rng.normal(size=a.shape[1]), rng.normal(size=a.shape[0])
     assert np.array_equal(a.matvec(x), want @ x)
     assert np.array_equal(a.rmatvec(y), want.T @ y)
-    csc = want.tocsc()
-    for got, field in zip(a.csc(), ("indptr", "indices", "data")):
-        assert np.array_equal(got, getattr(csc, field)), field
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -578,6 +575,42 @@ def test_every_solver_run_goes_through_linprog(monkeypatch):
     lp = random_boxed_lp(seed=3, feasible=True)
     solve_simplex(lp, basis=solve_simplex(lp).basis)
     assert len(runs) == 5
+
+
+def _assert_highs_holds(model, lp):
+    """The HiGHS model holds lp: its columns, its row bounds by sense, and
+    its matrix, which HiGHS stores column-wise whatever form it was given."""
+    got = model.getLp()
+    for field, want in (("col_cost_", lp.obj), ("col_lower_", lp.lo), ("col_upper_", lp.hi)):
+        assert np.array_equal(getattr(got, field), want), field
+    assert np.array_equal(got.row_lower_, np.where(lp.senses == LE, -np.inf, lp.rhs))
+    assert np.array_equal(got.row_upper_, np.where(lp.senses == GE, np.inf, lp.rhs))
+    want = scipy_csr(lp.a_matrix).tocsc()
+    a = got.a_matrix_
+    for field, wanted in (("start_", want.indptr), ("index_", want.indices), ("value_", want.data)):
+        assert np.array_equal(getattr(a, field), wanted), field
+
+
+def test_highs_holds_the_builders_matrix_cold_warm_and_kept(synth_small_lps):
+    lp = synth_small_lps["subproblem"]
+    assert set(lp.senses) == {LE, EQ, GE}
+    cold = lp_module.highs_attempt(lp, False)
+    _assert_highs_holds(cold.model, lp)
+    warm = lp_module.highs_attempt(lp, False, cold.basis)
+    assert warm.status == "optimal"
+    _assert_highs_holds(warm.model, lp)
+    b = LpBuilder()
+    x = b.vars(3, 0.0, 10.0, [1.0, 2.0, -1.0])
+    b.row("r0", GE, 1.0, [(x[0], 1.0), (x[1], 1.0)])
+    first = b.build()
+    kept = KeptModel()
+    solve_simplex(first, kept=kept)
+    cols = [x[2], x[0], x[0], x[1], x[2]]
+    b.rows([LE, EQ, GE], [4.0, 2.0, 0.5], [0, 0, 1, 1, 2], cols, np.ones(5))
+    grown = b.extend(first)
+    run = kept.attempt(grown)
+    assert run.status == "optimal" and run.model is kept.highs
+    _assert_highs_holds(kept.highs, grown)
 
 
 # -- nothing on stdout or stderr ---------------------------------------------------

@@ -1,5 +1,7 @@
 """The package's public surface, and what importing it loads."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import textwrap
 import pytest
 
 import gridres
+from gridres.lp import GE, LpBuilder, solve_simplex
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gridres.__file__)))
 
@@ -56,3 +59,25 @@ def test_a_scipy_without_the_highs_bindings_fails_at_import(tmp_path):
     run = _python("import gridres", str(tmp_path))
     assert run.returncode == 1
     assert "ImportError: gridres needs scipy>=1.15" in run.stderr
+
+
+def test_the_benchmark_finds_what_it_calls_in_gridres(monkeypatch):
+    # ladderbench/ is run against this package but tested apart from it;
+    # its tracer wraps gridres functions by name, and a name that is gone
+    # makes the benchmark's metrics None. tracing.py imports only the
+    # standard library; its dataclasses need it in sys.modules.
+    path = os.path.join(os.path.dirname(SRC), "ladderbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("ladderbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{name}" for module, name in tracing.WRAPPED
+        if not callable(getattr(importlib.import_module(f"gridres.{module}"), name, None))
+    ]
+    assert missing == []
+    # the one-element builder calls of ladderbench/tests, names included
+    b = LpBuilder()
+    x = b.var("x", obj=1.0)
+    b.row("floor", GE, 1.0, [(x, 1.0)])
+    assert solve_simplex(b.build()).objective == pytest.approx(1.0, abs=1e-9)
