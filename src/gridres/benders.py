@@ -198,9 +198,6 @@ def solve_benders(
     lower = -np.inf
     gap = np.inf
 
-    def solve_sub(lp, basis=None):
-        return solve_simplex(lp, basis=basis)
-
     # one pool for the whole solve; with sub_jobs == 1 it starts no thread
     with ThreadPoolExecutor(max_workers=sub_jobs) as pool:
         solve_all = pool.map if sub_jobs > 1 else map
@@ -213,7 +210,7 @@ def solve_benders(
             for lp, _ix in subs:
                 _pin(lp, inv, trial)
             # each subproblem owns its LP object; solves are independent
-            sols = list(solve_all(solve_sub, [lp for lp, _ix in subs], bases))
+            sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs], bases))
             t2 = time.perf_counter()
             for p, sol in enumerate(sols):
                 if not sol.is_optimal:
@@ -240,7 +237,7 @@ def solve_benders(
             _pin(lp, inv, best_x)
         # a warm optimum may be another vertex: extract what a cold solve gives
         warm = [p for p, s in enumerate(best_sols) if s.stats.warm]
-        for p, sol in zip(warm, solve_all(solve_sub, [subs[p][0] for p in warm])):
+        for p, sol in zip(warm, solve_all(solve_simplex, [subs[p][0] for p in warm])):
             if not sol.is_optimal:
                 raise RuntimeError(f"subproblem {p} {sol.status}")
             best_sols[p] = sol

@@ -1,5 +1,10 @@
 """Case directories: a SystemCase serialized as a fixed set of CSV files.
 
+The column tuples below (_REGIONS, _SITES, ...) are the one declaration of
+the format: load_system reads each row into its entity through them, and
+write_case writes each header and row from them. demand.csv and
+site_profiles.csv hold one row per (id, hour); a repeated hour is rejected.
+
 Floats are written with repr() (shortest round-trip form), rows in id/hour
 order, newlines fixed to "\\n", so writing the same case twice is
 byte-identical. annual_cf is defined as the mean of the site's hourly
@@ -28,18 +33,84 @@ from .model import (
     vre_aggregate_profile,
 )
 
-REQUIRED_FILES = (
-    "regions.csv",
-    "demand.csv",
-    "sites.csv",
-    "site_profiles.csv",
-    "units.csv",
-    "clusters.csv",
-    "storage.csv",
-    "lines.csv",
-    "scalars.csv",
+# Each table's columns, declared once for load_system and write_case, as
+# (column, entity field, type) tuples. A column with no entity field (None)
+# is filled by its table's own code, in column order.
+_REGIONS = (
+    ("id", "id", str),
+    ("urban_population", "urban_population", int),
+    ("reserve_margin", "reserve_margin", float),
 )
-OPTIONAL_FILES = ("periods.csv", "partition.csv")
+_HOUR = ("hour", None, int)
+_DEMAND = (("region", None, str), _HOUR, ("mw", None, float))
+_SITES = (
+    ("id", "id", str),
+    ("fine_region", "fine_region", str),
+    ("cluster", None, str),
+    ("tech", "tech", str),
+    ("capacity_limit_mw", "capacity_limit", float),
+    ("lcoe", "lcoe", float),
+    ("spur_cost", "spur_cost", float),
+    ("spur_capacity_mw", "spur_capacity", float),
+)
+_PROFILES = (("site", None, str), _HOUR, ("cf", None, float))
+# the operating columns of a unit and of a thermal cluster: ThermalParams' fields
+_THERMAL = (
+    ("heat_rate", "heat_rate", float),
+    ("min_output", "min_output", float),
+    ("ramp", "ramp_rate", float),
+    ("start_cost", "start_cost", float),
+    ("emission_factor", "emission_factor", float),
+    ("fuel_cost", "fuel_cost", float),
+    ("vom", "vom", float),
+)
+_UNITS = (
+    ("id", "id", str),
+    ("fine_region", "fine_region", str),
+    ("plant", "plant", str),
+    ("capacity_mw", "capacity", float),
+    *_THERMAL,
+)
+# clusters.csv is _CLUSTERS then _THERMAL, blank for VRE clusters
+_CLUSTERS = (
+    ("id", "id", str),
+    ("region", "region", str),
+    ("tech", "tech", str),
+    ("existing_capacity_mw", "existing_capacity", float),
+    ("max_new_capacity_mw", "max_new_capacity", float),
+    ("fixed_cost", "fixed_cost", float),
+    ("fom_cost", "fom_cost", float),
+)
+_STORAGE = (
+    ("id", "id", str),
+    ("region", "region", str),
+    ("power_cost", "power_cost", float),
+    ("energy_cost", "energy_cost", float),
+    ("efficiency_rt", "efficiency_rt", float),
+    ("existing_power_mw", "existing_power", float),
+    ("existing_energy_mwh", "existing_energy", float),
+)
+_LINES = (
+    ("id", "id", str),
+    ("kind", "kind", str),
+    ("from", None, str),
+    ("to", None, str),  # empty for a line with one endpoint
+    ("fine_from", None, str),
+    ("fine_to", None, str),
+    ("capacity_mw", "capacity", float),
+    ("expansion_cost", "expansion_cost", float),
+    ("max_expansion_mw", "max_expansion", float),
+)
+# uc_mode and extremes_included may be absent or empty: relaxed and false
+_SCALARS = (
+    ("nse_cost", "nse_cost", float),
+    ("carbon_fee", "carbon_fee", float),
+    ("period_length", None, int),
+    ("uc_mode", None, str),
+    ("extremes_included", None, str),
+)
+_PERIODS = (("period", None, int), ("weight", None, float))
+_PARTITION = (("fine_region", None, str), ("region", None, str))
 
 
 def _fmt(x) -> str:
@@ -53,19 +124,19 @@ def _fmt(x) -> str:
 
 
 class _Table:
-    """One parsed CSV with row-addressable error reporting."""
+    """One parsed CSV with row-addressable error reporting. Errors name the
+    file as name, or as its path when no name is given."""
 
-    def __init__(self, directory: str, name: str, required_columns: tuple[str, ...]):
-        self.name = name
-        path = os.path.join(directory, name)
+    def __init__(self, path: str, required_columns, name: str | None = None):
+        self.name = name or path
         if not os.path.exists(path):
-            raise CaseError(f"{name}: missing file")
+            raise CaseError(f"{self.name}: missing file")
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
             missing = [c for c in required_columns if c not in header]
             if missing:
-                raise CaseError(f"{name}: schema mismatch, missing columns {missing}")
+                raise CaseError(f"{self.name}: schema mismatch, missing columns {missing}")
             self.rows = list(reader)
 
     def __iter__(self):
@@ -79,13 +150,21 @@ class _Table:
                 return ""
             raise CaseError(f"{self.name} row {rowno}: empty {col}")
         try:
-            if kind is bool:
-                if raw not in ("true", "false"):
-                    raise ValueError(raw)
-                return raw == "true"
             return kind(raw)
         except ValueError:
             raise CaseError(f"{self.name} row {rowno}: bad {col} value {raw!r}") from None
+
+    def record(self, rowno: int, row: dict, columns) -> tuple[dict, list]:
+        """The typed cells of a row: those with an entity field by field, the
+        others in column order."""
+        fields, extras = {}, []
+        for col, field, kind in columns:
+            value = self.cell(rowno, row, col, kind)
+            if field is None:
+                extras.append(value)
+            else:
+                fields[field] = value
+        return fields, extras
 
 
 def _opt_float(table: _Table, rowno: int, row: dict, col: str):
@@ -101,28 +180,25 @@ def load_system(directory: str) -> SystemCase:
     if not os.path.isdir(directory):
         raise CaseError(f"{directory}: not a case directory")
 
-    scalars = _Table(directory, "scalars.csv", ("nse_cost", "carbon_fee", "period_length"))
+    def table(name: str, columns) -> _Table:
+        return _Table(os.path.join(directory, name), [col for col, _, _ in columns], name)
+
+    def hourly(name: str, columns) -> dict[str, dict[int, float]]:
+        t = table(name, columns)
+        out: dict[str, dict[int, float]] = {}
+        for rowno, row in t:
+            key, hour, value = t.record(rowno, row, columns)[1]
+            byhour = out.setdefault(key, {})
+            if hour in byhour:
+                raise CaseError(f"{name} row {rowno}: duplicate hour {hour} for {key}")
+            byhour[hour] = value
+        return out
+
+    scalars = table("scalars.csv", _SCALARS[:3])
     if len(scalars.rows) != 1:
         raise CaseError("scalars.csv: expected exactly one row")
-    rowno, srow = next(iter(scalars))
-    nse_cost = scalars.cell(rowno, srow, "nse_cost", float)
-    carbon_fee = scalars.cell(rowno, srow, "carbon_fee", float)
-    period_length = scalars.cell(rowno, srow, "period_length", int)
-    uc_mode = srow.get("uc_mode") or "relaxed"
-    extremes_included = (srow.get("extremes_included") or "false") == "true"
-
-    regions_t = _Table(directory, "regions.csv", ("id", "urban_population", "reserve_margin"))
-    demand_t = _Table(directory, "demand.csv", ("region", "hour", "mw"))
-
-    demand_vals: dict[str, dict[int, float]] = {}
-    for rowno, row in demand_t:
-        region = demand_t.cell(rowno, row, "region")
-        hour = demand_t.cell(rowno, row, "hour", int)
-        mw = demand_t.cell(rowno, row, "mw", float)
-        demand_vals.setdefault(region, {})
-        if hour in demand_vals[region]:
-            raise CaseError(f"demand.csv row {rowno}: duplicate hour {hour} for {region}")
-        demand_vals[region][hour] = mw
+    rowno, row = next(iter(scalars))
+    scalar_fields, (period_length, uc_mode, extremes_included) = scalars.record(rowno, row, _SCALARS)
 
     def series_from(name: str, byhour: dict[int, float]) -> Series:
         hours = len(byhour)
@@ -134,143 +210,64 @@ def load_system(directory: str) -> SystemCase:
         except ValueError as exc:
             raise CaseError(f"{name}: {exc}") from None
 
+    regions_t = table("regions.csv", _REGIONS)
+    demand = hourly("demand.csv", _DEMAND)
     regions = []
     for rowno, row in regions_t:
-        rid = regions_t.cell(rowno, row, "id")
-        if rid not in demand_vals:
+        fields = regions_t.record(rowno, row, _REGIONS)[0]
+        rid = fields["id"]
+        if rid not in demand:
             raise CaseError(f"regions.csv row {rowno}: no demand rows for {rid}")
-        regions.append(
-            Region(
-                id=rid,
-                urban_population=regions_t.cell(rowno, row, "urban_population", int),
-                reserve_margin=regions_t.cell(rowno, row, "reserve_margin", float),
-                demand=series_from(f"demand for {rid}", demand_vals[rid]),
-            )
-        )
+        regions.append(Region(**fields, demand=series_from(f"demand for {rid}", demand[rid])))
     known_regions = {r.id for r in regions}
-    for region in demand_vals:
+    for region in demand:
         if region not in known_regions:
             raise CaseError(f"demand.csv: demand for unknown region {region}")
 
-    profiles_t = _Table(directory, "site_profiles.csv", ("site", "hour", "cf"))
-    profile_vals: dict[str, dict[int, float]] = {}
-    for rowno, row in profiles_t:
-        site = profiles_t.cell(rowno, row, "site")
-        hour = profiles_t.cell(rowno, row, "hour", int)
-        cf = profiles_t.cell(rowno, row, "cf", float)
-        profile_vals.setdefault(site, {})[hour] = cf
-
-    sites_t = _Table(
-        directory,
-        "sites.csv",
-        ("id", "fine_region", "cluster", "tech", "capacity_limit_mw", "lcoe", "spur_cost", "spur_capacity_mw"),
-    )
+    profiles = hourly("site_profiles.csv", _PROFILES)
+    sites_t = table("sites.csv", _SITES)
     sites = []
     site_cluster: dict[str, str] = {}
     for rowno, row in sites_t:
-        sid = sites_t.cell(rowno, row, "id")
-        if sid not in profile_vals:
+        fields, (cluster,) = sites_t.record(rowno, row, _SITES)
+        sid = fields["id"]
+        if sid not in profiles:
             raise CaseError(f"sites.csv row {rowno}: no profile rows for {sid}")
-        profile = series_from(f"profile for {sid}", profile_vals[sid])
-        site_cluster[sid] = sites_t.cell(rowno, row, "cluster")
-        sites.append(
-            Site(
-                id=sid,
-                fine_region=sites_t.cell(rowno, row, "fine_region"),
-                tech=sites_t.cell(rowno, row, "tech"),
-                capacity_limit=sites_t.cell(rowno, row, "capacity_limit_mw", float),
-                lcoe=sites_t.cell(rowno, row, "lcoe", float),
-                annual_cf=float(np.mean(profile.values)),
-                profile=profile,
-                spur_cost=sites_t.cell(rowno, row, "spur_cost", float),
-                spur_capacity=sites_t.cell(rowno, row, "spur_capacity_mw", float),
-            )
-        )
-    for site in profile_vals:
+        profile = series_from(f"profile for {sid}", profiles[sid])
+        site_cluster[sid] = cluster
+        sites.append(Site(**fields, annual_cf=float(np.mean(profile.values)), profile=profile))
+    for site in profiles:
         if site not in site_cluster:
             raise CaseError(f"site_profiles.csv: profile for unknown site {site}")
 
-    units_t = _Table(
-        directory,
-        "units.csv",
-        (
-            "id",
-            "fine_region",
-            "plant",
-            "capacity_mw",
-            "heat_rate",
-            "min_output",
-            "ramp",
-            "start_cost",
-            "emission_factor",
-            "fuel_cost",
-            "vom",
-        ),
-    )
-    units = []
-    unit_cluster: dict[str, str] = {}
-    for rowno, row in units_t:
-        uid = units_t.cell(rowno, row, "id")
-        plant = units_t.cell(rowno, row, "plant")
-        unit_cluster[uid] = plant
-        units.append(
-            ThermalUnit(
-                id=uid,
-                fine_region=units_t.cell(rowno, row, "fine_region"),
-                plant=plant,
-                capacity=units_t.cell(rowno, row, "capacity_mw", float),
-                heat_rate=units_t.cell(rowno, row, "heat_rate", float),
-                min_output=units_t.cell(rowno, row, "min_output", float),
-                ramp_rate=units_t.cell(rowno, row, "ramp", float),
-                start_cost=units_t.cell(rowno, row, "start_cost", float),
-                emission_factor=units_t.cell(rowno, row, "emission_factor", float),
-                fuel_cost=units_t.cell(rowno, row, "fuel_cost", float),
-                vom=units_t.cell(rowno, row, "vom", float),
-            )
-        )
+    units_t = table("units.csv", _UNITS)
+    units = [ThermalUnit(**units_t.record(rowno, row, _UNITS)[0]) for rowno, row in units_t]
+    unit_cluster = {u.id: u.plant for u in units}
 
-    clusters_t = _Table(
-        directory,
-        "clusters.csv",
-        ("id", "region", "tech", "existing_capacity_mw", "max_new_capacity_mw", "fixed_cost", "fom_cost"),
-    )
+    clusters_t = table("clusters.csv", _CLUSTERS)
     site_by_id = {s.id: s for s in sites}
     clusters = []
     for rowno, row in clusters_t:
-        cid = clusters_t.cell(rowno, row, "id")
-        tech = clusters_t.cell(rowno, row, "tech")
+        fields = clusters_t.record(rowno, row, _CLUSTERS)[0]
+        cid = fields["id"]
         member_sites = sorted(s for s, c in site_cluster.items() if c == cid)
         member_units = sorted(u for u, c in unit_cluster.items() if c == cid)
         if member_sites and member_units:
             raise CaseError(f"clusters.csv row {rowno}: {cid} mixes sites and units")
-        members = tuple(member_sites or member_units)
         profile = None
         thermal = None
         if member_sites:
             profile = vre_aggregate_profile([site_by_id[s] for s in member_sites])
         else:
-            params = [_opt_float(clusters_t, rowno, row, c) for c in (
-                "heat_rate", "min_output", "ramp", "start_cost", "emission_factor", "fuel_cost", "vom")]
-            if any(p is not None for p in params):
-                if any(p is None for p in params):
+            params = {field: _opt_float(clusters_t, rowno, row, col) for col, field, _ in _THERMAL}
+            if any(p is not None for p in params.values()):
+                if any(p is None for p in params.values()):
                     raise CaseError(f"clusters.csv row {rowno}: partial thermal parameters")
-                thermal = ThermalParams(*params)
+                thermal = ThermalParams(**params)
             elif member_units:
                 raise CaseError(f"clusters.csv row {rowno}: thermal cluster {cid} lacks parameters")
-        clusters.append(
-            ResourceCluster(
-                id=cid,
-                region=clusters_t.cell(rowno, row, "region"),
-                tech=tech,
-                members=members,
-                existing_capacity=clusters_t.cell(rowno, row, "existing_capacity_mw", float),
-                max_new_capacity=clusters_t.cell(rowno, row, "max_new_capacity_mw", float),
-                fixed_cost=clusters_t.cell(rowno, row, "fixed_cost", float),
-                fom_cost=clusters_t.cell(rowno, row, "fom_cost", float),
-                aggregate_profile=profile,
-                thermal=thermal,
-            )
-        )
+        members = tuple(member_sites or member_units)
+        clusters.append(ResourceCluster(**fields, members=members, aggregate_profile=profile, thermal=thermal))
     known_clusters = {c.id for c in clusters}
     for sid, cid in site_cluster.items():
         if cid not in known_clusters:
@@ -279,65 +276,32 @@ def load_system(directory: str) -> SystemCase:
         if cid not in known_clusters:
             raise CaseError(f"units.csv: unit {uid} references unknown plant {cid}")
 
-    storage_t = _Table(
-        directory,
-        "storage.csv",
-        ("id", "region", "power_cost", "energy_cost", "efficiency_rt", "existing_power_mw", "existing_energy_mwh"),
-    )
-    storage = [
-        StorageCluster(
-            id=storage_t.cell(rowno, row, "id"),
-            region=storage_t.cell(rowno, row, "region"),
-            power_cost=storage_t.cell(rowno, row, "power_cost", float),
-            energy_cost=storage_t.cell(rowno, row, "energy_cost", float),
-            efficiency_rt=storage_t.cell(rowno, row, "efficiency_rt", float),
-            existing_power=storage_t.cell(rowno, row, "existing_power_mw", float),
-            existing_energy=storage_t.cell(rowno, row, "existing_energy_mwh", float),
-        )
-        for rowno, row in storage_t
-    ]
+    storage_t = table("storage.csv", _STORAGE)
+    storage = [StorageCluster(**storage_t.record(rowno, row, _STORAGE)[0]) for rowno, row in storage_t]
 
-    lines_t = _Table(
-        directory,
-        "lines.csv",
-        ("id", "kind", "from", "to", "fine_from", "fine_to", "capacity_mw", "expansion_cost", "max_expansion_mw"),
-    )
+    lines_t = table("lines.csv", _LINES)
     lines = []
     for rowno, row in lines_t:
-        kind = lines_t.cell(rowno, row, "kind")
-        frm = lines_t.cell(rowno, row, "from")
-        to = lines_t.cell(rowno, row, "to")
+        fields, (frm, to, fine_from, fine_to) = lines_t.record(rowno, row, _LINES)
         endpoints = (frm, to) if to else (frm,)
-        lines.append(
-            TransmissionLine(
-                id=lines_t.cell(rowno, row, "id"),
-                kind=kind,
-                endpoints=endpoints,
-                fine_endpoints=(lines_t.cell(rowno, row, "fine_from"), lines_t.cell(rowno, row, "fine_to")),
-                capacity=lines_t.cell(rowno, row, "capacity_mw", float),
-                expansion_cost=lines_t.cell(rowno, row, "expansion_cost", float),
-                max_expansion=lines_t.cell(rowno, row, "max_expansion_mw", float),
-            )
-        )
+        lines.append(TransmissionLine(**fields, endpoints=endpoints, fine_endpoints=(fine_from, fine_to)))
 
     weights: tuple[float, ...] = ()
     if os.path.exists(os.path.join(directory, "periods.csv")):
-        periods_t = _Table(directory, "periods.csv", ("period", "weight"))
-        byp = {}
-        for rowno, row in periods_t:
-            byp[periods_t.cell(rowno, row, "period", int)] = periods_t.cell(rowno, row, "weight", float)
+        periods_t = table("periods.csv", _PERIODS)
+        byp = dict(periods_t.record(rowno, row, _PERIODS)[1] for rowno, row in periods_t)
         if sorted(byp) != list(range(len(byp))):
             raise CaseError("periods.csv: periods must be contiguous from 0")
         weights = tuple(byp[p] for p in range(len(byp)))
 
     partition: dict[str, str] = {}
     if os.path.exists(os.path.join(directory, "partition.csv")):
-        part_t = _Table(directory, "partition.csv", ("fine_region", "region"))
+        part_t = table("partition.csv", _PARTITION)
         for rowno, row in part_t:
-            fine = part_t.cell(rowno, row, "fine_region")
+            fine, region = part_t.record(rowno, row, _PARTITION)[1]
             if fine in partition:
                 raise CaseError(f"partition.csv row {rowno}: duplicate fine region {fine}")
-            partition[fine] = part_t.cell(rowno, row, "region")
+            partition[fine] = region
 
     case = SystemCase(
         regions=tuple(regions),
@@ -346,12 +310,11 @@ def load_system(directory: str) -> SystemCase:
         clusters=tuple(clusters),
         storage=tuple(storage),
         lines=tuple(lines),
-        nse_cost=nse_cost,
-        carbon_fee=carbon_fee,
+        **scalar_fields,
         period_weights=weights,
         partition=partition,
-        uc_mode=uc_mode,
-        extremes_included=extremes_included,
+        uc_mode=uc_mode or "relaxed",
+        extremes_included=extremes_included == "true",
     )
     return require_valid(case)
 
@@ -382,161 +345,43 @@ def write_csv(path: str, header, rows) -> None:
         writer.writerows([fmt(type(x), _fmt)(x) for x in row] for row in rows)
 
 
+def _row(entity, columns, extras=()) -> list:
+    """A table row: the entity's fields, and extras for the columns without one."""
+    rest = iter(extras)
+    return [getattr(entity, field) if field else next(rest) for _, field, _ in columns]
+
+
 def write_case(case: SystemCase, directory: str) -> str:
     """Serialize a case to a directory, overwriting existing files."""
     os.makedirs(directory, exist_ok=True)
 
-    write_csv(
-        os.path.join(directory, "regions.csv"),
-        ["id", "urban_population", "reserve_margin"],
-        [(r.id, r.urban_population, r.reserve_margin) for r in case.regions],
+    def write(name: str, columns, rows) -> None:
+        write_csv(os.path.join(directory, name), [col for col, _, _ in columns], rows)
+
+    owner = case.cluster_of_member
+    no_thermal = [""] * len(_THERMAL)
+    write("regions.csv", _REGIONS, [_row(r, _REGIONS) for r in case.regions])
+    write(
+        "demand.csv",
+        _DEMAND,
+        ((r.id, h, mw) for r in case.regions for h, mw in enumerate(r.demand.values.tolist())),
     )
-    write_csv(
-        os.path.join(directory, "demand.csv"),
-        ["region", "hour", "mw"],
-        (
-            (r.id, h, r.demand.values[h])
-            for r in case.regions
-            for h in range(r.demand.hours)
-        ),
+    write("sites.csv", _SITES, (_row(s, _SITES, (owner.get(s.id, ""),)) for s in case.sites))
+    write(
+        "site_profiles.csv",
+        _PROFILES,
+        ((s.id, h, cf) for s in case.sites for h, cf in enumerate(s.profile.values.tolist())),
     )
-    write_csv(
-        os.path.join(directory, "sites.csv"),
-        ["id", "fine_region", "cluster", "tech", "capacity_limit_mw", "lcoe", "spur_cost", "spur_capacity_mw"],
-        (
-            (
-                s.id,
-                s.fine_region,
-                case.cluster_of_member.get(s.id, ""),
-                s.tech,
-                s.capacity_limit,
-                s.lcoe,
-                s.spur_cost,
-                s.spur_capacity,
-            )
-            for s in case.sites
-        ),
+    write("units.csv", _UNITS, (_row(u, _UNITS) for u in case.units))
+    write(
+        "clusters.csv",
+        _CLUSTERS + _THERMAL,
+        (_row(c, _CLUSTERS) + (_row(c.thermal, _THERMAL) if c.thermal else no_thermal) for c in case.clusters),
     )
-    write_csv(
-        os.path.join(directory, "site_profiles.csv"),
-        ["site", "hour", "cf"],
-        ((s.id, h, s.profile.values[h]) for s in case.sites for h in range(s.profile.hours)),
-    )
-    write_csv(
-        os.path.join(directory, "units.csv"),
-        [
-            "id",
-            "fine_region",
-            "plant",
-            "capacity_mw",
-            "heat_rate",
-            "min_output",
-            "ramp",
-            "start_cost",
-            "emission_factor",
-            "fuel_cost",
-            "vom",
-        ],
-        (
-            (
-                u.id,
-                u.fine_region,
-                u.plant,
-                u.capacity,
-                u.heat_rate,
-                u.min_output,
-                u.ramp_rate,
-                u.start_cost,
-                u.emission_factor,
-                u.fuel_cost,
-                u.vom,
-            )
-            for u in case.units
-        ),
-    )
-    write_csv(
-        os.path.join(directory, "clusters.csv"),
-        [
-            "id",
-            "region",
-            "tech",
-            "existing_capacity_mw",
-            "max_new_capacity_mw",
-            "fixed_cost",
-            "fom_cost",
-            "heat_rate",
-            "min_output",
-            "ramp",
-            "start_cost",
-            "emission_factor",
-            "fuel_cost",
-            "vom",
-        ],
-        (
-            (
-                c.id,
-                c.region,
-                c.tech,
-                c.existing_capacity,
-                c.max_new_capacity,
-                c.fixed_cost,
-                c.fom_cost,
-                *(
-                    (
-                        c.thermal.heat_rate,
-                        c.thermal.min_output,
-                        c.thermal.ramp_rate,
-                        c.thermal.start_cost,
-                        c.thermal.emission_factor,
-                        c.thermal.fuel_cost,
-                        c.thermal.vom,
-                    )
-                    if c.thermal is not None
-                    else ("",) * 7
-                ),
-            )
-            for c in case.clusters
-        ),
-    )
-    write_csv(
-        os.path.join(directory, "storage.csv"),
-        ["id", "region", "power_cost", "energy_cost", "efficiency_rt", "existing_power_mw", "existing_energy_mwh"],
-        (
-            (s.id, s.region, s.power_cost, s.energy_cost, s.efficiency_rt, s.existing_power, s.existing_energy)
-            for s in case.storage
-        ),
-    )
-    write_csv(
-        os.path.join(directory, "lines.csv"),
-        ["id", "kind", "from", "to", "fine_from", "fine_to", "capacity_mw", "expansion_cost", "max_expansion_mw"],
-        (
-            (
-                l.id,
-                l.kind,
-                l.endpoints[0],
-                l.endpoints[1] if len(l.endpoints) == 2 else "",
-                l.fine_endpoints[0],
-                l.fine_endpoints[1],
-                l.capacity,
-                l.expansion_cost,
-                l.max_expansion,
-            )
-            for l in case.lines
-        ),
-    )
-    write_csv(
-        os.path.join(directory, "scalars.csv"),
-        ["nse_cost", "carbon_fee", "period_length", "uc_mode", "extremes_included"],
-        [(case.nse_cost, case.carbon_fee, case.period_length, case.uc_mode, case.extremes_included)],
-    )
-    write_csv(
-        os.path.join(directory, "periods.csv"),
-        ["period", "weight"],
-        ((p, w) for p, w in enumerate(case.period_weights)),
-    )
-    write_csv(
-        os.path.join(directory, "partition.csv"),
-        ["fine_region", "region"],
-        ((f, case.partition[f]) for f in sorted(case.partition)),
-    )
+    write("storage.csv", _STORAGE, (_row(s, _STORAGE) for s in case.storage))
+    write("lines.csv", _LINES, (_row(l, _LINES, (l.endpoints + ("",))[:2] + l.fine_endpoints) for l in case.lines))
+    scalars = (case.period_length, case.uc_mode, case.extremes_included)
+    write("scalars.csv", _SCALARS, [_row(case, _SCALARS, scalars)])
+    write("periods.csv", _PERIODS, enumerate(case.period_weights))
+    write("partition.csv", _PARTITION, sorted(case.partition.items()))
     return directory

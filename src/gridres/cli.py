@@ -3,7 +3,9 @@
 Every subcommand takes --config pointing at the YAML run configuration;
 flags given on the command line (--seed, --jobs, --sub-jobs, --out)
 override the corresponding config values. Exit codes: 0 on success, 1 on
-a configuration problem, 2 when a ladder finished but some combos failed.
+a configuration problem or an input file that cannot be read (a case
+directory, investments.csv, allocation.csv), 2 when a ladder finished but
+some combos failed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .benders import solve_benders
 from .caseio import load_system, write_case
 from .expansion import InvestmentVector
 from .metrics import format_summary, write_report
+from .model import CaseError
 from .pipeline import (
     ConfigError,
     RunConfig,
@@ -206,6 +209,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](rc, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except CaseError as e:
+        print(f"input error: {e}", file=sys.stderr)
         return 1
 
 

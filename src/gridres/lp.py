@@ -587,15 +587,15 @@ class KeptModel:
         return _run(h)
 
 
-def solve_simplex(lp: LinearProgram, check: bool = True, basis=None, kept=None) -> Solution:
+def solve_simplex(lp: LinearProgram, basis=None, kept=None) -> Solution:
     """Solve to optimality (or prove infeasible/unbounded) deterministically:
     warm from the kept model, then from basis, when given, then cold, then
     once more with interior point plus crossover. basis is Solution.basis
     of an earlier solve of an LP of the same shape; kept is a KeptModel of
     earlier solves of this LP before rows were appended. An attempt is
-    accepted once it ends infeasible or unbounded, or optimal and (with
-    check) passing the KKT check. kept ends up holding the HiGHS model of
-    the accepted attempt's optimum, or none."""
+    accepted once it ends infeasible or unbounded, or optimal and passing
+    the KKT check. kept ends up holding the HiGHS model of the accepted
+    attempt's optimum, or none."""
     tries = []
     if kept is not None and kept.highs is not None:
         tries.append((lambda: kept.attempt(lp), "warm"))
@@ -616,7 +616,7 @@ def solve_simplex(lp: LinearProgram, check: bool = True, basis=None, kept=None) 
             continue
         z = reduced_costs(lp, run.y)
         kkt = kkt_residuals(lp, run.x, run.y, z=z)
-        if check and not kkt.ok():
+        if not kkt.ok():
             run.message = (
                 f"KKT residuals out of tolerance: primal {kkt.primal:.3e} "
                 f"dual {kkt.dual:.3e} compl {kkt.compl:.3e}"

@@ -50,30 +50,24 @@ class Series:
     def n_periods(self) -> int:
         return self.hours // self.period_length
 
-    def equals(self, other: "Series") -> bool:
-        return (
-            self.period_length == other.period_length
-            and np.array_equal(self.values, other.values)
-        )
+    # compared by value; unhashable, like the array it holds
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self.period_length == other.period_length and np.array_equal(self.values, other.values)
+
+    __hash__ = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Region:
     id: str
     urban_population: int
     reserve_margin: float  # fraction of peak demand, phase-1 only
     demand: Series  # MW per hour
 
-    def equals(self, other: "Region") -> bool:
-        return (
-            self.id == other.id
-            and self.urban_population == other.urban_population
-            and self.reserve_margin == other.reserve_margin
-            and self.demand.equals(other.demand)
-        )
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Site:
     """Candidate VRE site, always anchored to the finest geography."""
 
@@ -86,15 +80,6 @@ class Site:
     profile: Series  # hourly cf in [0, 1]
     spur_cost: float  # $/MW-yr, folded into cluster fixed cost
     spur_capacity: float  # MW, equals capacity_limit when built
-
-    def equals(self, other: "Site") -> bool:
-        return (
-            (self.id, self.fine_region, self.tech) == (other.id, other.fine_region, other.tech)
-            and (self.capacity_limit, self.lcoe, self.annual_cf)
-            == (other.capacity_limit, other.lcoe, other.annual_cf)
-            and (self.spur_cost, self.spur_capacity) == (other.spur_cost, other.spur_capacity)
-            and self.profile.equals(other.profile)
-        )
 
 
 @dataclass(frozen=True)
@@ -128,7 +113,7 @@ class ThermalParams:
         return self.fuel_cost * self.heat_rate + self.vom + carbon_fee * self.heat_rate * self.emission_factor
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ResourceCluster:
     """Investable resource group; the unit the optimizer actually sees."""
 
@@ -146,29 +131,6 @@ class ResourceCluster:
     @property
     def is_vre(self) -> bool:
         return self.tech in VRE_TECHS
-
-    def equals(self, other: "ResourceCluster") -> bool:
-        if (self.id, self.region, self.tech, self.members) != (
-            other.id,
-            other.region,
-            other.tech,
-            other.members,
-        ):
-            return False
-        if (self.existing_capacity, self.max_new_capacity, self.fixed_cost, self.fom_cost) != (
-            other.existing_capacity,
-            other.max_new_capacity,
-            other.fixed_cost,
-            other.fom_cost,
-        ):
-            return False
-        if (self.aggregate_profile is None) != (other.aggregate_profile is None):
-            return False
-        if self.aggregate_profile is not None and not self.aggregate_profile.equals(
-            other.aggregate_profile
-        ):
-            return False
-        return self.thermal == other.thermal
 
 
 @dataclass(frozen=True)
@@ -218,7 +180,7 @@ def _sorted_by_id(items):
     return tuple(sorted(items, key=lambda x: x.id))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SystemCase:
     regions: tuple[Region, ...]
     sites: tuple[Site, ...]
@@ -310,33 +272,6 @@ class SystemCase:
     @cached_property
     def fine_regions(self) -> tuple[str, ...]:
         return tuple(sorted(self.partition))
-
-    # -- comparison ------------------------------------------------------
-
-    def equals(self, other: "SystemCase") -> bool:
-        if len(self.regions) != len(other.regions) or len(self.sites) != len(other.sites):
-            return False
-        if len(self.units) != len(other.units) or len(self.clusters) != len(other.clusters):
-            return False
-        if len(self.storage) != len(other.storage) or len(self.lines) != len(other.lines):
-            return False
-        pairs = (
-            list(zip(self.regions, other.regions))
-            + list(zip(self.sites, other.sites))
-            + list(zip(self.clusters, other.clusters))
-        )
-        if not all(a.equals(b) for a, b in pairs):
-            return False
-        if self.units != other.units or self.storage != other.storage or self.lines != other.lines:
-            return False
-        return (
-            self.nse_cost == other.nse_cost
-            and self.carbon_fee == other.carbon_fee
-            and self.period_weights == other.period_weights
-            and self.partition == other.partition
-            and self.uc_mode == other.uc_mode
-            and self.extremes_included == other.extremes_included
-        )
 
     def with_updates(self, **kwargs) -> "SystemCase":
         return replace(self, **kwargs)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .benders import solve_benders
-from .caseio import load_system, write_case, write_csv
+from .caseio import _Table, load_system, write_case, write_csv
 from .expansion import (
     BuildOptions,
     ExpansionSolution,
@@ -321,8 +321,11 @@ def load_partition_file(path: str) -> RegionPartition:
         rd = csv.DictReader(fh)
         if rd.fieldnames is None or not {"fine_region", "region"} <= set(rd.fieldnames):
             raise ValueError(f"{path}: expected columns fine_region,region")
-        for row in rd:
-            mapping[row["fine_region"]] = row["region"]
+        for rowno, row in enumerate(rd, start=2):
+            fine = row["fine_region"]
+            if fine in mapping:
+                raise ValueError(f"{path} row {rowno}: duplicate fine region {fine}")
+            mapping[fine] = row["region"]
     return RegionPartition.from_mapping(mapping)
 
 
@@ -667,11 +670,8 @@ def summarize(report: ExperimentReport) -> str:
 
 
 def read_investments(path: str) -> dict:
-    out = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["variable"]] = float(row["value"])
-    return out
+    table = _Table(path, ("variable", "value"))
+    return {table.cell(rowno, row, "variable"): table.cell(rowno, row, "value", float) for rowno, row in table}
 
 
 def _read_combo_meta(combo_dir: str) -> dict:

@@ -28,13 +28,12 @@ receives investment minus the sum of the earlier shares.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .caseio import write_csv
+from .caseio import _Table, write_csv
 from .expansion import ExpansionSolution, InvestmentVector, investment_entries
-from .model import ResourceCluster, StorageCluster, SystemCase
+from .model import CaseError, ResourceCluster, StorageCluster, SystemCase
 from .spatial import fine_adjacency
 
 
@@ -497,18 +496,18 @@ def read_allocation(path: str) -> SiteAllocation:
         "line": alloc.line_capacity,
     }
     prov: dict = {}
-    with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        for row in rd:
-            kind = row["entity_kind"]
-            if kind not in by_kind:
-                raise ValueError(f"{path}: unknown entity kind {kind!r}")
-            mw = float(row["mw"])
-            target = by_kind[kind]
-            target[row["entity_id"]] = target.get(row["entity_id"], 0.0) + mw
-            src = row["provenance_cluster"]
-            if src:
-                prov.setdefault(src, []).append((kind, row["entity_id"], mw))
+    table = _Table(path, ("entity_kind", "entity_id", "mw", "provenance_cluster"))
+    for rowno, row in table:
+        kind = table.cell(rowno, row, "entity_kind")
+        if kind not in by_kind:
+            raise CaseError(f"{path} row {rowno}: unknown entity kind {kind!r}")
+        entity = table.cell(rowno, row, "entity_id")
+        mw = table.cell(rowno, row, "mw", float)
+        target = by_kind[kind]
+        target[entity] = target.get(entity, 0.0) + mw
+        src = table.cell(rowno, row, "provenance_cluster")
+        if src:
+            prov.setdefault(src, []).append((kind, entity, mw))
     alloc.provenance = {k: tuple(v) for k, v in prov.items()}
     return alloc
 

@@ -178,9 +178,9 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     calls = []
     real = benders_module.solve_simplex
 
-    def spy(lp, check=True, basis=None, kept=None):
+    def spy(lp, basis=None, kept=None):
         given = basis is not None or (kept is not None and kept.highs is not None)
-        sol = real(lp, check, basis, kept)
+        sol = real(lp, basis, kept)
         calls.append((given, sol.stats.warm))
         return sol
 
@@ -265,8 +265,8 @@ def _master_solves(monkeypatch):
     sols = []
     real = benders_module.solve_simplex
 
-    def spy(lp, check=True, basis=None, kept=None):
-        sol = real(lp, check, basis, kept)
+    def spy(lp, basis=None, kept=None):
+        sol = real(lp, basis, kept)
         if kept is not None:
             sols.append(sol)
         return sol

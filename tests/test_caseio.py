@@ -46,7 +46,7 @@ def _dir_bytes(directory):
 def test_round_trip_equality(tmp_path):
     case = _hand_case()
     write_case(case, str(tmp_path / "case"))
-    assert load_system(str(tmp_path / "case")).equals(case)
+    assert load_system(str(tmp_path / "case")) == case
 
 
 def test_write_is_byte_deterministic(tmp_path):
@@ -68,14 +68,14 @@ def test_load_is_deterministic(tmp_path):
     write_case(_hand_case(), str(tmp_path / "case"))
     first = load_system(str(tmp_path / "case"))
     second = load_system(str(tmp_path / "case"))
-    assert first.equals(second)
+    assert first == second
     assert [c.id for c in first.clusters] == [c.id for c in second.clusters]
 
 
 def test_synth_case_round_trip(tmp_path):
     case = generate(SynthConfig(n_regions=3, periods=2, period_length=24), seed=4)
     write_case(case, str(tmp_path / "case"))
-    assert load_system(str(tmp_path / "case")).equals(case)
+    assert load_system(str(tmp_path / "case")) == case
 
 
 def test_aggregated_case_round_trip(tmp_path):
@@ -87,7 +87,7 @@ def test_aggregated_case_round_trip(tmp_path):
     )
     coarse = aggregate_spatial(fine, part)
     write_case(coarse, str(tmp_path / "coarse"))
-    assert load_system(str(tmp_path / "coarse")).equals(coarse)
+    assert load_system(str(tmp_path / "coarse")) == coarse
 
 
 def test_missing_file_reported(tmp_path):
@@ -158,6 +158,19 @@ def test_noncontiguous_demand_hours(tmp_path):
         load_system(str(case_dir))
 
 
+@pytest.mark.parametrize("name, row", [("demand.csv", "R1,1,20.5"), ("site_profiles.csv", "s1,1,0.625")])
+def test_a_repeated_hour_names_file_and_row(tmp_path, name, row):
+    case_dir = tmp_path / "case"
+    write_case(_hand_case(), str(case_dir))
+    path = case_dir / name
+    lines = path.read_text().splitlines()
+    assert lines[2] == row
+    path.write_text("\n".join(lines + [row.replace(row.rsplit(",", 1)[1], "0.5")]) + "\n")
+    key = row.split(",")[0]
+    with pytest.raises(CaseError, match=f"^{name} row 6: duplicate hour 1 for {key}$"):
+        load_system(str(case_dir))
+
+
 def test_not_a_directory():
     with pytest.raises(CaseError, match="not a case directory"):
         load_system("/nonexistent/path/to/case")
@@ -175,7 +188,7 @@ def test_round_trip_property(tmp_path_factory, seed, n_regions, periods):
     )
     directory = str(tmp_path_factory.mktemp("case"))
     write_case(case, directory)
-    assert load_system(directory).equals(case)
+    assert load_system(directory) == case
 
 
 def test_write_csv_formats_every_cell_type_as_fmt_does(tmp_path):

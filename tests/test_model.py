@@ -170,8 +170,26 @@ def test_default_period_weights_are_ones():
 
 def test_equals_detects_scalar_change():
     case = _basic_case()
-    assert case.equals(case)
-    assert not case.equals(case.with_updates(carbon_fee=1.0))
+    assert case == case
+    assert case != case.with_updates(carbon_fee=1.0)
+
+
+def test_equality_sees_a_profile_hour_a_thermal_field_and_a_partition_entry():
+    units = [make_unit("u1", "R1", "g1", 50.0)]
+    site = make_site("s1", "R1", "solar", 10.0, 40.0, [0.0, 0.5, 0.25])
+    region = Region(id="R1", urban_population=100, reserve_margin=0.1, demand=series([10, 20, 15]))
+    gas = make_thermal_cluster("g1", "R1", units)
+    vre = make_vre_cluster("v1", "R1", [site])
+    case = make_case([region], [gas, vre], sites=[site], units=units, lines=[spur_line(site)])
+    assert case.with_updates(sites=(replace(site),), clusters=(replace(gas), replace(vre))) == case
+
+    hour = replace(site, profile=series([0.0, 0.5, 0.375]))
+    assert hour != site
+    assert case.with_updates(sites=(hour,)) != case
+    heat = replace(gas, thermal=replace(gas.thermal, heat_rate=gas.thermal.heat_rate + 1.0))
+    assert heat != gas
+    assert case.with_updates(clusters=(heat, vre)) != case
+    assert case.with_updates(partition={"R1": "R2"}) != case
 
 
 # -- shared numerics -----------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gridres import pipeline
+from gridres.caseio import write_case
 from gridres.cli import main as cli_main
 from gridres.pipeline import (
     Combo,
@@ -352,6 +353,17 @@ def test_partition_file_errors(tmp_path):
         load_partition_file(str(bad))
 
 
+def test_partition_file_rejects_a_repeated_fine_region(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("fine_region,region\nR01,W\nR02,W\nR01,E\n")
+    message = f"{path} row 4: duplicate fine region R01"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_partition_file(str(path))
+    with pytest.raises(ConfigError, match=f"^{re.escape('partition fromfile: ' + message)}$"):
+        run_ladder(_path_partition_config(tmp_path, path))
+    assert not (tmp_path / "out").exists()
+
+
 # -- single-combo execution ------------------------------------------------------------
 
 
@@ -647,6 +659,34 @@ def test_cli_config_problems_exit_1(ladder_run, tmp_path):
     assert cli_main(["--config", cfg, "bogus"]) == 1
     assert cli_main(["gen"]) == 1  # --config is required
     assert cli_main(["--config", cfg, "aggregate", "--partition", "nope"]) == 1
+
+
+def test_cli_reports_unreadable_input_files_in_one_line(ladder_run, tmp_path, capsys):
+    _, out, cfg = ladder_run
+    investments = tmp_path / "investments.csv"
+    investments.write_text("variable,mw\nnew_x,1.0\n")
+    allocation = tmp_path / "allocation.csv"
+    allocation.write_text("entity_kind,entity_id,mw\nsite,s1,1.0\n")
+    coarse = os.path.join(out, "r1-kall-relaxed", "coarse")
+    capsys.readouterr()
+    args = ["--config", cfg, "--out", str(tmp_path / "cli")]
+    assert cli_main([*args, "translate", "--coarse", coarse, "--investments", str(investments)]) == 1
+    assert capsys.readouterr().err == f"input error: {investments}: schema mismatch, missing columns ['value']\n"
+    assert cli_main([*args, "operate", "--allocation", str(allocation)]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: {allocation}: schema mismatch, missing columns ['provenance_cluster']\n"
+    )
+
+
+def test_cli_ladder_on_a_case_without_scalars_exits_1(tmp_path, capsys):
+    case_dir = tmp_path / "case"
+    write_case(generate(SynthConfig(**TINY_SYNTH), seed=3), str(case_dir))
+    os.remove(case_dir / "scalars.csv")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"out_dir: {tmp_path / 'out'}\ninput_dir: {case_dir}\npartitions: [{{name: r1, regions: 1}}]\n")
+    capsys.readouterr()
+    assert cli_main(["--config", str(cfg), "ladder"]) == 1
+    assert capsys.readouterr().err == "input error: scalars.csv: missing file\n"
 
 
 def test_cli_stage_chain(tmp_path):

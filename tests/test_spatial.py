@@ -64,7 +64,7 @@ def test_aggregate_rejects_unknown_fine_ids(synth_medium):
 
 def test_identity_partition_reproduces_the_case(synth_small):
     out = aggregate_spatial(synth_small, RegionPartition.identity(synth_small))
-    assert out.equals(synth_small)
+    assert out == synth_small
 
 
 def test_identity_partition_reuses_region_objects(synth_small):

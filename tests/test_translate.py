@@ -442,7 +442,7 @@ def test_replay_rebuilds_templates_from_the_coarse_case(tmp_path):
     path = str(tmp_path / "allocation.csv")
     write_allocation(alloc, path)
     _back, replayed, ops = replay_operations(fine, path, coarse)
-    assert replayed.case.equals(portfolio.case)
+    assert replayed.case == portfolio.case
     assert replayed.thermal_new == portfolio.thermal_new
     assert replayed.storage_new_power == portfolio.storage_new_power
     assert replayed.storage_new_energy == portfolio.storage_new_energy
