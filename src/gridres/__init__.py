@@ -4,7 +4,15 @@ Build a system case at fine resolution, aggregate it spatially and
 temporally, optimize investments there, translate them back down, re-run
 operations at full resolution, and score the result against the
 high-resolution baseline.
+
+Progress is logged through the ``gridres`` logger, which has only a
+NullHandler here: a library call prints nothing unless the application
+configures logging, as the ``gridres`` CLI does.
 """
+
+import logging
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .model import (
     CaseError,

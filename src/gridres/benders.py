@@ -22,15 +22,25 @@ one adds the new rows to the kept model and restarts dual simplex from its
 basis. A warm master optimum that is not optimal or fails the KKT check
 falls back to a cold solve.
 
-Subproblem LPs are built once and re-pinned in place each iteration. Only
-the pinned investment bounds change between iterations, so a subproblem's
-last optimal basis stays dual feasible: from its second solve on, each
-subproblem warm-starts dual simplex from its own last basis
-(``solve_simplex(lp, basis=...)``), and its first solve is cold. A warm
-optimum can be a different vertex with the same objective up to round-off,
-so after the loop the subproblems whose incumbent solution came from a
-warm start are re-solved cold at the incumbent before extraction; the
-extracted solution is then what a cold solve at the incumbent gives.
+Subproblem LPs are built once and re-pinned in place each iteration.
+Iteration 1 solves each subproblem cold on its full LP. From iteration 2
+on, each subproblem is solved on its row-reduced LP (``lp.ReducedModel``):
+the rows that the pinned investments leave with one free entry become
+column bounds, since HiGHS does no presolve from a basis. Its first
+reduced solve, at iteration 2, is cold; each later one warm-starts dual
+simplex from its last reduced basis, which stays dual feasible as only
+the pinned bounds move. A reduced attempt that is not optimal or fails
+the KKT check on the full LP falls back to a cold solve of the full LP
+(``warm_fallbacks`` in the timing). Iteration 1 stays on the full LP
+because its iterate pins every investment at 0, where the subproblem's
+dual is degenerate: the reduced LP's optimum is another valid subgradient
+there, and it would change the cut and so the iterate path.
+
+A reduced optimum can be a different vertex with the same objective up
+to round-off, so after the loop the subproblems whose incumbent solution
+came from one are re-solved cold on the full LP at the incumbent before
+extraction; the extracted solution is then what a cold solve at the
+incumbent gives.
 
 An optional convex-combination step toward the incumbent (stab_weight in
 [0, 1)) damps the master iterate; 0 is pure Benders. ``BendersResult.timing``
@@ -39,6 +49,7 @@ holds per-iteration wall times and subproblem simplex work.
 
 from __future__ import annotations
 
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -57,8 +68,10 @@ from .expansion import (
     fixed_cost,
     investment_entries,
 )
-from .lp import GE, KeptModel, LpBuilder, Solution, solve_simplex
+from .lp import GE, KeptModel, LpBuilder, ReducedModel, Solution, solve_simplex
 from .model import SystemCase
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -71,7 +84,8 @@ class BendersResult:
     log: list = field(default_factory=list)  # (iteration, lb, ub, gap)
     # (iteration, master_s, sub_s, sub_iterations, warm_fallbacks) where
     # sub_iterations sums the subproblems' simplex iterations and
-    # warm_fallbacks counts warm starts that ended in a cold solve
+    # warm_fallbacks counts reduced attempts that fell through to a cold
+    # solve of the full LP
     timing: list = field(default_factory=list)
     solution: ExpansionSolution | None = None
     investment: dict = field(default_factory=dict)
@@ -108,7 +122,7 @@ class _Master:
 
     def solve(self):
         self.lp = self.builder.extend(self.lp)
-        sol = solve_simplex(self.lp, kept=self.kept)
+        sol = solve_simplex(self.lp, self.kept)
         if not sol.is_optimal:
             raise RuntimeError(f"master problem {sol.status}")
         return sol.objective, sol.x[self.inv]
@@ -191,7 +205,10 @@ def solve_benders(
     best_ub = np.inf
     best_x = None
     best_sols: list[Solution] | None = None
-    bases = [None] * case.n_periods  # each subproblem's last optimal basis
+    # iteration 1 solves each subproblem cold on its full LP; from iteration
+    # 2 on, on its row-reduced LP
+    reduced = [ReducedModel() for _ in subs]
+    warm = [None] * case.n_periods
     log = []
     timing = []
     status = "max_iter"
@@ -210,14 +227,14 @@ def solve_benders(
             for lp, _ix in subs:
                 _pin(lp, inv, trial)
             # each subproblem owns its LP object; solves are independent
-            sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs], bases))
+            sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs], warm))
             t2 = time.perf_counter()
             for p, sol in enumerate(sols):
                 if not sol.is_optimal:
                     raise RuntimeError(f"subproblem {p} {sol.status}")
-            fallbacks = sum(b is not None and not s.stats.warm for b, s in zip(bases, sols))
+            fallbacks = sum(w is not None and not s.stats.warm for w, s in zip(warm, sols))
             timing.append((it, t1 - t0, t2 - t1, sum(s.stats.iterations for s in sols), fallbacks))
-            bases = [s.basis for s in sols]
+            warm = reduced
             ops_total = sum(s.objective for s in sols)
 
             ub_trial = fixed_cost(case, dict(zip(order, trial))) + ops_total
@@ -227,6 +244,8 @@ def solve_benders(
                 best_sols = sols
             gap = (best_ub - lower) / max(1.0, abs(best_ub))
             log.append((it, lower, best_ub, gap))
+            if it % 10 == 0:
+                logger.info("benders iteration %d: lower %.6e upper %.6e gap %.3e", it, lower, best_ub, gap)
             if gap <= gap_tol:
                 status = "optimal"
                 break
@@ -235,9 +254,9 @@ def solve_benders(
 
         for lp, _ix in subs:  # re-pin at the incumbent before extraction
             _pin(lp, inv, best_x)
-        # a warm optimum may be another vertex: extract what a cold solve gives
-        warm = [p for p, s in enumerate(best_sols) if s.stats.warm]
-        for p, sol in zip(warm, solve_all(solve_simplex, [subs[p][0] for p in warm])):
+        # a reduced optimum may be another vertex: extract what a cold solve gives
+        redo = [p for p, s in enumerate(best_sols) if s.stats.warm]
+        for p, sol in zip(redo, solve_all(solve_simplex, [subs[p][0] for p in redo])):
             if not sol.is_optimal:
                 raise RuntimeError(f"subproblem {p} {sol.status}")
             best_sols[p] = sol

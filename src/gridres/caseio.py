@@ -125,10 +125,10 @@ def _fmt(x) -> str:
 
 class _Table:
     """One parsed CSV with row-addressable error reporting. Errors name the
-    file as name, or as its path when no name is given."""
+    file by its path."""
 
-    def __init__(self, path: str, required_columns, name: str | None = None):
-        self.name = name or path
+    def __init__(self, path: str, required_columns):
+        self.name = path
         if not os.path.exists(path):
             raise CaseError(f"{self.name}: missing file")
         with open(path, newline="") as fh:
@@ -180,8 +180,13 @@ def load_system(directory: str) -> SystemCase:
     if not os.path.isdir(directory):
         raise CaseError(f"{directory}: not a case directory")
 
+    def path(name: str) -> str:
+        """A case file as every error names it, so that a failed load of
+        one of several case directories says which."""
+        return os.path.join(directory, name)
+
     def table(name: str, columns) -> _Table:
-        return _Table(os.path.join(directory, name), [col for col, _, _ in columns], name)
+        return _Table(path(name), [col for col, _, _ in columns])
 
     def hourly(name: str, columns) -> dict[str, dict[int, float]]:
         t = table(name, columns)
@@ -190,15 +195,17 @@ def load_system(directory: str) -> SystemCase:
             key, hour, value = t.record(rowno, row, columns)[1]
             byhour = out.setdefault(key, {})
             if hour in byhour:
-                raise CaseError(f"{name} row {rowno}: duplicate hour {hour} for {key}")
+                raise CaseError(f"{t.name} row {rowno}: duplicate hour {hour} for {key}")
             byhour[hour] = value
         return out
 
     scalars = table("scalars.csv", _SCALARS[:3])
     if len(scalars.rows) != 1:
-        raise CaseError("scalars.csv: expected exactly one row")
+        raise CaseError(f"{scalars.name}: expected exactly one row")
     rowno, row = next(iter(scalars))
     scalar_fields, (period_length, uc_mode, extremes_included) = scalars.record(rowno, row, _SCALARS)
+    if extremes_included not in ("", "true", "false"):
+        raise CaseError(f"{scalars.name} row {rowno}: bad extremes_included value {extremes_included!r}")
 
     def series_from(name: str, byhour: dict[int, float]) -> Series:
         hours = len(byhour)
@@ -217,12 +224,13 @@ def load_system(directory: str) -> SystemCase:
         fields = regions_t.record(rowno, row, _REGIONS)[0]
         rid = fields["id"]
         if rid not in demand:
-            raise CaseError(f"regions.csv row {rowno}: no demand rows for {rid}")
-        regions.append(Region(**fields, demand=series_from(f"demand for {rid}", demand[rid])))
+            raise CaseError(f"{regions_t.name} row {rowno}: no demand rows for {rid}")
+        demand_of = series_from(f"{path('demand.csv')}: demand for {rid}", demand[rid])
+        regions.append(Region(**fields, demand=demand_of))
     known_regions = {r.id for r in regions}
     for region in demand:
         if region not in known_regions:
-            raise CaseError(f"demand.csv: demand for unknown region {region}")
+            raise CaseError(f"{path('demand.csv')}: demand for unknown region {region}")
 
     profiles = hourly("site_profiles.csv", _PROFILES)
     sites_t = table("sites.csv", _SITES)
@@ -232,13 +240,13 @@ def load_system(directory: str) -> SystemCase:
         fields, (cluster,) = sites_t.record(rowno, row, _SITES)
         sid = fields["id"]
         if sid not in profiles:
-            raise CaseError(f"sites.csv row {rowno}: no profile rows for {sid}")
-        profile = series_from(f"profile for {sid}", profiles[sid])
+            raise CaseError(f"{sites_t.name} row {rowno}: no profile rows for {sid}")
+        profile = series_from(f"{path('site_profiles.csv')}: profile for {sid}", profiles[sid])
         site_cluster[sid] = cluster
         sites.append(Site(**fields, annual_cf=float(np.mean(profile.values)), profile=profile))
     for site in profiles:
         if site not in site_cluster:
-            raise CaseError(f"site_profiles.csv: profile for unknown site {site}")
+            raise CaseError(f"{path('site_profiles.csv')}: profile for unknown site {site}")
 
     units_t = table("units.csv", _UNITS)
     units = [ThermalUnit(**units_t.record(rowno, row, _UNITS)[0]) for rowno, row in units_t]
@@ -253,7 +261,7 @@ def load_system(directory: str) -> SystemCase:
         member_sites = sorted(s for s, c in site_cluster.items() if c == cid)
         member_units = sorted(u for u, c in unit_cluster.items() if c == cid)
         if member_sites and member_units:
-            raise CaseError(f"clusters.csv row {rowno}: {cid} mixes sites and units")
+            raise CaseError(f"{clusters_t.name} row {rowno}: {cid} mixes sites and units")
         profile = None
         thermal = None
         if member_sites:
@@ -262,19 +270,19 @@ def load_system(directory: str) -> SystemCase:
             params = {field: _opt_float(clusters_t, rowno, row, col) for col, field, _ in _THERMAL}
             if any(p is not None for p in params.values()):
                 if any(p is None for p in params.values()):
-                    raise CaseError(f"clusters.csv row {rowno}: partial thermal parameters")
+                    raise CaseError(f"{clusters_t.name} row {rowno}: partial thermal parameters")
                 thermal = ThermalParams(**params)
             elif member_units:
-                raise CaseError(f"clusters.csv row {rowno}: thermal cluster {cid} lacks parameters")
+                raise CaseError(f"{clusters_t.name} row {rowno}: thermal cluster {cid} lacks parameters")
         members = tuple(member_sites or member_units)
         clusters.append(ResourceCluster(**fields, members=members, aggregate_profile=profile, thermal=thermal))
     known_clusters = {c.id for c in clusters}
     for sid, cid in site_cluster.items():
         if cid not in known_clusters:
-            raise CaseError(f"sites.csv: site {sid} references unknown cluster {cid}")
+            raise CaseError(f"{sites_t.name}: site {sid} references unknown cluster {cid}")
     for uid, cid in unit_cluster.items():
         if cid not in known_clusters:
-            raise CaseError(f"units.csv: unit {uid} references unknown plant {cid}")
+            raise CaseError(f"{units_t.name}: unit {uid} references unknown plant {cid}")
 
     storage_t = table("storage.csv", _STORAGE)
     storage = [StorageCluster(**storage_t.record(rowno, row, _STORAGE)[0]) for rowno, row in storage_t]
@@ -287,20 +295,20 @@ def load_system(directory: str) -> SystemCase:
         lines.append(TransmissionLine(**fields, endpoints=endpoints, fine_endpoints=(fine_from, fine_to)))
 
     weights: tuple[float, ...] = ()
-    if os.path.exists(os.path.join(directory, "periods.csv")):
+    if os.path.exists(path("periods.csv")):
         periods_t = table("periods.csv", _PERIODS)
         byp = dict(periods_t.record(rowno, row, _PERIODS)[1] for rowno, row in periods_t)
         if sorted(byp) != list(range(len(byp))):
-            raise CaseError("periods.csv: periods must be contiguous from 0")
+            raise CaseError(f"{periods_t.name}: periods must be contiguous from 0")
         weights = tuple(byp[p] for p in range(len(byp)))
 
     partition: dict[str, str] = {}
-    if os.path.exists(os.path.join(directory, "partition.csv")):
+    if os.path.exists(path("partition.csv")):
         part_t = table("partition.csv", _PARTITION)
         for rowno, row in part_t:
             fine, region = part_t.record(rowno, row, _PARTITION)[1]
             if fine in partition:
-                raise CaseError(f"partition.csv row {rowno}: duplicate fine region {fine}")
+                raise CaseError(f"{part_t.name} row {rowno}: duplicate fine region {fine}")
             partition[fine] = region
 
     case = SystemCase(

@@ -5,12 +5,15 @@ flags given on the command line (--seed, --jobs, --sub-jobs, --out)
 override the corresponding config values. Exit codes: 0 on success, 1 on
 a configuration problem or an input file that cannot be read (a case
 directory, investments.csv, allocation.csv), 2 when a ladder finished but
-some combos failed.
+some combos failed. Progress (each combo's start and end, the Benders
+bounds every 10 iterations) is logged to stderr through the ``gridres``
+logger at INFO.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -202,6 +205,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # progress (combo start and end, Benders bounds) goes to stderr, so
+    # stdout holds only each command's result lines
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(asctime)s %(message)s", "%H:%M:%S"))
+    logger = logging.getLogger("gridres")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         args = parser.parse_args(argv)
         rc = _load_config(args)
@@ -213,6 +224,9 @@ def main(argv=None) -> int:
     except CaseError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -55,26 +55,49 @@ cached on it: a re-pinned Benders subproblem does not rebuild them. The
 reduced costs of an accepted optimum are computed once, for both its KKT
 check and its Solution.
 
-An optimal HiGHS run also returns its basis (``Solution.basis``, an opaque
-value). ``solve_simplex(lp, basis=...)`` first tries a warm start from it:
-a fresh model of the same arrays, the basis set, dual simplex with Devex
-dual edge weights. HiGHS skips presolve when it starts from a basis. The
-caller hands back the basis of an earlier solve of the same LP whose
-bounds have since changed, as Benders does after re-pinning a subproblem;
-the basis stays dual feasible, so dual simplex restarts from it. The warm
-optimum gets the same KKT check (``SolveStats.warm``). A rejected basis, a
-status other than optimal or a failed KKT check falls through to the cold
-attempt. A warm optimum may be a different vertex than the cold one, with
-the same objective up to round-off.
+``solve_simplex(lp, warm)`` takes an optional warm-start object, a
+``KeptModel`` or a ``ReducedModel``, and tries it before the cold attempt.
+Its optimum gets the same KKT check on lp (``SolveStats.warm``). A status
+other than optimal or a failed check falls through to the cold attempt,
+and the object is handed the accepted attempt, or none, to keep from it
+what it keeps. A warm optimum may be a different vertex than the cold
+one, with the same objective up to round-off.
 
 An LP that only grows by rows, as the Benders master does, is solved in
-one kept HiGHS model (``solve_simplex(lp, kept=KeptModel())``). The first
-solve is cold, and the model of its optimum is kept. Each later solve
-appends the LP's new rows to the kept model (``addRows``; they enter with
-basic slacks, so the kept basis stays dual feasible) and restarts dual
-simplex from the kept basis. That optimum gets the same KKT check
-(``SolveStats.warm``); a status other than optimal or a failed check falls
-through to the cold attempt, whose model is then kept instead.
+one kept HiGHS model (``KeptModel``). The first solve is cold, and the
+model of its optimum is kept. Each later solve appends the LP's new rows
+to the kept model (``addRows``; they enter with basic slacks, so the kept
+basis stays dual feasible) and restarts dual simplex from the kept basis.
+When the cold attempt is accepted instead, its model is kept.
+
+An LP whose fixed columns (lo == hi) change value but stay fixed, as a
+re-pinned Benders subproblem's investments do, is solved on its
+row-reduced LP (``ReducedModel``). HiGHS skips presolve when it starts
+from a basis, so the reduction is done here: each row with exactly one
+nonzero entry in a column that is not fixed (its free entry, a_ij on
+column j) becomes a bound on that column, the singleton-row reduction of
+"Presolving in linear programming" (Andersen & Andersen, 1995).
+
+- The reduced LP keeps every other row, with all its entries, and every
+  column at its index, so x needs no map. Its obj, senses, rhs and matrix
+  never change; only its lo and hi are rewritten, from lp's, before each
+  solve. It is rebuilt, and its basis dropped, when the fixed set changes.
+- A bound row's implied bound is v = (rhs_i - sum_f a_if lo_f) / a_ij over
+  its fixed entries f. LE with a_ij > 0 or GE with a_ij < 0 bounds x_j
+  above, the other two cases below, and EQ both. Per column the tightest
+  bound wins; on a tie the column's own bound wins first, then the lowest
+  row.
+- It runs warm from the basis of its last accepted optimum under the warm
+  options (dual simplex, Devex dual edge weights). Without one it runs
+  cold, with presolve.
+- The kept rows' duals come from HiGHS. A bound row that supplies its
+  column's active bound gets y_i = d_j / a_ij, from the column's reduced
+  cost d_j on the reduced LP (d_j > 0: the lower bound is active, d_j < 0:
+  the upper); every other bound row gets 0. Then z = c - A^T y on lp is
+  0 on such a column and, on a fixed column, its full sensitivity.
+
+A ReducedModel keeps only its basis across solves, not a HiGHS model (a
+model per Benders subproblem would cost several MB each).
 
 Every HiGHS run, of whichever attempt, is one call of ``linprog(h)``: the
 name under which the benchmark's tracer times the solver's own share of a
@@ -373,7 +396,7 @@ class SolveStats:
     run_s: float  # HiGHS run time over all attempts
     iterations: int  # simplex iterations over all attempts
     retried: bool  # the simplex attempts failed and interior point re-solved
-    warm: bool = False  # the solution came from the warm start
+    warm: bool = False  # the solution came from the warm-start object (kept or reduced model)
 
 
 @dataclass
@@ -385,7 +408,6 @@ class Solution:
     reduced_costs: np.ndarray | None  # c - A^T y
     kkt: KktResiduals | None
     stats: SolveStats | None = None
-    basis: object | None = None  # HiGHS basis of the optimum
 
     @property
     def is_optimal(self) -> bool:
@@ -458,8 +480,7 @@ class Attempt:
     y: np.ndarray | None = None
     run_s: float = 0.0
     iterations: int = 0
-    basis: object | None = None
-    model: object | None = None  # the optimal HiGHS model, for a KeptModel
+    model: object | None = None  # the optimal HiGHS model, for a KeptModel or ReducedModel
 
 
 def _highs_options(**values):
@@ -547,7 +568,6 @@ def _run(h) -> Attempt:
         out.objective = info.objective_function_value
         out.x = np.array(solution.col_value, dtype=float)
         out.y = np.array(solution.row_dual, dtype=float)
-        out.basis = h.getBasis()
         out.model = h
     return out
 
@@ -560,11 +580,16 @@ class KeptModel:
     def __init__(self):
         self.highs = None
 
-    def keep(self, run: Attempt) -> None:
+    @property
+    def ready(self) -> bool:
+        return self.highs is not None
+
+    def keep(self, run: Attempt | None) -> None:
         """Keep the model of the accepted run (none if it has none)."""
-        if run.model is not None and run.model is not self.highs:
-            run.model.passOptions(_SIMPLEX)  # a model of the ipm retry would run ipm
-        self.highs = run.model
+        model = run.model if run is not None else None
+        if model is not None and model is not self.highs:
+            model.passOptions(_SIMPLEX)  # a model of the ipm retry would run ipm
+        self.highs = model
 
     def attempt(self, lp: LinearProgram) -> Attempt:
         h = self.highs
@@ -587,20 +612,139 @@ class KeptModel:
         return _run(h)
 
 
-def solve_simplex(lp: LinearProgram, basis=None, kept=None) -> Solution:
+class _BoundRows:
+    """The rows of an LP that a fixed-column mask turns into column bounds
+    (``ReducedModel``), and the rows kept."""
+
+    def __init__(self, lp: LinearProgram, fixed: np.ndarray):
+        a = lp.a_matrix
+        rows = a.entry_rows
+        free = ~fixed[a.indices] & (a.data != 0.0)  # an explicit 0.0 is no entry
+        bound = np.bincount(rows[free], minlength=lp.n_rows) == 1
+        keep = ~bound
+        kept = keep[rows]
+        indptr = np.zeros(int(keep.sum()) + 1, dtype=np.intp)
+        np.cumsum(np.diff(a.indptr)[keep], out=indptr[1:])
+        self.fixed = fixed
+        self.keep = np.flatnonzero(keep)
+        self.lp = LinearProgram(
+            obj=lp.obj,
+            lo=lp.lo.copy(),
+            hi=lp.hi.copy(),
+            senses=lp.senses[keep],
+            rhs=lp.rhs[keep],
+            a_matrix=CsrMatrix(a.data[kept], a.indices[kept], indptr, (indptr.size - 1, lp.n_vars)),
+        )
+        # one entry per bound row, in row order: its row, column and coefficient
+        entry = np.flatnonzero(free & bound[rows])
+        self.rows = rows[entry]
+        self.cols = a.indices[entry]
+        self.coef = a.data[entry]
+        self.rhs = lp.rhs[self.rows]
+        # the bound rows' fixed entries, by the position of their row
+        fixed_entry = np.flatnonzero(fixed[a.indices] & bound[rows])
+        self.fixed_at = (np.cumsum(bound) - 1)[rows[fixed_entry]]
+        self.fixed_cols = a.indices[fixed_entry]
+        self.fixed_vals = a.data[fixed_entry]
+        senses, up = lp.senses[self.rows], self.coef > 0
+        self.lower = np.flatnonzero((senses == EQ) | ((senses == GE) & up) | ((senses == LE) & ~up))
+        self.upper = np.flatnonzero((senses == EQ) | ((senses == LE) & up) | ((senses == GE) & ~up))
+
+    def bound(self, lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+        """Set the reduced LP's bounds for lp's: each bound row's implied
+        bound (rhs - fixed part) / a on its column, where it is tighter
+        than the column's own bound. Returns the position of the row that
+        supplies each column's lower and upper bound, -1 for its own."""
+        fixed_part = np.bincount(
+            self.fixed_at, weights=self.fixed_vals * lp.lo[self.fixed_cols], minlength=self.rows.size
+        )
+        implied = (self.rhs - fixed_part) / self.coef
+        self.lp.lo[:] = lp.lo
+        self.lp.hi[:] = lp.hi
+        return (
+            _tighten(self.lp.lo, self.lower, self.cols, implied, -1.0),
+            _tighten(self.lp.hi, self.upper, self.cols, implied, 1.0),
+        )
+
+    def duals(self, y_kept: np.ndarray, lower_row: np.ndarray, upper_row: np.ndarray, n_rows: int) -> np.ndarray:
+        """The row duals of the full LP from the reduced LP's: a bound row
+        that supplies its column's active bound takes the column's reduced
+        cost d over its coefficient (d > 0: the lower bound is active,
+        d < 0: the upper), so that column's reduced cost on the full LP is
+        0; every other bound row gets 0."""
+        y = np.zeros(n_rows)
+        y[self.keep] = y_kept
+        d = reduced_costs(self.lp, y_kept)
+        for at, active in ((lower_row, d > 0), (upper_row, d < 0)):
+            cols = np.flatnonzero((at >= 0) & active)
+            at = at[cols]
+            y[self.rows[at]] = d[cols] / self.coef[at]
+        return y
+
+
+def _tighten(bound: np.ndarray, which: np.ndarray, cols: np.ndarray, implied: np.ndarray, sign: float):
+    """Tighten bound (upper for sign 1, lower for sign -1) to the tightest
+    implied value of the bound rows at positions which on each column,
+    where that is strictly tighter than the column's own bound; on a tie
+    the lowest row wins. Returns the winning position per column, -1 where
+    the column's own bound stays."""
+    key = sign * implied
+    order = which[np.lexsort((which, key[which], cols[which]))]
+    first = np.ones(order.size, dtype=bool)  # the tightest of each column
+    first[1:] = cols[order[1:]] != cols[order[:-1]]
+    best = order[first]
+    wins = key[best] < sign * bound[cols[best]]
+    best = best[wins]
+    bound[cols[best]] = implied[best]
+    at = np.full(bound.size, -1)
+    at[cols[best]] = best
+    return at
+
+
+class ReducedModel:
+    """A warm start for an LP whose fixed columns (lo == hi) stay fixed while
+    their values change, as a Benders subproblem's pinned investments do;
+    see the module docstring. It holds the row-reduced LP of the last fixed
+    set and the HiGHS basis of its last accepted optimum."""
+
+    ready = True
+
+    def __init__(self):
+        self.rows: _BoundRows | None = None
+        self.basis = None
+        self._run = None  # the last attempt, until solve_simplex accepts or drops it
+
+    def attempt(self, lp: LinearProgram) -> Attempt:
+        fixed = lp.lo == lp.hi
+        if self.rows is None or not np.array_equal(fixed, self.rows.fixed):
+            self.rows = _BoundRows(lp, fixed)
+            self.basis = None
+        rows = self.rows
+        lower_row, upper_row = rows.bound(lp)
+        # no basis: a cold run, whose presolve does what the basis would
+        run = highs_attempt(rows.lp, False, self.basis)
+        if run.status == "optimal":
+            run.y = rows.duals(run.y, lower_row, upper_row, lp.n_rows)
+        self._run = run
+        return run
+
+    def keep(self, run: Attempt | None) -> None:
+        """Keep the basis of the accepted run if it is this model's; drop
+        the basis otherwise."""
+        self.basis = run.model.getBasis() if run is not None and run is self._run else None
+        self._run = None
+
+
+def solve_simplex(lp: LinearProgram, warm=None) -> Solution:
     """Solve to optimality (or prove infeasible/unbounded) deterministically:
-    warm from the kept model, then from basis, when given, then cold, then
-    once more with interior point plus crossover. basis is Solution.basis
-    of an earlier solve of an LP of the same shape; kept is a KeptModel of
-    earlier solves of this LP before rows were appended. An attempt is
+    from warm, a KeptModel or ReducedModel, when given and ready, then cold,
+    then once more with interior point plus crossover. An attempt is
     accepted once it ends infeasible or unbounded, or optimal and passing
-    the KKT check. kept ends up holding the HiGHS model of the accepted
-    attempt's optimum, or none."""
+    the KKT check on lp. warm is then handed the accepted attempt (none
+    when every attempt fails), and keeps from it what it keeps."""
     tries = []
-    if kept is not None and kept.highs is not None:
-        tries.append((lambda: kept.attempt(lp), "warm"))
-    if basis is not None:
-        tries.append((lambda: highs_attempt(lp, False, basis), "warm"))
+    if warm is not None and warm.ready:
+        tries.append((lambda: warm.attempt(lp), "warm"))
     tries += [(lambda: highs_attempt(lp, False), "cold"), (lambda: highs_attempt(lp, True), "ipm")]
     runs = []
     for solve, kind in tries:
@@ -609,8 +753,8 @@ def solve_simplex(lp: LinearProgram, basis=None, kept=None) -> Solution:
         if run.status in ("infeasible", "unbounded"):
             if kind == "warm":
                 continue  # a warm start must end optimal; a cold run decides the rest
-            if kept is not None:
-                kept.keep(run)
+            if warm is not None:
+                warm.keep(run)
             return Solution(run.status, None, None, None, None, None, _stats(lp, runs, kind))
         if run.status != "optimal":
             continue
@@ -622,8 +766,8 @@ def solve_simplex(lp: LinearProgram, basis=None, kept=None) -> Solution:
                 f"dual {kkt.dual:.3e} compl {kkt.compl:.3e}"
             )
             continue
-        if kept is not None:
-            kept.keep(run)
+        if warm is not None:
+            warm.keep(run)
         return Solution(
             status="optimal",
             objective=float(run.objective) + lp.obj_offset,
@@ -632,10 +776,9 @@ def solve_simplex(lp: LinearProgram, basis=None, kept=None) -> Solution:
             reduced_costs=z,
             kkt=kkt,
             stats=_stats(lp, runs, kind),
-            basis=run.basis,
         )
-    if kept is not None:
-        kept.highs = None
+    if warm is not None:
+        warm.keep(None)
     raise SolverNumericsError(
         f"dual simplex: {runs[-2].message}; interior point: {runs[-1].message}"
     )

@@ -22,6 +22,7 @@ combo leaves its full traceback in <combo>/error.txt.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import os
 import time
@@ -55,6 +56,8 @@ from .translate import (
     write_allocation,
     write_portfolio,
 )
+
+logger = logging.getLogger(__name__)
 
 
 class ConfigError(Exception):
@@ -392,6 +395,7 @@ def run_case(
     """Execute one combo end to end. Any stage failure is wrapped in a
     stage-tagged error on the result; nothing is raised."""
     t0 = time.perf_counter()
+    logger.info("combo %s: start", combo.name)
     out = CaseResult(combo=combo)
     art = os.path.join(rc.out_dir, combo.name)
     os.makedirs(art, exist_ok=True)
@@ -522,6 +526,7 @@ def run_case(
 
     end = time.perf_counter()
     out.runtime_s = end - t0
+    logger.info("combo %s: %s in %.2f s", combo.name, "ok" if out.ok else out.error, out.runtime_s)
     stops = [t for _name, t in starts[1:]] + [end]
     write_csv(
         os.path.join(art, "stage_timing.csv"),

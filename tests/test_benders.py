@@ -1,5 +1,8 @@
 """Decomposed planning solves must agree with the monolithic LP."""
 
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from gridres.expansion import (
     build_expansion_lp,
     extract_solution,
 )
-from gridres.lp import GE, Attempt, KeptModel, LpBuilder, solve_simplex
+from gridres.lp import GE, Attempt, KeptModel, LpBuilder, ReducedModel, solve_simplex
 from gridres.pipeline import RunConfig
 from gridres.syngen import SynthConfig, generate
 
@@ -176,26 +179,31 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     cfg = SynthConfig(n_regions=2, periods=3, period_length=12)
     case = generate(cfg, seed=7)
     calls = []
+    based = []
     real = benders_module.solve_simplex
 
-    def spy(lp, basis=None, kept=None):
-        given = basis is not None or (kept is not None and kept.highs is not None)
-        sol = real(lp, basis, kept)
+    def spy(lp, warm=None):
+        given = warm is not None and warm.ready
+        if isinstance(warm, ReducedModel):
+            based.append(warm.basis is not None)
+        sol = real(lp, warm)
         calls.append((given, sol.stats.warm))
         return sol
 
     monkeypatch.setattr(benders_module, "solve_simplex", spy)
     r = solve_benders(case)
-    assert r.iterations > 1
+    assert r.iterations > 2
     assert [row[0] for row in r.timing] == list(range(1, r.iterations + 1))
-    assert all(row[4] == 0 for row in r.timing)  # no warm start fell back
+    assert all(row[4] == 0 for row in r.timing)  # no reduced attempt fell through
     assert all(given == warm for given, warm in calls)
-    # every master and subproblem solve after the first of its LP is warm;
-    # the first master, the first subproblem solves and the extraction
-    # re-solves at the incumbent are cold
+    # every master and subproblem solve after the first of its LP comes from
+    # its warm-start object; the first master, the first subproblem solves
+    # and the extraction re-solves at the incumbent are cold on the full LP
     n = case.n_periods
     assert sum(warm for _given, warm in calls) == (n + 1) * (r.iterations - 1)
     assert sum(not warm for _given, warm in calls) == 1 + n + n
+    # a subproblem's first reduced solve is cold, each later one from a basis
+    assert based == [False] * n + [True] * n * (r.iterations - 2)
 
 
 def _master_from_scratch(case, reserve, cuts):
@@ -265,9 +273,9 @@ def _master_solves(monkeypatch):
     sols = []
     real = benders_module.solve_simplex
 
-    def spy(lp, basis=None, kept=None):
-        sol = real(lp, basis, kept)
-        if kept is not None:
+    def spy(lp, warm=None):
+        sol = real(lp, warm)
+        if isinstance(warm, KeptModel):
             sols.append(sol)
         return sol
 
@@ -317,3 +325,64 @@ def test_failing_warm_masters_fall_back_to_the_cold_master(monkeypatch):
     assert not any(s.stats.warm or s.stats.retried for s in sols)
     for key in ("status", "objective", "lower_bound", "iterations", "log", "investment"):
         assert getattr(r, key) == getattr(cold, key), key
+
+
+def _reduced_solves(monkeypatch):
+    """Record (bounds, solution) of each subproblem solve on its reduced LP."""
+    seen = []
+    real = benders_module.solve_simplex
+
+    def spy(lp, warm=None):
+        sol = real(lp, warm)
+        if isinstance(warm, ReducedModel):
+            seen.append((replace(lp, lo=lp.lo.copy(), hi=lp.hi.copy()), sol))
+        return sol
+
+    monkeypatch.setattr(benders_module, "solve_simplex", spy)
+    return seen
+
+
+def test_reduced_subproblems_give_the_full_lps_cut_slopes(monkeypatch):
+    case = generate(SynthConfig(n_regions=2, periods=3, period_length=12), seed=7)
+    seen = _reduced_solves(monkeypatch)
+    r = solve_benders(case, stab_weight=RunConfig.stab_weight)
+    assert len(seen) == case.n_periods * (r.iterations - 1) > 0
+    inv = slice(0, len(r.investment))  # investment columns come first
+    for lp, sol in seen:
+        full = solve_simplex(lp)
+        assert sol.stats.warm and sol.kkt.ok()
+        assert abs(sol.objective - full.objective) <= 1e-9 * max(1.0, abs(full.objective))
+        z, want = sol.reduced_costs[inv], full.reduced_costs[inv]
+        assert np.all(np.abs(z - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+def test_failed_reduced_attempts_fall_back_and_are_counted(monkeypatch):
+    case = generate(SynthConfig(n_regions=2, periods=3, period_length=12), seed=7)
+    plain = solve_benders(case)
+    tried = []
+
+    def failing(self, lp):
+        tried.append(lp)
+        return Attempt("failed", "forced reduced failure")
+
+    monkeypatch.setattr(ReducedModel, "attempt", failing)
+    r = solve_benders(case)
+    n = case.n_periods
+    assert r.converged
+    assert len(tried) == n * (r.iterations - 1)
+    assert [row[4] for row in r.timing] == [0] + [n] * (r.iterations - 1)
+    # the full cold solves may take another path to another near-optimal build
+    assert r.objective >= plain.lower_bound - 1e-9 * abs(plain.lower_bound)
+    assert plain.objective >= r.lower_bound - 1e-9 * abs(r.lower_bound)
+
+
+def test_bounds_are_logged_every_ten_iterations(caplog, capsys):
+    case = generate(SynthConfig(n_regions=2, periods=3, period_length=12), seed=7)
+    with caplog.at_level(logging.INFO, logger="gridres"):
+        r = solve_benders(case, max_iter=20, gap_tol=0.0)
+    assert r.iterations == 20
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == "gridres.benders"]
+    assert [m.split(":")[0] for m in messages] == ["benders iteration 10", "benders iteration 20"]
+    it, lower, upper, gap = r.log[-1]
+    assert messages[-1] == f"benders iteration 20: lower {lower:.6e} upper {upper:.6e} gap {gap:.3e}"
+    assert capsys.readouterr() == ("", "")  # the library only logs

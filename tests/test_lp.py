@@ -14,6 +14,7 @@ from gridres.lp import (
     Attempt,
     KeptModel,
     LpBuilder,
+    ReducedModel,
     Solution,
     SolverNumericsError,
     kkt_residuals,
@@ -323,49 +324,55 @@ def test_a_failed_retry_raises(monkeypatch):
         solve_simplex(random_boxed_lp(seed=3, feasible=True))
 
 
-# -- warm starts from a basis ------------------------------------------------------
+# -- warm starts on the row-reduced LP ----------------------------------------------
 
 
-def _assert_warm_matches_cold(lp, basis):
-    warm = solve_simplex(lp, basis=basis)
+def _assert_warm_matches_cold(lp, reduced):
+    warm = solve_simplex(lp, reduced)
     cold = solve_simplex(lp)
     assert warm.is_optimal and cold.is_optimal
     assert warm.stats.warm and not cold.stats.warm
     assert not warm.stats.retried
     assert warm.kkt.ok()
     assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
-    assert warm.basis is not None
+    assert reduced.basis is not None
     return warm
 
 
 def test_warm_resolve_after_a_bound_change_matches_cold_on_random_corpus():
     for seed in range(50):
         lp = random_boxed_lp(seed, feasible=True)
-        first = solve_simplex(lp)
+        reduced = ReducedModel()
+        solve_simplex(lp, reduced)
         # widening the box keeps the interior point the rows are anchored to
         lo, hi = lp.lo.copy(), lp.hi.copy()
         lo[::2] -= 0.5
         hi[1::2] += 0.5
-        _assert_warm_matches_cold(replace(lp, lo=lo, hi=hi), first.basis)
+        _assert_warm_matches_cold(replace(lp, lo=lo, hi=hi), reduced)
 
 
 def test_warm_resolve_of_a_repinned_subproblem_matches_cold(synth_small, synth_small_lps):
     lp = synth_small_lps["subproblem"]
     inv = slice(0, len(investment_entries(synth_small)))  # investment columns come first
-    basis = solve_simplex(lp).basis
+    reduced = ReducedModel()
+    solve_simplex(lp, reduced)
     for level in (5.0, 40.0, 0.5):
         lo, hi = lp.lo.copy(), lp.hi.copy()
         lo[inv] = hi[inv] = level
-        basis = _assert_warm_matches_cold(replace(lp, lo=lo, hi=hi), basis).basis
+        _assert_warm_matches_cold(replace(lp, lo=lo, hi=hi), reduced)
 
 
 def test_a_basis_of_the_wrong_shape_falls_back_to_the_cold_solve():
     lp = random_boxed_lp(seed=3, feasible=True)
     other = random_boxed_lp(seed=4, feasible=True)
     assert (other.n_vars, other.n_rows) != (lp.n_vars, lp.n_rows)
-    sol = solve_simplex(lp, basis=solve_simplex(other).basis)
+    reduced = ReducedModel()
+    solve_simplex(lp, reduced)
+    reduced.basis = lp_module.highs_attempt(other, False).model.getBasis()  # of the wrong shape
+    sol = solve_simplex(lp, reduced)
     assert not sol.stats.warm and not sol.stats.retried
     _assert_identical(sol, solve_simplex(lp))
+    assert reduced.basis is None
 
 
 def _warm_fails_by_status(monkeypatch):
@@ -393,10 +400,85 @@ def _warm_fails_kkt(monkeypatch):
 def test_a_failed_warm_attempt_falls_back_to_the_cold_solve(monkeypatch, synth_small_lps, fail):
     lp = synth_small_lps["operations"]
     cold = solve_simplex(lp)
+    reduced = ReducedModel()
+    solve_simplex(lp, reduced)
+    assert reduced.basis is not None
     fail(monkeypatch)
-    sol = solve_simplex(lp, basis=cold.basis)
+    sol = solve_simplex(lp, reduced)
     assert not sol.stats.warm and not sol.stats.retried
     _assert_identical(sol, cold)
+    assert reduced.basis is None  # the next attempt starts cold on the reduced LP
+
+
+def _bound_row_lp(seed):
+    """A random LP with pinned columns, whose rows with one nonzero free
+    entry include LE, GE and EQ rows, negative coefficients, two rows on one
+    column and an explicit 0.0 entry; plus a row of pinned columns only and
+    rows with two free entries. The rows hold at a point inside the box."""
+    rng = np.random.default_rng(seed)
+    n, k = 6, 3
+    b = LpBuilder()
+    lo = rng.uniform(-2.0, 0.0, n)
+    x = b.vars(n, lo, lo + rng.uniform(1.0, 4.0, n), rng.uniform(-3.0, 3.0, n))
+    pins = rng.uniform(0.5, 2.0, k)
+    f = b.vars(k, pins, pins)
+    point = np.concatenate([rng.uniform(lo + 0.2, lo + 0.8), pins])
+
+    def row(sense, cols, vals, slack=None):
+        lhs = float(np.dot(vals, point[cols]))
+        slack = rng.uniform(0.0, 0.5) if slack is None else slack
+        rhs = lhs + slack if sense == LE else lhs - slack if sense == GE else lhs
+        b.rows(sense, [rhs], np.zeros(len(cols)), cols, vals)
+
+    def coef():
+        return float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+
+    for i in range(n):
+        pinned = f[rng.random(k) < 0.5]
+        sense = (LE, GE, EQ)[i % 3] if i < 5 else LE
+        row(sense, [x[i], *pinned], [coef(), *rng.uniform(-1.0, 1.0, pinned.size)])
+    row(GE, [x[1], f[0]], [coef(), coef()])  # a second row on x[1]
+    row(LE, [x[5], f[1]], [2.0, -1.0], 0.0)  # two rows on x[5] with one implied bound
+    row(LE, [x[5], f[1]], [2.0, -1.0], 0.0)
+    row(LE, list(f), [coef() for _ in f])  # pinned columns only
+    # x[0]'s entries cancel to an explicit 0.0, which leaves x[3]'s alone
+    row(GE, [x[0], x[3], f[2], x[0]], [1.5, coef(), coef(), -1.5])
+    for _ in range(3):
+        row(rng.choice([LE, GE]), list(x), [coef() for _ in x])
+    return b.build(), f
+
+
+def test_the_bound_rows_are_the_rows_with_one_nonzero_free_entry():
+    lp, f = _bound_row_lp(0)
+    assert (lp.a_matrix.data == 0.0).sum() == 1
+    reduced = ReducedModel()
+    assert solve_simplex(lp, reduced).stats.warm
+    rows = reduced.rows
+    # the six rows on one column each, the second row on x[1], both rows on
+    # x[5] and the row where x[0] cancels; kept: the pinned-only row and the
+    # three rows on every free column
+    assert list(rows.rows) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 10]
+    assert list(rows.keep) == [9, 11, 12, 13]
+    assert rows.lp.n_rows == 4 and rows.lp.n_vars == lp.n_vars
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_a_reduced_solve_matches_the_full_cold_solve_on_random_corpus(seed):
+    lp, f = _bound_row_lp(seed)
+    reduced = ReducedModel()
+    rng = np.random.default_rng(100 + seed)
+    for step in range(3):
+        if step:  # re-pin: the implied bounds move, the rows stay
+            lp.lo[f] = lp.hi[f] = lp.lo[f] * rng.uniform(0.97, 1.03, f.size)
+        cold = solve_simplex(lp)
+        sol = solve_simplex(lp, reduced)
+        assert sol.status == cold.status
+        if cold.is_optimal:
+            assert sol.stats.warm and not sol.stats.retried
+            assert abs(sol.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+            assert sol.kkt.ok() and kkt_residuals(lp, sol.x, sol.row_duals).ok()
+        else:
+            assert reduced.basis is None
 
 
 # -- arrays built once per LP, and the kept model ----------------------------------
@@ -423,14 +505,16 @@ def test_a_repinned_lp_solves_from_its_cache_as_a_fresh_build_does(synth_small):
         return build_lp(synth_small, opts)
 
     lp, ix = subproblem(0.0)
-    basis = solve_simplex(lp).basis  # builds the cached arrays
+    reduced, reduced_fresh = ReducedModel(), ReducedModel()
+    solve_simplex(lp, reduced)  # builds the cached arrays
+    solve_simplex(subproblem(0.0)[0], reduced_fresh)
     for level in (5.0, 40.0):
         lp.lo[ix.inv] = lp.hi[ix.inv] = level
         fresh, _ = subproblem(level)
         for field in ("obj", "lo", "hi", "senses", "rhs"):
             assert np.array_equal(getattr(lp, field), getattr(fresh, field)), field
         _assert_identical(solve_simplex(lp), solve_simplex(fresh))
-        _assert_identical(solve_simplex(lp, basis=basis), solve_simplex(fresh, basis=basis))
+        _assert_identical(solve_simplex(lp, reduced), solve_simplex(fresh, reduced_fresh))
 
 
 def _add_block(b, triplets, rows, cols, vals, m):
@@ -538,7 +622,7 @@ def _growing_lps(n_rounds):
 def test_a_kept_model_solves_each_grown_lp_warm_as_a_cold_solve_does():
     kept = KeptModel()
     for i, lp in enumerate(_growing_lps(4)):
-        sol = solve_simplex(lp, kept=kept)
+        sol = solve_simplex(lp, kept)
         cold = solve_simplex(lp)
         assert sol.stats.warm == (i > 0) and not sol.stats.retried
         assert sol.kkt.ok()
@@ -554,10 +638,10 @@ def _kept_fails_by_status(monkeypatch):
 def test_a_failed_kept_model_falls_back_to_the_cold_solve(monkeypatch, fail):
     first, grown = _growing_lps(1)
     kept = KeptModel()
-    solve_simplex(first, kept=kept)
+    solve_simplex(first, kept)
     dropped = kept.highs
     fail(monkeypatch)
-    sol = solve_simplex(grown, kept=kept)
+    sol = solve_simplex(grown, kept)
     assert not sol.stats.warm and not sol.stats.retried
     _assert_identical(sol, solve_simplex(grown))
     assert kept.highs is not None and kept.highs is not dropped  # the cold model is kept
@@ -570,10 +654,12 @@ def test_every_solver_run_goes_through_linprog(monkeypatch):
     monkeypatch.setattr(lp_module, "linprog", lambda h: runs.append(h) or real(h))
     kept = KeptModel()
     for lp in _growing_lps(2):
-        solve_simplex(lp, kept=kept)
+        solve_simplex(lp, kept)
     assert len(runs) == 3 and runs[1] is runs[2] is kept.highs
     lp = random_boxed_lp(seed=3, feasible=True)
-    solve_simplex(lp, basis=solve_simplex(lp).basis)
+    reduced = ReducedModel()
+    solve_simplex(lp, reduced)
+    solve_simplex(lp, reduced)
     assert len(runs) == 5
 
 
@@ -596,15 +682,19 @@ def test_highs_holds_the_builders_matrix_cold_warm_and_kept(synth_small_lps):
     assert set(lp.senses) == {LE, EQ, GE}
     cold = lp_module.highs_attempt(lp, False)
     _assert_highs_holds(cold.model, lp)
-    warm = lp_module.highs_attempt(lp, False, cold.basis)
+    warm = lp_module.highs_attempt(lp, False, cold.model.getBasis())
     assert warm.status == "optimal"
     _assert_highs_holds(warm.model, lp)
+    reduced = ReducedModel()
+    run = reduced.attempt(lp)
+    assert run.status == "optimal" and reduced.rows.lp.n_rows < lp.n_rows
+    _assert_highs_holds(run.model, reduced.rows.lp)
     b = LpBuilder()
     x = b.vars(3, 0.0, 10.0, [1.0, 2.0, -1.0])
     b.row("r0", GE, 1.0, [(x[0], 1.0), (x[1], 1.0)])
     first = b.build()
     kept = KeptModel()
-    solve_simplex(first, kept=kept)
+    solve_simplex(first, kept)
     cols = [x[2], x[0], x[0], x[1], x[2]]
     b.rows([LE, EQ, GE], [4.0, 2.0, 0.5], [0, 0, 1, 1, 2], cols, np.ones(5))
     grown = b.extend(first)
@@ -624,8 +714,9 @@ def test_solves_write_nothing_to_stdout_or_stderr(capfd, monkeypatch, synth_smal
 
     lp = synth_small_lps["operations"]
     capfd.readouterr()
-    cold = solve_simplex(lp)
-    assert solve_simplex(lp, basis=cold.basis).stats.warm
+    reduced = ReducedModel()
+    solve_simplex(lp, reduced)
+    assert solve_simplex(lp, reduced).stats.warm
     assert solve_benders(synth_small, stab_weight=0.3).iterations > 1
     real = lp_module.highs_attempt
     monkeypatch.setattr(

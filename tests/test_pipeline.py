@@ -1,6 +1,7 @@
 """End-to-end ladder orchestration on a tiny synthetic system."""
 
 import csv
+import logging
 import os
 import re
 import tempfile
@@ -439,6 +440,32 @@ def ladder_run(tmp_path_factory):
 
 
 ALL_COMBOS = ("hrb", "r1-kall-relaxed", "r1-k1-relaxed", "ident-kall-relaxed", "ident-k1-relaxed")
+SOLVED_COMBOS = ("hrb", "r1-kall-relaxed", "r1-k1-relaxed", "ident-k1-relaxed")  # ident-kall reuses hrb
+
+
+def test_a_library_ladder_logs_each_combo_and_prints_nothing(tmp_path, caplog, capsys):
+    rc = RunConfig.from_dict({**yaml.safe_load(CONFIG_TEMPLATE.format(out_dir=tmp_path / "out"))})
+    with caplog.at_level(logging.INFO, logger="gridres"):
+        report = run_ladder(rc)
+    assert report.ok
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == "gridres.pipeline"]
+    assert [m.split(":")[0] for m in messages] == [f"combo {c}" for c in SOLVED_COMBOS for _ in "se"]
+    assert all(re.fullmatch(r"combo \S+: ok in \d+\.\d\d s", m) for m in messages[1::2])
+    assert capsys.readouterr() == ("", "")
+
+
+def test_the_cli_logs_progress_to_stderr_only(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(CONFIG_TEMPLATE.format(out_dir=tmp_path / "out"))
+    capsys.readouterr()
+    assert cli_main(["--config", str(cfg), "ladder"]) == 0
+    out, err = capsys.readouterr()
+    assert "combo" not in out and out.endswith(f"wrote {tmp_path / 'out' / 'ladder.csv'}\n")
+    combos = [line.split(" ", 1)[1] for line in err.splitlines() if " combo " in line]
+    assert [m.split(":")[0] for m in combos] == [f"combo {c}" for c in SOLVED_COMBOS for _ in "se"]
+    assert all(re.fullmatch(r"\d\d:\d\d:\d\d (combo|benders iteration) .*", line) for line in err.splitlines())
+    # main removes its handler: the next library call prints nothing again
+    assert [type(h) for h in logging.getLogger("gridres").handlers] == [logging.NullHandler]
 
 
 def test_ladder_exit_code_and_layout(ladder_run):
@@ -686,7 +713,7 @@ def test_cli_ladder_on_a_case_without_scalars_exits_1(tmp_path, capsys):
     cfg.write_text(f"out_dir: {tmp_path / 'out'}\ninput_dir: {case_dir}\npartitions: [{{name: r1, regions: 1}}]\n")
     capsys.readouterr()
     assert cli_main(["--config", str(cfg), "ladder"]) == 1
-    assert capsys.readouterr().err == "input error: scalars.csv: missing file\n"
+    assert capsys.readouterr().err == f"input error: {case_dir / 'scalars.csv'}: missing file\n"
 
 
 def test_cli_stage_chain(tmp_path):
