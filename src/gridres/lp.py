@@ -622,10 +622,11 @@ class _BoundRows:
         free = ~fixed[a.indices] & (a.data != 0.0)  # an explicit 0.0 is no entry
         bound = np.bincount(rows[free], minlength=lp.n_rows) == 1
         keep = ~bound
-        kept = keep[rows]
+        kept_entry = keep[rows]
         indptr = np.zeros(int(keep.sum()) + 1, dtype=np.intp)
         np.cumsum(np.diff(a.indptr)[keep], out=indptr[1:])
         self.fixed = fixed
+        self.n_rows = lp.n_rows
         self.keep = np.flatnonzero(keep)
         self.lp = LinearProgram(
             obj=lp.obj,
@@ -633,7 +634,7 @@ class _BoundRows:
             hi=lp.hi.copy(),
             senses=lp.senses[keep],
             rhs=lp.rhs[keep],
-            a_matrix=CsrMatrix(a.data[kept], a.indices[kept], indptr, (indptr.size - 1, lp.n_vars)),
+            a_matrix=CsrMatrix(a.data[kept_entry], a.indices[kept_entry], indptr, (indptr.size - 1, lp.n_vars)),
         )
         # one entry per bound row, in row order: its row, column and coefficient
         entry = np.flatnonzero(free & bound[rows])
@@ -666,13 +667,13 @@ class _BoundRows:
             _tighten(self.lp.hi, self.upper, self.cols, implied, 1.0),
         )
 
-    def duals(self, y_kept: np.ndarray, lower_row: np.ndarray, upper_row: np.ndarray, n_rows: int) -> np.ndarray:
+    def duals(self, y_kept: np.ndarray, lower_row: np.ndarray, upper_row: np.ndarray) -> np.ndarray:
         """The row duals of the full LP from the reduced LP's: a bound row
         that supplies its column's active bound takes the column's reduced
         cost d over its coefficient (d > 0: the lower bound is active,
         d < 0: the upper), so that column's reduced cost on the full LP is
         0; every other bound row gets 0."""
-        y = np.zeros(n_rows)
+        y = np.zeros(self.n_rows)
         y[self.keep] = y_kept
         d = reduced_costs(self.lp, y_kept)
         for at, active in ((lower_row, d > 0), (upper_row, d < 0)):
@@ -683,11 +684,11 @@ class _BoundRows:
 
 
 def _tighten(bound: np.ndarray, which: np.ndarray, cols: np.ndarray, implied: np.ndarray, sign: float):
-    """Tighten bound (upper for sign 1, lower for sign -1) to the tightest
-    implied value of the bound rows at positions which on each column,
-    where that is strictly tighter than the column's own bound; on a tie
-    the lowest row wins. Returns the winning position per column, -1 where
-    the column's own bound stays."""
+    """Tighten bound (upper for sign 1, lower for sign -1), column by
+    column, to the tightest implied value among the bound rows at positions
+    which, where that is strictly tighter than the column's own bound; on a
+    tie the lowest row wins. Returns the winning position per column, -1
+    where the column's own bound stays."""
     key = sign * implied
     order = which[np.lexsort((which, key[which], cols[which]))]
     first = np.ones(order.size, dtype=bool)  # the tightest of each column
@@ -721,10 +722,11 @@ class ReducedModel:
             self.basis = None
         rows = self.rows
         lower_row, upper_row = rows.bound(lp)
-        # no basis: a cold run, whose presolve does what the basis would
+        # without a basis (a first solve, or one after a fall-through) the
+        # run is cold, with presolve
         run = highs_attempt(rows.lp, False, self.basis)
         if run.status == "optimal":
-            run.y = rows.duals(run.y, lower_row, upper_row, lp.n_rows)
+            run.y = rows.duals(run.y, lower_row, upper_row)
         self._run = run
         return run
 

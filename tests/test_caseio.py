@@ -172,24 +172,16 @@ def test_a_repeated_hour_names_file_and_row(tmp_path, name, row):
         load_system(str(case_dir))
 
 
-@pytest.mark.parametrize("value, want", [("", False), ("true", True), ("false", False)])
-def test_extremes_included_reads_empty_true_or_false(tmp_path, value, want):
+def test_extremes_included_is_empty_true_or_false(tmp_path):
     case_dir = tmp_path / "case"
     write_case(_hand_case(), str(case_dir))
     path = case_dir / "scalars.csv"
-    header, row = path.read_text().splitlines()
-    cells = row.split(",")
-    cells[header.split(",").index("extremes_included")] = value
-    path.write_text(f"{header}\n{','.join(cells)}\n")
-    assert load_system(str(case_dir)).extremes_included is want
-
-
-def test_a_bad_extremes_included_names_the_case_file_and_row(tmp_path):
-    case_dir = tmp_path / "case"
-    write_case(_hand_case(), str(case_dir))
-    path = case_dir / "scalars.csv"
-    path.write_text(path.read_text().replace(",false", ",True"))
-    message = f"{case_dir / 'scalars.csv'} row 2: bad extremes_included value 'True'"
+    text = path.read_text()
+    assert text.endswith(",false\n")
+    path.write_text(text.replace(",false\n", ",\n"))
+    assert load_system(str(case_dir)).extremes_included is False
+    path.write_text(text.replace(",false\n", ",True\n"))
+    message = f"{path} row 2: bad extremes_included value 'True'"
     with pytest.raises(CaseError, match=f"^{re.escape(message)}$"):
         load_system(str(case_dir))
 

@@ -444,7 +444,7 @@ SOLVED_COMBOS = ("hrb", "r1-kall-relaxed", "r1-k1-relaxed", "ident-k1-relaxed") 
 
 
 def test_a_library_ladder_logs_each_combo_and_prints_nothing(tmp_path, caplog, capsys):
-    rc = RunConfig.from_dict({**yaml.safe_load(CONFIG_TEMPLATE.format(out_dir=tmp_path / "out"))})
+    rc = RunConfig.from_dict(yaml.safe_load(CONFIG_TEMPLATE.format(out_dir=tmp_path / "out")))
     with caplog.at_level(logging.INFO, logger="gridres"):
         report = run_ladder(rc)
     assert report.ok
