@@ -59,6 +59,7 @@ from .translate import (
     translate_solution,
 )
 from .metrics import (
+    DispatchedBuild,
     MetricsReport,
     build_report,
     cost_recovery,
@@ -85,6 +86,7 @@ __all__ = [
     "CaseError",
     "Combo",
     "ConfigError",
+    "DispatchedBuild",
     "ExpansionSolution",
     "ExperimentReport",
     "InvestmentVector",

@@ -37,10 +37,11 @@ dual is degenerate: the reduced LP's optimum is another valid subgradient
 there, and it would change the cut and so the iterate path.
 
 A reduced optimum can be a different vertex with the same objective up
-to round-off, so after the loop the subproblems whose incumbent solution
-came from one are re-solved cold on the full LP at the incumbent before
-extraction; the extracted solution is then what a cold solve at the
-incumbent gives.
+to round-off, so after the loop every subproblem is re-solved cold on its
+full LP at the incumbent (``solve_at_build``), and the solution is spliced
+from those solves. That is phase 1 at a fixed build, and it has this one
+code path: ``gridres metrics`` replays a saved build through the same
+function, so a re-scored combo matches its ladder report.
 
 An optional convex-combination step toward the incumbent (stab_weight in
 [0, 1)) damps the master iterate; 0 is pure Benders. ``BendersResult.timing``
@@ -68,7 +69,7 @@ from .expansion import (
     fixed_cost,
     investment_entries,
 )
-from .lp import GE, KeptModel, LpBuilder, ReducedModel, Solution, solve_simplex
+from .lp import GE, KeptModel, LpBuilder, ReducedModel, solve_simplex
 from .model import SystemCase
 
 logger = logging.getLogger(__name__)
@@ -171,6 +172,31 @@ def _assemble(case: SystemCase, subs, best) -> ExpansionSolution:
     )
 
 
+def build_subproblems(case: SystemCase, uc: str) -> list:
+    """One operations LP per period, as (lp, VarIndex), with every investment
+    pinned (at 0 until re-pinned) and no investment cost in the objective."""
+    pinned = {name: 0.0 for name, *_ in investment_entries(case)}
+    return [
+        build_lp(case, BuildOptions(uc=uc, reserve=False, periods=(p,), fix=pinned))
+        for p in range(case.n_periods)
+    ]
+
+
+def solve_at_build(case: SystemCase, subs, x: np.ndarray, solve_all=map) -> ExpansionSolution:
+    """Phase 1 at the fixed build x (investment values in investment_entries
+    order): pin x into every subproblem of build_subproblems, solve each one
+    cold on its full LP through solve_all (map, or a pool's map) and splice
+    the periods into one solution."""
+    inv = subs[0][1].inv
+    for lp, _ix in subs:
+        _pin(lp, inv, x)
+    sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs]))
+    for p, sol in enumerate(sols):
+        if not sol.is_optimal:
+            raise RuntimeError(f"subproblem {p} {sol.status}")
+    return _assemble(case, subs, sols)
+
+
 def solve_benders(
     case: SystemCase,
     uc: str | None = None,
@@ -188,23 +214,12 @@ def solve_benders(
         raise ValueError("max_iter must be >= 1")
     uc = uc or case.uc_mode
     order = [name for name, *_ in investment_entries(case)]
-
-    subs = []
-    for p in range(case.n_periods):
-        opts = BuildOptions(
-            uc=uc,
-            reserve=False,
-            periods=(p,),
-            fix={name: 0.0 for name in order},
-            include_investment_cost=False,
-        )
-        subs.append(build_lp(case, opts))
+    subs = build_subproblems(case, uc)
     inv = subs[0][1].inv
 
     master = _Master(case, reserve)
     best_ub = np.inf
     best_x = None
-    best_sols: list[Solution] | None = None
     # iteration 1 solves each subproblem cold on its full LP; from iteration
     # 2 on, on its row-reduced LP
     reduced = [ReducedModel() for _ in subs]
@@ -241,7 +256,6 @@ def solve_benders(
             if ub_trial < best_ub:
                 best_ub = ub_trial
                 best_x = trial.copy()
-                best_sols = sols
             gap = (best_ub - lower) / max(1.0, abs(best_ub))
             log.append((it, lower, best_ub, gap))
             if it % 10 == 0:
@@ -252,15 +266,8 @@ def solve_benders(
             for p, sol in enumerate(sols):
                 master.add_cut(p, sol.objective, trial, sol.reduced_costs[inv])
 
-        for lp, _ix in subs:  # re-pin at the incumbent before extraction
-            _pin(lp, inv, best_x)
         # a reduced optimum may be another vertex: extract what a cold solve gives
-        redo = [p for p, s in enumerate(best_sols) if s.stats.warm]
-        for p, sol in zip(redo, solve_all(solve_simplex, [subs[p][0] for p in redo])):
-            if not sol.is_optimal:
-                raise RuntimeError(f"subproblem {p} {sol.status}")
-            best_sols[p] = sol
-    solution = _assemble(case, subs, best_sols)
+        solution = solve_at_build(case, subs, best_x, solve_all)
     return BendersResult(
         status=status,
         objective=best_ub,

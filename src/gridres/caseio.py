@@ -174,6 +174,19 @@ def _opt_float(table: _Table, rowno: int, row: dict, col: str):
     return table.cell(rowno, row, col, float)
 
 
+def read_partition(path: str) -> dict[str, str]:
+    """A partition file (a case's partition.csv, or a ladder's partition
+    path): fine region -> coarse region, one row per fine region."""
+    table = _Table(path, [col for col, _, _ in _PARTITION])
+    mapping: dict[str, str] = {}
+    for rowno, row in table:
+        fine, region = table.record(rowno, row, _PARTITION)[1]
+        if fine in mapping:
+            raise CaseError(f"{table.name} row {rowno}: duplicate fine region {fine}")
+        mapping[fine] = region
+    return mapping
+
+
 def load_system(directory: str) -> SystemCase:
     """Load and validate a case directory. Raises CaseError with file/row
     context on parse problems and with the violation list on invalid cases."""
@@ -302,14 +315,7 @@ def load_system(directory: str) -> SystemCase:
             raise CaseError(f"{periods_t.name}: periods must be contiguous from 0")
         weights = tuple(byp[p] for p in range(len(byp)))
 
-    partition: dict[str, str] = {}
-    if os.path.exists(path("partition.csv")):
-        part_t = table("partition.csv", _PARTITION)
-        for rowno, row in part_t:
-            fine, region = part_t.record(rowno, row, _PARTITION)[1]
-            if fine in partition:
-                raise CaseError(f"{part_t.name} row {rowno}: duplicate fine region {fine}")
-            partition[fine] = region
+    partition = read_partition(path("partition.csv")) if os.path.exists(path("partition.csv")) else {}
 
     case = SystemCase(
         regions=tuple(regions),

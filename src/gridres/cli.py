@@ -171,7 +171,7 @@ def _cmd_translate(rc: RunConfig, args) -> int:
 
 def _cmd_operate(rc: RunConfig, args) -> int:
     fine = rc.load_fine()
-    _, _, operations = replay_operations(fine, args.allocation)
+    operations = replay_operations(fine, args.allocation).operations
     write_operations(operations, f"{rc.out_dir}/operations.csv")
     print(f"dispatch cost {operations.objective:.6e}; wrote {rc.out_dir}/operations.csv")
     return 0

@@ -4,10 +4,13 @@ One builder covers three uses that must stay structurally identical:
 
 * monolithic capacity expansion (investments free, one chronology block per
   representative period, optional per-region reserve rows),
-* decomposition subproblems (one period, investments pinned by bounds, no
-  investment cost in the objective),
+* decomposition subproblems (one period, investments pinned by bounds),
 * production-cost runs (all hours as a single cyclic year block, investments
-  pinned from a portfolio, line capacities overridden, fixed costs sunk).
+  pinned from a portfolio, line capacities overridden).
+
+Investment costs and the fixed O&M of existing capacity enter the objective
+only when nothing is pinned (no ``fix``): a pinned LP is an operations LP,
+and its investment costs are sunk.
 
 Chronology is cyclic within each block: state of charge, ramps and
 commitment linking wrap from the last hour of a block to its first. Every
@@ -63,8 +66,7 @@ class BuildOptions:
     reserve: bool = True
     periods: tuple[int, ...] | None = None  # None = all representative periods
     year_chronology: bool = False  # single cyclic block spanning all hours
-    fix: dict | None = None  # investment var name -> pinned value
-    include_investment_cost: bool = True
+    fix: dict | None = None  # investment var name -> pinned value; costs sunk
     line_capacity_override: dict | None = None  # line id -> operating MW
 
 
@@ -189,19 +191,20 @@ class InvestmentVector:
         return out
 
 
-def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=None, include_cost=True) -> dict:
+def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=None) -> dict:
     """Investment columns in investment_entries order, pinned where fix
-    names them; with costs, the fixed O&M of existing capacity is the
-    objective offset. Returns kind -> column per entity of that kind, in
-    case order."""
+    names them. Without fix, the columns carry their costs and the fixed
+    O&M of existing capacity is the objective offset; with it, both are
+    sunk. Returns kind -> column per entity of that kind, in case order."""
+    charge = not fix
     fix = fix or {}
     entries = investment_entries(case)
     lo = [float(fix[name]) if name in fix else lo for name, _k, _e, lo, _h, _c in entries]
     hi = [float(fix[name]) if name in fix else hi for name, _k, _e, _l, hi, _c in entries]
-    cost = [cost if include_cost else 0.0 for *_, cost in entries]
+    cost = [cost if charge else 0.0 for *_, cost in entries]
     cols = b.vars(len(entries), lo, hi, cost)
     ix.inv = slice(int(cols[0]), int(cols[-1]) + 1) if len(cols) else slice(0, 0)
-    if include_cost:
+    if charge:
         for c in case.clusters:
             b.obj_offset += c.fom_cost * c.existing_capacity
     inv = {kind: [] for kind in INVESTMENT_PREFIXES}
@@ -247,7 +250,7 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
     ix = VarIndex()
     override = opts.line_capacity_override or {}
     relaxed = opts.uc == "relaxed"
-    inv = add_investment_columns(case, b, ix, opts.fix, opts.include_investment_cost)
+    inv = add_investment_columns(case, b, ix, opts.fix)
 
     blocks = _blocks(case, opts)
     ix.hours = np.concatenate([hours for hours, _w in blocks]).tolist()
@@ -415,7 +418,6 @@ def build_operations_lp(case: SystemCase, portfolio, uc: str | None = None):
         reserve=False,
         year_chronology=True,
         fix=fix,
-        include_investment_cost=False,
         line_capacity_override=override,
     )
     return build_lp(case, opts)

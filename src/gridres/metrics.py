@@ -14,14 +14,24 @@ arbitrage earned there. Fixed costs are excluded and reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .caseio import write_csv
 from .expansion import ExpansionSolution
 from .model import SystemCase
-from .translate import SiteAllocation
+from .translate import Portfolio, SiteAllocation
+
+
+class DispatchedBuild(NamedTuple):
+    """A build translated onto the fine sites and dispatched there: the
+    record of a combo, and of the HRB it is scored against."""
+
+    allocation: SiteAllocation
+    portfolio: Portfolio  # its case holds any template cluster it dispatched
+    operations: ExpansionSolution
 
 
 def sco(a: SiteAllocation, b: SiteAllocation, tech: str, case: SystemCase) -> float:
@@ -264,25 +274,20 @@ class MetricsReport:
 def build_report(
     combo: str,
     expansion: ExpansionSolution,
-    operations: ExpansionSolution,
     coarse: SystemCase,
     fine: SystemCase,
-    allocation: SiteAllocation,
-    hrb_allocation: SiteAllocation,
-    hrb_operations: ExpansionSolution,
-    line_capacity: dict,
-    hrb_line_capacity: dict,
-    ops_case: SystemCase | None = None,
-    hrb_ops_case: SystemCase | None = None,
+    build: DispatchedBuild,
+    baseline: DispatchedBuild,
 ) -> MetricsReport:
-    # the operations run may live on a case extended with template clusters
-    ops_case = ops_case if ops_case is not None else fine
-    hrb_ops_case = hrb_ops_case if hrb_ops_case is not None else fine
-    fin = financials(operations, ops_case)
-    hrb_fin = financials(hrb_operations, hrb_ops_case)
+    """Score a combo's phase-1 solution (expansion, on coarse) and its
+    dispatched build against the baseline's."""
+    fin = financials(build.operations, build.portfolio.case)
+    hrb_fin = financials(baseline.operations, baseline.portfolio.case)
+    line_capacity = build.portfolio.line_capacity
+    hrb_line_capacity = baseline.portfolio.line_capacity
 
     techs = sorted({s.tech for s in fine.sites})
-    sco_by_tech = {t: sco(allocation, hrb_allocation, t, fine) for t in techs}
+    sco_by_tech = {t: sco(build.allocation, baseline.allocation, t, fine) for t in techs}
 
     report = MetricsReport(
         combo=combo,
@@ -303,7 +308,7 @@ def build_report(
         emissions_by_region=fin.emissions_by_region,
         profit_by_region=fin.profit_by_region,
         price_by_region_hour=fin.price_by_region_hour,
-        phase_delta=phase_compare(expansion, operations, coarse, ops_case),
+        phase_delta=phase_compare(expansion, build.operations, coarse, build.portfolio.case),
         total_nse=float(sum(fin.nse_by_region.values())),
         total_emissions=float(sum(fin.emissions_by_region.values())),
     )

@@ -17,11 +17,16 @@ ladder_timing.csv per ladder, <combo>/stage_timing.csv per combo (the wall
 seconds of its set-up and of each stage it reached, summing to its
 runtime_s) and <combo>/benders_timing.csv per Benders solve. A failed
 combo leaves its full traceback in <combo>/error.txt.
+
+rescore_from_artifacts (``gridres metrics``) re-scores a combo from its
+files through the ladder's own code: phase 1 at the saved investments on
+the per-period Benders subproblems (benders.solve_at_build), then the
+dispatch of the combo's and the HRB's saved allocations. Its report equals
+the combo's report.csv byte for byte.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -29,27 +34,26 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
+import numpy as np
 import yaml
 
-from .benders import solve_benders
-from .caseio import _Table, load_system, write_case, write_csv
+from .benders import build_subproblems, solve_at_build, solve_benders
+from .caseio import _Table, load_system, read_partition, write_case, write_csv
 from .expansion import (
-    BuildOptions,
     ExpansionSolution,
-    build_lp,
     build_operations_lp,
     extract_solution,
+    investment_entries,
 )
 from .lp import solve_simplex
-from .metrics import MetricsReport, build_report, format_summary, write_report
-from .model import VRE_TECHS, WIND_TECHS, SystemCase
+from .metrics import DispatchedBuild, MetricsReport, build_report, format_summary, write_report
+from .model import VRE_TECHS, WIND_TECHS, CaseError, SystemCase
 from .spatial import RegionPartition, aggregate_spatial
 from .syngen import PATHWAY_CARBON_FEE, SynthConfig, generate
 from .temporal import apply_temporal, cluster_timesteps, write_reduction
 from .translate import (
-    SiteAllocation,
     build_portfolio,
     read_allocation,
     translate_solution,
@@ -100,10 +104,6 @@ class Combo:
 
 
 HRB_NAME = "hrb"
-
-# sentinel handed to combos when the baseline solve itself failed;
-# a plain string so it survives pickling into worker processes
-_FAILED_BASELINE = "baseline-failed"
 
 
 def _is_int(value) -> bool:
@@ -319,17 +319,7 @@ def chunk_partition(fine: SystemCase, n: int, name: str) -> RegionPartition:
 def load_partition_file(path: str) -> RegionPartition:
     if not os.path.exists(path):
         raise FileNotFoundError(f"partition file not found: {path}")
-    mapping = {}
-    with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        if rd.fieldnames is None or not {"fine_region", "region"} <= set(rd.fieldnames):
-            raise ValueError(f"{path}: expected columns fine_region,region")
-        for rowno, row in enumerate(rd, start=2):
-            fine = row["fine_region"]
-            if fine in mapping:
-                raise ValueError(f"{path} row {rowno}: duplicate fine region {fine}")
-            mapping[fine] = row["region"]
-    return RegionPartition.from_mapping(mapping)
+    return RegionPartition.from_mapping(read_partition(path))
 
 
 def resolve_partition(fine: SystemCase, spec: PartitionSpec | None) -> RegionPartition:
@@ -341,16 +331,6 @@ def resolve_partition(fine: SystemCase, spec: PartitionSpec | None) -> RegionPar
 
 
 @dataclass
-class Baseline:
-    """The HRB artifacts every other combo is scored against."""
-
-    allocation: SiteAllocation
-    operations: ExpansionSolution
-    ops_case: SystemCase
-    line_capacity: dict
-
-
-@dataclass
 class CaseResult:
     combo: Combo
     n_regions: int = 0
@@ -358,7 +338,7 @@ class CaseResult:
     runtime_s: float = 0.0
     error: str | None = None
     artifacts_dir: str = ""
-    baseline: Baseline | None = None  # populated for the HRB combo
+    baseline: DispatchedBuild | None = None  # the HRB combo's own record
 
     @property
     def ok(self) -> bool:
@@ -390,10 +370,13 @@ def run_case(
     rc: RunConfig,
     combo: Combo,
     fine: SystemCase | None = None,
-    baseline: Baseline | None = None,
+    baseline: DispatchedBuild | None = None,
 ) -> CaseResult:
-    """Execute one combo end to end. Any stage failure is wrapped in a
-    stage-tagged error on the result; nothing is raised."""
+    """Execute one combo end to end and score it against baseline, the
+    HRB's record (run_ladder runs the HRB first). The HRB scores itself; any
+    other combo without a baseline fails its metrics stage. Any stage
+    failure is wrapped in a stage-tagged error on the result; nothing is
+    raised."""
     t0 = time.perf_counter()
     logger.info("combo %s: start", combo.name)
     out = CaseResult(combo=combo)
@@ -478,45 +461,19 @@ def run_case(
 
         # 5: fine-resolution dispatch of the translated build
         with stage("operate"):
-            operations = dispatch_portfolio(portfolio)
-            write_operations(operations, os.path.join(art, "operations.csv"))
+            build = DispatchedBuild(allocation, portfolio, dispatch_portfolio(portfolio))
+            write_operations(build.operations, os.path.join(art, "operations.csv"))
 
         # 6: score against the baseline
         with stage("metrics"):
             if combo.name == HRB_NAME:
-                baseline = Baseline(
-                    allocation=allocation,
-                    operations=operations,
-                    ops_case=portfolio.case,
-                    line_capacity=portfolio.line_capacity,
-                )
-            elif isinstance(baseline, str):
-                raise RuntimeError("baseline combo failed, nothing to score against")
+                baseline = out.baseline = build
             elif baseline is None:
-                # standalone invocation: the reference must still be the HRB
-                hrb_res = run_case(rc, Combo(HRB_NAME, None, None, "relaxed"), fine, None)
-                if not hrb_res.ok:
-                    raise RuntimeError(f"baseline run failed ({hrb_res.error})")
-                baseline = hrb_res.baseline
-            report = build_report(
-                combo.name,
-                bres.solution,
-                operations,
-                coarse,
-                fine,
-                allocation,
-                baseline.allocation,
-                baseline.operations,
-                portfolio.line_capacity,
-                baseline.line_capacity,
-                ops_case=portfolio.case,
-                hrb_ops_case=baseline.ops_case,
-            )
+                raise RuntimeError("no baseline to score against: none was given, or the baseline combo failed")
+            report = build_report(combo.name, bres.solution, coarse, fine, build, baseline)
             write_report([report], os.path.join(art, "report.csv"))
 
         out.report = report
-        if combo.name == HRB_NAME:
-            out.baseline = baseline
     except Exception as e:
         # a StageError names its stage; anything else is a config or load
         # problem before stage 1
@@ -604,7 +561,7 @@ def run_ladder(rc: RunConfig) -> ExperimentReport:
         write_case(fine, os.path.join(rc.out_dir, "system"))
 
     results = [run_case(rc, combos[0], fine, None)]  # HRB first
-    baseline = results[0].baseline if results[0].ok else _FAILED_BASELINE
+    baseline = results[0].baseline  # None if the HRB failed
 
     rest = combos[1:]
     reuse = [c for c in rest if _is_hrb_equivalent(c, fine) and results[0].ok]
@@ -680,30 +637,28 @@ def read_investments(path: str) -> dict:
 
 
 def _read_combo_meta(combo_dir: str) -> dict:
-    meta = {}
-    path = os.path.join(combo_dir, "combo.csv")
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            meta[row["field"]] = row["value"]
-    return meta
+    table = _Table(os.path.join(combo_dir, "combo.csv"), ("field", "value"))
+    return {table.cell(rowno, row, "field"): table.cell(rowno, row, "value") for rowno, row in table}
 
 
-def _replay_phase1(combo_dir: str) -> tuple:
-    """Re-derive the phase-1 solution of a persisted combo by pinning its
-    saved investments into the expansion LP. Returns (coarse, solution)."""
-    meta = _read_combo_meta(combo_dir)
+def _replay_phase1(combo_dir: str, uc: str) -> tuple:
+    """Re-derive the phase-1 solution of a persisted combo as the ladder
+    extracted it: its saved investments pinned into the per-period Benders
+    subproblems of its case, each solved cold (benders.solve_at_build).
+    investments.csv must name every investment of the case and nothing
+    else. Returns (case, solution); the case is the reduced one if the
+    combo has one."""
     reduced_dir = os.path.join(combo_dir, "reduced")
     case_dir = reduced_dir if os.path.isdir(reduced_dir) else os.path.join(combo_dir, "coarse")
-    coarse = load_system(case_dir)
-    fix = read_investments(os.path.join(combo_dir, "investments.csv"))
-    lp, ix = build_lp(
-        coarse,
-        BuildOptions(uc=meta.get("uc", "relaxed"), reserve=True, fix=fix),
-    )
-    sol = solve_simplex(lp)
-    if not sol.is_optimal:
-        raise RuntimeError(f"phase-1 replay is {sol.status}")
-    return coarse, extract_solution(coarse, ix, sol)
+    case = load_system(case_dir)
+    path = os.path.join(combo_dir, "investments.csv")
+    saved = read_investments(path)
+    names = [name for name, *_ in investment_entries(case)]
+    missing, unknown = sorted(set(names) - set(saved)), sorted(set(saved) - set(names))
+    if missing or unknown:
+        raise CaseError(f"{path} does not match {case_dir}: missing {missing}, unknown {unknown}")
+    x = np.array([saved[name] for name in names])
+    return case, solve_at_build(case, build_subproblems(case, uc), x)
 
 
 def dispatch_portfolio(portfolio) -> ExpansionSolution:
@@ -717,39 +672,27 @@ def dispatch_portfolio(portfolio) -> ExpansionSolution:
     return extract_solution(portfolio.case, ix, sol)
 
 
-def replay_operations(fine: SystemCase, allocation_path: str, coarse: SystemCase | None = None):
+def replay_operations(
+    fine: SystemCase, allocation_path: str, coarse: SystemCase | None = None
+) -> DispatchedBuild:
     """Re-dispatch a saved allocation on the fine case. Given the coarse case
     the allocation was translated from, template clusters and storage in it
     are rebuilt from their provenance cluster; without it, an allocation
     onto a template is refused ("unknown fine thermal cluster")."""
     allocation = read_allocation(allocation_path)
     portfolio = build_portfolio(fine, allocation, coarse)
-    return allocation, portfolio, dispatch_portfolio(portfolio)
+    return DispatchedBuild(allocation, portfolio, dispatch_portfolio(portfolio))
 
 
 def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> MetricsReport:
-    """Rebuild a combo's metrics report from its persisted artifacts,
-    re-solving the cheap pinned LPs rather than trusting stale series."""
+    """Rebuild a combo's metrics report from its persisted artifacts by
+    re-solving what the ladder solved: phase 1 at the saved build (see
+    _replay_phase1) and the dispatch of the combo's and the baseline's
+    saved allocations. The report equals the ladder's report.csv."""
     fine = rc.load_fine()
     meta = _read_combo_meta(combo_dir)
-    coarse, expansion = _replay_phase1(combo_dir)
-    allocation, portfolio, operations = replay_operations(
-        fine, os.path.join(combo_dir, "allocation.csv"), coarse
-    )
-    hrb_allocation, hrb_portfolio, hrb_operations = replay_operations(
-        fine, os.path.join(baseline_dir, "allocation.csv")
-    )
-    return build_report(
-        meta.get("name", os.path.basename(combo_dir)),
-        expansion,
-        operations,
-        coarse,
-        fine,
-        allocation,
-        hrb_allocation,
-        hrb_operations,
-        portfolio.line_capacity,
-        hrb_portfolio.line_capacity,
-        ops_case=portfolio.case,
-        hrb_ops_case=hrb_portfolio.case,
-    )
+    coarse, expansion = _replay_phase1(combo_dir, meta.get("uc", "relaxed"))
+    build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), coarse)
+    baseline = replay_operations(fine, os.path.join(baseline_dir, "allocation.csv"))
+    name = meta.get("name", os.path.basename(combo_dir))
+    return build_report(name, expansion, coarse, fine, build, baseline)

@@ -352,7 +352,7 @@ def translate_solution(
             weights = {r: demand_energy[r] for r in subs}
             if all(v == 0.0 for v in weights.values()):
                 weights = {r: 1.0 for r in subs}  # uniform fallback
-            shares = _proportional(inv, weights)
+            shares = allocate_thermal(inv, weights)
             for r in sorted(shares):
                 mw = shares[r]
                 if mw == 0.0:

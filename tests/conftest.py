@@ -219,7 +219,6 @@ def synth_small_lps(synth_small):
         reserve=False,
         periods=(1,),
         fix={name: 0.0 for name, *_ in investment_entries(case)},
-        include_investment_cost=False,
     )
     line = case.interregional_lines[0]
     allocation = SiteAllocation(line_capacity={line.id: 1.5 * line.capacity})

@@ -500,7 +500,7 @@ def test_a_repinned_lp_solves_from_its_cache_as_a_fresh_build_does(synth_small):
     def subproblem(level):
         opts = BuildOptions(
             uc="relaxed", reserve=False, periods=(1,),
-            fix={name: level for name in names}, include_investment_cost=False,
+            fix={name: level for name in names},
         )
         return build_lp(synth_small, opts)
 

@@ -9,6 +9,7 @@ import pytest
 from gridres.expansion import build_expansion_lp, extract_solution
 from gridres.lp import solve_simplex
 from gridres.metrics import (
+    DispatchedBuild,
     build_report,
     cost_recovery,
     financials,
@@ -21,7 +22,7 @@ from gridres.metrics import (
     write_report,
 )
 from gridres.model import Region
-from gridres.translate import SiteAllocation
+from gridres.translate import Portfolio, SiteAllocation
 
 from conftest import (
     interregional,
@@ -262,18 +263,9 @@ def _self_report(tmp_path=None):
     case = make_case([region], [vre, g1], sites=[site], units=units, lines=[spur_line(site)])
     sol = _solve(case, reserve=False)
     allocation = SiteAllocation(site_investment={"s1": sol.vre_new["v1"]})
-    rep = build_report(
-        "identity",
-        expansion=sol,
-        operations=sol,
-        coarse=case,
-        fine=case,
-        allocation=allocation,
-        hrb_allocation=allocation,
-        hrb_operations=sol,
-        line_capacity={},
-        hrb_line_capacity={},
-    )
+    build = DispatchedBuild(allocation, Portfolio(case=case), sol)
+    baseline = DispatchedBuild(allocation, Portfolio(case=case), sol)
+    rep = build_report("identity", expansion=sol, coarse=case, fine=case, build=build, baseline=baseline)
     return case, sol, rep
 
 

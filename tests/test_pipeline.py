@@ -4,6 +4,7 @@ import csv
 import logging
 import os
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -350,7 +351,7 @@ def test_partition_file_errors(tmp_path):
         load_partition_file(str(tmp_path / "gone.csv"))
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="expected columns fine_region,region"):
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: schema mismatch, missing columns ['fine_region', 'region']")):
         load_partition_file(str(bad))
 
 
@@ -638,6 +639,26 @@ def test_failed_combo_does_not_sink_the_ladder(tmp_path, monkeypatch):
     assert (out / "bad-kall-relaxed" / "error.txt").read_text().startswith("Traceback")
 
 
+def test_a_failed_baseline_fails_every_other_combo_in_metrics(tmp_path, monkeypatch):
+    real = pipeline.resolve_partition
+
+    def failing_for_the_hrb(fine, spec):
+        if spec is None:  # only the HRB has no partition spec
+            raise ValueError("forced baseline failure")
+        return real(fine, spec)
+
+    monkeypatch.setattr(pipeline, "resolve_partition", failing_for_the_hrb)
+    cfg = tmp_path / "run.yaml"
+    out = tmp_path / "out"
+    cfg.write_text(CONFIG_TEMPLATE.format(out_dir=out))
+    assert cli_main(["--config", str(cfg), "ladder"]) == 2
+    assert _read_csv(out / "ladder.csv") == [list(LADDER_COLUMNS)]
+    status = {r[0]: r[2] for r in _read_csv(out / "ladder_timing.csv")[1:]}
+    assert status.pop(HRB_NAME) == "aggregate: forced baseline failure"
+    message = "metrics: no baseline to score against: none was given, or the baseline combo failed"
+    assert status == dict.fromkeys(ALL_COMBOS[1:], message)
+
+
 def _deterministic_files(out):
     """Every file of a ladder's output but the wall-clock side files, by
     path relative to out."""
@@ -757,3 +778,38 @@ def test_cli_metrics_rescores_a_combo(ladder_run, tmp_path):
     assert code == 0
     rows = _read_csv(dest / "report.csv")
     assert rows[0] == ["case", "metric", "key", "value"]
+
+
+@pytest.mark.parametrize("combo", SOLVED_COMBOS[1:])
+def test_cli_metrics_reproduces_the_ladder_report(ladder_run, tmp_path, combo):
+    _, out, cfg = ladder_run
+    dest = tmp_path / "rescored"
+    code = cli_main([
+        "--config", cfg, "--out", str(dest), "metrics",
+        "--combo-dir", os.path.join(out, combo),
+        "--baseline-dir", os.path.join(out, "hrb"),
+    ])
+    assert code == 0
+    assert (dest / "report.csv").read_bytes() == Path(out, combo, "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dropped, added", [(1, []), (0, ["xv[nowhere]"])], ids=["missing", "unknown"])
+def test_cli_metrics_rejects_investments_that_do_not_match_the_case(ladder_run, tmp_path, capsys, dropped, added):
+    # a copy of r1-k1-relaxed whose investments.csv lost its first row or
+    # gained a name its case does not have
+    _, out, cfg = ladder_run
+    combo_dir = tmp_path / "r1-k1-relaxed"
+    shutil.copytree(os.path.join(out, "r1-k1-relaxed"), combo_dir)
+    path = combo_dir / "investments.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *rows[dropped:], *(f"{name},1.0" for name in added)]) + "\n")
+    missing = [row.split(",")[0] for row in rows[:dropped]]
+    capsys.readouterr()
+    code = cli_main([
+        "--config", cfg, "--out", str(tmp_path / "rescored"), "metrics",
+        "--combo-dir", str(combo_dir), "--baseline-dir", os.path.join(out, "hrb"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"input error: {path} does not match {combo_dir / 'reduced'}: missing {missing}, unknown {added}\n"
+    )
