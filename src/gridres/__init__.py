@@ -39,7 +39,6 @@ from .temporal import (
 from .expansion import (
     BuildOptions,
     ExpansionSolution,
-    InvestmentVector,
     build_expansion_lp,
     build_operations_lp,
     extract_prices,
@@ -89,7 +88,6 @@ __all__ = [
     "DispatchedBuild",
     "ExpansionSolution",
     "ExperimentReport",
-    "InvestmentVector",
     "LinearProgram",
     "MetricsReport",
     "PartitionSpec",

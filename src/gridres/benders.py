@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import (
-    INVESTMENT_PREFIXES,
     BuildOptions,
     ExpansionSolution,
     VarIndex,
@@ -89,7 +88,6 @@ class BendersResult:
     # solve of the full LP
     timing: list = field(default_factory=list)
     solution: ExpansionSolution | None = None
-    investment: dict = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -156,7 +154,7 @@ def _assemble(case: SystemCase, subs, best) -> ExpansionSolution:
         variable_cost=variable,
         nse_cost_total=nse_cost_total,
         carbon_fee_cost=fee,
-        **{kind: getattr(first, kind) for kind in INVESTMENT_PREFIXES},
+        investment=first.investment,
         dispatch=cat(lambda p: p.dispatch),
         startups=cat(lambda p: p.startups),
         charge=cat(lambda p: p.charge),
@@ -277,5 +275,4 @@ def solve_benders(
         log=log,
         timing=timing,
         solution=solution,
-        investment=dict(zip(order, (float(v) for v in best_x))),
     )

@@ -4,10 +4,10 @@ Every subcommand takes --config pointing at the YAML run configuration;
 flags given on the command line (--seed, --jobs, --sub-jobs, --out)
 override the corresponding config values. Exit codes: 0 on success, 1 on
 a configuration problem or an input file that cannot be read (a case
-directory, investments.csv, allocation.csv), 2 when a ladder finished but
-some combos failed. Progress (each combo's start and end, the Benders
-bounds every 10 iterations) is logged to stderr through the ``gridres``
-logger at INFO.
+directory, investments.csv, allocation.csv) or whose investments do not
+match its case, 2 when a ladder finished but some combos failed.
+Progress (each combo's start and end, the Benders bounds every 10
+iterations) is logged to stderr through the ``gridres`` logger at INFO.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import replace
 
 from .benders import solve_benders
 from .caseio import load_system, write_case
-from .expansion import InvestmentVector
 from .metrics import format_summary, write_report
 from .model import CaseError
 from .pipeline import (
@@ -75,7 +74,9 @@ def _build_parser() -> _Parser:
     op = sub.add_parser("operate", help="dispatch a translated build at fine resolution")
     op.add_argument("--allocation", required=True, help="allocation.csv from translate")
 
-    mp = sub.add_parser("metrics", help="rescore a combo directory against a baseline directory")
+    mp = sub.add_parser(
+        "metrics", help="rescore a combo directory against a baseline directory into rescore-<combo>.csv"
+    )
     mp.add_argument("--combo-dir", required=True)
     mp.add_argument("--baseline-dir", required=True)
 
@@ -152,7 +153,7 @@ def _cmd_expand(rc: RunConfig, args) -> int:
         print(f"did not converge: gap {res.gap:.3e} after {res.iterations} iterations",
               file=sys.stderr)
         return 2
-    write_investments(res.solution.investment_values(), f"{rc.out_dir}/investments.csv")
+    write_investments(res.solution.investment, f"{rc.out_dir}/investments.csv")
     print(f"objective {res.objective:.6e} in {res.iterations} iterations "
           f"(gap {res.gap:.2e}); wrote {rc.out_dir}/investments.csv")
     return 0
@@ -161,8 +162,8 @@ def _cmd_expand(rc: RunConfig, args) -> int:
 def _cmd_translate(rc: RunConfig, args) -> int:
     fine = rc.load_fine()
     coarse = load_system(args.coarse)
-    inv = InvestmentVector.from_named_values(read_investments(args.investments))
-    allocation, portfolio = translate_solution(inv, coarse, fine, beta=rc.beta)
+    investment = read_investments(args.investments, coarse, args.coarse)
+    allocation, portfolio = translate_solution(investment, coarse, fine, beta=rc.beta)
     write_allocation(allocation, f"{rc.out_dir}/allocation.csv")
     write_portfolio(portfolio, f"{rc.out_dir}/portfolio.csv")
     print(f"wrote {rc.out_dir}/allocation.csv and portfolio.csv")
@@ -179,8 +180,10 @@ def _cmd_operate(rc: RunConfig, args) -> int:
 
 def _cmd_metrics(rc: RunConfig, args) -> int:
     report = rescore_from_artifacts(rc, args.combo_dir, args.baseline_dir)
-    write_report([report], f"{rc.out_dir}/report.csv")
+    path = f"{rc.out_dir}/rescore-{report.combo}.csv"
+    write_report([report], path)
     print(format_summary([report]))
+    print(f"wrote {path}")
     return 0
 
 

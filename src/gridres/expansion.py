@@ -8,6 +8,12 @@ One builder covers three uses that must stay structurally identical:
 * production-cost runs (all hours as a single cyclic year block, investments
   pinned from a portfolio, line capacities overridden).
 
+A build's investments have one in-memory form: the named vector
+{name: value} over investment_entries(case), in that order, with names
+such as "xv[<cluster>]" and "xg[<cluster>]" (INVESTMENT_PREFIXES).
+ExpansionSolution.investment holds it, BuildOptions.fix pins it,
+fixed_cost prices it and investments.csv stores it.
+
 Investment costs and the fixed O&M of existing capacity enter the objective
 only when nothing is pinned (no ``fix``): a pinned LP is an operations LP,
 and its investment costs are sunk.
@@ -55,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import EQ, GE, LE, LinearProgram, LpBuilder, Solution
-from .model import ResourceCluster, StorageCluster, SystemCase, TransmissionLine
+from .model import SystemCase
 
 PRICE_TOL = 1e-6
 
@@ -100,8 +106,9 @@ class VarIndex:
 
 
 # The one encoding of investment decisions: every investment column is named
-# "<prefix>[<entity id>]", and its prefix maps to the ExpansionSolution field
-# that holds the decision. Everything else derives from this table.
+# "<prefix>[<entity id>]" after the kind of decision it holds, and a build is
+# the named vector {name: value} in investment_entries order. Everything else
+# derives from this table.
 INVESTMENT_PREFIXES = {
     "vre_new": "xv",
     "thermal_new": "xg",
@@ -110,7 +117,6 @@ INVESTMENT_PREFIXES = {
     "storage_new_energy": "xe",
     "line_expansion": "xl",
 }
-_KIND_OF_PREFIX = {prefix: kind for kind, prefix in INVESTMENT_PREFIXES.items()}
 
 
 def investment_name(kind: str, eid: str) -> str:
@@ -119,7 +125,7 @@ def investment_name(kind: str, eid: str) -> str:
 
 def investment_entries(case: SystemCase):
     """Ordered investment variables: (name, kind, entity id, lo, hi, cost),
-    where kind is the ExpansionSolution field holding the decision.
+    where kind is a key of INVESTMENT_PREFIXES.
 
     The order is the shared contract between monolithic LPs, decomposition
     masters and subproblems.
@@ -164,31 +170,6 @@ def fixed_cost(case: SystemCase, values: dict) -> float:
     for l in case.interregional_lines:
         total += l.expansion_cost * v("line_expansion", l.id)
     return total
-
-
-@dataclass
-class InvestmentVector:
-    """Just the investment decisions of an expansion solution, enough to
-    drive translation without the dispatch series."""
-
-    vre_new: dict = field(default_factory=dict)
-    thermal_new: dict = field(default_factory=dict)
-    thermal_retired: dict = field(default_factory=dict)
-    storage_new_power: dict = field(default_factory=dict)
-    storage_new_energy: dict = field(default_factory=dict)
-    line_expansion: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_named_values(cls, values: dict) -> "InvestmentVector":
-        """Parse {"xv[c]": mw, "xg[c]": ..., ...} as written by
-        ExpansionSolution.investment_values."""
-        out = cls()
-        for name, value in values.items():
-            prefix, _, rest = name.partition("[")
-            if prefix not in _KIND_OF_PREFIX or not rest.endswith("]"):
-                raise ValueError(f"unrecognized investment variable {name!r}")
-            getattr(out, _KIND_OF_PREFIX[prefix])[rest[:-1]] = float(value)
-        return out
 
 
 def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=None) -> dict:
@@ -410,15 +391,14 @@ def build_expansion_lp(case: SystemCase, uc: str | None = None, reserve: bool = 
 def build_operations_lp(case: SystemCase, portfolio, uc: str | None = None):
     """Phase-2 production-cost LP: full cyclic chronology, capacities pinned
     to the portfolio, no reserve rows, investment costs sunk (objective is
-    weighted operational cost only)."""
-    fix = dict(portfolio.investment_fixing(case))
-    override = dict(portfolio.line_capacity)
+    weighted operational cost only). case is the portfolio's case, whose
+    investments portfolio.investment names."""
     opts = BuildOptions(
         uc=uc or case.uc_mode,
         reserve=False,
         year_chronology=True,
-        fix=fix,
-        line_capacity_override=override,
+        fix=portfolio.investment,
+        line_capacity_override=dict(portfolio.line_capacity),
     )
     return build_lp(case, opts)
 
@@ -435,12 +415,7 @@ class ExpansionSolution:
     variable_cost: float  # fuel + vom + startup
     nse_cost_total: float
     carbon_fee_cost: float
-    vre_new: dict
-    thermal_new: dict
-    thermal_retired: dict
-    storage_new_power: dict
-    storage_new_energy: dict
-    line_expansion: dict
+    investment: dict  # investment name -> value, in investment_entries order
     dispatch: dict  # cluster id -> MWh per included hour
     startups: dict  # cluster id -> MW started per hour (empty when uncommitted)
     charge: dict
@@ -462,13 +437,6 @@ class ExpansionSolution:
     def total_emissions(self) -> float:
         return float(sum(self.emissions_by_cluster.values()))
 
-    def investment_values(self) -> dict:
-        return {
-            investment_name(kind, eid): v
-            for kind in INVESTMENT_PREFIXES
-            for eid, v in getattr(self, kind).items()
-        }
-
 
 def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> ExpansionSolution:
     if not sol.is_optimal:
@@ -476,10 +444,7 @@ def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> Expansion
     x = sol.x
     w = ix.hour_weight
 
-    values = {}
-    decisions = {kind: {} for kind in INVESTMENT_PREFIXES}
-    for (name, kind, eid, *_), v in zip(investment_entries(case), x[ix.inv].tolist()):
-        values[name] = decisions[kind][eid] = v
+    investment = dict(zip((name for name, *_ in investment_entries(case)), x[ix.inv].tolist()))
 
     dispatch = {c.id: x[ix.gen[i]] for i, c in enumerate(case.clusters)}
     charge = {s.id: x[ix.charge[i]] for i, s in enumerate(case.storage)}
@@ -511,11 +476,11 @@ def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> Expansion
 
     return ExpansionSolution(
         objective=float(sol.objective),
-        fixed_cost=fixed_cost(case, values),
+        fixed_cost=fixed_cost(case, investment),
         variable_cost=variable,
         nse_cost_total=nse_cost_total,
         carbon_fee_cost=fee_cost,
-        **decisions,
+        investment=investment,
         dispatch=dispatch,
         startups=startups,
         charge=charge,

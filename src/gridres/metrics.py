@@ -21,7 +21,7 @@ import numpy as np
 
 from .caseio import write_csv
 from .expansion import ExpansionSolution
-from .model import SystemCase
+from .model import WIND_TECHS, SystemCase
 from .translate import Portfolio, SiteAllocation
 
 
@@ -315,6 +315,13 @@ def build_report(
     return report
 
 
+def sco_column(report: MetricsReport, techs) -> float:
+    """The mean SCO over those of techs that the report scores; 100 when it
+    scores none of them."""
+    vals = [report.sco_by_tech[t] for t in techs if t in report.sco_by_tech]
+    return sum(vals) / len(vals) if vals else 100.0
+
+
 def write_report(reports, path: str) -> None:
     write_csv(path, ("case", "metric", "key", "value"), (row for rep in reports for row in rep.rows()))
 
@@ -327,8 +334,8 @@ def format_summary(reports) -> str:
     for r in reports:
         rows.append((
             r.combo,
-            f"{r.sco_by_tech.get('solar', 100.0):.1f}",
-            f"{r.sco_by_tech.get('onshore_wind', 100.0):.1f}",
+            f"{sco_column(r, ('solar',)):.1f}",
+            f"{sco_column(r, WIND_TECHS):.1f}",
             f"{r.mse_cap:.6g}",
             f"{r.mse_profit:.6g}",
             f"{r.mse_emiss:.6g}",

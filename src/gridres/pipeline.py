@@ -48,7 +48,14 @@ from .expansion import (
     investment_entries,
 )
 from .lp import solve_simplex
-from .metrics import DispatchedBuild, MetricsReport, build_report, format_summary, write_report
+from .metrics import (
+    DispatchedBuild,
+    MetricsReport,
+    build_report,
+    format_summary,
+    sco_column,
+    write_report,
+)
 from .model import VRE_TECHS, WIND_TECHS, CaseError, SystemCase
 from .spatial import RegionPartition, aggregate_spatial
 from .syngen import PATHWAY_CARBON_FEE, SynthConfig, generate
@@ -449,12 +456,12 @@ def run_case(
                 ("iteration", "lower_bound", "upper_bound", "gap"),
                 ((it, float(lb), float(ub), float(g)) for it, lb, ub, g in bres.log),
             )
-            write_investments(bres.solution.investment_values(), os.path.join(art, "investments.csv"))
+            write_investments(bres.solution.investment, os.path.join(art, "investments.csv"))
 
         # 4: translate the coarse build onto the fine system
         with stage("translate"):
             allocation, portfolio = translate_solution(
-                bres.solution, coarse, fine, beta=rc.beta
+                bres.solution.investment, coarse, fine, beta=rc.beta
             )
             write_allocation(allocation, os.path.join(art, "allocation.csv"))
             write_portfolio(portfolio, os.path.join(art, "portfolio.csv"))
@@ -505,11 +512,6 @@ def _is_hrb_equivalent(combo: Combo, fine: SystemCase) -> bool:
     return part.mapping == {r.id: r.id for r in fine.regions}
 
 
-def _sco_column(report: MetricsReport, techs) -> float:
-    vals = [report.sco_by_tech[t] for t in techs if t in report.sco_by_tech]
-    return sum(vals) / len(vals) if vals else 100.0
-
-
 LADDER_COLUMNS = (
     "combo", "n_regions", "k", "uc", "sco_solar", "sco_wind", "mse_cap",
     "mse_profit", "mse_emiss", "total_cost", "nse", "emissions",
@@ -523,8 +525,8 @@ def _ladder_row(res: CaseResult):
         res.n_regions,
         res.combo.k_label,
         res.combo.uc,
-        float(_sco_column(r, ("solar",))),
-        float(_sco_column(r, WIND_TECHS)),
+        float(sco_column(r, ("solar",))),
+        float(sco_column(r, WIND_TECHS)),
         float(r.mse_cap),
         float(r.mse_profit),
         float(r.mse_emiss),
@@ -631,9 +633,17 @@ def summarize(report: ExperimentReport) -> str:
 # -- rebuilding results from persisted artifacts -------------------------------
 
 
-def read_investments(path: str) -> dict:
+def read_investments(path: str, case: SystemCase, case_dir: str) -> dict:
+    """Read investments.csv as the named investment vector of case, loaded
+    from case_dir, in investment_entries order. The file must name every
+    investment of the case and nothing else."""
     table = _Table(path, ("variable", "value"))
-    return {table.cell(rowno, row, "variable"): table.cell(rowno, row, "value", float) for rowno, row in table}
+    saved = {table.cell(rowno, row, "variable"): table.cell(rowno, row, "value", float) for rowno, row in table}
+    names = [name for name, *_ in investment_entries(case)]
+    missing, unknown = sorted(set(names) - set(saved)), sorted(set(saved) - set(names))
+    if missing or unknown:
+        raise CaseError(f"{path} does not match {case_dir}: missing {missing}, unknown {unknown}")
+    return {name: saved[name] for name in names}
 
 
 def _read_combo_meta(combo_dir: str) -> dict:
@@ -645,19 +655,13 @@ def _replay_phase1(combo_dir: str, uc: str) -> tuple:
     """Re-derive the phase-1 solution of a persisted combo as the ladder
     extracted it: its saved investments pinned into the per-period Benders
     subproblems of its case, each solved cold (benders.solve_at_build).
-    investments.csv must name every investment of the case and nothing
-    else. Returns (case, solution); the case is the reduced one if the
-    combo has one."""
+    Returns (case, solution); the case is the reduced one if the combo has
+    one."""
     reduced_dir = os.path.join(combo_dir, "reduced")
     case_dir = reduced_dir if os.path.isdir(reduced_dir) else os.path.join(combo_dir, "coarse")
     case = load_system(case_dir)
-    path = os.path.join(combo_dir, "investments.csv")
-    saved = read_investments(path)
-    names = [name for name, *_ in investment_entries(case)]
-    missing, unknown = sorted(set(names) - set(saved)), sorted(set(saved) - set(names))
-    if missing or unknown:
-        raise CaseError(f"{path} does not match {case_dir}: missing {missing}, unknown {unknown}")
-    x = np.array([saved[name] for name in names])
+    investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
+    x = np.array(list(investment.values()))
     return case, solve_at_build(case, build_subproblems(case, uc), x)
 
 

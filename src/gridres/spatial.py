@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .binning import DEFAULT_BINNING, bin_vre_sites
+from .binning import bin_vre_sites
 from .model import (
     URBAN_SINK_POPULATION,
     CaseError,
@@ -141,11 +141,8 @@ def _respur(fine: SystemCase, partition: RegionPartition) -> dict:
     return out
 
 
-def aggregate_spatial(
-    fine: SystemCase, partition: RegionPartition, binning: dict | None = None
-) -> SystemCase:
+def aggregate_spatial(fine: SystemCase, partition: RegionPartition) -> SystemCase:
     _check_total(fine, partition)
-    binning = binning or DEFAULT_BINNING
     pmap = partition.mapping
 
     groups = {c: partition.members(c) for c in partition.coarse_names}
@@ -214,7 +211,7 @@ def aggregate_spatial(
             if c.region in member_set:
                 existing[c.tech] = existing.get(c.tech, 0.0) + c.existing_capacity
         clusters.extend(
-            bin_vre_sites(coarse, region_sites, hours, binning=binning, existing_by_tech=existing)
+            bin_vre_sites(coarse, region_sites, hours, existing_by_tech=existing)
         )
 
     # storage merged per coarse region

@@ -18,8 +18,6 @@ are dropped.
 
 from __future__ import annotations
 
-import csv
-import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -240,17 +238,4 @@ def write_reduction(red: TemporalReduction, path: str) -> None:
         path,
         ("representative", "weight", "is_extreme"),
         ((rep, wt, bool(ex)) for rep, wt, ex in zip(red.representatives, red.weights, red.extreme_flags)),
-    )
-
-
-def read_reduction(path: str, period_length: int) -> TemporalReduction:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return TemporalReduction(
-        representatives=tuple(int(r["representative"]) for r in rows),
-        weights=tuple(int(r["weight"]) for r in rows),
-        extreme_flags=tuple(r["is_extreme"] == "true" for r in rows),
-        period_length=period_length,
     )

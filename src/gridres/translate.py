@@ -24,6 +24,11 @@ Allocation rules:
 
 Every split conserves MW exactly: the last entity in deterministic order
 receives investment minus the sum of the earlier shares.
+
+A build on either side is the named investment vector of expansion.py
+({"xv[<cluster>]": MW, ...} over investment_entries of its case): the
+coarse one that translate_solution reads, and Portfolio.investment on the
+fine case, which build_operations_lp pins as it stands.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .caseio import _Table, write_csv
-from .expansion import ExpansionSolution, InvestmentVector, investment_entries
+from .expansion import investment_entries, investment_name
 from .model import CaseError, ResourceCluster, StorageCluster, SystemCase
 from .spatial import fine_adjacency
 
@@ -54,31 +59,14 @@ class Portfolio:
     """Fine-resolution capacities implied by a coarse solution."""
 
     case: SystemCase  # fine case, extended with template clusters if needed
-    vre_new: dict = field(default_factory=dict)  # fine cluster -> MW
-    thermal_new: dict = field(default_factory=dict)
-    thermal_retired: dict = field(default_factory=dict)
-    storage_new_power: dict = field(default_factory=dict)
-    storage_new_energy: dict = field(default_factory=dict)
+    # investment name -> value over case's investment_entries; every xl[...]
+    # is 0, as the operating line capacity rides on line_capacity instead
+    investment: dict = field(default_factory=dict)
     line_capacity: dict = field(default_factory=dict)  # fine interregional line -> MW
 
-    def investment_fixing(self, case: SystemCase) -> dict:
-        # operating line capacity rides on the flow bounds, so expansion stays 0
-        return {
-            name: 0.0 if kind == "line_expansion" else getattr(self, kind).get(eid, 0.0)
-            for name, kind, eid, *_ in investment_entries(case)
-        }
-
-    def total_vre_capacity(self, cluster_id: str) -> float:
-        c = self.case.cluster_by_id[cluster_id]
-        return c.existing_capacity + self.vre_new.get(cluster_id, 0.0)
-
-    def total_thermal_capacity(self, cluster_id: str) -> float:
-        c = self.case.cluster_by_id[cluster_id]
-        return (
-            c.existing_capacity
-            - self.thermal_retired.get(cluster_id, 0.0)
-            + self.thermal_new.get(cluster_id, 0.0)
-        )
+    def new(self, kind: str, eid: str) -> float:
+        """The investment of a kind (see INVESTMENT_PREFIXES) in entity eid."""
+        return self.investment.get(investment_name(kind, eid), 0.0)
 
 
 def vre_fill_order(sites) -> list:
@@ -195,7 +183,7 @@ def _fine_line_between(fine: SystemCase, a: str, b: str):
 
 
 def redistrict_transmission(
-    coarse_sol: ExpansionSolution | InvestmentVector,
+    investment: dict,
     coarse: SystemCase,
     fine: SystemCase,
     allocation: SiteAllocation,
@@ -211,7 +199,7 @@ def redistrict_transmission(
     # population at each candidate fine line's endpoints
     pop = {r: fine.region_by_id[r].urban_population for r in fine.fine_regions}
     for line in coarse.interregional_lines:
-        total = line.capacity + coarse_sol.line_expansion.get(line.id, 0.0)
+        total = line.capacity + investment.get(investment_name("line_expansion", line.id), 0.0)
         ca, cb = line.endpoints
         candidates = [
             l
@@ -317,12 +305,17 @@ def _with_templates(fine: SystemCase, coarse: SystemCase, allocation: SiteAlloca
 
 
 def translate_solution(
-    coarse_sol: ExpansionSolution | InvestmentVector,
+    investment: dict,
     coarse: SystemCase,
     fine: SystemCase,
     beta: float = 1.0,
 ) -> tuple:
-    """Returns (SiteAllocation, Portfolio)."""
+    """Translate coarse's named investments (see investment_entries; a name
+    left out reads as 0) onto fine. Returns (SiteAllocation, Portfolio)."""
+
+    def coarse_new(kind, eid):
+        return investment.get(investment_name(kind, eid), 0.0)
+
     alloc = SiteAllocation()
     members = {c: [] for c in set(coarse.partition.values())}
     for f, c in coarse.partition.items():
@@ -333,7 +326,7 @@ def translate_solution(
 
     # VRE site fill
     for c in sorted(coarse.vre_clusters, key=lambda c: c.id):
-        inv = coarse_sol.vre_new.get(c.id, 0.0)
+        inv = coarse_new("vre_new", c.id)
         sites = [fine.site_by_id[sid] for sid in c.members]
         pairs = allocate_vre(inv, sites)
         alloc.provenance[c.id] = tuple(("site", s.id, mw) for s, mw in pairs)
@@ -345,7 +338,7 @@ def translate_solution(
     for c in fine.thermal_clusters:
         fine_thermal_by_region.setdefault((c.region, c.tech), []).append(c)
     for c in sorted(coarse.thermal_clusters, key=lambda c: c.id):
-        inv = coarse_sol.thermal_new.get(c.id, 0.0)
+        inv = coarse_new("thermal_new", c.id)
         subs = members[c.region]
         prov: list = []
         if inv > 0.0:
@@ -365,7 +358,7 @@ def translate_solution(
                     fine_thermal_by_region.setdefault((r, c.tech), []).append(target)
                 alloc.thermal_new[target.id] = alloc.thermal_new.get(target.id, 0.0) + mw
                 prov.append(("cluster", target.id, mw))
-        ret = coarse_sol.thermal_retired.get(c.id, 0.0)
+        ret = coarse_new("thermal_retired", c.id)
         if ret > 0.0:
             units = [fine.unit_by_id[uid] for uid in c.members]
             for u, mw in retire_units(ret, units):
@@ -386,8 +379,8 @@ def translate_solution(
     for s in fine.storage:
         fine_storage_by_region.setdefault(s.region, []).append(s)
     for s in sorted(coarse.storage, key=lambda s: s.id):
-        p_new = coarse_sol.storage_new_power.get(s.id, 0.0)
-        e_new = coarse_sol.storage_new_energy.get(s.id, 0.0)
+        p_new = coarse_new("storage_new_power", s.id)
+        e_new = coarse_new("storage_new_energy", s.id)
         if p_new == 0.0 and e_new == 0.0:
             continue
         subs = members[s.region]
@@ -412,17 +405,18 @@ def translate_solution(
         if prov:
             alloc.provenance[s.id] = tuple(prov)
 
-    alloc.line_capacity = redistrict_transmission(coarse_sol, coarse, fine, alloc, beta=beta)
+    alloc.line_capacity = redistrict_transmission(investment, coarse, fine, alloc, beta=beta)
     return alloc, build_portfolio(fine, alloc, coarse)
 
 
 def build_portfolio(
     fine_case: SystemCase, allocation: SiteAllocation, coarse: SystemCase | None = None
 ) -> Portfolio:
-    """Turn an allocation into per-cluster capacities on the fine case.
+    """Turn an allocation into named investments on the fine case.
 
-    Every fine cluster gets an entry, zero if untouched. An empty
-    allocation therefore reproduces the existing system as-is. Given the
+    The portfolio's investment names every investment of its case, zero if
+    untouched, so an empty allocation reproduces the existing system as-is;
+    the lines' operating capacity goes to line_capacity. Given the
     coarse case the allocation was translated from, the template clusters
     and storage it names (``<region>_<tech>_tpl``, ``<region>_storage_tpl``)
     are rebuilt from their provenance cluster and added to the portfolio's
@@ -430,54 +424,38 @@ def build_portfolio(
     """
     if coarse is not None:
         fine_case = _with_templates(fine_case, coarse, allocation)
-    vre_new = {c.id: 0.0 for c in fine_case.vre_clusters}
+    investment = {name: 0.0 for name, *_ in investment_entries(fine_case)}
+
+    def add(kind, eid, mw, unknown):
+        name = investment_name(kind, eid)
+        if name not in investment:
+            raise ValueError(unknown)
+        investment[name] += mw
+
     for sid, mw in allocation.site_investment.items():
-        fc = fine_case.cluster_of_member.get(sid)
-        if fc is None:
-            raise ValueError(f"site {sid} belongs to no fine cluster")
-        vre_new[fc] += mw
-
-    thermal_new = {c.id: 0.0 for c in fine_case.thermal_clusters}
-    thermal_ret = dict(thermal_new)
+        add("vre_new", fine_case.cluster_of_member.get(sid), mw, f"site {sid} belongs to no fine cluster")
     for cid, mw in allocation.thermal_new.items():
-        if cid not in thermal_new:
-            raise ValueError(f"unknown fine thermal cluster {cid}")
-        thermal_new[cid] += mw
+        add("thermal_new", cid, mw, f"unknown fine thermal cluster {cid}")
     for uid, mw in allocation.unit_retirement.items():
-        fc = fine_case.cluster_of_member.get(uid)
-        if fc is None:
-            raise ValueError(f"unit {uid} belongs to no fine cluster")
-        thermal_ret[fc] += mw
-
-    sto_power = {s.id: 0.0 for s in fine_case.storage}
-    sto_energy = dict(sto_power)
+        add("thermal_retired", fine_case.cluster_of_member.get(uid), mw, f"unit {uid} belongs to no fine cluster")
     for sid, mw in allocation.storage_power.items():
-        if sid not in sto_power:
-            raise ValueError(f"unknown fine storage {sid}")
-        sto_power[sid] += mw
+        add("storage_new_power", sid, mw, f"unknown fine storage {sid}")
     for sid, mwh in allocation.storage_energy.items():
-        if sid not in sto_energy:
-            raise ValueError(f"unknown fine storage {sid}")
-        sto_energy[sid] += mwh
+        add("storage_new_energy", sid, mwh, f"unknown fine storage {sid}")
 
+    portfolio = Portfolio(
+        case=fine_case,
+        investment=investment,
+        line_capacity={
+            l.id: allocation.line_capacity.get(l.id, l.capacity)
+            for l in fine_case.interregional_lines
+        },
+    )
     for c in fine_case.thermal_clusters:
-        live = c.existing_capacity - thermal_ret[c.id] + thermal_new[c.id]
+        live = c.existing_capacity - portfolio.new("thermal_retired", c.id) + portfolio.new("thermal_new", c.id)
         if live < -1e-9:
             raise ValueError(f"negative resulting capacity on {c.id}: {live}")
-
-    line_caps = {
-        l.id: allocation.line_capacity.get(l.id, l.capacity)
-        for l in fine_case.interregional_lines
-    }
-    return Portfolio(
-        case=fine_case,
-        vre_new=vre_new,
-        thermal_new=thermal_new,
-        thermal_retired=thermal_ret,
-        storage_new_power=sto_power,
-        storage_new_energy=sto_energy,
-        line_capacity=line_caps,
-    )
+    return portfolio
 
 
 _ALLOCATION_KINDS = (
@@ -525,12 +503,14 @@ def write_allocation(allocation: SiteAllocation, path: str) -> None:
 def write_portfolio(portfolio: Portfolio, path: str) -> None:
     case = portfolio.case
     rows = []
+    new = portfolio.new
     for c in sorted(case.vre_clusters, key=lambda c: c.id):
-        rows.append((c.id, float(portfolio.total_vre_capacity(c.id)), ""))
+        rows.append((c.id, float(c.existing_capacity + new("vre_new", c.id)), ""))
     for c in sorted(case.thermal_clusters, key=lambda c: c.id):
-        rows.append((c.id, float(portfolio.total_thermal_capacity(c.id)), ""))
+        live = c.existing_capacity - new("thermal_retired", c.id) + new("thermal_new", c.id)
+        rows.append((c.id, float(live), ""))
     for s in sorted(case.storage, key=lambda s: s.id):
-        p = s.existing_power + portfolio.storage_new_power.get(s.id, 0.0)
-        e = s.existing_energy + portfolio.storage_new_energy.get(s.id, 0.0)
+        p = s.existing_power + new("storage_new_power", s.id)
+        e = s.existing_energy + new("storage_new_energy", s.id)
         rows.append((s.id, float(p), float(e)))
     write_csv(path, ("fine_cluster", "mw", "mwh"), rows)

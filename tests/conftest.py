@@ -223,7 +223,7 @@ def synth_small_lps(synth_small):
     line = case.interregional_lines[0]
     allocation = SiteAllocation(line_capacity={line.id: 1.5 * line.capacity})
     portfolio = build_portfolio(case, allocation)
-    portfolio.thermal_new[case.thermal_clusters[0].id] = 25.0
+    portfolio.investment[f"xg[{case.thermal_clusters[0].id}]"] = 25.0
     return {
         "expansion_relaxed": build_expansion_lp(case, uc="relaxed")[0],
         "expansion_none": build_expansion_lp(case, uc="none")[0],

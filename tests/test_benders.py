@@ -35,7 +35,7 @@ def test_hand_fixture_reaches_the_monolithic_optimum():
     assert r.converged
     assert r.iterations <= 5
     assert r.objective == pytest.approx(1500.0, rel=1e-6)
-    assert r.investment["xg[g1]"] == pytest.approx(10.0, abs=1e-6)
+    assert r.solution.investment["xg[g1]"] == pytest.approx(10.0, abs=1e-6)
 
 
 def test_bounds_are_monotone_and_ordered():
@@ -101,7 +101,7 @@ def test_parallel_subproblems_match_serial_exactly():
     # cuts enter in period order either way, so the runs are identical
     assert parallel.objective == serial.objective
     assert parallel.iterations == serial.iterations
-    assert parallel.investment == serial.investment
+    assert parallel.solution.investment == serial.solution.investment
     assert parallel.log == serial.log
 
 
@@ -168,7 +168,7 @@ def test_reruns_are_identical():
     cfg = SynthConfig(n_regions=2, periods=3, period_length=12)
     case = generate(cfg, seed=7)
     first, second = solve_benders(case), solve_benders(case)
-    for key in ("status", "objective", "lower_bound", "gap", "iterations", "log", "investment"):
+    for key in ("status", "objective", "lower_bound", "gap", "iterations", "log"):
         assert getattr(first, key) == getattr(second, key), key
     _solutions_equal(first.solution, second.solution)
     # the work done matches too, only the wall times differ
@@ -323,8 +323,9 @@ def test_failing_warm_masters_fall_back_to_the_cold_master(monkeypatch):
     r = solve_benders(case)
     assert len(tried) == r.iterations - 1  # every master after the first tried warm
     assert not any(s.stats.warm or s.stats.retried for s in sols)
-    for key in ("status", "objective", "lower_bound", "iterations", "log", "investment"):
+    for key in ("status", "objective", "lower_bound", "iterations", "log"):
         assert getattr(r, key) == getattr(cold, key), key
+    assert r.solution.investment == cold.solution.investment
 
 
 def _reduced_solves(monkeypatch):
@@ -347,7 +348,7 @@ def test_reduced_subproblems_give_the_full_lps_cut_slopes(monkeypatch):
     seen = _reduced_solves(monkeypatch)
     r = solve_benders(case, stab_weight=RunConfig.stab_weight)
     assert len(seen) == case.n_periods * (r.iterations - 1) > 0
-    inv = slice(0, len(r.investment))  # investment columns come first
+    inv = slice(0, len(r.solution.investment))  # investment columns come first
     for lp, sol in seen:
         full = solve_simplex(lp)
         assert sol.stats.warm and sol.kkt.ok()

@@ -44,27 +44,27 @@ def test_flat_demand_builds_exactly_peak():
     # fixed 100 $/MW-yr, 2 hours of 10 MW: build 10, run it flat
     case = one_bus_case([10.0, 10.0], fixed_cost=100.0)
     sol, _ = _solve(case, reserve=False)
-    assert sol.thermal_new["g1"] == pytest.approx(10.0, abs=1e-9)
+    assert sol.investment["xg[g1]"] == pytest.approx(10.0, abs=1e-9)
     assert sol.objective == pytest.approx(100.0 * 10 + 2 * 10 * MC, abs=1e-6)
 
 
 def test_reserve_margin_forces_extra_capacity():
     case = one_bus_case([10.0, 10.0], fixed_cost=100.0, reserve_margin=0.15)
     sol, _ = _solve(case, reserve=True)
-    assert sol.thermal_new["g1"] == pytest.approx(11.5, abs=1e-9)
+    assert sol.investment["xg[g1]"] == pytest.approx(11.5, abs=1e-9)
     assert sol.objective == pytest.approx(100.0 * 11.5 + 2 * 10 * MC, abs=1e-6)
 
 
 def test_reserve_rows_can_be_disabled():
     case = one_bus_case([10.0, 10.0], fixed_cost=100.0, reserve_margin=0.15)
     sol, _ = _solve(case, reserve=False)
-    assert sol.thermal_new["g1"] == pytest.approx(10.0, abs=1e-9)
+    assert sol.investment["xg[g1]"] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_zero_demand_zero_build():
     case = one_bus_case([0.0, 0.0], fixed_cost=100.0)
     sol, _ = _solve(case)
-    assert sol.thermal_new["g1"] == 0.0
+    assert sol.investment["xg[g1]"] == 0.0
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
@@ -241,7 +241,7 @@ def test_storage_shifts_cheap_energy_into_scarcity():
     case = make_case([region], [vre], sites=[site], storage=[sto], lines=[spur_line(site)])
     sol, _ = _solve(case, reserve=False)
     assert sol.total_nse == pytest.approx(0.0, abs=1e-8)
-    assert sol.storage_new_power["b1"] == pytest.approx(5.0, abs=1e-6)
+    assert sol.investment["xp[b1]"] == pytest.approx(5.0, abs=1e-6)
     assert sol.discharge["b1"][1] == pytest.approx(5.0, abs=1e-6)
 
 
@@ -298,7 +298,7 @@ def test_line_expansion_is_an_investment():
     case = make_case([ra, rb], [ga], units=units, lines=[line])
     sol, _ = _solve(case, reserve=False)
     # expanding by 2 MW at 10 $/MW beats shedding at 2000 $/MWh
-    assert sol.line_expansion["AB"] == pytest.approx(2.0, abs=1e-6)
+    assert sol.investment["xl[AB]"] == pytest.approx(2.0, abs=1e-6)
     assert sol.total_nse == pytest.approx(0.0, abs=1e-8)
 
 
@@ -318,8 +318,8 @@ def test_vre_reserve_credit_is_period_max_profile():
     )
     case = make_case([region], [vre, g1], sites=[site], units=units, lines=[spur_line(site)])
     sol, _ = _solve(case, reserve=True)
-    assert sol.vre_new["v1"] == pytest.approx(10.0, abs=1e-6)
-    assert sol.thermal_new["g1"] == pytest.approx(2.0, abs=1e-6)
+    assert sol.investment["xv[v1]"] == pytest.approx(10.0, abs=1e-6)
+    assert sol.investment["xg[g1]"] == pytest.approx(2.0, abs=1e-6)
     assert sol.dispatch["g1"].sum() == pytest.approx(0.0, abs=1e-8)
 
 
@@ -342,7 +342,7 @@ def test_operations_match_expansion_at_full_resolution():
     case = one_bus_case([10.0, 4.0], existing_units=units, fixed_cost=100.0)
     sol, _ = _solve(case, reserve=False)
     portfolio = build_portfolio(case, SiteAllocation())
-    portfolio.thermal_new["g1"] = sol.thermal_new["g1"]
+    portfolio.investment["xg[g1]"] = sol.investment["xg[g1]"]
     lp, ix = build_operations_lp(case, portfolio)
     ops = extract_solution(case, ix, solve_simplex(lp))
     ops_cost = ops.variable_cost + ops.nse_cost_total + ops.carbon_fee_cost

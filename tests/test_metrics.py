@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,7 +263,7 @@ def _self_report(tmp_path=None):
     region = Region(id="R1", urban_population=0, reserve_margin=0.0, demand=series([10.0, 4.0]))
     case = make_case([region], [vre, g1], sites=[site], units=units, lines=[spur_line(site)])
     sol = _solve(case, reserve=False)
-    allocation = SiteAllocation(site_investment={"s1": sol.vre_new["v1"]})
+    allocation = SiteAllocation(site_investment={"s1": sol.investment["xv[v1]"]})
     build = DispatchedBuild(allocation, Portfolio(case=case), sol)
     baseline = DispatchedBuild(allocation, Portfolio(case=case), sol)
     rep = build_report("identity", expansion=sol, coarse=case, fine=case, build=build, baseline=baseline)
@@ -311,3 +312,16 @@ def test_summary_table_mentions_the_headline_columns():
     assert len(lines) == 2
     assert "total_cost" in lines[0]
     assert "identity" in lines[1]
+
+
+def test_summary_sco_wind_averages_every_wind_tech_as_the_ladder_does():
+    # ladder.csv's sco_wind is the mean over onshore and both offshore
+    # techs; the printed summary must show the same number
+    _, _, rep = _self_report()
+    rep = replace(rep, sco_by_tech={
+        "solar": 80.0, "onshore_wind": 100.0, "offshore_fixed": 40.0, "offshore_floating": 30.0,
+    })
+    header, row = (line.split() for line in format_summary([rep]).splitlines())
+    cols = dict(zip(header, row))
+    assert cols["sco_solar"] == "80.0"
+    assert cols["sco_wind"] == "56.7"  # (100 + 40 + 30) / 3

@@ -776,7 +776,7 @@ def test_cli_metrics_rescores_a_combo(ladder_run, tmp_path):
         "--baseline-dir", os.path.join(out, "hrb"),
     ])
     assert code == 0
-    rows = _read_csv(dest / "report.csv")
+    rows = _read_csv(dest / "rescore-r1-kall-relaxed.csv")
     assert rows[0] == ["case", "metric", "key", "value"]
 
 
@@ -790,13 +790,42 @@ def test_cli_metrics_reproduces_the_ladder_report(ladder_run, tmp_path, combo):
         "--baseline-dir", os.path.join(out, "hrb"),
     ])
     assert code == 0
-    assert (dest / "report.csv").read_bytes() == Path(out, combo, "report.csv").read_bytes()
+    assert (dest / f"rescore-{combo}.csv").read_bytes() == Path(out, combo, "report.csv").read_bytes()
 
 
-@pytest.mark.parametrize("dropped, added", [(1, []), (0, ["xv[nowhere]"])], ids=["missing", "unknown"])
-def test_cli_metrics_rejects_investments_that_do_not_match_the_case(ladder_run, tmp_path, capsys, dropped, added):
+def test_cli_metrics_without_out_keeps_the_ladder_report(ladder_run, tmp_path):
+    # the README's invocation: the re-score goes next to the ladder's own
+    # report.csv, which holds every combo, and must not replace it
+    _, out, _ = ladder_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(CONFIG_TEMPLATE.format(out_dir=copy))
+    before = (copy / "report.csv").read_bytes()
+    code = cli_main([
+        "--config", str(cfg), "metrics",
+        "--combo-dir", str(copy / "r1-k1-relaxed"), "--baseline-dir", str(copy / "hrb"),
+    ])
+    assert code == 0
+    assert (copy / "report.csv").read_bytes() == before
+    assert (copy / "rescore-r1-k1-relaxed.csv").read_bytes() == (copy / "r1-k1-relaxed" / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, dropped, added",
+    [
+        ("metrics", 1, []),
+        ("metrics", 0, ["xv[nowhere]"]),
+        ("translate", 1, []),
+        ("translate", 0, ["xv[nowhere]"]),
+    ],
+    ids=["missing", "unknown", "translate-missing", "translate-unknown"],
+)
+def test_cli_metrics_rejects_investments_that_do_not_match_the_case(
+    ladder_run, tmp_path, capsys, command, dropped, added
+):
     # a copy of r1-k1-relaxed whose investments.csv lost its first row or
-    # gained a name its case does not have
+    # gained a name its case does not have, re-scored or translated
     _, out, cfg = ladder_run
     combo_dir = tmp_path / "r1-k1-relaxed"
     shutil.copytree(os.path.join(out, "r1-k1-relaxed"), combo_dir)
@@ -804,12 +833,16 @@ def test_cli_metrics_rejects_investments_that_do_not_match_the_case(ladder_run, 
     header, *rows = path.read_text().splitlines()
     path.write_text("\n".join([header, *rows[dropped:], *(f"{name},1.0" for name in added)]) + "\n")
     missing = [row.split(",")[0] for row in rows[:dropped]]
+    if command == "metrics":
+        args = ["metrics", "--combo-dir", str(combo_dir), "--baseline-dir", os.path.join(out, "hrb")]
+        case_dir = combo_dir / "reduced"
+    else:
+        case_dir = combo_dir / "coarse"
+        args = ["translate", "--coarse", str(case_dir), "--investments", str(path)]
     capsys.readouterr()
-    code = cli_main([
-        "--config", cfg, "--out", str(tmp_path / "rescored"), "metrics",
-        "--combo-dir", str(combo_dir), "--baseline-dir", os.path.join(out, "hrb"),
-    ])
+    code = cli_main(["--config", cfg, "--out", str(tmp_path / "cli"), *args])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"input error: {path} does not match {combo_dir / 'reduced'}: missing {missing}, unknown {added}\n"
+        f"input error: {path} does not match {case_dir}: missing {missing}, unknown {added}\n"
     )
+    assert not os.path.exists(tmp_path / "cli" / "allocation.csv")

@@ -9,7 +9,6 @@ from gridres.temporal import (
     apply_temporal,
     cluster_timesteps,
     period_features,
-    read_reduction,
     select_extreme_periods,
     write_reduction,
     _farthest_point_init,
@@ -233,15 +232,10 @@ def test_weighted_energy_stays_close(synth_medium):
     assert abs(approx - full) / full < 0.2
 
 
-def test_reduction_file_round_trip(tmp_path):
-    case = _vre_case(SOLAR, WIND, DEMAND)
-    red = cluster_timesteps(case, k=4, force_extremes=True)
-    path = str(tmp_path / "reduction.csv")
-    write_reduction(red, path)
-    back = read_reduction(path, period_length=2)
-    assert back == red
-    with pytest.raises(FileNotFoundError):
-        read_reduction(str(tmp_path / "missing.csv"), period_length=2)
+def test_reduction_file_has_one_row_per_representative(tmp_path):
+    path = tmp_path / "reduction.csv"
+    write_reduction(TemporalReduction((0, 3), (3, 1), (False, True), 2), str(path))
+    assert path.read_text() == "representative,weight,is_extreme\n0,3,false\n3,1,true\n"
 
 
 def test_reduction_rejects_bad_shapes():

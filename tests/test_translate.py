@@ -1,17 +1,14 @@
 """Coarse-to-fine translation rules, checked against hand splits."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from gridres.expansion import INVESTMENT_PREFIXES, investment_entries
 from gridres.model import Region, StorageCluster, require_valid
-from gridres.pipeline import dispatch_portfolio, replay_operations
+from gridres.pipeline import dispatch_portfolio, read_investments, replay_operations, write_investments
 from gridres.prng import Rng
 from gridres.spatial import RegionPartition, aggregate_spatial
 from gridres.translate import (
-    InvestmentVector,
     SiteAllocation,
     allocate_storage,
     allocate_thermal,
@@ -39,16 +36,6 @@ from conftest import (
 
 def site(sid, lcoe, cap, tech="solar"):
     return make_site(sid, "R1", tech, cap, lcoe, [0.5, 0.5])
-
-
-def investments(**kw):
-    """Duck-typed stand-in for a solved expansion's investment fields."""
-    base = dict(
-        vre_new={}, thermal_new={}, thermal_retired={},
-        storage_new_power={}, storage_new_energy={}, line_expansion={},
-    )
-    base.update(kw)
-    return SimpleNamespace(**base)
 
 
 # -- site fill ---------------------------------------------------------------------
@@ -240,7 +227,7 @@ def test_cross_capacity_splits_by_endpoint_population():
     fine, coarse = _parallel_line_fixture()
     (merged,) = coarse.interregional_lines
     assert merged.capacity == 20.0
-    caps = redistrict_transmission(investments(), coarse, fine, SiteAllocation())
+    caps = redistrict_transmission({}, coarse, fine, SiteAllocation())
     # L1 weighs 2M + 3M, L2 weighs 1M + 4M: an even 10/10 split
     assert caps == {"L1": 10.0, "L2": 10.0}
 
@@ -248,8 +235,7 @@ def test_cross_capacity_splits_by_endpoint_population():
 def test_line_expansion_rides_along_the_split():
     fine, coarse = _parallel_line_fixture()
     (merged,) = coarse.interregional_lines
-    sol = investments(line_expansion={merged.id: 4.0})
-    caps = redistrict_transmission(sol, coarse, fine, SiteAllocation())
+    caps = redistrict_transmission({f"xl[{merged.id}]": 4.0}, coarse, fine, SiteAllocation())
     assert caps == {"L1": 12.0, "L2": 12.0}
     assert sum(caps.values()) == pytest.approx(merged.capacity + 4.0)
 
@@ -259,7 +245,7 @@ def test_internalized_lines_return_scaled_by_beta():
     part = RegionPartition.from_mapping({"A": "all", "B": "all", "C": "all", "D": "all"})
     coarse = aggregate_spatial(fine, part)
     assert all(l.kind == "backbone" for l in coarse.lines)
-    caps = redistrict_transmission(investments(), coarse, fine, SiteAllocation(), beta=0.5)
+    caps = redistrict_transmission({}, coarse, fine, SiteAllocation(), beta=0.5)
     assert caps == {"L1": 2.0, "L2": 8.0}
 
 
@@ -277,10 +263,10 @@ def test_invested_spur_adds_capacity_along_its_path():
     coarse = aggregate_spatial(fine, RegionPartition.from_mapping({"m1": "W", "m2": "W"}))
     assert coarse.line_by_id["spur_s1"].fine_endpoints == ("m2", "m1")
     alloc = SiteAllocation(site_investment={"s1": 2.0})
-    caps = redistrict_transmission(investments(), coarse, fine, alloc)
+    caps = redistrict_transmission({}, coarse, fine, alloc)
     # 3 MW comes back from the internalized link, 2 MW rides the spur path
     assert caps == {"link": 3.0 + 2.0}
-    bare = redistrict_transmission(investments(), coarse, fine, SiteAllocation())
+    bare = redistrict_transmission({}, coarse, fine, SiteAllocation())
     assert bare == {"link": 3.0}
 
 
@@ -289,7 +275,7 @@ def test_missing_fine_line_is_a_hard_error():
     (merged,) = coarse.interregional_lines
     gutted = fine.with_updates(lines=())
     with pytest.raises(ValueError, match=f"corresponds to {merged.id}"):
-        redistrict_transmission(investments(), coarse, gutted, SiteAllocation())
+        redistrict_transmission({}, coarse, gutted, SiteAllocation())
 
 
 def test_missing_backbone_target_names_the_line():
@@ -298,7 +284,7 @@ def test_missing_backbone_target_names_the_line():
     coarse = aggregate_spatial(fine, part)
     gutted = fine.with_updates(lines=(fine.line_by_id["L2"],))
     with pytest.raises(ValueError, match="backbone L1 crosses A-C"):
-        redistrict_transmission(investments(), coarse, gutted, SiteAllocation())
+        redistrict_transmission({}, coarse, gutted, SiteAllocation())
 
 
 # -- portfolio assembly --------------------------------------------------------------
@@ -306,11 +292,7 @@ def test_missing_backbone_target_names_the_line():
 
 def test_empty_allocation_reproduces_the_existing_system(synth_small):
     p = build_portfolio(synth_small, SiteAllocation())
-    assert all(v == 0.0 for v in p.vre_new.values())
-    assert all(v == 0.0 for v in p.thermal_new.values())
-    assert all(v == 0.0 for v in p.thermal_retired.values())
-    assert set(p.thermal_new) == {c.id for c in synth_small.thermal_clusters}
-    assert set(p.vre_new) == {c.id for c in synth_small.vre_clusters}
+    assert list(p.investment.items()) == [(name, 0.0) for name, *_ in investment_entries(synth_small)]
     for l in synth_small.interregional_lines:
         assert p.line_capacity[l.id] == l.capacity
 
@@ -347,43 +329,35 @@ def _solved(case):
 def test_identity_translation_matches_phase1_exactly(synth_small):
     sol = _solved(synth_small)
     coarse = aggregate_spatial(synth_small, RegionPartition.identity(synth_small))
-    alloc, portfolio = translate_solution(sol, coarse, synth_small)
-    for cid, mw in sol.vre_new.items():
-        assert portfolio.vre_new[cid] == pytest.approx(mw, abs=1e-9)
-    for cid, mw in sol.thermal_new.items():
-        assert portfolio.thermal_new[cid] == pytest.approx(mw, abs=1e-9)
-    for cid, mw in sol.thermal_retired.items():
-        assert portfolio.thermal_retired[cid] == pytest.approx(mw, abs=1e-9)
-    for sid, mw in sol.storage_new_power.items():
-        assert portfolio.storage_new_power[sid] == pytest.approx(mw, abs=1e-9)
+    alloc, portfolio = translate_solution(sol.investment, coarse, synth_small)
+    # line expansion is carried in line_capacity, so every xl[...] is 0
+    want = {name: 0.0 if name.startswith("xl[") else mw for name, mw in sol.investment.items()}
+    assert list(portfolio.investment) == list(want)
+    assert portfolio.investment == pytest.approx(want, abs=1e-9)
     for l in synth_small.interregional_lines:
-        want = l.capacity + sol.line_expansion.get(l.id, 0.0)
-        assert portfolio.line_capacity[l.id] == pytest.approx(want, abs=1e-9)
+        cap = l.capacity + sol.investment[f"xl[{l.id}]"]
+        assert portfolio.line_capacity[l.id] == pytest.approx(cap, abs=1e-9)
     assert portfolio.case is synth_small  # no templates needed on the identity path
+
+
+def _totals_by_prefix(investment):
+    out = {}
+    for name, value in investment.items():
+        prefix = name.partition("[")[0]
+        out[prefix] = out.get(prefix, 0.0) + value
+    return out
 
 
 def test_merged_translation_conserves_every_total(synth_small):
     part = RegionPartition.from_mapping({"R01": "all", "R02": "all"})
     coarse = aggregate_spatial(synth_small, part)
     sol = _solved(coarse)
-    alloc, portfolio = translate_solution(sol, coarse, synth_small)
-    assert sum(portfolio.vre_new.values()) == pytest.approx(
-        sum(sol.vre_new.values()), abs=1e-9
-    )
-    assert sum(portfolio.thermal_new.values()) == pytest.approx(
-        sum(sol.thermal_new.values()), abs=1e-9
-    )
-    assert sum(portfolio.thermal_retired.values()) == pytest.approx(
-        sum(sol.thermal_retired.values()), abs=1e-9
-    )
-    assert sum(portfolio.storage_new_power.values()) == pytest.approx(
-        sum(sol.storage_new_power.values()), abs=1e-9
-    )
-    assert sum(portfolio.storage_new_energy.values()) == pytest.approx(
-        sum(sol.storage_new_energy.values()), abs=1e-9
-    )
-    # every fine cluster is present even when untouched
-    assert set(portfolio.vre_new) >= {c.id for c in synth_small.vre_clusters}
+    alloc, portfolio = translate_solution(sol.investment, coarse, synth_small)
+    got, want = _totals_by_prefix(portfolio.investment), _totals_by_prefix(sol.investment)
+    for prefix in ("xv", "xg", "ret", "xp", "xe"):
+        assert got[prefix] == pytest.approx(want[prefix], abs=1e-9), prefix
+    # every fine investment is present even when untouched
+    assert list(portfolio.investment) == [name for name, *_ in investment_entries(portfolio.case)]
     require_valid(portfolio.case)
 
 
@@ -406,11 +380,7 @@ def _translate_into_a_bare_region():
         storage=[sA],
     )
     coarse = aggregate_spatial(fine, RegionPartition.from_mapping({"A": "W", "B": "W"}))
-    sol = investments(
-        thermal_new={"W_gas": 10.0},
-        storage_new_power={"W_storage": 2.0},
-        storage_new_energy={"W_storage": 8.0},
-    )
+    sol = {"xg[W_gas]": 10.0, "xp[W_storage]": 2.0, "xe[W_storage]": 8.0}
     return (fine, coarse, *translate_solution(sol, coarse, fine))
 
 
@@ -422,7 +392,7 @@ def test_investment_into_a_bare_region_creates_a_template():
     tpl = portfolio.case.cluster_by_id["B_gas_tpl"]
     assert tpl.existing_capacity == 0.0
     assert tpl.region == "B"
-    assert portfolio.thermal_new["B_gas_tpl"] == 10.0
+    assert portfolio.investment["xg[B_gas_tpl]"] == 10.0
     # storage follows demand too, onto a fresh B_storage_tpl
     assert alloc.storage_power == {"B_storage_tpl": 2.0}
     assert portfolio.case.storage_by_id["B_storage_tpl"].existing_power == 0.0
@@ -443,9 +413,7 @@ def test_replay_rebuilds_templates_from_the_coarse_case(tmp_path):
     write_allocation(alloc, path)
     _back, replayed, ops = replay_operations(fine, path, coarse)
     assert replayed.case == portfolio.case
-    assert replayed.thermal_new == portfolio.thermal_new
-    assert replayed.storage_new_power == portfolio.storage_new_power
-    assert replayed.storage_new_energy == portfolio.storage_new_energy
+    assert replayed.investment == portfolio.investment
     want = dispatch_portfolio(portfolio)
     assert ops.objective == want.objective
     for field in ("dispatch", "charge", "discharge", "soc", "prices"):
@@ -462,7 +430,7 @@ def test_allocation_file_round_trip(tmp_path, synth_small):
     part = RegionPartition.from_mapping({"R01": "all", "R02": "all"})
     coarse = aggregate_spatial(synth_small, part)
     sol = _solved(coarse)
-    alloc, _ = translate_solution(sol, coarse, synth_small)
+    alloc, _ = translate_solution(sol.investment, coarse, synth_small)
     path = str(tmp_path / "allocation.csv")
     write_allocation(alloc, path)
     back = read_allocation(path)
@@ -476,27 +444,12 @@ def test_allocation_file_round_trip(tmp_path, synth_small):
     assert back.provenance == {k: v for k, v in alloc.provenance.items() if v}
 
 
-def test_investment_vector_parses_named_values():
-    v = InvestmentVector.from_named_values(
-        {"xv[v1]": 1.5, "xg[g1]": 2.0, "ret[g1]": 0.5, "xp[b1]": 1.0, "xe[b1]": 4.0, "xl[l1]": 2.0}
-    )
-    assert v.vre_new == {"v1": 1.5}
-    assert v.thermal_new == {"g1": 2.0}
-    assert v.thermal_retired == {"g1": 0.5}
-    assert v.storage_new_power == {"b1": 1.0}
-    assert v.storage_new_energy == {"b1": 4.0}
-    assert v.line_expansion == {"l1": 2.0}
-    with pytest.raises(ValueError, match="unrecognized"):
-        InvestmentVector.from_named_values({"zz[q]": 1.0})
-    with pytest.raises(ValueError, match="unrecognized"):
-        InvestmentVector.from_named_values({"xv": 1.0})
-
-
-def test_investment_vector_round_trips_solution_values(synth_small):
+def test_investments_file_round_trips_the_solution_investment(tmp_path, synth_small):
     sol = _solved(synth_small)
-    assert all(getattr(sol, kind) for kind in INVESTMENT_PREFIXES)  # every family present
-    values = sol.investment_values()
-    assert list(values) == [name for name, *_ in investment_entries(synth_small)]
-    v = InvestmentVector.from_named_values(values)
-    for kind in INVESTMENT_PREFIXES:
-        assert getattr(v, kind) == getattr(sol, kind)
+    entries = investment_entries(synth_small)
+    assert {kind for _name, kind, *_ in entries} == set(INVESTMENT_PREFIXES)  # every family present
+    assert list(sol.investment) == [name for name, *_ in entries]
+    path = str(tmp_path / "investments.csv")
+    write_investments(sol.investment, path)
+    back = read_investments(path, synth_small, "synth_small")
+    assert list(back.items()) == list(sol.investment.items())
