@@ -390,10 +390,6 @@ class KktResiduals:
 
 @dataclass(frozen=True)
 class SolveStats:
-    rows: int
-    cols: int
-    nnz: int
-    run_s: float  # HiGHS run time over all attempts
     iterations: int  # simplex iterations over all attempts
     retried: bool  # the simplex attempts failed and interior point re-solved
     warm: bool = False  # the solution came from the warm-start object (kept or reduced model)
@@ -478,7 +474,6 @@ class Attempt:
     objective: float | None = None  # without obj_offset
     x: np.ndarray | None = None
     y: np.ndarray | None = None
-    run_s: float = 0.0
     iterations: int = 0
     model: object | None = None  # the optimal HiGHS model, for a KeptModel or ReducedModel
 
@@ -546,14 +541,12 @@ def linprog(h) -> object:
 
 
 def _run(h) -> Attempt:
-    t0 = h.getRunTime()  # the run clock adds up over runs of one model
     run_status = linprog(h)
     model_status = h.getModelStatus()
     info = h.getInfo()
     out = Attempt(
         "failed",
         f"HiGHS status {h.modelStatusToString(model_status)}",
-        run_s=h.getRunTime() - t0,
         iterations=info.simplex_iteration_count,
     )
     if run_status == highs.HighsStatus.kError:
@@ -757,7 +750,7 @@ def solve_simplex(lp: LinearProgram, warm=None) -> Solution:
                 continue  # a warm start must end optimal; a cold run decides the rest
             if warm is not None:
                 warm.keep(run)
-            return Solution(run.status, None, None, None, None, None, _stats(lp, runs, kind))
+            return Solution(run.status, None, None, None, None, None, _stats(runs, kind))
         if run.status != "optimal":
             continue
         z = reduced_costs(lp, run.y)
@@ -777,7 +770,7 @@ def solve_simplex(lp: LinearProgram, warm=None) -> Solution:
             row_duals=run.y,
             reduced_costs=z,
             kkt=kkt,
-            stats=_stats(lp, runs, kind),
+            stats=_stats(runs, kind),
         )
     if warm is not None:
         warm.keep(None)
@@ -786,12 +779,8 @@ def solve_simplex(lp: LinearProgram, warm=None) -> Solution:
     )
 
 
-def _stats(lp: LinearProgram, runs, kind: str) -> SolveStats:
+def _stats(runs, kind: str) -> SolveStats:
     return SolveStats(
-        rows=lp.n_rows,
-        cols=lp.n_vars,
-        nnz=int(lp.a_matrix.nnz),
-        run_s=sum(r.run_s for r in runs),
         iterations=sum(r.iterations for r in runs),
         retried=kind == "ipm",
         warm=kind == "warm",

@@ -36,11 +36,12 @@ class DispatchedBuild(NamedTuple):
 
 def sco(a: SiteAllocation, b: SiteAllocation, tech: str, case: SystemCase) -> float:
     lo = hi = 0.0
+    a_mw, b_mw = a.total("site"), b.total("site")
     for s in case.sites:
         if s.tech != tech:
             continue
-        av = a.site_investment.get(s.id, 0.0)
-        bv = b.site_investment.get(s.id, 0.0)
+        av = a_mw.get(s.id, 0.0)
+        bv = b_mw.get(s.id, 0.0)
         lo += min(av, bv)
         hi += max(av, bv)
     if hi == 0.0:

@@ -34,7 +34,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -232,12 +232,7 @@ class RunConfig:
                     n_regions=p.get("regions"),
                 )
             )
-        known = {
-            "out_dir", "input_dir", "seed", "k_values", "force_extremes",
-            "uc_modes", "gap_tol", "max_iter", "stab_weight", "beta",
-            "jobs", "sub_jobs",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "out_dir" not in d:

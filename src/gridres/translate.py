@@ -29,6 +29,11 @@ A build on either side is the named investment vector of expansion.py
 ({"xv[<cluster>]": MW, ...} over investment_entries of its case): the
 coarse one that translate_solution reads, and Portfolio.investment on the
 fine case, which build_operations_lp pins as it stands.
+
+An allocation (SiteAllocation) is the rows of allocation.csv and nothing
+else: each row that is not a line names the coarse entity it came from
+(provenance), and line rows name none (line_capacity). Per-kind totals are
+added up from the rows (SiteAllocation.total).
 """
 
 from __future__ import annotations
@@ -42,16 +47,35 @@ from .model import CaseError, ResourceCluster, StorageCluster, SystemCase
 from .spatial import fine_adjacency
 
 
+# allocation.csv row kind -> (the fine investment kind it adds to, whether
+# its entity is a member of that investment's cluster, the error for an
+# entity the fine case lacks); "line" rows carry operating capacity instead
+_ROW_KINDS = {
+    "site": ("vre_new", True, "site {} belongs to no fine cluster"),
+    "unit": ("thermal_retired", True, "unit {} belongs to no fine cluster"),
+    "cluster": ("thermal_new", False, "unknown fine thermal cluster {}"),
+    "storage_power": ("storage_new_power", False, "unknown fine storage {}"),
+    "storage_energy": ("storage_new_energy", False, "unknown fine storage {}"),
+}
+
+
 @dataclass
 class SiteAllocation:
-    site_investment: dict = field(default_factory=dict)  # site id -> MW
-    unit_retirement: dict = field(default_factory=dict)  # unit id -> MW
-    line_capacity: dict = field(default_factory=dict)  # fine line id -> MW
-    # coarse entity -> ((entity_kind, fine entity, MW), ...)
+    """The rows of allocation.csv: every fine entity a coarse build lands on,
+    by the coarse entity it came from, and the fine line capacities."""
+
+    # coarse entity -> ((row kind, fine entity, MW), ...); see _ROW_KINDS
     provenance: dict = field(default_factory=dict)
-    thermal_new: dict = field(default_factory=dict)  # fine cluster -> MW
-    storage_power: dict = field(default_factory=dict)  # fine storage -> MW
-    storage_energy: dict = field(default_factory=dict)  # fine storage -> MWh
+    line_capacity: dict = field(default_factory=dict)  # fine line id -> MW
+
+    def total(self, kind: str) -> dict:
+        """fine entity -> the MW of its rows of kind, added in provenance order."""
+        out: dict = {}
+        for rows in self.provenance.values():
+            for k, entity, mw in rows:
+                if k == kind:
+                    out[entity] = out.get(entity, 0.0) + mw
+        return out
 
 
 @dataclass
@@ -148,6 +172,14 @@ def retire_units(retired_mw: float, units) -> list:
     return out
 
 
+def _members(coarse: SystemCase) -> dict:
+    """coarse region -> its fine regions, in partition order."""
+    members: dict = {}
+    for f, c in coarse.partition.items():
+        members.setdefault(c, []).append(f)
+    return members
+
+
 # -- transmission redistricting ------------------------------------------------
 
 
@@ -191,9 +223,7 @@ def redistrict_transmission(
 ) -> dict:
     caps = {l.id: 0.0 for l in fine.interregional_lines}
     adj = fine_adjacency(fine)
-    members = {c: [] for c in set(coarse.partition.values())}
-    for f, c in coarse.partition.items():
-        members[c].append(f)
+    members = _members(coarse)
 
     # (b) coarse interregional operating capacity, split by the summed urban
     # population at each candidate fine line's endpoints
@@ -228,7 +258,7 @@ def redistrict_transmission(
         caps[target.id] += beta * line.capacity
 
     # (a) invested spur capacity along boundary-crossing spur paths
-    for site_id, invested in sorted(allocation.site_investment.items()):
+    for site_id, invested in sorted(allocation.total("site").items()):
         if invested <= 0.0:
             continue
         spur = coarse.line_by_id[f"spur_{site_id}"]
@@ -317,9 +347,7 @@ def translate_solution(
         return investment.get(investment_name(kind, eid), 0.0)
 
     alloc = SiteAllocation()
-    members = {c: [] for c in set(coarse.partition.values())}
-    for f, c in coarse.partition.items():
-        members[c].append(f)
+    members = _members(coarse)
     demand_energy = {
         r.id: float(r.demand.values.sum()) for r in fine.regions
     }
@@ -330,8 +358,6 @@ def translate_solution(
         sites = [fine.site_by_id[sid] for sid in c.members]
         pairs = allocate_vre(inv, sites)
         alloc.provenance[c.id] = tuple(("site", s.id, mw) for s, mw in pairs)
-        for s, mw in pairs:
-            alloc.site_investment[s.id] = alloc.site_investment.get(s.id, 0.0) + mw
 
     # thermal investment and retirement
     fine_thermal_by_region: dict = {}
@@ -356,13 +382,11 @@ def translate_solution(
                 else:
                     target = _template_thermal(r, c)
                     fine_thermal_by_region.setdefault((r, c.tech), []).append(target)
-                alloc.thermal_new[target.id] = alloc.thermal_new.get(target.id, 0.0) + mw
                 prov.append(("cluster", target.id, mw))
         ret = coarse_new("thermal_retired", c.id)
         if ret > 0.0:
             units = [fine.unit_by_id[uid] for uid in c.members]
             for u, mw in retire_units(ret, units):
-                alloc.unit_retirement[u.id] = alloc.unit_retirement.get(u.id, 0.0) + mw
                 prov.append(("unit", u.id, mw))
         if prov:
             alloc.provenance[c.id] = tuple(prov)
@@ -371,7 +395,7 @@ def translate_solution(
     vre_by_region: dict = {}
     for c in fine.vre_clusters:
         vre_by_region[c.region] = vre_by_region.get(c.region, 0.0) + c.existing_capacity
-    for sid, mw in alloc.site_investment.items():
+    for sid, mw in alloc.total("site").items():
         r = fine.site_by_id[sid].fine_region
         vre_by_region[r] = vre_by_region.get(r, 0.0) + mw
 
@@ -398,8 +422,6 @@ def translate_solution(
             else:
                 target = _template_storage(r, s)
                 fine_storage_by_region[r] = [target]
-            alloc.storage_power[target.id] = alloc.storage_power.get(target.id, 0.0) + p_shares.get(r, 0.0)
-            alloc.storage_energy[target.id] = alloc.storage_energy.get(target.id, 0.0) + e_shares.get(r, 0.0)
             prov.append(("storage_power", target.id, p_shares.get(r, 0.0)))
             prov.append(("storage_energy", target.id, e_shares.get(r, 0.0)))
         if prov:
@@ -425,23 +447,13 @@ def build_portfolio(
     if coarse is not None:
         fine_case = _with_templates(fine_case, coarse, allocation)
     investment = {name: 0.0 for name, *_ in investment_entries(fine_case)}
-
-    def add(kind, eid, mw, unknown):
-        name = investment_name(kind, eid)
-        if name not in investment:
-            raise ValueError(unknown)
-        investment[name] += mw
-
-    for sid, mw in allocation.site_investment.items():
-        add("vre_new", fine_case.cluster_of_member.get(sid), mw, f"site {sid} belongs to no fine cluster")
-    for cid, mw in allocation.thermal_new.items():
-        add("thermal_new", cid, mw, f"unknown fine thermal cluster {cid}")
-    for uid, mw in allocation.unit_retirement.items():
-        add("thermal_retired", fine_case.cluster_of_member.get(uid), mw, f"unit {uid} belongs to no fine cluster")
-    for sid, mw in allocation.storage_power.items():
-        add("storage_new_power", sid, mw, f"unknown fine storage {sid}")
-    for sid, mwh in allocation.storage_energy.items():
-        add("storage_new_energy", sid, mwh, f"unknown fine storage {sid}")
+    for rows in allocation.provenance.values():
+        for kind, entity, mw in rows:
+            inv_kind, member, unknown = _ROW_KINDS[kind]
+            name = investment_name(inv_kind, fine_case.cluster_of_member.get(entity) if member else entity)
+            if name not in investment:
+                raise ValueError(unknown.format(entity))
+            investment[name] += mw
 
     portfolio = Portfolio(
         case=fine_case,
@@ -458,33 +470,28 @@ def build_portfolio(
     return portfolio
 
 
-_ALLOCATION_KINDS = (
-    "site", "unit", "cluster", "storage_power", "storage_energy", "line",
-)
-
-
 def read_allocation(path: str) -> SiteAllocation:
+    """Read what write_allocation writes: every row but a line's names the
+    coarse entity it came from, and each line has one row, naming none."""
     alloc = SiteAllocation()
-    by_kind = {
-        "site": alloc.site_investment,
-        "unit": alloc.unit_retirement,
-        "cluster": alloc.thermal_new,
-        "storage_power": alloc.storage_power,
-        "storage_energy": alloc.storage_energy,
-        "line": alloc.line_capacity,
-    }
     prov: dict = {}
     table = _Table(path, ("entity_kind", "entity_id", "mw", "provenance_cluster"))
     for rowno, row in table:
         kind = table.cell(rowno, row, "entity_kind")
-        if kind not in by_kind:
+        if kind != "line" and kind not in _ROW_KINDS:
             raise CaseError(f"{path} row {rowno}: unknown entity kind {kind!r}")
         entity = table.cell(rowno, row, "entity_id")
         mw = table.cell(rowno, row, "mw", float)
-        target = by_kind[kind]
-        target[entity] = target.get(entity, 0.0) + mw
         src = table.cell(rowno, row, "provenance_cluster")
-        if src:
+        if kind == "line":
+            if src:
+                raise CaseError(f"{path} row {rowno}: line {entity} names provenance cluster {src!r}")
+            if entity in alloc.line_capacity:
+                raise CaseError(f"{path} row {rowno}: repeated line {entity}")
+            alloc.line_capacity[entity] = mw
+        elif not src:
+            raise CaseError(f"{path} row {rowno}: {kind} {entity} names no provenance cluster")
+        else:
             prov.setdefault(src, []).append((kind, entity, mw))
     alloc.provenance = {k: tuple(v) for k, v in prov.items()}
     return alloc

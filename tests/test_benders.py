@@ -316,7 +316,7 @@ def test_failing_warm_masters_fall_back_to_the_cold_master(monkeypatch):
 
     def failing(self, lp):
         tried.append(lp.n_rows)
-        return Attempt("failed", "forced warm failure", run_s=0.0)
+        return Attempt("failed", "forced warm failure")
 
     monkeypatch.setattr(KeptModel, "attempt", failing)
     sols = _master_solves(monkeypatch)

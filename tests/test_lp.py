@@ -276,11 +276,9 @@ def test_direct_backend_matches_linprog_on_synth_lps(synth_small_lps, name):
 def test_solve_stats_describe_the_lp_and_its_run(synth_small_lps):
     lp = synth_small_lps["operations"]
     stats = solve_simplex(lp).stats
-    assert (stats.rows, stats.cols, stats.nnz) == (lp.n_rows, lp.n_vars, lp.a_matrix.nnz)
     assert stats.iterations > 0
-    assert stats.run_s > 0.0
     assert not stats.retried
-    assert solve_simplex(_infeasible_lp()).stats.rows == 1
+    assert not solve_simplex(_infeasible_lp()).stats.retried
 
 
 def test_a_failed_first_attempt_is_retried_with_interior_point(monkeypatch):
@@ -631,7 +629,7 @@ def test_a_kept_model_solves_each_grown_lp_warm_as_a_cold_solve_does():
 
 
 def _kept_fails_by_status(monkeypatch):
-    monkeypatch.setattr(KeptModel, "attempt", lambda self, lp: Attempt("failed", "forced", run_s=0.0))
+    monkeypatch.setattr(KeptModel, "attempt", lambda self, lp: Attempt("failed", "forced"))
 
 
 @pytest.mark.parametrize("fail", [_kept_fails_by_status, _warm_fails_kkt], ids=["status", "kkt"])

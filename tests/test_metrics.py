@@ -63,7 +63,8 @@ def three_site_case():
 
 
 def alloc(**mw):
-    return SiteAllocation(site_investment=mw)
+    """An allocation of mw[site] onto each site, all from one coarse cluster."""
+    return SiteAllocation(provenance={"c": tuple(("site", sid, v) for sid, v in mw.items())})
 
 
 # -- site-choice overlap ------------------------------------------------------------
@@ -263,7 +264,7 @@ def _self_report(tmp_path=None):
     region = Region(id="R1", urban_population=0, reserve_margin=0.0, demand=series([10.0, 4.0]))
     case = make_case([region], [vre, g1], sites=[site], units=units, lines=[spur_line(site)])
     sol = _solve(case, reserve=False)
-    allocation = SiteAllocation(site_investment={"s1": sol.investment["xv[v1]"]})
+    allocation = SiteAllocation(provenance={"v1": (("site", "s1", sol.investment["xv[v1]"]),)})
     build = DispatchedBuild(allocation, Portfolio(case=case), sol)
     baseline = DispatchedBuild(allocation, Portfolio(case=case), sol)
     rep = build_report("identity", expansion=sol, coarse=case, fine=case, build=build, baseline=baseline)

@@ -724,6 +724,11 @@ def test_cli_reports_unreadable_input_files_in_one_line(ladder_run, tmp_path, ca
     assert capsys.readouterr().err == (
         f"input error: {allocation}: schema mismatch, missing columns ['provenance_cluster']\n"
     )
+    allocation.write_text("entity_kind,entity_id,mw,provenance_cluster\nline,L1,300.0,c1\n")
+    assert cli_main([*args, "operate", "--allocation", str(allocation)]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: {allocation} row 2: line L1 names provenance cluster 'c1'\n"
+    )
 
 
 def test_cli_ladder_on_a_case_without_scalars_exits_1(tmp_path, capsys):

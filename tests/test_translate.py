@@ -1,10 +1,12 @@
 """Coarse-to-fine translation rules, checked against hand splits."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gridres.expansion import INVESTMENT_PREFIXES, investment_entries
-from gridres.model import Region, StorageCluster, require_valid
+from gridres.model import CaseError, Region, StorageCluster, require_valid
 from gridres.pipeline import dispatch_portfolio, read_investments, replay_operations, write_investments
 from gridres.prng import Rng
 from gridres.spatial import RegionPartition, aggregate_spatial
@@ -262,7 +264,7 @@ def test_invested_spur_adds_capacity_along_its_path():
     )
     coarse = aggregate_spatial(fine, RegionPartition.from_mapping({"m1": "W", "m2": "W"}))
     assert coarse.line_by_id["spur_s1"].fine_endpoints == ("m2", "m1")
-    alloc = SiteAllocation(site_investment={"s1": 2.0})
+    alloc = SiteAllocation(provenance={"v1": (("site", "s1", 2.0),)})
     caps = redistrict_transmission({}, coarse, fine, alloc)
     # 3 MW comes back from the internalized link, 2 MW rides the spur path
     assert caps == {"link": 3.0 + 2.0}
@@ -299,16 +301,16 @@ def test_empty_allocation_reproduces_the_existing_system(synth_small):
 
 def test_portfolio_rejects_unknown_entities(synth_small):
     with pytest.raises(ValueError, match="belongs to no fine cluster"):
-        build_portfolio(synth_small, SiteAllocation(site_investment={"ghost": 1.0}))
+        build_portfolio(synth_small, SiteAllocation(provenance={"c": (("site", "ghost", 1.0),)}))
     with pytest.raises(ValueError, match="unknown fine thermal cluster"):
-        build_portfolio(synth_small, SiteAllocation(thermal_new={"ghost": 1.0}))
+        build_portfolio(synth_small, SiteAllocation(provenance={"c": (("cluster", "ghost", 1.0),)}))
     with pytest.raises(ValueError, match="unknown fine storage"):
-        build_portfolio(synth_small, SiteAllocation(storage_power={"ghost": 1.0}))
+        build_portfolio(synth_small, SiteAllocation(provenance={"c": (("storage_power", "ghost", 1.0),)}))
 
 
 def test_portfolio_rejects_negative_resulting_capacity(synth_small):
     unit = synth_small.units[0]
-    alloc = SiteAllocation(unit_retirement={unit.id: unit.capacity + 1e6})
+    alloc = SiteAllocation(provenance={"c": (("unit", unit.id, unit.capacity + 1e6),)})
     with pytest.raises(ValueError, match="negative resulting capacity"):
         build_portfolio(synth_small, alloc)
 
@@ -387,14 +389,14 @@ def _translate_into_a_bare_region():
 def test_investment_into_a_bare_region_creates_a_template():
     _fine, _coarse, alloc, portfolio = _translate_into_a_bare_region()
     # all demand sits in B, so the full 10 MW lands there on a fresh cluster
-    assert alloc.thermal_new == {"B_gas_tpl": 10.0}
+    assert alloc.total("cluster") == {"B_gas_tpl": 10.0}
     assert "B_gas_tpl" in {c.id for c in portfolio.case.clusters}
     tpl = portfolio.case.cluster_by_id["B_gas_tpl"]
     assert tpl.existing_capacity == 0.0
     assert tpl.region == "B"
     assert portfolio.investment["xg[B_gas_tpl]"] == 10.0
     # storage follows demand too, onto a fresh B_storage_tpl
-    assert alloc.storage_power == {"B_storage_tpl": 2.0}
+    assert alloc.total("storage_power") == {"B_storage_tpl": 2.0}
     assert portfolio.case.storage_by_id["B_storage_tpl"].existing_power == 0.0
 
 
@@ -434,14 +436,28 @@ def test_allocation_file_round_trip(tmp_path, synth_small):
     path = str(tmp_path / "allocation.csv")
     write_allocation(alloc, path)
     back = read_allocation(path)
-    assert back.site_investment == alloc.site_investment
-    assert back.unit_retirement == alloc.unit_retirement
-    assert back.thermal_new == alloc.thermal_new
-    assert back.storage_power == alloc.storage_power
-    assert back.storage_energy == alloc.storage_energy
+    for kind in ("site", "unit", "cluster", "storage_power", "storage_energy"):
+        assert back.total(kind) == alloc.total(kind), kind
     assert back.line_capacity == alloc.line_capacity
     # clusters that invested nothing carry no provenance rows on disk
     assert back.provenance == {k: v for k, v in alloc.provenance.items() if v}
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        pytest.param("site,s2,50.0,", "row 4: site s2 names no provenance cluster", id="site-without-source"),
+        pytest.param("line,L2,300.0,v1", "row 4: line L2 names provenance cluster 'v1'", id="line-with-source"),
+        pytest.param("line,L1,300.0,", "row 4: repeated line L1", id="line-repeated"),
+    ],
+)
+def test_reading_an_allocation_refuses_rows_it_never_writes(tmp_path, row, error):
+    # rows write_allocation never writes: a site the next write would drop,
+    # a line it would write twice, a line whose capacity would add up
+    path = tmp_path / "allocation.csv"
+    path.write_text(f"entity_kind,entity_id,mw,provenance_cluster\nsite,s1,1.0,v1\nline,L1,300.0,\n{row}\n")
+    with pytest.raises(CaseError, match=re.escape(f"{path} {error}")):
+        read_allocation(str(path))
 
 
 def test_investments_file_round_trips_the_solution_investment(tmp_path, synth_small):
