@@ -2,12 +2,21 @@
 
 Every subcommand takes --config pointing at the YAML run configuration;
 flags given on the command line (--seed, --jobs, --sub-jobs, --out)
-override the corresponding config values. Exit codes: 0 on success, 1 on
-a configuration problem or an input file that cannot be read (a case
-directory, investments.csv, allocation.csv) or whose investments do not
-match its case, 2 when a ladder finished but some combos failed.
-Progress (each combo's start and end, the Benders bounds every 10
-iterations) is logged to stderr through the ``gridres`` logger at INFO.
+override the corresponding config values.
+
+The stage commands run the ladder's own per-combo stages one at a time,
+with --out as the combo directory: aggregate writes coarse/, cluster reads
+it and writes reduction.csv and reduced/, expand solves reduced/ (or
+coarse/) into investments.csv, translate maps that onto the fine system
+into allocation.csv and portfolio.csv, and operate dispatches
+allocation.csv into operations.csv. Each writes what the ladder writes.
+
+Exit codes: 0 on success, 1 on a configuration problem or an input file
+that cannot be read (a case directory, investments.csv, allocation.csv) or
+whose investments do not match its case, 2 when Benders did not converge
+in expand or a ladder finished but some combos failed. Progress (each
+combo's start and end, the Benders bounds every 10 iterations) is logged
+to stderr through the ``gridres`` logger at INFO.
 """
 
 from __future__ import annotations
@@ -18,31 +27,37 @@ import os
 import sys
 from dataclasses import replace
 
-from .benders import solve_benders
 from .caseio import load_system, write_case
 from .metrics import format_summary, write_report
 from .model import CaseError
 from .pipeline import (
     ConfigError,
     RunConfig,
+    combo_case_dir,
     read_investments,
-    replay_operations,
     rescore_from_artifacts,
-    resolve_partition,
+    run_aggregate,
+    run_cluster,
+    run_expand,
     run_ladder,
+    run_operate,
+    run_translate,
     summarize,
-    write_investments,
-    write_operations,
 )
-from .spatial import aggregate_spatial
-from .temporal import apply_temporal, cluster_timesteps, write_reduction
-from .translate import translate_solution, write_allocation, write_portfolio
+from .translate import build_portfolio, read_allocation
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; config problems must exit 1 instead
     def error(self, message):
         raise ConfigError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -56,23 +71,17 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("gen", help="generate the synthetic system and write it out")
 
-    ap = sub.add_parser("aggregate", help="spatially aggregate the input system")
-    ap.add_argument("--partition", required=True, help="partition name from the config")
+    ap = sub.add_parser("aggregate", help="aggregate the input system into coarse/")
+    ap.add_argument("--partition", help="partition name from the config (default: identity)")
 
-    cp = sub.add_parser("cluster", help="reduce the input system to k representative periods")
-    cp.add_argument("--k", type=int, required=True)
+    cp = sub.add_parser("cluster", help="reduce coarse/ to k representative periods")
+    cp.add_argument("--k", type=_positive_int, required=True)
 
-    ep = sub.add_parser("expand", help="solve the capacity-expansion problem")
-    ep.add_argument("--partition", help="aggregate first using this partition name")
-    ep.add_argument("--k", type=int, help="reduce to k periods first")
+    ep = sub.add_parser("expand", help="solve the capacity expansion of reduced/ or coarse/")
     ep.add_argument("--uc", choices=("none", "relaxed"), default="relaxed")
 
-    tp = sub.add_parser("translate", help="map saved coarse investments onto the fine system")
-    tp.add_argument("--coarse", required=True, help="coarse case directory")
-    tp.add_argument("--investments", required=True, help="investments.csv from expand")
-
-    op = sub.add_parser("operate", help="dispatch a translated build at fine resolution")
-    op.add_argument("--allocation", required=True, help="allocation.csv from translate")
+    sub.add_parser("translate", help="map investments.csv onto the fine system")
+    sub.add_parser("operate", help="dispatch allocation.csv at fine resolution")
 
     mp = sub.add_parser(
         "metrics", help="rescore a combo directory against a baseline directory into rescore-<combo>.csv"
@@ -115,65 +124,45 @@ def _cmd_gen(rc: RunConfig, args) -> int:
 
 def _cmd_aggregate(rc: RunConfig, args) -> int:
     fine = rc.load_fine()
-    part = resolve_partition(fine, _named_partition(rc, args.partition))
-    coarse = aggregate_spatial(fine, part)
-    path = write_case(coarse, f"{rc.out_dir}/{args.partition}")
-    print(f"wrote {len(coarse.regions)}-region aggregation to {path}")
+    rc.check_fine(fine)
+    spec = _named_partition(rc, args.partition) if args.partition else None
+    coarse = run_aggregate(fine, spec, rc.out_dir)
+    print(f"wrote {len(coarse.regions)}-region aggregation to {rc.out_dir}/coarse")
     return 0
 
 
 def _cmd_cluster(rc: RunConfig, args) -> int:
-    case = rc.load_fine()
-    red = cluster_timesteps(case, args.k, force_extremes=rc.force_extremes, seed=rc.seed)
-    reduced = apply_temporal(case, red)
-    write_reduction(red, f"{rc.out_dir}/reduction.csv")
-    path = write_case(reduced, f"{rc.out_dir}/reduced")
-    print(f"kept periods {red.representatives} with weights {red.weights}; wrote {path}")
+    coarse = load_system(f"{rc.out_dir}/coarse")
+    reduced = run_cluster(rc, coarse, args.k, rc.out_dir)
+    print(f"kept {reduced.n_periods} of {coarse.n_periods} periods with weights {reduced.period_weights}")
     return 0
 
 
 def _cmd_expand(rc: RunConfig, args) -> int:
-    case = rc.load_fine()
-    if args.partition:
-        case = aggregate_spatial(case, resolve_partition(case, _named_partition(rc, args.partition)))
-    if args.k is not None and args.k < case.n_periods:
-        case = apply_temporal(
-            case, cluster_timesteps(case, args.k, force_extremes=rc.force_extremes, seed=rc.seed)
-        )
-    res = solve_benders(
-        case,
-        uc=args.uc,
-        reserve=True,
-        gap_tol=rc.gap_tol,
-        max_iter=rc.max_iter,
-        stab_weight=rc.stab_weight,
-        sub_jobs=rc.sub_jobs,
-    )
-    if not res.converged:
-        print(f"did not converge: gap {res.gap:.3e} after {res.iterations} iterations",
+    bres = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), args.uc, rc.out_dir)
+    if not bres.converged:
+        print(f"did not converge: gap {bres.gap:.3e} after {bres.iterations} iterations",
               file=sys.stderr)
         return 2
-    write_investments(res.solution.investment, f"{rc.out_dir}/investments.csv")
-    print(f"objective {res.objective:.6e} in {res.iterations} iterations "
-          f"(gap {res.gap:.2e}); wrote {rc.out_dir}/investments.csv")
+    print(f"objective {bres.objective:.6e} in {bres.iterations} iterations "
+          f"(gap {bres.gap:.2e}); wrote {rc.out_dir}/investments.csv")
     return 0
 
 
 def _cmd_translate(rc: RunConfig, args) -> int:
-    fine = rc.load_fine()
-    coarse = load_system(args.coarse)
-    investment = read_investments(args.investments, coarse, args.coarse)
-    allocation, portfolio = translate_solution(investment, coarse, fine, beta=rc.beta)
-    write_allocation(allocation, f"{rc.out_dir}/allocation.csv")
-    write_portfolio(portfolio, f"{rc.out_dir}/portfolio.csv")
+    coarse_dir = f"{rc.out_dir}/coarse"
+    coarse = load_system(coarse_dir)
+    investment = read_investments(f"{rc.out_dir}/investments.csv", coarse, coarse_dir)
+    run_translate(rc, investment, coarse, rc.load_fine(), rc.out_dir)
     print(f"wrote {rc.out_dir}/allocation.csv and portfolio.csv")
     return 0
 
 
 def _cmd_operate(rc: RunConfig, args) -> int:
-    fine = rc.load_fine()
-    operations = replay_operations(fine, args.allocation).operations
-    write_operations(operations, f"{rc.out_dir}/operations.csv")
+    allocation = read_allocation(f"{rc.out_dir}/allocation.csv")
+    coarse = load_system(f"{rc.out_dir}/coarse")
+    portfolio = build_portfolio(rc.load_fine(), allocation, coarse)
+    operations = run_operate(allocation, portfolio, rc.out_dir).operations
     print(f"dispatch cost {operations.objective:.6e}; wrote {rc.out_dir}/operations.csv")
     return 0
 

@@ -7,9 +7,12 @@ combo is scored against it. Each combo follows the same six stages:
 
     aggregate -> cluster -> expand -> translate -> operate -> metrics
 
-with every intermediate written under out/<combo>/. A stage failure
-aborts only its own combo; the error is tagged with the stage name and
-the ladder carries on.
+with every intermediate written under out/<combo>/. The first five are
+run_aggregate, run_cluster, run_expand, run_translate and run_operate: each
+writes its files into the combo directory and returns what the next one
+reads, and the CLI stage commands call the same functions one at a time on
+the files of the stage before. A stage failure aborts only its own combo;
+the error is tagged with the stage name and the ladder carries on.
 
 ladder.csv holds only deterministic columns so reruns with the same seed
 are byte-identical; wall-clock numbers go to side files instead:
@@ -30,6 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import shutil
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -368,6 +372,84 @@ def write_operations(operations: ExpansionSolution, path: str) -> None:
     )
 
 
+# -- the per-combo stages, each writing into the combo directory art -------------
+
+
+def run_aggregate(fine: SystemCase, spec: PartitionSpec | None, art: str) -> SystemCase:
+    """Aggregate fine onto spec's partition (None: the identity) into coarse/."""
+    coarse = aggregate_spatial(fine, resolve_partition(fine, spec))
+    write_case(coarse, os.path.join(art, "coarse"))
+    return coarse
+
+
+def run_cluster(rc: RunConfig, coarse: SystemCase, k: int | None, art: str) -> SystemCase:
+    """Reduce coarse to k representative periods into reduction.csv and
+    reduced/. A k of None or of at least the period count keeps every period
+    and deletes a reduction left by an earlier run, which expand would solve."""
+    red_path, reduced_dir = os.path.join(art, "reduction.csv"), os.path.join(art, "reduced")
+    if k is None or k >= coarse.n_periods:
+        if os.path.exists(red_path):
+            os.remove(red_path)
+        if os.path.isdir(reduced_dir):
+            shutil.rmtree(reduced_dir)
+        return coarse
+    red = cluster_timesteps(coarse, k, force_extremes=rc.force_extremes, seed=rc.seed)
+    reduced = apply_temporal(coarse, red)
+    write_reduction(red, red_path)
+    write_case(reduced, reduced_dir)
+    return reduced
+
+
+def combo_case_dir(art: str) -> str:
+    """The case a combo's expansion solves: reduced/ if it has one, else coarse/."""
+    reduced_dir = os.path.join(art, "reduced")
+    return reduced_dir if os.path.isdir(reduced_dir) else os.path.join(art, "coarse")
+
+
+def run_expand(rc: RunConfig, case: SystemCase, uc: str, art: str):
+    """Solve the capacity expansion of case with reserves by Benders. Writes
+    benders_timing.csv, and on convergence benders_log.csv and
+    investments.csv; returns the BendersResult."""
+    bres = solve_benders(
+        case,
+        uc=uc,
+        reserve=True,
+        gap_tol=rc.gap_tol,
+        max_iter=rc.max_iter,
+        stab_weight=rc.stab_weight,
+        sub_jobs=rc.sub_jobs,
+    )
+    write_csv(
+        os.path.join(art, "benders_timing.csv"),
+        ("iteration", "master_s", "sub_s", "sub_iterations", "warm_fallbacks"),
+        bres.timing,
+    )
+    if bres.converged:
+        write_csv(
+            os.path.join(art, "benders_log.csv"),
+            ("iteration", "lower_bound", "upper_bound", "gap"),
+            ((it, float(lb), float(ub), float(g)) for it, lb, ub, g in bres.log),
+        )
+        write_investments(bres.solution.investment, os.path.join(art, "investments.csv"))
+    return bres
+
+
+def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: SystemCase, art: str) -> tuple:
+    """Translate the coarse build onto fine into allocation.csv and
+    portfolio.csv; returns (allocation, portfolio)."""
+    allocation, portfolio = translate_solution(investment, coarse, fine, beta=rc.beta)
+    write_allocation(allocation, os.path.join(art, "allocation.csv"))
+    write_portfolio(portfolio, os.path.join(art, "portfolio.csv"))
+    return allocation, portfolio
+
+
+def run_operate(allocation, portfolio, art: str) -> DispatchedBuild:
+    """Dispatch the translated build at full resolution into operations.csv."""
+    build = DispatchedBuild(allocation, portfolio, dispatch_portfolio(portfolio))
+    write_operations(build.operations, os.path.join(art, "operations.csv"))
+    return build
+
+
 def run_case(
     rc: RunConfig,
     combo: Combo,
@@ -408,65 +490,21 @@ def run_case(
         if fine is None:
             fine = rc.load_fine()
 
-        # 1: spatial aggregation
         with stage("aggregate"):
-            partition = resolve_partition(fine, combo.partition)
-            coarse = aggregate_spatial(fine, partition)
-            write_case(coarse, os.path.join(art, "coarse"))
+            coarse = run_aggregate(fine, combo.partition, art)
         out.n_regions = len(coarse.regions)
-
-        # 2: temporal reduction
         with stage("cluster"):
-            reduced = coarse
-            if combo.k is not None and combo.k < coarse.n_periods:
-                red = cluster_timesteps(
-                    coarse, combo.k, force_extremes=rc.force_extremes, seed=rc.seed
-                )
-                reduced = apply_temporal(coarse, red)
-                write_reduction(red, os.path.join(art, "reduction.csv"))
-                write_case(reduced, os.path.join(art, "reduced"))
-
-        # 3: capacity expansion with reserves
+            reduced = run_cluster(rc, coarse, combo.k, art)
         with stage("expand"):
-            bres = solve_benders(
-                reduced,
-                uc=combo.uc,
-                reserve=True,
-                gap_tol=rc.gap_tol,
-                max_iter=rc.max_iter,
-                stab_weight=rc.stab_weight,
-                sub_jobs=rc.sub_jobs,
-            )
-            write_csv(
-                os.path.join(art, "benders_timing.csv"),
-                ("iteration", "master_s", "sub_s", "sub_iterations", "warm_fallbacks"),
-                bres.timing,
-            )
+            bres = run_expand(rc, reduced, combo.uc, art)
             if not bres.converged:
                 raise RuntimeError(
                     f"no convergence in {bres.iterations} iterations, gap {bres.gap:.3e}"
                 )
-            write_csv(
-                os.path.join(art, "benders_log.csv"),
-                ("iteration", "lower_bound", "upper_bound", "gap"),
-                ((it, float(lb), float(ub), float(g)) for it, lb, ub, g in bres.log),
-            )
-            write_investments(bres.solution.investment, os.path.join(art, "investments.csv"))
-
-        # 4: translate the coarse build onto the fine system
         with stage("translate"):
-            allocation, portfolio = translate_solution(
-                bres.solution.investment, coarse, fine, beta=rc.beta
-            )
-            write_allocation(allocation, os.path.join(art, "allocation.csv"))
-            write_portfolio(portfolio, os.path.join(art, "portfolio.csv"))
-
-        # 5: fine-resolution dispatch of the translated build
+            allocation, portfolio = run_translate(rc, bres.solution.investment, coarse, fine, art)
         with stage("operate"):
-            build = DispatchedBuild(allocation, portfolio, dispatch_portfolio(portfolio))
-            write_operations(build.operations, os.path.join(art, "operations.csv"))
-
-        # 6: score against the baseline
+            build = run_operate(allocation, portfolio, art)
         with stage("metrics"):
             if combo.name == HRB_NAME:
                 baseline = out.baseline = build
@@ -652,8 +690,7 @@ def _replay_phase1(combo_dir: str, uc: str) -> tuple:
     subproblems of its case, each solved cold (benders.solve_at_build).
     Returns (case, solution); the case is the reduced one if the combo has
     one."""
-    reduced_dir = os.path.join(combo_dir, "reduced")
-    case_dir = reduced_dir if os.path.isdir(reduced_dir) else os.path.join(combo_dir, "coarse")
+    case_dir = combo_case_dir(combo_dir)
     case = load_system(case_dir)
     investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
     x = np.array(list(investment.values()))

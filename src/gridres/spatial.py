@@ -97,16 +97,19 @@ def fine_adjacency(fine: SystemCase) -> dict:
     return adj
 
 
-def _hops_from(origin: str, allowed: set, adj: dict) -> dict:
-    dist = {origin: 0}
+def bfs_parents(origin: str, allowed: set, adj: dict) -> dict:
+    """Breadth-first search from origin over adj restricted to allowed, in
+    sorted neighbour order: each reached region -> the region it was reached
+    from (origin -> None), in discovery order."""
+    parent = {origin: None}
     q = deque([origin])
     while q:
         u = q.popleft()
         for v in sorted(adj[u]):
-            if v in allowed and v not in dist:
-                dist[v] = dist[u] + 1
+            if v in allowed and v not in parent:
+                parent[v] = u
                 q.append(v)
-    return dist
+    return parent
 
 
 def urban_sinks(fine: SystemCase, members: list) -> list:
@@ -130,7 +133,9 @@ def _respur(fine: SystemCase, partition: RegionPartition) -> dict:
         for site in fine.sites:
             if site.fine_region not in allowed:
                 continue
-            dist = _hops_from(site.fine_region, allowed, adj)
+            dist: dict = {}  # hops from the site's region
+            for v, u in bfs_parents(site.fine_region, allowed, adj).items():
+                dist[v] = 0 if u is None else dist[u] + 1  # u was reached before v
             reachable = [(dist[s], s) for s in sinks if s in dist]
             if reachable:
                 _, sink = min(reachable)
@@ -245,17 +250,7 @@ def aggregate_spatial(fine: SystemCase, partition: RegionPartition) -> SystemCas
         if l.kind == "interregional":
             ca, cb = pmap[l.endpoints[0]], pmap[l.endpoints[1]]
             if ca == cb:
-                lines.append(
-                    TransmissionLine(
-                        id=l.id,
-                        kind="backbone",
-                        endpoints=(ca,),
-                        fine_endpoints=l.fine_endpoints,
-                        capacity=l.capacity,
-                        expansion_cost=l.expansion_cost,
-                        max_expansion=l.max_expansion,
-                    )
-                )
+                lines.append(replace(l, kind="backbone", endpoints=(ca,)))
             else:
                 key = (min(ca, cb), max(ca, cb))
                 cross.setdefault(key, []).append(l)
@@ -264,17 +259,7 @@ def aggregate_spatial(fine: SystemCase, partition: RegionPartition) -> SystemCas
             if coarse == l.endpoints[0]:
                 lines.append(l)
             else:
-                lines.append(
-                    TransmissionLine(
-                        id=l.id,
-                        kind="backbone",
-                        endpoints=(coarse,),
-                        fine_endpoints=l.fine_endpoints,
-                        capacity=l.capacity,
-                        expansion_cost=l.expansion_cost,
-                        max_expansion=l.max_expansion,
-                    )
-                )
+                lines.append(replace(l, endpoints=(coarse,)))
     for (ca, cb), parts in sorted(cross.items()):
         parts.sort(key=lambda l: l.id)
         if len(parts) == 1 and set(parts[0].endpoints) == {ca, cb}:
@@ -300,17 +285,7 @@ def aggregate_spatial(fine: SystemCase, partition: RegionPartition) -> SystemCas
         if old.endpoints == (coarse,) and old.fine_endpoints == (site.fine_region, sink):
             lines.append(old)
         else:
-            lines.append(
-                TransmissionLine(
-                    id=old.id,
-                    kind="spur",
-                    endpoints=(coarse,),
-                    fine_endpoints=(site.fine_region, sink),
-                    capacity=old.capacity,
-                    expansion_cost=old.expansion_cost,
-                    max_expansion=old.max_expansion,
-                )
-            )
+            lines.append(replace(old, endpoints=(coarse,), fine_endpoints=(site.fine_region, sink)))
 
     composed = {orig: pmap[mid] for orig, mid in fine.partition.items()}
     units_out = tuple(

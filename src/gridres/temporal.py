@@ -163,34 +163,23 @@ def cluster_timesteps(
     n_groups = k - len(extremes)
     assign, centroids = _lloyd(feats, n_groups, seed)
 
+    # each surviving period's group: its Lloyd assignment, or with extremes
+    # taken out, its nearest final centroid
+    survivors = [p for p in range(n) if p not in extremes]
+    labels = assign
+    if extremes:
+        d2 = ((feats[survivors][:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
     reps: list = []
     weights: list = []
-    flags: list = []
-    extreme_set = set(extremes)
-    if extreme_set:
-        # weights by reassignment of the surviving periods to nearest centroid
-        survivors = [p for p in range(n) if p not in extreme_set]
-        d2 = ((feats[survivors][:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        re_assign = np.argmin(d2, axis=1)
-        for j in range(n_groups):
-            members = [survivors[i] for i in range(len(survivors)) if re_assign[i] == j]
-            if not members:
-                continue
+    for j in range(n_groups):
+        members = [p for p, label in zip(survivors, labels) if label == j]
+        if members:
             reps.append(_medoid(feats, members, centroids[j]))
             weights.append(len(members))
-            flags.append(False)
-        for p in extremes:
-            reps.append(p)
-            weights.append(1)
-            flags.append(True)
-    else:
-        for j in range(n_groups):
-            members = [p for p in range(n) if assign[p] == j]
-            if not members:
-                continue
-            reps.append(_medoid(feats, members, centroids[j]))
-            weights.append(len(members))
-            flags.append(False)
+    flags = [False] * len(reps) + [True] * len(extremes)
+    reps += extremes
+    weights += [1] * len(extremes)
 
     order = np.argsort(reps)
     return TemporalReduction(

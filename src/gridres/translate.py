@@ -38,13 +38,12 @@ added up from the rows (SiteAllocation.total).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .caseio import _Table, write_csv
 from .expansion import investment_entries, investment_name
 from .model import CaseError, ResourceCluster, StorageCluster, SystemCase
-from .spatial import fine_adjacency
+from .spatial import bfs_parents, fine_adjacency
 
 
 # allocation.csv row kind -> (the fine investment kind it adds to, whether
@@ -99,24 +98,33 @@ def vre_fill_order(sites) -> list:
     )
 
 
-def allocate_vre(cluster_investment: float, sites) -> list:
-    total = sum(s.capacity_limit for s in sites)
-    if cluster_investment > total + 1e-9 * max(1.0, total):
-        raise ValueError(
-            f"investment {cluster_investment} exceeds site capacity {total}"
-        )
+def _fill(amount: float, items, capacity, ordered, too_much: str) -> list:
+    """Take min(capacity, remaining) from each item of ordered(items) until
+    amount is placed, as (item, MW) pairs; the float residual lands on the
+    last one. too_much formats (amount, total capacity) when amount exceeds
+    it."""
+    total = sum(capacity(i) for i in items)
+    if amount > total + 1e-9 * max(1.0, total):
+        raise ValueError(too_much.format(amount, total))
     out = []
-    remaining = cluster_investment
-    for s in vre_fill_order(sites):
+    remaining = amount
+    for item in ordered(items):
         if remaining <= 0.0:
             break
-        take = min(s.capacity_limit, remaining)
-        out.append((s, take))
+        take = min(capacity(item), remaining)
+        out.append((item, take))
         remaining -= take
-    if out and remaining > 0.0:  # float shortfall lands on the last site
-        s, take = out[-1]
-        out[-1] = (s, take + remaining)
+    if out and remaining > 0.0:
+        item, take = out[-1]
+        out[-1] = (item, take + remaining)
     return out
+
+
+def allocate_vre(cluster_investment: float, sites) -> list:
+    return _fill(
+        cluster_investment, sites, lambda s: s.capacity_limit, vre_fill_order,
+        "investment {} exceeds site capacity {}",
+    )
 
 
 def _proportional(amount: float, weights: dict) -> dict:
@@ -155,21 +163,11 @@ def allocate_storage(
 
 
 def retire_units(retired_mw: float, units) -> list:
-    total = sum(u.capacity for u in units)
-    if retired_mw > total + 1e-9 * max(1.0, total):
-        raise ValueError(f"retirement {retired_mw} exceeds unit capacity {total}")
-    out = []
-    remaining = retired_mw
-    for u in sorted(units, key=lambda u: (-u.heat_rate, u.id)):
-        if remaining <= 0.0:
-            break
-        take = min(u.capacity, remaining)
-        out.append((u, take))
-        remaining -= take
-    if out and remaining > 0.0:
-        u, take = out[-1]
-        out[-1] = (u, take + remaining)
-    return out
+    return _fill(
+        retired_mw, units, lambda u: u.capacity,
+        lambda us: sorted(us, key=lambda u: (-u.heat_rate, u.id)),
+        "retirement {} exceeds unit capacity {}",
+    )
 
 
 def _members(coarse: SystemCase) -> dict:
@@ -185,23 +183,13 @@ def _members(coarse: SystemCase) -> dict:
 
 def _shortest_path(origin: str, target: str, allowed: set, adj: dict) -> list | None:
     """BFS path as a region list; deterministic via sorted neighbor order."""
-    if origin == target:
-        return [origin]
-    prev = {origin: None}
-    q = deque([origin])
-    while q:
-        u = q.popleft()
-        for v in sorted(adj[u]):
-            if v not in allowed or v in prev:
-                continue
-            prev[v] = u
-            if v == target:
-                path = [v]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            q.append(v)
-    return None
+    parent = bfs_parents(origin, allowed, adj)
+    if target not in parent:
+        return None
+    path = [target]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def _fine_line_between(fine: SystemCase, a: str, b: str):

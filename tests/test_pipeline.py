@@ -710,22 +710,25 @@ def test_cli_config_problems_exit_1(ladder_run, tmp_path):
 
 
 def test_cli_reports_unreadable_input_files_in_one_line(ladder_run, tmp_path, capsys):
+    # translate and operate read investments.csv and allocation.csv from a
+    # combo directory, here a copy of the ladder's r1-kall-relaxed
     _, out, cfg = ladder_run
-    investments = tmp_path / "investments.csv"
+    combo_dir = tmp_path / "r1-kall-relaxed"
+    shutil.copytree(os.path.join(out, "r1-kall-relaxed"), combo_dir)
+    investments = combo_dir / "investments.csv"
     investments.write_text("variable,mw\nnew_x,1.0\n")
-    allocation = tmp_path / "allocation.csv"
+    allocation = combo_dir / "allocation.csv"
     allocation.write_text("entity_kind,entity_id,mw\nsite,s1,1.0\n")
-    coarse = os.path.join(out, "r1-kall-relaxed", "coarse")
     capsys.readouterr()
-    args = ["--config", cfg, "--out", str(tmp_path / "cli")]
-    assert cli_main([*args, "translate", "--coarse", coarse, "--investments", str(investments)]) == 1
+    args = ["--config", cfg, "--out", str(combo_dir)]
+    assert cli_main([*args, "translate"]) == 1
     assert capsys.readouterr().err == f"input error: {investments}: schema mismatch, missing columns ['value']\n"
-    assert cli_main([*args, "operate", "--allocation", str(allocation)]) == 1
+    assert cli_main([*args, "operate"]) == 1
     assert capsys.readouterr().err == (
         f"input error: {allocation}: schema mismatch, missing columns ['provenance_cluster']\n"
     )
     allocation.write_text("entity_kind,entity_id,mw,provenance_cluster\nline,L1,300.0,c1\n")
-    assert cli_main([*args, "operate", "--allocation", str(allocation)]) == 1
+    assert cli_main([*args, "operate"]) == 1
     assert capsys.readouterr().err == (
         f"input error: {allocation} row 2: line L1 names provenance cluster 'c1'\n"
     )
@@ -742,34 +745,68 @@ def test_cli_ladder_on_a_case_without_scalars_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"input error: {case_dir / 'scalars.csv'}: missing file\n"
 
 
-def test_cli_stage_chain(tmp_path):
-    cfg = tmp_path / "run.yaml"
-    out = tmp_path / "out"
-    cfg.write_text(CONFIG_TEMPLATE.format(out_dir=out))
+CHAIN_FILES = ("investments.csv", "benders_log.csv", "allocation.csv", "portfolio.csv", "operations.csv")
 
-    assert cli_main(["--config", str(cfg), "gen"]) == 0
-    assert cli_main(["--config", str(cfg), "aggregate", "--partition", "r1"]) == 0
-    assert os.path.isdir(out / "r1")
-    assert cli_main(["--config", str(cfg), "cluster", "--k", "1"]) == 0
-    assert os.path.exists(out / "reduction.csv")
-    assert os.path.isdir(out / "reduced")
-    assert cli_main(["--config", str(cfg), "expand", "--partition", "r1", "--k", "1"]) == 0
-    assert os.path.exists(out / "investments.csv")
-    assert (
-        cli_main([
-            "--config", str(cfg), "translate",
-            "--coarse", str(out / "r1"),
-            "--investments", str(out / "investments.csv"),
-        ])
-        == 0
+
+def _tree_bytes(root):
+    """relative path -> bytes of every file under root."""
+    root = Path(root)
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _cli_chain(cfg, out, *stages):
+    for stage in stages:
+        assert cli_main(["--config", cfg, "--out", str(out), *stage]) == 0, stage
+
+
+def test_cli_stage_chain(ladder_run, tmp_path):
+    # a temporal-only chain: aggregate without --partition is the identity,
+    # and a k of at least the period count keeps every period and deletes the
+    # reduction an earlier cluster wrote, so expand solves coarse/ as the HRB does
+    _, out, cfg = ladder_run
+    chain = tmp_path / "chain"
+    _cli_chain(cfg, chain, ["aggregate"], ["cluster", "--k", "1"])
+    assert os.path.exists(chain / "reduction.csv") and os.path.isdir(chain / "reduced")
+    _cli_chain(cfg, chain, ["cluster", "--k", "99"])
+    assert not os.path.exists(chain / "reduction.csv") and not os.path.exists(chain / "reduced")
+    _cli_chain(cfg, chain, ["expand"], ["translate"], ["operate"])
+    hrb = Path(out, HRB_NAME)
+    assert _tree_bytes(chain / "coarse") == _tree_bytes(hrb / "coarse")
+    assert {name: (chain / name).read_bytes() for name in CHAIN_FILES} == {
+        name: (hrb / name).read_bytes() for name in CHAIN_FILES
+    }
+
+
+def test_cli_chain_writes_the_ladder_combo_files(ladder_run, tmp_path):
+    _, out, cfg = ladder_run
+    chain = tmp_path / "chain"
+    _cli_chain(
+        cfg, chain,
+        ["aggregate", "--partition", "r1"], ["cluster", "--k", "1"], ["expand"], ["translate"], ["operate"],
     )
-    assert os.path.exists(out / "allocation.csv")
-    assert os.path.exists(out / "portfolio.csv")
-    assert (
-        cli_main(["--config", str(cfg), "operate", "--allocation", str(out / "allocation.csv")])
-        == 0
+    combo = Path(out, "r1-k1-relaxed")
+    for case_dir in ("coarse", "reduced"):
+        assert _tree_bytes(chain / case_dir) == _tree_bytes(combo / case_dir)
+    for name in ("reduction.csv", *CHAIN_FILES):
+        assert (chain / name).read_bytes() == (combo / name).read_bytes(), name
+
+
+def test_cli_rejects_a_k_below_1(ladder_run, tmp_path, capsys):
+    _, _, cfg = ladder_run
+    capsys.readouterr()
+    assert cli_main(["--config", cfg, "--out", str(tmp_path), "cluster", "--k", "0"]) == 1
+    assert capsys.readouterr().err == "config error: argument --k: must be >= 1, got 0\n"
+
+
+def test_cli_aggregate_rejects_more_regions_than_the_fine_system(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(CONFIG_TEMPLATE.format(out_dir=tmp_path / "out") + "  - name: big\n    regions: 3\n")
+    capsys.readouterr()
+    assert cli_main(["--config", str(cfg), "aggregate", "--partition", "big"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: partition big: regions 3 exceeds the 2 regions of the fine system\n"
     )
-    assert os.path.exists(out / "operations.csv")
+    assert not os.path.exists(tmp_path / "out" / "coarse")
 
 
 def test_cli_metrics_rescores_a_combo(ladder_run, tmp_path):
@@ -839,15 +876,19 @@ def test_cli_metrics_rejects_investments_that_do_not_match_the_case(
     path.write_text("\n".join([header, *rows[dropped:], *(f"{name},1.0" for name in added)]) + "\n")
     missing = [row.split(",")[0] for row in rows[:dropped]]
     if command == "metrics":
+        dest = tmp_path / "cli"
         args = ["metrics", "--combo-dir", str(combo_dir), "--baseline-dir", os.path.join(out, "hrb")]
         case_dir = combo_dir / "reduced"
     else:
+        # translate reads the combo directory's coarse/ and investments.csv
+        dest = combo_dir
+        (combo_dir / "allocation.csv").unlink()
+        args = ["translate"]
         case_dir = combo_dir / "coarse"
-        args = ["translate", "--coarse", str(case_dir), "--investments", str(path)]
     capsys.readouterr()
-    code = cli_main(["--config", cfg, "--out", str(tmp_path / "cli"), *args])
+    code = cli_main(["--config", cfg, "--out", str(dest), *args])
     assert code == 1
     assert capsys.readouterr().err == (
         f"input error: {path} does not match {case_dir}: missing {missing}, unknown {added}\n"
     )
-    assert not os.path.exists(tmp_path / "cli" / "allocation.csv")
+    assert not os.path.exists(dest / "allocation.csv")

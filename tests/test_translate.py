@@ -5,9 +5,17 @@ import re
 import numpy as np
 import pytest
 
+from gridres.caseio import write_case
+from gridres.cli import main as cli_main
 from gridres.expansion import INVESTMENT_PREFIXES, investment_entries
 from gridres.model import CaseError, Region, StorageCluster, require_valid
-from gridres.pipeline import dispatch_portfolio, read_investments, replay_operations, write_investments
+from gridres.pipeline import (
+    dispatch_portfolio,
+    read_investments,
+    replay_operations,
+    write_investments,
+    write_operations,
+)
 from gridres.prng import Rng
 from gridres.spatial import RegionPartition, aggregate_spatial
 from gridres.translate import (
@@ -426,6 +434,21 @@ def test_replay_rebuilds_templates_from_the_coarse_case(tmp_path):
     # without the coarse case the template cannot be rebuilt
     with pytest.raises(ValueError, match="unknown fine thermal cluster B_gas_tpl"):
         replay_operations(fine, path)
+
+
+def test_cli_operate_dispatches_a_template_cluster(tmp_path):
+    # operate reads the combo directory's coarse/ with its allocation.csv,
+    # so it rebuilds the template as the ladder's operate stage holds it
+    fine, coarse, alloc, portfolio = _translate_into_a_bare_region()
+    combo = tmp_path / "combo"
+    write_case(fine, str(tmp_path / "fine"))
+    write_case(coarse, str(combo / "coarse"))
+    write_allocation(alloc, str(combo / "allocation.csv"))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"out_dir: {combo}\ninput_dir: {tmp_path / 'fine'}\n")
+    assert cli_main(["--config", str(cfg), "operate"]) == 0
+    write_operations(dispatch_portfolio(portfolio), str(tmp_path / "want.csv"))
+    assert (combo / "operations.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_allocation_file_round_trip(tmp_path, synth_small):
