@@ -2,9 +2,9 @@
 
 Master: investment variables, reserve rows, and one nonnegative cost
 variable per representative period. Subproblem p: the operations LP of
-period p with every investment pinned to the master iterate via equal
-bounds. Non-served energy keeps every subproblem feasible, so only
-optimality cuts arise. The cut for period p at iterate x is
+period p under the case's uc_mode, with every investment pinned to the
+master iterate via equal bounds. Non-served energy keeps every subproblem
+feasible, so only optimality cuts arise. The cut for period p at iterate x is
 
     theta_p >= v_p(x) + sum_j z_j (x_j^new - x_j)
 
@@ -170,12 +170,13 @@ def _assemble(case: SystemCase, subs, best) -> ExpansionSolution:
     )
 
 
-def build_subproblems(case: SystemCase, uc: str) -> list:
-    """One operations LP per period, as (lp, VarIndex), with every investment
-    pinned (at 0 until re-pinned) and no investment cost in the objective."""
+def build_subproblems(case: SystemCase) -> list:
+    """One operations LP per period under the case's uc_mode, as (lp,
+    VarIndex), with every investment pinned (at 0 until re-pinned) and no
+    investment cost in the objective."""
     pinned = {name: 0.0 for name, *_ in investment_entries(case)}
     return [
-        build_lp(case, BuildOptions(uc=uc, reserve=False, periods=(p,), fix=pinned))
+        build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(p,), fix=pinned))
         for p in range(case.n_periods)
     ]
 
@@ -197,7 +198,6 @@ def solve_at_build(case: SystemCase, subs, x: np.ndarray, solve_all=map) -> Expa
 
 def solve_benders(
     case: SystemCase,
-    uc: str | None = None,
     reserve: bool = True,
     gap_tol: float = 1e-4,
     max_iter: int = 200,
@@ -210,9 +210,8 @@ def solve_benders(
         raise ValueError("sub_jobs must be >= 1")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    uc = uc or case.uc_mode
     order = [name for name, *_ in investment_entries(case)]
-    subs = build_subproblems(case, uc)
+    subs = build_subproblems(case)
     inv = subs[0][1].inv
 
     master = _Master(case, reserve)

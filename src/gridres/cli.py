@@ -5,11 +5,14 @@ flags given on the command line (--seed, --jobs, --sub-jobs, --out)
 override the corresponding config values.
 
 The stage commands run the ladder's own per-combo stages one at a time,
-with --out as the combo directory: aggregate writes coarse/, cluster reads
-it and writes reduction.csv and reduced/, expand solves reduced/ (or
-coarse/) into investments.csv, translate maps that onto the fine system
-into allocation.csv and portfolio.csv, and operate dispatches
-allocation.csv into operations.csv. Each writes what the ladder writes.
+with --out as the combo directory: aggregate writes coarse/ with the
+commitment mode --uc, cluster reads it and writes reduction.csv and
+reduced/, expand solves reduced/ (or coarse/) under that mode into
+investments.csv, translate maps that onto the fine system into
+allocation.csv and portfolio.csv, and operate dispatches allocation.csv
+into operations.csv. Each writes what the ladder writes, and first deletes
+what it and the later stages wrote before. metrics re-scores any combo
+directory.
 
 Exit codes: 0 on success, 1 on a configuration problem or an input file
 that cannot be read (a case directory, investments.csv, allocation.csv) or
@@ -29,7 +32,7 @@ from dataclasses import replace
 
 from .caseio import load_system, write_case
 from .metrics import format_summary, write_report
-from .model import CaseError
+from .model import UC_MODES, CaseError
 from .pipeline import (
     ConfigError,
     RunConfig,
@@ -73,12 +76,12 @@ def _build_parser() -> _Parser:
 
     ap = sub.add_parser("aggregate", help="aggregate the input system into coarse/")
     ap.add_argument("--partition", help="partition name from the config (default: identity)")
+    ap.add_argument("--uc", choices=UC_MODES, default="relaxed", help="commitment mode to expand under")
 
     cp = sub.add_parser("cluster", help="reduce coarse/ to k representative periods")
     cp.add_argument("--k", type=_positive_int, required=True)
 
-    ep = sub.add_parser("expand", help="solve the capacity expansion of reduced/ or coarse/")
-    ep.add_argument("--uc", choices=("none", "relaxed"), default="relaxed")
+    sub.add_parser("expand", help="solve the capacity expansion of reduced/ or coarse/")
 
     sub.add_parser("translate", help="map investments.csv onto the fine system")
     sub.add_parser("operate", help="dispatch allocation.csv at fine resolution")
@@ -126,7 +129,7 @@ def _cmd_aggregate(rc: RunConfig, args) -> int:
     fine = rc.load_fine()
     rc.check_fine(fine)
     spec = _named_partition(rc, args.partition) if args.partition else None
-    coarse = run_aggregate(fine, spec, rc.out_dir)
+    coarse = run_aggregate(fine, spec, args.uc, rc.out_dir)
     print(f"wrote {len(coarse.regions)}-region aggregation to {rc.out_dir}/coarse")
     return 0
 
@@ -139,7 +142,7 @@ def _cmd_cluster(rc: RunConfig, args) -> int:
 
 
 def _cmd_expand(rc: RunConfig, args) -> int:
-    bres = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), args.uc, rc.out_dir)
+    bres = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), rc.out_dir)
     if not bres.converged:
         print(f"did not converge: gap {bres.gap:.3e} after {bres.iterations} iterations",
               file=sys.stderr)

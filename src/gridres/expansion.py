@@ -24,9 +24,11 @@ balance row carries non-served energy (bounded by demand) and a free
 surplus/dump column, so operations are feasible for any capacity vector and
 balance duals stay inside [0, nse_cost].
 
-Unit commitment modes: "relaxed" uses a continuous committed-capacity
-variable with startup costs on increases and gen in [min_output*c, c];
-"none" drops commitment and forces gen >= min_output * live capacity.
+Unit commitment modes (BuildOptions.uc): "relaxed" uses a continuous
+committed-capacity variable with startup costs on increases and gen in
+[min_output*c, c]; "none" drops commitment and forces gen >= min_output *
+live capacity. The expansion and its subproblems take the mode from the
+case (SystemCase.uc_mode); the operations LP is always relaxed.
 
 Layout (pinned by tests/test_layout.py). Columns: the investment columns
 first, in investment_entries order; then chronology block by block, and
@@ -382,19 +384,21 @@ def add_reserve_rows(case: SystemCase, b: LpBuilder, inv: dict) -> None:
         b.row(f"reserve[{r.id}]", GE, rhs, terms)
 
 
-def build_expansion_lp(case: SystemCase, uc: str | None = None, reserve: bool = True):
-    """Monolithic phase-1 LP: weighted operations plus free investments."""
-    opts = BuildOptions(uc=uc or case.uc_mode, reserve=reserve)
+def build_expansion_lp(case: SystemCase, reserve: bool = True):
+    """Monolithic phase-1 LP under the case's uc_mode: weighted operations
+    plus free investments."""
+    opts = BuildOptions(uc=case.uc_mode, reserve=reserve)
     return build_lp(case, opts)
 
 
-def build_operations_lp(case: SystemCase, portfolio, uc: str | None = None):
-    """Phase-2 production-cost LP: full cyclic chronology, capacities pinned
-    to the portfolio, no reserve rows, investment costs sunk (objective is
+def build_operations_lp(case: SystemCase, portfolio):
+    """Phase-2 production-cost LP: full cyclic chronology with relaxed
+    commitment whatever the case's uc_mode, capacities pinned to the
+    portfolio, no reserve rows, investment costs sunk (objective is
     weighted operational cost only). case is the portfolio's case, whose
     investments portfolio.investment names."""
     opts = BuildOptions(
-        uc=uc or case.uc_mode,
+        uc="relaxed",
         reserve=False,
         year_chronology=True,
         fix=portfolio.investment,

@@ -192,6 +192,9 @@ class SystemCase:
     carbon_fee: float  # $/tCO2
     period_weights: tuple[float, ...] = ()
     partition: dict = field(default_factory=dict)  # fine region -> region
+    # the unit-commitment mode (UC_MODES) the case is expanded under, set
+    # when a combo's case is aggregated; dispatch at full resolution is
+    # always relaxed
     uc_mode: str = "relaxed"
     extremes_included: bool = False
 

@@ -11,8 +11,14 @@ with every intermediate written under out/<combo>/. The first five are
 run_aggregate, run_cluster, run_expand, run_translate and run_operate: each
 writes its files into the combo directory and returns what the next one
 reads, and the CLI stage commands call the same functions one at a time on
-the files of the stage before. A stage failure aborts only its own combo;
-the error is tagged with the stage name and the ladder carries on.
+the files of the stage before (STAGE_FILES). A stage failure aborts only
+its own combo; the error is tagged with the stage name and the ladder
+carries on.
+
+A combo's commitment mode is stored once, as the uc_mode of its case:
+run_aggregate sets it in coarse/, clustering copies it into reduced/, and
+expansion and its phase-1 replay read it from there. Dispatch at full
+resolution is always relaxed.
 
 ladder.csv holds only deterministic columns so reruns with the same seed
 are byte-identical; wall-clock numbers go to side files instead:
@@ -24,8 +30,9 @@ combo leaves its full traceback in <combo>/error.txt.
 rescore_from_artifacts (``gridres metrics``) re-scores a combo from its
 files through the ladder's own code: phase 1 at the saved investments on
 the per-period Benders subproblems (benders.solve_at_build), then the
-dispatch of the combo's and the HRB's saved allocations. Its report equals
-the combo's report.csv byte for byte.
+dispatch of the combo's and the HRB's saved allocations. It names the
+report after the combo directory, and for a ladder combo the report equals
+its report.csv byte for byte.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from .metrics import (
     sco_column,
     write_report,
 )
-from .model import VRE_TECHS, WIND_TECHS, CaseError, SystemCase
+from .model import UC_MODES, VRE_TECHS, WIND_TECHS, CaseError, SystemCase
 from .spatial import RegionPartition, aggregate_spatial
 from .syngen import PATHWAY_CARBON_FEE, SynthConfig, generate
 from .temporal import apply_temporal, cluster_timesteps, write_reduction
@@ -182,7 +189,7 @@ class RunConfig:
                 if not ok(value):
                     raise ConfigError(f"synth.{key} must be {what}, got {value!r}")
         for uc in self.uc_modes:
-            if uc not in ("none", "relaxed"):
+            if uc not in UC_MODES:
                 raise ConfigError(f"unknown uc mode {uc!r}")
         for k in self.k_values:
             if k != "all" and (not _is_int(k) or k < 1):
@@ -374,29 +381,50 @@ def write_operations(operations: ExpansionSolution, path: str) -> None:
 
 # -- the per-combo stages, each writing into the combo directory art -------------
 
+# What each stage writes into a combo directory, in stage order. A stage
+# first removes its own and every later stage's files, so no stage reads a
+# file left by an earlier run.
+STAGE_FILES = (
+    ("aggregate", ("coarse",)),
+    ("cluster", ("reduction.csv", "reduced")),
+    ("expand", ("benders_timing.csv", "benders_log.csv", "investments.csv")),
+    ("translate", ("allocation.csv", "portfolio.csv")),
+    ("operate", ("operations.csv",)),
+)
 
-def run_aggregate(fine: SystemCase, spec: PartitionSpec | None, art: str) -> SystemCase:
-    """Aggregate fine onto spec's partition (None: the identity) into coarse/."""
-    coarse = aggregate_spatial(fine, resolve_partition(fine, spec))
+
+def _clear_from(stage: str, art: str) -> None:
+    """Remove the files of stage and of every later stage from art."""
+    first = [name for name, _files in STAGE_FILES].index(stage)
+    for _name, files in STAGE_FILES[first:]:
+        for f in files:
+            path = os.path.join(art, f)
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            elif os.path.exists(path):
+                os.remove(path)
+
+
+def run_aggregate(fine: SystemCase, spec: PartitionSpec | None, uc_mode: str, art: str) -> SystemCase:
+    """Aggregate fine onto spec's partition (None: the identity) into coarse/,
+    as a case to be expanded under the commitment mode uc_mode."""
+    _clear_from("aggregate", art)
+    coarse = aggregate_spatial(fine, resolve_partition(fine, spec)).with_updates(uc_mode=uc_mode)
     write_case(coarse, os.path.join(art, "coarse"))
     return coarse
 
 
 def run_cluster(rc: RunConfig, coarse: SystemCase, k: int | None, art: str) -> SystemCase:
     """Reduce coarse to k representative periods into reduction.csv and
-    reduced/. A k of None or of at least the period count keeps every period
-    and deletes a reduction left by an earlier run, which expand would solve."""
-    red_path, reduced_dir = os.path.join(art, "reduction.csv"), os.path.join(art, "reduced")
+    reduced/. A k of None or of at least the period count keeps every
+    period and writes nothing."""
+    _clear_from("cluster", art)
     if k is None or k >= coarse.n_periods:
-        if os.path.exists(red_path):
-            os.remove(red_path)
-        if os.path.isdir(reduced_dir):
-            shutil.rmtree(reduced_dir)
         return coarse
     red = cluster_timesteps(coarse, k, force_extremes=rc.force_extremes, seed=rc.seed)
     reduced = apply_temporal(coarse, red)
-    write_reduction(red, red_path)
-    write_case(reduced, reduced_dir)
+    write_reduction(red, os.path.join(art, "reduction.csv"))
+    write_case(reduced, os.path.join(art, "reduced"))
     return reduced
 
 
@@ -406,13 +434,13 @@ def combo_case_dir(art: str) -> str:
     return reduced_dir if os.path.isdir(reduced_dir) else os.path.join(art, "coarse")
 
 
-def run_expand(rc: RunConfig, case: SystemCase, uc: str, art: str):
-    """Solve the capacity expansion of case with reserves by Benders. Writes
-    benders_timing.csv, and on convergence benders_log.csv and
-    investments.csv; returns the BendersResult."""
+def run_expand(rc: RunConfig, case: SystemCase, art: str):
+    """Solve the capacity expansion of case, under its uc_mode, with reserves
+    by Benders. Writes benders_timing.csv, and on convergence benders_log.csv
+    and investments.csv; returns the BendersResult."""
+    _clear_from("expand", art)
     bres = solve_benders(
         case,
-        uc=uc,
         reserve=True,
         gap_tol=rc.gap_tol,
         max_iter=rc.max_iter,
@@ -437,6 +465,7 @@ def run_expand(rc: RunConfig, case: SystemCase, uc: str, art: str):
 def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: SystemCase, art: str) -> tuple:
     """Translate the coarse build onto fine into allocation.csv and
     portfolio.csv; returns (allocation, portfolio)."""
+    _clear_from("translate", art)
     allocation, portfolio = translate_solution(investment, coarse, fine, beta=rc.beta)
     write_allocation(allocation, os.path.join(art, "allocation.csv"))
     write_portfolio(portfolio, os.path.join(art, "portfolio.csv"))
@@ -445,6 +474,7 @@ def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: Sys
 
 def run_operate(allocation, portfolio, art: str) -> DispatchedBuild:
     """Dispatch the translated build at full resolution into operations.csv."""
+    _clear_from("operate", art)
     build = DispatchedBuild(allocation, portfolio, dispatch_portfolio(portfolio))
     write_operations(build.operations, os.path.join(art, "operations.csv"))
     return build
@@ -467,11 +497,6 @@ def run_case(
     art = os.path.join(rc.out_dir, combo.name)
     os.makedirs(art, exist_ok=True)
     out.artifacts_dir = art
-    write_csv(
-        os.path.join(art, "combo.csv"),
-        ("field", "value"),
-        (("name", combo.name), ("k", combo.k_label), ("uc", combo.uc)),
-    )
     error_path = os.path.join(art, "error.txt")
     if os.path.exists(error_path):  # left by an earlier run into this directory
         os.remove(error_path)
@@ -491,12 +516,12 @@ def run_case(
             fine = rc.load_fine()
 
         with stage("aggregate"):
-            coarse = run_aggregate(fine, combo.partition, art)
+            coarse = run_aggregate(fine, combo.partition, combo.uc, art)
         out.n_regions = len(coarse.regions)
         with stage("cluster"):
             reduced = run_cluster(rc, coarse, combo.k, art)
         with stage("expand"):
-            bres = run_expand(rc, reduced, combo.uc, art)
+            bres = run_expand(rc, reduced, art)
             if not bres.converged:
                 raise RuntimeError(
                     f"no convergence in {bres.iterations} iterations, gap {bres.gap:.3e}"
@@ -679,29 +704,24 @@ def read_investments(path: str, case: SystemCase, case_dir: str) -> dict:
     return {name: saved[name] for name in names}
 
 
-def _read_combo_meta(combo_dir: str) -> dict:
-    table = _Table(os.path.join(combo_dir, "combo.csv"), ("field", "value"))
-    return {table.cell(rowno, row, "field"): table.cell(rowno, row, "value") for rowno, row in table}
-
-
-def _replay_phase1(combo_dir: str, uc: str) -> tuple:
+def _replay_phase1(combo_dir: str) -> tuple:
     """Re-derive the phase-1 solution of a persisted combo as the ladder
     extracted it: its saved investments pinned into the per-period Benders
-    subproblems of its case, each solved cold (benders.solve_at_build).
-    Returns (case, solution); the case is the reduced one if the combo has
-    one."""
+    subproblems of its case, under the case's uc_mode, each solved cold
+    (benders.solve_at_build). Returns (case, solution); the case is the
+    reduced one if the combo has one."""
     case_dir = combo_case_dir(combo_dir)
     case = load_system(case_dir)
     investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
     x = np.array(list(investment.values()))
-    return case, solve_at_build(case, build_subproblems(case, uc), x)
+    return case, solve_at_build(case, build_subproblems(case), x)
 
 
 def dispatch_portfolio(portfolio) -> ExpansionSolution:
     """Dispatch a translated build, with relaxed unit commitment, over the
     full chronology of its case, which includes any template cluster the
     translation created."""
-    lp, ix = build_operations_lp(portfolio.case, portfolio, uc="relaxed")
+    lp, ix = build_operations_lp(portfolio.case, portfolio)
     sol = solve_simplex(lp)
     if not sol.is_optimal:
         raise RuntimeError(f"operations LP is {sol.status}")
@@ -724,11 +744,10 @@ def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> 
     """Rebuild a combo's metrics report from its persisted artifacts by
     re-solving what the ladder solved: phase 1 at the saved build (see
     _replay_phase1) and the dispatch of the combo's and the baseline's
-    saved allocations. The report equals the ladder's report.csv."""
+    saved allocations. The report is named after combo_dir."""
     fine = rc.load_fine()
-    meta = _read_combo_meta(combo_dir)
-    coarse, expansion = _replay_phase1(combo_dir, meta.get("uc", "relaxed"))
+    coarse, expansion = _replay_phase1(combo_dir)
     build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), coarse)
     baseline = replay_operations(fine, os.path.join(baseline_dir, "allocation.csv"))
-    name = meta.get("name", os.path.basename(combo_dir))
+    name = os.path.basename(os.path.normpath(combo_dir))
     return build_report(name, expansion, coarse, fine, build, baseline)

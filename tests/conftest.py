@@ -225,8 +225,8 @@ def synth_small_lps(synth_small):
     portfolio = build_portfolio(case, allocation)
     portfolio.investment[f"xg[{case.thermal_clusters[0].id}]"] = 25.0
     return {
-        "expansion_relaxed": build_expansion_lp(case, uc="relaxed")[0],
-        "expansion_none": build_expansion_lp(case, uc="none")[0],
+        "expansion_relaxed": build_expansion_lp(case.with_updates(uc_mode="relaxed"))[0],
+        "expansion_none": build_expansion_lp(case.with_updates(uc_mode="none"))[0],
         "subproblem": build_lp(case, subproblem)[0],
         "operations": build_operations_lp(case, portfolio)[0],
     }

@@ -22,8 +22,8 @@ from gridres.syngen import SynthConfig, generate
 from conftest import make_unit, one_bus_case
 
 
-def _monolithic(case, uc=None, reserve=True):
-    lp, ix = build_expansion_lp(case, uc=uc, reserve=reserve)
+def _monolithic(case, reserve=True):
+    lp, ix = build_expansion_lp(case, reserve=reserve)
     sol = solve_simplex(lp)
     assert sol.is_optimal
     return extract_solution(case, ix, sol)
@@ -132,9 +132,9 @@ def test_matches_monolithic_on_seeded_cases(seed):
         sites_per_region={"solar": 2, "onshore_wind": 2},
         units_per_plant=2,
     )
-    case = generate(cfg, seed=seed)
-    mono = _monolithic(case, uc=uc)
-    r = solve_benders(case, uc=uc, gap_tol=1e-5)
+    case = generate(cfg, seed=seed).with_updates(uc_mode=uc)
+    mono = _monolithic(case)
+    r = solve_benders(case, gap_tol=1e-5)
     assert r.converged
     assert r.objective == pytest.approx(mono.objective, rel=1e-4)
     assert r.objective >= mono.objective - 1e-6 * max(1.0, abs(mono.objective))
@@ -147,8 +147,9 @@ def test_min_output_case_agrees_across_uc_modes():
         existing_units=units, fixed_cost=0.0, max_new=0.0,
     )
     for uc in ("relaxed", "none"):
-        mono = _monolithic(case, uc=uc, reserve=False)
-        r = solve_benders(case, uc=uc, reserve=False)
+        moded = case.with_updates(uc_mode=uc)
+        mono = _monolithic(moded, reserve=False)
+        r = solve_benders(moded, reserve=False)
         assert r.converged
         assert r.objective == pytest.approx(mono.objective, rel=1e-6)
 

@@ -33,8 +33,8 @@ from conftest import (
 MC = 25.0
 
 
-def _solve(case, uc=None, reserve=True):
-    lp, ix = build_expansion_lp(case, uc=uc, reserve=reserve)
+def _solve(case, reserve=True):
+    lp, ix = build_expansion_lp(case, reserve=reserve)
     sol = solve_simplex(lp)
     assert sol.is_optimal
     return extract_solution(case, ix, sol), ix
@@ -155,7 +155,7 @@ def _min_output_case(uc_mode, start_cost=0.0):
 
 def test_uc_none_enforces_capacity_scaled_floor():
     case = _min_output_case("none")
-    sol, _ = _solve(case, uc="none", reserve=False)
+    sol, _ = _solve(case, reserve=False)
     # floor = 0.5 * 10 MW even though demand is 2: the surplus spills
     assert sol.dispatch["g1"][1] == pytest.approx(5.0, abs=1e-8)
     assert sol.spill["R1"][1] == pytest.approx(3.0, abs=1e-8)
@@ -163,14 +163,14 @@ def test_uc_none_enforces_capacity_scaled_floor():
 
 def test_uc_relaxed_can_decommit():
     case = _min_output_case("relaxed")
-    sol, _ = _solve(case, uc="relaxed", reserve=False)
+    sol, _ = _solve(case, reserve=False)
     assert sol.dispatch["g1"][1] == pytest.approx(2.0, abs=1e-8)
     assert sol.spill["R1"][1] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_relaxed_dominates_none_strictly_on_floor_bound_fixture():
-    none_obj = _solve(_min_output_case("none"), uc="none", reserve=False)[0].objective
-    rel_obj = _solve(_min_output_case("relaxed"), uc="relaxed", reserve=False)[0].objective
+    none_obj = _solve(_min_output_case("none"), reserve=False)[0].objective
+    rel_obj = _solve(_min_output_case("relaxed"), reserve=False)[0].objective
     assert rel_obj < none_obj - 1e-6  # shutting down at night saves real fuel
     # the gap is exactly the 3 MW of wasted floor generation
     assert none_obj - rel_obj == pytest.approx(3.0 * MC, rel=1e-9)
@@ -183,8 +183,8 @@ def test_relaxed_dominance_weak_inequality_on_seeded_cases():
         case = generate(
             SynthConfig(n_regions=2, periods=2, period_length=24), seed=seed
         )
-        rel, _ = _solve(case, uc="relaxed", reserve=False)
-        non, _ = _solve(case, uc="none", reserve=False)
+        rel, _ = _solve(case.with_updates(uc_mode="relaxed"), reserve=False)
+        non, _ = _solve(case.with_updates(uc_mode="none"), reserve=False)
         assert rel.objective <= non.objective * (1 + 1e-9) + 1e-9
 
 
@@ -192,7 +192,7 @@ def test_startup_costs_charged_on_commitment_rise():
     # at 10 $/MW-start the 6 MW morning restart (60 $) still beats burning
     # the 3 MW floor surplus all night (75 $)
     case = _min_output_case("relaxed", start_cost=10.0)
-    sol, _ = _solve(case, uc="relaxed", reserve=False)
+    sol, _ = _solve(case, reserve=False)
     assert sol.startups["g1"].sum() == pytest.approx(6.0, abs=1e-8)
     assert sol.variable_cost == pytest.approx((10 + 2) * MC + 6.0 * 10.0, rel=1e-9)
 
@@ -200,7 +200,7 @@ def test_startup_costs_charged_on_commitment_rise():
 def test_high_startup_cost_keeps_the_unit_online():
     # at 40 $/MW-start restarting costs 240 $; staying committed wastes 75 $
     case = _min_output_case("relaxed", start_cost=40.0)
-    sol, _ = _solve(case, uc="relaxed", reserve=False)
+    sol, _ = _solve(case, reserve=False)
     assert sol.startups["g1"].sum() == pytest.approx(0.0, abs=1e-8)
     assert sol.spill["R1"][1] == pytest.approx(3.0, abs=1e-8)
 

@@ -378,8 +378,6 @@ def test_run_case_tags_errors_with_the_stage(tmp_path):
     assert not res.ok
     assert res.error == f"aggregate: partition file not found: {missing}"
     assert res.report is None
-    # combo metadata lands even when the combo fails
-    assert os.path.exists(os.path.join(str(tmp_path), combo.name, "combo.csv"))
 
 
 def test_a_failed_stage_leaves_its_traceback(tmp_path, monkeypatch):
@@ -517,7 +515,7 @@ def test_combo_artifacts_present(ladder_run):
     _, out, _ = ladder_run
     combo = os.path.join(out, "r1-k1-relaxed")
     for name in (
-        "combo.csv", "coarse", "reduction.csv", "reduced", "benders_log.csv",
+        "coarse", "reduction.csv", "reduced", "benders_log.csv",
         "investments.csv", "allocation.csv", "portfolio.csv", "operations.csv",
         "report.csv",
     ):
@@ -761,11 +759,17 @@ def _cli_chain(cfg, out, *stages):
 
 def test_cli_stage_chain(ladder_run, tmp_path):
     # a temporal-only chain: aggregate without --partition is the identity,
-    # and a k of at least the period count keeps every period and deletes the
-    # reduction an earlier cluster wrote, so expand solves coarse/ as the HRB does
+    # and a k of at least the period count keeps every period, so expand
+    # solves coarse/ as the HRB does. A re-run stage first deletes what it
+    # and every later stage wrote before: neither the reduction of an
+    # earlier 1-region aggregation nor that of an earlier cluster survives
     _, out, cfg = ladder_run
     chain = tmp_path / "chain"
-    _cli_chain(cfg, chain, ["aggregate"], ["cluster", "--k", "1"])
+    _cli_chain(cfg, chain, ["aggregate", "--partition", "r1"], ["cluster", "--k", "1"])
+    assert os.path.exists(chain / "reduction.csv") and os.path.isdir(chain / "reduced")
+    _cli_chain(cfg, chain, ["aggregate"])
+    assert not os.path.exists(chain / "reduction.csv") and not os.path.exists(chain / "reduced")
+    _cli_chain(cfg, chain, ["cluster", "--k", "1"])
     assert os.path.exists(chain / "reduction.csv") and os.path.isdir(chain / "reduced")
     _cli_chain(cfg, chain, ["cluster", "--k", "99"])
     assert not os.path.exists(chain / "reduction.csv") and not os.path.exists(chain / "reduced")
@@ -789,6 +793,58 @@ def test_cli_chain_writes_the_ladder_combo_files(ladder_run, tmp_path):
         assert _tree_bytes(chain / case_dir) == _tree_bytes(combo / case_dir)
     for name in ("reduction.csv", *CHAIN_FILES):
         assert (chain / name).read_bytes() == (combo / name).read_bytes(), name
+
+
+def test_a_non_converged_expand_leaves_no_build(ladder_run, tmp_path, capsys):
+    # after a full chain, an expand that stops at max_iter deletes the build
+    # and what was made of it, so translate has no stale build to read
+    _, _, cfg = ladder_run
+    chain = tmp_path / "chain"
+    _cli_chain(cfg, chain, ["aggregate"], ["expand"], ["translate"], ["operate"])
+    one_iteration = tmp_path / "one.yaml"
+    one_iteration.write_text(Path(cfg).read_text() + "max_iter: 1\n")
+    assert cli_main(["--config", str(one_iteration), "--out", str(chain), "expand"]) == 2
+    assert os.path.exists(chain / "benders_timing.csv")
+    assert [name for name in CHAIN_FILES if os.path.exists(chain / name)] == []
+    capsys.readouterr()
+    assert cli_main(["--config", cfg, "--out", str(chain), "translate"]) == 1
+    assert capsys.readouterr().err == f"input error: {chain / 'investments.csv'}: missing file\n"
+
+
+def test_cli_chain_of_a_none_combo_writes_the_ladder_combo_files(tmp_path):
+    # the commitment mode is given once, to aggregate, and stored in the
+    # case: cluster copies it into reduced/, and expand and metrics read it
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(out_dir=tmp_path / "out").replace("uc_modes: [relaxed]", "uc_modes: [relaxed, none]")
+    )
+    rc = RunConfig.from_yaml(str(cfg))
+    fine = rc.load_fine()
+    combos = {c.name: c for c in rc.combos()}
+    hrb = run_case(rc, combos[HRB_NAME], fine)
+    assert run_case(rc, combos["r1-k1-none"], fine, hrb.baseline).ok
+
+    chain = tmp_path / "chain" / "r1-k1-none"
+    _cli_chain(
+        str(cfg), chain,
+        ["aggregate", "--partition", "r1", "--uc", "none"], ["cluster", "--k", "1"],
+        ["expand"], ["translate"], ["operate"],
+    )
+    for case_dir in ("coarse", "reduced"):
+        header, values = _read_csv(chain / case_dir / "scalars.csv")
+        assert dict(zip(header, values))["uc_mode"] == "none", case_dir
+    combo = Path(rc.out_dir, "r1-k1-none")
+    written = {name: data for name, data in _tree_bytes(combo).items() if "timing" not in name}
+    assert written.pop("report.csv")
+    assert {name: data for name, data in _tree_bytes(chain).items() if "timing" not in name} == written
+
+    dest = tmp_path / "rescored"
+    code = cli_main([
+        "--config", str(cfg), "--out", str(dest), "metrics",
+        "--combo-dir", str(chain), "--baseline-dir", str(hrb.artifacts_dir),
+    ])
+    assert code == 0
+    assert (dest / "rescore-r1-k1-none.csv").read_bytes() == (combo / "report.csv").read_bytes()
 
 
 def test_cli_rejects_a_k_below_1(ladder_run, tmp_path, capsys):
