@@ -16,10 +16,11 @@ directory.
 
 Exit codes: 0 on success, 1 on a configuration problem or an input file
 that cannot be read (a case directory, investments.csv, allocation.csv) or
-whose investments do not match its case, 2 when Benders did not converge
-in expand or a ladder finished but some combos failed. Progress (each
-combo's start and end, the Benders bounds every 10 iterations) is logged
-to stderr through the ``gridres`` logger at INFO.
+that does not fit its case (an unknown name or entity, an investment out
+of its bounds), 2 when Benders did not converge in expand or a ladder
+finished but some combos failed. Progress (each combo's start and end, the
+Benders bounds every 10 iterations) is logged to stderr through the
+``gridres`` logger at INFO.
 """
 
 from __future__ import annotations

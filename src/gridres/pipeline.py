@@ -3,7 +3,8 @@
 A ladder is a list of resolution combos run against one fine system. The
 high-resolution baseline (HRB) is the identity partition at full
 chronology with relaxed commitment; it always runs first and every other
-combo is scored against it. Each combo follows the same six stages:
+combo is scored against it. Every combo, one at the HRB's own resolution
+included, follows the same six stages in its own directory:
 
     aggregate -> cluster -> expand -> translate -> operate -> metrics
 
@@ -45,7 +46,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -58,7 +59,7 @@ from .expansion import (
     extract_solution,
     investment_entries,
 )
-from .lp import solve_simplex
+from .lp import PRIMAL_TOL, solve_simplex
 from .metrics import (
     DispatchedBuild,
     MetricsReport,
@@ -103,6 +104,8 @@ class PartitionSpec:
     def __post_init__(self):
         if (self.path is None) == (self.n_regions is None):
             raise ConfigError(f"partition {self.name}: give exactly one of path / regions")
+        if self.path is not None and not _is_path(self.path):
+            raise ConfigError(f"partition {self.name}: path must be a non-empty string, got {self.path!r}")
         if self.n_regions is not None and not (_is_int(self.n_regions) and self.n_regions >= 1):
             raise ConfigError(
                 f"partition {self.name}: regions must be an integer >= 1, got {self.n_regions!r}"
@@ -126,6 +129,10 @@ HRB_NAME = "hrb"
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_path(value) -> bool:
+    return isinstance(value, str) and value != ""
 
 
 def _is_number(value) -> bool:
@@ -183,6 +190,12 @@ class RunConfig:
     def __post_init__(self):
         if (self.input_dir is None) == (self.synth is None):
             raise ConfigError("give exactly one of input dir / synthetic config")
+        if not _is_path(self.out_dir):
+            raise ConfigError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
+        if self.input_dir is not None and not _is_path(self.input_dir):
+            raise ConfigError(f"input_dir must be a non-empty string, got {self.input_dir!r}")
+        if not isinstance(self.force_extremes, bool):
+            raise ConfigError(f"force_extremes must be true or false, got {self.force_extremes!r}")
         if self.synth is not None:
             for key, (ok, what) in _SYNTH_CHECKS.items():
                 value = getattr(self.synth, key)
@@ -226,6 +239,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         d = dict(d)
+        for key in ("partitions", "k_values", "uc_modes"):
+            if key in d and not isinstance(d[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {d[key]!r}")
         synth = d.pop("synth", None)
         if synth is not None:
             try:
@@ -233,7 +249,7 @@ class RunConfig:
             except TypeError as e:
                 raise ConfigError(f"bad synth config: {e}") from None
         parts = []
-        for p in d.pop("partitions", ()) or ():
+        for p in d.pop("partitions", ()):
             if not isinstance(p, dict) or "name" not in p:
                 raise ConfigError(f"a partition needs a name and a path or regions, got {p!r}")
             parts.append(
@@ -558,18 +574,6 @@ def run_case(
     return out
 
 
-def _is_hrb_equivalent(combo: Combo, fine: SystemCase) -> bool:
-    if combo.uc != "relaxed" or combo.k is not None:
-        return False
-    if combo.partition is None:
-        return True
-    try:
-        part = resolve_partition(fine, combo.partition)
-    except Exception:
-        return False
-    return part.mapping == {r.id: r.id for r in fine.regions}
-
-
 LADDER_COLUMNS = (
     "combo", "n_regions", "k", "uc", "sco_solar", "sco_wind", "mse_cap",
     "mse_profit", "mse_emiss", "total_cost", "nse", "emissions",
@@ -598,8 +602,6 @@ def _ladder_row(res: CaseResult):
 class ExperimentReport:
     results: list
     ladder_path: str
-    timing_path: str
-    report_path: str
 
     @property
     def failed(self) -> list:
@@ -620,65 +622,24 @@ def run_ladder(rc: RunConfig) -> ExperimentReport:
     if rc.synth is not None:
         write_case(fine, os.path.join(rc.out_dir, "system"))
 
-    results = [run_case(rc, combos[0], fine, None)]  # HRB first
-    baseline = results[0].baseline  # None if the HRB failed
-
+    hrb = run_case(rc, combos[0], fine, None)  # HRB first
     rest = combos[1:]
-    reuse = [c for c in rest if _is_hrb_equivalent(c, fine) and results[0].ok]
-    solve = [c for c in rest if c not in reuse]
-
-    if rc.jobs > 1 and len(solve) > 1:
+    args = [(rc, c, fine, hrb.baseline) for c in rest]  # a None baseline fails their metrics
+    if rc.jobs > 1 and len(rest) > 1:
         with ProcessPoolExecutor(max_workers=rc.jobs) as pool:
-            solved = list(pool.map(run_case, *zip(*[(rc, c, fine, baseline) for c in solve])))
+            results = [hrb, *pool.map(run_case, *zip(*args))]
     else:
-        solved = [run_case(rc, c, fine, baseline) for c in solve]
-    by_name = {r.combo.name: r for r in solved}
-
-    for combo in rest:
-        if combo in reuse:
-            results.append(_clone_hrb_result(rc, combo, results[0], fine))
-        else:
-            results.append(by_name[combo.name])
+        results = [hrb, *(run_case(*a) for a in args)]
 
     ladder_path = os.path.join(rc.out_dir, "ladder.csv")
-    timing_path = os.path.join(rc.out_dir, "ladder_timing.csv")
-    report_path = os.path.join(rc.out_dir, "report.csv")
+    write_csv(ladder_path, LADDER_COLUMNS, (_ladder_row(r) for r in results if r.ok))
     write_csv(
-        ladder_path,
-        LADDER_COLUMNS,
-        (_ladder_row(r) for r in results if r.ok),
-    )
-    write_csv(
-        timing_path,
+        os.path.join(rc.out_dir, "ladder_timing.csv"),
         ("combo", "runtime_s", "status"),
         ((r.combo.name, f"{r.runtime_s:.6f}", "ok" if r.ok else r.error) for r in results),
     )
-    write_report([r.report for r in results if r.ok], report_path)
-    return ExperimentReport(
-        results=results,
-        ladder_path=ladder_path,
-        timing_path=timing_path,
-        report_path=report_path,
-    )
-
-
-def _clone_hrb_result(rc: RunConfig, combo: Combo, hrb: CaseResult, fine: SystemCase) -> CaseResult:
-    """A combo that is exactly the baseline resolution reuses the baseline
-    solve; its artifacts directory just points at the baseline's."""
-    t0 = time.perf_counter()
-    rep = replace(hrb.report, combo=combo.name)
-    art = os.path.join(rc.out_dir, combo.name)
-    os.makedirs(art, exist_ok=True)
-    write_report([rep], os.path.join(art, "report.csv"))
-    with open(os.path.join(art, "baseline_alias.txt"), "w") as fh:
-        fh.write(f"identical to {hrb.combo.name}; see {hrb.artifacts_dir}\n")
-    return CaseResult(
-        combo=combo,
-        n_regions=hrb.n_regions,
-        report=rep,
-        runtime_s=time.perf_counter() - t0,
-        artifacts_dir=art,
-    )
+    write_report([r.report for r in results if r.ok], os.path.join(rc.out_dir, "report.csv"))
+    return ExperimentReport(results=results, ladder_path=ladder_path)
 
 
 def summarize(report: ExperimentReport) -> str:
@@ -694,14 +655,24 @@ def summarize(report: ExperimentReport) -> str:
 def read_investments(path: str, case: SystemCase, case_dir: str) -> dict:
     """Read investments.csv as the named investment vector of case, loaded
     from case_dir, in investment_entries order. The file must name every
-    investment of the case and nothing else."""
+    investment of the case and nothing else, each with a finite value
+    within its bounds up to the LP's primal tolerance."""
     table = _Table(path, ("variable", "value"))
-    saved = {table.cell(rowno, row, "variable"): table.cell(rowno, row, "value", float) for rowno, row in table}
-    names = [name for name, *_ in investment_entries(case)]
+    saved = {
+        table.cell(rowno, row, "variable"): (rowno, table.cell(rowno, row, "value", float))
+        for rowno, row in table
+    }
+    entries = investment_entries(case)
+    names = [name for name, *_ in entries]
     missing, unknown = sorted(set(names) - set(saved)), sorted(set(saved) - set(names))
     if missing or unknown:
         raise CaseError(f"{path} does not match {case_dir}: missing {missing}, unknown {unknown}")
-    return {name: saved[name] for name in names}
+    for name, _kind, _eid, lo, hi, _cost in entries:
+        rowno, value = saved[name]
+        low, high = lo - PRIMAL_TOL * (1.0 + abs(lo)), hi + PRIMAL_TOL * (1.0 + abs(hi))
+        if not (math.isfinite(value) and low <= value <= high):
+            raise CaseError(f"{path} row {rowno}: {name} = {value!r} is not a finite number in [{lo}, {hi}]")
+    return {name: saved[name][1] for name in names}
 
 
 def _replay_phase1(combo_dir: str) -> tuple:

@@ -91,6 +91,23 @@ class Portfolio:
         """The investment of a kind (see INVESTMENT_PREFIXES) in entity eid."""
         return self.investment.get(investment_name(kind, eid), 0.0)
 
+    def capacities(self) -> list:
+        """The rows of portfolio.csv: (entity, MW, MWh) of every VRE and
+        thermal cluster and storage of the case with the build applied; the
+        MWh is "" but for storage."""
+        case, new = self.case, self.new
+        rows = []
+        for c in sorted(case.vre_clusters, key=lambda c: c.id):
+            rows.append((c.id, float(c.existing_capacity + new("vre_new", c.id)), ""))
+        for c in sorted(case.thermal_clusters, key=lambda c: c.id):
+            live = c.existing_capacity - new("thermal_retired", c.id) + new("thermal_new", c.id)
+            rows.append((c.id, float(live), ""))
+        for s in sorted(case.storage, key=lambda s: s.id):
+            p = s.existing_power + new("storage_new_power", s.id)
+            e = s.existing_energy + new("storage_new_energy", s.id)
+            rows.append((s.id, float(p), float(e)))
+        return rows
+
 
 def vre_fill_order(sites) -> list:
     return sorted(
@@ -430,7 +447,9 @@ def build_portfolio(
     coarse case the allocation was translated from, the template clusters
     and storage it names (``<region>_<tech>_tpl``, ``<region>_storage_tpl``)
     are rebuilt from their provenance cluster and added to the portfolio's
-    case; without it, an allocation onto a template is refused.
+    case; without it, an allocation onto a template is refused. An entity
+    or line the case lacks, or a negative resulting capacity of a cluster,
+    storage or line, is a CaseError.
     """
     if coarse is not None:
         fine_case = _with_templates(fine_case, coarse, allocation)
@@ -440,8 +459,11 @@ def build_portfolio(
             inv_kind, member, unknown = _ROW_KINDS[kind]
             name = investment_name(inv_kind, fine_case.cluster_of_member.get(entity) if member else entity)
             if name not in investment:
-                raise ValueError(unknown.format(entity))
+                raise CaseError(unknown.format(entity))
             investment[name] += mw
+    unknown_lines = sorted(set(allocation.line_capacity) - {l.id for l in fine_case.interregional_lines})
+    if unknown_lines:
+        raise CaseError(f"unknown fine interregional lines {unknown_lines}")
 
     portfolio = Portfolio(
         case=fine_case,
@@ -451,10 +473,11 @@ def build_portfolio(
             for l in fine_case.interregional_lines
         },
     )
-    for c in fine_case.thermal_clusters:
-        live = c.existing_capacity - portfolio.new("thermal_retired", c.id) + portfolio.new("thermal_new", c.id)
-        if live < -1e-9:
-            raise ValueError(f"negative resulting capacity on {c.id}: {live}")
+    lines = ((lid, mw, "") for lid, mw in portfolio.line_capacity.items())
+    for eid, mw, mwh in (*portfolio.capacities(), *lines):
+        low = min(mw, mwh or 0.0)
+        if low < -1e-9:
+            raise CaseError(f"negative resulting capacity on {eid}: {low}")
     return portfolio
 
 
@@ -496,16 +519,4 @@ def write_allocation(allocation: SiteAllocation, path: str) -> None:
 
 
 def write_portfolio(portfolio: Portfolio, path: str) -> None:
-    case = portfolio.case
-    rows = []
-    new = portfolio.new
-    for c in sorted(case.vre_clusters, key=lambda c: c.id):
-        rows.append((c.id, float(c.existing_capacity + new("vre_new", c.id)), ""))
-    for c in sorted(case.thermal_clusters, key=lambda c: c.id):
-        live = c.existing_capacity - new("thermal_retired", c.id) + new("thermal_new", c.id)
-        rows.append((c.id, float(live), ""))
-    for s in sorted(case.storage, key=lambda s: s.id):
-        p = s.existing_power + new("storage_new_power", s.id)
-        e = s.existing_energy + new("storage_new_energy", s.id)
-        rows.append((s.id, float(p), float(e)))
-    write_csv(path, ("fine_cluster", "mw", "mwh"), rows)
+    write_csv(path, ("fine_cluster", "mw", "mwh"), portfolio.capacities())

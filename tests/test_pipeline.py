@@ -14,8 +14,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gridres import pipeline
-from gridres.caseio import write_case
+from gridres.caseio import load_system, write_case
 from gridres.cli import main as cli_main
+from gridres.expansion import investment_entries
 from gridres.pipeline import (
     Combo,
     ConfigError,
@@ -128,6 +129,8 @@ def test_config_rejects_repeated_combo_fields():
         ("gap_tol", "1e-4"), ("beta", "1"), ("stab_weight", None), ("gap_tol", True),
         ("max_iter", "200"), ("max_iter", 2.0), ("max_iter", True),
         ("jobs", "2"), ("jobs", 1.5), ("sub_jobs", "1"), ("sub_jobs", None),
+        ("k_values", 1), ("k_values", "all"), ("uc_modes", "none"), ("partitions", 1),
+        ("out_dir", 5), ("out_dir", ""), ("input_dir", 7), ("force_extremes", "no"),
     ],
 )
 def test_config_names_a_wrongly_typed_field(key, value):
@@ -186,6 +189,7 @@ def _perturbed(field, value, out_dir="o"):
         (("synth", "sites_per_region", "geothermal"), 1, "synth.sites_per_region must be a map"),
         (("synth", "pathway"), "XX", "synth.pathway must be one of BAU, CP, got 'XX'"),
         (("seed",), "3", "seed must be an integer"),
+        (("partitions", 0), {"name": "r1", "path": 12}, "partition r1: path must be a non-empty string, got 12"),
     ],
 )
 def test_config_names_a_bad_field_at_load(field, value, message):
@@ -439,7 +443,6 @@ def ladder_run(tmp_path_factory):
 
 
 ALL_COMBOS = ("hrb", "r1-kall-relaxed", "r1-k1-relaxed", "ident-kall-relaxed", "ident-k1-relaxed")
-SOLVED_COMBOS = ("hrb", "r1-kall-relaxed", "r1-k1-relaxed", "ident-k1-relaxed")  # ident-kall reuses hrb
 
 
 def test_a_library_ladder_logs_each_combo_and_prints_nothing(tmp_path, caplog, capsys):
@@ -448,7 +451,7 @@ def test_a_library_ladder_logs_each_combo_and_prints_nothing(tmp_path, caplog, c
         report = run_ladder(rc)
     assert report.ok
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "gridres.pipeline"]
-    assert [m.split(":")[0] for m in messages] == [f"combo {c}" for c in SOLVED_COMBOS for _ in "se"]
+    assert [m.split(":")[0] for m in messages] == [f"combo {c}" for c in ALL_COMBOS for _ in "se"]
     assert all(re.fullmatch(r"combo \S+: ok in \d+\.\d\d s", m) for m in messages[1::2])
     assert capsys.readouterr() == ("", "")
 
@@ -461,7 +464,7 @@ def test_the_cli_logs_progress_to_stderr_only(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "combo" not in out and out.endswith(f"wrote {tmp_path / 'out' / 'ladder.csv'}\n")
     combos = [line.split(" ", 1)[1] for line in err.splitlines() if " combo " in line]
-    assert [m.split(":")[0] for m in combos] == [f"combo {c}" for c in SOLVED_COMBOS for _ in "se"]
+    assert [m.split(":")[0] for m in combos] == [f"combo {c}" for c in ALL_COMBOS for _ in "se"]
     assert all(re.fullmatch(r"\d\d:\d\d:\d\d (combo|benders iteration) .*", line) for line in err.splitlines())
     # main removes its handler: the next library call prints nothing again
     assert [type(h) for h in logging.getLogger("gridres").handlers] == [logging.NullHandler]
@@ -499,16 +502,21 @@ def test_baseline_row_scores_itself_perfectly(ladder_run):
     assert float(hrb["total_cost"]) > 0.0
 
 
-def test_identity_combo_reuses_the_baseline(ladder_run):
+def test_identity_combo_scores_as_the_baseline(ladder_run):
+    # a combo at the baseline's resolution runs the same stages as any other
+    # and writes what the baseline wrote; only its report carries its name
     _, out, _ = ladder_run
     rows = _read_csv(os.path.join(out, "ladder.csv"))
     by_combo = {r[0]: r[1:] for r in rows[1:]}
     assert by_combo["ident-kall-relaxed"] == by_combo["hrb"]
-    alias = os.path.join(out, "ident-kall-relaxed", "baseline_alias.txt")
-    with open(alias) as fh:
-        assert "identical to hrb" in fh.read()
-    # the reduced combo at the same partition still solves on its own
-    assert not os.path.exists(os.path.join(out, "ident-k1-relaxed", "baseline_alias.txt"))
+
+    def files(name):
+        return {
+            path: data for path, data in _tree_bytes(Path(out, name)).items()
+            if path != "report.csv" and "timing" not in path
+        }
+
+    assert files("ident-kall-relaxed") == files("hrb")
 
 
 def test_combo_artifacts_present(ladder_run):
@@ -541,7 +549,7 @@ def test_benders_timing_has_one_row_per_iteration(ladder_run):
 def test_stage_timing_sums_to_the_combo_runtime(ladder_run):
     _, out, _ = ladder_run
     runtime = {r[0]: float(r[1]) for r in _read_csv(os.path.join(out, "ladder_timing.csv"))[1:]}
-    for name in ("hrb", "r1-kall-relaxed", "r1-k1-relaxed", "ident-k1-relaxed"):
+    for name in ALL_COMBOS:
         rows = _read_csv(os.path.join(out, name, "stage_timing.csv"))
         assert rows[0] == ["stage", "seconds"]
         assert [r[0] for r in rows[1:]] == [
@@ -550,8 +558,6 @@ def test_stage_timing_sums_to_the_combo_runtime(ladder_run):
         seconds = [float(r[1]) for r in rows[1:]]
         assert all(s >= 0.0 for s in seconds)
         assert sum(seconds) == pytest.approx(runtime[name], rel=0.02), name
-    # a combo that reuses the baseline runs no stage of its own
-    assert not os.path.exists(os.path.join(out, "ident-kall-relaxed", "stage_timing.csv"))
 
 
 def test_timing_file_reports_every_combo(ladder_run):
@@ -707,6 +713,22 @@ def test_cli_config_problems_exit_1(ladder_run, tmp_path):
     assert cli_main(["--config", cfg, "aggregate", "--partition", "nope"]) == 1
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("k_values", 1, "k_values must be a list, got 1"),
+        ("partitions", 1, "partitions must be a list, got 1"),
+        ("out_dir", 5, "out_dir must be a non-empty string, got 5"),
+    ],
+)
+def test_cli_ladder_names_a_malformed_config_field(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(_perturbed((key,), value, str(tmp_path / "out"))))
+    capsys.readouterr()
+    assert cli_main(["--config", str(cfg), "ladder"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_cli_reports_unreadable_input_files_in_one_line(ladder_run, tmp_path, capsys):
     # translate and operate read investments.csv and allocation.csv from a
     # combo directory, here a copy of the ladder's r1-kall-relaxed
@@ -730,6 +752,25 @@ def test_cli_reports_unreadable_input_files_in_one_line(ladder_run, tmp_path, ca
     assert capsys.readouterr().err == (
         f"input error: {allocation} row 2: line L1 names provenance cluster 'c1'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("cluster,GHOST,5.0,r1_00_gas", "unknown fine thermal cluster GHOST"),
+        ("line,BOGUS,123.0,", "unknown fine interregional lines ['BOGUS']"),
+    ],
+    ids=["cluster", "line"],
+)
+def test_cli_operate_refuses_an_allocation_the_fine_case_lacks(ladder_run, tmp_path, capsys, row, message):
+    _, out, cfg = ladder_run
+    combo_dir = tmp_path / "r1-kall-relaxed"
+    shutil.copytree(os.path.join(out, "r1-kall-relaxed"), combo_dir)
+    allocation = combo_dir / "allocation.csv"
+    allocation.write_text(allocation.read_text() + row + "\n")
+    capsys.readouterr()
+    assert cli_main(["--config", cfg, "--out", str(combo_dir), "operate"]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_cli_ladder_on_a_case_without_scalars_exits_1(tmp_path, capsys):
@@ -878,7 +919,7 @@ def test_cli_metrics_rescores_a_combo(ladder_run, tmp_path):
     assert rows[0] == ["case", "metric", "key", "value"]
 
 
-@pytest.mark.parametrize("combo", SOLVED_COMBOS[1:])
+@pytest.mark.parametrize("combo", ALL_COMBOS[1:])
 def test_cli_metrics_reproduces_the_ladder_report(ladder_run, tmp_path, combo):
     _, out, cfg = ladder_run
     dest = tmp_path / "rescored"
@@ -910,25 +951,36 @@ def test_cli_metrics_without_out_keeps_the_ladder_report(ladder_run, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, dropped, added",
+    "command, dropped, added, value",
     [
-        ("metrics", 1, []),
-        ("metrics", 0, ["xv[nowhere]"]),
-        ("translate", 1, []),
-        ("translate", 0, ["xv[nowhere]"]),
+        ("metrics", 1, [], None),
+        ("metrics", 0, ["xv[nowhere]"], None),
+        ("metrics", 0, [], "nan"),
+        ("metrics", 0, [], "1e9"),
+        ("translate", 1, [], None),
+        ("translate", 0, ["xv[nowhere]"], None),
+        ("translate", 0, [], "nan"),
+        ("translate", 0, [], "1e9"),
     ],
-    ids=["missing", "unknown", "translate-missing", "translate-unknown"],
+    ids=[
+        "missing", "unknown", "nan", "above-bound",
+        "translate-missing", "translate-unknown", "translate-nan", "translate-above-bound",
+    ],
 )
 def test_cli_metrics_rejects_investments_that_do_not_match_the_case(
-    ladder_run, tmp_path, capsys, command, dropped, added
+    ladder_run, tmp_path, capsys, command, dropped, added, value
 ):
-    # a copy of r1-k1-relaxed whose investments.csv lost its first row or
-    # gained a name its case does not have, re-scored or translated
+    # a copy of r1-k1-relaxed whose investments.csv lost its first row,
+    # gained a name its case does not have, or holds a value that is not
+    # finite or lies above its bound in its first row, re-scored or translated
     _, out, cfg = ladder_run
     combo_dir = tmp_path / "r1-k1-relaxed"
     shutil.copytree(os.path.join(out, "r1-k1-relaxed"), combo_dir)
     path = combo_dir / "investments.csv"
     header, *rows = path.read_text().splitlines()
+    first = rows[0].split(",")[0]
+    if value is not None:
+        rows[0] = f"{first},{value}"
     path.write_text("\n".join([header, *rows[dropped:], *(f"{name},1.0" for name in added)]) + "\n")
     missing = [row.split(",")[0] for row in rows[:dropped]]
     if command == "metrics":
@@ -944,7 +996,11 @@ def test_cli_metrics_rejects_investments_that_do_not_match_the_case(
     capsys.readouterr()
     code = cli_main(["--config", cfg, "--out", str(dest), *args])
     assert code == 1
-    assert capsys.readouterr().err == (
-        f"input error: {path} does not match {case_dir}: missing {missing}, unknown {added}\n"
-    )
+    if value is None:
+        expected = f"{path} does not match {case_dir}: missing {missing}, unknown {added}"
+    else:
+        bounds = {name: (lo, hi) for name, _, _, lo, hi, _ in investment_entries(load_system(str(case_dir)))}
+        lo, hi = bounds[first]
+        expected = f"{path} row 2: {first} = {float(value)!r} is not a finite number in [{lo}, {hi}]"
+    assert capsys.readouterr().err == f"input error: {expected}\n"
     assert not os.path.exists(dest / "allocation.csv")

@@ -308,19 +308,30 @@ def test_empty_allocation_reproduces_the_existing_system(synth_small):
 
 
 def test_portfolio_rejects_unknown_entities(synth_small):
-    with pytest.raises(ValueError, match="belongs to no fine cluster"):
+    with pytest.raises(CaseError, match="belongs to no fine cluster"):
         build_portfolio(synth_small, SiteAllocation(provenance={"c": (("site", "ghost", 1.0),)}))
-    with pytest.raises(ValueError, match="unknown fine thermal cluster"):
+    with pytest.raises(CaseError, match="unknown fine thermal cluster"):
         build_portfolio(synth_small, SiteAllocation(provenance={"c": (("cluster", "ghost", 1.0),)}))
-    with pytest.raises(ValueError, match="unknown fine storage"):
+    with pytest.raises(CaseError, match="unknown fine storage"):
         build_portfolio(synth_small, SiteAllocation(provenance={"c": (("storage_power", "ghost", 1.0),)}))
+    with pytest.raises(CaseError, match=re.escape("unknown fine interregional lines ['ghost']")):
+        build_portfolio(synth_small, SiteAllocation(line_capacity={"ghost": 1.0}))
 
 
 def test_portfolio_rejects_negative_resulting_capacity(synth_small):
     unit = synth_small.units[0]
     alloc = SiteAllocation(provenance={"c": (("unit", unit.id, unit.capacity + 1e6),)})
-    with pytest.raises(ValueError, match="negative resulting capacity"):
+    with pytest.raises(CaseError, match="negative resulting capacity"):
         build_portfolio(synth_small, alloc)
+    # the same for a VRE cluster, a storage's energy and a line
+    site, storage, line = synth_small.sites[0], synth_small.storage[0], synth_small.interregional_lines[0]
+    for alloc, entity in (
+        (SiteAllocation(provenance={"c": (("site", site.id, -1e6),)}), synth_small.cluster_of_member[site.id]),
+        (SiteAllocation(provenance={"c": (("storage_energy", storage.id, -1e6),)}), storage.id),
+        (SiteAllocation(line_capacity={line.id: -1.0}), line.id),
+    ):
+        with pytest.raises(CaseError, match=f"^negative resulting capacity on {re.escape(entity)}: "):
+            build_portfolio(synth_small, alloc)
 
 
 # -- end-to-end translation -----------------------------------------------------------
