@@ -23,18 +23,21 @@ basis. A warm master optimum that is not optimal or fails the KKT check
 falls back to a cold solve.
 
 Subproblem LPs are built once and re-pinned in place each iteration.
-Iteration 1 solves each subproblem cold on its full LP. From iteration 2
-on, each subproblem is solved on its row-reduced LP (``lp.ReducedModel``):
-the rows that the pinned investments leave with one free entry become
-column bounds, since HiGHS does no presolve from a basis. Its first
-reduced solve, at iteration 2, is cold; each later one warm-starts dual
-simplex from its last reduced basis, which stays dual feasible as only
-the pinned bounds move. A reduced attempt that is not optimal or fails
-the KKT check on the full LP falls back to a cold solve of the full LP
-(``warm_fallbacks`` in the timing). Iteration 1 stays on the full LP
-because its iterate pins every investment at 0, where the subproblem's
-dual is degenerate: the reduced LP's optimum is another valid subgradient
-there, and it would change the cut and so the iterate path.
+Each is solved through its own ``lp.ReducedModel``, which is not ready
+before its first accepted optimum: iteration 1 solves each subproblem
+cold on its full LP. That also keeps iteration 1 on the full LP, whose
+iterate pins every investment at 0, where the subproblem's dual is
+degenerate: the reduced LP's optimum is another valid subgradient there,
+and it would change the cut and so the iterate path. From iteration 2 on,
+each subproblem is solved on its row-reduced LP: the rows that the pinned
+investments leave with one free entry become column bounds, since HiGHS
+does no presolve from a basis. Its first reduced solve, at iteration 2,
+warm-starts dual simplex from the full LP's basis of iteration 1, mapped
+onto the reduced LP; each later one from its last reduced basis, which
+stays dual feasible as only the pinned bounds move. A reduced attempt
+that is not optimal or fails the KKT check on the full LP falls back to a
+cold solve of the full LP (``warm_fallbacks`` in the timing), whose basis
+the next attempt maps in turn.
 
 A reduced optimum can be a different vertex with the same objective up
 to round-off, so after the loop every subproblem is re-solved cold on its
@@ -82,10 +85,11 @@ class BendersResult:
     gap: float
     iterations: int
     log: list = field(default_factory=list)  # (iteration, lb, ub, gap)
-    # (iteration, master_s, sub_s, sub_iterations, warm_fallbacks) where
-    # sub_iterations sums the subproblems' simplex iterations and
-    # warm_fallbacks counts reduced attempts that fell through to a cold
-    # solve of the full LP
+    # (iteration, master_s, sub_s, sub_iterations, warm_fallbacks,
+    # ipm_retries) where sub_iterations sums the subproblems' simplex
+    # iterations, warm_fallbacks counts reduced attempts that fell through
+    # to a cold solve of the full LP, and ipm_retries the subproblem solves
+    # that the interior-point retry settled (SolveStats.retried)
     timing: list = field(default_factory=list)
     solution: ExpansionSolution | None = None
 
@@ -217,10 +221,8 @@ def solve_benders(
     master = _Master(case, reserve)
     best_ub = np.inf
     best_x = None
-    # iteration 1 solves each subproblem cold on its full LP; from iteration
-    # 2 on, on its row-reduced LP
+    # not ready before a first solve, so iteration 1 is cold on the full LP
     reduced = [ReducedModel() for _ in subs]
-    warm = [None] * case.n_periods
     log = []
     timing = []
     status = "max_iter"
@@ -238,15 +240,21 @@ def solve_benders(
 
             for lp, _ix in subs:
                 _pin(lp, inv, trial)
+            tried = [r.ready for r in reduced]
             # each subproblem owns its LP object; solves are independent
-            sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs], warm))
+            sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs], reduced))
             t2 = time.perf_counter()
             for p, sol in enumerate(sols):
                 if not sol.is_optimal:
                     raise RuntimeError(f"subproblem {p} {sol.status}")
-            fallbacks = sum(w is not None and not s.stats.warm for w, s in zip(warm, sols))
-            timing.append((it, t1 - t0, t2 - t1, sum(s.stats.iterations for s in sols), fallbacks))
-            warm = reduced
+            timing.append((
+                it,
+                t1 - t0,
+                t2 - t1,
+                sum(s.stats.iterations for s in sols),
+                sum(t and not s.stats.warm for t, s in zip(tried, sols)),
+                sum(s.stats.retried for s in sols),
+            ))
             ops_total = sum(s.objective for s in sols)
 
             ub_trial = fixed_cost(case, dict(zip(order, trial))) + ops_total

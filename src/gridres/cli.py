@@ -10,9 +10,10 @@ commitment mode --uc, cluster reads it and writes reduction.csv and
 reduced/, expand solves reduced/ (or coarse/) under that mode into
 investments.csv, translate maps that onto the fine system into
 allocation.csv and portfolio.csv, and operate dispatches allocation.csv
-into operations.csv. Each writes what the ladder writes, and first deletes
-what it and the later stages wrote before. metrics re-scores any combo
-directory.
+into operations.csv. Each writes what the ladder writes, and first,
+before it reads or checks its input, deletes what it and the later stages
+wrote before, so a refused input leaves no stale file for the next stage.
+metrics re-scores any combo directory.
 
 Exit codes: 0 on success, 1 on a configuration problem or an input file
 that cannot be read (a case directory, investments.csv, allocation.csv) or
@@ -37,6 +38,7 @@ from .model import UC_MODES, CaseError
 from .pipeline import (
     ConfigError,
     RunConfig,
+    clear_from,
     combo_case_dir,
     read_investments,
     rescore_from_artifacts,
@@ -127,6 +129,7 @@ def _cmd_gen(rc: RunConfig, args) -> int:
 
 
 def _cmd_aggregate(rc: RunConfig, args) -> int:
+    clear_from("aggregate", rc.out_dir)
     fine = rc.load_fine()
     rc.check_fine(fine)
     spec = _named_partition(rc, args.partition) if args.partition else None
@@ -136,6 +139,7 @@ def _cmd_aggregate(rc: RunConfig, args) -> int:
 
 
 def _cmd_cluster(rc: RunConfig, args) -> int:
+    clear_from("cluster", rc.out_dir)
     coarse = load_system(f"{rc.out_dir}/coarse")
     reduced = run_cluster(rc, coarse, args.k, rc.out_dir)
     print(f"kept {reduced.n_periods} of {coarse.n_periods} periods with weights {reduced.period_weights}")
@@ -143,6 +147,7 @@ def _cmd_cluster(rc: RunConfig, args) -> int:
 
 
 def _cmd_expand(rc: RunConfig, args) -> int:
+    clear_from("expand", rc.out_dir)
     bres = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), rc.out_dir)
     if not bres.converged:
         print(f"did not converge: gap {bres.gap:.3e} after {bres.iterations} iterations",
@@ -154,6 +159,7 @@ def _cmd_expand(rc: RunConfig, args) -> int:
 
 
 def _cmd_translate(rc: RunConfig, args) -> int:
+    clear_from("translate", rc.out_dir)
     coarse_dir = f"{rc.out_dir}/coarse"
     coarse = load_system(coarse_dir)
     investment = read_investments(f"{rc.out_dir}/investments.csv", coarse, coarse_dir)
@@ -163,6 +169,7 @@ def _cmd_translate(rc: RunConfig, args) -> int:
 
 
 def _cmd_operate(rc: RunConfig, args) -> int:
+    clear_from("operate", rc.out_dir)
     allocation = read_allocation(f"{rc.out_dir}/allocation.csv")
     coarse = load_system(f"{rc.out_dir}/coarse")
     portfolio = build_portfolio(rc.load_fine(), allocation, coarse)

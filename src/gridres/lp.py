@@ -87,17 +87,28 @@ column j) becomes a bound on that column, the singleton-row reduction of
   above, the other two cases below, and EQ both. Per column the tightest
   bound wins; on a tie the column's own bound wins first, then the lowest
   row.
-- It runs warm from the basis of its last accepted optimum under the warm
-  options (dual simplex, Devex dual edge weights). Without one it runs
-  cold, with presolve.
+- It is not ready until it has kept one accepted optimum, so an LP's
+  first solve is the usual cold solve of the full LP. The model keeps the
+  basis of every accepted optimum, and each attempt runs warm from it
+  under the warm options (dual simplex, Devex dual edge weights). A basis
+  of the reduced LP is passed as it is. A basis of the full LP (a cold
+  solve's: the first one, or one after a fall-through) is mapped onto the
+  reduced LP: every column keeps its status, and each kept row keeps its
+  row's. A removed bound row that is nonbasic and supplies its column's
+  active bound moves that column, if it is basic, to nonbasic at that
+  bound. The mapped basis is passed as alien, so HiGHS repairs what a
+  degenerate row leaves over: a count of basic variables other than the
+  row count, or a singular basis.
 - The kept rows' duals come from HiGHS. A bound row that supplies its
   column's active bound gets y_i = d_j / a_ij, from the column's reduced
   cost d_j on the reduced LP (d_j > 0: the lower bound is active, d_j < 0:
   the upper); every other bound row gets 0. Then z = c - A^T y on lp is
   0 on such a column and, on a fixed column, its full sensitivity.
 
-A ReducedModel keeps only its basis across solves, not a HiGHS model (a
-model per Benders subproblem would cost several MB each).
+A ReducedModel keeps only a basis across solves, not a HiGHS model (a
+model per Benders subproblem would cost several MB each). A reduced basis
+belongs to the reduced LP of one fixed set: when the fixed set changes,
+the attempt fails and the cold solve's basis is kept in its place.
 
 Every HiGHS run, of whichever attempt, is one call of ``linprog(h)``: the
 name under which the benchmark's tracer times the solver's own share of a
@@ -605,6 +616,15 @@ class KeptModel:
         return _run(h)
 
 
+_STATUS = highs.HighsBasisStatus
+
+
+def _codes(statuses: list) -> np.ndarray:
+    """The int codes of a list of HiGHS basis statuses (``__index__`` takes
+    two thirds of the time of ``int``)."""
+    return np.fromiter(map(_STATUS.__index__, statuses), np.int8, len(statuses))
+
+
 class _BoundRows:
     """The rows of an LP that a fixed-column mask turns into column bounds
     (``ReducedModel``), and the rows kept."""
@@ -675,6 +695,29 @@ class _BoundRows:
             y[self.rows[at]] = d[cols] / self.coef[at]
         return y
 
+    def mapped(self, basis, lower_row: np.ndarray, upper_row: np.ndarray):
+        """basis, of the full LP, as an alien basis of the reduced LP: the
+        columns' statuses and the kept rows'. A column that is basic and
+        whose lower (upper) bound is supplied by a nonbasic bound row
+        (lower_row, upper_row of ``bound``) becomes nonbasic at that
+        bound. None if basis is not of the full LP's shape."""
+        cols, rows = basis.col_status, basis.row_status  # the bindings copy each into a new list
+        if (len(cols), len(rows)) != (self.lp.n_vars, self.n_rows):
+            return None
+        basic = int(_STATUS.kBasic)
+        for at, moved in ((lower_row, _STATUS.kLower), (upper_row, _STATUS.kUpper)):
+            j = np.flatnonzero(at >= 0)
+            col = _codes([cols[k] for k in j.tolist()])
+            row = _codes([rows[i] for i in self.rows[at[j]].tolist()])
+            for k in j[(col == basic) & (row != basic)].tolist():
+                cols[k] = moved
+        out = highs.HighsBasis()
+        out.col_status = cols
+        out.row_status = [rows[i] for i in self.keep.tolist()]
+        out.valid = True
+        out.alien = True
+        return out
+
 
 def _tighten(bound: np.ndarray, which: np.ndarray, cols: np.ndarray, implied: np.ndarray, sign: float):
     """Tighten bound (upper for sign 1, lower for sign -1), column by
@@ -699,34 +742,43 @@ class ReducedModel:
     """A warm start for an LP whose fixed columns (lo == hi) stay fixed while
     their values change, as a Benders subproblem's pinned investments do;
     see the module docstring. It holds the row-reduced LP of the last fixed
-    set and the HiGHS basis of its last accepted optimum."""
-
-    ready = True
+    set and the HiGHS basis of its last accepted optimum: of the reduced
+    LP, or of the full LP when a cold solve was accepted (``full``)."""
 
     def __init__(self):
         self.rows: _BoundRows | None = None
         self.basis = None
+        self.full = False
         self._run = None  # the last attempt, until solve_simplex accepts or drops it
+
+    @property
+    def ready(self) -> bool:
+        return self.basis is not None
 
     def attempt(self, lp: LinearProgram) -> Attempt:
         fixed = lp.lo == lp.hi
         if self.rows is None or not np.array_equal(fixed, self.rows.fixed):
+            if not self.full:
+                return Attempt("failed", "no basis of these fixed columns")
             self.rows = _BoundRows(lp, fixed)
-            self.basis = None
         rows = self.rows
         lower_row, upper_row = rows.bound(lp)
-        # without a basis (a first solve, or one after a fall-through) the
-        # run is cold, with presolve
-        run = highs_attempt(rows.lp, False, self.basis)
+        basis = rows.mapped(self.basis, lower_row, upper_row) if self.full else self.basis
+        if basis is None:
+            return Attempt("failed", "the kept basis is not of this LP")
+        run = highs_attempt(rows.lp, False, basis)
         if run.status == "optimal":
             run.y = rows.duals(run.y, lower_row, upper_row)
         self._run = run
         return run
 
     def keep(self, run: Attempt | None) -> None:
-        """Keep the basis of the accepted run if it is this model's; drop
-        the basis otherwise."""
-        self.basis = run.model.getBasis() if run is not None and run is self._run else None
+        """Keep the basis of the accepted run: of the reduced LP if the run
+        is this model's, else of the full LP. Drop it if the run has no
+        optimal model."""
+        basis = run.model.getBasis() if run is not None and run.model is not None else None
+        self.basis = basis if basis is not None and basis.valid else None
+        self.full = run is not self._run
         self._run = None
 
 

@@ -252,6 +252,9 @@ class RunConfig:
         for p in d.pop("partitions", ()):
             if not isinstance(p, dict) or "name" not in p:
                 raise ConfigError(f"a partition needs a name and a path or regions, got {p!r}")
+            unknown = set(p) - {"name", "path", "regions"}
+            if unknown:
+                raise ConfigError(f"partition {p['name']}: unknown keys: {sorted(unknown)}")
             parts.append(
                 PartitionSpec(
                     name=str(p["name"]),
@@ -409,7 +412,7 @@ STAGE_FILES = (
 )
 
 
-def _clear_from(stage: str, art: str) -> None:
+def clear_from(stage: str, art: str) -> None:
     """Remove the files of stage and of every later stage from art."""
     first = [name for name, _files in STAGE_FILES].index(stage)
     for _name, files in STAGE_FILES[first:]:
@@ -424,7 +427,7 @@ def _clear_from(stage: str, art: str) -> None:
 def run_aggregate(fine: SystemCase, spec: PartitionSpec | None, uc_mode: str, art: str) -> SystemCase:
     """Aggregate fine onto spec's partition (None: the identity) into coarse/,
     as a case to be expanded under the commitment mode uc_mode."""
-    _clear_from("aggregate", art)
+    clear_from("aggregate", art)
     coarse = aggregate_spatial(fine, resolve_partition(fine, spec)).with_updates(uc_mode=uc_mode)
     write_case(coarse, os.path.join(art, "coarse"))
     return coarse
@@ -434,7 +437,7 @@ def run_cluster(rc: RunConfig, coarse: SystemCase, k: int | None, art: str) -> S
     """Reduce coarse to k representative periods into reduction.csv and
     reduced/. A k of None or of at least the period count keeps every
     period and writes nothing."""
-    _clear_from("cluster", art)
+    clear_from("cluster", art)
     if k is None or k >= coarse.n_periods:
         return coarse
     red = cluster_timesteps(coarse, k, force_extremes=rc.force_extremes, seed=rc.seed)
@@ -454,7 +457,7 @@ def run_expand(rc: RunConfig, case: SystemCase, art: str):
     """Solve the capacity expansion of case, under its uc_mode, with reserves
     by Benders. Writes benders_timing.csv, and on convergence benders_log.csv
     and investments.csv; returns the BendersResult."""
-    _clear_from("expand", art)
+    clear_from("expand", art)
     bres = solve_benders(
         case,
         reserve=True,
@@ -465,7 +468,7 @@ def run_expand(rc: RunConfig, case: SystemCase, art: str):
     )
     write_csv(
         os.path.join(art, "benders_timing.csv"),
-        ("iteration", "master_s", "sub_s", "sub_iterations", "warm_fallbacks"),
+        ("iteration", "master_s", "sub_s", "sub_iterations", "warm_fallbacks", "ipm_retries"),
         bres.timing,
     )
     if bres.converged:
@@ -481,7 +484,7 @@ def run_expand(rc: RunConfig, case: SystemCase, art: str):
 def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: SystemCase, art: str) -> tuple:
     """Translate the coarse build onto fine into allocation.csv and
     portfolio.csv; returns (allocation, portfolio)."""
-    _clear_from("translate", art)
+    clear_from("translate", art)
     allocation, portfolio = translate_solution(investment, coarse, fine, beta=rc.beta)
     write_allocation(allocation, os.path.join(art, "allocation.csv"))
     write_portfolio(portfolio, os.path.join(art, "portfolio.csv"))
@@ -490,7 +493,7 @@ def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: Sys
 
 def run_operate(allocation, portfolio, art: str) -> DispatchedBuild:
     """Dispatch the translated build at full resolution into operations.csv."""
-    _clear_from("operate", art)
+    clear_from("operate", art)
     build = DispatchedBuild(allocation, portfolio, dispatch_portfolio(portfolio))
     write_operations(build.operations, os.path.join(art, "operations.csv"))
     return build

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gridres import benders as benders_module
+from gridres import lp as lp_module
 from gridres.benders import _Master, solve_benders
 from gridres.expansion import (
     VarIndex,
@@ -186,7 +187,7 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     def spy(lp, warm=None):
         given = warm is not None and warm.ready
         if isinstance(warm, ReducedModel):
-            based.append(warm.basis is not None)
+            based.append((given, warm.full))
         sol = real(lp, warm)
         calls.append((given, sol.stats.warm))
         return sol
@@ -195,7 +196,7 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     r = solve_benders(case)
     assert r.iterations > 2
     assert [row[0] for row in r.timing] == list(range(1, r.iterations + 1))
-    assert all(row[4] == 0 for row in r.timing)  # no reduced attempt fell through
+    assert all(row[4] == row[5] == 0 for row in r.timing)  # no fall-through, no retry
     assert all(given == warm for given, warm in calls)
     # every master and subproblem solve after the first of its LP comes from
     # its warm-start object; the first master, the first subproblem solves
@@ -203,8 +204,9 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     n = case.n_periods
     assert sum(warm for _given, warm in calls) == (n + 1) * (r.iterations - 1)
     assert sum(not warm for _given, warm in calls) == 1 + n + n
-    # a subproblem's first reduced solve is cold, each later one from a basis
-    assert based == [False] * n + [True] * n * (r.iterations - 2)
+    # a subproblem's first solve has no basis; its first reduced solve maps
+    # the full LP's basis, and each later one starts from the reduced basis
+    assert based == [(False, False)] * n + [(True, True)] * n + [(True, False)] * n * (r.iterations - 2)
 
 
 def _master_from_scratch(case, reserve, cuts):
@@ -330,13 +332,15 @@ def test_failing_warm_masters_fall_back_to_the_cold_master(monkeypatch):
 
 
 def _reduced_solves(monkeypatch):
-    """Record (bounds, solution) of each subproblem solve on its reduced LP."""
+    """Record (bounds, solution) of each subproblem solve that tries its
+    reduced LP."""
     seen = []
     real = benders_module.solve_simplex
 
     def spy(lp, warm=None):
+        tried = isinstance(warm, ReducedModel) and warm.ready
         sol = real(lp, warm)
-        if isinstance(warm, ReducedModel):
+        if tried:
             seen.append((replace(lp, lo=lp.lo.copy(), hi=lp.hi.copy()), sol))
         return sol
 
@@ -373,9 +377,27 @@ def test_failed_reduced_attempts_fall_back_and_are_counted(monkeypatch):
     assert r.converged
     assert len(tried) == n * (r.iterations - 1)
     assert [row[4] for row in r.timing] == [0] + [n] * (r.iterations - 1)
+    assert all(row[5] == 0 for row in r.timing)
     # the full cold solves may take another path to another near-optimal build
     assert r.objective >= plain.lower_bound - 1e-9 * abs(plain.lower_bound)
     assert plain.objective >= r.lower_bound - 1e-9 * abs(r.lower_bound)
+
+
+def test_interior_point_retries_are_counted(monkeypatch):
+    # every simplex run of a fresh HiGHS model fails, so each subproblem
+    # solve falls through its warm and cold attempts to interior point
+    case = generate(SynthConfig(n_regions=2, periods=3, period_length=12), seed=7)
+    real = lp_module.highs_attempt
+
+    def simplex_fails(lp, ipm, basis=None):
+        return real(lp, ipm) if ipm else Attempt("failed", "forced simplex failure")
+
+    monkeypatch.setattr(lp_module, "highs_attempt", simplex_fails)
+    r = solve_benders(case)
+    n = case.n_periods
+    assert r.converged
+    assert [row[4] for row in r.timing] == [0] + [n] * (r.iterations - 1)
+    assert [row[5] for row in r.timing] == [n] * r.iterations
 
 
 def test_bounds_are_logged_every_ten_iterations(caplog, capsys):

@@ -366,11 +366,15 @@ def test_a_basis_of_the_wrong_shape_falls_back_to_the_cold_solve():
     assert (other.n_vars, other.n_rows) != (lp.n_vars, lp.n_rows)
     reduced = ReducedModel()
     solve_simplex(lp, reduced)
-    reduced.basis = lp_module.highs_attempt(other, False).model.getBasis()  # of the wrong shape
-    sol = solve_simplex(lp, reduced)
-    assert not sol.stats.warm and not sol.stats.retried
-    _assert_identical(sol, solve_simplex(lp))
-    assert reduced.basis is None
+    # in place of a basis of the full LP, to be mapped, then of the reduced LP
+    for full in (True, False):
+        assert reduced.full == full
+        reduced.basis = lp_module.highs_attempt(other, False).model.getBasis()  # of the wrong shape
+        sol = solve_simplex(lp, reduced)
+        assert not sol.stats.warm and not sol.stats.retried
+        _assert_identical(sol, solve_simplex(lp))
+        assert reduced.ready and reduced.full  # the next attempt maps the cold solve's basis
+        assert solve_simplex(lp, reduced).stats.warm
 
 
 def _warm_fails_by_status(monkeypatch):
@@ -400,12 +404,79 @@ def test_a_failed_warm_attempt_falls_back_to_the_cold_solve(monkeypatch, synth_s
     cold = solve_simplex(lp)
     reduced = ReducedModel()
     solve_simplex(lp, reduced)
-    assert reduced.basis is not None
+    assert solve_simplex(lp, reduced).stats.warm
+    assert reduced.ready and not reduced.full  # a basis of the reduced LP
     fail(monkeypatch)
     sol = solve_simplex(lp, reduced)
     assert not sol.stats.warm and not sol.stats.retried
     _assert_identical(sol, cold)
-    assert reduced.basis is None  # the next attempt starts cold on the reduced LP
+    assert reduced.ready and reduced.full  # the next attempt maps the cold solve's basis
+
+
+def _mapped_calls(monkeypatch):
+    """Record each basis that a ReducedModel maps onto its reduced LP."""
+    calls = []
+    real = lp_module._BoundRows.mapped
+
+    def spy(self, basis, lower_row, upper_row):
+        calls.append(basis)
+        return real(self, basis, lower_row, upper_row)
+
+    monkeypatch.setattr(lp_module._BoundRows, "mapped", spy)
+    return calls
+
+
+def _mapped_statuses_corrupt(monkeypatch, alien=True):
+    """Every mapped column basic and every mapped row nonbasic: a basis
+    with too many basic variables, which HiGHS repairs if it is alien and
+    rejects if not."""
+    real = lp_module._BoundRows.mapped
+
+    def corrupt(self, basis, lower_row, upper_row):
+        out = real(self, basis, lower_row, upper_row)
+        status = lp_module.highs.HighsBasisStatus
+        out.col_status = [status.kBasic] * len(out.col_status)
+        out.row_status = [status.kLower] * len(out.row_status)
+        out.alien = alien
+        return out
+
+    monkeypatch.setattr(lp_module._BoundRows, "mapped", corrupt)
+
+
+def test_a_mapped_basis_with_wrong_statuses_is_repaired(monkeypatch, synth_small_lps):
+    lp = synth_small_lps["subproblem"]
+    reduced = ReducedModel()
+    first = solve_simplex(lp, reduced)
+    _mapped_statuses_corrupt(monkeypatch)
+    sol = solve_simplex(lp, reduced)
+    assert sol.stats.warm and not sol.stats.retried and sol.kkt.ok()
+    assert abs(sol.objective - first.objective) <= 1e-9 * max(1.0, abs(first.objective))
+
+
+@pytest.mark.parametrize(
+    "fail",
+    [lambda monkeypatch: _mapped_statuses_corrupt(monkeypatch, alien=False), _warm_fails_kkt],
+    ids=["rejected", "kkt"],
+)
+def test_a_failed_mapped_attempt_falls_back_and_the_next_maps_the_cold_basis(
+    monkeypatch, synth_small_lps, fail
+):
+    lp = synth_small_lps["subproblem"]
+    reduced = ReducedModel()
+    first = solve_simplex(lp, reduced)
+    assert not first.stats.warm and reduced.full
+    fail(monkeypatch)
+    sol = solve_simplex(lp, reduced)  # maps the first solve's basis, and fails
+    assert not sol.stats.warm and not sol.stats.retried
+    _assert_identical(sol, first)
+    assert reduced.ready and reduced.full
+    kept = reduced.basis
+    monkeypatch.undo()
+    mapped = _mapped_calls(monkeypatch)
+    again = solve_simplex(lp, reduced)
+    assert again.stats.warm and mapped == [kept]  # the cold solve's basis, mapped
+    assert again.kkt.ok() and abs(again.objective - first.objective) <= 1e-9 * max(1.0, abs(first.objective))
+    assert not reduced.full
 
 
 def _bound_row_lp(seed):
@@ -450,6 +521,8 @@ def test_the_bound_rows_are_the_rows_with_one_nonzero_free_entry():
     lp, f = _bound_row_lp(0)
     assert (lp.a_matrix.data == 0.0).sum() == 1
     reduced = ReducedModel()
+    assert not solve_simplex(lp, reduced).stats.warm  # cold on the full LP
+    assert reduced.rows is None
     assert solve_simplex(lp, reduced).stats.warm
     rows = reduced.rows
     # the six rows on one column each, the second row on x[1], both rows on
@@ -465,18 +538,26 @@ def test_a_reduced_solve_matches_the_full_cold_solve_on_random_corpus(seed):
     lp, f = _bound_row_lp(seed)
     reduced = ReducedModel()
     rng = np.random.default_rng(100 + seed)
-    for step in range(3):
+    # the first solve is cold on the full LP; the next maps its basis onto
+    # the reduced LP, and the two after it start from the reduced basis. A
+    # solve after an infeasible one is cold again.
+    last = None  # the last solve through reduced
+    for step in range(4):
         if step:  # re-pin: the implied bounds move, the rows stay
             lp.lo[f] = lp.hi[f] = lp.lo[f] * rng.uniform(0.97, 1.03, f.size)
+        ready, full = reduced.ready, reduced.full
+        assert ready == (last is not None and last.is_optimal)
+        assert not ready or full == (not last.stats.warm)
         cold = solve_simplex(lp)
         sol = solve_simplex(lp, reduced)
+        last = sol
         assert sol.status == cold.status
         if cold.is_optimal:
-            assert sol.stats.warm and not sol.stats.retried
+            assert sol.stats.warm == ready and not sol.stats.retried
             assert abs(sol.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
             assert sol.kkt.ok() and kkt_residuals(lp, sol.x, sol.row_duals).ok()
         else:
-            assert reduced.basis is None
+            assert not reduced.ready
 
 
 # -- arrays built once per LP, and the kept model ----------------------------------
@@ -684,6 +765,7 @@ def test_highs_holds_the_builders_matrix_cold_warm_and_kept(synth_small_lps):
     assert warm.status == "optimal"
     _assert_highs_holds(warm.model, lp)
     reduced = ReducedModel()
+    solve_simplex(lp, reduced)
     run = reduced.attempt(lp)
     assert run.status == "optimal" and reduced.rows.lp.n_rows < lp.n_rows
     _assert_highs_holds(run.model, reduced.rows.lp)

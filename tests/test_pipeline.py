@@ -23,6 +23,7 @@ from gridres.pipeline import (
     HRB_NAME,
     LADDER_COLUMNS,
     PartitionSpec,
+    STAGE_FILES,
     RunConfig,
     chunk_partition,
     load_partition_file,
@@ -190,6 +191,7 @@ def _perturbed(field, value, out_dir="o"):
         (("synth", "pathway"), "XX", "synth.pathway must be one of BAU, CP, got 'XX'"),
         (("seed",), "3", "seed must be an integer"),
         (("partitions", 0), {"name": "r1", "path": 12}, "partition r1: path must be a non-empty string, got 12"),
+        (("partitions", 0, "colour"), "red", "partition r1: unknown keys: ['colour']"),
     ],
 )
 def test_config_names_a_bad_field_at_load(field, value, message):
@@ -537,12 +539,12 @@ def test_benders_timing_has_one_row_per_iteration(ladder_run):
     combo = os.path.join(out, "r1-k1-relaxed")
     log = _read_csv(os.path.join(combo, "benders_log.csv"))
     rows = _read_csv(os.path.join(combo, "benders_timing.csv"))
-    assert rows[0] == ["iteration", "master_s", "sub_s", "sub_iterations", "warm_fallbacks"]
+    assert rows[0] == ["iteration", "master_s", "sub_s", "sub_iterations", "warm_fallbacks", "ipm_retries"]
     assert [r[0] for r in rows[1:]] == [r[0] for r in log[1:]]
     for r in rows[1:]:
         assert float(r[1]) > 0.0 and float(r[2]) > 0.0
         assert int(r[3]) >= 0
-        assert r[4] == "0"
+        assert r[4] == "0" and r[5] == "0"
     assert not os.path.exists(os.path.join(combo, "error.txt"))
 
 
@@ -737,12 +739,12 @@ def test_cli_reports_unreadable_input_files_in_one_line(ladder_run, tmp_path, ca
     shutil.copytree(os.path.join(out, "r1-kall-relaxed"), combo_dir)
     investments = combo_dir / "investments.csv"
     investments.write_text("variable,mw\nnew_x,1.0\n")
-    allocation = combo_dir / "allocation.csv"
-    allocation.write_text("entity_kind,entity_id,mw\nsite,s1,1.0\n")
     capsys.readouterr()
     args = ["--config", cfg, "--out", str(combo_dir)]
     assert cli_main([*args, "translate"]) == 1
     assert capsys.readouterr().err == f"input error: {investments}: schema mismatch, missing columns ['value']\n"
+    allocation = combo_dir / "allocation.csv"  # the refused translate deleted the ladder's
+    allocation.write_text("entity_kind,entity_id,mw\nsite,s1,1.0\n")
     assert cli_main([*args, "operate"]) == 1
     assert capsys.readouterr().err == (
         f"input error: {allocation}: schema mismatch, missing columns ['provenance_cluster']\n"
@@ -888,6 +890,43 @@ def test_cli_chain_of_a_none_combo_writes_the_ladder_combo_files(tmp_path):
     assert (dest / "rescore-r1-k1-none.csv").read_bytes() == (combo / "report.csv").read_bytes()
 
 
+def test_a_refused_translate_leaves_no_stale_outputs(ladder_run, tmp_path, capsys):
+    # a copy of r1-kall-relaxed with a nan in investments.csv: translate
+    # refuses it and deletes the earlier build's allocation, portfolio and
+    # dispatch, so operate has no stale allocation to dispatch
+    _, out, cfg = ladder_run
+    combo_dir = tmp_path / "r1-kall-relaxed"
+    shutil.copytree(os.path.join(out, "r1-kall-relaxed"), combo_dir)
+    later = ("allocation.csv", "portfolio.csv", "operations.csv")
+    assert all(os.path.exists(combo_dir / name) for name in later)
+    path = combo_dir / "investments.csv"
+    header, first, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, f"{first.split(',')[0]},nan", *rows]) + "\n")
+    args = ["--config", cfg, "--out", str(combo_dir)]
+    assert cli_main([*args, "translate"]) == 1
+    assert [name for name in later if os.path.exists(combo_dir / name)] == []
+    capsys.readouterr()
+    assert cli_main([*args, "operate"]) == 1
+    assert capsys.readouterr().err == f"input error: {combo_dir / 'allocation.csv'}: missing file\n"
+
+
+@pytest.mark.parametrize(
+    "command, case_dir", [(["cluster", "--k", "1"], "coarse"), (["expand"], "reduced")], ids=["cluster", "expand"]
+)
+def test_a_refused_stage_leaves_no_stale_outputs(ladder_run, tmp_path, command, case_dir):
+    # a copy of r1-k1-relaxed whose case that the stage reads lost its
+    # scalars.csv: the stage fails and deletes its own and every later
+    # stage's files
+    _, out, cfg = ladder_run
+    combo_dir = tmp_path / "r1-k1-relaxed"
+    shutil.copytree(os.path.join(out, "r1-k1-relaxed"), combo_dir)
+    (combo_dir / case_dir / "scalars.csv").unlink()
+    assert cli_main(["--config", cfg, "--out", str(combo_dir), *command]) == 1
+    first = [name for name, _files in STAGE_FILES].index(command[0])
+    stale = [f for _name, files in STAGE_FILES[first:] for f in files if os.path.exists(combo_dir / f)]
+    assert stale == []
+
+
 def test_cli_rejects_a_k_below_1(ladder_run, tmp_path, capsys):
     _, _, cfg = ladder_run
     capsys.readouterr()
@@ -989,8 +1028,7 @@ def test_cli_metrics_rejects_investments_that_do_not_match_the_case(
         case_dir = combo_dir / "reduced"
     else:
         # translate reads the combo directory's coarse/ and investments.csv
-        dest = combo_dir
-        (combo_dir / "allocation.csv").unlink()
+        dest = combo_dir  # whose allocation.csv the refused translate deletes
         args = ["translate"]
         case_dir = combo_dir / "coarse"
     capsys.readouterr()
