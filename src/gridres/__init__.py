@@ -66,6 +66,7 @@ from .metrics import (
     mse_lines,
     mse_regional,
     phase_compare,
+    phase_summary,
     sco,
 )
 from .syngen import SynthConfig, generate
@@ -127,6 +128,7 @@ __all__ = [
     "mse_lines",
     "mse_regional",
     "phase_compare",
+    "phase_summary",
     "redistrict_transmission",
     "retire_units",
     "run_case",

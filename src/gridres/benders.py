@@ -39,12 +39,13 @@ that is not optimal or fails the KKT check on the full LP falls back to a
 cold solve of the full LP (``warm_fallbacks`` in the timing), whose basis
 the next attempt maps in turn.
 
-A reduced optimum can be a different vertex with the same objective up
-to round-off, so after the loop every subproblem is re-solved cold on its
-full LP at the incumbent (``solve_at_build``), and the solution is spliced
-from those solves. That is phase 1 at a fixed build, and it has this one
-code path: ``gridres metrics`` replays a saved build through the same
-function, so a re-scored combo matches its ladder report.
+The solution is spliced from the subproblem solves of the iteration that
+set the incumbent; no subproblem is solved again after the loop. Those
+solves may be reduced ones, and a reduced optimum can be another vertex
+than a cold solve's at the same build: the build does not determine how
+free VRE energy splits between use and curtailment, nor how non-served
+energy splits between regions. Downstream reads only the build, the costs
+and the thermal dispatch by tech from the solution.
 
 An optional convex-combination step toward the incumbent (stab_weight in
 [0, 1)) damps the master iterate; 0 is pure Benders. ``BendersResult.timing``
@@ -185,21 +186,6 @@ def build_subproblems(case: SystemCase) -> list:
     ]
 
 
-def solve_at_build(case: SystemCase, subs, x: np.ndarray, solve_all=map) -> ExpansionSolution:
-    """Phase 1 at the fixed build x (investment values in investment_entries
-    order): pin x into every subproblem of build_subproblems, solve each one
-    cold on its full LP through solve_all (map, or a pool's map) and splice
-    the periods into one solution."""
-    inv = subs[0][1].inv
-    for lp, _ix in subs:
-        _pin(lp, inv, x)
-    sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs]))
-    for p, sol in enumerate(sols):
-        if not sol.is_optimal:
-            raise RuntimeError(f"subproblem {p} {sol.status}")
-    return _assemble(case, subs, sols)
-
-
 def solve_benders(
     case: SystemCase,
     reserve: bool = True,
@@ -221,6 +207,7 @@ def solve_benders(
     master = _Master(case, reserve)
     best_ub = np.inf
     best_x = None
+    best_sols = None  # the subproblem solutions at best_x
     # not ready before a first solve, so iteration 1 is cold on the full LP
     reduced = [ReducedModel() for _ in subs]
     log = []
@@ -261,6 +248,7 @@ def solve_benders(
             if ub_trial < best_ub:
                 best_ub = ub_trial
                 best_x = trial.copy()
+                best_sols = sols
             gap = (best_ub - lower) / max(1.0, abs(best_ub))
             log.append((it, lower, best_ub, gap))
             if it % 10 == 0:
@@ -270,9 +258,6 @@ def solve_benders(
                 break
             for p, sol in enumerate(sols):
                 master.add_cut(p, sol.objective, trial, sol.reduced_costs[inv])
-
-        # a reduced optimum may be another vertex: extract what a cold solve gives
-        solution = solve_at_build(case, subs, best_x, solve_all)
     return BendersResult(
         status=status,
         objective=best_ub,
@@ -281,5 +266,5 @@ def solve_benders(
         iterations=len(log),
         log=log,
         timing=timing,
-        solution=solution,
+        solution=_assemble(case, subs, best_sols),
     )

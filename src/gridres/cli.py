@@ -8,20 +8,20 @@ The stage commands run the ladder's own per-combo stages one at a time,
 with --out as the combo directory: aggregate writes coarse/ with the
 commitment mode --uc, cluster reads it and writes reduction.csv and
 reduced/, expand solves reduced/ (or coarse/) under that mode into
-investments.csv, translate maps that onto the fine system into
-allocation.csv and portfolio.csv, and operate dispatches allocation.csv
-into operations.csv. Each writes what the ladder writes, and first,
+investments.csv and phase1.csv, translate maps that onto the fine system
+into allocation.csv and portfolio.csv, and operate dispatches
+allocation.csv into operations.csv. Each writes what the ladder writes, and first,
 before it reads or checks its input, deletes what it and the later stages
 wrote before, so a refused input leaves no stale file for the next stage.
 metrics re-scores any combo directory.
 
 Exit codes: 0 on success, 1 on a configuration problem or an input file
-that cannot be read (a case directory, investments.csv, allocation.csv) or
-that does not fit its case (an unknown name or entity, an investment out
-of its bounds), 2 when Benders did not converge in expand or a ladder
-finished but some combos failed. Progress (each combo's start and end, the
-Benders bounds every 10 iterations) is logged to stderr through the
-``gridres`` logger at INFO.
+that cannot be read (a case directory, investments.csv, phase1.csv,
+allocation.csv) or that does not fit its case (an unknown name or entity,
+an investment out of its bounds), 2 when Benders did not converge in
+expand or a ladder finished but some combos failed. Progress (each
+combo's start and end, the Benders bounds every 10 iterations) is logged
+to stderr through the ``gridres`` logger at INFO.
 """
 
 from __future__ import annotations
@@ -148,13 +148,13 @@ def _cmd_cluster(rc: RunConfig, args) -> int:
 
 def _cmd_expand(rc: RunConfig, args) -> int:
     clear_from("expand", rc.out_dir)
-    bres = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), rc.out_dir)
+    bres, _phase1 = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), rc.out_dir)
     if not bres.converged:
         print(f"did not converge: gap {bres.gap:.3e} after {bres.iterations} iterations",
               file=sys.stderr)
         return 2
     print(f"objective {bres.objective:.6e} in {bres.iterations} iterations "
-          f"(gap {bres.gap:.2e}); wrote {rc.out_dir}/investments.csv")
+          f"(gap {bres.gap:.2e}); wrote {rc.out_dir}/investments.csv and phase1.csv")
     return 0
 
 

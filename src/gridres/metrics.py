@@ -89,7 +89,6 @@ class Financials:
     nse_cost: float
     abatement_fee: float
     emissions_by_region: dict
-    nse_by_region: dict
     profit_by_region: dict
     revenue_by_region: dict
     price_by_region_hour: dict  # region -> 24 hour-of-day means
@@ -99,7 +98,6 @@ def financials(sol: ExpansionSolution, case: SystemCase) -> Financials:
     w = sol.hour_weight
     region_of = {c.id: c.region for c in case.clusters}
 
-    nse_by_region = {r.id: float((sol.nse[r.id] * w).sum()) for r in case.regions}
     emissions = {r.id: 0.0 for r in case.regions}
     profit = {r.id: 0.0 for r in case.regions}
     revenue = {r.id: 0.0 for r in case.regions}
@@ -134,14 +132,12 @@ def financials(sol: ExpansionSolution, case: SystemCase) -> Financials:
             means[h] = float(p[mask].mean()) if mask.any() else 0.0
         price_hod[r.id] = tuple(means)
 
-    total_nse_cost = case.nse_cost * float(sum((v * w).sum() for v in sol.nse.values()))
     fee = case.carbon_fee * float(sum(emissions.values()))
     return Financials(
         variable_cost=sol.variable_cost,
-        nse_cost=total_nse_cost,
+        nse_cost=case.nse_cost * sol.total_nse,
         abatement_fee=fee,
         emissions_by_region=emissions,
-        nse_by_region=nse_by_region,
         profit_by_region=profit,
         revenue_by_region=revenue,
         price_by_region_hour=price_hod,
@@ -200,25 +196,27 @@ def cost_recovery(sol: ExpansionSolution, case: SystemCase) -> dict:
     }
 
 
-def phase_compare(expansion: ExpansionSolution, operations: ExpansionSolution,
-                  coarse: SystemCase, fine: SystemCase) -> dict:
-    """Per-tech (phase-1 weighted MWh, phase-2 MWh, delta), plus a
-    "variable_cost" row carrying the cost comparison in dollars."""
-    def by_tech(sol: ExpansionSolution, case: SystemCase) -> dict:
-        out: dict = {}
-        for c in case.clusters:
-            mwh = float((sol.dispatch[c.id] * sol.hour_weight).sum())
-            out[c.tech] = out.get(c.tech, 0.0) + mwh
-        return out
+def phase_summary(sol: ExpansionSolution, case: SystemCase) -> dict:
+    """What the report compares of a phase's solution on case: weighted MWh
+    by thermal tech, and "variable_cost" in dollars. VRE energy is left
+    out: curtailing it costs nothing, so its split between use and
+    curtailment is one optimal vertex among many, not a function of the
+    build."""
+    out: dict = {}
+    for c in case.thermal_clusters:
+        out[c.tech] = out.get(c.tech, 0.0) + float((sol.dispatch[c.id] * sol.hour_weight).sum())
+    out["variable_cost"] = sol.variable_cost
+    return out
 
-    p1 = by_tech(expansion, coarse)
-    p2 = by_tech(operations, fine)
+
+def phase_compare(phase1: dict, operations: ExpansionSolution, case: SystemCase) -> dict:
+    """(phase 1, phase 2, delta) per key of the phase-1 summary and of the
+    summary of operations on case (see phase_summary)."""
+    p2 = phase_summary(operations, case)
     out = {}
-    for tech in sorted(set(p1) | set(p2)):
-        a, b = p1.get(tech, 0.0), p2.get(tech, 0.0)
-        out[tech] = (a, b, b - a)
-    a, b = expansion.variable_cost, operations.variable_cost
-    out["variable_cost"] = (a, b, b - a)
+    for key in sorted(set(phase1) | set(p2)):
+        a, b = phase1.get(key, 0.0), p2.get(key, 0.0)
+        out[key] = (a, b, b - a)
     return out
 
 
@@ -237,11 +235,10 @@ class MetricsReport:
     variable_cost: float
     nse_cost: float
     abatement_fee: float
-    nse_by_region: dict
     emissions_by_region: dict
     profit_by_region: dict
     price_by_region_hour: dict
-    phase_delta: dict  # tech -> (phase1, phase2, delta)
+    phase_delta: dict  # thermal tech or "variable_cost" -> (phase1, phase2, delta)
     total_nse: float = 0.0
     total_emissions: float = 0.0
 
@@ -255,8 +252,6 @@ class MetricsReport:
                      "variable_cost", "nse_cost", "abatement_fee", "total_nse",
                      "total_emissions"):
             out.append((self.combo, name, "", getattr(self, name)))
-        for rid in sorted(self.nse_by_region):
-            out.append((self.combo, "nse", rid, self.nse_by_region[rid]))
         for rid in sorted(self.emissions_by_region):
             out.append((self.combo, "emissions", rid, self.emissions_by_region[rid]))
         for rid in sorted(self.profit_by_region):
@@ -274,14 +269,14 @@ class MetricsReport:
 
 def build_report(
     combo: str,
-    expansion: ExpansionSolution,
-    coarse: SystemCase,
+    phase1: dict,
+    fixed_cost: float,
     fine: SystemCase,
     build: DispatchedBuild,
     baseline: DispatchedBuild,
 ) -> MetricsReport:
-    """Score a combo's phase-1 solution (expansion, on coarse) and its
-    dispatched build against the baseline's."""
+    """Score a combo's dispatched build against the baseline's, with its
+    phase-1 summary (see phase_summary) and the fixed cost of its build."""
     fin = financials(build.operations, build.portfolio.case)
     hrb_fin = financials(baseline.operations, baseline.portfolio.case)
     line_capacity = build.portfolio.line_capacity
@@ -300,17 +295,16 @@ def build_report(
                       {k: v / 1000.0 for k, v in hrb_line_capacity.items()}),
         rmse_profit=rmse(fin.profit_by_region, hrb_fin.profit_by_region),
         rmse_emiss=rmse(fin.emissions_by_region, hrb_fin.emissions_by_region),
-        total_cost=expansion.fixed_cost + fin.variable_cost + fin.nse_cost + fin.abatement_fee,
-        fixed_cost=expansion.fixed_cost,
+        total_cost=fixed_cost + fin.variable_cost + fin.nse_cost + fin.abatement_fee,
+        fixed_cost=fixed_cost,
         variable_cost=fin.variable_cost,
         nse_cost=fin.nse_cost,
         abatement_fee=fin.abatement_fee,
-        nse_by_region=fin.nse_by_region,
         emissions_by_region=fin.emissions_by_region,
         profit_by_region=fin.profit_by_region,
         price_by_region_hour=fin.price_by_region_hour,
-        phase_delta=phase_compare(expansion, build.operations, coarse, build.portfolio.case),
-        total_nse=float(sum(fin.nse_by_region.values())),
+        phase_delta=phase_compare(phase1, build.operations, build.portfolio.case),
+        total_nse=build.operations.total_nse,
         total_emissions=float(sum(fin.emissions_by_region.values())),
     )
     return report

@@ -18,8 +18,8 @@ carries on.
 
 A combo's commitment mode is stored once, as the uc_mode of its case:
 run_aggregate sets it in coarse/, clustering copies it into reduced/, and
-expansion and its phase-1 replay read it from there. Dispatch at full
-resolution is always relaxed.
+expansion reads it from there. Dispatch at full resolution is always
+relaxed.
 
 ladder.csv holds only deterministic columns so reruns with the same seed
 are byte-identical; wall-clock numbers go to side files instead:
@@ -28,12 +28,13 @@ seconds of its set-up and of each stage it reached, summing to its
 runtime_s) and <combo>/benders_timing.csv per Benders solve. A failed
 combo leaves its full traceback in <combo>/error.txt.
 
-rescore_from_artifacts (``gridres metrics``) re-scores a combo from its
-files through the ladder's own code: phase 1 at the saved investments on
-the per-period Benders subproblems (benders.solve_at_build), then the
-dispatch of the combo's and the HRB's saved allocations. It names the
-report after the combo directory, and for a ladder combo the report equals
-its report.csv byte for byte.
+Phase 1 reaches the report only as its summary (metrics.phase_summary),
+which run_expand writes to phase1.csv, and as the fixed cost of the build
+it writes to investments.csv. rescore_from_artifacts (``gridres metrics``)
+re-scores a combo from its files: it reads both, re-dispatches the combo's
+and the HRB's saved allocations, and solves no Benders subproblem. It
+names the report after the combo directory, and for a ladder combo the
+report equals its report.csv byte for byte.
 """
 
 from __future__ import annotations
@@ -48,15 +49,15 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
-import numpy as np
 import yaml
 
-from .benders import build_subproblems, solve_at_build, solve_benders
+from .benders import solve_benders
 from .caseio import _Table, load_system, read_partition, write_case, write_csv
 from .expansion import (
     ExpansionSolution,
     build_operations_lp,
     extract_solution,
+    fixed_cost,
     investment_entries,
 )
 from .lp import PRIMAL_TOL, solve_simplex
@@ -65,6 +66,7 @@ from .metrics import (
     MetricsReport,
     build_report,
     format_summary,
+    phase_summary,
     sco_column,
     write_report,
 )
@@ -406,7 +408,7 @@ def write_operations(operations: ExpansionSolution, path: str) -> None:
 STAGE_FILES = (
     ("aggregate", ("coarse",)),
     ("cluster", ("reduction.csv", "reduced")),
-    ("expand", ("benders_timing.csv", "benders_log.csv", "investments.csv")),
+    ("expand", ("benders_timing.csv", "benders_log.csv", "investments.csv", "phase1.csv")),
     ("translate", ("allocation.csv", "portfolio.csv")),
     ("operate", ("operations.csv",)),
 )
@@ -453,10 +455,12 @@ def combo_case_dir(art: str) -> str:
     return reduced_dir if os.path.isdir(reduced_dir) else os.path.join(art, "coarse")
 
 
-def run_expand(rc: RunConfig, case: SystemCase, art: str):
+def run_expand(rc: RunConfig, case: SystemCase, art: str) -> tuple:
     """Solve the capacity expansion of case, under its uc_mode, with reserves
-    by Benders. Writes benders_timing.csv, and on convergence benders_log.csv
-    and investments.csv; returns the BendersResult."""
+    by Benders. Writes benders_timing.csv and benders_log.csv, and on
+    convergence investments.csv and phase1.csv; returns the BendersResult
+    and the phase-1 summary that phase1.csv holds (None without
+    convergence)."""
     clear_from("expand", art)
     bres = solve_benders(
         case,
@@ -471,14 +475,17 @@ def run_expand(rc: RunConfig, case: SystemCase, art: str):
         ("iteration", "master_s", "sub_s", "sub_iterations", "warm_fallbacks", "ipm_retries"),
         bres.timing,
     )
-    if bres.converged:
-        write_csv(
-            os.path.join(art, "benders_log.csv"),
-            ("iteration", "lower_bound", "upper_bound", "gap"),
-            ((it, float(lb), float(ub), float(g)) for it, lb, ub, g in bres.log),
-        )
-        write_investments(bres.solution.investment, os.path.join(art, "investments.csv"))
-    return bres
+    write_csv(
+        os.path.join(art, "benders_log.csv"),
+        ("iteration", "lower_bound", "upper_bound", "gap"),
+        ((it, float(lb), float(ub), float(g)) for it, lb, ub, g in bres.log),
+    )
+    if not bres.converged:
+        return bres, None
+    write_investments(bres.solution.investment, os.path.join(art, "investments.csv"))
+    phase1 = phase_summary(bres.solution, case)
+    write_csv(os.path.join(art, "phase1.csv"), ("key", "value"), ((k, float(v)) for k, v in phase1.items()))
+    return bres, phase1
 
 
 def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: SystemCase, art: str) -> tuple:
@@ -540,7 +547,7 @@ def run_case(
         with stage("cluster"):
             reduced = run_cluster(rc, coarse, combo.k, art)
         with stage("expand"):
-            bres = run_expand(rc, reduced, art)
+            bres, phase1 = run_expand(rc, reduced, art)
             if not bres.converged:
                 raise RuntimeError(
                     f"no convergence in {bres.iterations} iterations, gap {bres.gap:.3e}"
@@ -554,7 +561,7 @@ def run_case(
                 baseline = out.baseline = build
             elif baseline is None:
                 raise RuntimeError("no baseline to score against: none was given, or the baseline combo failed")
-            report = build_report(combo.name, bres.solution, coarse, fine, build, baseline)
+            report = build_report(combo.name, phase1, bres.solution.fixed_cost, fine, build, baseline)
             write_report([report], os.path.join(art, "report.csv"))
 
         out.report = report
@@ -655,40 +662,47 @@ def summarize(report: ExperimentReport) -> str:
 # -- rebuilding results from persisted artifacts -------------------------------
 
 
+def _read_named(path: str, column: str, names, case_dir: str) -> dict:
+    """The rows of a (column, value) file as name -> (row number, float
+    value). The file must name exactly names, those of the case loaded
+    from case_dir; a mismatch is refused with both lists."""
+    table = _Table(path, (column, "value"))
+    saved = {
+        table.cell(rowno, row, column): (rowno, table.cell(rowno, row, "value", float))
+        for rowno, row in table
+    }
+    missing, unknown = sorted(set(names) - set(saved)), sorted(set(saved) - set(names))
+    if missing or unknown:
+        raise CaseError(f"{path} does not match {case_dir}: missing {missing}, unknown {unknown}")
+    return saved
+
+
 def read_investments(path: str, case: SystemCase, case_dir: str) -> dict:
     """Read investments.csv as the named investment vector of case, loaded
     from case_dir, in investment_entries order. The file must name every
     investment of the case and nothing else, each with a finite value
     within its bounds up to the LP's primal tolerance."""
-    table = _Table(path, ("variable", "value"))
-    saved = {
-        table.cell(rowno, row, "variable"): (rowno, table.cell(rowno, row, "value", float))
-        for rowno, row in table
-    }
     entries = investment_entries(case)
-    names = [name for name, *_ in entries]
-    missing, unknown = sorted(set(names) - set(saved)), sorted(set(saved) - set(names))
-    if missing or unknown:
-        raise CaseError(f"{path} does not match {case_dir}: missing {missing}, unknown {unknown}")
+    saved = _read_named(path, "variable", [name for name, *_ in entries], case_dir)
     for name, _kind, _eid, lo, hi, _cost in entries:
         rowno, value = saved[name]
         low, high = lo - PRIMAL_TOL * (1.0 + abs(lo)), hi + PRIMAL_TOL * (1.0 + abs(hi))
         if not (math.isfinite(value) and low <= value <= high):
             raise CaseError(f"{path} row {rowno}: {name} = {value!r} is not a finite number in [{lo}, {hi}]")
-    return {name: saved[name][1] for name in names}
+    return {name: saved[name][1] for name, *_ in entries}
 
 
-def _replay_phase1(combo_dir: str) -> tuple:
-    """Re-derive the phase-1 solution of a persisted combo as the ladder
-    extracted it: its saved investments pinned into the per-period Benders
-    subproblems of its case, under the case's uc_mode, each solved cold
-    (benders.solve_at_build). Returns (case, solution); the case is the
-    reduced one if the combo has one."""
-    case_dir = combo_case_dir(combo_dir)
-    case = load_system(case_dir)
-    investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
-    x = np.array(list(investment.values()))
-    return case, solve_at_build(case, build_subproblems(case), x)
+def read_phase1(path: str, case: SystemCase, case_dir: str) -> dict:
+    """Read phase1.csv as the phase-1 summary of case, loaded from
+    case_dir: one finite value for each thermal tech of the case and for
+    "variable_cost", and nothing else."""
+    keys = [*dict.fromkeys(c.tech for c in case.thermal_clusters), "variable_cost"]
+    saved = _read_named(path, "key", keys, case_dir)
+    for key in keys:
+        rowno, value = saved[key]
+        if not math.isfinite(value):
+            raise CaseError(f"{path} row {rowno}: {key} = {value!r} is not a finite number")
+    return {key: saved[key][1] for key in keys}
 
 
 def dispatch_portfolio(portfolio) -> ExpansionSolution:
@@ -715,13 +729,16 @@ def replay_operations(
 
 
 def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> MetricsReport:
-    """Rebuild a combo's metrics report from its persisted artifacts by
-    re-solving what the ladder solved: phase 1 at the saved build (see
-    _replay_phase1) and the dispatch of the combo's and the baseline's
-    saved allocations. The report is named after combo_dir."""
+    """Rebuild a combo's metrics report from its persisted artifacts: the
+    phase-1 summary of phase1.csv, the fixed cost of investments.csv, and
+    the dispatch of the combo's and the baseline's saved allocations. The
+    report is named after combo_dir."""
     fine = rc.load_fine()
-    coarse, expansion = _replay_phase1(combo_dir)
-    build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), coarse)
+    case_dir = combo_case_dir(combo_dir)
+    case = load_system(case_dir)
+    investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
+    phase1 = read_phase1(os.path.join(combo_dir, "phase1.csv"), case, case_dir)
+    build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), case)
     baseline = replay_operations(fine, os.path.join(baseline_dir, "allocation.csv"))
     name = os.path.basename(os.path.normpath(combo_dir))
-    return build_report(name, expansion, coarse, fine, build, baseline)
+    return build_report(name, phase1, fixed_cost(case, investment), fine, build, baseline)

@@ -199,11 +199,11 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     assert all(row[4] == row[5] == 0 for row in r.timing)  # no fall-through, no retry
     assert all(given == warm for given, warm in calls)
     # every master and subproblem solve after the first of its LP comes from
-    # its warm-start object; the first master, the first subproblem solves
-    # and the extraction re-solves at the incumbent are cold on the full LP
+    # its warm-start object; only the first master and the first subproblem
+    # solves are cold on the full LP, and nothing is solved after the loop
     n = case.n_periods
     assert sum(warm for _given, warm in calls) == (n + 1) * (r.iterations - 1)
-    assert sum(not warm for _given, warm in calls) == 1 + n + n
+    assert sum(not warm for _given, warm in calls) == 1 + n
     # a subproblem's first solve has no basis; its first reduced solve maps
     # the full LP's basis, and each later one starts from the reduced basis
     assert based == [(False, False)] * n + [(True, True)] * n + [(True, False)] * n * (r.iterations - 2)

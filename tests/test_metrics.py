@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridres.expansion import build_expansion_lp, extract_solution
-from gridres.lp import solve_simplex
+from gridres import lp as lp_module
+from gridres.benders import _assemble, _pin, build_subproblems, solve_benders
+from gridres.expansion import build_expansion_lp, extract_solution, fixed_cost
+from gridres.lp import ReducedModel, solve_simplex
 from gridres.metrics import (
     DispatchedBuild,
     build_report,
@@ -17,13 +19,18 @@ from gridres.metrics import (
     format_summary,
     mse_lines,
     mse_regional,
+    phase_summary,
     phase_compare,
     rmse,
     sco,
     write_report,
 )
 from gridres.model import Region
-from gridres.translate import Portfolio, SiteAllocation
+from gridres.pipeline import chunk_partition, dispatch_portfolio
+from gridres.spatial import aggregate_spatial
+from gridres.temporal import apply_temporal, cluster_timesteps
+from gridres.syngen import SynthConfig, generate
+from gridres.translate import Portfolio, SiteAllocation, translate_solution
 
 from conftest import (
     interregional,
@@ -170,7 +177,6 @@ def test_financials_mirror_solution_totals():
     assert fin.variable_cost == sol.variable_cost
     assert fin.nse_cost == pytest.approx(sol.nse_cost_total, rel=1e-12)
     assert sum(fin.emissions_by_region.values()) == pytest.approx(sol.total_emissions, rel=1e-12)
-    assert sum(fin.nse_by_region.values()) == pytest.approx(sol.total_nse, rel=1e-12)
 
 
 def test_marginal_generator_earns_zero_profit():
@@ -246,7 +252,7 @@ def test_phase_compare_with_itself_is_all_zero():
     units = [make_unit("u1", "R1", "g1", 12.0)]
     case = one_bus_case([10.0, 4.0], existing_units=units, fixed_cost=10.0)
     sol = _solve(case)
-    out = phase_compare(sol, sol, case, case)
+    out = phase_compare(phase_summary(sol, case), sol, case)
     for tech, (p1, p2, delta) in out.items():
         assert p1 == p2
         assert delta == 0.0
@@ -267,7 +273,10 @@ def _self_report(tmp_path=None):
     allocation = SiteAllocation(provenance={"v1": (("site", "s1", sol.investment["xv[v1]"]),)})
     build = DispatchedBuild(allocation, Portfolio(case=case), sol)
     baseline = DispatchedBuild(allocation, Portfolio(case=case), sol)
-    rep = build_report("identity", expansion=sol, coarse=case, fine=case, build=build, baseline=baseline)
+    rep = build_report(
+        "identity", phase1=phase_summary(sol, case), fixed_cost=sol.fixed_cost,
+        fine=case, build=build, baseline=baseline,
+    )
     return case, sol, rep
 
 
@@ -280,6 +289,8 @@ def test_self_report_scores_perfectly():
     assert rep.total_cost == pytest.approx(sol.objective, rel=1e-6)
     for tech, (_, _, delta) in rep.phase_delta.items():
         assert delta == 0.0
+    # the phase rows cover the thermal techs and the variable cost, no VRE tech
+    assert set(rep.phase_delta) == {*(c.tech for c in case.thermal_clusters), "variable_cost"}
 
 
 def test_report_rows_are_long_format():
@@ -288,7 +299,8 @@ def test_report_rows_are_long_format():
     assert all(len(r) == 4 for r in rows)
     assert rows[0] == ("identity", "sco", "solar", 100.0)
     metrics = {r[1] for r in rows}
-    assert {"mse_cap", "total_cost", "nse", "emissions", "profit", "price_hod"} <= metrics
+    assert {"mse_cap", "total_cost", "total_nse", "emissions", "profit", "price_hod"} <= metrics
+    assert "nse" not in metrics  # the regional split of non-served energy is not reported
     hod_rows = [r for r in rows if r[1] == "price_hod"]
     assert len(hod_rows) == 24
     assert hod_rows[0][2] == "R1:00"
@@ -326,3 +338,69 @@ def test_summary_sco_wind_averages_every_wind_tech_as_the_ladder_does():
     cols = dict(zip(header, row))
     assert cols["sco_solar"] == "80.0"
     assert cols["sco_wind"] == "56.7"  # (100 + 40 + 30) / 3
+
+
+# -- independence from the optimal vertex -------------------------------------------
+
+# second starts for the operations LP, in place of dual simplex
+_OTHER_STARTS = {
+    "ipm": lp_module._highs_options(solver="ipm", run_crossover="on"),
+    "primal": lp_module._highs_options(
+        solver="simplex", simplex_strategy=lp_module.highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
+    ),
+}
+
+
+def _phase1_cold_and_warm(case, investment):
+    """Phase 1 at the build investment, from two starts: every subproblem
+    cold on its full LP, and warm on its reduced LP from the full LP's
+    basis at the zero build, as in Benders' second iteration."""
+    subs = build_subproblems(case)
+    x = np.array(list(investment.values()))
+    cold, warm = [], []
+    for lp, ix in subs:
+        reduced = ReducedModel()
+        assert solve_simplex(lp, reduced).is_optimal  # pinned at 0
+        _pin(lp, ix.inv, x)
+        cold.append(solve_simplex(lp))
+        warm.append(solve_simplex(lp, reduced))
+        assert warm[-1].stats.warm
+    return _assemble(case, subs, cold), _assemble(case, subs, warm)
+
+
+@pytest.mark.parametrize("start", sorted(_OTHER_STARTS))
+@pytest.mark.parametrize(
+    "periods, period_length, seed, regions, k",
+    [(3, 24, 2, 2, None), (3, 12, 1, 2, None), (3, 24, 2, 1, 2)],
+    ids=["days-hrb", "halfdays-hrb", "days-r1-k2"],
+)
+def test_report_rows_do_not_depend_on_the_optimal_vertex(monkeypatch, periods, period_length, seed, regions, k, start):
+    # one build, scored twice: phase 1 from cold full-LP solves and from
+    # warm reduced ones, the dispatch by dual simplex and by another method.
+    # Every report row must agree: a row that reads one optimal vertex out
+    # of many is not a property of the build
+    fine = generate(SynthConfig(n_regions=2, periods=periods, period_length=period_length), seed=seed)
+    coarse = aggregate_spatial(fine, chunk_partition(fine, regions, "p"))
+    case = coarse if k is None else apply_temporal(coarse, cluster_timesteps(coarse, k, seed=0))
+    bres = solve_benders(case, stab_weight=0.3)
+    assert bres.converged
+    investment = bres.solution.investment
+    allocation, portfolio = translate_solution(investment, coarse, fine)
+    dual = dispatch_portfolio(portfolio)
+    monkeypatch.setattr(lp_module, "_SIMPLEX", _OTHER_STARTS[start])
+    other = dispatch_portfolio(portfolio)
+    baseline = DispatchedBuild(allocation, portfolio, dual)
+    rows = [
+        {
+            (metric, key): value
+            for _case, metric, key, value in build_report(
+                "c", phase_summary(sol, case), fixed_cost(case, investment), fine,
+                DispatchedBuild(allocation, portfolio, operations), baseline,
+            ).rows()
+        }
+        for sol, operations in zip(_phase1_cold_and_warm(case, investment), (dual, other))
+    ]
+    a, b = rows
+    assert a.keys() == b.keys()
+    off = {key: (a[key], b[key]) for key in a if abs(a[key] - b[key]) > 1e-9 * max(1.0, abs(a[key]))}
+    assert off == {}

@@ -13,7 +13,8 @@ import yaml
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gridres import pipeline
+from gridres import benders, expansion, pipeline
+from gridres import lp as lp_module
 from gridres.caseio import load_system, write_case
 from gridres.cli import main as cli_main
 from gridres.expansion import investment_entries
@@ -526,7 +527,7 @@ def test_combo_artifacts_present(ladder_run):
     combo = os.path.join(out, "r1-k1-relaxed")
     for name in (
         "coarse", "reduction.csv", "reduced", "benders_log.csv",
-        "investments.csv", "allocation.csv", "portfolio.csv", "operations.csv",
+        "investments.csv", "phase1.csv", "allocation.csv", "portfolio.csv", "operations.csv",
         "report.csv",
     ):
         assert os.path.exists(os.path.join(combo, name)), name
@@ -605,6 +606,36 @@ def test_rescoring_from_artifacts_matches(ladder_run):
     assert rep.sco_by_tech["solar"] == pytest.approx(persisted[("sco", "solar")], abs=1e-9)
     assert rep.mse_cap == pytest.approx(persisted[("mse_cap", "")], abs=1e-9)
     assert rep.mse_profit == pytest.approx(persisted[("mse_profit", "")], rel=1e-6, abs=1e-6)
+
+
+def test_rescoring_solves_only_the_two_operations_lps(ladder_run, monkeypatch):
+    # phase 1 is read from phase1.csv and investments.csv: re-scoring builds
+    # and solves the combo's and the baseline's operations LPs, no Benders
+    # subproblem and no expansion
+    _, out, cfg = ladder_run
+    rc = RunConfig.from_yaml(cfg)
+    built, solved = [], []
+    real_build, real_solve = expansion.build_lp, lp_module.solve_simplex
+
+    def build_spy(case, opts):
+        built.append(opts)
+        return real_build(case, opts)
+
+    def solve_spy(lp, warm=None):
+        solved.append(lp)
+        return real_solve(lp, warm)
+
+    def no_benders(*args, **kwargs):
+        raise AssertionError("re-scoring ran Benders")
+
+    for module in (expansion, benders):
+        monkeypatch.setattr(module, "build_lp", build_spy)
+    for module in (pipeline, benders):
+        monkeypatch.setattr(module, "solve_simplex", solve_spy)
+        monkeypatch.setattr(module, "solve_benders", no_benders)
+    rescore_from_artifacts(rc, os.path.join(out, "r1-k1-relaxed"), os.path.join(out, "hrb"))
+    assert [(opts.year_chronology, opts.periods, opts.reserve) for opts in built] == [(True, None, False)] * 2
+    assert len(solved) == 2
 
 
 def test_failed_combo_does_not_sink_the_ladder(tmp_path, monkeypatch):
@@ -786,7 +817,8 @@ def test_cli_ladder_on_a_case_without_scalars_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"input error: {case_dir / 'scalars.csv'}: missing file\n"
 
 
-CHAIN_FILES = ("investments.csv", "benders_log.csv", "allocation.csv", "portfolio.csv", "operations.csv")
+BUILD_FILES = ("investments.csv", "phase1.csv", "allocation.csv", "portfolio.csv", "operations.csv")
+CHAIN_FILES = ("benders_log.csv", *BUILD_FILES)
 
 
 def _tree_bytes(root):
@@ -840,7 +872,8 @@ def test_cli_chain_writes_the_ladder_combo_files(ladder_run, tmp_path):
 
 def test_a_non_converged_expand_leaves_no_build(ladder_run, tmp_path, capsys):
     # after a full chain, an expand that stops at max_iter deletes the build
-    # and what was made of it, so translate has no stale build to read
+    # and what was made of it, so translate has no stale build to read; it
+    # keeps the bounds of each iteration it ran
     _, _, cfg = ladder_run
     chain = tmp_path / "chain"
     _cli_chain(cfg, chain, ["aggregate"], ["expand"], ["translate"], ["operate"])
@@ -848,7 +881,10 @@ def test_a_non_converged_expand_leaves_no_build(ladder_run, tmp_path, capsys):
     one_iteration.write_text(Path(cfg).read_text() + "max_iter: 1\n")
     assert cli_main(["--config", str(one_iteration), "--out", str(chain), "expand"]) == 2
     assert os.path.exists(chain / "benders_timing.csv")
-    assert [name for name in CHAIN_FILES if os.path.exists(chain / name)] == []
+    log = _read_csv(chain / "benders_log.csv")
+    assert log[0] == ["iteration", "lower_bound", "upper_bound", "gap"]
+    assert [row[0] for row in log[1:]] == ["1"]
+    assert [name for name in BUILD_FILES if os.path.exists(chain / name)] == []
     capsys.readouterr()
     assert cli_main(["--config", cfg, "--out", str(chain), "translate"]) == 1
     assert capsys.readouterr().err == f"input error: {chain / 'investments.csv'}: missing file\n"
@@ -1042,3 +1078,43 @@ def test_cli_metrics_rejects_investments_that_do_not_match_the_case(
         expected = f"{path} row 2: {first} = {float(value)!r} is not a finite number in [{lo}, {hi}]"
     assert capsys.readouterr().err == f"input error: {expected}\n"
     assert not os.path.exists(dest / "allocation.csv")
+
+
+@pytest.mark.parametrize(
+    "dropped, added, value",
+    [(None, [], None), (1, [], None), (0, ["fusion"], None), (0, [], "nan"), (0, [], "many")],
+    ids=["no-file", "missing", "unknown", "nan", "not-a-number"],
+)
+def test_cli_metrics_rejects_a_phase1_that_does_not_match_the_case(
+    ladder_run, tmp_path, capsys, dropped, added, value
+):
+    # a copy of r1-k1-relaxed whose phase1.csv is gone, lost its first row,
+    # gained a tech its case does not have, or holds a value that is not a
+    # finite number in its first row, re-scored
+    _, out, cfg = ladder_run
+    combo_dir = tmp_path / "r1-k1-relaxed"
+    shutil.copytree(os.path.join(out, "r1-k1-relaxed"), combo_dir)
+    path = combo_dir / "phase1.csv"
+    header, *rows = path.read_text().splitlines()
+    first = rows[0].split(",")[0]
+    if dropped is None:
+        path.unlink()
+        expected = f"{path}: missing file"
+    else:
+        if value is not None:
+            rows[0] = f"{first},{value}"
+        path.write_text("\n".join([header, *rows[dropped:], *(f"{name},1.0" for name in added)]) + "\n")
+        if value == "nan":
+            expected = f"{path} row 2: {first} = nan is not a finite number"
+        elif value is not None:
+            expected = f"{path} row 2: bad value value {value!r}"
+        else:
+            missing = [row.split(",")[0] for row in rows[:dropped]]
+            expected = f"{path} does not match {combo_dir / 'reduced'}: missing {missing}, unknown {added}"
+    capsys.readouterr()
+    code = cli_main([
+        "--config", cfg, "--out", str(tmp_path / "cli"), "metrics",
+        "--combo-dir", str(combo_dir), "--baseline-dir", os.path.join(out, "hrb"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"input error: {expected}\n"
