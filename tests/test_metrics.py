@@ -19,8 +19,8 @@ from gridres.metrics import (
     format_summary,
     mse_lines,
     mse_regional,
-    phase_summary,
     phase_compare,
+    phase_summary,
     rmse,
     sco,
     write_report,
@@ -28,8 +28,8 @@ from gridres.metrics import (
 from gridres.model import Region
 from gridres.pipeline import chunk_partition, dispatch_portfolio
 from gridres.spatial import aggregate_spatial
-from gridres.temporal import apply_temporal, cluster_timesteps
 from gridres.syngen import SynthConfig, generate
+from gridres.temporal import apply_temporal, cluster_timesteps
 from gridres.translate import Portfolio, SiteAllocation, translate_solution
 
 from conftest import (
@@ -374,7 +374,9 @@ def _phase1_cold_and_warm(case, investment):
     [(3, 24, 2, 2, None), (3, 12, 1, 2, None), (3, 24, 2, 1, 2)],
     ids=["days-hrb", "halfdays-hrb", "days-r1-k2"],
 )
-def test_report_rows_do_not_depend_on_the_optimal_vertex(monkeypatch, periods, period_length, seed, regions, k, start):
+def test_report_rows_do_not_depend_on_the_optimal_vertex(
+    monkeypatch, periods, period_length, seed, regions, k, start
+):
     # one build, scored twice: phase 1 from cold full-LP solves and from
     # warm reduced ones, the dispatch by dual simplex and by another method.
     # Every report row must agree: a row that reads one optimal vertex out
