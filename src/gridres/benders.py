@@ -39,13 +39,14 @@ that is not optimal or fails the KKT check on the full LP falls back to a
 cold solve of the full LP (``warm_fallbacks`` in the timing), whose basis
 the next attempt maps in turn.
 
-The solution is spliced from the subproblem solves of the iteration that
-set the incumbent; no subproblem is solved again after the loop. Those
-solves may be reduced ones, and a reduced optimum can be another vertex
-than a cold solve's at the same build: the build does not determine how
-free VRE energy splits between use and curtailment, nor how non-served
-energy splits between regions. Downstream reads only the build, the costs
-and the thermal dispatch by tech from the solution.
+The result holds the incumbent build by name (``investment``) and the
+phase-1 summary of the subproblem solves of the iteration that set it
+(``phase1``, see metrics.phase_summary); no subproblem is solved again
+after the loop. Those solves may be reduced ones, and a reduced optimum
+can be another vertex than a cold solve's at the same build: the build
+does not determine how free VRE energy splits between use and
+curtailment, nor how non-served energy splits between regions, so the
+summary holds only the thermal dispatch by tech and the variable cost.
 
 An optional convex-combination step toward the incumbent (stab_weight in
 [0, 1)) damps the master iterate; 0 is pure Benders. ``BendersResult.timing``
@@ -63,7 +64,6 @@ import numpy as np
 
 from .expansion import (
     BuildOptions,
-    ExpansionSolution,
     VarIndex,
     add_investment_columns,
     add_reserve_rows,
@@ -73,6 +73,7 @@ from .expansion import (
     investment_entries,
 )
 from .lp import GE, KeptModel, LpBuilder, ReducedModel, solve_simplex
+from .metrics import phase_summary
 from .model import SystemCase
 
 logger = logging.getLogger(__name__)
@@ -85,6 +86,8 @@ class BendersResult:
     lower_bound: float
     gap: float
     iterations: int
+    investment: dict  # the incumbent build by name
+    phase1: dict  # metrics.phase_summary of the subproblem solves at the incumbent
     log: list = field(default_factory=list)  # (iteration, lb, ub, gap)
     # (iteration, master_s, sub_s, sub_iterations, warm_fallbacks,
     # ipm_retries) where sub_iterations sums the subproblems' simplex
@@ -92,7 +95,6 @@ class BendersResult:
     # to a cold solve of the full LP, and ipm_retries the subproblem solves
     # that the interior-point retry settled (SolveStats.retried)
     timing: list = field(default_factory=list)
-    solution: ExpansionSolution | None = None
 
     @property
     def converged(self) -> bool:
@@ -135,44 +137,6 @@ class _Master:
 def _pin(lp, inv: slice, values: np.ndarray) -> None:
     lp.lo[inv] = values
     lp.hi[inv] = values
-
-
-def _assemble(case: SystemCase, subs, best) -> ExpansionSolution:
-    """Splice per-period extractions into one chronological solution."""
-    parts = [extract_solution(case, ix, sol) for (_lp, ix), sol in zip(subs, best)]
-    first = parts[0]
-
-    def cat(getter):
-        return {key: np.concatenate([getter(p)[key] for p in parts]) for key in getter(first)}
-
-    variable = sum(p.variable_cost for p in parts)
-    nse_cost_total = sum(p.nse_cost_total for p in parts)
-    fee = sum(p.carbon_fee_cost for p in parts)
-    emissions = {
-        cid: sum(p.emissions_by_cluster[cid] for p in parts)
-        for cid in first.emissions_by_cluster
-    }
-    fixed = first.fixed_cost  # pinned investments: identical in every part
-    return ExpansionSolution(
-        objective=fixed + variable + nse_cost_total + fee,
-        fixed_cost=fixed,
-        variable_cost=variable,
-        nse_cost_total=nse_cost_total,
-        carbon_fee_cost=fee,
-        investment=first.investment,
-        dispatch=cat(lambda p: p.dispatch),
-        startups=cat(lambda p: p.startups),
-        charge=cat(lambda p: p.charge),
-        discharge=cat(lambda p: p.discharge),
-        soc=cat(lambda p: p.soc),
-        flow_net=cat(lambda p: p.flow_net),
-        nse=cat(lambda p: p.nse),
-        spill=cat(lambda p: p.spill),
-        prices=cat(lambda p: p.prices),
-        emissions_by_cluster=emissions,
-        hours=[h for p in parts for h in p.hours],
-        hour_weight=np.concatenate([p.hour_weight for p in parts]),
-    )
 
 
 def build_subproblems(case: SystemCase) -> list:
@@ -258,6 +222,7 @@ def solve_benders(
                 break
             for p, sol in enumerate(sols):
                 master.add_cut(p, sol.objective, trial, sol.reduced_costs[inv])
+    parts = [extract_solution(case, ix, sol) for (_lp, ix), sol in zip(subs, best_sols)]
     return BendersResult(
         status=status,
         objective=best_ub,
@@ -266,5 +231,6 @@ def solve_benders(
         iterations=len(log),
         log=log,
         timing=timing,
-        solution=_assemble(case, subs, best_sols),
+        investment=parts[0].investment,  # pinned: identical in every part
+        phase1=phase_summary(parts, case),
     )

@@ -152,7 +152,7 @@ class _Table:
         try:
             return kind(raw)
         except ValueError:
-            raise CaseError(f"{self.name} row {rowno}: bad {col} value {raw!r}") from None
+            raise CaseError(f"{self.name} row {rowno}: bad value {raw!r} in column {col}") from None
 
     def record(self, rowno: int, row: dict, columns) -> tuple[dict, list]:
         """The typed cells of a row: those with an entity field by field, the
@@ -218,7 +218,9 @@ def load_system(directory: str) -> SystemCase:
     rowno, row = next(iter(scalars))
     scalar_fields, (period_length, uc_mode, extremes_included) = scalars.record(rowno, row, _SCALARS)
     if extremes_included not in ("", "true", "false"):
-        raise CaseError(f"{scalars.name} row {rowno}: bad extremes_included value {extremes_included!r}")
+        raise CaseError(
+            f"{scalars.name} row {rowno}: bad value {extremes_included!r} in column extremes_included"
+        )
 
     def series_from(name: str, byhour: dict[int, float]) -> Series:
         hours = len(byhour)

@@ -148,7 +148,7 @@ def _cmd_cluster(rc: RunConfig, args) -> int:
 
 def _cmd_expand(rc: RunConfig, args) -> int:
     clear_from("expand", rc.out_dir)
-    bres, _phase1 = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), rc.out_dir)
+    bres = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), rc.out_dir)
     if not bres.converged:
         print(f"did not converge: gap {bres.gap:.3e} after {bres.iterations} iterations",
               file=sys.stderr)

@@ -196,23 +196,26 @@ def cost_recovery(sol: ExpansionSolution, case: SystemCase) -> dict:
     }
 
 
-def phase_summary(sol: ExpansionSolution, case: SystemCase) -> dict:
-    """What the report compares of a phase's solution on case: weighted MWh
-    by thermal tech, and "variable_cost" in dollars. VRE energy is left
-    out: curtailing it costs nothing, so its split between use and
-    curtailment is one optimal vertex among many, not a function of the
-    build."""
+def phase_summary(parts, case: SystemCase) -> dict:
+    """What the report compares of a phase's solution on case, given as a
+    chronological list of parts (one per Benders period, or one for a
+    whole dispatch): weighted MWh by thermal tech, and "variable_cost" in
+    dollars. VRE energy is left out: curtailing it costs nothing, so its
+    split between use and curtailment is one optimal vertex among many,
+    not a function of the build."""
+    w = np.concatenate([p.hour_weight for p in parts])
     out: dict = {}
     for c in case.thermal_clusters:
-        out[c.tech] = out.get(c.tech, 0.0) + float((sol.dispatch[c.id] * sol.hour_weight).sum())
-    out["variable_cost"] = sol.variable_cost
+        energy = np.concatenate([p.dispatch[c.id] for p in parts]) * w
+        out[c.tech] = out.get(c.tech, 0.0) + float(energy.sum())
+    out["variable_cost"] = sum(p.variable_cost for p in parts)
     return out
 
 
 def phase_compare(phase1: dict, operations: ExpansionSolution, case: SystemCase) -> dict:
     """(phase 1, phase 2, delta) per key of the phase-1 summary and of the
     summary of operations on case (see phase_summary)."""
-    p2 = phase_summary(operations, case)
+    p2 = phase_summary([operations], case)
     out = {}
     for key in sorted(set(phase1) | set(p2)):
         a, b = phase1.get(key, 0.0), p2.get(key, 0.0)

@@ -28,13 +28,15 @@ seconds of its set-up and of each stage it reached, summing to its
 runtime_s) and <combo>/benders_timing.csv per Benders solve. A failed
 combo leaves its full traceback in <combo>/error.txt.
 
-Phase 1 reaches the report only as its summary (metrics.phase_summary),
-which run_expand writes to phase1.csv, and as the fixed cost of the build
-it writes to investments.csv. rescore_from_artifacts (``gridres metrics``)
-re-scores a combo from its files: it reads both, re-dispatches the combo's
-and the HRB's saved allocations, and solves no Benders subproblem. It
-names the report after the combo directory, and for a ladder combo the
-report equals its report.csv byte for byte.
+Phase 1 reaches the report only as the two things Benders returns of it:
+the build, which run_expand writes to investments.csv and the report
+prices with expansion.fixed_cost, and its summary
+(metrics.phase_summary), which run_expand writes to phase1.csv.
+rescore_from_artifacts (``gridres metrics``) re-scores a combo from its
+files: it reads both, re-dispatches the combo's and the HRB's saved
+allocations, and solves no Benders subproblem. It names the report after
+the combo directory, and for a ladder combo the report equals its
+report.csv byte for byte.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass, fields
 
 import yaml
 
-from .benders import solve_benders
+from .benders import BendersResult, solve_benders
 from .caseio import _Table, load_system, read_partition, write_case, write_csv
 from .expansion import (
     ExpansionSolution,
@@ -66,7 +68,6 @@ from .metrics import (
     MetricsReport,
     build_report,
     format_summary,
-    phase_summary,
     sco_column,
     write_report,
 )
@@ -455,12 +456,11 @@ def combo_case_dir(art: str) -> str:
     return reduced_dir if os.path.isdir(reduced_dir) else os.path.join(art, "coarse")
 
 
-def run_expand(rc: RunConfig, case: SystemCase, art: str) -> tuple:
+def run_expand(rc: RunConfig, case: SystemCase, art: str) -> BendersResult:
     """Solve the capacity expansion of case, under its uc_mode, with reserves
     by Benders. Writes benders_timing.csv and benders_log.csv, and on
-    convergence investments.csv and phase1.csv; returns the BendersResult
-    and the phase-1 summary that phase1.csv holds (None without
-    convergence)."""
+    convergence its investment to investments.csv and its phase-1 summary
+    to phase1.csv; returns the BendersResult."""
     clear_from("expand", art)
     bres = solve_benders(
         case,
@@ -480,12 +480,11 @@ def run_expand(rc: RunConfig, case: SystemCase, art: str) -> tuple:
         ("iteration", "lower_bound", "upper_bound", "gap"),
         ((it, float(lb), float(ub), float(g)) for it, lb, ub, g in bres.log),
     )
-    if not bres.converged:
-        return bres, None
-    write_investments(bres.solution.investment, os.path.join(art, "investments.csv"))
-    phase1 = phase_summary(bres.solution, case)
-    write_csv(os.path.join(art, "phase1.csv"), ("key", "value"), ((k, float(v)) for k, v in phase1.items()))
-    return bres, phase1
+    if bres.converged:
+        write_investments(bres.investment, os.path.join(art, "investments.csv"))
+        phase1 = ((k, float(v)) for k, v in bres.phase1.items())
+        write_csv(os.path.join(art, "phase1.csv"), ("key", "value"), phase1)
+    return bres
 
 
 def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: SystemCase, art: str) -> tuple:
@@ -547,13 +546,13 @@ def run_case(
         with stage("cluster"):
             reduced = run_cluster(rc, coarse, combo.k, art)
         with stage("expand"):
-            bres, phase1 = run_expand(rc, reduced, art)
+            bres = run_expand(rc, reduced, art)
             if not bres.converged:
                 raise RuntimeError(
                     f"no convergence in {bres.iterations} iterations, gap {bres.gap:.3e}"
                 )
         with stage("translate"):
-            allocation, portfolio = run_translate(rc, bres.solution.investment, coarse, fine, art)
+            allocation, portfolio = run_translate(rc, bres.investment, coarse, fine, art)
         with stage("operate"):
             build = run_operate(allocation, portfolio, art)
         with stage("metrics"):
@@ -561,7 +560,9 @@ def run_case(
                 baseline = out.baseline = build
             elif baseline is None:
                 raise RuntimeError("no baseline to score against: none was given, or the baseline combo failed")
-            report = build_report(combo.name, phase1, bres.solution.fixed_cost, fine, build, baseline)
+            report = build_report(
+                combo.name, bres.phase1, fixed_cost(reduced, bres.investment), fine, build, baseline
+            )
             write_report([report], os.path.join(art, "report.csv"))
 
         out.report = report
@@ -665,12 +666,15 @@ def summarize(report: ExperimentReport) -> str:
 def _read_named(path: str, column: str, names, case_dir: str) -> dict:
     """The rows of a (column, value) file as name -> (row number, float
     value). The file must name exactly names, those of the case loaded
-    from case_dir; a mismatch is refused with both lists."""
+    from case_dir, each once; a mismatch is refused with both lists, and a
+    repeated name with its row number."""
     table = _Table(path, (column, "value"))
-    saved = {
-        table.cell(rowno, row, column): (rowno, table.cell(rowno, row, "value", float))
-        for rowno, row in table
-    }
+    saved: dict = {}
+    for rowno, row in table:
+        name = table.cell(rowno, row, column)
+        if name in saved:
+            raise CaseError(f"{path} row {rowno}: duplicate {column} {name}")
+        saved[name] = (rowno, table.cell(rowno, row, "value", float))
     missing, unknown = sorted(set(names) - set(saved)), sorted(set(saved) - set(names))
     if missing or unknown:
         raise CaseError(f"{path} does not match {case_dir}: missing {missing}, unknown {unknown}")

@@ -285,10 +285,16 @@ def redistrict_transmission(
 # -- portfolio assembly --------------------------------------------------------
 
 
+def _template_id(fine_region: str, kind: str) -> str:
+    """The id of the template entity of kind (a thermal tech, or "storage")
+    that a translation creates in a fine region with none of that kind."""
+    return f"{fine_region}_{kind}_tpl"
+
+
 def _template_thermal(fine_region: str, coarse_cluster: ResourceCluster) -> ResourceCluster:
     return replace(
         coarse_cluster,
-        id=f"{fine_region}_{coarse_cluster.tech}_tpl",
+        id=_template_id(fine_region, coarse_cluster.tech),
         region=fine_region,
         members=(),
         existing_capacity=0.0,
@@ -299,16 +305,16 @@ def _template_thermal(fine_region: str, coarse_cluster: ResourceCluster) -> Reso
 def _template_storage(fine_region: str, coarse_storage: StorageCluster) -> StorageCluster:
     return replace(
         coarse_storage,
-        id=f"{fine_region}_storage_tpl",
+        id=_template_id(fine_region, "storage"),
         region=fine_region,
         existing_power=0.0,
         existing_energy=0.0,
     )
 
 
-def _template_region(entity: str, suffix: str, fine: SystemCase) -> str | None:
-    region = entity[: -len(suffix)]
-    return region if entity.endswith(suffix) and region in fine.region_by_id else None
+def _template_region(entity: str, kind: str, fine: SystemCase) -> str | None:
+    """The fine region whose template of kind entity is, if any."""
+    return next((r.id for r in fine.regions if _template_id(r.id, kind) == entity), None)
 
 
 def _with_templates(fine: SystemCase, coarse: SystemCase, allocation: SiteAllocation) -> SystemCase:
@@ -323,12 +329,12 @@ def _with_templates(fine: SystemCase, coarse: SystemCase, allocation: SiteAlloca
                 continue
             if kind == "cluster" and entity not in clusters:
                 src = coarse.cluster_by_id.get(coarse_id)
-                region = _template_region(entity, f"_{src.tech}_tpl", fine) if src else None
+                region = _template_region(entity, src.tech, fine) if src else None
                 if region:
                     clusters[entity] = _template_thermal(region, src)
             elif kind in ("storage_power", "storage_energy") and entity not in storage:
                 src = coarse.storage_by_id.get(coarse_id)
-                region = _template_region(entity, "_storage_tpl", fine) if src else None
+                region = _template_region(entity, "storage", fine) if src else None
                 if region:
                     storage[entity] = _template_storage(region, src)
     if not (clusters or storage):
@@ -364,10 +370,11 @@ def translate_solution(
         pairs = allocate_vre(inv, sites)
         alloc.provenance[c.id] = tuple(("site", s.id, mw) for s, mw in pairs)
 
-    # thermal investment and retirement
-    fine_thermal_by_region: dict = {}
-    for c in fine.thermal_clusters:
-        fine_thermal_by_region.setdefault((c.region, c.tech), []).append(c)
+    # thermal investment and retirement, into the first fine cluster in id
+    # order of the tech in the region, or else into its template
+    fine_thermal: dict = {}
+    for c in sorted(fine.thermal_clusters, key=lambda c: c.id):
+        fine_thermal.setdefault((c.region, c.tech), c.id)
     for c in sorted(coarse.thermal_clusters, key=lambda c: c.id):
         inv = coarse_new("thermal_new", c.id)
         subs = members[c.region]
@@ -381,13 +388,8 @@ def translate_solution(
                 mw = shares[r]
                 if mw == 0.0:
                     continue
-                targets = fine_thermal_by_region.get((r, c.tech))
-                if targets:
-                    target = min(targets, key=lambda t: t.id)
-                else:
-                    target = _template_thermal(r, c)
-                    fine_thermal_by_region.setdefault((r, c.tech), []).append(target)
-                prov.append(("cluster", target.id, mw))
+                target = fine_thermal.setdefault((r, c.tech), _template_id(r, c.tech))
+                prov.append(("cluster", target, mw))
         ret = coarse_new("thermal_retired", c.id)
         if ret > 0.0:
             units = [fine.unit_by_id[uid] for uid in c.members]
@@ -404,9 +406,9 @@ def translate_solution(
         r = fine.site_by_id[sid].fine_region
         vre_by_region[r] = vre_by_region.get(r, 0.0) + mw
 
-    fine_storage_by_region: dict = {}
-    for s in fine.storage:
-        fine_storage_by_region.setdefault(s.region, []).append(s)
+    fine_storage: dict = {}
+    for s in sorted(fine.storage, key=lambda s: s.id):
+        fine_storage.setdefault(s.region, s.id)
     for s in sorted(coarse.storage, key=lambda s: s.id):
         p_new = coarse_new("storage_new_power", s.id)
         e_new = coarse_new("storage_new_energy", s.id)
@@ -421,14 +423,9 @@ def translate_solution(
         for r in sorted(subs):
             if p_shares.get(r, 0.0) == 0.0 and e_shares.get(r, 0.0) == 0.0:
                 continue
-            targets = fine_storage_by_region.get(r)
-            if targets:
-                target = min(targets, key=lambda t: t.id)
-            else:
-                target = _template_storage(r, s)
-                fine_storage_by_region[r] = [target]
-            prov.append(("storage_power", target.id, p_shares.get(r, 0.0)))
-            prov.append(("storage_energy", target.id, e_shares.get(r, 0.0)))
+            target = fine_storage.setdefault(r, _template_id(r, "storage"))
+            prov.append(("storage_power", target, p_shares.get(r, 0.0)))
+            prov.append(("storage_energy", target, e_shares.get(r, 0.0)))
         if prov:
             alloc.provenance[s.id] = tuple(prov)
 

@@ -36,7 +36,7 @@ def test_hand_fixture_reaches_the_monolithic_optimum():
     assert r.converged
     assert r.iterations <= 5
     assert r.objective == pytest.approx(1500.0, rel=1e-6)
-    assert r.solution.investment["xg[g1]"] == pytest.approx(10.0, abs=1e-6)
+    assert r.investment["xg[g1]"] == pytest.approx(10.0, abs=1e-6)
 
 
 def test_bounds_are_monotone_and_ordered():
@@ -102,22 +102,8 @@ def test_parallel_subproblems_match_serial_exactly():
     # cuts enter in period order either way, so the runs are identical
     assert parallel.objective == serial.objective
     assert parallel.iterations == serial.iterations
-    assert parallel.solution.investment == serial.solution.investment
+    assert parallel.investment == serial.investment
     assert parallel.log == serial.log
-
-
-def test_spliced_solution_is_chronological_and_consistent():
-    cfg = SynthConfig(n_regions=2, periods=3, period_length=12)
-    case = generate(cfg, seed=1)
-    r = solve_benders(case)
-    s = r.solution
-    assert s is not None
-    assert s.hours == list(range(case.n_periods * case.period_length))
-    assert s.objective == pytest.approx(r.objective, rel=1e-9)
-    total = s.fixed_cost + s.variable_cost + s.nse_cost_total + s.carbon_fee_cost
-    assert total == pytest.approx(s.objective, rel=1e-9)
-    for rid, prices in s.prices.items():
-        assert prices.shape == (case.n_periods * case.period_length,)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -155,24 +141,12 @@ def test_min_output_case_agrees_across_uc_modes():
         assert r.objective == pytest.approx(mono.objective, rel=1e-6)
 
 
-def _solutions_equal(a, b):
-    for key, u in vars(a).items():
-        v = getattr(b, key)
-        if isinstance(u, dict):
-            assert u.keys() == v.keys(), key
-            for k in u:
-                assert np.array_equal(u[k], v[k]), (key, k)
-        else:
-            assert np.array_equal(u, v), key
-
-
 def test_reruns_are_identical():
     cfg = SynthConfig(n_regions=2, periods=3, period_length=12)
     case = generate(cfg, seed=7)
     first, second = solve_benders(case), solve_benders(case)
-    for key in ("status", "objective", "lower_bound", "gap", "iterations", "log"):
+    for key in ("status", "objective", "lower_bound", "gap", "iterations", "log", "investment", "phase1"):
         assert getattr(first, key) == getattr(second, key), key
-    _solutions_equal(first.solution, second.solution)
     # the work done matches too, only the wall times differ
     assert [t[3:] for t in first.timing] == [t[3:] for t in second.timing]
 
@@ -328,7 +302,7 @@ def test_failing_warm_masters_fall_back_to_the_cold_master(monkeypatch):
     assert not any(s.stats.warm or s.stats.retried for s in sols)
     for key in ("status", "objective", "lower_bound", "iterations", "log"):
         assert getattr(r, key) == getattr(cold, key), key
-    assert r.solution.investment == cold.solution.investment
+    assert r.investment == cold.investment
 
 
 def _reduced_solves(monkeypatch):
@@ -353,7 +327,7 @@ def test_reduced_subproblems_give_the_full_lps_cut_slopes(monkeypatch):
     seen = _reduced_solves(monkeypatch)
     r = solve_benders(case, stab_weight=RunConfig.stab_weight)
     assert len(seen) == case.n_periods * (r.iterations - 1) > 0
-    inv = slice(0, len(r.solution.investment))  # investment columns come first
+    inv = slice(0, len(r.investment))  # investment columns come first
     for lp, sol in seen:
         full = solve_simplex(lp)
         assert sol.stats.warm and sol.kkt.ok()

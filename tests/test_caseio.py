@@ -134,7 +134,7 @@ def test_bad_value_names_file_and_row(tmp_path):
     path = case_dir / "scalars.csv"
     text = path.read_text().replace("200.0", "two hundred")
     path.write_text(text)
-    with pytest.raises(CaseError, match=r"scalars.csv row 2: bad carbon_fee"):
+    with pytest.raises(CaseError, match=r"scalars.csv row 2: bad value 'two hundred' in column carbon_fee$"):
         load_system(str(case_dir))
 
 
@@ -181,7 +181,7 @@ def test_extremes_included_is_empty_true_or_false(tmp_path):
     path.write_text(text.replace(",false\n", ",\n"))
     assert load_system(str(case_dir)).extremes_included is False
     path.write_text(text.replace(",false\n", ",True\n"))
-    message = f"{path} row 2: bad extremes_included value 'True'"
+    message = f"{path} row 2: bad value 'True' in column extremes_included"
     with pytest.raises(CaseError, match=f"^{re.escape(message)}$"):
         load_system(str(case_dir))
 

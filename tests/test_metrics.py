@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gridres import lp as lp_module
-from gridres.benders import _assemble, _pin, build_subproblems, solve_benders
+from gridres.benders import _pin, build_subproblems, solve_benders
 from gridres.expansion import build_expansion_lp, extract_solution, fixed_cost
 from gridres.lp import ReducedModel, solve_simplex
 from gridres.metrics import (
@@ -252,7 +252,7 @@ def test_phase_compare_with_itself_is_all_zero():
     units = [make_unit("u1", "R1", "g1", 12.0)]
     case = one_bus_case([10.0, 4.0], existing_units=units, fixed_cost=10.0)
     sol = _solve(case)
-    out = phase_compare(phase_summary(sol, case), sol, case)
+    out = phase_compare(phase_summary([sol], case), sol, case)
     for tech, (p1, p2, delta) in out.items():
         assert p1 == p2
         assert delta == 0.0
@@ -274,7 +274,7 @@ def _self_report(tmp_path=None):
     build = DispatchedBuild(allocation, Portfolio(case=case), sol)
     baseline = DispatchedBuild(allocation, Portfolio(case=case), sol)
     rep = build_report(
-        "identity", phase1=phase_summary(sol, case), fixed_cost=sol.fixed_cost,
+        "identity", phase1=phase_summary([sol], case), fixed_cost=sol.fixed_cost,
         fine=case, build=build, baseline=baseline,
     )
     return case, sol, rep
@@ -352,9 +352,10 @@ _OTHER_STARTS = {
 
 
 def _phase1_cold_and_warm(case, investment):
-    """Phase 1 at the build investment, from two starts: every subproblem
-    cold on its full LP, and warm on its reduced LP from the full LP's
-    basis at the zero build, as in Benders' second iteration."""
+    """Phase 1 at the build investment as per-period parts, from two
+    starts: every subproblem cold on its full LP, and warm on its reduced
+    LP from the full LP's basis at the zero build, as in Benders' second
+    iteration."""
     subs = build_subproblems(case)
     x = np.array(list(investment.values()))
     cold, warm = [], []
@@ -365,7 +366,10 @@ def _phase1_cold_and_warm(case, investment):
         cold.append(solve_simplex(lp))
         warm.append(solve_simplex(lp, reduced))
         assert warm[-1].stats.warm
-    return _assemble(case, subs, cold), _assemble(case, subs, warm)
+    return [
+        [extract_solution(case, ix, sol) for (_lp, ix), sol in zip(subs, sols)]
+        for sols in (cold, warm)
+    ]
 
 
 @pytest.mark.parametrize("start", sorted(_OTHER_STARTS))
@@ -380,13 +384,19 @@ def test_report_rows_do_not_depend_on_the_optimal_vertex(
     # one build, scored twice: phase 1 from cold full-LP solves and from
     # warm reduced ones, the dispatch by dual simplex and by another method.
     # Every report row must agree: a row that reads one optimal vertex out
-    # of many is not a property of the build
+    # of many is not a property of the build. Benders' own phase-1 summary,
+    # from its solves at the incumbent, must agree with the cold one too
     fine = generate(SynthConfig(n_regions=2, periods=periods, period_length=period_length), seed=seed)
     coarse = aggregate_spatial(fine, chunk_partition(fine, regions, "p"))
     case = coarse if k is None else apply_temporal(coarse, cluster_timesteps(coarse, k, seed=0))
     bres = solve_benders(case, stab_weight=0.3)
     assert bres.converged
-    investment = bres.solution.investment
+    investment = bres.investment
+    cold, warm = _phase1_cold_and_warm(case, investment)
+    want = phase_summary(cold, case)
+    assert bres.phase1.keys() == want.keys()
+    for key, value in want.items():
+        assert abs(bres.phase1[key] - value) <= 1e-9 * max(1.0, abs(value)), key
     allocation, portfolio = translate_solution(investment, coarse, fine)
     dual = dispatch_portfolio(portfolio)
     monkeypatch.setattr(lp_module, "_SIMPLEX", _OTHER_STARTS[start])
@@ -396,11 +406,11 @@ def test_report_rows_do_not_depend_on_the_optimal_vertex(
         {
             (metric, key): value
             for _case, metric, key, value in build_report(
-                "c", phase_summary(sol, case), fixed_cost(case, investment), fine,
+                "c", phase_summary(parts, case), fixed_cost(case, investment), fine,
                 DispatchedBuild(allocation, portfolio, operations), baseline,
             ).rows()
         }
-        for sol, operations in zip(_phase1_cold_and_warm(case, investment), (dual, other))
+        for parts, operations in zip((cold, warm), (dual, other))
     ]
     a, b = rows
     assert a.keys() == b.keys()

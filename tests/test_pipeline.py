@@ -1107,7 +1107,7 @@ def test_cli_metrics_rejects_a_phase1_that_does_not_match_the_case(
         if value == "nan":
             expected = f"{path} row 2: {first} = nan is not a finite number"
         elif value is not None:
-            expected = f"{path} row 2: bad value value {value!r}"
+            expected = f"{path} row 2: bad value {value!r} in column value"
         else:
             missing = [row.split(",")[0] for row in rows[:dropped]]
             expected = f"{path} does not match {combo_dir / 'reduced'}: missing {missing}, unknown {added}"
@@ -1117,4 +1117,26 @@ def test_cli_metrics_rejects_a_phase1_that_does_not_match_the_case(
         "--combo-dir", str(combo_dir), "--baseline-dir", os.path.join(out, "hrb"),
     ])
     assert code == 1
+    assert capsys.readouterr().err == f"input error: {expected}\n"
+
+
+@pytest.mark.parametrize("name", ["investments.csv", "phase1.csv"])
+def test_cli_metrics_rejects_a_repeated_name(ladder_run, tmp_path, capsys, name):
+    # a copy of r1-k1-relaxed whose file repeats its first name with
+    # another value as a last row: the first value must not be overwritten
+    _, out, cfg = ladder_run
+    combo_dir = tmp_path / "r1-k1-relaxed"
+    shutil.copytree(os.path.join(out, "r1-k1-relaxed"), combo_dir)
+    path = combo_dir / name
+    header, *rows = path.read_text().splitlines()
+    first = rows[0].split(",")[0]
+    path.write_text("\n".join([header, *rows, f"{first},0.0"]) + "\n")
+    column = header.split(",")[0]
+    capsys.readouterr()
+    code = cli_main([
+        "--config", cfg, "--out", str(tmp_path / "cli"), "metrics",
+        "--combo-dir", str(combo_dir), "--baseline-dir", os.path.join(out, "hrb"),
+    ])
+    assert code == 1
+    expected = f"{path} row {len(rows) + 2}: duplicate {column} {first}"
     assert capsys.readouterr().err == f"input error: {expected}\n"
