@@ -10,10 +10,18 @@ commitment mode --uc, cluster reads it and writes reduction.csv and
 reduced/, expand solves reduced/ (or coarse/) under that mode into
 investments.csv and phase1.csv, translate maps that onto the fine system
 into allocation.csv and portfolio.csv, and operate dispatches
-allocation.csv into operations.csv. Each writes what the ladder writes, and first,
-before it reads or checks its input, deletes what it and the later stages
-wrote before, so a refused input leaves no stale file for the next stage.
-metrics re-scores any combo directory.
+allocation.csv into operations.csv and operate_timing.csv. Each writes
+what the ladder writes, and first, before it reads or checks its input,
+deletes what it and the later stages wrote before, so a refused input
+leaves no stale file for the next stage. metrics re-scores any combo
+directory.
+
+The ladder starts the dispatch of every combo but the HRB from the HRB's
+optimal basis. operate does so with --baseline-dir, the HRB's directory,
+whose allocation.csv it dispatches first for that basis; without it, the
+dispatch runs cold. So for a combo other than the HRB, operate writes the
+ladder's operations.csv byte for byte only with --baseline-dir, as
+metrics takes --baseline-dir too.
 
 Exit codes: 0 on success, 1 on a configuration problem or an input file
 that cannot be read (a case directory, investments.csv, phase1.csv,
@@ -41,6 +49,7 @@ from .pipeline import (
     clear_from,
     combo_case_dir,
     read_investments,
+    replay_operations,
     rescore_from_artifacts,
     run_aggregate,
     run_cluster,
@@ -87,7 +96,11 @@ def _build_parser() -> _Parser:
     sub.add_parser("expand", help="solve the capacity expansion of reduced/ or coarse/")
 
     sub.add_parser("translate", help="map investments.csv onto the fine system")
-    sub.add_parser("operate", help="dispatch allocation.csv at fine resolution")
+    op = sub.add_parser("operate", help="dispatch allocation.csv at fine resolution")
+    op.add_argument(
+        "--baseline-dir",
+        help="start from the optimal basis of this HRB directory's dispatch, as the ladder does",
+    )
 
     mp = sub.add_parser(
         "metrics", help="rescore a combo directory against a baseline directory into rescore-<combo>.csv"
@@ -172,8 +185,12 @@ def _cmd_operate(rc: RunConfig, args) -> int:
     clear_from("operate", rc.out_dir)
     allocation = read_allocation(f"{rc.out_dir}/allocation.csv")
     coarse = load_system(f"{rc.out_dir}/coarse")
-    portfolio = build_portfolio(rc.load_fine(), allocation, coarse)
-    operations = run_operate(allocation, portfolio, rc.out_dir).operations
+    fine = rc.load_fine()
+    portfolio = build_portfolio(fine, allocation, coarse)
+    basis = None
+    if args.baseline_dir is not None:  # re-dispatch the HRB for its basis
+        basis = replay_operations(fine, f"{args.baseline_dir}/allocation.csv").basis
+    operations = run_operate(allocation, portfolio, rc.out_dir, basis).operations
     print(f"dispatch cost {operations.objective:.6e}; wrote {rc.out_dir}/operations.csv")
     return 0
 

@@ -70,13 +70,15 @@ to the kept model (``addRows``; they enter with basic slacks, so the kept
 basis stays dual feasible) and restarts dual simplex from the kept basis.
 When the cold attempt is accepted instead, its model is kept.
 
-An LP whose fixed columns (lo == hi) change value but stay fixed, as a
-re-pinned Benders subproblem's investments do, is solved on its
-row-reduced LP (``ReducedModel``). HiGHS skips presolve when it starts
-from a basis, so the reduction is done here: each row with exactly one
-nonzero entry in a column that is not fixed (its free entry, a_ij on
-column j) becomes a bound on that column, the singleton-row reduction of
-"Presolving in linear programming" (Andersen & Andersen, 1995).
+An LP whose fixed columns (lo == hi) change value but stay fixed is
+solved on its row-reduced LP (``ReducedModel``). Two LPs are solved so: a
+re-pinned Benders subproblem, whose investments change, and a combo's
+operations LP, which is the HRB's with the combo's build pinned in place
+of the HRB's. HiGHS skips presolve when it starts from a basis, so the
+reduction is done here: each row with exactly one nonzero entry in a
+column that is not fixed (its free entry, a_ij on column j) becomes a
+bound on that column, the singleton-row reduction of "Presolving in
+linear programming" (Andersen & Andersen, 1995).
 
 - The reduced LP keeps every other row, with all its entries, and every
   column at its index, so x needs no map. Its obj, senses, rhs and matrix
@@ -88,9 +90,11 @@ column j) becomes a bound on that column, the singleton-row reduction of
   bound wins; on a tie the column's own bound wins first, then the lowest
   row.
 - It is not ready until it has kept one accepted optimum, so an LP's
-  first solve is the usual cold solve of the full LP. The model keeps the
-  basis of every accepted optimum, and each attempt runs warm from it
-  under the warm options (dual simplex, Devex dual edge weights). A basis
+  first solve is the usual cold solve of the full LP, unless the model is
+  seeded with a basis of the full LP (``ReducedModel(basis)``): a combo's
+  operate solve is seeded with the HRB's. The model keeps the basis of
+  every accepted optimum, and each attempt runs warm from it under the
+  warm options (dual simplex, Devex dual edge weights). A basis
   of the reduced LP is passed as it is. A basis of the full LP (a cold
   solve's: the first one, or one after a fall-through) is mapped onto the
   reduced LP: every column keeps its status, and each kept row keeps its
@@ -108,7 +112,12 @@ column j) becomes a bound on that column, the singleton-row reduction of
 A ReducedModel keeps only a basis across solves, not a HiGHS model (a
 model per Benders subproblem would cost several MB each). A reduced basis
 belongs to the reduced LP of one fixed set: when the fixed set changes,
-the attempt fails and the cold solve's basis is kept in its place.
+the attempt fails and the cold solve's basis is kept in its place. A full
+basis belongs to an LP of one shape: on an LP of another column or row
+count (a combo whose translation added a template cluster), the attempt
+fails before it reduces any row. A kept basis is a ``Basis``, which
+records its shape and pickles, as int8 status codes, into the worker
+processes of a parallel ladder.
 
 Every HiGHS run, of whichever attempt, is one call of ``linprog(h)``: the
 name under which the benchmark's tracer times the solver's own share of a
@@ -617,12 +626,53 @@ class KeptModel:
 
 
 _STATUS = highs.HighsBasisStatus
+_STATUS_OF_CODE = sorted(_STATUS.__members__.values(), key=int)  # each at the position of its code
 
 
 def _codes(statuses: list) -> np.ndarray:
     """The int codes of a list of HiGHS basis statuses (``__index__`` takes
     two thirds of the time of ``int``)."""
     return np.fromiter(map(_STATUS.__index__, statuses), np.int8, len(statuses))
+
+
+class Basis:
+    """A HiGHS basis of an LP of shape (n_vars, n_rows), as a ReducedModel
+    keeps it. A HighsBasis does not pickle, so a Basis pickles as two int8
+    arrays of status codes, read from it only when it is pickled: the
+    bindings copy each status list, which takes about 17 ms for the 43,000
+    statuses of a 3-week, 2-region operations LP on a 2-core VM. An
+    unpickled Basis rebuilds its HighsBasis on first use."""
+
+    def __init__(self, basis, shape: tuple[int, int]):
+        self.shape = shape
+        self._highs = basis
+        self._codes = None
+
+    @property
+    def highs(self):
+        """The HighsBasis."""
+        if self._highs is None:
+            basis = highs.HighsBasis()
+            basis.col_status, basis.row_status = (
+                [_STATUS_OF_CODE[c] for c in codes.tolist()] for codes in self._codes
+            )
+            basis.valid = True
+            self._highs = basis
+        return self._highs
+
+    def codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The column and row status codes."""
+        if self._codes is None:
+            self._codes = (_codes(self._highs.col_status), _codes(self._highs.row_status))
+        return self._codes
+
+    def __getstate__(self):
+        return self.codes()
+
+    def __setstate__(self, codes):
+        self._codes = codes
+        self._highs = None
+        self.shape = (codes[0].size, codes[1].size)
 
 
 class _BoundRows:
@@ -695,15 +745,13 @@ class _BoundRows:
             y[self.rows[at]] = d[cols] / self.coef[at]
         return y
 
-    def mapped(self, basis, lower_row: np.ndarray, upper_row: np.ndarray):
-        """basis, of the full LP, as an alien basis of the reduced LP: the
-        columns' statuses and the kept rows'. A column that is basic and
+    def mapped(self, basis: Basis, lower_row: np.ndarray, upper_row: np.ndarray):
+        """basis, of the full LP, as an alien HighsBasis of the reduced LP:
+        the columns' statuses and the kept rows'. A column that is basic and
         whose lower (upper) bound is supplied by a nonbasic bound row
         (lower_row, upper_row of ``bound``) becomes nonbasic at that
-        bound. None if basis is not of the full LP's shape."""
-        cols, rows = basis.col_status, basis.row_status  # the bindings copy each into a new list
-        if (len(cols), len(rows)) != (self.lp.n_vars, self.n_rows):
-            return None
+        bound."""
+        cols, rows = basis.highs.col_status, basis.highs.row_status  # the bindings copy each into a new list
         basic = int(_STATUS.kBasic)
         for at, moved in ((lower_row, _STATUS.kLower), (upper_row, _STATUS.kUpper)):
             j = np.flatnonzero(at >= 0)
@@ -740,15 +788,17 @@ def _tighten(bound: np.ndarray, which: np.ndarray, cols: np.ndarray, implied: np
 
 class ReducedModel:
     """A warm start for an LP whose fixed columns (lo == hi) stay fixed while
-    their values change, as a Benders subproblem's pinned investments do;
+    their values change, as a Benders subproblem's pinned investments do,
+    or as the operations LPs of a ladder's builds differ from the HRB's;
     see the module docstring. It holds the row-reduced LP of the last fixed
-    set and the HiGHS basis of its last accepted optimum: of the reduced
-    LP, or of the full LP when a cold solve was accepted (``full``)."""
+    set and the Basis of its last accepted optimum: of the reduced LP, or
+    of the full LP when a cold solve was accepted (``full``). Seeded with a
+    basis of the full LP, its first attempt maps that."""
 
-    def __init__(self):
+    def __init__(self, basis: Basis | None = None):
         self.rows: _BoundRows | None = None
-        self.basis = None
-        self.full = False
+        self.basis = basis
+        self.full = basis is not None
         self._run = None  # the last attempt, until solve_simplex accepts or drops it
 
     @property
@@ -756,6 +806,8 @@ class ReducedModel:
         return self.basis is not None
 
     def attempt(self, lp: LinearProgram) -> Attempt:
+        if self.full and self.basis.shape != (lp.n_vars, lp.n_rows):
+            return Attempt("failed", "the kept basis is not of this LP")
         fixed = lp.lo == lp.hi
         if self.rows is None or not np.array_equal(fixed, self.rows.fixed):
             if not self.full:
@@ -763,9 +815,7 @@ class ReducedModel:
             self.rows = _BoundRows(lp, fixed)
         rows = self.rows
         lower_row, upper_row = rows.bound(lp)
-        basis = rows.mapped(self.basis, lower_row, upper_row) if self.full else self.basis
-        if basis is None:
-            return Attempt("failed", "the kept basis is not of this LP")
+        basis = rows.mapped(self.basis, lower_row, upper_row) if self.full else self.basis.highs
         run = highs_attempt(rows.lp, False, basis)
         if run.status == "optimal":
             run.y = rows.duals(run.y, lower_row, upper_row)
@@ -776,8 +826,10 @@ class ReducedModel:
         """Keep the basis of the accepted run: of the reduced LP if the run
         is this model's, else of the full LP. Drop it if the run has no
         optimal model."""
-        basis = run.model.getBasis() if run is not None and run.model is not None else None
-        self.basis = basis if basis is not None and basis.valid else None
+        model = run.model if run is not None else None
+        basis = model.getBasis() if model is not None else None
+        valid = basis is not None and basis.valid
+        self.basis = Basis(basis, (model.getNumCol(), model.getNumRow())) if valid else None
         self.full = run is not self._run
         self._run = None
 

@@ -21,17 +21,21 @@ import numpy as np
 
 from .caseio import write_csv
 from .expansion import ExpansionSolution
+from .lp import Basis
 from .model import WIND_TECHS, SystemCase
 from .translate import Portfolio, SiteAllocation
 
 
 class DispatchedBuild(NamedTuple):
     """A build translated onto the fine sites and dispatched there: the
-    record of a combo, and of the HRB it is scored against."""
+    record of a combo, and of the HRB it is scored against. basis is the
+    optimal basis of its operations LP when that was solved cold, on the
+    full LP: the HRB's is the one every other combo's dispatch starts from."""
 
     allocation: SiteAllocation
     portfolio: Portfolio  # its case holds any template cluster it dispatched
     operations: ExpansionSolution
+    basis: Basis | None = None
 
 
 def sco(a: SiteAllocation, b: SiteAllocation, tech: str, case: SystemCase) -> float:

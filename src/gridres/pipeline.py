@@ -25,18 +25,24 @@ ladder.csv holds only deterministic columns so reruns with the same seed
 are byte-identical; wall-clock numbers go to side files instead:
 ladder_timing.csv per ladder, <combo>/stage_timing.csv per combo (the wall
 seconds of its set-up and of each stage it reached, summing to its
-runtime_s) and <combo>/benders_timing.csv per Benders solve. A failed
-combo leaves its full traceback in <combo>/error.txt.
+runtime_s), <combo>/benders_timing.csv per Benders solve and
+<combo>/operate_timing.csv for the dispatch's solve. A failed combo leaves
+its full traceback in <combo>/error.txt.
+
+The operate stage of every combo but the HRB starts from the optimal
+basis of the HRB's dispatch (DispatchedBuild.basis, handed on through
+CaseResult.baseline), since its operations LP is the HRB's with another
+build pinned (dispatch_build).
 
 Phase 1 reaches the report only as the two things Benders returns of it:
 the build, which run_expand writes to investments.csv and the report
 prices with expansion.fixed_cost, and its summary
 (metrics.phase_summary), which run_expand writes to phase1.csv.
 rescore_from_artifacts (``gridres metrics``) re-scores a combo from its
-files: it reads both, re-dispatches the combo's and the HRB's saved
-allocations, and solves no Benders subproblem. It names the report after
-the combo directory, and for a ladder combo the report equals its
-report.csv byte for byte.
+files: it reads both, re-dispatches the HRB's saved allocation and then
+the combo's from the HRB's basis, and solves no Benders subproblem. It
+names the report after the combo directory, and for a ladder combo the
+report equals its report.csv byte for byte.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import yaml
 
@@ -62,7 +69,7 @@ from .expansion import (
     fixed_cost,
     investment_entries,
 )
-from .lp import PRIMAL_TOL, solve_simplex
+from .lp import PRIMAL_TOL, Basis, ReducedModel, solve_simplex
 from .metrics import (
     DispatchedBuild,
     MetricsReport,
@@ -411,7 +418,7 @@ STAGE_FILES = (
     ("cluster", ("reduction.csv", "reduced")),
     ("expand", ("benders_timing.csv", "benders_log.csv", "investments.csv", "phase1.csv")),
     ("translate", ("allocation.csv", "portfolio.csv")),
-    ("operate", ("operations.csv",)),
+    ("operate", ("operations.csv", "operate_timing.csv")),
 )
 
 
@@ -497,11 +504,14 @@ def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: Sys
     return allocation, portfolio
 
 
-def run_operate(allocation, portfolio, art: str) -> DispatchedBuild:
-    """Dispatch the translated build at full resolution into operations.csv."""
+def run_operate(allocation, portfolio, art: str, basis: Basis | None = None) -> DispatchedBuild:
+    """Dispatch the translated build at full resolution into operations.csv,
+    starting from basis, the HRB's, when given (dispatch_build). Its solve
+    goes to operate_timing.csv."""
     clear_from("operate", art)
-    build = DispatchedBuild(allocation, portfolio, dispatch_portfolio(portfolio))
+    build, solve = dispatch_build(allocation, portfolio, basis)
     write_operations(build.operations, os.path.join(art, "operations.csv"))
+    write_csv(os.path.join(art, "operate_timing.csv"), OperateSolve._fields, [solve])
     return build
 
 
@@ -554,7 +564,7 @@ def run_case(
         with stage("translate"):
             allocation, portfolio = run_translate(rc, bres.investment, coarse, fine, art)
         with stage("operate"):
-            build = run_operate(allocation, portfolio, art)
+            build = run_operate(allocation, portfolio, art, baseline.basis if baseline is not None else None)
         with stage("metrics"):
             if combo.name == HRB_NAME:
                 baseline = out.baseline = build
@@ -709,40 +719,63 @@ def read_phase1(path: str, case: SystemCase, case_dir: str) -> dict:
     return {key: saved[key][1] for key in keys}
 
 
-def dispatch_portfolio(portfolio) -> ExpansionSolution:
+class OperateSolve(NamedTuple):
+    """The operations LP's solve, as operate_timing.csv records it."""
+
+    seconds: float  # wall time of solve_simplex
+    simplex_iterations: int
+    warm: int  # 1 if it ran from the warm start, else 0
+
+
+def dispatch_portfolio(portfolio, warm: ReducedModel | None = None) -> tuple[ExpansionSolution, OperateSolve]:
     """Dispatch a translated build, with relaxed unit commitment, over the
     full chronology of its case, which includes any template cluster the
-    translation created."""
+    translation created. The LP is solved by solve_simplex from warm."""
     lp, ix = build_operations_lp(portfolio.case, portfolio)
-    sol = solve_simplex(lp)
+    t0 = time.perf_counter()
+    sol = solve_simplex(lp, warm)
+    seconds = time.perf_counter() - t0
     if not sol.is_optimal:
         raise RuntimeError(f"operations LP is {sol.status}")
-    return extract_solution(portfolio.case, ix, sol)
+    return extract_solution(portfolio.case, ix, sol), OperateSolve(seconds, sol.stats.iterations, int(sol.stats.warm))
+
+
+def dispatch_build(allocation, portfolio, basis: Basis | None = None) -> tuple[DispatchedBuild, OperateSolve]:
+    """The dispatched record of a translated build. Its operations LP is the
+    HRB's with another build pinned, so given basis, the HRB's, the solve
+    starts from it on the row-reduced LP (lp.ReducedModel). An LP of another
+    shape (a template cluster), or a failed warm attempt, is solved cold.
+    The record carries the basis of a cold solve."""
+    warm = ReducedModel(basis)
+    operations, solve = dispatch_portfolio(portfolio, warm)
+    return DispatchedBuild(allocation, portfolio, operations, warm.basis if warm.full else None), solve
 
 
 def replay_operations(
-    fine: SystemCase, allocation_path: str, coarse: SystemCase | None = None
+    fine: SystemCase, allocation_path: str, coarse: SystemCase | None = None, basis: Basis | None = None
 ) -> DispatchedBuild:
-    """Re-dispatch a saved allocation on the fine case. Given the coarse case
-    the allocation was translated from, template clusters and storage in it
-    are rebuilt from their provenance cluster; without it, an allocation
-    onto a template is refused ("unknown fine thermal cluster")."""
+    """Re-dispatch a saved allocation on the fine case, from basis when
+    given (dispatch_build). Given the coarse case the allocation was
+    translated from, template clusters and storage in it are rebuilt from
+    their provenance cluster; without it, an allocation onto a template is
+    refused ("unknown fine thermal cluster")."""
     allocation = read_allocation(allocation_path)
     portfolio = build_portfolio(fine, allocation, coarse)
-    return DispatchedBuild(allocation, portfolio, dispatch_portfolio(portfolio))
+    return dispatch_build(allocation, portfolio, basis)[0]
 
 
 def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> MetricsReport:
     """Rebuild a combo's metrics report from its persisted artifacts: the
     phase-1 summary of phase1.csv, the fixed cost of investments.csv, and
-    the dispatch of the combo's and the baseline's saved allocations. The
-    report is named after combo_dir."""
+    the dispatch of the baseline's and the combo's saved allocations, the
+    combo's from the baseline's basis as in the ladder. The report is
+    named after combo_dir."""
     fine = rc.load_fine()
     case_dir = combo_case_dir(combo_dir)
     case = load_system(case_dir)
     investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
     phase1 = read_phase1(os.path.join(combo_dir, "phase1.csv"), case, case_dir)
-    build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), case)
     baseline = replay_operations(fine, os.path.join(baseline_dir, "allocation.csv"))
+    build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), case, baseline.basis)
     name = os.path.basename(os.path.normpath(combo_dir))
     return build_report(name, phase1, fixed_cost(case, investment), fine, build, baseline)

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -369,12 +370,35 @@ def test_a_basis_of_the_wrong_shape_falls_back_to_the_cold_solve():
     # in place of a basis of the full LP, to be mapped, then of the reduced LP
     for full in (True, False):
         assert reduced.full == full
-        reduced.basis = lp_module.highs_attempt(other, False).model.getBasis()  # of the wrong shape
+        wrong = lp_module.highs_attempt(other, False).model.getBasis()
+        reduced.basis = lp_module.Basis(wrong, (other.n_vars, other.n_rows))  # of the wrong shape
         sol = solve_simplex(lp, reduced)
         assert not sol.stats.warm and not sol.stats.retried
         _assert_identical(sol, solve_simplex(lp))
         assert reduced.ready and reduced.full  # the next attempt maps the cold solve's basis
         assert solve_simplex(lp, reduced).stats.warm
+
+
+def test_a_pickled_basis_keeps_its_status_codes(synth_small, synth_small_lps):
+    # a parallel ladder hands the HRB's operate basis to its worker
+    # processes pickled; a combo's operations LP is the HRB's re-pinned
+    lp = synth_small_lps["operations"]
+    reduced = ReducedModel()
+    assert not solve_simplex(lp, reduced).stats.warm
+    kept = reduced.basis
+    assert reduced.full and kept.shape == (lp.n_vars, lp.n_rows)
+    back = pickle.loads(pickle.dumps(kept))
+    assert back.shape == kept.shape
+    for side in ("col_status", "row_status"):
+        got, want = getattr(back.highs, side), getattr(kept.highs, side)
+        assert np.array_equal(lp_module._codes(got), lp_module._codes(want)), side
+    inv = slice(0, len(investment_entries(synth_small)))
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    lo[inv] = hi[inv] = lp.lo[inv] * 0.8
+    combo = replace(lp, lo=lo, hi=hi)
+    sols = [solve_simplex(combo, ReducedModel(basis)) for basis in (kept, back)]
+    assert all(sol.stats.warm for sol in sols)
+    _assert_identical(*sols)
 
 
 def _warm_fails_by_status(monkeypatch):

@@ -398,9 +398,9 @@ def test_report_rows_do_not_depend_on_the_optimal_vertex(
     for key, value in want.items():
         assert abs(bres.phase1[key] - value) <= 1e-9 * max(1.0, abs(value)), key
     allocation, portfolio = translate_solution(investment, coarse, fine)
-    dual = dispatch_portfolio(portfolio)
+    dual, _ = dispatch_portfolio(portfolio)
     monkeypatch.setattr(lp_module, "_SIMPLEX", _OTHER_STARTS[start])
-    other = dispatch_portfolio(portfolio)
+    other, _ = dispatch_portfolio(portfolio)
     baseline = DispatchedBuild(allocation, portfolio, dual)
     rows = [
         {

@@ -18,6 +18,7 @@ from gridres import lp as lp_module
 from gridres.caseio import load_system, write_case
 from gridres.cli import main as cli_main
 from gridres.expansion import investment_entries
+from gridres.metrics import write_report
 from gridres.pipeline import (
     Combo,
     ConfigError,
@@ -505,21 +506,37 @@ def test_baseline_row_scores_itself_perfectly(ladder_run):
     assert float(hrb["total_cost"]) > 0.0
 
 
+def _close(got: list, want: list) -> bool:
+    """Each float of got within 1e-12 of want's, relative to max(1, |v|)."""
+    return len(got) == len(want) and all(
+        abs(float(g) - float(w)) <= 1e-12 * max(1.0, abs(float(w))) for g, w in zip(got, want)
+    )
+
+
 def test_identity_combo_scores_as_the_baseline(ladder_run):
     # a combo at the baseline's resolution runs the same stages as any other
-    # and writes what the baseline wrote; only its report carries its name
+    # and writes what the baseline wrote up to its dispatch; only its report
+    # carries its name. Its dispatch starts from the HRB's optimal basis on
+    # the row-reduced LP, where the HRB's ran cold on the full LP, so the
+    # dispatch and the scores read from it agree up to round-off
     _, out, _ = ladder_run
     rows = _read_csv(os.path.join(out, "ladder.csv"))
     by_combo = {r[0]: r[1:] for r in rows[1:]}
-    assert by_combo["ident-kall-relaxed"] == by_combo["hrb"]
+    ident, hrb = by_combo["ident-kall-relaxed"], by_combo["hrb"]
+    assert ident[:3] == hrb[:3]  # n_regions, k, uc
+    assert _close(ident[3:], hrb[3:])
 
     def files(name):
         return {
             path: data for path, data in _tree_bytes(Path(out, name)).items()
-            if path != "report.csv" and "timing" not in path
+            if path not in ("report.csv", "operations.csv") and "timing" not in path
         }
 
     assert files("ident-kall-relaxed") == files("hrb")
+    ident_ops, hrb_ops = (_read_csv(Path(out, name, "operations.csv")) for name in ("ident-kall-relaxed", HRB_NAME))
+    assert [r[0] for r in ident_ops] == [r[0] for r in hrb_ops]
+    assert _close([r[1] for r in ident_ops[1:]], [r[1] for r in hrb_ops[1:]])
+    assert _read_csv(Path(out, "ident-kall-relaxed", "operate_timing.csv"))[1][2] == "1"  # warm
 
 
 def test_combo_artifacts_present(ladder_run):
@@ -636,6 +653,86 @@ def test_rescoring_solves_only_the_two_operations_lps(ladder_run, monkeypatch):
     rescore_from_artifacts(rc, os.path.join(out, "r1-k1-relaxed"), os.path.join(out, "hrb"))
     assert [(opts.year_chronology, opts.periods, opts.reserve) for opts in built] == [(True, None, False)] * 2
     assert len(solved) == 2
+
+
+def test_every_combo_but_the_hrb_dispatches_from_the_hrb_basis(ladder_run):
+    # no combo of the ladder adds a template cluster, so every operations LP
+    # has the HRB's shape; each records its solve in operate_timing.csv
+    _, out, _ = ladder_run
+    warm = {}
+    for name in ALL_COMBOS:
+        header, row = _read_csv(os.path.join(out, name, "operate_timing.csv"))
+        assert header == ["seconds", "simplex_iterations", "warm"]
+        assert float(row[0]) >= 0.0 and int(row[1]) >= 0
+        warm[name] = row[2]
+    assert warm == {name: "0" if name == HRB_NAME else "1" for name in ALL_COMBOS}
+
+
+def _rescore_rows(rc, out, combo, tmp_path):
+    """(metric, key) -> value of the re-scored report of combo."""
+    path = tmp_path / f"{combo}.csv"
+    write_report([rescore_from_artifacts(rc, os.path.join(out, combo), os.path.join(out, HRB_NAME))], str(path))
+    return _report_values(path)
+
+
+def _report_values(path):
+    return {(metric, key): float(value) for _case, metric, key, value in _read_csv(path)[1:]}
+
+
+def test_rescoring_starts_the_combo_from_the_baseline_basis(ladder_run, monkeypatch, tmp_path):
+    # the baseline is dispatched first, cold, and hands its basis on
+    _, out, cfg = ladder_run
+    rc = RunConfig.from_yaml(cfg)
+    stats = []
+    real = lp_module.solve_simplex
+
+    def solve_spy(lp, warm=None):
+        sol = real(lp, warm)
+        stats.append(sol.stats)
+        return sol
+
+    monkeypatch.setattr(pipeline, "solve_simplex", solve_spy)
+    rows = _rescore_rows(rc, out, "r1-k1-relaxed", tmp_path)
+    assert [s.warm for s in stats] == [False, True]
+    assert rows == _report_values(os.path.join(out, "r1-k1-relaxed", "report.csv"))
+
+
+def test_a_failed_warm_dispatch_falls_back_to_the_cold_solve(ladder_run, monkeypatch, tmp_path):
+    # the combo's dispatch falls back cold when its warm attempt fails, and
+    # scores within round-off of the warm one: no report row reads the vertex
+    _, out, cfg = ladder_run
+    rc = RunConfig.from_yaml(cfg)
+    failed = []
+
+    class FailingWarm(lp_module.ReducedModel):
+        def attempt(self, lp):
+            failed.append(lp)
+            return lp_module.Attempt("failed", "forced warm failure")
+
+    monkeypatch.setattr(pipeline, "ReducedModel", FailingWarm)
+    for combo in ALL_COMBOS[1:]:
+        failed.clear()
+        got = _rescore_rows(rc, out, combo, tmp_path)
+        assert len(failed) == 1, combo
+        want = _report_values(os.path.join(out, combo, "report.csv"))
+        assert got.keys() == want.keys()
+        off = {k: (got[k], v) for k, v in want.items() if abs(got[k] - v) > 1e-9 * max(1.0, abs(v))}
+        assert off == {}, combo
+
+
+def test_a_serial_ladder_never_converts_the_hrb_basis(tmp_path, monkeypatch):
+    # the status codes are read only to pickle the basis for a process pool
+    read = []
+    real = lp_module.Basis.codes
+
+    def spy(self):
+        read.append(self)
+        return real(self)
+
+    monkeypatch.setattr(lp_module.Basis, "codes", spy)
+    rc = RunConfig.from_dict(yaml.safe_load(CONFIG_TEMPLATE.format(out_dir=tmp_path / "out")))
+    assert run_ladder(rc).ok
+    assert read == []
 
 
 def test_failed_combo_does_not_sink_the_ladder(tmp_path, monkeypatch):
@@ -857,11 +954,13 @@ def test_cli_stage_chain(ladder_run, tmp_path):
 
 
 def test_cli_chain_writes_the_ladder_combo_files(ladder_run, tmp_path):
+    # operate starts from the HRB's basis, as the ladder's operate stage does
     _, out, cfg = ladder_run
     chain = tmp_path / "chain"
     _cli_chain(
         cfg, chain,
-        ["aggregate", "--partition", "r1"], ["cluster", "--k", "1"], ["expand"], ["translate"], ["operate"],
+        ["aggregate", "--partition", "r1"], ["cluster", "--k", "1"], ["expand"], ["translate"],
+        ["operate", "--baseline-dir", os.path.join(out, HRB_NAME)],
     )
     combo = Path(out, "r1-k1-relaxed")
     for case_dir in ("coarse", "reduced"):
@@ -907,7 +1006,7 @@ def test_cli_chain_of_a_none_combo_writes_the_ladder_combo_files(tmp_path):
     _cli_chain(
         str(cfg), chain,
         ["aggregate", "--partition", "r1", "--uc", "none"], ["cluster", "--k", "1"],
-        ["expand"], ["translate"], ["operate"],
+        ["expand"], ["translate"], ["operate", "--baseline-dir", str(hrb.artifacts_dir)],
     )
     for case_dir in ("coarse", "reduced"):
         header, values = _read_csv(chain / case_dir / "scalars.csv")

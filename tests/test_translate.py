@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from gridres import lp as lp_module
 from gridres.caseio import write_case
 from gridres.cli import main as cli_main
 from gridres.expansion import INVESTMENT_PREFIXES, investment_entries
 from gridres.model import CaseError, Region, StorageCluster, require_valid
 from gridres.pipeline import (
+    dispatch_build,
     dispatch_portfolio,
     read_investments,
     replay_operations,
@@ -19,6 +21,7 @@ from gridres.pipeline import (
 from gridres.prng import Rng
 from gridres.spatial import RegionPartition, aggregate_spatial
 from gridres.translate import (
+    Portfolio,
     SiteAllocation,
     allocate_storage,
     allocate_thermal,
@@ -423,19 +426,42 @@ def test_operate_stage_dispatches_a_template_cluster():
     # the pipeline's operate stage builds and extracts on the portfolio's
     # case, which holds the template; the fine case alone does not
     _fine, _coarse, _alloc, portfolio = _translate_into_a_bare_region()
-    ops = dispatch_portfolio(portfolio)
+    ops, _ = dispatch_portfolio(portfolio)
     np.testing.assert_allclose(ops.dispatch["B_gas_tpl"], [6.0, 6.0], atol=1e-9)
     assert ops.total_nse == pytest.approx(0.0, abs=1e-9)
+
+
+def test_a_template_combo_dispatches_cold_from_the_hrb_basis(monkeypatch):
+    # the template cluster adds columns and rows to the fine case's
+    # operations LP, so the HRB's basis does not fit it: the warm attempt
+    # fails before it reduces a row, and the cold solve dispatches the build
+    fine, _coarse, alloc, portfolio = _translate_into_a_bare_region()
+    zero = {name: 0.0 for name, *_ in investment_entries(fine)}
+    hrb, hrb_solve = dispatch_build(SiteAllocation(), Portfolio(case=fine, investment=zero))
+    assert not hrb_solve.warm and hrb.basis is not None
+    reductions = []
+    real = lp_module._BoundRows.__init__
+
+    def spy(self, lp, fixed):
+        reductions.append(lp)
+        real(self, lp, fixed)
+
+    monkeypatch.setattr(lp_module._BoundRows, "__init__", spy)
+    build, solve = dispatch_build(alloc, portfolio, hrb.basis)
+    assert not solve.warm and reductions == []
+    assert build.basis is not None and build.basis.shape != hrb.basis.shape
+    want, _ = dispatch_portfolio(portfolio)
+    assert build.operations.objective == want.objective
 
 
 def test_replay_rebuilds_templates_from_the_coarse_case(tmp_path):
     fine, coarse, alloc, portfolio = _translate_into_a_bare_region()
     path = str(tmp_path / "allocation.csv")
     write_allocation(alloc, path)
-    _back, replayed, ops = replay_operations(fine, path, coarse)
+    _back, replayed, ops, _basis = replay_operations(fine, path, coarse)
     assert replayed.case == portfolio.case
     assert replayed.investment == portfolio.investment
-    want = dispatch_portfolio(portfolio)
+    want, _ = dispatch_portfolio(portfolio)
     assert ops.objective == want.objective
     for field in ("dispatch", "charge", "discharge", "soc", "prices"):
         got, exp = getattr(ops, field), getattr(want, field)
@@ -458,7 +484,7 @@ def test_cli_operate_dispatches_a_template_cluster(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(f"out_dir: {combo}\ninput_dir: {tmp_path / 'fine'}\n")
     assert cli_main(["--config", str(cfg), "operate"]) == 0
-    write_operations(dispatch_portfolio(portfolio), str(tmp_path / "want.csv"))
+    write_operations(dispatch_portfolio(portfolio)[0], str(tmp_path / "want.csv"))
     assert (combo / "operations.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
