@@ -18,7 +18,8 @@ directory.
 
 The ladder starts the dispatch of every combo but the HRB from the HRB's
 optimal basis. operate does so with --baseline-dir, the HRB's directory,
-whose allocation.csv it dispatches first for that basis; without it, the
+whose allocation.csv it dispatches first for that basis (a build equal
+to the HRB's reuses that dispatch, as in the ladder); without it, the
 dispatch runs cold. So for a combo other than the HRB, operate writes the
 ladder's operations.csv byte for byte only with --baseline-dir, as
 metrics takes --baseline-dir too.
@@ -187,10 +188,10 @@ def _cmd_operate(rc: RunConfig, args) -> int:
     coarse = load_system(f"{rc.out_dir}/coarse")
     fine = rc.load_fine()
     portfolio = build_portfolio(fine, allocation, coarse)
-    basis = None
-    if args.baseline_dir is not None:  # re-dispatch the HRB for its basis
-        basis = replay_operations(fine, f"{args.baseline_dir}/allocation.csv").basis
-    operations = run_operate(allocation, portfolio, rc.out_dir, basis).operations
+    baseline = None
+    if args.baseline_dir is not None:  # re-dispatch the HRB for its basis and dispatch
+        baseline = replay_operations(fine, f"{args.baseline_dir}/allocation.csv")
+    operations = run_operate(allocation, portfolio, rc.out_dir, baseline).operations
     print(f"dispatch cost {operations.objective:.6e}; wrote {rc.out_dir}/operations.csv")
     return 0
 

@@ -117,7 +117,7 @@ basis belongs to an LP of one shape: on an LP of another column or row
 count (a combo whose translation added a template cluster), the attempt
 fails before it reduces any row. A kept basis is a ``Basis``, which
 records its shape and pickles, as int8 status codes, into the worker
-processes of a parallel ladder.
+processes of a parallel ladder; a seed keeps only those codes.
 
 Every HiGHS run, of whichever attempt, is one call of ``linprog(h)``: the
 name under which the benchmark's tracer times the solver's own share of a
@@ -626,7 +626,7 @@ class KeptModel:
 
 
 _STATUS = highs.HighsBasisStatus
-_STATUS_OF_CODE = sorted(_STATUS.__members__.values(), key=int)  # each at the position of its code
+_STATUS_OF_CODE = {int(status): status for status in _STATUS.__members__.values()}
 
 
 def _codes(statuses: list) -> np.ndarray:
@@ -635,13 +635,27 @@ def _codes(statuses: list) -> np.ndarray:
     return np.fromiter(map(_STATUS.__index__, statuses), np.int8, len(statuses))
 
 
+def _highs_basis(cols: list, rows: list):
+    """A valid alien HighsBasis (one HiGHS checks before it starts from it)
+    of the given column and row statuses."""
+    basis = highs.HighsBasis()
+    basis.col_status = cols
+    basis.row_status = rows
+    basis.valid = True
+    return basis
+
+
 class Basis:
     """A HiGHS basis of an LP of shape (n_vars, n_rows), as a ReducedModel
-    keeps it. A HighsBasis does not pickle, so a Basis pickles as two int8
-    arrays of status codes, read from it only when it is pickled: the
-    bindings copy each status list, which takes about 17 ms for the 43,000
-    statuses of a 3-week, 2-region operations LP on a 2-core VM. An
-    unpickled Basis rebuilds its HighsBasis on first use."""
+    keeps it: the HighsBasis until its status codes are read, then only the
+    codes, two int8 arrays. They are read when the basis is pickled (a
+    HighsBasis does not pickle) or seeds a ReducedModel, not when it is
+    kept: the bindings copy each status list, which takes about 17 ms for
+    the 43,000 statuses of a 3-week, 2-region operations LP on a 2-core VM.
+    A seed is kept long and shared (the HRB's operate basis seeds every
+    combo's operate solve), and its HighsBasis, allocated while the HiGHS
+    model that solved the LP was alive, would hold the top of the heap,
+    and with it the memory that model freed, for as long as it is kept."""
 
     def __init__(self, basis, shape: tuple[int, int]):
         self.shape = shape
@@ -650,20 +664,23 @@ class Basis:
 
     @property
     def highs(self):
-        """The HighsBasis."""
+        """The HighsBasis, rebuilt from the codes once they were read."""
+        return _highs_basis(*self.statuses()) if self._highs is None else self._highs
+
+    def statuses(self) -> tuple[list, list]:
+        """The column and row statuses, as new lists. (Statuses are looked
+        up by code in a dict: calling the enum on each code takes 20 times
+        as long.)"""
         if self._highs is None:
-            basis = highs.HighsBasis()
-            basis.col_status, basis.row_status = (
-                [_STATUS_OF_CODE[c] for c in codes.tolist()] for codes in self._codes
-            )
-            basis.valid = True
-            self._highs = basis
-        return self._highs
+            return tuple([_STATUS_OF_CODE[c] for c in codes.tolist()] for codes in self._codes)
+        return self._highs.col_status, self._highs.row_status  # the bindings copy each into a new list
 
     def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The column and row status codes."""
+        """The column and row status codes. Reading them releases the
+        HighsBasis."""
         if self._codes is None:
             self._codes = (_codes(self._highs.col_status), _codes(self._highs.row_status))
+            self._highs = None
         return self._codes
 
     def __getstate__(self):
@@ -751,7 +768,7 @@ class _BoundRows:
         whose lower (upper) bound is supplied by a nonbasic bound row
         (lower_row, upper_row of ``bound``) becomes nonbasic at that
         bound."""
-        cols, rows = basis.highs.col_status, basis.highs.row_status  # the bindings copy each into a new list
+        cols, rows = basis.statuses()
         basic = int(_STATUS.kBasic)
         for at, moved in ((lower_row, _STATUS.kLower), (upper_row, _STATUS.kUpper)):
             j = np.flatnonzero(at >= 0)
@@ -759,12 +776,7 @@ class _BoundRows:
             row = _codes([rows[i] for i in self.rows[at[j]].tolist()])
             for k in j[(col == basic) & (row != basic)].tolist():
                 cols[k] = moved
-        out = highs.HighsBasis()
-        out.col_status = cols
-        out.row_status = [rows[i] for i in self.keep.tolist()]
-        out.valid = True
-        out.alien = True
-        return out
+        return _highs_basis(cols, [rows[i] for i in self.keep.tolist()])
 
 
 def _tighten(bound: np.ndarray, which: np.ndarray, cols: np.ndarray, implied: np.ndarray, sign: float):
@@ -799,6 +811,8 @@ class ReducedModel:
         self.rows: _BoundRows | None = None
         self.basis = basis
         self.full = basis is not None
+        if basis is not None:
+            basis.codes()  # a seed is kept long and shared: see Basis
         self._run = None  # the last attempt, until solve_simplex accepts or drops it
 
     @property

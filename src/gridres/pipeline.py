@@ -32,7 +32,8 @@ its full traceback in <combo>/error.txt.
 The operate stage of every combo but the HRB starts from the optimal
 basis of the HRB's dispatch (DispatchedBuild.basis, handed on through
 CaseResult.baseline), since its operations LP is the HRB's with another
-build pinned (dispatch_build).
+build pinned; a build equal to the HRB's reuses the HRB's dispatch
+(dispatch_portfolio).
 
 Phase 1 reaches the report only as the two things Benders returns of it:
 the build, which run_expand writes to investments.csv and the report
@@ -504,15 +505,15 @@ def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: Sys
     return allocation, portfolio
 
 
-def run_operate(allocation, portfolio, art: str, basis: Basis | None = None) -> DispatchedBuild:
+def run_operate(allocation, portfolio, art: str, baseline: DispatchedBuild | None = None) -> DispatchedBuild:
     """Dispatch the translated build at full resolution into operations.csv,
-    starting from basis, the HRB's, when given (dispatch_build). Its solve
-    goes to operate_timing.csv."""
+    from baseline, the HRB's record, when given (dispatch_portfolio). Its
+    solve goes to operate_timing.csv."""
     clear_from("operate", art)
-    build, solve = dispatch_build(allocation, portfolio, basis)
-    write_operations(build.operations, os.path.join(art, "operations.csv"))
+    operations, solve, basis = dispatch_portfolio(portfolio, baseline)
+    write_operations(operations, os.path.join(art, "operations.csv"))
     write_csv(os.path.join(art, "operate_timing.csv"), OperateSolve._fields, [solve])
-    return build
+    return DispatchedBuild(allocation, portfolio, operations, basis)
 
 
 def run_case(
@@ -564,7 +565,7 @@ def run_case(
         with stage("translate"):
             allocation, portfolio = run_translate(rc, bres.investment, coarse, fine, art)
         with stage("operate"):
-            build = run_operate(allocation, portfolio, art, baseline.basis if baseline is not None else None)
+            build = run_operate(allocation, portfolio, art, baseline)
         with stage("metrics"):
             if combo.name == HRB_NAME:
                 baseline = out.baseline = build
@@ -722,46 +723,57 @@ def read_phase1(path: str, case: SystemCase, case_dir: str) -> dict:
 class OperateSolve(NamedTuple):
     """The operations LP's solve, as operate_timing.csv records it."""
 
-    seconds: float  # wall time of solve_simplex
+    seconds: float  # wall time of the dispatch's solve
     simplex_iterations: int
-    warm: int  # 1 if it ran from the warm start, else 0
+    warm: int  # 1 if it started from the baseline's optimum, else 0
 
 
-def dispatch_portfolio(portfolio, warm: ReducedModel | None = None) -> tuple[ExpansionSolution, OperateSolve]:
+def dispatch_portfolio(
+    portfolio, baseline: DispatchedBuild | None = None
+) -> tuple[ExpansionSolution, OperateSolve, Basis | None]:
     """Dispatch a translated build, with relaxed unit commitment, over the
     full chronology of its case, which includes any template cluster the
-    translation created. The LP is solved by solve_simplex from warm."""
+    translation created. Returns the operations, the solve and the optimal
+    basis of a cold solve of the full LP (the HRB's is the warm start of
+    every other combo).
+
+    Given baseline, the HRB's record on the same fine case, the build's
+    operations LP is the HRB's with another build pinned, so the solve
+    starts from the HRB's basis on the row-reduced LP (lp.ReducedModel). An
+    LP of another shape (a template cluster), or a failed warm attempt, is
+    solved cold. A build equal to the HRB's has the HRB's LP and reuses its
+    dispatch: no solve, 0 iterations, warm."""
+    if (
+        baseline is not None
+        and portfolio.investment == baseline.portfolio.investment
+        and portfolio.line_capacity == baseline.portfolio.line_capacity
+    ):
+        return baseline.operations, OperateSolve(0.0, 0, 1), None
+    warm = ReducedModel(baseline.basis if baseline is not None else None)
     lp, ix = build_operations_lp(portfolio.case, portfolio)
     t0 = time.perf_counter()
     sol = solve_simplex(lp, warm)
-    seconds = time.perf_counter() - t0
+    solve = OperateSolve(time.perf_counter() - t0, sol.stats.iterations, int(sol.stats.warm))
     if not sol.is_optimal:
         raise RuntimeError(f"operations LP is {sol.status}")
-    return extract_solution(portfolio.case, ix, sol), OperateSolve(seconds, sol.stats.iterations, int(sol.stats.warm))
-
-
-def dispatch_build(allocation, portfolio, basis: Basis | None = None) -> tuple[DispatchedBuild, OperateSolve]:
-    """The dispatched record of a translated build. Its operations LP is the
-    HRB's with another build pinned, so given basis, the HRB's, the solve
-    starts from it on the row-reduced LP (lp.ReducedModel). An LP of another
-    shape (a template cluster), or a failed warm attempt, is solved cold.
-    The record carries the basis of a cold solve."""
-    warm = ReducedModel(basis)
-    operations, solve = dispatch_portfolio(portfolio, warm)
-    return DispatchedBuild(allocation, portfolio, operations, warm.basis if warm.full else None), solve
+    return extract_solution(portfolio.case, ix, sol), solve, warm.basis if warm.full else None
 
 
 def replay_operations(
-    fine: SystemCase, allocation_path: str, coarse: SystemCase | None = None, basis: Basis | None = None
+    fine: SystemCase,
+    allocation_path: str,
+    coarse: SystemCase | None = None,
+    baseline: DispatchedBuild | None = None,
 ) -> DispatchedBuild:
-    """Re-dispatch a saved allocation on the fine case, from basis when
-    given (dispatch_build). Given the coarse case the allocation was
-    translated from, template clusters and storage in it are rebuilt from
-    their provenance cluster; without it, an allocation onto a template is
-    refused ("unknown fine thermal cluster")."""
+    """Re-dispatch a saved allocation on the fine case, from baseline, the
+    HRB's record, when given (dispatch_portfolio). Given the coarse case
+    the allocation was translated from, template clusters and storage in it
+    are rebuilt from their provenance cluster; without it, an allocation
+    onto a template is refused ("unknown fine thermal cluster")."""
     allocation = read_allocation(allocation_path)
     portfolio = build_portfolio(fine, allocation, coarse)
-    return dispatch_build(allocation, portfolio, basis)[0]
+    operations, _solve, basis = dispatch_portfolio(portfolio, baseline)
+    return DispatchedBuild(allocation, portfolio, operations, basis)
 
 
 def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> MetricsReport:
@@ -776,6 +788,6 @@ def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> 
     investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
     phase1 = read_phase1(os.path.join(combo_dir, "phase1.csv"), case, case_dir)
     baseline = replay_operations(fine, os.path.join(baseline_dir, "allocation.csv"))
-    build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), case, baseline.basis)
+    build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), case, baseline)
     name = os.path.basename(os.path.normpath(combo_dir))
     return build_report(name, phase1, fixed_cost(case, investment), fine, build, baseline)

@@ -398,9 +398,9 @@ def test_report_rows_do_not_depend_on_the_optimal_vertex(
     for key, value in want.items():
         assert abs(bres.phase1[key] - value) <= 1e-9 * max(1.0, abs(value)), key
     allocation, portfolio = translate_solution(investment, coarse, fine)
-    dual, _ = dispatch_portfolio(portfolio)
+    dual = dispatch_portfolio(portfolio)[0]
     monkeypatch.setattr(lp_module, "_SIMPLEX", _OTHER_STARTS[start])
-    other, _ = dispatch_portfolio(portfolio)
+    other = dispatch_portfolio(portfolio)[0]
     baseline = DispatchedBuild(allocation, portfolio, dual)
     rows = [
         {

@@ -506,37 +506,21 @@ def test_baseline_row_scores_itself_perfectly(ladder_run):
     assert float(hrb["total_cost"]) > 0.0
 
 
-def _close(got: list, want: list) -> bool:
-    """Each float of got within 1e-12 of want's, relative to max(1, |v|)."""
-    return len(got) == len(want) and all(
-        abs(float(g) - float(w)) <= 1e-12 * max(1.0, abs(float(w))) for g, w in zip(got, want)
-    )
-
-
 def test_identity_combo_scores_as_the_baseline(ladder_run):
     # a combo at the baseline's resolution runs the same stages as any other
-    # and writes what the baseline wrote up to its dispatch; only its report
-    # carries its name. Its dispatch starts from the HRB's optimal basis on
-    # the row-reduced LP, where the HRB's ran cold on the full LP, so the
-    # dispatch and the scores read from it agree up to round-off
+    # and writes what the baseline wrote; only its report carries its name
     _, out, _ = ladder_run
     rows = _read_csv(os.path.join(out, "ladder.csv"))
     by_combo = {r[0]: r[1:] for r in rows[1:]}
-    ident, hrb = by_combo["ident-kall-relaxed"], by_combo["hrb"]
-    assert ident[:3] == hrb[:3]  # n_regions, k, uc
-    assert _close(ident[3:], hrb[3:])
+    assert by_combo["ident-kall-relaxed"] == by_combo["hrb"]
 
     def files(name):
         return {
             path: data for path, data in _tree_bytes(Path(out, name)).items()
-            if path not in ("report.csv", "operations.csv") and "timing" not in path
+            if path != "report.csv" and "timing" not in path
         }
 
     assert files("ident-kall-relaxed") == files("hrb")
-    ident_ops, hrb_ops = (_read_csv(Path(out, name, "operations.csv")) for name in ("ident-kall-relaxed", HRB_NAME))
-    assert [r[0] for r in ident_ops] == [r[0] for r in hrb_ops]
-    assert _close([r[1] for r in ident_ops[1:]], [r[1] for r in hrb_ops[1:]])
-    assert _read_csv(Path(out, "ident-kall-relaxed", "operate_timing.csv"))[1][2] == "1"  # warm
 
 
 def test_combo_artifacts_present(ladder_run):
@@ -657,15 +641,20 @@ def test_rescoring_solves_only_the_two_operations_lps(ladder_run, monkeypatch):
 
 def test_every_combo_but_the_hrb_dispatches_from_the_hrb_basis(ladder_run):
     # no combo of the ladder adds a template cluster, so every operations LP
-    # has the HRB's shape; each records its solve in operate_timing.csv
+    # has the HRB's shape; each records its solve in operate_timing.csv. The
+    # identity combo's build is the HRB's, whose dispatch it reuses unsolved
     _, out, _ = ladder_run
-    warm = {}
+    solves = {}
     for name in ALL_COMBOS:
         header, row = _read_csv(os.path.join(out, name, "operate_timing.csv"))
         assert header == ["seconds", "simplex_iterations", "warm"]
         assert float(row[0]) >= 0.0 and int(row[1]) >= 0
-        warm[name] = row[2]
-    assert warm == {name: "0" if name == HRB_NAME else "1" for name in ALL_COMBOS}
+        solves[name] = row
+    assert {name: row[2] for name, row in solves.items()} == {
+        name: "0" if name == HRB_NAME else "1" for name in ALL_COMBOS
+    }
+    assert solves["ident-kall-relaxed"] == ["0.0", "0", "1"]
+    assert int(solves[HRB_NAME][1]) > 0
 
 
 def _rescore_rows(rc, out, combo, tmp_path):
@@ -710,7 +699,7 @@ def test_a_failed_warm_dispatch_falls_back_to_the_cold_solve(ladder_run, monkeyp
             return lp_module.Attempt("failed", "forced warm failure")
 
     monkeypatch.setattr(pipeline, "ReducedModel", FailingWarm)
-    for combo in ALL_COMBOS[1:]:
+    for combo in ("r1-kall-relaxed", "r1-k1-relaxed", "ident-k1-relaxed"):  # not the HRB's build
         failed.clear()
         got = _rescore_rows(rc, out, combo, tmp_path)
         assert len(failed) == 1, combo
@@ -720,19 +709,25 @@ def test_a_failed_warm_dispatch_falls_back_to_the_cold_solve(ladder_run, monkeyp
         assert off == {}, combo
 
 
-def test_a_serial_ladder_never_converts_the_hrb_basis(tmp_path, monkeypatch):
-    # the status codes are read only to pickle the basis for a process pool
+def test_the_hrb_basis_is_converted_by_the_first_combo_that_maps_it(tmp_path, monkeypatch):
+    # the HRB's own stages read no status codes; the first combo started
+    # from its basis reads them, and later ones reuse them
     read = []
     real = lp_module.Basis.codes
 
     def spy(self):
-        read.append(self)
+        read.append(self._codes is None)
         return real(self)
 
     monkeypatch.setattr(lp_module.Basis, "codes", spy)
     rc = RunConfig.from_dict(yaml.safe_load(CONFIG_TEMPLATE.format(out_dir=tmp_path / "out")))
-    assert run_ladder(rc).ok
-    assert read == []
+    fine = rc.load_fine()
+    hrb, *combos = (c for c in rc.combos() if c.name in (HRB_NAME, "r1-kall-relaxed", "r1-k1-relaxed"))
+    hrb = run_case(rc, hrb, fine, None)
+    assert hrb.ok and hrb.baseline.basis is not None and read == []
+    for combo in combos:
+        assert run_case(rc, combo, fine, hrb.baseline).ok
+    assert read == [True, False]
 
 
 def test_failed_combo_does_not_sink_the_ladder(tmp_path, monkeypatch):

@@ -9,9 +9,9 @@ from gridres import lp as lp_module
 from gridres.caseio import write_case
 from gridres.cli import main as cli_main
 from gridres.expansion import INVESTMENT_PREFIXES, investment_entries
+from gridres.metrics import DispatchedBuild
 from gridres.model import CaseError, Region, StorageCluster, require_valid
 from gridres.pipeline import (
-    dispatch_build,
     dispatch_portfolio,
     read_investments,
     replay_operations,
@@ -426,7 +426,7 @@ def test_operate_stage_dispatches_a_template_cluster():
     # the pipeline's operate stage builds and extracts on the portfolio's
     # case, which holds the template; the fine case alone does not
     _fine, _coarse, _alloc, portfolio = _translate_into_a_bare_region()
-    ops, _ = dispatch_portfolio(portfolio)
+    ops = dispatch_portfolio(portfolio)[0]
     np.testing.assert_allclose(ops.dispatch["B_gas_tpl"], [6.0, 6.0], atol=1e-9)
     assert ops.total_nse == pytest.approx(0.0, abs=1e-9)
 
@@ -437,8 +437,9 @@ def test_a_template_combo_dispatches_cold_from_the_hrb_basis(monkeypatch):
     # fails before it reduces a row, and the cold solve dispatches the build
     fine, _coarse, alloc, portfolio = _translate_into_a_bare_region()
     zero = {name: 0.0 for name, *_ in investment_entries(fine)}
-    hrb, hrb_solve = dispatch_build(SiteAllocation(), Portfolio(case=fine, investment=zero))
-    assert not hrb_solve.warm and hrb.basis is not None
+    hrb_portfolio = Portfolio(case=fine, investment=zero)
+    hrb_ops, hrb_solve, hrb_basis = dispatch_portfolio(hrb_portfolio)
+    assert not hrb_solve.warm and hrb_basis is not None
     reductions = []
     real = lp_module._BoundRows.__init__
 
@@ -447,11 +448,11 @@ def test_a_template_combo_dispatches_cold_from_the_hrb_basis(monkeypatch):
         real(self, lp, fixed)
 
     monkeypatch.setattr(lp_module._BoundRows, "__init__", spy)
-    build, solve = dispatch_build(alloc, portfolio, hrb.basis)
+    hrb = DispatchedBuild(SiteAllocation(), hrb_portfolio, hrb_ops, hrb_basis)
+    ops, solve, basis = dispatch_portfolio(portfolio, hrb)
     assert not solve.warm and reductions == []
-    assert build.basis is not None and build.basis.shape != hrb.basis.shape
-    want, _ = dispatch_portfolio(portfolio)
-    assert build.operations.objective == want.objective
+    assert basis is not None and basis.shape != hrb_basis.shape
+    assert ops.objective == dispatch_portfolio(portfolio)[0].objective
 
 
 def test_replay_rebuilds_templates_from_the_coarse_case(tmp_path):
@@ -461,7 +462,7 @@ def test_replay_rebuilds_templates_from_the_coarse_case(tmp_path):
     _back, replayed, ops, _basis = replay_operations(fine, path, coarse)
     assert replayed.case == portfolio.case
     assert replayed.investment == portfolio.investment
-    want, _ = dispatch_portfolio(portfolio)
+    want = dispatch_portfolio(portfolio)[0]
     assert ops.objective == want.objective
     for field in ("dispatch", "charge", "discharge", "soc", "prices"):
         got, exp = getattr(ops, field), getattr(want, field)
