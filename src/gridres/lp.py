@@ -664,7 +664,7 @@ class Basis:
 
     @property
     def highs(self):
-        """The HighsBasis, rebuilt from the codes once they were read."""
+        """The HighsBasis; once the codes were read, a new one of them."""
         return _highs_basis(*self.statuses()) if self._highs is None else self._highs
 
     def statuses(self) -> tuple[list, list]:
