@@ -48,6 +48,15 @@ does not determine how free VRE energy splits between use and
 curtailment, nor how non-served energy splits between regions, so the
 summary holds only the thermal dispatch by tech and the variable cost.
 
+The result also holds the last basis each subproblem's ReducedModel kept,
+that of the last iteration's solve, on the subproblem's full LP
+(``ReducedModel.full_basis``), by block and period
+(``expansion.basis_blocks``). Laid end to end, the subproblems of a case
+with relaxed commitment are its operations LP at the same build, but for
+the wrap-around rows and the line capacities, which the operations LP
+carries as flow bounds; so these bases start the HRB's dispatch
+(``pipeline.dispatch_portfolio``).
+
 An optional convex-combination step toward the incumbent (stab_weight in
 [0, 1)) damps the master iterate; 0 is pure Benders. ``BendersResult.timing``
 holds per-iteration wall times and subproblem simplex work.
@@ -67,6 +76,7 @@ from .expansion import (
     VarIndex,
     add_investment_columns,
     add_reserve_rows,
+    basis_blocks,
     build_lp,
     extract_solution,
     fixed_cost,
@@ -88,6 +98,9 @@ class BendersResult:
     iterations: int
     investment: dict  # the incumbent build by name
     phase1: dict  # metrics.phase_summary of the subproblem solves at the incumbent
+    # the last kept basis of each subproblem, on its full LP, by block and
+    # period (expansion.basis_blocks)
+    bases: dict = field(default_factory=dict)
     log: list = field(default_factory=list)  # (iteration, lb, ub, gap)
     # (iteration, master_s, sub_s, sub_iterations, warm_fallbacks,
     # ipm_retries) where sub_iterations sums the subproblems' simplex
@@ -223,6 +236,11 @@ def solve_benders(
             for p, sol in enumerate(sols):
                 master.add_cut(p, sol.objective, trial, sol.reduced_costs[inv])
     parts = [extract_solution(case, ix, sol) for (_lp, ix), sol in zip(subs, best_sols)]
+    bases = {}
+    for (_lp, ix), model in zip(subs, reduced):
+        basis = model.full_basis()
+        if basis is not None:
+            bases.update(basis_blocks(case, ix, *basis.codes()))
     return BendersResult(
         status=status,
         objective=best_ub,
@@ -233,4 +251,5 @@ def solve_benders(
         timing=timing,
         investment=parts[0].investment,  # pinned: identical in every part
         phase1=phase_summary(parts, case),
+        bases=bases,
     )

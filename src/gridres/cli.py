@@ -8,7 +8,8 @@ The stage commands run the ladder's own per-combo stages one at a time,
 with --out as the combo directory: aggregate writes coarse/ with the
 commitment mode --uc, cluster reads it and writes reduction.csv and
 reduced/, expand solves reduced/ (or coarse/) under that mode into
-investments.csv and phase1.csv, translate maps that onto the fine system
+investments.csv, phase1.csv and benders_bases.csv (the last bases of its
+Benders subproblems), translate maps that onto the fine system
 into allocation.csv and portfolio.csv, and operate dispatches
 allocation.csv into operations.csv and operate_timing.csv. Each writes
 what the ladder writes, and first, before it reads or checks its input,
@@ -16,18 +17,22 @@ deletes what it and the later stages wrote before, so a refused input
 leaves no stale file for the next stage. metrics re-scores any combo
 directory.
 
-The ladder starts the dispatch of every combo but the HRB from the HRB's
-optimal basis. operate does so with --baseline-dir, the HRB's directory,
-whose allocation.csv it dispatches first for that basis (a build equal
-to the HRB's reuses that dispatch, as in the ladder); without it, the
-dispatch runs cold. So for a combo other than the HRB, operate writes the
-ladder's operations.csv byte for byte only with --baseline-dir, as
-metrics takes --baseline-dir too.
+The ladder starts the HRB's dispatch from the last bases of its Benders
+subproblems, and the dispatch of every other combo from the HRB's optimal
+basis. operate does the latter with --baseline-dir, the HRB's directory,
+whose allocation.csv it dispatches first, from that directory's
+benders_bases.csv, for that basis (a build equal to the HRB's reuses that
+dispatch, as in the ladder); without it, the dispatch starts from the
+combo directory's own benders_bases.csv, which covers the fine operations
+LP only at the HRB's resolution, and runs cold otherwise. So for a combo
+other than the HRB, operate writes the ladder's operations.csv byte for
+byte only with --baseline-dir, as metrics takes --baseline-dir too.
 
 Exit codes: 0 on success, 1 on a configuration problem or an input file
 that cannot be read (a case directory, investments.csv, phase1.csv,
-allocation.csv) or that does not fit its case (an unknown name or entity,
-an investment out of its bounds), 2 when Benders did not converge in
+benders_bases.csv, allocation.csv) or that does not fit its case (an
+unknown name, entity or period, an investment out of its bounds, a basis
+status that is no HiGHS code or a code string of the wrong length), 2 when Benders did not converge in
 expand or a ladder finished but some combos failed. Progress (each
 combo's start and end, the Benders bounds every 10 iterations) is logged
 to stderr through the ``gridres`` logger at INFO.
@@ -49,6 +54,7 @@ from .pipeline import (
     RunConfig,
     clear_from,
     combo_case_dir,
+    read_bases,
     read_investments,
     replay_operations,
     rescore_from_artifacts,
@@ -188,10 +194,14 @@ def _cmd_operate(rc: RunConfig, args) -> int:
     coarse = load_system(f"{rc.out_dir}/coarse")
     fine = rc.load_fine()
     portfolio = build_portfolio(fine, allocation, coarse)
-    baseline = None
+    baseline = bases = None
     if args.baseline_dir is not None:  # re-dispatch the HRB for its basis and dispatch
-        baseline = replay_operations(fine, f"{args.baseline_dir}/allocation.csv")
-    operations = run_operate(allocation, portfolio, rc.out_dir, baseline).operations
+        baseline = replay_operations(
+            fine, f"{args.baseline_dir}/allocation.csv", bases=read_bases(args.baseline_dir)
+        )
+    else:
+        bases = read_bases(rc.out_dir)
+    operations = run_operate(allocation, portfolio, rc.out_dir, baseline, bases).operations
     print(f"dispatch cost {operations.objective:.6e}; wrote {rc.out_dir}/operations.csv")
     return 0
 

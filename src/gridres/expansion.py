@@ -54,6 +54,14 @@ interleaved per hour (bracketed rows only where they apply):
     line     fwd <= capacity, rev <= capacity             (no override)
 
 and last the per-region reserve rows when requested.
+
+VarIndex records where each block lies: every column family, the balance
+rows, and the row block of each VRE cluster, thermal cluster, storage unit
+and line. index_blocks lists them by family and entity id, and a basis is
+saved by those keys and by period (basis_blocks): the last bases of a
+Benders solve's subproblems (one period each) are saved so, and placed on
+the operations LP of the same entities and hours (placed_basis), which is
+those subproblems laid end to end.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQ, GE, LE, LinearProgram, LpBuilder, Solution
+from .lp import BASIC, EQ, GE, LE, LOWER, UPPER, LinearProgram, LpBuilder, Solution
 from .model import SystemCase
 
 PRICE_TOL = 1e-6
@@ -88,6 +96,12 @@ class VarIndex:
     entities unless uc is "relaxed"); charge, discharge and soc over
     case.storage; flow_fwd and flow_rev over case.interregional_lines; nse,
     spill and balance_row over case.regions.
+
+    vre_rows, thermal_rows, storage_rows and line_rows hold the row block
+    of each VRE cluster, thermal cluster, storage unit and line, in case
+    order: an (hours, rows per hour) array, as _hourly_rows returns it and
+    in the order of the layout; a line whose capacity is overridden has no
+    rows (zero per hour).
     """
 
     inv: slice | None = None
@@ -103,6 +117,10 @@ class VarIndex:
     nse: np.ndarray | None = None
     spill: np.ndarray | None = None
     balance_row: np.ndarray | None = None
+    vre_rows: list = field(default_factory=list)
+    thermal_rows: list = field(default_factory=list)
+    storage_rows: list = field(default_factory=list)
+    line_rows: list = field(default_factory=list)
     hours: list = field(default_factory=list)  # global hour index per k
     hour_weight: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -251,6 +269,16 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
     ix.nse, ix.spill, ix.balance_row = (family(len(case.regions)) for _ in range(3))
     cluster_pos = {c.id: i for i, c in enumerate(case.clusters)}
     demand = [r.demand.values for r in case.regions]
+    # each entity's row blocks, one per chronology block
+    blocks_of = {
+        family: [[] for _ in entities]
+        for family, entities in (
+            ("vre_rows", case.vre_clusters),
+            ("thermal_rows", case.thermal_clusters),
+            ("storage_rows", case.storage),
+            ("line_rows", case.interregional_lines),
+        )
+    }
 
     k0 = 0
     for hours, w in blocks:
@@ -300,9 +328,11 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
             balance.append((EQ, demand[i][hours], terms))
         ix.balance_row[:, ks] = _hourly_rows(b, nk, balance).T
 
-        for c, xv in zip(case.vre_clusters, inv["vre_new"]):
+        for i, (c, xv) in enumerate(zip(case.vre_clusters, inv["vre_new"])):
             rho = c.aggregate_profile.values[hours]
-            _hourly_rows(b, nk, [(LE, rho * c.existing_capacity, [(ix.gen[cluster_pos[c.id], ks], 1.0), (xv, -rho)])])
+            gen = ix.gen[cluster_pos[c.id], ks]
+            rows = [(LE, rho * c.existing_capacity, [(gen, 1.0), (xv, -rho)])]
+            blocks_of["vre_rows"][i].append(_hourly_rows(b, nk, rows))
 
         for i, c in enumerate(case.thermal_clusters):
             xg = inv["thermal_new"][i]
@@ -330,33 +360,138 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
                 r = th.ramp_rate
                 rows.append((LE, r * e0, [(g, 1.0), (gp, -1.0), (xg, -r), (ret, r)]))
                 rows.append((LE, r * e0, [(gp, 1.0), (g, -1.0), (xg, -r), (ret, r)]))
-            _hourly_rows(b, nk, rows)
+            blocks_of["thermal_rows"][i].append(_hourly_rows(b, nk, rows))
 
         for i, s in enumerate(case.storage):
             xp = inv["storage_new_power"][i]
             xe = inv["storage_new_energy"][i]
             soc, ch, dis = ix.soc[i, ks], ix.charge[i, ks], ix.discharge[i, ks]
-            _hourly_rows(b, nk, [
+            blocks_of["storage_rows"][i].append(_hourly_rows(b, nk, [
                 (EQ, 0.0, [(soc, 1.0), (np.roll(soc, 1), -1.0), (ch, -s.efficiency_rt), (dis, 1.0)]),
                 (LE, s.existing_energy, [(soc, 1.0), (xe, -1.0)]),
                 (LE, s.existing_power, [(ch, 1.0), (xp, -1.0)]),
                 (LE, s.existing_power, [(dis, 1.0), (xp, -1.0)]),
-            ])
+            ]))
 
         for i, l in enumerate(case.interregional_lines):
-            if l.id in override:
-                continue  # flow bounds already carry the operating capacity
+            if l.id in override:  # flow bounds already carry the operating capacity
+                blocks_of["line_rows"][i].append(np.zeros((nk, 0), dtype=int))
+                continue
             xl = inv["line_expansion"][i]
-            _hourly_rows(b, nk, [
+            blocks_of["line_rows"][i].append(_hourly_rows(b, nk, [
                 (LE, l.capacity, [(ix.flow_fwd[i, ks], 1.0), (xl, -1.0)]),
                 (LE, l.capacity, [(ix.flow_rev[i, ks], 1.0), (xl, -1.0)]),
-            ])
+            ]))
         k0 += nk
 
+    for family, blocks in blocks_of.items():
+        setattr(ix, family, [np.concatenate(parts) for parts in blocks])
     if opts.reserve:
         add_reserve_rows(case, b, inv)
 
     return b.build(), ix
+
+
+# The blocks of an LP's columns and rows that a basis is saved by: each
+# VarIndex family but inv, over the entities of the case list it is indexed
+# by, columns first
+BLOCK_FAMILIES = (
+    ("gen", "clusters", False),
+    *((family, "thermal_clusters", False) for family in ("commit", "start", "shut")),
+    *((family, "storage", False) for family in ("charge", "discharge", "soc")),
+    *((family, "interregional_lines", False) for family in ("flow_fwd", "flow_rev")),
+    ("nse", "regions", False),
+    ("spill", "regions", False),
+    ("balance_row", "regions", True),
+    ("vre_rows", "vre_clusters", True),
+    ("thermal_rows", "thermal_clusters", True),
+    ("storage_rows", "storage", True),
+    ("line_rows", "interregional_lines", True),
+)
+
+
+def index_blocks(case: SystemCase, ix: VarIndex):
+    """Every column of an LP that build_lp built but its investments, and
+    every row but the reserve rows, by block: (family, entity id, is a row
+    block, (hours, per hour) indices), in BLOCK_FAMILIES order. A line
+    whose capacity is overridden has no row block."""
+    for family, entities, is_row in BLOCK_FAMILIES:
+        for entity, idx in zip(getattr(case, entities), getattr(ix, family)):
+            idx = idx if idx.ndim == 2 else idx[:, None]
+            if idx.shape[1]:
+                yield family, entity.id, is_row, idx
+
+
+def block_widths(case: SystemCase, uc: str) -> dict:
+    """(family, entity id) -> the columns or rows per hour of each block
+    that index_blocks gives for an LP that build_lp builds over case under
+    the commitment mode uc with no line capacity overridden, as a Benders
+    subproblem is: the layout above, without building the LP."""
+    relaxed = uc == "relaxed"
+    out = {}
+    for family, entities, _is_row in BLOCK_FAMILIES:
+        if relaxed or family not in ("commit", "start", "shut"):
+            for e in getattr(case, entities):
+                out[family, e.id] = 1
+    for c in case.thermal_clusters:
+        th = c.thermal
+        out["thermal_rows", c.id] = (3 if relaxed else 1) + (th.min_output > 0) + 2 * (th.ramp_rate < 1.0)
+    for s in case.storage:
+        out["storage_rows", s.id] = 4
+    for l in case.interregional_lines:
+        out["line_rows", l.id] = 2
+    return out
+
+
+def basis_blocks(case: SystemCase, ix: VarIndex, cols: np.ndarray, rows: np.ndarray) -> dict:
+    """The status codes (lp.Basis.codes) of a basis of an LP that build_lp
+    built, ix its VarIndex, by block and period: (family, entity id,
+    period) -> the int8 codes of the block's columns or rows in the period,
+    hour by hour. The investment columns and the reserve rows are left
+    out."""
+    periods = np.asarray(ix.hours) // case.period_length
+    out = {}
+    for family, eid, is_row, idx in index_blocks(case, ix):
+        codes = (rows if is_row else cols)[idx]
+        for p in dict.fromkeys(periods.tolist()):
+            out[family, eid, p] = codes[periods == p].ravel()
+    return out
+
+
+def placed_basis(case: SystemCase, lp: LinearProgram, ix: VarIndex, blocks: dict):
+    """The statuses of blocks (basis_blocks, of LPs over case's entities and
+    hours, such as its Benders subproblems) placed on lp, which build_lp
+    built over case (ix its VarIndex): (cols, rows) codes, or None unless
+    blocks cover every column of lp but its investments, which are pinned
+    and placed at their lower bound. A row of lp that blocks do not cover
+    is basic. A row of blocks that lp lacks is the row of a line whose
+    capacity lp carries as the bound of its flow columns (line_rows): where
+    it is nonbasic and its flow column basic, the column is placed at its
+    upper bound, as lp.ReducedModel maps a bound row."""
+    cols = np.full(lp.n_vars, LOWER, dtype=np.int8)
+    rows = np.full(lp.n_rows, BASIC, dtype=np.int8)
+    periods = np.asarray(ix.hours) // case.period_length
+    spans = {p: periods == p for p in dict.fromkeys(periods.tolist())}
+
+    def saved(family, eid, width):
+        """The block's codes over lp's hours, or None if not all saved."""
+        parts = [blocks.get((family, eid, p)) for p in spans]
+        if any(part is None or part.size != hours.sum() * width for part, hours in zip(parts, spans.values())):
+            return None
+        return np.concatenate(parts).reshape(-1, width)
+
+    for family, eid, is_row, idx in index_blocks(case, ix):
+        codes = saved(family, eid, idx.shape[1])
+        if codes is None and not is_row:
+            return None
+        if codes is not None:
+            (rows if is_row else cols)[idx] = codes
+    for line, fwd, rev, own in zip(case.interregional_lines, ix.flow_fwd, ix.flow_rev, ix.line_rows):
+        codes = saved("line_rows", line.id, 2) if own.shape[1] == 0 else None
+        if codes is not None:
+            for flow, row in ((fwd, codes[:, 0]), (rev, codes[:, 1])):
+                cols[flow[(cols[flow] == BASIC) & (row != BASIC)]] = UPPER
+    return cols, rows
 
 
 def add_reserve_rows(case: SystemCase, b: LpBuilder, inv: dict) -> None:

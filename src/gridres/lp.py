@@ -103,6 +103,14 @@ linear programming" (Andersen & Andersen, 1995).
   bound. The mapped basis is passed as alien, so HiGHS repairs what a
   degenerate row leaves over: a count of basic variables other than the
   row count, or a singular basis.
+- The inverse (``ReducedModel.full_basis``) expresses a kept basis of the
+  reduced LP on the full LP, where a Benders subproblem's last basis is
+  saved and the HRB's operate basis is handed on: a column that is
+  nonbasic at a bound supplied by a bound row becomes basic, and that row
+  nonbasic at its own bound that gives the column's; every other bound
+  row is basic. The basic count stays the row count and the point and the
+  duals stay those of the reduced optimum (the duals above), so HiGHS
+  accepts the basis as optimal on the full LP without an iteration.
 - The kept rows' duals come from HiGHS. A bound row that supplies its
   column's active bound gets y_i = d_j / a_ij, from the column's reduced
   cost d_j on the reduced LP (d_j > 0: the lower bound is active, d_j < 0:
@@ -117,7 +125,10 @@ basis belongs to an LP of one shape: on an LP of another column or row
 count (a combo whose translation added a template cluster), the attempt
 fails before it reduces any row. A kept basis is a ``Basis``, which
 records its shape and pickles, as int8 status codes, into the worker
-processes of a parallel ladder; a seed keeps only those codes.
+processes of a parallel ladder; a seed keeps only those codes. The codes
+are the one form in which this module edits a basis: both mappings work on
+them with numpy, and ``_highs_basis`` alone turns them into the bindings'
+lists of statuses.
 
 Every HiGHS run, of whichever attempt, is one call of ``linprog(h)``: the
 name under which the benchmark's tracer times the solver's own share of a
@@ -626,7 +637,14 @@ class KeptModel:
 
 
 _STATUS = highs.HighsBasisStatus
-_STATUS_OF_CODE = {int(status): status for status in _STATUS.__members__.values()}
+# the int8 codes of a basic variable and of a nonbasic one at its lower or
+# upper bound, HiGHS's own
+BASIC, LOWER, UPPER = int(_STATUS.kBasic), int(_STATUS.kLower), int(_STATUS.kUpper)
+# the status of each code, to index with an array of codes
+_STATUS_OF_CODE = np.empty(max(map(int, _STATUS.__members__.values())) + 1, dtype=object)
+for _status in _STATUS.__members__.values():
+    _STATUS_OF_CODE[int(_status)] = _status
+STATUS_CODES = frozenset(int(status) for status in _STATUS.__members__.values())
 
 
 def _codes(statuses: list) -> np.ndarray:
@@ -635,12 +653,13 @@ def _codes(statuses: list) -> np.ndarray:
     return np.fromiter(map(_STATUS.__index__, statuses), np.int8, len(statuses))
 
 
-def _highs_basis(cols: list, rows: list):
+def _highs_basis(cols: np.ndarray, rows: np.ndarray):
     """A valid alien HighsBasis (one HiGHS checks before it starts from it)
-    of the given column and row statuses."""
+    of the given column and row status codes: the one place where codes
+    become the bindings' lists of statuses."""
     basis = highs.HighsBasis()
-    basis.col_status = cols
-    basis.row_status = rows
+    basis.col_status = _STATUS_OF_CODE[cols].tolist()
+    basis.row_status = _STATUS_OF_CODE[rows].tolist()
     basis.valid = True
     return basis
 
@@ -648,32 +667,32 @@ def _highs_basis(cols: list, rows: list):
 class Basis:
     """A HiGHS basis of an LP of shape (n_vars, n_rows), as a ReducedModel
     keeps it: the HighsBasis until its status codes are read, then only the
-    codes, two int8 arrays. They are read when the basis is pickled (a
-    HighsBasis does not pickle) or seeds a ReducedModel, not when it is
-    kept: the bindings copy each status list, which takes about 17 ms for
-    the 43,000 statuses of a 3-week, 2-region operations LP on a 2-core VM.
-    A seed is kept long and shared (the HRB's operate basis seeds every
-    combo's operate solve), and its HighsBasis, allocated while the HiGHS
-    model that solved the LP was alive, would hold the top of the heap,
-    and with it the memory that model freed, for as long as it is kept."""
+    codes, two int8 arrays (``codes``), the form in which this module edits
+    a basis. They are read when the basis is pickled (a HighsBasis does not
+    pickle), mapped, or seeds a ReducedModel, not when it is kept: the
+    bindings copy each status list, which takes about 17 ms for the 43,000
+    statuses of a 3-week, 2-region operations LP on a 2-core VM. A seed is
+    kept long and shared (the HRB's operate basis seeds every combo's
+    operate solve), and its HighsBasis, allocated while the HiGHS model
+    that solved the LP was alive, would hold the top of the heap, and with
+    it the memory that model freed, for as long as it is kept."""
 
     def __init__(self, basis, shape: tuple[int, int]):
         self.shape = shape
         self._highs = basis
         self._codes = None
 
+    @classmethod
+    def of_codes(cls, cols: np.ndarray, rows: np.ndarray) -> Basis:
+        """The basis of the given column and row status codes."""
+        basis = cls.__new__(cls)
+        basis.__setstate__((cols, rows))
+        return basis
+
     @property
     def highs(self):
         """The HighsBasis; once the codes were read, a new one of them."""
-        return _highs_basis(*self.statuses()) if self._highs is None else self._highs
-
-    def statuses(self) -> tuple[list, list]:
-        """The column and row statuses, as new lists. (Statuses are looked
-        up by code in a dict: calling the enum on each code takes 20 times
-        as long.)"""
-        if self._highs is None:
-            return tuple([_STATUS_OF_CODE[c] for c in codes.tolist()] for codes in self._codes)
-        return self._highs.col_status, self._highs.row_status  # the bindings copy each into a new list
+        return _highs_basis(*self._codes) if self._highs is None else self._highs
 
     def codes(self) -> tuple[np.ndarray, np.ndarray]:
         """The column and row status codes. Reading them releases the
@@ -768,15 +787,31 @@ class _BoundRows:
         whose lower (upper) bound is supplied by a nonbasic bound row
         (lower_row, upper_row of ``bound``) becomes nonbasic at that
         bound."""
-        cols, rows = basis.statuses()
-        basic = int(_STATUS.kBasic)
-        for at, moved in ((lower_row, _STATUS.kLower), (upper_row, _STATUS.kUpper)):
+        cols, rows = basis.codes()
+        cols = cols.copy()
+        for at, moved in ((lower_row, LOWER), (upper_row, UPPER)):
             j = np.flatnonzero(at >= 0)
-            col = _codes([cols[k] for k in j.tolist()])
-            row = _codes([rows[i] for i in self.rows[at[j]].tolist()])
-            for k in j[(col == basic) & (row != basic)].tolist():
-                cols[k] = moved
-        return _highs_basis(cols, [rows[i] for i in self.keep.tolist()])
+            cols[j[(cols[j] == BASIC) & (rows[self.rows[at[j]]] != BASIC)]] = moved
+        return _highs_basis(cols, rows[self.keep])
+
+    def unmapped(self, basis: Basis, lower_row: np.ndarray, upper_row: np.ndarray) -> Basis:
+        """basis, of the reduced LP, as a basis of the full LP: the inverse
+        of ``mapped``. A column that is nonbasic at a bound supplied by a
+        bound row becomes basic, and that row nonbasic at the bound of its
+        own that the column's bound comes from; every other bound row is
+        basic. The count of basic variables stays the row count."""
+        cols, kept = basis.codes()
+        cols = cols.copy()
+        rows = np.full(self.n_rows, BASIC, dtype=np.int8)
+        rows[self.keep] = kept
+        for at, status in ((lower_row, LOWER), (upper_row, UPPER)):
+            j = np.flatnonzero((at >= 0) & (cols == status))
+            at = at[j]
+            # the row a x = a_ij x_j + fixed part is at its lower bound where
+            # x_j is at its lower bound and a_ij > 0, or at its upper and a_ij < 0
+            rows[self.rows[at]] = np.where((self.coef[at] > 0) == (status == LOWER), LOWER, UPPER)
+            cols[j] = BASIC
+        return Basis.of_codes(cols, rows)
 
 
 def _tighten(bound: np.ndarray, which: np.ndarray, cols: np.ndarray, implied: np.ndarray, sign: float):
@@ -805,7 +840,8 @@ class ReducedModel:
     see the module docstring. It holds the row-reduced LP of the last fixed
     set and the Basis of its last accepted optimum: of the reduced LP, or
     of the full LP when a cold solve was accepted (``full``). Seeded with a
-    basis of the full LP, its first attempt maps that."""
+    basis of the full LP, its first attempt maps that. ``full_basis``
+    gives the kept basis on the full LP."""
 
     def __init__(self, basis: Basis | None = None):
         self.rows: _BoundRows | None = None
@@ -814,6 +850,8 @@ class ReducedModel:
         if basis is not None:
             basis.codes()  # a seed is kept long and shared: see Basis
         self._run = None  # the last attempt, until solve_simplex accepts or drops it
+        self._bounds = None  # its bound rows (lower_row, upper_row of _BoundRows.bound)
+        self._kept_bounds = None  # those of the kept basis, when it is of the reduced LP
 
     @property
     def ready(self) -> bool:
@@ -828,7 +866,7 @@ class ReducedModel:
                 return Attempt("failed", "no basis of these fixed columns")
             self.rows = _BoundRows(lp, fixed)
         rows = self.rows
-        lower_row, upper_row = rows.bound(lp)
+        self._bounds = lower_row, upper_row = rows.bound(lp)
         basis = rows.mapped(self.basis, lower_row, upper_row) if self.full else self.basis.highs
         run = highs_attempt(rows.lp, False, basis)
         if run.status == "optimal":
@@ -845,7 +883,15 @@ class ReducedModel:
         valid = basis is not None and basis.valid
         self.basis = Basis(basis, (model.getNumCol(), model.getNumRow())) if valid else None
         self.full = run is not self._run
-        self._run = None
+        self._kept_bounds = None if self.full else self._bounds
+        self._run = self._bounds = None
+
+    def full_basis(self) -> Basis | None:
+        """The kept basis as a basis of the full LP (``_BoundRows.unmapped``
+        of a basis of the reduced LP), or None if none is kept."""
+        if self.basis is None or self.full:
+            return self.basis
+        return self.rows.unmapped(self.basis, *self._kept_bounds)
 
 
 def solve_simplex(lp: LinearProgram, warm=None) -> Solution:

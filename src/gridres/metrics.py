@@ -29,8 +29,9 @@ from .translate import Portfolio, SiteAllocation
 class DispatchedBuild(NamedTuple):
     """A build translated onto the fine sites and dispatched there: the
     record of a combo, and of the HRB it is scored against. basis is the
-    optimal basis of its operations LP when that was solved cold, on the
-    full LP: the HRB's is the one every other combo's dispatch starts from."""
+    optimal basis of its operations LP, on the full LP, when it was
+    dispatched without a baseline: the HRB's is the one every other combo's
+    dispatch starts from."""
 
     allocation: SiteAllocation
     portfolio: Portfolio  # its case holds any template cluster it dispatched

@@ -33,7 +33,12 @@ The operate stage of every combo but the HRB starts from the optimal
 basis of the HRB's dispatch (DispatchedBuild.basis, handed on through
 CaseResult.baseline), since its operations LP is the HRB's with another
 build pinned; a build equal to the HRB's reuses the HRB's dispatch
-(dispatch_portfolio).
+(dispatch_portfolio). The HRB's own operate stage starts from the last
+bases of its Benders subproblems (BendersResult.bases), which run_expand
+writes to benders_bases.csv: in memory in the ladder, and read back from
+that file by ``gridres operate`` and by the baseline replays of
+``gridres operate --baseline-dir`` and ``gridres metrics``, so each of
+them starts from the same bases and writes what the ladder writes.
 
 Phase 1 reaches the report only as the two things Benders returns of it:
 the build, which run_expand writes to investments.csv and the report
@@ -59,18 +64,21 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+import numpy as np
 import yaml
 
 from .benders import BendersResult, solve_benders
 from .caseio import _Table, load_system, read_partition, write_case, write_csv
 from .expansion import (
     ExpansionSolution,
+    block_widths,
     build_operations_lp,
     extract_solution,
     fixed_cost,
     investment_entries,
+    placed_basis,
 )
-from .lp import PRIMAL_TOL, Basis, ReducedModel, solve_simplex
+from .lp import PRIMAL_TOL, STATUS_CODES, Basis, ReducedModel, solve_simplex
 from .metrics import (
     DispatchedBuild,
     MetricsReport,
@@ -393,6 +401,57 @@ def write_investments(values: dict, path: str) -> None:
     write_csv(path, ("variable", "value"), ((k, float(v)) for k, v in sorted(values.items())))
 
 
+def write_bases(bases: dict, path: str) -> None:
+    """benders_bases.csv: the status codes of BendersResult.bases, one row
+    per block and period, as one digit per column or row, hour by hour."""
+    rows = ((*key, (codes + ord("0")).tobytes().decode()) for key, codes in bases.items())
+    write_csv(path, ("family", "entity", "period", "codes"), rows)
+
+
+def read_bases(combo_dir: str) -> dict | None:
+    """benders_bases.csv of a combo directory as BendersResult.bases, or
+    None when the directory holds no investments.csv (no converged
+    expansion). The file must hold one row for every block of the case its
+    expansion solved (combo_case_dir) in each of its periods, and nothing
+    else, with one HiGHS basis status code per column or row of the block
+    (expansion.block_widths) in each hour of the period."""
+    if not os.path.exists(os.path.join(combo_dir, "investments.csv")):
+        return None
+    path = os.path.join(combo_dir, "benders_bases.csv")
+    table = _Table(path, ("family", "entity", "period", "codes"))
+    case_dir = combo_case_dir(combo_dir)
+    case = load_system(case_dir)
+    widths = block_widths(case, case.uc_mode)
+    digits = [ord("0") + code for code in STATUS_CODES]
+    bases = {}
+    for rowno, row in table:
+        family, eid = table.cell(rowno, row, "family"), table.cell(rowno, row, "entity")
+        key = family, eid, table.cell(rowno, row, "period", int)
+        if key in bases:
+            raise CaseError(f"{path} row {rowno}: duplicate block {_block_name(key)}")
+        codes = np.frombuffer(table.cell(rowno, row, "codes").encode(), dtype=np.uint8)
+        bad = codes[~np.isin(codes, digits)]
+        if bad.size:
+            raise CaseError(f"{path} row {rowno}: {chr(bad[0])!r} is not a HiGHS basis status code")
+        expected = widths.get((family, eid), 0) * case.period_length
+        if expected and codes.size != expected:
+            raise CaseError(f"{path} row {rowno}: {codes.size} status codes, expected {expected}")
+        bases[key] = (codes - ord("0")).astype(np.int8)
+    blocks = [(family, eid, p) for family, eid in widths for p in range(case.n_periods)]
+    missing, unknown = sorted(set(blocks) - set(bases)), sorted(set(bases) - set(blocks))
+    if missing or unknown:
+        raise CaseError(
+            f"{path} does not match {case_dir}: missing {[_block_name(k) for k in missing]}, "
+            f"unknown {[_block_name(k) for k in unknown]}"
+        )
+    return bases
+
+
+def _block_name(key: tuple) -> str:
+    family, eid, period = key
+    return f"{family} {eid} period {period}"
+
+
 def write_operations(operations: ExpansionSolution, path: str) -> None:
     """operations.csv: headline numbers of a fine-resolution dispatch."""
     write_csv(
@@ -417,7 +476,7 @@ def write_operations(operations: ExpansionSolution, path: str) -> None:
 STAGE_FILES = (
     ("aggregate", ("coarse",)),
     ("cluster", ("reduction.csv", "reduced")),
-    ("expand", ("benders_timing.csv", "benders_log.csv", "investments.csv", "phase1.csv")),
+    ("expand", ("benders_timing.csv", "benders_log.csv", "investments.csv", "phase1.csv", "benders_bases.csv")),
     ("translate", ("allocation.csv", "portfolio.csv")),
     ("operate", ("operations.csv", "operate_timing.csv")),
 )
@@ -467,8 +526,9 @@ def combo_case_dir(art: str) -> str:
 def run_expand(rc: RunConfig, case: SystemCase, art: str) -> BendersResult:
     """Solve the capacity expansion of case, under its uc_mode, with reserves
     by Benders. Writes benders_timing.csv and benders_log.csv, and on
-    convergence its investment to investments.csv and its phase-1 summary
-    to phase1.csv; returns the BendersResult."""
+    convergence its investment to investments.csv, its phase-1 summary to
+    phase1.csv and its subproblems' last bases to benders_bases.csv;
+    returns the BendersResult."""
     clear_from("expand", art)
     bres = solve_benders(
         case,
@@ -492,6 +552,7 @@ def run_expand(rc: RunConfig, case: SystemCase, art: str) -> BendersResult:
         write_investments(bres.investment, os.path.join(art, "investments.csv"))
         phase1 = ((k, float(v)) for k, v in bres.phase1.items())
         write_csv(os.path.join(art, "phase1.csv"), ("key", "value"), phase1)
+        write_bases(bres.bases, os.path.join(art, "benders_bases.csv"))
     return bres
 
 
@@ -505,12 +566,15 @@ def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: Sys
     return allocation, portfolio
 
 
-def run_operate(allocation, portfolio, art: str, baseline: DispatchedBuild | None = None) -> DispatchedBuild:
+def run_operate(
+    allocation, portfolio, art: str, baseline: DispatchedBuild | None = None, bases: dict | None = None
+) -> DispatchedBuild:
     """Dispatch the translated build at full resolution into operations.csv,
-    from baseline, the HRB's record, when given (dispatch_portfolio). Its
-    solve goes to operate_timing.csv."""
+    from baseline, the HRB's record, when given, else from bases, those of
+    the combo's own Benders subproblems (dispatch_portfolio). Its solve goes
+    to operate_timing.csv."""
     clear_from("operate", art)
-    operations, solve, basis = dispatch_portfolio(portfolio, baseline)
+    operations, solve, basis = dispatch_portfolio(portfolio, baseline, bases)
     write_operations(operations, os.path.join(art, "operations.csv"))
     write_csv(os.path.join(art, "operate_timing.csv"), OperateSolve._fields, [solve])
     return DispatchedBuild(allocation, portfolio, operations, basis)
@@ -565,7 +629,7 @@ def run_case(
         with stage("translate"):
             allocation, portfolio = run_translate(rc, bres.investment, coarse, fine, art)
         with stage("operate"):
-            build = run_operate(allocation, portfolio, art, baseline)
+            build = run_operate(allocation, portfolio, art, baseline, bres.bases)
         with stage("metrics"):
             if combo.name == HRB_NAME:
                 baseline = out.baseline = build
@@ -725,38 +789,49 @@ class OperateSolve(NamedTuple):
 
     seconds: float  # wall time of the dispatch's solve
     simplex_iterations: int
-    warm: int  # 1 if it started from the baseline's optimum, else 0
+    warm: int  # 1 if the accepted optimum came from the warm start, else 0
 
 
 def dispatch_portfolio(
-    portfolio, baseline: DispatchedBuild | None = None
+    portfolio, baseline: DispatchedBuild | None = None, bases: dict | None = None
 ) -> tuple[ExpansionSolution, OperateSolve, Basis | None]:
     """Dispatch a translated build, with relaxed unit commitment, over the
     full chronology of its case, which includes any template cluster the
-    translation created. Returns the operations, the solve and the optimal
-    basis of a cold solve of the full LP (the HRB's is the warm start of
-    every other combo).
+    translation created. Returns the operations, the solve and, without
+    baseline, the optimal basis on the full LP (the HRB's is the warm start
+    of every other combo).
 
     Given baseline, the HRB's record on the same fine case, the build's
     operations LP is the HRB's with another build pinned, so the solve
-    starts from the HRB's basis on the row-reduced LP (lp.ReducedModel). An
-    LP of another shape (a template cluster), or a failed warm attempt, is
-    solved cold. A build equal to the HRB's has the HRB's LP and reuses its
-    dispatch: no solve, 0 iterations, warm."""
+    starts from the HRB's basis on the row-reduced LP (lp.ReducedModel). A
+    build equal to the HRB's has the HRB's LP and reuses its dispatch: no
+    solve, 0 iterations, warm.
+
+    Without baseline, the solve starts in the same way from bases, the last
+    bases of the Benders subproblems of the build's expansion
+    (BendersResult.bases), placed on the LP (expansion.placed_basis) when
+    they cover its columns, as the HRB's do. An LP of another shape (a
+    template cluster), bases that do not cover it, or a failed warm
+    attempt is solved cold."""
     if (
         baseline is not None
         and portfolio.investment == baseline.portfolio.investment
         and portfolio.line_capacity == baseline.portfolio.line_capacity
     ):
         return baseline.operations, OperateSolve(0.0, 0, 1), None
-    warm = ReducedModel(baseline.basis if baseline is not None else None)
     lp, ix = build_operations_lp(portfolio.case, portfolio)
     t0 = time.perf_counter()
+    if baseline is not None:
+        start = baseline.basis
+    else:
+        placed = placed_basis(portfolio.case, lp, ix, bases) if bases else None
+        start = Basis.of_codes(*placed) if placed is not None else None
+    warm = ReducedModel(start)
     sol = solve_simplex(lp, warm)
     solve = OperateSolve(time.perf_counter() - t0, sol.stats.iterations, int(sol.stats.warm))
     if not sol.is_optimal:
         raise RuntimeError(f"operations LP is {sol.status}")
-    return extract_solution(portfolio.case, ix, sol), solve, warm.basis if warm.full else None
+    return extract_solution(portfolio.case, ix, sol), solve, None if baseline is not None else warm.full_basis()
 
 
 def replay_operations(
@@ -764,15 +839,17 @@ def replay_operations(
     allocation_path: str,
     coarse: SystemCase | None = None,
     baseline: DispatchedBuild | None = None,
+    bases: dict | None = None,
 ) -> DispatchedBuild:
     """Re-dispatch a saved allocation on the fine case, from baseline, the
-    HRB's record, when given (dispatch_portfolio). Given the coarse case
-    the allocation was translated from, template clusters and storage in it
-    are rebuilt from their provenance cluster; without it, an allocation
-    onto a template is refused ("unknown fine thermal cluster")."""
+    HRB's record, when given, else from bases (dispatch_portfolio). Given
+    the coarse case the allocation was translated from, template clusters
+    and storage in it are rebuilt from their provenance cluster; without
+    it, an allocation onto a template is refused ("unknown fine thermal
+    cluster")."""
     allocation = read_allocation(allocation_path)
     portfolio = build_portfolio(fine, allocation, coarse)
-    operations, _solve, basis = dispatch_portfolio(portfolio, baseline)
+    operations, _solve, basis = dispatch_portfolio(portfolio, baseline, bases)
     return DispatchedBuild(allocation, portfolio, operations, basis)
 
 
@@ -780,14 +857,16 @@ def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> 
     """Rebuild a combo's metrics report from its persisted artifacts: the
     phase-1 summary of phase1.csv, the fixed cost of investments.csv, and
     the dispatch of the baseline's and the combo's saved allocations, the
-    combo's from the baseline's basis as in the ladder. The report is
-    named after combo_dir."""
+    baseline's from its saved Benders bases and the combo's from the
+    baseline's basis, as in the ladder. The report is named after
+    combo_dir."""
     fine = rc.load_fine()
     case_dir = combo_case_dir(combo_dir)
     case = load_system(case_dir)
     investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
     phase1 = read_phase1(os.path.join(combo_dir, "phase1.csv"), case, case_dir)
-    baseline = replay_operations(fine, os.path.join(baseline_dir, "allocation.csv"))
+    bases = read_bases(baseline_dir)
+    baseline = replay_operations(fine, os.path.join(baseline_dir, "allocation.csv"), bases=bases)
     build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), case, baseline)
     name = os.path.basename(os.path.normpath(combo_dir))
     return build_report(name, phase1, fixed_cost(case, investment), fine, build, baseline)

@@ -5,13 +5,18 @@ import pytest
 
 from gridres.expansion import (
     BuildOptions,
+    basis_blocks,
+    block_widths,
     build_expansion_lp,
     build_lp,
     build_operations_lp,
     extract_prices,
     extract_solution,
+    index_blocks,
+    investment_entries,
+    placed_basis,
 )
-from gridres.lp import kkt_residuals, solve_simplex
+from gridres.lp import BASIC, Basis, ReducedModel, kkt_residuals, solve_simplex
 from gridres.model import Region, StorageCluster
 from gridres.translate import SiteAllocation, build_portfolio
 
@@ -382,3 +387,59 @@ def test_kkt_residuals_equal_the_loop_reference_on_synth_lps(synth_small):
         assert sol.is_optimal
         x, y = sol.x, sol.row_duals
         assert kkt_residuals(lp, x, y) == reference_kkt_residuals(lp, x, y)
+
+
+# -- the blocks a basis is saved by -------------------------------------------------
+
+
+def _subproblem(case, period, build):
+    return build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(period,), fix=build))
+
+
+@pytest.mark.parametrize("uc", ["relaxed", "none"])
+def test_the_blocks_hold_every_column_but_the_investments_and_every_row_but_the_reserves(synth_small, uc):
+    case = synth_small.with_updates(uc_mode=uc)
+    zero = {name: 0.0 for name, *_ in investment_entries(case)}
+    line = case.interregional_lines[0]
+    portfolio = build_portfolio(case, SiteAllocation(line_capacity={line.id: line.capacity}))
+    for (lp, ix), reserve_rows in (
+        (build_expansion_lp(case), len(case.regions)),
+        (_subproblem(case, 1, zero), 0),
+        (build_operations_lp(case, portfolio), 0),
+    ):
+        blocks = list(index_blocks(case, ix))
+        cols = np.concatenate([idx.ravel() for _f, _e, is_row, idx in blocks if not is_row])
+        rows = np.concatenate([idx.ravel() for _f, _e, is_row, idx in blocks if is_row])
+        assert np.array_equal(np.sort(cols), np.arange(ix.inv.stop, lp.n_vars))
+        assert np.array_equal(np.sort(rows), np.arange(lp.n_rows - reserve_rows))
+    lp, ix = _subproblem(case, 1, zero)
+    widths = {(family, eid): idx.shape[1] for family, eid, _r, idx in index_blocks(case, ix)}
+    assert block_widths(case, uc) == widths
+
+
+def test_the_subproblem_bases_placed_on_the_operations_lp_start_its_dispatch(synth_small):
+    # the operations LP of a build is its Benders subproblems at that build
+    # laid end to end, but for the wrap-around rows and the line rows, whose
+    # capacity bounds the flows instead
+    case = synth_small
+    line = case.interregional_lines[0]
+    portfolio = build_portfolio(case, SiteAllocation(line_capacity={line.id: 1.5 * line.capacity}))
+    build = {**portfolio.investment, f"xl[{line.id}]": 0.5 * line.capacity}
+    blocks = {}
+    for p in range(case.n_periods):
+        lp, ix = _subproblem(case, p, build)
+        reduced = ReducedModel()
+        solve_simplex(lp, reduced)  # cold, so its kept basis is of the full LP
+        blocks.update(basis_blocks(case, ix, *reduced.full_basis().codes()))
+    assert {key[2] for key in blocks} == set(range(case.n_periods))
+    lp, ix = build_operations_lp(case, portfolio)
+    cold = solve_simplex(lp)
+    placed = placed_basis(case, lp, ix, blocks)
+    warm = solve_simplex(lp, ReducedModel(Basis.of_codes(*placed)))
+    assert warm.stats.warm and warm.stats.iterations < cold.stats.iterations
+    assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+    # a row block left out stays basic; a column block left out leaves the LP uncovered
+    cols, rows = placed_basis(case, lp, ix, {key: codes for key, codes in blocks.items() if key[0] != "storage_rows"})
+    assert np.array_equal(cols, placed[0]) and (rows[np.concatenate(ix.storage_rows)] == BASIC).all()
+    soc = ("soc", case.storage[0].id)
+    assert placed_basis(case, lp, ix, {key: codes for key, codes in blocks.items() if key[:2] != soc}) is None

@@ -584,6 +584,57 @@ def test_a_reduced_solve_matches_the_full_cold_solve_on_random_corpus(seed):
             assert not reduced.ready
 
 
+def _reduced_solves(synth_small):
+    """(lp, ReducedModel) after a solve on the reduced LP: synth_small's
+    Benders subproblems pinned at random builds, and the random LPs of
+    _bound_row_lp re-pinned."""
+    rng = np.random.default_rng(7)
+    entries = investment_entries(synth_small)
+    top = np.array([min(hi, 100.0) for _n, _k, _e, _lo, hi, _c in entries])
+    for p in range(synth_small.n_periods):
+        opts = BuildOptions(uc="relaxed", reserve=False, periods=(p,), fix={name: 0.0 for name, *_ in entries})
+        lp, ix = build_lp(synth_small, opts)
+        reduced = ReducedModel()
+        solve_simplex(lp, reduced)  # cold, on the full LP
+        for _ in range(3):
+            lp.lo[ix.inv] = lp.hi[ix.inv] = rng.uniform(0.0, 1.0, top.size) * top
+            solve_simplex(lp, reduced)
+            yield lp, reduced
+    for seed in range(20):
+        lp, f = _bound_row_lp(seed)
+        reduced = ReducedModel()
+        if solve_simplex(lp, reduced).is_optimal:
+            lp.lo[f] = lp.hi[f] = lp.lo[f] * rng.uniform(0.97, 1.03, f.size)
+            if solve_simplex(lp, reduced).is_optimal:
+                yield lp, reduced
+
+
+def test_the_full_basis_of_a_reduced_optimum_is_optimal_on_the_full_lp(synth_small):
+    # HiGHS takes the basis as it is (not alien: a wrong count of basic
+    # variables would be refused) and stops at once
+    moved_eq = both_sides = solves = 0
+    for lp, reduced in _reduced_solves(synth_small):
+        assert reduced.ready and not reduced.full  # a basis of the reduced LP
+        solves += 1
+        want = solve_simplex(lp)
+        basis = reduced.full_basis()
+        cols, rows = basis.codes()
+        assert basis.shape == (lp.n_vars, lp.n_rows)
+        assert (cols == lp_module.BASIC).sum() + (rows == lp_module.BASIC).sum() == lp.n_rows
+        highs_basis = basis.highs
+        highs_basis.alien = False
+        run = lp_module.highs_attempt(lp, False, highs_basis)
+        assert run.status == "optimal" and run.iterations == 0
+        assert abs(run.objective + lp.obj_offset - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+        bound = reduced.rows
+        lower_row, upper_row = bound.bound(lp)
+        nonbasic = bound.rows[rows[bound.rows] != lp_module.BASIC]
+        moved_eq += int((lp.senses[nonbasic] == EQ).sum())
+        both_sides += int(((lower_row >= 0) & (upper_row >= 0) & (lower_row != upper_row)).sum())
+    assert solves >= 3 * synth_small.n_periods + 10  # the random LPs include infeasible ones
+    assert moved_eq and both_sides  # EQ bound rows, and columns bounded by two rows
+
+
 # -- arrays built once per LP, and the kept model ----------------------------------
 
 

@@ -34,6 +34,7 @@ from gridres.pipeline import (
     run_ladder,
 )
 from gridres.syngen import SynthConfig, generate
+from gridres.translate import build_portfolio, read_allocation
 
 TINY_SYNTH = {
     "n_regions": 2,
@@ -642,19 +643,22 @@ def test_rescoring_solves_only_the_two_operations_lps(ladder_run, monkeypatch):
 def test_every_combo_but_the_hrb_dispatches_from_the_hrb_basis(ladder_run):
     # no combo of the ladder adds a template cluster, so every operations LP
     # has the HRB's shape; each records its solve in operate_timing.csv. The
-    # identity combo's build is the HRB's, whose dispatch it reuses unsolved
-    _, out, _ = ladder_run
+    # identity combo's build is the HRB's, whose dispatch it reuses unsolved.
+    # The HRB's own dispatch starts from its Benders subproblems' last bases,
+    # in fewer simplex iterations than a cold solve of its LP
+    _, out, cfg = ladder_run
     solves = {}
     for name in ALL_COMBOS:
         header, row = _read_csv(os.path.join(out, name, "operate_timing.csv"))
         assert header == ["seconds", "simplex_iterations", "warm"]
         assert float(row[0]) >= 0.0 and int(row[1]) >= 0
         solves[name] = row
-    assert {name: row[2] for name, row in solves.items()} == {
-        name: "0" if name == HRB_NAME else "1" for name in ALL_COMBOS
-    }
+    assert {name: row[2] for name, row in solves.items()} == dict.fromkeys(ALL_COMBOS, "1")
     assert solves["ident-kall-relaxed"] == ["0.0", "0", "1"]
-    assert int(solves[HRB_NAME][1]) > 0
+    fine = RunConfig.from_yaml(cfg).load_fine()
+    hrb = build_portfolio(fine, read_allocation(os.path.join(out, HRB_NAME, "allocation.csv")))
+    cold = lp_module.solve_simplex(expansion.build_operations_lp(fine, hrb)[0])
+    assert not cold.stats.warm and int(solves[HRB_NAME][1]) < cold.stats.iterations
 
 
 def _rescore_rows(rc, out, combo, tmp_path):
@@ -669,7 +673,8 @@ def _report_values(path):
 
 
 def test_rescoring_starts_the_combo_from_the_baseline_basis(ladder_run, monkeypatch, tmp_path):
-    # the baseline is dispatched first, cold, and hands its basis on
+    # the baseline is dispatched first, from its saved Benders bases, and
+    # hands its basis on
     _, out, cfg = ladder_run
     rc = RunConfig.from_yaml(cfg)
     stats = []
@@ -682,13 +687,15 @@ def test_rescoring_starts_the_combo_from_the_baseline_basis(ladder_run, monkeypa
 
     monkeypatch.setattr(pipeline, "solve_simplex", solve_spy)
     rows = _rescore_rows(rc, out, "r1-k1-relaxed", tmp_path)
-    assert [s.warm for s in stats] == [False, True]
+    assert [s.warm for s in stats] == [True, True]
     assert rows == _report_values(os.path.join(out, "r1-k1-relaxed", "report.csv"))
 
 
 def test_a_failed_warm_dispatch_falls_back_to_the_cold_solve(ladder_run, monkeypatch, tmp_path):
     # the combo's dispatch falls back cold when its warm attempt fails, and
-    # scores within round-off of the warm one: no report row reads the vertex
+    # scores within round-off of the warm one: no report row reads the vertex.
+    # The baseline's replay, which starts from its saved bases, fails its
+    # warm attempt too
     _, out, cfg = ladder_run
     rc = RunConfig.from_yaml(cfg)
     failed = []
@@ -702,21 +709,22 @@ def test_a_failed_warm_dispatch_falls_back_to_the_cold_solve(ladder_run, monkeyp
     for combo in ("r1-kall-relaxed", "r1-k1-relaxed", "ident-k1-relaxed"):  # not the HRB's build
         failed.clear()
         got = _rescore_rows(rc, out, combo, tmp_path)
-        assert len(failed) == 1, combo
+        assert len(failed) == 2, combo
         want = _report_values(os.path.join(out, combo, "report.csv"))
         assert got.keys() == want.keys()
         off = {k: (got[k], v) for k, v in want.items() if abs(got[k] - v) > 1e-9 * max(1.0, abs(v))}
         assert off == {}, combo
 
 
-def test_the_hrb_basis_is_converted_by_the_first_combo_that_maps_it(tmp_path, monkeypatch):
-    # the HRB's own stages read no status codes; the first combo started
-    # from its basis reads them, and later ones reuse them
+def test_the_hrb_hands_on_its_basis_as_status_codes(tmp_path, monkeypatch):
+    # the HRB's dispatch hands on the full-LP basis of its reduced optimum
+    # (ReducedModel.full_basis), which holds only status codes: no combo
+    # started from it reads a status through the bindings
     read = []
     real = lp_module.Basis.codes
 
     def spy(self):
-        read.append(self._codes is None)
+        read.append((self, self._codes is None))
         return real(self)
 
     monkeypatch.setattr(lp_module.Basis, "codes", spy)
@@ -724,10 +732,12 @@ def test_the_hrb_basis_is_converted_by_the_first_combo_that_maps_it(tmp_path, mo
     fine = rc.load_fine()
     hrb, *combos = (c for c in rc.combos() if c.name in (HRB_NAME, "r1-kall-relaxed", "r1-k1-relaxed"))
     hrb = run_case(rc, hrb, fine, None)
-    assert hrb.ok and hrb.baseline.basis is not None and read == []
+    basis = hrb.baseline.basis
+    assert hrb.ok and basis is not None and basis._highs is None
     for combo in combos:
         assert run_case(rc, combo, fine, hrb.baseline).ok
-    assert read == [True, False]
+    of_hrb = [unread for seen, unread in read if seen is basis]
+    assert of_hrb and not any(of_hrb)
 
 
 def test_failed_combo_does_not_sink_the_ladder(tmp_path, monkeypatch):
@@ -898,6 +908,52 @@ def test_cli_operate_refuses_an_allocation_the_fine_case_lacks(ladder_run, tmp_p
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("codes", "truncated"),
+        ("codes", "7"),
+        ("family", "bogus"),
+        ("entity", "GHOST"),
+        ("period", "9"),
+        (None, None),
+    ],
+    ids=["truncated", "bad-digit", "unknown-family", "unknown-entity", "unknown-period", "no-file"],
+)
+def test_cli_operate_refuses_bases_that_do_not_match_the_case(ladder_run, tmp_path, capsys, column, value):
+    # without --baseline-dir, operate starts from the combo's own Benders
+    # bases; here a copy of the HRB's directory whose benders_bases.csv is
+    # gone or has its first row's codes cut short by one, led by a digit that
+    # is no HiGHS status code, or its family, entity or period changed
+    _, out, cfg = ladder_run
+    combo_dir = tmp_path / HRB_NAME
+    shutil.copytree(os.path.join(out, HRB_NAME), combo_dir)
+    path = combo_dir / "benders_bases.csv"
+    header, first, *rows = path.read_text().splitlines()
+    cells = dict(zip(header.split(","), first.split(",")))
+    codes = cells["codes"]
+    name = f"{cells['family']} {cells['entity']} period {cells['period']}"
+    if column is None:
+        path.unlink()
+        expected = f"{path}: missing file"
+    else:
+        if value == "truncated":
+            cells["codes"] = codes[:-1]
+            expected = f"{path} row 2: {len(codes) - 1} status codes, expected {len(codes)}"
+        elif column == "codes":
+            cells["codes"] = value + codes[1:]
+            expected = f"{path} row 2: {value!r} is not a HiGHS basis status code"
+        else:
+            cells[column] = value
+            changed = f"{cells['family']} {cells['entity']} period {cells['period']}"
+            expected = f"{path} does not match {combo_dir / 'coarse'}: missing [{name!r}], unknown [{changed!r}]"
+        path.write_text("\n".join([header, ",".join(cells.values()), *rows]) + "\n")
+    capsys.readouterr()
+    assert cli_main(["--config", cfg, "--out", str(combo_dir), "operate"]) == 1
+    assert capsys.readouterr().err == f"input error: {expected}\n"
+    assert not os.path.exists(combo_dir / "operations.csv")
+
+
 def test_cli_ladder_on_a_case_without_scalars_exits_1(tmp_path, capsys):
     case_dir = tmp_path / "case"
     write_case(generate(SynthConfig(**TINY_SYNTH), seed=3), str(case_dir))
@@ -909,7 +965,9 @@ def test_cli_ladder_on_a_case_without_scalars_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"input error: {case_dir / 'scalars.csv'}: missing file\n"
 
 
-BUILD_FILES = ("investments.csv", "phase1.csv", "allocation.csv", "portfolio.csv", "operations.csv")
+BUILD_FILES = (
+    "investments.csv", "phase1.csv", "benders_bases.csv", "allocation.csv", "portfolio.csv", "operations.csv",
+)
 CHAIN_FILES = ("benders_log.csv", *BUILD_FILES)
 
 
