@@ -32,10 +32,11 @@ Exit codes: 0 on success, 1 on a configuration problem or an input file
 that cannot be read (a case directory, investments.csv, phase1.csv,
 benders_bases.csv, allocation.csv) or that does not fit its case (an
 unknown name, entity or period, an investment out of its bounds, a basis
-status that is no HiGHS code or a code string of the wrong length), 2 when Benders did not converge in
-expand or a ladder finished but some combos failed. Progress (each
-combo's start and end, the Benders bounds every 10 iterations) is logged
-to stderr through the ``gridres`` logger at INFO.
+status that is no HiGHS code or a code string of the wrong length), 2
+when Benders did not converge in expand or a ladder finished but some
+combos failed. Progress (each combo's start and end, the Benders bounds
+every 10 iterations) is logged to stderr through the ``gridres`` logger
+at INFO.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from gridres.expansion import (
     investment_entries,
     placed_basis,
 )
-from gridres.lp import BASIC, Basis, ReducedModel, kkt_residuals, solve_simplex
+from gridres.lp import BASIC, UPPER, Basis, ReducedModel, kkt_residuals, solve_simplex
 from gridres.model import Region, StorageCluster
 from gridres.translate import SiteAllocation, build_portfolio
 
@@ -438,6 +438,12 @@ def test_the_subproblem_bases_placed_on_the_operations_lp_start_its_dispatch(syn
     warm = solve_simplex(lp, ReducedModel(Basis.of_codes(*placed)))
     assert warm.stats.warm and warm.stats.iterations < cold.stats.iterations
     assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+    # the line's capacity bounds its flows in lp: where a saved line row is
+    # nonbasic and its flow column basic, the column starts at its upper bound
+    line_rows = np.concatenate([blocks["line_rows", line.id, p] for p in range(case.n_periods)]).reshape(-1, 2)
+    fwd = np.concatenate([blocks["flow_fwd", line.id, p] for p in range(case.n_periods)])
+    moved = (line_rows[:, 0] != BASIC) & (fwd == BASIC)
+    assert moved.any() and (placed[0][ix.flow_fwd[0][moved]] == UPPER).all()
     # a row block left out stays basic; a column block left out leaves the LP uncovered
     cols, rows = placed_basis(case, lp, ix, {key: codes for key, codes in blocks.items() if key[0] != "storage_rows"})
     assert np.array_equal(cols, placed[0]) and (rows[np.concatenate(ix.storage_rows)] == BASIC).all()

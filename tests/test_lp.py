@@ -625,6 +625,13 @@ def test_the_full_basis_of_a_reduced_optimum_is_optimal_on_the_full_lp(synth_sma
         highs_basis.alien = False
         run = lp_module.highs_attempt(lp, False, highs_basis)
         assert run.status == "optimal" and run.iterations == 0
+        # and reports the same basis, but for the side of a fixed column or an EQ row
+        kept = run.model.getBasis()
+        for statuses, codes, free in (
+            (kept.col_status, cols, lp.lo != lp.hi),
+            (kept.row_status, rows, lp.senses != EQ),
+        ):
+            assert np.array_equal(lp_module._codes(statuses)[free], codes[free])
         assert abs(run.objective + lp.obj_offset - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
         bound = reduced.rows
         lower_row, upper_row = bound.bound(lp)
