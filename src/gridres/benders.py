@@ -53,8 +53,7 @@ that of the last iteration's solve, on the subproblem's full LP
 (``ReducedModel.full_basis``), by block and period
 (``expansion.basis_blocks``). Laid end to end, the subproblems of a case
 with relaxed commitment are its operations LP at the same build, but for
-the wrap-around rows and the line capacities, which the operations LP
-carries as flow bounds; so these bases start the HRB's dispatch
+the wrap-around rows; so these bases start the HRB's dispatch
 (``pipeline.dispatch_portfolio``).
 
 An optional convex-combination step toward the incumbent (stab_weight in

@@ -175,7 +175,7 @@ def _cmd_expand(rc: RunConfig, args) -> int:
               file=sys.stderr)
         return 2
     print(f"objective {bres.objective:.6e} in {bres.iterations} iterations "
-          f"(gap {bres.gap:.2e}); wrote {rc.out_dir}/investments.csv and phase1.csv")
+          f"(gap {bres.gap:.2e}); wrote {rc.out_dir}/investments.csv, phase1.csv and benders_bases.csv")
     return 0
 
 

@@ -6,7 +6,8 @@ One builder covers three uses that must stay structurally identical:
   representative period, optional per-region reserve rows),
 * decomposition subproblems (one period, investments pinned by bounds),
 * production-cost runs (all hours as a single cyclic year block, investments
-  pinned from a portfolio, line capacities overridden).
+  pinned from a portfolio, over the portfolio's case, whose lines carry
+  their operating capacity).
 
 A build's investments have one in-memory form: the named vector
 {name: value} over investment_entries(case), in that order, with names
@@ -51,7 +52,7 @@ interleaved per hour (bracketed rows only where they apply):
              gen <= capacity, [gen >= min * capacity]     (uc "none")
              then [ramp up, ramp down]
     storage  soc balance, soc <= energy, charge <= power, discharge <= power
-    line     fwd <= capacity, rev <= capacity             (no override)
+    line     fwd - xl <= capacity, rev - xl <= capacity
 
 and last the per-region reserve rows when requested.
 
@@ -70,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import BASIC, EQ, GE, LE, LOWER, UPPER, LinearProgram, LpBuilder, Solution
+from .lp import BASIC, EQ, GE, LE, LOWER, LinearProgram, LpBuilder, Solution
 from .model import SystemCase
 
 PRICE_TOL = 1e-6
@@ -83,7 +84,6 @@ class BuildOptions:
     periods: tuple[int, ...] | None = None  # None = all representative periods
     year_chronology: bool = False  # single cyclic block spanning all hours
     fix: dict | None = None  # investment var name -> pinned value; costs sunk
-    line_capacity_override: dict | None = None  # line id -> operating MW
 
 
 @dataclass
@@ -100,8 +100,7 @@ class VarIndex:
     vre_rows, thermal_rows, storage_rows and line_rows hold the row block
     of each VRE cluster, thermal cluster, storage unit and line, in case
     order: an (hours, rows per hour) array, as _hourly_rows returns it and
-    in the order of the layout; a line whose capacity is overridden has no
-    rows (zero per hour).
+    in the order of the layout.
     """
 
     inv: slice | None = None
@@ -249,7 +248,6 @@ def _blocks(case: SystemCase, opts: BuildOptions):
 def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIndex]:
     b = LpBuilder()
     ix = VarIndex()
-    override = opts.line_capacity_override or {}
     relaxed = opts.uc == "relaxed"
     inv = add_investment_columns(case, b, ix, opts.fix)
 
@@ -298,11 +296,9 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
             ix.charge[i, ks] = b.vars(nk)
             ix.discharge[i, ks] = b.vars(nk)
             ix.soc[i, ks] = b.vars(nk)
-        for i, l in enumerate(case.interregional_lines):
-            cap = override.get(l.id)
-            hi = cap if cap is not None else np.inf
-            ix.flow_fwd[i, ks] = b.vars(nk, 0.0, hi)
-            ix.flow_rev[i, ks] = b.vars(nk, 0.0, hi)
+        for i, _l in enumerate(case.interregional_lines):
+            ix.flow_fwd[i, ks] = b.vars(nk)
+            ix.flow_rev[i, ks] = b.vars(nk)
         for i, _r in enumerate(case.regions):
             ix.nse[i, ks] = b.vars(nk, 0.0, demand[i][hours], w * case.nse_cost)
             ix.spill[i, ks] = b.vars(nk)
@@ -374,9 +370,6 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
             ]))
 
         for i, l in enumerate(case.interregional_lines):
-            if l.id in override:  # flow bounds already carry the operating capacity
-                blocks_of["line_rows"][i].append(np.zeros((nk, 0), dtype=int))
-                continue
             xl = inv["line_expansion"][i]
             blocks_of["line_rows"][i].append(_hourly_rows(b, nk, [
                 (LE, l.capacity, [(ix.flow_fwd[i, ks], 1.0), (xl, -1.0)]),
@@ -413,34 +406,10 @@ BLOCK_FAMILIES = (
 def index_blocks(case: SystemCase, ix: VarIndex):
     """Every column of an LP that build_lp built but its investments, and
     every row but the reserve rows, by block: (family, entity id, is a row
-    block, (hours, per hour) indices), in BLOCK_FAMILIES order. A line
-    whose capacity is overridden has no row block."""
+    block, (hours, per hour) indices), in BLOCK_FAMILIES order."""
     for family, entities, is_row in BLOCK_FAMILIES:
         for entity, idx in zip(getattr(case, entities), getattr(ix, family)):
-            idx = idx if idx.ndim == 2 else idx[:, None]
-            if idx.shape[1]:
-                yield family, entity.id, is_row, idx
-
-
-def block_widths(case: SystemCase, uc: str) -> dict:
-    """(family, entity id) -> the columns or rows per hour of each block
-    that index_blocks gives for an LP that build_lp builds over case under
-    the commitment mode uc with no line capacity overridden, as a Benders
-    subproblem is: the layout above, without building the LP."""
-    relaxed = uc == "relaxed"
-    out = {}
-    for family, entities, _is_row in BLOCK_FAMILIES:
-        if relaxed or family not in ("commit", "start", "shut"):
-            for e in getattr(case, entities):
-                out[family, e.id] = 1
-    for c in case.thermal_clusters:
-        th = c.thermal
-        out["thermal_rows", c.id] = (3 if relaxed else 1) + (th.min_output > 0) + 2 * (th.ramp_rate < 1.0)
-    for s in case.storage:
-        out["storage_rows", s.id] = 4
-    for l in case.interregional_lines:
-        out["line_rows", l.id] = 2
-    return out
+            yield family, entity.id, is_row, idx if idx.ndim == 2 else idx[:, None]
 
 
 def basis_blocks(case: SystemCase, ix: VarIndex, cols: np.ndarray, rows: np.ndarray) -> dict:
@@ -464,33 +433,18 @@ def placed_basis(case: SystemCase, lp: LinearProgram, ix: VarIndex, blocks: dict
     built over case (ix its VarIndex): (cols, rows) codes, or None unless
     blocks cover every column of lp but its investments, which are pinned
     and placed at their lower bound. A row of lp that blocks do not cover
-    is basic. A row of blocks that lp lacks is the row of a line whose
-    capacity lp carries as the bound of its flow columns (line_rows): where
-    it is nonbasic and its flow column basic, the column is placed at its
-    upper bound, as lp.ReducedModel maps a bound row."""
+    is basic."""
     cols = np.full(lp.n_vars, LOWER, dtype=np.int8)
     rows = np.full(lp.n_rows, BASIC, dtype=np.int8)
     periods = np.asarray(ix.hours) // case.period_length
     spans = {p: periods == p for p in dict.fromkeys(periods.tolist())}
-
-    def saved(family, eid, width):
-        """The block's codes over lp's hours, or None if not all saved."""
-        parts = [blocks.get((family, eid, p)) for p in spans]
-        if any(part is None or part.size != hours.sum() * width for part, hours in zip(parts, spans.values())):
-            return None
-        return np.concatenate(parts).reshape(-1, width)
-
     for family, eid, is_row, idx in index_blocks(case, ix):
-        codes = saved(family, eid, idx.shape[1])
-        if codes is None and not is_row:
+        parts = [blocks.get((family, eid, p)) for p in spans]
+        sizes = [hours.sum() * idx.shape[1] for hours in spans.values()]
+        if all(part is not None and part.size == size for part, size in zip(parts, sizes)):
+            (rows if is_row else cols)[idx] = np.concatenate(parts).reshape(idx.shape)
+        elif not is_row:
             return None
-        if codes is not None:
-            (rows if is_row else cols)[idx] = codes
-    for line, fwd, rev, own in zip(case.interregional_lines, ix.flow_fwd, ix.flow_rev, ix.line_rows):
-        codes = saved("line_rows", line.id, 2) if own.shape[1] == 0 else None
-        if codes is not None:
-            for flow, row in ((fwd, codes[:, 0]), (rev, codes[:, 1])):
-                cols[flow[(cols[flow] == BASIC) & (row != BASIC)]] = UPPER
     return cols, rows
 
 
@@ -526,20 +480,14 @@ def build_expansion_lp(case: SystemCase, reserve: bool = True):
     return build_lp(case, opts)
 
 
-def build_operations_lp(case: SystemCase, portfolio):
-    """Phase-2 production-cost LP: full cyclic chronology with relaxed
-    commitment whatever the case's uc_mode, capacities pinned to the
-    portfolio, no reserve rows, investment costs sunk (objective is
-    weighted operational cost only). case is the portfolio's case, whose
-    investments portfolio.investment names."""
-    opts = BuildOptions(
-        uc="relaxed",
-        reserve=False,
-        year_chronology=True,
-        fix=portfolio.investment,
-        line_capacity_override=dict(portfolio.line_capacity),
-    )
-    return build_lp(case, opts)
+def build_operations_lp(portfolio):
+    """Phase-2 production-cost LP over the portfolio's case: full cyclic
+    chronology with relaxed commitment whatever the case's uc_mode,
+    investments pinned to portfolio.investment (every xl at 0, so each line
+    row bounds a flow by the line's operating capacity), no reserve rows,
+    investment costs sunk (objective is weighted operational cost only)."""
+    opts = BuildOptions(uc="relaxed", reserve=False, year_chronology=True, fix=portfolio.investment)
+    return build_lp(portfolio.case, opts)
 
 
 # -- solution extraction ------------------------------------------------------

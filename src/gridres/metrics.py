@@ -34,7 +34,9 @@ class DispatchedBuild(NamedTuple):
     dispatch starts from."""
 
     allocation: SiteAllocation
-    portfolio: Portfolio  # its case holds any template cluster it dispatched
+    # its case holds any template cluster it dispatched, and the fine lines
+    # at the operating capacity it dispatched them at
+    portfolio: Portfolio
     operations: ExpansionSolution
     basis: Basis | None = None
 

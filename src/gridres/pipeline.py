@@ -70,11 +70,13 @@ import yaml
 from .benders import BendersResult, solve_benders
 from .caseio import _Table, load_system, read_partition, write_case, write_csv
 from .expansion import (
+    BuildOptions,
     ExpansionSolution,
-    block_widths,
+    build_lp,
     build_operations_lp,
     extract_solution,
     fixed_cost,
+    index_blocks,
     investment_entries,
     placed_basis,
 )
@@ -414,14 +416,16 @@ def read_bases(combo_dir: str) -> dict | None:
     expansion). The file must hold one row for every block of the case its
     expansion solved (combo_case_dir) in each of its periods, and nothing
     else, with one HiGHS basis status code per column or row of the block
-    (expansion.block_widths) in each hour of the period."""
+    in each hour of the period, as the case's first Benders subproblem
+    lays it out (expansion.index_blocks)."""
     if not os.path.exists(os.path.join(combo_dir, "investments.csv")):
         return None
     path = os.path.join(combo_dir, "benders_bases.csv")
     table = _Table(path, ("family", "entity", "period", "codes"))
     case_dir = combo_case_dir(combo_dir)
     case = load_system(case_dir)
-    widths = block_widths(case, case.uc_mode)
+    _lp, ix = build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(0,)))
+    widths = {(family, eid): idx.shape[1] for family, eid, _r, idx in index_blocks(case, ix)}
     digits = [ord("0") + code for code in STATUS_CODES]
     bases = {}
     for rowno, row in table:
@@ -819,7 +823,7 @@ def dispatch_portfolio(
         and portfolio.line_capacity == baseline.portfolio.line_capacity
     ):
         return baseline.operations, OperateSolve(0.0, 0, 1), None
-    lp, ix = build_operations_lp(portfolio.case, portfolio)
+    lp, ix = build_operations_lp(portfolio)
     t0 = time.perf_counter()
     if baseline is not None:
         start = baseline.basis

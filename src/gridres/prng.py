@@ -110,6 +110,3 @@ class Rng:
 
     def normals(self, n: int) -> np.ndarray:
         return np.array([self.normal() for _ in range(n)], dtype=float)
-
-    def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=float)

@@ -28,7 +28,10 @@ receives investment minus the sum of the earlier shares.
 A build on either side is the named investment vector of expansion.py
 ({"xv[<cluster>]": MW, ...} over investment_entries of its case): the
 coarse one that translate_solution reads, and Portfolio.investment on the
-fine case, which build_operations_lp pins as it stands.
+fine case, which build_operations_lp pins as it stands. A fine line's
+operating capacity is not an investment: build_portfolio writes it into
+the line of the portfolio's case (Portfolio.case), so every fine xl is 0
+and the operations LP's line rows bound each flow by that capacity.
 
 An allocation (SiteAllocation) is the rows of allocation.csv and nothing
 else: each row that is not a line names the coarse entity it came from
@@ -81,11 +84,17 @@ class SiteAllocation:
 class Portfolio:
     """Fine-resolution capacities implied by a coarse solution."""
 
-    case: SystemCase  # fine case, extended with template clusters if needed
+    # fine case, extended with template clusters if needed, whose
+    # interregional lines carry their operating capacity
+    case: SystemCase
     # investment name -> value over case's investment_entries; every xl[...]
-    # is 0, as the operating line capacity rides on line_capacity instead
+    # is 0, as the operating line capacity is the line's own
     investment: dict = field(default_factory=dict)
-    line_capacity: dict = field(default_factory=dict)  # fine interregional line -> MW
+
+    @property
+    def line_capacity(self) -> dict:
+        """fine interregional line -> its operating capacity, MW."""
+        return {l.id: l.capacity for l in self.case.interregional_lines}
 
     def new(self, kind: str, eid: str) -> float:
         """The investment of a kind (see INVESTMENT_PREFIXES) in entity eid."""
@@ -440,7 +449,8 @@ def build_portfolio(
 
     The portfolio's investment names every investment of its case, zero if
     untouched, so an empty allocation reproduces the existing system as-is;
-    the lines' operating capacity goes to line_capacity. Given the
+    each line of the allocation gets its operating capacity in the
+    portfolio's case, and every xl[...] stays 0. Given the
     coarse case the allocation was translated from, the template clusters
     and storage it names (``<region>_<tech>_tpl``, ``<region>_storage_tpl``)
     are rebuilt from their provenance cluster and added to the portfolio's
@@ -461,15 +471,11 @@ def build_portfolio(
     unknown_lines = sorted(set(allocation.line_capacity) - {l.id for l in fine_case.interregional_lines})
     if unknown_lines:
         raise CaseError(f"unknown fine interregional lines {unknown_lines}")
-
-    portfolio = Portfolio(
-        case=fine_case,
-        investment=investment,
-        line_capacity={
-            l.id: allocation.line_capacity.get(l.id, l.capacity)
-            for l in fine_case.interregional_lines
-        },
+    fine_case = fine_case.with_updates(
+        lines=tuple(replace(l, capacity=allocation.line_capacity.get(l.id, l.capacity)) for l in fine_case.lines)
     )
+
+    portfolio = Portfolio(case=fine_case, investment=investment)
     lines = ((lid, mw, "") for lid, mw in portfolio.line_capacity.items())
     for eid, mw, mwh in (*portfolio.capacities(), *lines):
         low = min(mw, mwh or 0.0)

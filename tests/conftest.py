@@ -228,7 +228,7 @@ def synth_small_lps(synth_small):
         "expansion_relaxed": build_expansion_lp(case.with_updates(uc_mode="relaxed"))[0],
         "expansion_none": build_expansion_lp(case.with_updates(uc_mode="none"))[0],
         "subproblem": build_lp(case, subproblem)[0],
-        "operations": build_operations_lp(case, portfolio)[0],
+        "operations": build_operations_lp(portfolio)[0],
     }
 
 

@@ -6,7 +6,6 @@ import pytest
 from gridres.expansion import (
     BuildOptions,
     basis_blocks,
-    block_widths,
     build_expansion_lp,
     build_lp,
     build_operations_lp,
@@ -16,7 +15,7 @@ from gridres.expansion import (
     investment_entries,
     placed_basis,
 )
-from gridres.lp import BASIC, UPPER, Basis, ReducedModel, kkt_residuals, solve_simplex
+from gridres.lp import BASIC, UPPER, Basis, ReducedModel, _BoundRows, _codes, kkt_residuals, solve_simplex
 from gridres.model import Region, StorageCluster
 from gridres.translate import SiteAllocation, build_portfolio
 
@@ -334,7 +333,7 @@ def test_vre_reserve_credit_is_period_max_profile():
 def test_zero_portfolio_sheds_everything():
     case = one_bus_case([10.0, 4.0], fixed_cost=100.0)
     portfolio = build_portfolio(case, SiteAllocation())  # existing system: 0 MW
-    lp, ix = build_operations_lp(case, portfolio)
+    lp, ix = build_operations_lp(portfolio)
     sol = solve_simplex(lp)
     es = extract_solution(case, ix, sol)
     assert es.objective == pytest.approx(2000.0 * 14.0, rel=1e-9)
@@ -348,7 +347,7 @@ def test_operations_match_expansion_at_full_resolution():
     sol, _ = _solve(case, reserve=False)
     portfolio = build_portfolio(case, SiteAllocation())
     portfolio.investment["xg[g1]"] = sol.investment["xg[g1]"]
-    lp, ix = build_operations_lp(case, portfolio)
+    lp, ix = build_operations_lp(portfolio)
     ops = extract_solution(case, ix, solve_simplex(lp))
     ops_cost = ops.variable_cost + ops.nse_cost_total + ops.carbon_fee_cost
     sol_ops_cost = sol.variable_cost + sol.nse_cost_total + sol.carbon_fee_cost
@@ -363,7 +362,7 @@ def test_operations_lp_couples_periods_cyclically():
         fixed_cost=0.0, max_new=0.0,
     )
     portfolio = build_portfolio(case, SiteAllocation())
-    lp, ix = build_operations_lp(case, portfolio)
+    lp, ix = build_operations_lp(portfolio)
     es = extract_solution(case, ix, solve_simplex(lp))
     assert ix.balance_row.shape[1] == 4  # one block over all four hours
     g = es.dispatch["g1"]
@@ -382,11 +381,30 @@ def test_fixed_cost_is_the_investment_part_of_the_objective(synth_small):
 
 def test_kkt_residuals_equal_the_loop_reference_on_synth_lps(synth_small):
     portfolio = build_portfolio(synth_small, SiteAllocation())
-    for lp, _ix in (build_expansion_lp(synth_small), build_operations_lp(synth_small, portfolio)):
+    for lp, _ix in (build_expansion_lp(synth_small), build_operations_lp(portfolio)):
         sol = solve_simplex(lp)
         assert sol.is_optimal
         x, y = sol.x, sol.row_duals
         assert kkt_residuals(lp, x, y) == reference_kkt_residuals(lp, x, y)
+
+
+def test_the_row_reduced_operations_lp_bounds_each_flow_by_its_line_capacity_exactly(synth_small):
+    # with every xl pinned at 0, each line row fwd - xl <= capacity becomes
+    # the bound capacity - 0.0 of its flow in the row-reduced LP, so a
+    # ReducedModel solves the LP whose flows the capacity bounds directly
+    case = synth_small
+    line = case.interregional_lines[0]
+    portfolio = build_portfolio(case, SiteAllocation(line_capacity={line.id: 1.5 * line.capacity}))
+    assert portfolio.line_capacity[line.id] == 1.5 * line.capacity
+    lp, ix = build_operations_lp(portfolio)
+    reduced = ReducedModel()
+    solve_simplex(lp, reduced)  # cold: the model keeps its basis of the full LP
+    assert solve_simplex(lp, reduced).stats.warm  # through the row-reduced LP
+    line_rows = np.concatenate([rows.ravel() for rows in ix.line_rows])
+    assert line_rows.size and not np.isin(line_rows, reduced.rows.keep).any()
+    for l, fwd, rev in zip(portfolio.case.interregional_lines, ix.flow_fwd, ix.flow_rev):
+        assert (lp.hi[fwd] == np.inf).all() and (lp.hi[rev] == np.inf).all()
+        assert (reduced.rows.lp.hi[fwd] == l.capacity).all() and (reduced.rows.lp.hi[rev] == l.capacity).all()
 
 
 # -- the blocks a basis is saved by -------------------------------------------------
@@ -405,22 +423,28 @@ def test_the_blocks_hold_every_column_but_the_investments_and_every_row_but_the_
     for (lp, ix), reserve_rows in (
         (build_expansion_lp(case), len(case.regions)),
         (_subproblem(case, 1, zero), 0),
-        (build_operations_lp(case, portfolio), 0),
+        (build_operations_lp(portfolio), 0),
     ):
         blocks = list(index_blocks(case, ix))
         cols = np.concatenate([idx.ravel() for _f, _e, is_row, idx in blocks if not is_row])
         rows = np.concatenate([idx.ravel() for _f, _e, is_row, idx in blocks if is_row])
         assert np.array_equal(np.sort(cols), np.arange(ix.inv.stop, lp.n_vars))
         assert np.array_equal(np.sort(rows), np.arange(lp.n_rows - reserve_rows))
-    lp, ix = _subproblem(case, 1, zero)
-    widths = {(family, eid): idx.shape[1] for family, eid, _r, idx in index_blocks(case, ix)}
-    assert block_widths(case, uc) == widths
+
+    def widths(ix):
+        return {(family, eid): idx.shape[1] for family, eid, _r, idx in index_blocks(case, ix)}
+
+    # the operations LP, relaxed whatever the case's mode, lays out every
+    # block per hour as a relaxed one-period subproblem does, its line rows too
+    relaxed = case.with_updates(uc_mode="relaxed")
+    operations = widths(build_operations_lp(portfolio)[1])
+    assert operations == widths(_subproblem(relaxed, 1, zero)[1])
+    assert all(operations["line_rows", l.id] == 2 for l in case.interregional_lines)
 
 
 def test_the_subproblem_bases_placed_on_the_operations_lp_start_its_dispatch(synth_small):
     # the operations LP of a build is its Benders subproblems at that build
-    # laid end to end, but for the wrap-around rows and the line rows, whose
-    # capacity bounds the flows instead
+    # laid end to end, but for the wrap-around rows
     case = synth_small
     line = case.interregional_lines[0]
     portfolio = build_portfolio(case, SiteAllocation(line_capacity={line.id: 1.5 * line.capacity}))
@@ -432,18 +456,23 @@ def test_the_subproblem_bases_placed_on_the_operations_lp_start_its_dispatch(syn
         solve_simplex(lp, reduced)  # cold, so its kept basis is of the full LP
         blocks.update(basis_blocks(case, ix, *reduced.full_basis().codes()))
     assert {key[2] for key in blocks} == set(range(case.n_periods))
-    lp, ix = build_operations_lp(case, portfolio)
+    lp, ix = build_operations_lp(portfolio)
     cold = solve_simplex(lp)
     placed = placed_basis(case, lp, ix, blocks)
     warm = solve_simplex(lp, ReducedModel(Basis.of_codes(*placed)))
     assert warm.stats.warm and warm.stats.iterations < cold.stats.iterations
     assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
-    # the line's capacity bounds its flows in lp: where a saved line row is
-    # nonbasic and its flow column basic, the column starts at its upper bound
+    # the saved line rows are placed on lp's; where one is nonbasic and its
+    # flow column basic, the mapped start of the row-reduced LP, in which
+    # the row bounds the flow, has the column at its upper bound
     line_rows = np.concatenate([blocks["line_rows", line.id, p] for p in range(case.n_periods)]).reshape(-1, 2)
     fwd = np.concatenate([blocks["flow_fwd", line.id, p] for p in range(case.n_periods)])
+    assert np.array_equal(placed[1][ix.line_rows[0]], line_rows)
+    bound_rows = _BoundRows(lp, lp.lo == lp.hi)
+    mapped = _codes(bound_rows.mapped(Basis.of_codes(*placed), *bound_rows.bound(lp)).col_status)
     moved = (line_rows[:, 0] != BASIC) & (fwd == BASIC)
-    assert moved.any() and (placed[0][ix.flow_fwd[0][moved]] == UPPER).all()
+    assert moved.any() and (placed[0][ix.flow_fwd[0][moved]] == BASIC).all()
+    assert (mapped[ix.flow_fwd[0][moved]] == UPPER).all()
     # a row block left out stays basic; a column block left out leaves the LP uncovered
     cols, rows = placed_basis(case, lp, ix, {key: codes for key, codes in blocks.items() if key[0] != "storage_rows"})
     assert np.array_equal(cols, placed[0]) and (rows[np.concatenate(ix.storage_rows)] == BASIC).all()

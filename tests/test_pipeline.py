@@ -657,7 +657,7 @@ def test_every_combo_but_the_hrb_dispatches_from_the_hrb_basis(ladder_run):
     assert solves["ident-kall-relaxed"] == ["0.0", "0", "1"]
     fine = RunConfig.from_yaml(cfg).load_fine()
     hrb = build_portfolio(fine, read_allocation(os.path.join(out, HRB_NAME, "allocation.csv")))
-    cold = lp_module.solve_simplex(expansion.build_operations_lp(fine, hrb)[0])
+    cold = lp_module.solve_simplex(expansion.build_operations_lp(hrb)[0])
     assert not cold.stats.warm and int(solves[HRB_NAME][1]) < cold.stats.iterations
 
 

@@ -3,8 +3,6 @@ bit-for-bit against an independent inline implementation."""
 
 import math
 
-import numpy as np
-
 from gridres.prng import MASK64, Rng, fnv1a64, splitmix64
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -112,9 +110,3 @@ def test_normal_pairs_match_box_muller():
     r = math.sqrt(-2.0 * math.log(u1))
     assert rng.normal() == r * math.cos(2.0 * math.pi * u2)
     assert rng.normal() == r * math.sin(2.0 * math.pi * u2)
-
-
-def test_uniforms_shape_and_bounds():
-    xs = Rng(3).uniforms(256, 2.0, 5.0)
-    assert xs.shape == (256,)
-    assert np.all(xs >= 2.0) and np.all(xs < 5.0)

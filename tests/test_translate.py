@@ -354,14 +354,15 @@ def test_identity_translation_matches_phase1_exactly(synth_small):
     sol = _solved(synth_small)
     coarse = aggregate_spatial(synth_small, RegionPartition.identity(synth_small))
     alloc, portfolio = translate_solution(sol.investment, coarse, synth_small)
-    # line expansion is carried in line_capacity, so every xl[...] is 0
+    # line expansion is carried in the lines of portfolio.case, so every xl[...] is 0
     want = {name: 0.0 if name.startswith("xl[") else mw for name, mw in sol.investment.items()}
     assert list(portfolio.investment) == list(want)
     assert portfolio.investment == pytest.approx(want, abs=1e-9)
     for l in synth_small.interregional_lines:
         cap = l.capacity + sol.investment[f"xl[{l.id}]"]
         assert portfolio.line_capacity[l.id] == pytest.approx(cap, abs=1e-9)
-    assert portfolio.case is synth_small  # no templates needed on the identity path
+    # no templates needed on the identity path
+    assert portfolio.case.clusters == synth_small.clusters and portfolio.case.storage == synth_small.storage
 
 
 def _totals_by_prefix(investment):
