@@ -61,7 +61,6 @@ from .metrics import (
     DispatchedBuild,
     MetricsReport,
     build_report,
-    cost_recovery,
     financials,
     mse_lines,
     mse_regional,
@@ -119,7 +118,6 @@ __all__ = [
     "build_portfolio",
     "build_report",
     "cluster_timesteps",
-    "cost_recovery",
     "extract_prices",
     "extract_solution",
     "financials",

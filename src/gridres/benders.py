@@ -1,64 +1,62 @@
 """Benders decomposition of the capacity-expansion LP.
 
-Master: investment variables, reserve rows, and one nonnegative cost
-variable per representative period. Subproblem p: the operations LP of
-period p under the case's uc_mode, with every investment pinned to the
-master iterate via equal bounds. Non-served energy keeps every subproblem
-feasible, so only optimality cuts arise. The cut for period p at iterate x is
+Master: investment variables, reserve rows, and a nonnegative cost variable
+per representative period. Subproblem p: the operations LP of period p under
+the case's uc_mode, with every investment pinned to the trial build via
+equal bounds. Non-served energy keeps every subproblem feasible, so only
+optimality cuts arise. The cut for period p at trial x is
 
     theta_p >= v_p(x) + sum_j z_j (x_j^new - x_j)
 
 where z_j is the reduced cost of pinned investment column j in the
-subproblem optimum (its objective coefficient there is zero, so z_j is
-the sensitivity of v_p to moving both bounds together).
+subproblem optimum (its objective coefficient there is zero, so z_j is the
+sensitivity of v_p to moving both bounds together).
 
-The master's investment columns, cost variables and reserve rows are
-built once per solve; each cut's row is added once, when the cut is made,
-in period order, so results do not depend on completion order. Each
-iteration appends the new cut rows to the built master LP
-(``LpBuilder.extend``) and solves it in one HiGHS model kept for the whole
-solve (``lp.KeptModel``): the first master solve is cold, and each later
-one adds the new rows to the kept model and restarts dual simplex from its
-basis. A warm master optimum that is not optimal or fails the KKT check
-falls back to a cold solve.
+The loop has three parts. ``_Master`` gives a lower bound and an iterate and
+takes cuts. The step makes the trial a convex combination of the iterate and
+the incumbent, with weight ``stab_weight`` on the incumbent (in-out
+separation). ``_Subproblems`` pins the trial in each period's LP, built
+once, and solves them all, serially or on ``sub_jobs`` threads. The loop
+keeps the incumbent, the log, the timing and the stop test. ``stab_weight``
+has one default, ``STAB_WEIGHT`` = 0.3, which ``RunConfig`` reads too: at 0,
+pure Benders, round-off sets the path, as a trial moved by ~1e-16 can give a
+warm subproblem another optimal dual vertex and cut.
 
-Subproblem LPs are built once and re-pinned in place each iteration.
-Each is solved through its own ``lp.ReducedModel``, which is not ready
-before its first accepted optimum: iteration 1 solves each subproblem
-cold on its full LP. That also keeps iteration 1 on the full LP, whose
-iterate pins every investment at 0, where the subproblem's dual is
-degenerate: the reduced LP's optimum is another valid subgradient there,
-and it would change the cut and so the iterate path. From iteration 2 on,
-each subproblem is solved on its row-reduced LP: the rows that the pinned
-investments leave with one free entry become column bounds, since HiGHS
-does no presolve from a basis. Its first reduced solve, at iteration 2,
-warm-starts dual simplex from the full LP's basis of iteration 1, mapped
-onto the reduced LP; each later one from its last reduced basis, which
-stays dual feasible as only the pinned bounds move. A reduced attempt
-that is not optimal or fails the KKT check on the full LP falls back to a
-cold solve of the full LP (``warm_fallbacks`` in the timing), whose basis
-the next attempt maps in turn.
+The master is built once; each cut's row is added when the cut is made, in
+period order, so results do not depend on completion order. Each solve
+appends the new rows to the built LP (``LpBuilder.extend``) and solves it in
+one HiGHS model kept for the whole solve (``lp.KeptModel``): cold at first,
+then by dual simplex from the kept basis, or cold again if that optimum is
+not optimal or fails the KKT check.
+
+Each subproblem is solved through its own ``lp.ReducedModel``, not ready
+before its first accepted optimum, so iteration 1 is cold on the full LP.
+Its trial pins every investment at 0, where the dual is degenerate: a
+reduced LP's optimum would be another valid subgradient, and so another cut
+and path. From iteration 2 on, each subproblem is solved on its row-reduced
+LP, whose rows that the pinned investments leave with one free entry are
+column bounds, since HiGHS does no presolve from a basis. Dual simplex
+starts from the full LP's basis of iteration 1, mapped onto the reduced LP,
+and then from the last reduced basis, which stays dual feasible as only the
+pinned bounds move. A reduced attempt that is not optimal or fails the KKT
+check on the full LP falls back to a cold solve of the full LP
+(``warm_fallbacks`` in the timing), whose basis the next attempt maps.
 
 The result holds the incumbent build by name (``investment``) and the
 phase-1 summary of the subproblem solves of the iteration that set it
-(``phase1``, see metrics.phase_summary); no subproblem is solved again
-after the loop. Those solves may be reduced ones, and a reduced optimum
-can be another vertex than a cold solve's at the same build: the build
-does not determine how free VRE energy splits between use and
-curtailment, nor how non-served energy splits between regions, so the
-summary holds only the thermal dispatch by tech and the variable cost.
+(``phase1``, see metrics.phase_summary); no subproblem is solved again after
+the loop. Those solves may be reduced ones, and a reduced optimum can be
+another vertex than a cold solve's at the same build: the build does not
+determine how free VRE energy splits between use and curtailment, nor how
+non-served energy splits between regions, so the summary holds only the
+thermal dispatch by tech and the variable cost.
 
-The result also holds the last basis each subproblem's ReducedModel kept,
-that of the last iteration's solve, on the subproblem's full LP
-(``ReducedModel.full_basis``), by block and period
+The result also holds the last basis each subproblem's ReducedModel kept, on
+the subproblem's full LP (``ReducedModel.full_basis``), by block and period
 (``expansion.basis_blocks``). Laid end to end, the subproblems of a case
-with relaxed commitment are its operations LP at the same build, but for
-the wrap-around rows; so these bases start the HRB's dispatch
+with relaxed commitment are its operations LP at the same build, but for the
+wrap-around rows; so these bases start the HRB's dispatch
 (``pipeline.dispatch_portfolio``).
-
-An optional convex-combination step toward the incumbent (stab_weight in
-[0, 1)) damps the master iterate; 0 is pure Benders. ``BendersResult.timing``
-holds per-iteration wall times and subproblem simplex work.
 """
 
 from __future__ import annotations
@@ -87,6 +85,9 @@ from .model import SystemCase
 
 logger = logging.getLogger(__name__)
 
+# the weight of the incumbent in each trial point; RunConfig reads it too
+STAB_WEIGHT = 0.3
+
 
 @dataclass
 class BendersResult:
@@ -97,8 +98,7 @@ class BendersResult:
     iterations: int
     investment: dict  # the incumbent build by name
     phase1: dict  # metrics.phase_summary of the subproblem solves at the incumbent
-    # the last kept basis of each subproblem, on its full LP, by block and
-    # period (expansion.basis_blocks)
+    # each subproblem's last kept basis on its full LP (expansion.basis_blocks)
     bases: dict = field(default_factory=dict)
     log: list = field(default_factory=list)  # (iteration, lb, ub, gap)
     # (iteration, master_s, sub_s, sub_iterations, warm_fallbacks,
@@ -162,69 +162,82 @@ def build_subproblems(case: SystemCase) -> list:
     ]
 
 
+def check_options(max_iter, stab_weight, sub_jobs) -> None:
+    """Raise ValueError, naming the option, unless max_iter and sub_jobs are
+    integers >= 1 and stab_weight is a number in [0, 1)."""
+    for key, value in (("max_iter", max_iter), ("sub_jobs", sub_jobs)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+    number = isinstance(stab_weight, (int, float)) and not isinstance(stab_weight, bool)
+    if not (number and 0.0 <= stab_weight < 1.0):  # also rejects NaN
+        raise ValueError(f"stab_weight must be a number in [0, 1), got {stab_weight!r}")
+
+
+class _Subproblems:
+    """Each period's LP from build_subproblems, solved through its own
+    ReducedModel by solve_all: map, or a pool's map."""
+
+    def __init__(self, case: SystemCase, solve_all):
+        self.case = case
+        self.lps = build_subproblems(case)
+        self.inv = self.lps[0][1].inv
+        # not ready before a first solve, so iteration 1 is cold on the full LP
+        self.reduced = [ReducedModel() for _ in self.lps]
+        self.solve_all = solve_all
+
+    def solve(self, trial: np.ndarray):
+        """Every period's solution with the investments pinned at trial, and
+        the count of reduced attempts that fell through to a cold solve."""
+        for lp, _ix in self.lps:
+            _pin(lp, self.inv, trial)
+        tried = [r.ready for r in self.reduced]
+        # each subproblem owns its LP object; solves are independent
+        sols = list(self.solve_all(solve_simplex, [lp for lp, _ix in self.lps], self.reduced))
+        for p, sol in enumerate(sols):
+            if not sol.is_optimal:
+                raise RuntimeError(f"subproblem {p} {sol.status}")
+        return sols, sum(t and not s.stats.warm for t, s in zip(tried, sols))
+
+    def summary(self, sols):
+        """The build pinned in sols, their phase-1 summary, and the bases."""
+        parts = [extract_solution(self.case, ix, sol) for (_lp, ix), sol in zip(self.lps, sols)]
+        bases = {}
+        for (_lp, ix), model in zip(self.lps, self.reduced):
+            basis = model.full_basis()
+            if basis is not None:
+                bases.update(basis_blocks(self.case, ix, *basis.codes()))
+        return parts[0].investment, phase_summary(parts, self.case), bases  # pinned: one build in every part
+
+
 def solve_benders(
     case: SystemCase,
     reserve: bool = True,
     gap_tol: float = 1e-4,
     max_iter: int = 200,
-    stab_weight: float = 0.0,
+    stab_weight: float = STAB_WEIGHT,
     sub_jobs: int = 1,
 ) -> BendersResult:
-    if not 0.0 <= stab_weight < 1.0:
-        raise ValueError("stab_weight must be in [0, 1)")
-    if sub_jobs < 1:
-        raise ValueError("sub_jobs must be >= 1")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    check_options(max_iter, stab_weight, sub_jobs)
     order = [name for name, *_ in investment_entries(case)]
-    subs = build_subproblems(case)
-    inv = subs[0][1].inv
-
-    master = _Master(case, reserve)
-    best_ub = np.inf
-    best_x = None
-    best_sols = None  # the subproblem solutions at best_x
-    # not ready before a first solve, so iteration 1 is cold on the full LP
-    reduced = [ReducedModel() for _ in subs]
-    log = []
-    timing = []
-    status = "max_iter"
-    lower = -np.inf
-    gap = np.inf
-
+    best_ub, best_x, best_sols = np.inf, None, None  # best_sols: the solutions at best_x
+    log, timing = [], []
+    status, lower, gap = "max_iter", -np.inf, np.inf
     # one pool for the whole solve; with sub_jobs == 1 it starts no thread
     with ThreadPoolExecutor(max_workers=sub_jobs) as pool:
-        solve_all = pool.map if sub_jobs > 1 else map
+        subs = _Subproblems(case, pool.map if sub_jobs > 1 else map)
+        master = _Master(case, reserve)
         for it in range(1, max_iter + 1):
             t0 = time.perf_counter()
             lower, x_master = master.solve()
             t1 = time.perf_counter()
             trial = x_master if best_x is None else (1.0 - stab_weight) * x_master + stab_weight * best_x
-
-            for lp, _ix in subs:
-                _pin(lp, inv, trial)
-            tried = [r.ready for r in reduced]
-            # each subproblem owns its LP object; solves are independent
-            sols = list(solve_all(solve_simplex, [lp for lp, _ix in subs], reduced))
+            sols, fallbacks = subs.solve(trial)
             t2 = time.perf_counter()
-            for p, sol in enumerate(sols):
-                if not sol.is_optimal:
-                    raise RuntimeError(f"subproblem {p} {sol.status}")
-            timing.append((
-                it,
-                t1 - t0,
-                t2 - t1,
-                sum(s.stats.iterations for s in sols),
-                sum(t and not s.stats.warm for t, s in zip(tried, sols)),
-                sum(s.stats.retried for s in sols),
-            ))
-            ops_total = sum(s.objective for s in sols)
-
-            ub_trial = fixed_cost(case, dict(zip(order, trial))) + ops_total
+            work = sum(s.stats.iterations for s in sols)
+            timing.append((it, t1 - t0, t2 - t1, work, fallbacks, sum(s.stats.retried for s in sols)))
+            ub_trial = fixed_cost(case, dict(zip(order, trial))) + sum(s.objective for s in sols)
             if ub_trial < best_ub:
-                best_ub = ub_trial
-                best_x = trial.copy()
-                best_sols = sols
+                best_ub, best_x, best_sols = ub_trial, trial.copy(), sols
             gap = (best_ub - lower) / max(1.0, abs(best_ub))
             log.append((it, lower, best_ub, gap))
             if it % 10 == 0:
@@ -233,22 +246,9 @@ def solve_benders(
                 status = "optimal"
                 break
             for p, sol in enumerate(sols):
-                master.add_cut(p, sol.objective, trial, sol.reduced_costs[inv])
-    parts = [extract_solution(case, ix, sol) for (_lp, ix), sol in zip(subs, best_sols)]
-    bases = {}
-    for (_lp, ix), model in zip(subs, reduced):
-        basis = model.full_basis()
-        if basis is not None:
-            bases.update(basis_blocks(case, ix, *basis.codes()))
+                master.add_cut(p, sol.objective, trial, sol.reduced_costs[subs.inv])
+    investment, phase1, bases = subs.summary(best_sols)
     return BendersResult(
-        status=status,
-        objective=best_ub,
-        lower_bound=lower,
-        gap=gap,
-        iterations=len(log),
-        log=log,
-        timing=timing,
-        investment=parts[0].investment,  # pinned: identical in every part
-        phase1=phase_summary(parts, case),
-        bases=bases,
+        status=status, objective=best_ub, lower_bound=lower, gap=gap, iterations=len(log),
+        investment=investment, phase1=phase1, bases=bases, log=log, timing=timing,
     )

@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .benders import BendersResult, solve_benders
+from .benders import STAB_WEIGHT, BendersResult, check_options, solve_benders
 from .caseio import _Table, load_system, read_partition, write_case, write_csv
 from .expansion import (
     BuildOptions,
@@ -203,7 +203,7 @@ class RunConfig:
     uc_modes: tuple = ("relaxed",)
     gap_tol: float = 1e-4
     max_iter: int = 200
-    stab_weight: float = 0.3
+    stab_weight: float = STAB_WEIGHT
     beta: float = 1.0
     jobs: int = 1
     sub_jobs: int = 1
@@ -237,20 +237,20 @@ class RunConfig:
             repeated = sorted({str(v) for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigError(f"repeated {key}: {', '.join(repeated)}")
-        for key in ("stab_weight", "gap_tol", "beta"):
+        for key in ("gap_tol", "beta"):
             value = getattr(self, key)
             if not _is_number(value):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
-        for key in ("seed", "jobs", "sub_jobs"):
+        for key in ("seed", "jobs"):
             value = getattr(self, key)
             if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if not 0.0 <= self.stab_weight < 1.0:
-            raise ConfigError("stab_weight must be in [0, 1)")
-        if self.jobs < 1 or self.sub_jobs < 1:
-            raise ConfigError("jobs and sub_jobs must be >= 1")
-        if not _is_int(self.max_iter) or self.max_iter < 1:
-            raise ConfigError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be an integer >= 1, got {self.jobs!r}")
+        try:
+            check_options(self.max_iter, self.stab_weight, self.sub_jobs)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         # negated comparisons so that NaN is rejected too
         if not self.gap_tol >= 0.0:
             raise ConfigError(f"gap_tol must be >= 0, got {self.gap_tol!r}")

@@ -2,7 +2,8 @@
 
 The vertex oracle never calls the production solver: it enumerates every
 candidate active set directly, so agreement is evidence rather than
-circularity.
+circularity. The cost-recovery identity is checked on solutions by hand
+arithmetic over prices and flows, outside the package.
 """
 
 import itertools
@@ -10,7 +11,9 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
+from gridres.expansion import ExpansionSolution
 from gridres.lp import _BOUND_ACTIVE_TOL, EQ, GE, LE, KktResiduals, LpBuilder
+from gridres.model import SystemCase
 from gridres.prng import Rng
 
 FEAS_TOL = 1e-9
@@ -197,3 +200,55 @@ def reference_lloyd(feats, k, init_indices, tol=1e-9, max_iter=300):
             break
     d = np.linalg.norm(feats[:, None, :] - centroids[None, :, :], axis=2)
     return np.argmin(d, axis=1), centroids
+
+
+def cost_recovery(sol: ExpansionSolution, case: SystemCase) -> dict:
+    """Adding-up identity at zonal prices.
+
+    Load payments minus the shed-load penalty must equal generator energy
+    revenue plus storage arbitrage plus congestion rent. Spilled energy
+    carries a zero price so it drops out. Returns both sides and the parts;
+    callers assert the match.
+    """
+    w = sol.hour_weight
+    region_of = {c.id: c.region for c in case.clusters}
+
+    hours = np.asarray(sol.hours)
+    load_payment = 0.0
+    nse_penalty = 0.0
+    for r in case.regions:
+        p = sol.prices[r.id]
+        dem = r.demand.values[hours]
+        load_payment += float((p * dem * w).sum())
+        nse_penalty += float((p * sol.nse[r.id] * w).sum())
+
+    gen_revenue = 0.0
+    for c in case.clusters:
+        p = sol.prices[region_of[c.id]]
+        gen_revenue += float((p * sol.dispatch[c.id] * w).sum())
+
+    arbitrage = 0.0
+    for s in case.storage:
+        p = sol.prices[s.region]
+        arbitrage += float((p * (sol.discharge[s.id] - sol.charge[s.id]) * w).sum())
+
+    congestion = 0.0
+    for l in case.interregional_lines:
+        a, b = l.endpoints
+        f = sol.flow_net[l.id]
+        congestion += float(((sol.prices[b] - sol.prices[a]) * f * w).sum())
+
+    spill_value = 0.0
+    for r in case.regions:
+        spill_value += float((sol.prices[r.id] * sol.spill[r.id] * w).sum())
+
+    return {
+        "load_payment": load_payment,
+        "nse_penalty": nse_penalty,
+        "gen_revenue": gen_revenue,
+        "storage_arbitrage": arbitrage,
+        "congestion_rent": congestion,
+        "spill_value": spill_value,
+        "lhs": load_payment - nse_penalty,
+        "rhs": gen_revenue + arbitrage + congestion,
+    }

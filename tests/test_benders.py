@@ -1,5 +1,6 @@
 """Decomposed planning solves must agree with the monolithic LP."""
 
+import inspect
 import logging
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from gridres.expansion import (
     extract_solution,
 )
 from gridres.lp import GE, Attempt, KeptModel, LpBuilder, ReducedModel, solve_simplex
-from gridres.pipeline import RunConfig
+from gridres.pipeline import ConfigError, RunConfig
 from gridres.syngen import SynthConfig, generate
 
 from conftest import make_unit, one_bus_case
@@ -77,18 +78,25 @@ def test_nse_keeps_subproblems_feasible_with_no_capacity():
 
 def test_parameter_validation():
     case = one_bus_case([10.0, 10.0])
-    with pytest.raises(ValueError):
-        solve_benders(case, stab_weight=1.0)
-    with pytest.raises(ValueError):
-        solve_benders(case, sub_jobs=0)
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        solve_benders(case, max_iter=0)
+    bad = [
+        ("stab_weight", 1.0), ("stab_weight", -0.1), ("stab_weight", float("nan")), ("stab_weight", "0.3"),
+        ("sub_jobs", 0), ("sub_jobs", 1.5), ("max_iter", 0), ("max_iter", 2.5),
+    ]
+    for key, value in bad:
+        # the solver and the config reject each with one message
+        with pytest.raises(ValueError, match=f"^{key} must be") as solver:
+            solve_benders(case, **{key: value})
+        with pytest.raises(ConfigError) as config:
+            RunConfig(out_dir="o", input_dir="i", **{key: value})
+        assert str(config.value) == str(solver.value), (key, value)
+    # one default for the step weight
+    assert inspect.signature(solve_benders).parameters["stab_weight"].default == RunConfig.stab_weight == 0.3
 
 
 def test_stabilized_run_still_converges():
     cfg = SynthConfig(n_regions=2, periods=2, period_length=12)
     case = generate(cfg, seed=3)
-    plain = solve_benders(case, gap_tol=1e-6)
+    plain = solve_benders(case, gap_tol=1e-6, stab_weight=0.0)
     damped = solve_benders(case, gap_tol=1e-6, stab_weight=0.5)
     assert plain.converged and damped.converged
     assert damped.objective == pytest.approx(plain.objective, rel=1e-5)
@@ -136,7 +144,7 @@ def test_min_output_case_agrees_across_uc_modes():
     for uc in ("relaxed", "none"):
         moded = case.with_updates(uc_mode=uc)
         mono = _monolithic(moded, reserve=False)
-        r = solve_benders(moded, reserve=False)
+        r = solve_benders(moded, reserve=False, gap_tol=1e-7)
         assert r.converged
         assert r.objective == pytest.approx(mono.objective, rel=1e-6)
 
@@ -181,6 +189,36 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     # a subproblem's first solve has no basis; its first reduced solve maps
     # the full LP's basis, and each later one starts from the reduced basis
     assert based == [(False, False)] * n + [(True, True)] * n + [(True, False)] * n * (r.iterations - 2)
+
+
+def test_only_the_master_solves_lps_that_build_lp_did_not_build(monkeypatch):
+    # the benchmark's tracer (ladderbench/tracing.py) times a solve inside
+    # solve_benders as a subproblem's when build_lp built its LP there, and
+    # as the master's otherwise
+    case = generate(SynthConfig(n_regions=2, periods=3, period_length=12), seed=7)
+    built, solves = [], []
+    real_build, real_solve = benders_module.build_lp, benders_module.solve_simplex
+
+    def build_spy(*args, **kwargs):
+        out = real_build(*args, **kwargs)
+        built.append(out[0])
+        return out
+
+    def solve_spy(lp, warm=None):
+        solves.append((lp, warm))
+        return real_solve(lp, warm)
+
+    monkeypatch.setattr(benders_module, "build_lp", build_spy)
+    monkeypatch.setattr(benders_module, "solve_simplex", solve_spy)
+    r = solve_benders(case)
+    assert len(built) == case.n_periods
+    subs = {id(lp) for lp in built}
+    masters = [warm for lp, warm in solves if id(lp) not in subs]
+    others = [warm for lp, warm in solves if id(lp) in subs]
+    assert len(masters) == r.iterations > 1
+    assert isinstance(masters[0], KeptModel) and all(w is masters[0] for w in masters)
+    assert len(others) == case.n_periods * r.iterations
+    assert all(isinstance(w, ReducedModel) for w in others)
 
 
 def _master_from_scratch(case, reserve, cuts):

@@ -14,7 +14,6 @@ from gridres.lp import ReducedModel, solve_simplex
 from gridres.metrics import (
     DispatchedBuild,
     build_report,
-    cost_recovery,
     financials,
     format_summary,
     mse_lines,
@@ -43,6 +42,7 @@ from conftest import (
     series,
     spur_line,
 )
+from oracles import cost_recovery
 
 
 def _solve(case, reserve=True):

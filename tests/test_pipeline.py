@@ -100,9 +100,9 @@ def test_config_validates_uc_and_k():
 
 def test_config_validates_solver_knobs():
     base = {"out_dir": "o", "input_dir": "i"}
-    with pytest.raises(ConfigError, match=r"stab_weight must be in \[0, 1\)"):
+    with pytest.raises(ConfigError, match=r"stab_weight must be a number in \[0, 1\), got 1.0"):
         RunConfig.from_dict({**base, "stab_weight": 1.0})
-    with pytest.raises(ConfigError, match="jobs and sub_jobs must be >= 1"):
+    with pytest.raises(ConfigError, match="jobs must be an integer >= 1, got 0"):
         RunConfig.from_dict({**base, "jobs": 0})
     with pytest.raises(ConfigError, match="max_iter must be an integer >= 1, got 0"):
         RunConfig.from_dict({**base, "max_iter": 0})
