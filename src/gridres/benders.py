@@ -52,10 +52,11 @@ non-served energy splits between regions, so the summary holds only the
 thermal dispatch by tech and the variable cost.
 
 The result also holds the last basis each subproblem's ReducedModel kept, on
-the subproblem's full LP (``ReducedModel.full_basis``), by block and period
-(``expansion.basis_blocks``). Laid end to end, the subproblems of a case
-with relaxed commitment are its operations LP at the same build, but for the
-wrap-around rows; so these bases start the HRB's dispatch
+the subproblem's full LP (``ReducedModel.full_basis``), as status codes,
+one (cols, rows) pair per period. Laid end to end, the subproblems of a
+case with relaxed commitment are its operations LP at the same build, but
+for the previous-hour entries of each period's first hour; so these bases,
+concatenated (``expansion.placed_basis``), start the HRB's dispatch
 (``pipeline.dispatch_portfolio``).
 """
 
@@ -73,7 +74,6 @@ from .expansion import (
     VarIndex,
     add_investment_columns,
     add_reserve_rows,
-    basis_blocks,
     build_lp,
     extract_solution,
     fixed_cost,
@@ -98,8 +98,8 @@ class BendersResult:
     iterations: int
     investment: dict  # the incumbent build by name
     phase1: dict  # metrics.phase_summary of the subproblem solves at the incumbent
-    # each subproblem's last kept basis on its full LP (expansion.basis_blocks)
-    bases: dict = field(default_factory=dict)
+    # each period's subproblem's last kept basis on its full LP, as (cols, rows) codes
+    bases: list = field(default_factory=list)
     log: list = field(default_factory=list)  # (iteration, lb, ub, gap)
     # (iteration, master_s, sub_s, sub_iterations, warm_fallbacks,
     # ipm_retries) where sub_iterations sums the subproblems' simplex
@@ -201,11 +201,8 @@ class _Subproblems:
     def summary(self, sols):
         """The build pinned in sols, their phase-1 summary, and the bases."""
         parts = [extract_solution(self.case, ix, sol) for (_lp, ix), sol in zip(self.lps, sols)]
-        bases = {}
-        for (_lp, ix), model in zip(self.lps, self.reduced):
-            basis = model.full_basis()
-            if basis is not None:
-                bases.update(basis_blocks(self.case, ix, *basis.codes()))
+        bases = [model.full_basis() for model in self.reduced]
+        bases = [basis.codes() for basis in bases] if all(bases) else []  # None: no basis kept
         return parts[0].investment, phase_summary(parts, self.case), bases  # pinned: one build in every part
 
 

@@ -5,9 +5,9 @@ One builder covers three uses that must stay structurally identical:
 * monolithic capacity expansion (investments free, one chronology block per
   representative period, optional per-region reserve rows),
 * decomposition subproblems (one period, investments pinned by bounds),
-* production-cost runs (all hours as a single cyclic year block, investments
-  pinned from a portfolio, over the portfolio's case, whose lines carry
-  their operating capacity).
+* production-cost runs (year_chronology: every period, its blocks linked
+  end to end, investments pinned from a portfolio, over the portfolio's
+  case, whose lines carry their operating capacity).
 
 A build's investments have one in-memory form: the named vector
 {name: value} over investment_entries(case), in that order, with names
@@ -19,11 +19,14 @@ Investment costs and the fixed O&M of existing capacity enter the objective
 only when nothing is pinned (no ``fix``): a pinned LP is an operations LP,
 and its investment costs are sunk.
 
-Chronology is cyclic within each block: state of charge, ramps and
-commitment linking wrap from the last hour of a block to its first. Every
-balance row carries non-served energy (bounded by demand) and a free
-surplus/dump column, so operations are feasible for any capacity vector and
-balance duals stay inside [0, nse_cost].
+Every LP has one chronology block per period. Chronology is cyclic within
+each block: state of charge, ramps and commitment linking wrap from the
+last hour of a block to its first. With year_chronology the blocks are
+linked end to end instead, cyclic over the year: the first hour of a block
+follows the last hour of the block before, and the first block's follows
+the last block's. Every balance row carries non-served energy (bounded by
+demand) and a free surplus/dump column, so operations are feasible for any
+capacity vector and balance duals stay inside [0, nse_cost].
 
 Unit commitment modes (BuildOptions.uc): "relaxed" uses a continuous
 committed-capacity variable with startup costs on increases and gen in
@@ -32,9 +35,9 @@ live capacity. The expansion and its subproblems take the mode from the
 case (SystemCase.uc_mode); the operations LP is always relaxed.
 
 Layout (pinned by tests/test_layout.py). Columns: the investment columns
-first, in investment_entries order; then chronology block by block, and
-within a block entity by entity (VRE clusters, thermal clusters, storage,
-lines, regions), family by family, hour by hour:
+first, in investment_entries order; then block by block, and within a
+block entity by entity (VRE clusters, thermal clusters, storage, lines,
+regions), family by family, hour by hour:
 
     VRE      gen
     thermal  gen [commit start shut]       (bracketed: uc "relaxed" only)
@@ -54,15 +57,13 @@ interleaved per hour (bracketed rows only where they apply):
     storage  soc balance, soc <= energy, charge <= power, discharge <= power
     line     fwd - xl <= capacity, rev - xl <= capacity
 
-and last the per-region reserve rows when requested.
+and last the per-region reserve rows when requested. So a block is laid
+out as the one-period LP of its period, and the operations LP of a build
+is its Benders subproblems (one period each, relaxed) laid end to end, but
+for the previous-hour entries of each block's first hour: the last bases
+of those subproblems place on it by concatenation (placed_basis).
 
-VarIndex records where each block lies: every column family, the balance
-rows, and the row block of each VRE cluster, thermal cluster, storage unit
-and line. index_blocks lists them by family and entity id, and a basis is
-saved by those keys and by period (basis_blocks): the last bases of a
-Benders solve's subproblems (one period each) are saved so, and placed on
-the operations LP of the same entities and hours (placed_basis), which is
-those subproblems laid end to end.
+VarIndex records where each column family and the balance rows lie.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import BASIC, EQ, GE, LE, LOWER, LinearProgram, LpBuilder, Solution
+from .lp import EQ, GE, LE, LOWER, LinearProgram, LpBuilder, Solution
 from .model import SystemCase
 
 PRICE_TOL = 1e-6
@@ -82,7 +83,7 @@ class BuildOptions:
     uc: str = "relaxed"
     reserve: bool = True
     periods: tuple[int, ...] | None = None  # None = all representative periods
-    year_chronology: bool = False  # single cyclic block spanning all hours
+    year_chronology: bool = False  # blocks linked end to end, cyclic over the year
     fix: dict | None = None  # investment var name -> pinned value; costs sunk
 
 
@@ -96,11 +97,6 @@ class VarIndex:
     entities unless uc is "relaxed"); charge, discharge and soc over
     case.storage; flow_fwd and flow_rev over case.interregional_lines; nse,
     spill and balance_row over case.regions.
-
-    vre_rows, thermal_rows, storage_rows and line_rows hold the row block
-    of each VRE cluster, thermal cluster, storage unit and line, in case
-    order: an (hours, rows per hour) array, as _hourly_rows returns it and
-    in the order of the layout.
     """
 
     inv: slice | None = None
@@ -116,10 +112,6 @@ class VarIndex:
     nse: np.ndarray | None = None
     spill: np.ndarray | None = None
     balance_row: np.ndarray | None = None
-    vre_rows: list = field(default_factory=list)
-    thermal_rows: list = field(default_factory=list)
-    storage_rows: list = field(default_factory=list)
-    line_rows: list = field(default_factory=list)
     hours: list = field(default_factory=list)  # global hour index per k
     hour_weight: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -230,35 +222,31 @@ def _hourly_rows(b: LpBuilder, nk: int, groups) -> np.ndarray:
     return b.rows(senses, rhs.T.ravel(), rows.ravel(), cols.ravel(), vals.ravel()).reshape(nk, len(groups))
 
 
-def _blocks(case: SystemCase, opts: BuildOptions):
-    """Chronology blocks as (global hour indices, weight per hour array)."""
-    plen = case.period_length
-    periods = opts.periods if opts.periods is not None else tuple(range(case.n_periods))
-    per_period = [
-        (np.arange(p * plen, (p + 1) * plen), np.full(plen, case.period_weights[p]))
-        for p in periods
-    ]
-    if opts.year_chronology:
-        hours = np.concatenate([hs for hs, _ in per_period])
-        weights = np.concatenate([w for _, w in per_period])
-        return [(hours, weights)]
-    return per_period
-
-
 def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIndex]:
     b = LpBuilder()
     ix = VarIndex()
     relaxed = opts.uc == "relaxed"
     inv = add_investment_columns(case, b, ix, opts.fix)
 
-    blocks = _blocks(case, opts)
-    ix.hours = np.concatenate([hours for hours, _w in blocks]).tolist()
-    ix.hour_weight = np.concatenate([w for _hours, w in blocks])
+    nk = case.period_length
+    periods = opts.periods if opts.periods is not None else range(case.n_periods)
+    # one chronology block per period: its global hours, their weights and its slice of ix.hours
+    blocks = [
+        (np.arange(p * nk, (p + 1) * nk), np.full(nk, case.period_weights[p]), slice(i * nk, (i + 1) * nk))
+        for i, p in enumerate(periods)
+    ]
+    ix.hours = np.concatenate([hours for hours, _w, _ks in blocks]).tolist()
+    ix.hour_weight = np.concatenate([w for _hours, w, _ks in blocks])
     nk_all = len(ix.hours)
     n_committed = len(case.thermal_clusters) if relaxed else 0
 
     def family(n_entities) -> np.ndarray:
         return np.zeros((n_entities, nk_all), dtype=int)
+
+    def previous(cols: np.ndarray, ks: slice) -> np.ndarray:
+        """The column of the hour before each hour of block ks: cyclic over
+        every block (year_chronology) or within the block."""
+        return np.roll(cols, 1)[ks] if opts.year_chronology else np.roll(cols[ks], 1)
 
     ix.gen = family(len(case.clusters))
     ix.commit, ix.start, ix.shut = (family(n_committed) for _ in range(3))
@@ -267,23 +255,9 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
     ix.nse, ix.spill, ix.balance_row = (family(len(case.regions)) for _ in range(3))
     cluster_pos = {c.id: i for i, c in enumerate(case.clusters)}
     demand = [r.demand.values for r in case.regions]
-    # each entity's row blocks, one per chronology block
-    blocks_of = {
-        family: [[] for _ in entities]
-        for family, entities in (
-            ("vre_rows", case.vre_clusters),
-            ("thermal_rows", case.thermal_clusters),
-            ("storage_rows", case.storage),
-            ("line_rows", case.interregional_lines),
-        )
-    }
 
-    k0 = 0
-    for hours, w in blocks:
-        nk = len(hours)
-        ks = slice(k0, k0 + nk)
-
-        # -- columns -----------------------------------------------------------
+    # -- columns, block by block -------------------------------------------------
+    for hours, w, ks in blocks:
         for c in case.vre_clusters:
             ix.gen[cluster_pos[c.id], ks] = b.vars(nk)
         for i, c in enumerate(case.thermal_clusters):
@@ -303,7 +277,8 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
             ix.nse[i, ks] = b.vars(nk, 0.0, demand[i][hours], w * case.nse_cost)
             ix.spill[i, ks] = b.vars(nk)
 
-        # -- rows --------------------------------------------------------------
+    # -- rows, block by block ----------------------------------------------------
+    for hours, _w, ks in blocks:
         balance = []
         for i, r in enumerate(case.regions):
             terms = [(ix.nse[i, ks], 1.0), (ix.spill[i, ks], -1.0)]
@@ -324,11 +299,10 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
             balance.append((EQ, demand[i][hours], terms))
         ix.balance_row[:, ks] = _hourly_rows(b, nk, balance).T
 
-        for i, (c, xv) in enumerate(zip(case.vre_clusters, inv["vre_new"])):
+        for c, xv in zip(case.vre_clusters, inv["vre_new"]):
             rho = c.aggregate_profile.values[hours]
             gen = ix.gen[cluster_pos[c.id], ks]
-            rows = [(LE, rho * c.existing_capacity, [(gen, 1.0), (xv, -rho)])]
-            blocks_of["vre_rows"][i].append(_hourly_rows(b, nk, rows))
+            _hourly_rows(b, nk, [(LE, rho * c.existing_capacity, [(gen, 1.0), (xv, -rho)])])
 
         for i, c in enumerate(case.thermal_clusters):
             xg = inv["thermal_new"][i]
@@ -344,107 +318,55 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
                 ]
                 if th.min_output > 0:
                     rows.append((GE, 0.0, [(g, 1.0), (cm, -th.min_output)]))
-                rows.append(
-                    (EQ, 0.0, [(cm, 1.0), (np.roll(cm, 1), -1.0), (ix.start[i, ks], -1.0), (ix.shut[i, ks], 1.0)])
-                )
+                cp = previous(ix.commit[i], ks)
+                rows.append((EQ, 0.0, [(cm, 1.0), (cp, -1.0), (ix.start[i, ks], -1.0), (ix.shut[i, ks], 1.0)]))
             else:
                 rows = [(LE, e0, [(g, 1.0), (xg, -1.0), (ret, 1.0)])]
                 if th.min_output > 0:
                     rows.append((GE, th.min_output * e0, [(g, 1.0), (xg, -th.min_output), (ret, th.min_output)]))
             if th.ramp_rate < 1.0:
-                gp = np.roll(g, 1)  # cyclic: hour 0 follows the block's last hour
+                gp = previous(ix.gen[cluster_pos[c.id]], ks)
                 r = th.ramp_rate
                 rows.append((LE, r * e0, [(g, 1.0), (gp, -1.0), (xg, -r), (ret, r)]))
                 rows.append((LE, r * e0, [(gp, 1.0), (g, -1.0), (xg, -r), (ret, r)]))
-            blocks_of["thermal_rows"][i].append(_hourly_rows(b, nk, rows))
+            _hourly_rows(b, nk, rows)
 
         for i, s in enumerate(case.storage):
             xp = inv["storage_new_power"][i]
             xe = inv["storage_new_energy"][i]
             soc, ch, dis = ix.soc[i, ks], ix.charge[i, ks], ix.discharge[i, ks]
-            blocks_of["storage_rows"][i].append(_hourly_rows(b, nk, [
-                (EQ, 0.0, [(soc, 1.0), (np.roll(soc, 1), -1.0), (ch, -s.efficiency_rt), (dis, 1.0)]),
+            _hourly_rows(b, nk, [
+                (EQ, 0.0, [(soc, 1.0), (previous(ix.soc[i], ks), -1.0), (ch, -s.efficiency_rt), (dis, 1.0)]),
                 (LE, s.existing_energy, [(soc, 1.0), (xe, -1.0)]),
                 (LE, s.existing_power, [(ch, 1.0), (xp, -1.0)]),
                 (LE, s.existing_power, [(dis, 1.0), (xp, -1.0)]),
-            ]))
+            ])
 
         for i, l in enumerate(case.interregional_lines):
             xl = inv["line_expansion"][i]
-            blocks_of["line_rows"][i].append(_hourly_rows(b, nk, [
+            _hourly_rows(b, nk, [
                 (LE, l.capacity, [(ix.flow_fwd[i, ks], 1.0), (xl, -1.0)]),
                 (LE, l.capacity, [(ix.flow_rev[i, ks], 1.0), (xl, -1.0)]),
-            ]))
-        k0 += nk
-
-    for family, blocks in blocks_of.items():
-        setattr(ix, family, [np.concatenate(parts) for parts in blocks])
+            ])
     if opts.reserve:
         add_reserve_rows(case, b, inv)
 
     return b.build(), ix
 
 
-# The blocks of an LP's columns and rows that a basis is saved by: each
-# VarIndex family but inv, over the entities of the case list it is indexed
-# by, columns first
-BLOCK_FAMILIES = (
-    ("gen", "clusters", False),
-    *((family, "thermal_clusters", False) for family in ("commit", "start", "shut")),
-    *((family, "storage", False) for family in ("charge", "discharge", "soc")),
-    *((family, "interregional_lines", False) for family in ("flow_fwd", "flow_rev")),
-    ("nse", "regions", False),
-    ("spill", "regions", False),
-    ("balance_row", "regions", True),
-    ("vre_rows", "vre_clusters", True),
-    ("thermal_rows", "thermal_clusters", True),
-    ("storage_rows", "storage", True),
-    ("line_rows", "interregional_lines", True),
-)
-
-
-def index_blocks(case: SystemCase, ix: VarIndex):
-    """Every column of an LP that build_lp built but its investments, and
-    every row but the reserve rows, by block: (family, entity id, is a row
-    block, (hours, per hour) indices), in BLOCK_FAMILIES order."""
-    for family, entities, is_row in BLOCK_FAMILIES:
-        for entity, idx in zip(getattr(case, entities), getattr(ix, family)):
-            yield family, entity.id, is_row, idx if idx.ndim == 2 else idx[:, None]
-
-
-def basis_blocks(case: SystemCase, ix: VarIndex, cols: np.ndarray, rows: np.ndarray) -> dict:
-    """The status codes (lp.Basis.codes) of a basis of an LP that build_lp
-    built, ix its VarIndex, by block and period: (family, entity id,
-    period) -> the int8 codes of the block's columns or rows in the period,
-    hour by hour. The investment columns and the reserve rows are left
-    out."""
-    periods = np.asarray(ix.hours) // case.period_length
-    out = {}
-    for family, eid, is_row, idx in index_blocks(case, ix):
-        codes = (rows if is_row else cols)[idx]
-        for p in dict.fromkeys(periods.tolist()):
-            out[family, eid, p] = codes[periods == p].ravel()
-    return out
-
-
-def placed_basis(case: SystemCase, lp: LinearProgram, ix: VarIndex, blocks: dict):
-    """The statuses of blocks (basis_blocks, of LPs over case's entities and
-    hours, such as its Benders subproblems) placed on lp, which build_lp
-    built over case (ix its VarIndex): (cols, rows) codes, or None unless
-    blocks cover every column of lp but its investments, which are pinned
-    and placed at their lower bound. A row of lp that blocks do not cover
-    is basic."""
-    cols = np.full(lp.n_vars, LOWER, dtype=np.int8)
-    rows = np.full(lp.n_rows, BASIC, dtype=np.int8)
-    periods = np.asarray(ix.hours) // case.period_length
-    spans = {p: periods == p for p in dict.fromkeys(periods.tolist())}
-    for family, eid, is_row, idx in index_blocks(case, ix):
-        parts = [blocks.get((family, eid, p)) for p in spans]
-        sizes = [hours.sum() * idx.shape[1] for hours in spans.values()]
-        if all(part is not None and part.size == size for part, size in zip(parts, sizes)):
-            (rows if is_row else cols)[idx] = np.concatenate(parts).reshape(idx.shape)
-        elif not is_row:
-            return None
+def placed_basis(lp: LinearProgram, ix: VarIndex, bases: list):
+    """The bases of the one-period subproblems of lp's periods, in order
+    ((cols, rows) status codes of each, as BendersResult.bases holds them),
+    placed on lp, an LP that build_lp built over the same case with
+    year_chronology (ix its VarIndex), which is those subproblems laid end
+    to end: their columns after the investments, which are pinned and
+    placed at their lower bound, and their rows. None unless they have
+    lp's shape."""
+    n_inv = ix.inv.stop
+    cols = np.concatenate([np.full(n_inv, LOWER, dtype=np.int8), *(c[n_inv:] for c, _r in bases)])
+    rows = np.concatenate([r for _c, r in bases])
+    if (cols.size, rows.size) != (lp.n_vars, lp.n_rows):
+        return None
     return cols, rows
 
 

@@ -76,7 +76,6 @@ from .expansion import (
     build_operations_lp,
     extract_solution,
     fixed_cost,
-    index_blocks,
     investment_entries,
     placed_basis,
 )
@@ -123,6 +122,9 @@ class PartitionSpec:
     n_regions: int | None = None  # or: chunk the fine regions evenly
 
     def __post_init__(self):
+        # the name is the combo directory's: one directory inside out_dir
+        if self.name in ("", ".", "..") or any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            raise ConfigError(f"partition name must be one directory name, got {self.name!r}")
         if (self.path is None) == (self.n_regions is None):
             raise ConfigError(f"partition {self.name}: give exactly one of path / regions")
         if self.path is not None and not _is_path(self.path):
@@ -403,57 +405,52 @@ def write_investments(values: dict, path: str) -> None:
     write_csv(path, ("variable", "value"), ((k, float(v)) for k, v in sorted(values.items())))
 
 
-def write_bases(bases: dict, path: str) -> None:
+def write_bases(bases: list, path: str) -> None:
     """benders_bases.csv: the status codes of BendersResult.bases, one row
-    per block and period, as one digit per column or row, hour by hour."""
-    rows = ((*key, (codes + ord("0")).tobytes().decode()) for key, codes in bases.items())
-    write_csv(path, ("family", "entity", "period", "codes"), rows)
+    per period, as one digit per column (cols) and per row (rows) of the
+    period's subproblem."""
+
+    def digits(codes):
+        return (codes + ord("0")).tobytes().decode()
+
+    write_csv(path, ("period", "cols", "rows"), ((p, digits(c), digits(r)) for p, (c, r) in enumerate(bases)))
 
 
-def read_bases(combo_dir: str) -> dict | None:
+def read_bases(combo_dir: str) -> list | None:
     """benders_bases.csv of a combo directory as BendersResult.bases, or
     None when the directory holds no investments.csv (no converged
-    expansion). The file must hold one row for every block of the case its
-    expansion solved (combo_case_dir) in each of its periods, and nothing
-    else, with one HiGHS basis status code per column or row of the block
-    in each hour of the period, as the case's first Benders subproblem
-    lays it out (expansion.index_blocks)."""
+    expansion). The file must hold one row for each period of the case its
+    expansion solved (combo_case_dir), and nothing else, with one HiGHS
+    basis status code per column and per row of the period's Benders
+    subproblem."""
     if not os.path.exists(os.path.join(combo_dir, "investments.csv")):
         return None
     path = os.path.join(combo_dir, "benders_bases.csv")
-    table = _Table(path, ("family", "entity", "period", "codes"))
+    table = _Table(path, ("period", "cols", "rows"))
     case_dir = combo_case_dir(combo_dir)
     case = load_system(case_dir)
-    _lp, ix = build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(0,)))
-    widths = {(family, eid): idx.shape[1] for family, eid, _r, idx in index_blocks(case, ix)}
+    lp, _ix = build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(0,)))
     digits = [ord("0") + code for code in STATUS_CODES]
     bases = {}
     for rowno, row in table:
-        family, eid = table.cell(rowno, row, "family"), table.cell(rowno, row, "entity")
-        key = family, eid, table.cell(rowno, row, "period", int)
-        if key in bases:
-            raise CaseError(f"{path} row {rowno}: duplicate block {_block_name(key)}")
-        codes = np.frombuffer(table.cell(rowno, row, "codes").encode(), dtype=np.uint8)
-        bad = codes[~np.isin(codes, digits)]
-        if bad.size:
-            raise CaseError(f"{path} row {rowno}: {chr(bad[0])!r} is not a HiGHS basis status code")
-        expected = widths.get((family, eid), 0) * case.period_length
-        if expected and codes.size != expected:
-            raise CaseError(f"{path} row {rowno}: {codes.size} status codes, expected {expected}")
-        bases[key] = (codes - ord("0")).astype(np.int8)
-    blocks = [(family, eid, p) for family, eid in widths for p in range(case.n_periods)]
-    missing, unknown = sorted(set(blocks) - set(bases)), sorted(set(bases) - set(blocks))
+        period = table.cell(rowno, row, "period", int)
+        if period in bases:
+            raise CaseError(f"{path} row {rowno}: duplicate period {period}")
+        pair = []
+        for column, expected in (("cols", lp.n_vars), ("rows", lp.n_rows)):
+            codes = np.frombuffer(table.cell(rowno, row, column).encode(), dtype=np.uint8)
+            bad = codes[~np.isin(codes, digits)]
+            if bad.size:
+                raise CaseError(f"{path} row {rowno}: {chr(bad[0])!r} is not a HiGHS basis status code")
+            if codes.size != expected:
+                raise CaseError(f"{path} row {rowno}: {codes.size} codes in {column}, expected {expected}")
+            pair.append((codes - ord("0")).astype(np.int8))
+        bases[period] = tuple(pair)
+    periods = range(case.n_periods)
+    missing, unknown = sorted(set(periods) - set(bases)), sorted(set(bases) - set(periods))
     if missing or unknown:
-        raise CaseError(
-            f"{path} does not match {case_dir}: missing {[_block_name(k) for k in missing]}, "
-            f"unknown {[_block_name(k) for k in unknown]}"
-        )
-    return bases
-
-
-def _block_name(key: tuple) -> str:
-    family, eid, period = key
-    return f"{family} {eid} period {period}"
+        raise CaseError(f"{path} does not match {case_dir}: missing periods {missing}, unknown periods {unknown}")
+    return [bases[p] for p in periods]
 
 
 def write_operations(operations: ExpansionSolution, path: str) -> None:
@@ -571,7 +568,7 @@ def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: Sys
 
 
 def run_operate(
-    allocation, portfolio, art: str, baseline: DispatchedBuild | None = None, bases: dict | None = None
+    allocation, portfolio, art: str, baseline: DispatchedBuild | None = None, bases: list | None = None
 ) -> DispatchedBuild:
     """Dispatch the translated build at full resolution into operations.csv,
     from baseline, the HRB's record, when given, else from bases, those of
@@ -797,7 +794,7 @@ class OperateSolve(NamedTuple):
 
 
 def dispatch_portfolio(
-    portfolio, baseline: DispatchedBuild | None = None, bases: dict | None = None
+    portfolio, baseline: DispatchedBuild | None = None, bases: list | None = None
 ) -> tuple[ExpansionSolution, OperateSolve, Basis | None]:
     """Dispatch a translated build, with relaxed unit commitment, over the
     full chronology of its case, which includes any template cluster the
@@ -813,10 +810,10 @@ def dispatch_portfolio(
 
     Without baseline, the solve starts in the same way from bases, the last
     bases of the Benders subproblems of the build's expansion
-    (BendersResult.bases), placed on the LP (expansion.placed_basis) when
-    they cover its columns, as the HRB's do. An LP of another shape (a
-    template cluster), bases that do not cover it, or a failed warm
-    attempt is solved cold."""
+    (BendersResult.bases), laid end to end on the LP (expansion.placed_basis)
+    when they have its shape, as the HRB's do. An LP of another shape (a
+    template cluster), bases of another shape (uc "none", a missing
+    period) or a failed warm attempt is solved cold."""
     if (
         baseline is not None
         and portfolio.investment == baseline.portfolio.investment
@@ -828,7 +825,7 @@ def dispatch_portfolio(
     if baseline is not None:
         start = baseline.basis
     else:
-        placed = placed_basis(portfolio.case, lp, ix, bases) if bases else None
+        placed = placed_basis(lp, ix, bases) if bases else None
         start = Basis.of_codes(*placed) if placed is not None else None
     warm = ReducedModel(start)
     sol = solve_simplex(lp, warm)
@@ -843,7 +840,7 @@ def replay_operations(
     allocation_path: str,
     coarse: SystemCase | None = None,
     baseline: DispatchedBuild | None = None,
-    bases: dict | None = None,
+    bases: list | None = None,
 ) -> DispatchedBuild:
     """Re-dispatch a saved allocation on the fine case, from baseline, the
     HRB's record, when given, else from bases (dispatch_portfolio). Given

@@ -5,13 +5,11 @@ import pytest
 
 from gridres.expansion import (
     BuildOptions,
-    basis_blocks,
     build_expansion_lp,
     build_lp,
     build_operations_lp,
     extract_prices,
     extract_solution,
-    index_blocks,
     investment_entries,
     placed_basis,
 )
@@ -400,81 +398,131 @@ def test_the_row_reduced_operations_lp_bounds_each_flow_by_its_line_capacity_exa
     reduced = ReducedModel()
     solve_simplex(lp, reduced)  # cold: the model keeps its basis of the full LP
     assert solve_simplex(lp, reduced).stats.warm  # through the row-reduced LP
-    line_rows = np.concatenate([rows.ravel() for rows in ix.line_rows])
+    line_rows = np.concatenate([_line_rows(portfolio.case, lp, ix, i).ravel() for i in range(len(ix.flow_fwd))])
     assert line_rows.size and not np.isin(line_rows, reduced.rows.keep).any()
     for l, fwd, rev in zip(portfolio.case.interregional_lines, ix.flow_fwd, ix.flow_rev):
         assert (lp.hi[fwd] == np.inf).all() and (lp.hi[rev] == np.inf).all()
         assert (reduced.rows.lp.hi[fwd] == l.capacity).all() and (reduced.rows.lp.hi[rev] == l.capacity).all()
 
 
-# -- the blocks a basis is saved by -------------------------------------------------
+# -- the blocks a basis is placed by ----------------------------------------------
 
 
 def _subproblem(case, period, build):
     return build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(period,), fix=build))
 
 
+def _line_rows(case, lp, ix, i):
+    """The rows of line i, the rows of its xl column: (hours, 2) of fwd and
+    rev, as the layout interleaves them per hour."""
+    kinds = [kind for _n, kind, *_ in investment_entries(case)]
+    xl = ix.inv.start + [n for n, kind in enumerate(kinds) if kind == "line_expansion"][i]
+    a = lp.a_matrix
+    return a.entry_rows[a.indices == xl].reshape(-1, 2)
+
+
+def _dense(lp):
+    out = np.zeros((lp.n_rows, lp.n_vars))
+    out[lp.a_matrix.entry_rows, lp.a_matrix.indices] = lp.a_matrix.data
+    return out
+
+
 @pytest.mark.parametrize("uc", ["relaxed", "none"])
 def test_the_blocks_hold_every_column_but_the_investments_and_every_row_but_the_reserves(synth_small, uc):
+    # every LP lays out one block per period, of the width of the one-period
+    # LP of its mode, and each column family's hours of a period in its block
     case = synth_small.with_updates(uc_mode=uc)
     zero = {name: 0.0 for name, *_ in investment_entries(case)}
     line = case.interregional_lines[0]
     portfolio = build_portfolio(case, SiteAllocation(line_capacity={line.id: line.capacity}))
-    for (lp, ix), reserve_rows in (
-        (build_expansion_lp(case), len(case.regions)),
-        (_subproblem(case, 1, zero), 0),
-        (build_operations_lp(portfolio), 0),
+    relaxed = case.with_updates(uc_mode="relaxed")  # the operations LP's mode, whatever the case's
+    for (lp, ix), reserve_rows, one in (
+        (build_expansion_lp(case), len(case.regions), _subproblem(case, 0, zero)[0]),
+        (_subproblem(case, 1, zero), 0, _subproblem(case, 0, zero)[0]),
+        (build_operations_lp(portfolio), 0, _subproblem(relaxed, 0, zero)[0]),
     ):
-        blocks = list(index_blocks(case, ix))
-        cols = np.concatenate([idx.ravel() for _f, _e, is_row, idx in blocks if not is_row])
-        rows = np.concatenate([idx.ravel() for _f, _e, is_row, idx in blocks if is_row])
-        assert np.array_equal(np.sort(cols), np.arange(ix.inv.stop, lp.n_vars))
-        assert np.array_equal(np.sort(rows), np.arange(lp.n_rows - reserve_rows))
+        n_blocks = len(ix.hours) // case.period_length
+        width = one.n_vars - ix.inv.stop
+        assert lp.n_vars == ix.inv.stop + n_blocks * width
+        assert lp.n_rows == n_blocks * one.n_rows + reserve_rows
+        block = np.arange(len(ix.hours)) // case.period_length
+        for family in ("gen", "commit", "start", "shut", "charge", "discharge", "soc", "flow_fwd", "flow_rev", "nse"):
+            idx = getattr(ix, family)
+            assert ((idx - ix.inv.stop) // width == block).all(), family
+        assert (ix.balance_row // one.n_rows == block).all()
 
-    def widths(ix):
-        return {(family, eid): idx.shape[1] for family, eid, _r, idx in index_blocks(case, ix)}
 
-    # the operations LP, relaxed whatever the case's mode, lays out every
-    # block per hour as a relaxed one-period subproblem does, its line rows too
-    relaxed = case.with_updates(uc_mode="relaxed")
-    operations = widths(build_operations_lp(portfolio)[1])
-    assert operations == widths(_subproblem(relaxed, 1, zero)[1])
-    assert all(operations["line_rows", l.id] == 2 for l in case.interregional_lines)
+def test_the_operations_lp_is_its_subproblems_linked_end_to_end(synth_small):
+    # block p of the operations LP of a relaxed case is period p's
+    # subproblem at the same build, but for the previous-hour entries of
+    # its first hour's link rows (commitment, ramps, state of charge),
+    # which point at the last hour of period p - 1, cyclic over the year
+    case = synth_small.with_updates(uc_mode="relaxed")
+    portfolio = build_portfolio(case, SiteAllocation())
+    lp, ix = build_operations_lp(portfolio)
+    ops = _dense(lp)
+    plen, n_hours, n_inv = case.period_length, len(ix.hours), ix.inv.stop
+    ramped = [i for i, c in enumerate(case.thermal_clusters) if c.thermal.ramp_rate < 1.0]
+    thermal_gen = [case.clusters.index(c) for c in case.thermal_clusters]
+    assert ramped and len(case.storage) and len(case.thermal_clusters)
+    for p in range(case.n_periods):
+        sub = _subproblem(portfolio.case, p, portfolio.investment)[0]
+        width, m = sub.n_vars - n_inv, sub.n_rows
+        cols = np.r_[ix.inv, n_inv + p * width + np.arange(width)]  # lp's column of each of sub's
+        block = slice(n_inv + p * width, n_inv + (p + 1) * width)
+        for array in ("obj", "lo", "hi"):
+            assert np.array_equal(getattr(lp, array)[block], getattr(sub, array)[n_inv:]), array
+        rows = slice(p * m, (p + 1) * m)
+        assert np.array_equal(lp.senses[rows], sub.senses) and np.array_equal(lp.rhs[rows], sub.rhs)
+        expected = np.zeros((m, lp.n_vars))
+        expected[:, cols] = _dense(sub)
+        # each link entry on the block's last hour moves to the year's previous hour
+        last, before = p * plen + plen - 1, (p * plen - 1) % n_hours
+        links = [(ix.commit[i], 1) for i in range(len(case.thermal_clusters))]
+        links += [(ix.gen[thermal_gen[i]], 2) for i in ramped] + [(ix.soc[i], 1) for i in range(len(case.storage))]
+        for family_cols, n_rows in links:
+            first_hour = np.flatnonzero(expected[:, family_cols[p * plen]] != 0)
+            linked = [r for r in first_hour if expected[r, family_cols[last]] != 0]
+            assert len(linked) == n_rows
+            expected[linked, family_cols[before]] = expected[linked, family_cols[last]]
+            expected[linked, family_cols[last]] = 0.0
+        assert np.array_equal(ops[rows], expected), p
 
 
 def test_the_subproblem_bases_placed_on_the_operations_lp_start_its_dispatch(synth_small):
     # the operations LP of a build is its Benders subproblems at that build
-    # laid end to end, but for the wrap-around rows
+    # laid end to end, but for the previous-hour entries of each period's
+    # first hour, so their bases place on it by concatenation
     case = synth_small
     line = case.interregional_lines[0]
     portfolio = build_portfolio(case, SiteAllocation(line_capacity={line.id: 1.5 * line.capacity}))
     build = {**portfolio.investment, f"xl[{line.id}]": 0.5 * line.capacity}
-    blocks = {}
+    bases = []
     for p in range(case.n_periods):
         lp, ix = _subproblem(case, p, build)
         reduced = ReducedModel()
         solve_simplex(lp, reduced)  # cold, so its kept basis is of the full LP
-        blocks.update(basis_blocks(case, ix, *reduced.full_basis().codes()))
-    assert {key[2] for key in blocks} == set(range(case.n_periods))
+        bases.append(reduced.full_basis().codes())
     lp, ix = build_operations_lp(portfolio)
     cold = solve_simplex(lp)
-    placed = placed_basis(case, lp, ix, blocks)
+    placed = placed_basis(lp, ix, bases)
+    assert np.array_equal(placed[0][ix.inv.stop:], np.concatenate([c[ix.inv.stop:] for c, _r in bases]))
+    assert np.array_equal(placed[1], np.concatenate([r for _c, r in bases]))
     warm = solve_simplex(lp, ReducedModel(Basis.of_codes(*placed)))
     assert warm.stats.warm and warm.stats.iterations < cold.stats.iterations
     assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
-    # the saved line rows are placed on lp's; where one is nonbasic and its
-    # flow column basic, the mapped start of the row-reduced LP, in which
-    # the row bounds the flow, has the column at its upper bound
-    line_rows = np.concatenate([blocks["line_rows", line.id, p] for p in range(case.n_periods)]).reshape(-1, 2)
-    fwd = np.concatenate([blocks["flow_fwd", line.id, p] for p in range(case.n_periods)])
-    assert np.array_equal(placed[1][ix.line_rows[0]], line_rows)
+    # where a saved line row is nonbasic and its flow column basic, the
+    # mapped start of the row-reduced LP, in which the row bounds the flow,
+    # has the column at its upper bound
+    line_rows = placed[1][_line_rows(portfolio.case, lp, ix, 0)]
     bound_rows = _BoundRows(lp, lp.lo == lp.hi)
     mapped = _codes(bound_rows.mapped(Basis.of_codes(*placed), *bound_rows.bound(lp)).col_status)
-    moved = (line_rows[:, 0] != BASIC) & (fwd == BASIC)
-    assert moved.any() and (placed[0][ix.flow_fwd[0][moved]] == BASIC).all()
-    assert (mapped[ix.flow_fwd[0][moved]] == UPPER).all()
-    # a row block left out stays basic; a column block left out leaves the LP uncovered
-    cols, rows = placed_basis(case, lp, ix, {key: codes for key, codes in blocks.items() if key[0] != "storage_rows"})
-    assert np.array_equal(cols, placed[0]) and (rows[np.concatenate(ix.storage_rows)] == BASIC).all()
-    soc = ("soc", case.storage[0].id)
-    assert placed_basis(case, lp, ix, {key: codes for key, codes in blocks.items() if key[:2] != soc}) is None
+    moved = (line_rows[:, 0] != BASIC) & (placed[0][ix.flow_fwd[0]] == BASIC)
+    assert moved.any() and (mapped[ix.flow_fwd[0][moved]] == UPPER).all()
+    # bases that miss a period, or of another shape (uc "none"), do not cover lp
+    assert placed_basis(lp, ix, bases[:-1]) is None
+    uncommitted = [
+        tuple(np.full(n, BASIC, dtype=np.int8) for n in (sub.n_vars, sub.n_rows))
+        for sub in (_subproblem(case.with_updates(uc_mode="none"), p, build)[0] for p in range(case.n_periods))
+    ]
+    assert placed_basis(lp, ix, uncommitted) is None

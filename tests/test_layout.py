@@ -15,7 +15,7 @@ PINNED = {
     "expansion_relaxed": "6d6d54a66ac23f5a64be14a80313da111f5e9474b7840d8088e675261c764bbe",
     "expansion_none": "19cd2312a4f481d12621b8be977ba3b032c9726e52c45a1e1e9512f51bcf82c1",
     "subproblem": "c36003d39e9ce3adf1914e42f67efe80ba535848e710f7c63efebd93ee9d54b8",
-    "operations": "ed21ce0b2864ef93d1195395ad4b49364973280d240939270cf1cc3e7208863b",
+    "operations": "2a0db7541c55774edfdf60243ce1405dddd682e5c7a726f6f00831ff55dd9854",
 }
 
 

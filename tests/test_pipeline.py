@@ -195,6 +195,10 @@ def _perturbed(field, value, out_dir="o"):
         (("seed",), "3", "seed must be an integer"),
         (("partitions", 0), {"name": "r1", "path": 12}, "partition r1: path must be a non-empty string, got 12"),
         (("partitions", 0, "colour"), "red", "partition r1: unknown keys: ['colour']"),
+        *(
+            (("partitions", 0, "name"), name, f"partition name must be one directory name, got {name!r}")
+            for name in ("", ".", "..", "a/b", "../x", os.path.join("a", "b"))
+        ),
     ],
 )
 def test_config_names_a_bad_field_at_load(field, value, message):
@@ -909,45 +913,43 @@ def test_cli_operate_refuses_an_allocation_the_fine_case_lacks(ladder_run, tmp_p
 
 
 @pytest.mark.parametrize(
-    "column, value",
-    [
-        ("codes", "truncated"),
-        ("codes", "7"),
-        ("family", "bogus"),
-        ("entity", "GHOST"),
-        ("period", "9"),
-        (None, None),
-    ],
-    ids=["truncated", "bad-digit", "unknown-family", "unknown-entity", "unknown-period", "no-file"],
+    "edit", ["truncated", "bad-digit", "unknown-period", "missing-period", "duplicate-period", "no-file"]
 )
-def test_cli_operate_refuses_bases_that_do_not_match_the_case(ladder_run, tmp_path, capsys, column, value):
+def test_cli_operate_refuses_bases_that_do_not_match_the_case(ladder_run, tmp_path, capsys, edit):
     # without --baseline-dir, operate starts from the combo's own Benders
     # bases; here a copy of the HRB's directory whose benders_bases.csv is
-    # gone or has its first row's codes cut short by one, led by a digit that
-    # is no HiGHS status code, or its family, entity or period changed
+    # gone, or whose first row (period 0) has its column codes cut short by
+    # one, its row codes led by a digit that is no HiGHS status code, its
+    # period changed, or is dropped or repeated
     _, out, cfg = ladder_run
     combo_dir = tmp_path / HRB_NAME
     shutil.copytree(os.path.join(out, HRB_NAME), combo_dir)
     path = combo_dir / "benders_bases.csv"
     header, first, *rows = path.read_text().splitlines()
     cells = dict(zip(header.split(","), first.split(",")))
-    codes = cells["codes"]
-    name = f"{cells['family']} {cells['entity']} period {cells['period']}"
-    if column is None:
+    assert cells["period"] == "0"
+    mismatch = f"{path} does not match {combo_dir / 'coarse'}"
+    if edit == "no-file":
         path.unlink()
         expected = f"{path}: missing file"
     else:
-        if value == "truncated":
-            cells["codes"] = codes[:-1]
-            expected = f"{path} row 2: {len(codes) - 1} status codes, expected {len(codes)}"
-        elif column == "codes":
-            cells["codes"] = value + codes[1:]
-            expected = f"{path} row 2: {value!r} is not a HiGHS basis status code"
+        codes = cells["cols"]
+        if edit == "truncated":
+            cells["cols"] = codes[:-1]
+            expected = f"{path} row 2: {len(codes) - 1} codes in cols, expected {len(codes)}"
+        elif edit == "bad-digit":
+            cells["rows"] = "7" + cells["rows"][1:]
+            expected = f"{path} row 2: '7' is not a HiGHS basis status code"
+        elif edit == "unknown-period":
+            cells["period"] = "9"
+            expected = f"{mismatch}: missing periods [0], unknown periods [9]"
+        elif edit == "missing-period":
+            expected = f"{mismatch}: missing periods [0], unknown periods []"
         else:
-            cells[column] = value
-            changed = f"{cells['family']} {cells['entity']} period {cells['period']}"
-            expected = f"{path} does not match {combo_dir / 'coarse'}: missing [{name!r}], unknown [{changed!r}]"
-        path.write_text("\n".join([header, ",".join(cells.values()), *rows]) + "\n")
+            expected = f"{path} row {len(rows) + 3}: duplicate period 0"
+        edited = {"missing-period": rows, "duplicate-period": [first, *rows, first]}.get(edit)
+        lines = [",".join(cells.values()), *rows] if edited is None else edited
+        path.write_text("\n".join([header, *lines]) + "\n")
     capsys.readouterr()
     assert cli_main(["--config", cfg, "--out", str(combo_dir), "operate"]) == 1
     assert capsys.readouterr().err == f"input error: {expected}\n"
