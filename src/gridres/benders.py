@@ -51,13 +51,14 @@ determine how free VRE energy splits between use and curtailment, nor how
 non-served energy splits between regions, so the summary holds only the
 thermal dispatch by tech and the variable cost.
 
-The result also holds the last basis each subproblem's ReducedModel kept, on
-the subproblem's full LP (``ReducedModel.full_basis``), as status codes,
-one (cols, rows) pair per period. Laid end to end, the subproblems of a
-case with relaxed commitment are its operations LP at the same build, but
-for the previous-hour entries of each period's first hour; so these bases,
-concatenated (``expansion.placed_basis``), start the HRB's dispatch
-(``pipeline.dispatch_portfolio``).
+With ``bases``, the result also holds the last basis each subproblem's
+ReducedModel kept, on the subproblem's full LP (``ReducedModel.full_basis``),
+as status codes, one (cols, rows) pair per period. Laid end to end, the
+subproblems of a case with relaxed commitment are its operations LP at the
+same build, but for the previous-hour entries of each period's first hour;
+so these bases, concatenated (``expansion.placed_basis``), start the HRB's
+dispatch (``pipeline.dispatch_portfolio``). They fit no other LP, so the
+pipeline asks for them only where they fit (``pipeline.bases_fit``).
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class BendersResult:
     iterations: int
     investment: dict  # the incumbent build by name
     phase1: dict  # metrics.phase_summary of the subproblem solves at the incumbent
-    # each period's subproblem's last kept basis on its full LP, as (cols, rows) codes
+    # each period's subproblem's last kept basis on its full LP, as (cols,
+    # rows) codes; empty unless asked for
     bases: list = field(default_factory=list)
     log: list = field(default_factory=list)  # (iteration, lb, ub, gap)
     # (iteration, master_s, sub_s, sub_iterations, warm_fallbacks,
@@ -198,12 +200,13 @@ class _Subproblems:
                 raise RuntimeError(f"subproblem {p} {sol.status}")
         return sols, sum(t and not s.stats.warm for t, s in zip(tried, sols))
 
-    def summary(self, sols):
-        """The build pinned in sols, their phase-1 summary, and the bases."""
+    def summary(self, sols, bases: bool):
+        """The build pinned in sols, their phase-1 summary, and with bases
+        the bases (else [])."""
         parts = [extract_solution(self.case, ix, sol) for (_lp, ix), sol in zip(self.lps, sols)]
-        bases = [model.full_basis() for model in self.reduced]
-        bases = [basis.codes() for basis in bases] if all(bases) else []  # None: no basis kept
-        return parts[0].investment, phase_summary(parts, self.case), bases  # pinned: one build in every part
+        kept = [model.full_basis() for model in self.reduced] if bases else []
+        kept = [basis.codes() for basis in kept] if all(kept) else []  # None: no basis kept
+        return parts[0].investment, phase_summary(parts, self.case), kept  # pinned: one build in every part
 
 
 def solve_benders(
@@ -213,7 +216,10 @@ def solve_benders(
     max_iter: int = 200,
     stab_weight: float = STAB_WEIGHT,
     sub_jobs: int = 1,
+    bases: bool = True,
 ) -> BendersResult:
+    """Solve the expansion of case by Benders; with bases, the result holds
+    the subproblems' last bases (BendersResult.bases)."""
     check_options(max_iter, stab_weight, sub_jobs)
     order = [name for name, *_ in investment_entries(case)]
     best_ub, best_x, best_sols = np.inf, None, None  # best_sols: the solutions at best_x
@@ -244,8 +250,8 @@ def solve_benders(
                 break
             for p, sol in enumerate(sols):
                 master.add_cut(p, sol.objective, trial, sol.reduced_costs[subs.inv])
-    investment, phase1, bases = subs.summary(best_sols)
+    investment, phase1, kept = subs.summary(best_sols, bases)
     return BendersResult(
         status=status, objective=best_ub, lower_bound=lower, gap=gap, iterations=len(log),
-        investment=investment, phase1=phase1, bases=bases, log=log, timing=timing,
+        investment=investment, phase1=phase1, bases=kept, log=log, timing=timing,
     )

@@ -8,14 +8,14 @@ The stage commands run the ladder's own per-combo stages one at a time,
 with --out as the combo directory: aggregate writes coarse/ with the
 commitment mode --uc, cluster reads it and writes reduction.csv and
 reduced/, expand solves reduced/ (or coarse/) under that mode into
-investments.csv, phase1.csv and benders_bases.csv (the last bases of its
-Benders subproblems), translate maps that onto the fine system
-into allocation.csv and portfolio.csv, and operate dispatches
-allocation.csv into operations.csv and operate_timing.csv. Each writes
-what the ladder writes, and first, before it reads or checks its input,
-deletes what it and the later stages wrote before, so a refused input
-leaves no stale file for the next stage. metrics re-scores any combo
-directory.
+investments.csv, phase1.csv and, at the HRB's resolution only,
+benders_bases.csv (the last bases of its Benders subproblems), translate
+maps that onto the fine system into allocation.csv and portfolio.csv, and
+operate dispatches allocation.csv into operations.csv and
+operate_timing.csv. Each writes what the ladder writes, and first, before
+it reads or checks its input, deletes what it and the later stages wrote
+before, so a refused input leaves no stale file for the next stage.
+metrics re-scores any combo directory.
 
 The ladder starts the HRB's dispatch from the last bases of its Benders
 subproblems, and the dispatch of every other combo from the HRB's optimal
@@ -23,8 +23,10 @@ basis. operate does the latter with --baseline-dir, the HRB's directory,
 whose allocation.csv it dispatches first, from that directory's
 benders_bases.csv, for that basis (a build equal to the HRB's reuses that
 dispatch, as in the ladder); without it, the dispatch starts from the
-combo directory's own benders_bases.csv, which covers the fine operations
-LP only at the HRB's resolution, and runs cold otherwise. So for a combo
+combo directory's own benders_bases.csv. expand writes that file only at
+the HRB's resolution (the fine regions, every period, relaxed
+commitment), where its bases cover the fine operations LP; on any other
+directory operate looks for no file and starts cold. So for a combo
 other than the HRB, operate writes the ladder's operations.csv byte for
 byte only with --baseline-dir, as metrics takes --baseline-dir too.
 
@@ -170,13 +172,14 @@ def _cmd_cluster(rc: RunConfig, args) -> int:
 
 def _cmd_expand(rc: RunConfig, args) -> int:
     clear_from("expand", rc.out_dir)
-    bres = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), rc.out_dir)
+    bres = run_expand(rc, load_system(combo_case_dir(rc.out_dir)), rc.load_fine(), rc.out_dir)
     if not bres.converged:
         print(f"did not converge: gap {bres.gap:.3e} after {bres.iterations} iterations",
               file=sys.stderr)
         return 2
+    files = "investments.csv, phase1.csv and benders_bases.csv" if bres.bases else "investments.csv and phase1.csv"
     print(f"objective {bres.objective:.6e} in {bres.iterations} iterations "
-          f"(gap {bres.gap:.2e}); wrote {rc.out_dir}/investments.csv, phase1.csv and benders_bases.csv")
+          f"(gap {bres.gap:.2e}); wrote {rc.out_dir}/{files}")
     return 0
 
 
@@ -199,10 +202,10 @@ def _cmd_operate(rc: RunConfig, args) -> int:
     baseline = bases = None
     if args.baseline_dir is not None:  # re-dispatch the HRB for its basis and dispatch
         baseline = replay_operations(
-            fine, f"{args.baseline_dir}/allocation.csv", bases=read_bases(args.baseline_dir)
+            fine, f"{args.baseline_dir}/allocation.csv", bases=read_bases(args.baseline_dir, fine)
         )
     else:
-        bases = read_bases(rc.out_dir)
+        bases = read_bases(rc.out_dir, fine)
     operations = run_operate(allocation, portfolio, rc.out_dir, baseline, bases).operations
     print(f"dispatch cost {operations.objective:.6e}; wrote {rc.out_dir}/operations.csv")
     return 0

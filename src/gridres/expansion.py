@@ -211,15 +211,15 @@ def _hourly_rows(b: LpBuilder, nk: int, groups) -> np.ndarray:
     (column, coefficient) pairs, and each rhs, column and coefficient is a
     scalar or an (nk,) array. Returns the (nk, len(groups)) row indices."""
     terms = [(i, col, coef) for i, (_s, _r, group) in enumerate(groups) for col, coef in group]
-    rows, cols, vals = (np.empty((len(terms), nk), dtype) for dtype in (int, int, float))
-    for t, (i, col, coef) in enumerate(terms):
-        rows[t], cols[t], vals[t] = i, col, coef
-    rows += np.arange(nk) * len(groups)
-    rhs = np.empty((len(groups), nk))
+    cols, vals = np.empty((len(terms), nk), dtype=int), np.empty((len(terms), nk))
+    for t, (_i, col, coef) in enumerate(terms):
+        cols[t], vals[t] = col, coef
+    rows = np.array([i for i, _c, _v in terms])[:, None] + np.arange(0, nk * len(groups), len(groups))
+    rhs = np.empty((nk, len(groups)))
     for i, (_sense, value, _terms) in enumerate(groups):
-        rhs[i] = value
-    senses = np.tile([sense for sense, _r, _t in groups], nk)
-    return b.rows(senses, rhs.T.ravel(), rows.ravel(), cols.ravel(), vals.ravel()).reshape(nk, len(groups))
+        rhs[:, i] = value
+    senses = [sense for sense, _r, _t in groups]  # repeated hour by hour
+    return b.rows(senses, rhs.ravel(), rows.ravel(), cols.ravel(), vals.ravel()).reshape(nk, len(groups))
 
 
 def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIndex]:
@@ -246,7 +246,11 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
     def previous(cols: np.ndarray, ks: slice) -> np.ndarray:
         """The column of the hour before each hour of block ks: cyclic over
         every block (year_chronology) or within the block."""
-        return np.roll(cols, 1)[ks] if opts.year_chronology else np.roll(cols[ks], 1)
+        block = cols[ks]
+        out = np.empty_like(block)
+        out[1:] = block[:-1]
+        out[0] = cols[ks.start - 1] if opts.year_chronology else block[-1]  # cols[-1]: the year's last hour
+        return out
 
     ix.gen = family(len(case.clusters))
     ix.commit, ix.start, ix.shut = (family(n_committed) for _ in range(3))

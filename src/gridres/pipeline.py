@@ -38,7 +38,10 @@ bases of its Benders subproblems (BendersResult.bases), which run_expand
 writes to benders_bases.csv: in memory in the ladder, and read back from
 that file by ``gridres operate`` and by the baseline replays of
 ``gridres operate --baseline-dir`` and ``gridres metrics``, so each of
-them starts from the same bases and writes what the ladder writes.
+them starts from the same bases and writes what the ladder writes. Those
+bases fit only an expansion at the HRB's resolution (bases_fit), so
+run_expand computes and writes them for no other, and read_bases looks
+for the file of no other.
 
 Phase 1 reaches the report only as the two things Benders returns of it:
 the build, which run_expand writes to investments.csv and the report
@@ -416,19 +419,32 @@ def write_bases(bases: list, path: str) -> None:
     write_csv(path, ("period", "cols", "rows"), ((p, digits(c), digits(r)) for p, (c, r) in enumerate(bases)))
 
 
-def read_bases(combo_dir: str) -> list | None:
+def bases_fit(case: SystemCase, fine: SystemCase) -> bool:
+    """Whether the Benders bases of an expansion of case can start the
+    dispatch of its build on fine (expansion.placed_basis): only when its
+    subproblems laid end to end are that build's operations LP, so when
+    case is fine at full resolution, over fine's regions and every period,
+    with relaxed commitment, as the HRB is and an identity-partition combo
+    at k all."""
+    return case.uc_mode == "relaxed" and case.partition == fine.partition and case.n_periods == fine.n_periods
+
+
+def read_bases(combo_dir: str, fine: SystemCase) -> list | None:
     """benders_bases.csv of a combo directory as BendersResult.bases, or
     None when the directory holds no investments.csv (no converged
-    expansion). The file must hold one row for each period of the case its
-    expansion solved (combo_case_dir), and nothing else, with one HiGHS
-    basis status code per column and per row of the period's Benders
-    subproblem."""
+    expansion) or its expansion's bases do not fit its dispatch on fine
+    (bases_fit; no file is looked for then). The file must hold one row for
+    each period of the case its expansion solved (combo_case_dir), and
+    nothing else, with one HiGHS basis status code per column and per row
+    of the period's Benders subproblem."""
     if not os.path.exists(os.path.join(combo_dir, "investments.csv")):
+        return None
+    case_dir = combo_case_dir(combo_dir)
+    case = load_system(case_dir)
+    if not bases_fit(case, fine):
         return None
     path = os.path.join(combo_dir, "benders_bases.csv")
     table = _Table(path, ("period", "cols", "rows"))
-    case_dir = combo_case_dir(combo_dir)
-    case = load_system(case_dir)
     lp, _ix = build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(0,)))
     digits = [ord("0") + code for code in STATUS_CODES]
     bases = {}
@@ -524,12 +540,13 @@ def combo_case_dir(art: str) -> str:
     return reduced_dir if os.path.isdir(reduced_dir) else os.path.join(art, "coarse")
 
 
-def run_expand(rc: RunConfig, case: SystemCase, art: str) -> BendersResult:
+def run_expand(rc: RunConfig, case: SystemCase, fine: SystemCase, art: str) -> BendersResult:
     """Solve the capacity expansion of case, under its uc_mode, with reserves
     by Benders. Writes benders_timing.csv and benders_log.csv, and on
     convergence its investment to investments.csv, its phase-1 summary to
-    phase1.csv and its subproblems' last bases to benders_bases.csv;
-    returns the BendersResult."""
+    phase1.csv and, where they fit the dispatch on fine (bases_fit), its
+    subproblems' last bases to benders_bases.csv; returns the
+    BendersResult, whose bases are empty where they do not fit."""
     clear_from("expand", art)
     bres = solve_benders(
         case,
@@ -538,6 +555,7 @@ def run_expand(rc: RunConfig, case: SystemCase, art: str) -> BendersResult:
         max_iter=rc.max_iter,
         stab_weight=rc.stab_weight,
         sub_jobs=rc.sub_jobs,
+        bases=bases_fit(case, fine),
     )
     write_csv(
         os.path.join(art, "benders_timing.csv"),
@@ -553,7 +571,8 @@ def run_expand(rc: RunConfig, case: SystemCase, art: str) -> BendersResult:
         write_investments(bres.investment, os.path.join(art, "investments.csv"))
         phase1 = ((k, float(v)) for k, v in bres.phase1.items())
         write_csv(os.path.join(art, "phase1.csv"), ("key", "value"), phase1)
-        write_bases(bres.bases, os.path.join(art, "benders_bases.csv"))
+        if bres.bases:
+            write_bases(bres.bases, os.path.join(art, "benders_bases.csv"))
     return bres
 
 
@@ -622,7 +641,7 @@ def run_case(
         with stage("cluster"):
             reduced = run_cluster(rc, coarse, combo.k, art)
         with stage("expand"):
-            bres = run_expand(rc, reduced, art)
+            bres = run_expand(rc, reduced, fine, art)
             if not bres.converged:
                 raise RuntimeError(
                     f"no convergence in {bres.iterations} iterations, gap {bres.gap:.3e}"
@@ -866,7 +885,7 @@ def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> 
     case = load_system(case_dir)
     investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
     phase1 = read_phase1(os.path.join(combo_dir, "phase1.csv"), case, case_dir)
-    bases = read_bases(baseline_dir)
+    bases = read_bases(baseline_dir, fine)
     baseline = replay_operations(fine, os.path.join(baseline_dir, "allocation.csv"), bases=bases)
     build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), case, baseline)
     name = os.path.basename(os.path.normpath(combo_dir))

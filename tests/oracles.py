@@ -181,6 +181,43 @@ def random_boxed_lp(seed, feasible=True):
     return b.build()
 
 
+def reference_bound(rows, lp):
+    """What lp._BoundRows.bound does, as it did before its reduction was
+    grouped by column once per fixed set: each call sorts the bound rows of
+    a side by (column, implied bound, position). rows is the _BoundRows of
+    lp's fixed set; the sides are re-derived from the rows' senses and
+    coefficients. Returns (lo, hi, lower_row, upper_row, implied): the
+    tightened copies of lp's bounds, the winning position per column and
+    the implied bound of each bound row."""
+    fixed_part = np.bincount(rows.fixed_at, weights=rows.fixed_vals * lp.lo[rows.fixed_cols], minlength=rows.rows.size)
+    implied = (rows.rhs - fixed_part) / rows.coef
+    senses, up = lp.senses[rows.rows], rows.coef > 0
+    lower = np.flatnonzero((senses == EQ) | ((senses == GE) & up) | ((senses == LE) & ~up))
+    upper = np.flatnonzero((senses == EQ) | ((senses == LE) & up) | ((senses == GE) & ~up))
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    lower_row, upper_row = _tighten(lo, lower, rows.cols, implied, -1.0), _tighten(hi, upper, rows.cols, implied, 1.0)
+    return lo, hi, lower_row, upper_row, implied
+
+
+def _tighten(bound, which, cols, implied, sign):
+    """Tighten bound (upper for sign 1, lower for sign -1), column by
+    column, to the tightest implied value among the bound rows at positions
+    which, where that is strictly tighter than the column's own bound; on a
+    tie the lowest row wins. Returns the winning position per column, -1
+    where the column's own bound stays."""
+    key = sign * implied
+    order = which[np.lexsort((which, key[which], cols[which]))]
+    first = np.ones(order.size, dtype=bool)  # the tightest of each column
+    first[1:] = cols[order[1:]] != cols[order[:-1]]
+    best = order[first]
+    wins = key[best] < sign * bound[cols[best]]
+    best = best[wins]
+    bound[cols[best]] = implied[best]
+    at = np.full(bound.size, -1)
+    at[cols[best]] = best
+    return at
+
+
 def reference_lloyd(feats, k, init_indices, tol=1e-9, max_iter=300):
     """Plain Lloyd's algorithm with fixed initial medoid indices; returns the
     final assignment labels. Ties go to the lowest centroid index."""

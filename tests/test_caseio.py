@@ -1,6 +1,7 @@
 """Round-trip and error-reporting contract of the CSV case format."""
 
 import csv
+import hashlib
 import io
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridres.caseio import _fmt, load_system, write_case, write_csv
+from gridres.caseio import _DEMAND, _fmt, _write_hourly, load_system, write_case, write_csv
 from gridres.model import CaseError, Region
 from gridres.spatial import RegionPartition, aggregate_spatial
 from gridres.syngen import SynthConfig, generate
@@ -223,3 +224,46 @@ def test_write_csv_formats_every_cell_type_as_fmt_does(tmp_path):
     assert path.read_bytes() == want.getvalue().encode()
     cells = path.read_text().splitlines()[1].split(",")
     assert cells[3] == "-0.0" and cells[5] == "nan" and cells[18] == "true"
+
+
+def test_hourly_tables_are_written_as_write_csv_writes_them(tmp_path):
+    # demand.csv and site_profiles.csv are written in bulk, one joined string
+    # per entity; the bytes must be csv.writer's over _fmt's cells, with ids
+    # that need quoting and values whose repr is easy to get wrong
+    values = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 0.0, -1.5])
+    series = [("R1", values), ("a,b", values[::-1]), ('say "hi"', values[:3]), ("", values[:1])]
+    path = tmp_path / "demand.csv"
+    _write_hourly(str(path), _DEMAND, series)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow([col for col, _, _ in _DEMAND])
+    for eid, vals in series:
+        writer.writerows([_fmt(eid), _fmt(h), _fmt(v)] for h, v in enumerate(vals.tolist()))
+    assert path.read_bytes() == want.getvalue().encode()
+    lines = path.read_text().splitlines()
+    assert lines[1:6] == ["R1,0,-0.0", "R1,1,1e-05", "R1,2,1e+16", "R1,3,5e-324", "R1,4,0.30000000000000004"]
+    assert lines[8] == '"a,b",0,-1.5' and lines[15] == '"say ""hi""",0,-0.0'
+
+
+# sha256 of each file write_case writes for synth_small, taken with the
+# per-cell csv.writer path that wrote every table before the hourly ones
+# were written in bulk: a writer change that moves one byte fails here
+WRITE_CASE_SHA256 = {
+    "clusters.csv": "fb72ccc519d82f79107792fb77eeefcf2e992a99a9164b536be741fbebc73b63",
+    "demand.csv": "535015be84c3128fe14f6119f87f8b3502bc847e817e546e089f7e2113b80482",
+    "lines.csv": "ff69d9152d29fdfd3a02312b733ce105371d64406e5be13ed3b25d9232dc9be3",
+    "partition.csv": "7dad31e01a6ea796dce7e6e227c1742273e8042f4c96bb17e02b6d3494f4d72e",
+    "periods.csv": "e0f67010bff4f22e1a99f60ae43d38daba9171bc70c56aa9a0eb51f5280d25b7",
+    "regions.csv": "07a87be6d2c24ed32da93f3ff9c220fd27405b4c6cdd95e773f6f8025fe7c603",
+    "scalars.csv": "fb7d160a07cee208f0bb119c0131abd304c7abd1a6d3f79d147e6981f676152e",
+    "site_profiles.csv": "d2fc913fe2c10ac8679b87261d974a4912bdc5b5041e49cd36a679aacf1c01f7",
+    "sites.csv": "8aab89cd74481d1f362188c9eccff9b2263ecbbd09d20b10488cbd18b91cea18",
+    "storage.csv": "e2d9d615393333b70e73b90bcdb1ba04bdb1978e1545fb3903bc2068101edb90",
+    "units.csv": "be42f6556a4db876f8c0307b76d512fd972a2104805f1fdfa3c646e6dfd410f7",
+}
+
+
+def test_write_case_bytes_match_the_pinned_hashes(synth_small, tmp_path):
+    write_case(synth_small, str(tmp_path))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in sorted(os.listdir(tmp_path))}
+    assert got == WRITE_CASE_SHA256

@@ -22,7 +22,7 @@ from gridres.lp import (
     solve_simplex,
 )
 
-from oracles import random_boxed_lp, reference_kkt_residuals, scipy_csr, vertex_optimum
+from oracles import random_boxed_lp, reference_bound, reference_kkt_residuals, scipy_csr, vertex_optimum
 
 
 def test_textbook_maximum():
@@ -557,6 +557,54 @@ def test_the_bound_rows_are_the_rows_with_one_nonzero_free_entry():
     assert rows.lp.n_rows == 4 and rows.lp.n_vars == lp.n_vars
 
 
+def _tied_bound_rows(seed):
+    """A random LP whose bound rows crowd onto few columns: small integer
+    coefficients, rhs and pins, so that implied bounds tie, within a side
+    and with the column's own bound; LE, GE and EQ rows (an EQ row bounds
+    both sides); own bounds of -inf, inf and integers; two columns with no
+    bound row; and a row with two free entries, which is kept. Returns the
+    LP and its pinned columns."""
+    rng = np.random.default_rng(seed)
+    n, k = 6, 3
+    b = LpBuilder()
+    x = b.vars(n, rng.choice([-np.inf, -2.0, 0.0, 1.0], n), rng.choice([2.0, 3.0, np.inf], n))
+    pins = rng.integers(0, 3, k).astype(float)
+    f = b.vars(k, pins, pins)
+    for _ in range(rng.integers(4, 30)):
+        pinned = f[rng.random(k) < 0.5]
+        cols = [x[rng.integers(0, n - 2)], *pinned]  # x[n - 2] and x[n - 1] get no bound row
+        vals = [rng.choice([-2.0, -1.0, 1.0, 2.0]), *rng.choice([-1.0, 1.0], pinned.size)]
+        b.rows(rng.choice([LE, GE, EQ]), [float(rng.integers(-3, 4))], np.zeros(len(cols)), cols, vals)
+    b.rows(LE, [5.0], [0, 0], [x[0], x[1]], [1.0, 1.0])
+    return b.build(), f
+
+
+def test_grouped_bound_reduction_equals_the_per_call_sort():
+    # _BoundRows groups each side's bound rows by column once per fixed set;
+    # every re-pin must set the bounds and pick the winning rows the former
+    # per-call sort did, bit for bit (a -0.0 is not a 0.0)
+    seen = dict.fromkeys(("tie", "eq_both", "own_inf_tightened", "own_kept", "no_row"), False)
+    for seed in range(200):
+        lp, f = _tied_bound_rows(seed)
+        rng = np.random.default_rng(1000 + seed)
+        rows = lp_module._BoundRows(lp, lp.lo == lp.hi)
+        for _ in range(3):
+            lp.lo[f] = lp.hi[f] = rng.integers(0, 3, f.size).astype(float)
+            lower_row, upper_row = rows.bound(lp)
+            lo, hi, want_lower, want_upper, implied = reference_bound(rows, lp)
+            assert rows.lp.lo.tobytes() == lo.tobytes() and rows.lp.hi.tobytes() == hi.tobytes()
+            assert np.array_equal(lower_row, want_lower) and np.array_equal(upper_row, want_upper)
+            for at, side in ((lower_row, rows.lower), (upper_row, rows.upper)):
+                for w in at[at >= 0]:  # another row of the side implies the winner's bound on its column
+                    same = (rows.cols[side.order] == rows.cols[w]) & (implied[side.order] == implied[w])
+                    seen["tie"] |= int(same.sum()) > 1
+            seen["eq_both"] |= bool(np.intersect1d(lower_row[lower_row >= 0], upper_row[upper_row >= 0]).size)
+            seen["own_inf_tightened"] |= bool(((lower_row >= 0) & np.isinf(lp.lo)).any())
+            seen["own_kept"] |= bool(((lower_row < 0) & np.isin(np.arange(lp.n_vars), rows.cols)).any())
+            seen["no_row"] |= not np.isin(np.arange(lp.n_vars - f.size - 2, lp.n_vars - f.size), rows.cols).any()
+    assert all(seen.values()), seen
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_a_reduced_solve_matches_the_full_cold_solve_on_random_corpus(seed):
     lp, f = _bound_row_lp(seed)
@@ -740,6 +788,21 @@ def test_duplicates_are_summed_in_the_order_given():
     a = b.build().a_matrix
     assert np.array_equal(a.indices, np.arange(40))
     assert a.data[0] == 0.0  # and stays an entry
+
+
+def test_row_senses_repeat_over_a_block():
+    # senses given for one group of rows repeat over the block, as one per
+    # row would; only the given senses are checked
+    per_row, repeated = LpBuilder(), LpBuilder()
+    for b in (per_row, repeated):
+        b.vars(2)
+    per_row.rows([LE, GE, EQ, LE, GE, EQ], np.arange(6.0), np.arange(6), np.zeros(6, int), np.ones(6))
+    repeated.rows([LE, GE, EQ], np.arange(6.0), np.arange(6), np.zeros(6, int), np.ones(6))
+    assert list(repeated.build().senses) == list(per_row.build().senses) == [LE, GE, EQ] * 2
+    with pytest.raises(ValueError, match="bad sense '<'"):
+        repeated.rows([LE, "<"], [0.0, 0.0], [0], [0], [1.0])
+    with pytest.raises(ValueError, match="2 senses do not repeat over 3 rows"):
+        repeated.rows([LE, GE], [0.0, 0.0, 0.0], [0], [0], [1.0])
 
 
 def test_extend_appends_the_rows_added_since_the_build():

@@ -956,6 +956,28 @@ def test_cli_operate_refuses_bases_that_do_not_match_the_case(ladder_run, tmp_pa
     assert not os.path.exists(combo_dir / "operations.csv")
 
 
+def test_a_ladder_writes_benders_bases_only_where_they_fit(ladder_run):
+    # the bases of an expansion start its dispatch only at the HRB's
+    # resolution: the fine regions, every period, relaxed commitment
+    _, out, _cfg = ladder_run
+    written = {name for name in ALL_COMBOS if os.path.exists(os.path.join(out, name, "benders_bases.csv"))}
+    assert written == {HRB_NAME, "ident-kall-relaxed"}
+
+
+def test_cli_operate_starts_a_coarse_combo_cold_without_its_bases(ladder_run, tmp_path, capsys):
+    # without --baseline-dir, operate on a coarse combo's directory looks
+    # for no benders_bases.csv: one that would be refused is not read, and
+    # the dispatch starts cold
+    _, out, cfg = ladder_run
+    combo_dir = tmp_path / "r1-k1-relaxed"
+    shutil.copytree(os.path.join(out, "r1-k1-relaxed"), combo_dir)
+    (combo_dir / "benders_bases.csv").write_text("not,a,basis\n")
+    capsys.readouterr()
+    assert cli_main(["--config", cfg, "--out", str(combo_dir), "operate"]) == 0
+    header, row = _read_csv(combo_dir / "operate_timing.csv")
+    assert dict(zip(header, row))["warm"] == "0"
+
+
 def test_cli_ladder_on_a_case_without_scalars_exits_1(tmp_path, capsys):
     case_dir = tmp_path / "case"
     write_case(generate(SynthConfig(**TINY_SYNTH), seed=3), str(case_dir))
@@ -1021,7 +1043,10 @@ def test_cli_chain_writes_the_ladder_combo_files(ladder_run, tmp_path):
     for case_dir in ("coarse", "reduced"):
         assert _tree_bytes(chain / case_dir) == _tree_bytes(combo / case_dir)
     for name in ("reduction.csv", *CHAIN_FILES):
-        assert (chain / name).read_bytes() == (combo / name).read_bytes(), name
+        if name == "benders_bases.csv":  # the bases of a coarse expansion fit no dispatch
+            assert not os.path.exists(chain / name) and not os.path.exists(combo / name)
+        else:
+            assert (chain / name).read_bytes() == (combo / name).read_bytes(), name
 
 
 def test_a_non_converged_expand_leaves_no_build(ladder_run, tmp_path, capsys):
