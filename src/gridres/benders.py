@@ -35,10 +35,11 @@ Its trial pins every investment at 0, where the dual is degenerate: a
 reduced LP's optimum would be another valid subgradient, and so another cut
 and path. From iteration 2 on, each subproblem is solved on its row-reduced
 LP, whose rows that the pinned investments leave with one free entry are
-column bounds, since HiGHS does no presolve from a basis. Dual simplex
-starts from the full LP's basis of iteration 1, mapped onto the reduced LP,
-and then from the last reduced basis, which stays dual feasible as only the
-pinned bounds move. A reduced attempt that is not optimal or fails the KKT
+column bounds, since HiGHS does no presolve from a basis. A kept basis's
+shape says which LP it fits. Dual simplex starts from the full LP's basis
+of iteration 1, which has the full LP's shape and is mapped onto the
+reduced LP, and then from the last reduced basis, of the reduced LP's
+shape, which stays dual feasible as only the pinned bounds move. A reduced attempt that is not optimal or fails the KKT
 check on the full LP falls back to a cold solve of the full LP
 (``warm_fallbacks`` in the timing), whose basis the next attempt maps.
 
@@ -52,8 +53,9 @@ non-served energy splits between regions, so the summary holds only the
 thermal dispatch by tech and the variable cost.
 
 With ``bases``, the result also holds the last basis each subproblem's
-ReducedModel kept, on the subproblem's full LP (``ReducedModel.full_basis``),
-as status codes, one (cols, rows) pair per period. Laid end to end, the
+ReducedModel kept, on the subproblem's full LP as last pinned
+(``ReducedModel.full_basis(lp)``), as status codes, one (cols, rows) pair
+per period. Laid end to end, the
 subproblems of a case with relaxed commitment are its operations LP at the
 same build, but for the previous-hour entries of each period's first hour;
 so these bases, concatenated (``expansion.placed_basis``), start the HRB's
@@ -204,7 +206,7 @@ class _Subproblems:
         """The build pinned in sols, their phase-1 summary, and with bases
         the bases (else [])."""
         parts = [extract_solution(self.case, ix, sol) for (_lp, ix), sol in zip(self.lps, sols)]
-        kept = [model.full_basis() for model in self.reduced] if bases else []
+        kept = [model.full_basis(lp) for (lp, _ix), model in zip(self.lps, self.reduced)] if bases else []
         kept = [basis.codes() for basis in kept] if all(kept) else []  # None: no basis kept
         return parts[0].investment, phase_summary(parts, self.case), kept  # pinned: one build in every part
 

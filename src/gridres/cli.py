@@ -201,9 +201,7 @@ def _cmd_operate(rc: RunConfig, args) -> int:
     portfolio = build_portfolio(fine, allocation, coarse)
     baseline = bases = None
     if args.baseline_dir is not None:  # re-dispatch the HRB for its basis and dispatch
-        baseline = replay_operations(
-            fine, f"{args.baseline_dir}/allocation.csv", bases=read_bases(args.baseline_dir, fine)
-        )
+        baseline = replay_operations(fine, args.baseline_dir)
     else:
         bases = read_bases(rc.out_dir, fine)
     operations = run_operate(allocation, portfolio, rc.out_dir, baseline, bases).operations

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQ, GE, LE, LOWER, LinearProgram, LpBuilder, Solution
+from .lp import EQ, GE, LE, LOWER, Basis, LinearProgram, LpBuilder, Solution
 from .model import SystemCase
 
 PRICE_TOL = 1e-6
@@ -358,20 +358,18 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
     return b.build(), ix
 
 
-def placed_basis(lp: LinearProgram, ix: VarIndex, bases: list):
-    """The bases of the one-period subproblems of lp's periods, in order
-    ((cols, rows) status codes of each, as BendersResult.bases holds them),
-    placed on lp, an LP that build_lp built over the same case with
+def placed_basis(ix: VarIndex, bases: list) -> Basis:
+    """The bases of the one-period subproblems of a case's periods, in
+    order ((cols, rows) status codes of each, as BendersResult.bases holds
+    them), placed on the LP that build_lp builds over the same case with
     year_chronology (ix its VarIndex), which is those subproblems laid end
     to end: their columns after the investments, which are pinned and
-    placed at their lower bound, and their rows. None unless they have
-    lp's shape."""
+    placed at their lower bound, and their rows. Bases that do not cover
+    that LP give a basis of another shape, which fits no warm start
+    (lp.ReducedModel)."""
     n_inv = ix.inv.stop
     cols = np.concatenate([np.full(n_inv, LOWER, dtype=np.int8), *(c[n_inv:] for c, _r in bases)])
-    rows = np.concatenate([r for _c, r in bases])
-    if (cols.size, rows.size) != (lp.n_vars, lp.n_rows):
-        return None
-    return cols, rows
+    return Basis.of_codes(cols, np.concatenate([r for _c, r in bases]))
 
 
 def add_reserve_rows(case: SystemCase, b: LpBuilder, inv: dict) -> None:

@@ -97,23 +97,27 @@ linear programming" (Andersen & Andersen, 1995).
   seeded with a basis of the full LP (``ReducedModel(basis)``): a combo's
   operate solve is seeded with the HRB's. The model keeps the basis of
   every accepted optimum, and each attempt runs warm from it under the
-  warm options (dual simplex, Devex dual edge weights). A basis
-  of the reduced LP is passed as it is. A basis of the full LP (a cold
-  solve's: the first one, or one after a fall-through) is mapped onto the
-  reduced LP: every column keeps its status, and each kept row keeps its
-  row's. A removed bound row that is nonbasic and supplies its column's
-  active bound moves that column, if it is basic, to nonbasic at that
-  bound. The mapped basis is passed as alien, so HiGHS repairs what a
-  degenerate row leaves over: a count of basic variables other than the
-  row count, or a singular basis.
-- The inverse (``ReducedModel.full_basis``) expresses a kept basis of the
-  reduced LP on the full LP, where a Benders subproblem's last basis is
-  saved and the HRB's operate basis is handed on: a column that is
-  nonbasic at a bound supplied by a bound row becomes basic, and that row
-  nonbasic at its own bound that gives the column's; every other bound
-  row is basic. The basic count stays the row count and the point and the
-  duals stay those of the reduced optimum (the duals above), so HiGHS
-  accepts the basis as optimal on the full LP without an iteration.
+  warm options (dual simplex, Devex dual edge weights). A basis's shape
+  says which LP it fits. A basis of the full LP's shape (a seed, or a
+  cold solve's: the first one, or one after a fall-through) is mapped
+  onto the reduced LP: every column keeps its status, and each kept row
+  keeps its row's. A removed bound row that is nonbasic and supplies its
+  column's active bound moves that column, if it is basic, to nonbasic at
+  that bound. The mapped basis is passed as alien, so HiGHS repairs what
+  a degenerate row leaves over: a count of basic variables other than the
+  row count, or a singular basis. A basis of the reduced LP's shape, kept
+  under the same fixed set, is passed as it is. Where no row is a bound
+  row, the two shapes are one and the mapping is an identity.
+- The inverse (``ReducedModel.full_basis(lp)``) expresses a kept basis of
+  the reduced LP on lp, the full LP as last solved, where a Benders
+  subproblem's last basis is saved and the HRB's operate basis is handed
+  on. The rows that supply each bound are found again at lp's pins
+  (``_BoundRows.bound``). A column that is nonbasic at a bound supplied by
+  a bound row becomes basic, and that row nonbasic at its own bound that
+  gives the column's; every other bound row is basic. The basic count
+  stays the row count and the point and the duals stay those of the
+  reduced optimum (the duals above), so HiGHS accepts the basis as
+  optimal on the full LP without an iteration.
 - The kept rows' duals come from HiGHS. A bound row that supplies its
   column's active bound gets y_i = d_j / a_ij, from the column's reduced
   cost d_j on the reduced LP (d_j > 0: the lower bound is active, d_j < 0:
@@ -121,12 +125,12 @@ linear programming" (Andersen & Andersen, 1995).
   0 on such a column and, on a fixed column, its full sensitivity.
 
 A ReducedModel keeps only a basis across solves, not a HiGHS model (a
-model per Benders subproblem would cost several MB each). A reduced basis
-belongs to the reduced LP of one fixed set: when the fixed set changes,
-the attempt fails and the cold solve's basis is kept in its place. A full
-basis belongs to an LP of one shape: on an LP of another column or row
-count (a combo whose translation added a template cluster), the attempt
-fails before it reduces any row. A kept basis is a ``Basis``, which
+model per Benders subproblem would cost several MB each). A basis of the
+reduced LP fits the reduced LP of one fixed set: when the fixed set
+changes, the attempt fails and the cold solve's basis is kept in its
+place. A basis of any other shape (of an LP of another column or row
+count, as a combo whose translation added a template cluster has) fails
+the attempt before any row is reduced. A kept basis is a ``Basis``, which
 records its shape and pickles, as int8 status codes, into the worker
 processes of a parallel ladder; a seed keeps only those codes. The codes
 are the one form in which this module edits a basis: both mappings work on
@@ -863,60 +867,54 @@ class ReducedModel:
     their values change, as a Benders subproblem's pinned investments do,
     or as the operations LPs of a ladder's builds differ from the HRB's;
     see the module docstring. It holds the row-reduced LP of the last fixed
-    set and the Basis of its last accepted optimum: of the reduced LP, or
-    of the full LP when a cold solve was accepted (``full``). Seeded with a
-    basis of the full LP, its first attempt maps that. ``full_basis``
-    gives the kept basis on the full LP."""
+    set and the Basis of its last accepted optimum, or the seed it was
+    given. The basis's shape says which LP it fits: one of lp's shape is
+    mapped onto the reduced LP, one of the reduced LP's shape, under the
+    same fixed set, is passed as it is, and any other fails the attempt.
+    ``full_basis(lp)`` gives the kept basis on lp, the full LP."""
 
     def __init__(self, basis: Basis | None = None):
         self.rows: _BoundRows | None = None
         self.basis = basis
-        self.full = basis is not None
         if basis is not None:
             basis.codes()  # a seed is kept long and shared: see Basis
-        self._run = None  # the last attempt, until solve_simplex accepts or drops it
-        self._bounds = None  # its bound rows (lower_row, upper_row of _BoundRows.bound)
-        self._kept_bounds = None  # those of the kept basis, when it is of the reduced LP
 
     @property
     def ready(self) -> bool:
         return self.basis is not None
 
     def attempt(self, lp: LinearProgram) -> Attempt:
-        if self.full and self.basis.shape != (lp.n_vars, lp.n_rows):
-            return Attempt("failed", "the kept basis is not of this LP")
         fixed = lp.lo == lp.hi
-        if self.rows is None or not np.array_equal(fixed, self.rows.fixed):
-            if not self.full:
-                return Attempt("failed", "no basis of these fixed columns")
-            self.rows = _BoundRows(lp, fixed)
         rows = self.rows
-        self._bounds = lower_row, upper_row = rows.bound(lp)
-        basis = rows.mapped(self.basis, lower_row, upper_row) if self.full else self.basis.highs
+        same = rows is not None and np.array_equal(fixed, rows.fixed)
+        full = self.basis.shape == (lp.n_vars, lp.n_rows)
+        if full and not same:
+            rows = self.rows = _BoundRows(lp, fixed)
+        elif not full and not (same and self.basis.shape == (rows.lp.n_vars, rows.lp.n_rows)):
+            return Attempt("failed", "the kept basis fits neither this LP nor its reduced LP")
+        lower_row, upper_row = rows.bound(lp)
+        basis = rows.mapped(self.basis, lower_row, upper_row) if full else self.basis.highs
         run = highs_attempt(rows.lp, False, basis)
         if run.status == "optimal":
             run.y = rows.duals(run.y, lower_row, upper_row)
-        self._run = run
         return run
 
     def keep(self, run: Attempt | None) -> None:
-        """Keep the basis of the accepted run: of the reduced LP if the run
-        is this model's, else of the full LP. Drop it if the run has no
-        optimal model."""
+        """Keep the basis of the accepted run, of whichever LP it solved;
+        drop it if the run has no optimal model."""
         model = run.model if run is not None else None
         basis = model.getBasis() if model is not None else None
         valid = basis is not None and basis.valid
         self.basis = Basis(basis, (model.getNumCol(), model.getNumRow())) if valid else None
-        self.full = run is not self._run
-        self._kept_bounds = None if self.full else self._bounds
-        self._run = self._bounds = None
 
-    def full_basis(self) -> Basis | None:
-        """The kept basis as a basis of the full LP (``_BoundRows.unmapped``
-        of a basis of the reduced LP), or None if none is kept."""
-        if self.basis is None or self.full:
+    def full_basis(self, lp: LinearProgram) -> Basis | None:
+        """The kept basis on lp, the LP as last solved, or None if none is
+        kept: one of lp's shape as it is, one of the reduced LP unmapped
+        (``_BoundRows.unmapped``) with the rows that supply each bound at
+        lp's pins."""
+        if self.basis is None or self.basis.shape == (lp.n_vars, lp.n_rows):
             return self.basis
-        return self.rows.unmapped(self.basis, *self._kept_bounds)
+        return self.rows.unmapped(self.basis, *self.rows.bound(lp))
 
 
 def solve_simplex(lp: LinearProgram, warm=None) -> Solution:

@@ -603,7 +603,7 @@ def run_operate(
 def run_case(
     rc: RunConfig,
     combo: Combo,
-    fine: SystemCase | None = None,
+    fine: SystemCase,
     baseline: DispatchedBuild | None = None,
 ) -> CaseResult:
     """Execute one combo end to end and score it against baseline, the
@@ -632,9 +632,6 @@ def run_case(
             raise StageError(name, str(e)) from e
 
     try:
-        if fine is None:
-            fine = rc.load_fine()
-
         with stage("aggregate"):
             coarse = run_aggregate(fine, combo.partition, combo.uc, art)
         out.n_regions = len(coarse.regions)
@@ -662,9 +659,7 @@ def run_case(
 
         out.report = report
     except Exception as e:
-        # a StageError names its stage; anything else is a config or load
-        # problem before stage 1
-        out.error = str(e) if isinstance(e, StageError) else f"setup: {e}"
+        out.error = str(e)  # a StageError names its stage
         with open(error_path, "w") as fh:
             fh.write("".join(traceback.format_exception(e)))
 
@@ -829,10 +824,10 @@ def dispatch_portfolio(
 
     Without baseline, the solve starts in the same way from bases, the last
     bases of the Benders subproblems of the build's expansion
-    (BendersResult.bases), laid end to end on the LP (expansion.placed_basis)
-    when they have its shape, as the HRB's do. An LP of another shape (a
-    template cluster), bases of another shape (uc "none", a missing
-    period) or a failed warm attempt is solved cold."""
+    (BendersResult.bases), laid end to end (expansion.placed_basis), as the
+    HRB's fit its LP. A start of another shape than the LP's (an LP with a
+    template cluster, bases of uc "none" or missing a period) or a failed
+    warm attempt is solved cold."""
     if (
         baseline is not None
         and portfolio.investment == baseline.portfolio.investment
@@ -841,34 +836,29 @@ def dispatch_portfolio(
         return baseline.operations, OperateSolve(0.0, 0, 1), None
     lp, ix = build_operations_lp(portfolio)
     t0 = time.perf_counter()
-    if baseline is not None:
-        start = baseline.basis
-    else:
-        placed = placed_basis(lp, ix, bases) if bases else None
-        start = Basis.of_codes(*placed) if placed is not None else None
-    warm = ReducedModel(start)
+    warm = ReducedModel(baseline.basis if baseline is not None else placed_basis(ix, bases) if bases else None)
     sol = solve_simplex(lp, warm)
     solve = OperateSolve(time.perf_counter() - t0, sol.stats.iterations, int(sol.stats.warm))
     if not sol.is_optimal:
         raise RuntimeError(f"operations LP is {sol.status}")
-    return extract_solution(portfolio.case, ix, sol), solve, None if baseline is not None else warm.full_basis()
+    return extract_solution(portfolio.case, ix, sol), solve, None if baseline is not None else warm.full_basis(lp)
 
 
 def replay_operations(
     fine: SystemCase,
-    allocation_path: str,
+    combo_dir: str,
     coarse: SystemCase | None = None,
     baseline: DispatchedBuild | None = None,
-    bases: list | None = None,
 ) -> DispatchedBuild:
-    """Re-dispatch a saved allocation on the fine case, from baseline, the
-    HRB's record, when given, else from bases (dispatch_portfolio). Given
-    the coarse case the allocation was translated from, template clusters
-    and storage in it are rebuilt from their provenance cluster; without
-    it, an allocation onto a template is refused ("unknown fine thermal
-    cluster")."""
-    allocation = read_allocation(allocation_path)
+    """Re-dispatch the allocation.csv of combo_dir on the fine case, from
+    baseline, the HRB's record, when given, else from the directory's own
+    Benders bases (read_bases; dispatch_portfolio). Given the coarse case
+    the allocation was translated from, template clusters and storage in it
+    are rebuilt from their provenance cluster; without it, an allocation
+    onto a template is refused ("unknown fine thermal cluster")."""
+    allocation = read_allocation(os.path.join(combo_dir, "allocation.csv"))
     portfolio = build_portfolio(fine, allocation, coarse)
+    bases = read_bases(combo_dir, fine) if baseline is None else None
     operations, _solve, basis = dispatch_portfolio(portfolio, baseline, bases)
     return DispatchedBuild(allocation, portfolio, operations, basis)
 
@@ -885,8 +875,7 @@ def rescore_from_artifacts(rc: RunConfig, combo_dir: str, baseline_dir: str) -> 
     case = load_system(case_dir)
     investment = read_investments(os.path.join(combo_dir, "investments.csv"), case, case_dir)
     phase1 = read_phase1(os.path.join(combo_dir, "phase1.csv"), case, case_dir)
-    bases = read_bases(baseline_dir, fine)
-    baseline = replay_operations(fine, os.path.join(baseline_dir, "allocation.csv"), bases=bases)
-    build = replay_operations(fine, os.path.join(combo_dir, "allocation.csv"), case, baseline)
+    baseline = replay_operations(fine, baseline_dir)
+    build = replay_operations(fine, combo_dir, case, baseline)
     name = os.path.basename(os.path.normpath(combo_dir))
     return build_report(name, phase1, fixed_cost(case, investment), fine, build, baseline)

@@ -169,7 +169,7 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     def spy(lp, warm=None):
         given = warm is not None and warm.ready
         if isinstance(warm, ReducedModel):
-            based.append((given, warm.full))
+            based.append((given, given and warm.basis.shape == (lp.n_vars, lp.n_rows)))
         sol = real(lp, warm)
         calls.append((given, sol.stats.warm))
         return sol

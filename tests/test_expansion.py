@@ -13,7 +13,7 @@ from gridres.expansion import (
     investment_entries,
     placed_basis,
 )
-from gridres.lp import BASIC, UPPER, Basis, ReducedModel, _BoundRows, _codes, kkt_residuals, solve_simplex
+from gridres.lp import BASIC, UPPER, ReducedModel, _BoundRows, _codes, kkt_residuals, solve_simplex
 from gridres.model import Region, StorageCluster
 from gridres.translate import SiteAllocation, build_portfolio
 
@@ -502,13 +502,15 @@ def test_the_subproblem_bases_placed_on_the_operations_lp_start_its_dispatch(syn
         lp, ix = _subproblem(case, p, build)
         reduced = ReducedModel()
         solve_simplex(lp, reduced)  # cold, so its kept basis is of the full LP
-        bases.append(reduced.full_basis().codes())
+        bases.append(reduced.full_basis(lp).codes())
     lp, ix = build_operations_lp(portfolio)
     cold = solve_simplex(lp)
-    placed = placed_basis(lp, ix, bases)
+    basis = placed_basis(ix, bases)
+    assert basis.shape == (lp.n_vars, lp.n_rows)
+    placed = basis.codes()
     assert np.array_equal(placed[0][ix.inv.stop:], np.concatenate([c[ix.inv.stop:] for c, _r in bases]))
     assert np.array_equal(placed[1], np.concatenate([r for _c, r in bases]))
-    warm = solve_simplex(lp, ReducedModel(Basis.of_codes(*placed)))
+    warm = solve_simplex(lp, ReducedModel(basis))
     assert warm.stats.warm and warm.stats.iterations < cold.stats.iterations
     assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
     # where a saved line row is nonbasic and its flow column basic, the
@@ -516,13 +518,18 @@ def test_the_subproblem_bases_placed_on_the_operations_lp_start_its_dispatch(syn
     # has the column at its upper bound
     line_rows = placed[1][_line_rows(portfolio.case, lp, ix, 0)]
     bound_rows = _BoundRows(lp, lp.lo == lp.hi)
-    mapped = _codes(bound_rows.mapped(Basis.of_codes(*placed), *bound_rows.bound(lp)).col_status)
+    mapped = _codes(bound_rows.mapped(basis, *bound_rows.bound(lp)).col_status)
     moved = (line_rows[:, 0] != BASIC) & (placed[0][ix.flow_fwd[0]] == BASIC)
     assert moved.any() and (mapped[ix.flow_fwd[0][moved]] == UPPER).all()
-    # bases that miss a period, or of another shape (uc "none"), do not cover lp
-    assert placed_basis(lp, ix, bases[:-1]) is None
+    # bases that miss a period, or of another shape (uc "none"), do not
+    # cover lp: placed, they have another shape, and the dispatch runs cold
     uncommitted = [
         tuple(np.full(n, BASIC, dtype=np.int8) for n in (sub.n_vars, sub.n_rows))
         for sub in (_subproblem(case.with_updates(uc_mode="none"), p, build)[0] for p in range(case.n_periods))
     ]
-    assert placed_basis(lp, ix, uncommitted) is None
+    for other in (bases[:-1], uncommitted):
+        basis = placed_basis(ix, other)
+        assert basis.shape != (lp.n_vars, lp.n_rows)
+        sol = solve_simplex(lp, ReducedModel(basis))
+        assert not sol.stats.warm and sol.stats.iterations == cold.stats.iterations
+        assert sol.objective == cold.objective

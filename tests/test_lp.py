@@ -338,6 +338,16 @@ def _assert_warm_matches_cold(lp, reduced):
     return warm
 
 
+def _of_full_lp(reduced, lp) -> bool:
+    """Whether the basis reduced keeps has lp's shape; if not, it has the
+    shape of lp's reduced LP, which has fewer rows."""
+    shape = reduced.basis.shape
+    if shape == (lp.n_vars, lp.n_rows):
+        return True
+    assert shape == (reduced.rows.lp.n_vars, reduced.rows.lp.n_rows) and shape[1] < lp.n_rows
+    return False
+
+
 def test_warm_resolve_after_a_bound_change_matches_cold_on_random_corpus():
     for seed in range(50):
         lp = random_boxed_lp(seed, feasible=True)
@@ -362,21 +372,46 @@ def test_warm_resolve_of_a_repinned_subproblem_matches_cold(synth_small, synth_s
 
 
 def test_a_basis_of_the_wrong_shape_falls_back_to_the_cold_solve():
-    lp = random_boxed_lp(seed=3, feasible=True)
+    lp, _f = _bound_row_lp(0)
     other = random_boxed_lp(seed=4, feasible=True)
     assert (other.n_vars, other.n_rows) != (lp.n_vars, lp.n_rows)
     reduced = ReducedModel()
     solve_simplex(lp, reduced)
     # in place of a basis of the full LP, to be mapped, then of the reduced LP
     for full in (True, False):
-        assert reduced.full == full
+        assert _of_full_lp(reduced, lp) == full
         wrong = lp_module.highs_attempt(other, False).model.getBasis()
         reduced.basis = lp_module.Basis(wrong, (other.n_vars, other.n_rows))  # of the wrong shape
         sol = solve_simplex(lp, reduced)
         assert not sol.stats.warm and not sol.stats.retried
         _assert_identical(sol, solve_simplex(lp))
-        assert reduced.ready and reduced.full  # the next attempt maps the cold solve's basis
+        assert reduced.ready and _of_full_lp(reduced, lp)  # the next attempt maps the cold solve's basis
         assert solve_simplex(lp, reduced).stats.warm
+
+
+def test_a_reduced_basis_that_keeps_every_row_has_the_full_shape_and_is_mapped(monkeypatch):
+    # no row of these LPs has one nonzero entry, so their reduced LPs keep
+    # every row: a kept reduced basis has the full LP's shape, and the next
+    # attempt maps it, as an identity, in place of passing it as it is
+    for seed in range(10):
+        lp = random_boxed_lp(seed, feasible=True)
+        reduced = ReducedModel()
+        solve_simplex(lp, reduced)
+        assert solve_simplex(lp, reduced).stats.warm
+        assert reduced.rows.lp.n_rows == lp.n_rows and reduced.basis.shape == (lp.n_vars, lp.n_rows)
+        kept = reduced.basis
+        mapped = _mapped_calls(monkeypatch)
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        lo[::2] -= 0.5
+        hi[1::2] += 0.5
+        moved = replace(lp, lo=lo, hi=hi)
+        _assert_warm_matches_cold(moved, reduced)
+        assert mapped == [kept]
+        monkeypatch.undo()
+        rows = reduced.rows
+        identity = rows.mapped(kept, *rows.bound(moved))
+        for statuses, codes in zip((identity.col_status, identity.row_status), kept.codes()):
+            assert np.array_equal(lp_module._codes(statuses), codes)
 
 
 def test_a_pickled_basis_keeps_its_status_codes(synth_small, synth_small_lps):
@@ -386,7 +421,7 @@ def test_a_pickled_basis_keeps_its_status_codes(synth_small, synth_small_lps):
     reduced = ReducedModel()
     assert not solve_simplex(lp, reduced).stats.warm
     kept = reduced.basis
-    assert reduced.full and kept.shape == (lp.n_vars, lp.n_rows)
+    assert kept.shape == (lp.n_vars, lp.n_rows)
     back = pickle.loads(pickle.dumps(kept))
     assert back.shape == kept.shape
     for side in ("col_status", "row_status"):
@@ -429,12 +464,12 @@ def test_a_failed_warm_attempt_falls_back_to_the_cold_solve(monkeypatch, synth_s
     reduced = ReducedModel()
     solve_simplex(lp, reduced)
     assert solve_simplex(lp, reduced).stats.warm
-    assert reduced.ready and not reduced.full  # a basis of the reduced LP
+    assert reduced.ready and not _of_full_lp(reduced, lp)  # a basis of the reduced LP
     fail(monkeypatch)
     sol = solve_simplex(lp, reduced)
     assert not sol.stats.warm and not sol.stats.retried
     _assert_identical(sol, cold)
-    assert reduced.ready and reduced.full  # the next attempt maps the cold solve's basis
+    assert reduced.ready and _of_full_lp(reduced, lp)  # the next attempt maps the cold solve's basis
 
 
 def _mapped_calls(monkeypatch):
@@ -488,19 +523,19 @@ def test_a_failed_mapped_attempt_falls_back_and_the_next_maps_the_cold_basis(
     lp = synth_small_lps["subproblem"]
     reduced = ReducedModel()
     first = solve_simplex(lp, reduced)
-    assert not first.stats.warm and reduced.full
+    assert not first.stats.warm and _of_full_lp(reduced, lp)
     fail(monkeypatch)
     sol = solve_simplex(lp, reduced)  # maps the first solve's basis, and fails
     assert not sol.stats.warm and not sol.stats.retried
     _assert_identical(sol, first)
-    assert reduced.ready and reduced.full
+    assert reduced.ready and _of_full_lp(reduced, lp)
     kept = reduced.basis
     monkeypatch.undo()
     mapped = _mapped_calls(monkeypatch)
     again = solve_simplex(lp, reduced)
     assert again.stats.warm and mapped == [kept]  # the cold solve's basis, mapped
     assert again.kkt.ok() and abs(again.objective - first.objective) <= 1e-9 * max(1.0, abs(first.objective))
-    assert not reduced.full
+    assert not _of_full_lp(reduced, lp)
 
 
 def _bound_row_lp(seed):
@@ -617,7 +652,8 @@ def test_a_reduced_solve_matches_the_full_cold_solve_on_random_corpus(seed):
     for step in range(4):
         if step:  # re-pin: the implied bounds move, the rows stay
             lp.lo[f] = lp.hi[f] = lp.lo[f] * rng.uniform(0.97, 1.03, f.size)
-        ready, full = reduced.ready, reduced.full
+        ready = reduced.ready
+        full = ready and _of_full_lp(reduced, lp)
         assert ready == (last is not None and last.is_optimal)
         assert not ready or full == (not last.stats.warm)
         cold = solve_simplex(lp)
@@ -662,10 +698,10 @@ def test_the_full_basis_of_a_reduced_optimum_is_optimal_on_the_full_lp(synth_sma
     # variables would be refused) and stops at once
     moved_eq = both_sides = solves = 0
     for lp, reduced in _reduced_solves(synth_small):
-        assert reduced.ready and not reduced.full  # a basis of the reduced LP
+        assert reduced.ready and not _of_full_lp(reduced, lp)  # a basis of the reduced LP
         solves += 1
         want = solve_simplex(lp)
-        basis = reduced.full_basis()
+        basis = reduced.full_basis(lp)
         cols, rows = basis.codes()
         assert basis.shape == (lp.n_vars, lp.n_rows)
         assert (cols == lp_module.BASIC).sum() + (rows == lp_module.BASIC).sum() == lp.n_rows

@@ -458,9 +458,8 @@ def test_a_template_combo_dispatches_cold_from_the_hrb_basis(monkeypatch):
 
 def test_replay_rebuilds_templates_from_the_coarse_case(tmp_path):
     fine, coarse, alloc, portfolio = _translate_into_a_bare_region()
-    path = str(tmp_path / "allocation.csv")
-    write_allocation(alloc, path)
-    _back, replayed, ops, _basis = replay_operations(fine, path, coarse)
+    write_allocation(alloc, str(tmp_path / "allocation.csv"))
+    _back, replayed, ops, _basis = replay_operations(fine, str(tmp_path), coarse)
     assert replayed.case == portfolio.case
     assert replayed.investment == portfolio.investment
     want = dispatch_portfolio(portfolio)[0]
@@ -472,7 +471,7 @@ def test_replay_rebuilds_templates_from_the_coarse_case(tmp_path):
             assert np.array_equal(got[key], exp[key]), (field, key)
     # without the coarse case the template cannot be rebuilt
     with pytest.raises(ValueError, match="unknown fine thermal cluster B_gas_tpl"):
-        replay_operations(fine, path)
+        replay_operations(fine, str(tmp_path))
 
 
 def test_cli_operate_dispatches_a_template_cluster(tmp_path):
