@@ -208,7 +208,7 @@ class _Subproblems:
         parts = [extract_solution(self.case, ix, sol) for (_lp, ix), sol in zip(self.lps, sols)]
         kept = [model.full_basis(lp) for (lp, _ix), model in zip(self.lps, self.reduced)] if bases else []
         kept = [basis.codes() for basis in kept] if all(kept) else []  # None: no basis kept
-        return parts[0].investment, phase_summary(parts, self.case), kept  # pinned: one build in every part
+        return parts[0].investment, phase_summary(parts), kept  # pinned: one build in every part
 
 
 def solve_benders(

@@ -69,6 +69,7 @@ VarIndex records where each column family and the balance rows lie.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -417,15 +418,25 @@ def build_operations_lp(portfolio):
 # -- solution extraction ------------------------------------------------------
 
 
+class ThermalAccount(NamedTuple):
+    """A thermal cluster's part of a dispatch, its hours at their weights."""
+
+    region: str
+    tech: str
+    energy: float  # MWh
+    emissions: float  # tCO2: energy x heat rate x emission factor
+    cost: float  # $: fuel + VOM + startup
+
+
 @dataclass
 class ExpansionSolution:
-    """Primal decision summary for one solved planning or operations LP."""
+    """Primal decision summary for one solved planning or operations LP.
+
+    Its totals sum the thermal accounts in case order; system emissions
+    are the sum of the regional sums, and a carbon fee is carbon_fee x
+    emissions at every level."""
 
     objective: float
-    fixed_cost: float
-    variable_cost: float  # fuel + vom + startup
-    nse_cost_total: float
-    carbon_fee_cost: float
     investment: dict  # investment name -> value, in investment_entries order
     dispatch: dict  # cluster id -> MWh per included hour
     startups: dict  # cluster id -> MW started per hour (empty when uncommitted)
@@ -436,17 +447,41 @@ class ExpansionSolution:
     nse: dict  # region id -> MWh per hour
     spill: dict
     prices: dict  # region id -> $/MWh per hour
-    emissions_by_cluster: dict  # cluster id -> tCO2 (weighted)
+    thermal: dict  # thermal cluster id -> ThermalAccount, in case order
+    carbon_fee: float  # $/tCO2, the case's
+    nse_price: float  # $/MWh of non-served energy, the case's nse_cost
     hours: list
     hour_weight: np.ndarray
+
+    @property
+    def variable_cost(self) -> float:
+        """Fuel, VOM and startup cost, $."""
+        return float(sum(a.cost for a in self.thermal.values()))
+
+    @property
+    def emissions_by_region(self) -> dict:
+        """tCO2 per region, every region of the case (0.0 for one with no
+        thermal cluster)."""
+        out = dict.fromkeys(self.prices, 0.0)
+        for a in self.thermal.values():
+            out[a.region] += a.emissions
+        return out
+
+    @property
+    def total_emissions(self) -> float:
+        return float(sum(self.emissions_by_region.values()))
+
+    @property
+    def carbon_fee_cost(self) -> float:
+        return self.carbon_fee * self.total_emissions
 
     @property
     def total_nse(self) -> float:
         return float(sum((v * self.hour_weight).sum() for v in self.nse.values()))
 
     @property
-    def total_emissions(self) -> float:
-        return float(sum(self.emissions_by_cluster.values()))
+    def nse_cost(self) -> float:
+        return self.nse_price * self.total_nse
 
 
 def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> ExpansionSolution:
@@ -468,29 +503,19 @@ def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> Expansion
     nse = {r.id: x[ix.nse[i]] for i, r in enumerate(case.regions)}
     spill = {r.id: x[ix.spill[i]] for i, r in enumerate(case.regions)}
 
-    variable = 0.0
-    fee_cost = 0.0
-    emissions = {}
+    thermal = {}
     startups = {}
     for i, c in enumerate(case.thermal_clusters):
         th = c.thermal
-        energy = dispatch[c.id] * w
-        variable += float(energy.sum()) * (th.fuel_cost * th.heat_rate + th.vom)
-        emissions[c.id] = float(energy.sum()) * th.heat_rate * th.emission_factor
-        fee_cost += case.carbon_fee * emissions[c.id]
+        energy = float((dispatch[c.id] * w).sum())
+        cost = energy * (th.fuel_cost * th.heat_rate + th.vom)
         if len(ix.start):
             startups[c.id] = x[ix.start[i]]
-            variable += float((startups[c.id] * w).sum()) * th.start_cost
-    nse_cost_total = case.nse_cost * float(sum((v * w).sum() for v in nse.values()))
-
-    prices = extract_prices(case, ix, sol)
+            cost += float((startups[c.id] * w).sum()) * th.start_cost
+        thermal[c.id] = ThermalAccount(c.region, c.tech, energy, energy * th.heat_rate * th.emission_factor, cost)
 
     return ExpansionSolution(
         objective=float(sol.objective),
-        fixed_cost=fixed_cost(case, investment),
-        variable_cost=variable,
-        nse_cost_total=nse_cost_total,
-        carbon_fee_cost=fee_cost,
         investment=investment,
         dispatch=dispatch,
         startups=startups,
@@ -500,8 +525,10 @@ def extract_solution(case: SystemCase, ix: VarIndex, sol: Solution) -> Expansion
         flow_net=flow,
         nse=nse,
         spill=spill,
-        prices=prices,
-        emissions_by_cluster=emissions,
+        prices=extract_prices(case, ix, sol),
+        thermal=thermal,
+        carbon_fee=case.carbon_fee,
+        nse_price=case.nse_cost,
         hours=list(ix.hours),
         hour_weight=w,
     )

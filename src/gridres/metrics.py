@@ -1,15 +1,15 @@
 """Scoring of a resolution combo against the high-resolution baseline.
 
-Site-choice overlap (SCO) per tech is the capacity-weighted Jaccard
-overlap of invested MW per site, in percent. The capacity and regional
-error metrics follow the sqrt-of-sum-over-count form exactly as stated
-(sqrt of summed squared differences, divided by entity count); the
-conventional RMSE rides along in secondary fields for sanity but the
-verbatim value is the contract.
+README's `report.csv` section defines each row. Site-choice overlap (SCO)
+per tech is the capacity-weighted Jaccard overlap of new MW per site, in
+percent. The capacity and regional errors (mse_*) take the form the paper
+states, ||d||_2 / n over n entities in the quantity's own units (GW, $,
+tCO2): despite the name, not a mean squared error.
 
-Profit per region nets energy revenue at zonal prices against fuel, VOM,
-startup, and carbon-fee outlays of that region's generators, plus storage
-arbitrage earned there. Fixed costs are excluded and reported separately.
+A dispatch's energy, emissions and costs are totals of its
+ExpansionSolution (one expansion.ThermalAccount per thermal cluster);
+this module adds only regional profit and hour-of-day prices. Fixed costs
+are priced apart (expansion.fixed_cost).
 """
 
 from __future__ import annotations
@@ -57,76 +57,47 @@ def sco(a: SiteAllocation, b: SiteAllocation, tech: str, case: SystemCase) -> fl
     return 100.0 * (lo / hi)
 
 
-def _check_universe(a: dict, b: dict, what: str) -> None:
-    if set(a) != set(b):
-        only_a = sorted(set(a) - set(b))[:3]
-        only_b = sorted(set(b) - set(a))[:3]
+def _norm_over_count(values: dict, hrb_values: dict, what: str, unit: float = 1.0) -> float:
+    """||values - hrb_values||_2 / entity count, each difference divided by
+    unit; the two must hold the same entities."""
+    if set(values) != set(hrb_values):
+        only_a = sorted(set(values) - set(hrb_values))[:3]
+        only_b = sorted(set(hrb_values) - set(values))[:3]
         raise ValueError(f"mismatched {what} universes: {only_a} vs {only_b}")
-
-
-def mse_lines(case_lines: dict, hrb_lines: dict) -> float:
-    """sqrt(sum of squared GW differences) / line count."""
-    _check_universe(case_lines, hrb_lines, "line")
-    if not hrb_lines:
-        return 0.0
-    sq = sum(((case_lines[k] - hrb_lines[k]) / 1000.0) ** 2 for k in hrb_lines)
-    return float(np.sqrt(sq)) / len(hrb_lines)
-
-
-def mse_regional(values: dict, hrb_values: dict) -> float:
-    """sqrt(sum of squared differences) / region count."""
-    _check_universe(values, hrb_values, "region")
     if not hrb_values:
         return 0.0
-    sq = sum((values[k] - hrb_values[k]) ** 2 for k in hrb_values)
+    sq = sum(((values[k] - hrb_values[k]) / unit) ** 2 for k in hrb_values)
     return float(np.sqrt(sq)) / len(hrb_values)
 
 
-def rmse(values: dict, hrb_values: dict) -> float:
-    _check_universe(values, hrb_values, "entity")
-    if not hrb_values:
-        return 0.0
-    sq = [(values[k] - hrb_values[k]) ** 2 for k in hrb_values]
-    return float(np.sqrt(np.mean(sq)))
+def mse_lines(case_lines: dict, hrb_lines: dict) -> float:
+    """The line capacity error in GW, of capacities in MW."""
+    return _norm_over_count(case_lines, hrb_lines, "line", 1000.0)
+
+
+def mse_regional(values: dict, hrb_values: dict) -> float:
+    """The regional error, in the values' units."""
+    return _norm_over_count(values, hrb_values, "region")
 
 
 @dataclass
 class Financials:
-    variable_cost: float  # fuel + vom + startup
-    nse_cost: float
-    abatement_fee: float
-    emissions_by_region: dict
     profit_by_region: dict
-    revenue_by_region: dict
     price_by_region_hour: dict  # region -> 24 hour-of-day means
 
 
 def financials(sol: ExpansionSolution, case: SystemCase) -> Financials:
+    """Profit per region: revenue at zonal prices, less the thermal
+    clusters' cost and carbon fee, plus storage arbitrage; and each
+    region's mean price per hour of day."""
     w = sol.hour_weight
-    region_of = {c.id: c.region for c in case.clusters}
-
-    emissions = {r.id: 0.0 for r in case.regions}
     profit = {r.id: 0.0 for r in case.regions}
-    revenue = {r.id: 0.0 for r in case.regions}
-
     for c in case.clusters:
-        rid = region_of[c.id]
-        energy = sol.dispatch[c.id] * w
-        rev = float((sol.prices[rid] * energy).sum())
-        revenue[rid] += rev
-        profit[rid] += rev
-        if not c.is_vre:
-            th = c.thermal
-            mwh = float(energy.sum())
-            emissions[rid] += mwh * th.heat_rate * th.emission_factor
-            profit[rid] -= mwh * (th.fuel_cost * th.heat_rate + th.vom)
-            profit[rid] -= case.carbon_fee * mwh * th.heat_rate * th.emission_factor
-            if c.id in sol.startups:
-                profit[rid] -= float((sol.startups[c.id] * w).sum()) * th.start_cost
+        profit[c.region] += float((sol.prices[c.region] * (sol.dispatch[c.id] * w)).sum())
+    for a in sol.thermal.values():
+        profit[a.region] -= a.cost + sol.carbon_fee * a.emissions
     for s in case.storage:
-        arb = float((sol.prices[s.region] * (sol.discharge[s.id] - sol.charge[s.id]) * w).sum())
-        profit[s.region] += arb
-        revenue[s.region] += arb
+        profit[s.region] += float((sol.prices[s.region] * (sol.discharge[s.id] - sol.charge[s.id]) * w).sum())
 
     hours = np.asarray(sol.hours)
     hod = hours % 24
@@ -138,39 +109,29 @@ def financials(sol: ExpansionSolution, case: SystemCase) -> Financials:
             mask = hod == h
             means[h] = float(p[mask].mean()) if mask.any() else 0.0
         price_hod[r.id] = tuple(means)
-
-    fee = case.carbon_fee * float(sum(emissions.values()))
-    return Financials(
-        variable_cost=sol.variable_cost,
-        nse_cost=case.nse_cost * sol.total_nse,
-        abatement_fee=fee,
-        emissions_by_region=emissions,
-        profit_by_region=profit,
-        revenue_by_region=revenue,
-        price_by_region_hour=price_hod,
-    )
+    return Financials(profit_by_region=profit, price_by_region_hour=price_hod)
 
 
-def phase_summary(parts, case: SystemCase) -> dict:
-    """What the report compares of a phase's solution on case, given as a
+def phase_summary(parts) -> dict:
+    """What the report compares of a phase's solution, given as a
     chronological list of parts (one per Benders period, or one for a
     whole dispatch): weighted MWh by thermal tech, and "variable_cost" in
-    dollars. VRE energy is left out: curtailing it costs nothing, so its
-    split between use and curtailment is one optimal vertex among many,
-    not a function of the build."""
-    w = np.concatenate([p.hour_weight for p in parts])
+    dollars, each summed over the parts' thermal accounts. VRE energy is
+    left out: curtailing it costs nothing, so its split between use and
+    curtailment is one optimal vertex among many, not a function of the
+    build."""
     out: dict = {}
-    for c in case.thermal_clusters:
-        energy = np.concatenate([p.dispatch[c.id] for p in parts]) * w
-        out[c.tech] = out.get(c.tech, 0.0) + float(energy.sum())
+    for p in parts:
+        for a in p.thermal.values():
+            out[a.tech] = out.get(a.tech, 0.0) + a.energy
     out["variable_cost"] = sum(p.variable_cost for p in parts)
     return out
 
 
-def phase_compare(phase1: dict, operations: ExpansionSolution, case: SystemCase) -> dict:
+def phase_compare(phase1: dict, operations: ExpansionSolution) -> dict:
     """(phase 1, phase 2, delta) per key of the phase-1 summary and of the
-    summary of operations on case (see phase_summary)."""
-    p2 = phase_summary([operations], case)
+    summary of operations (see phase_summary)."""
+    p2 = phase_summary([operations])
     out = {}
     for key in sorted(set(phase1) | set(p2)):
         a, b = phase1.get(key, 0.0), p2.get(key, 0.0)
@@ -185,9 +146,6 @@ class MetricsReport:
     mse_cap: float  # GW
     mse_profit: float  # $
     mse_emiss: float  # tCO2
-    rmse_cap: float
-    rmse_profit: float
-    rmse_emiss: float
     total_cost: float
     fixed_cost: float
     variable_cost: float
@@ -205,8 +163,7 @@ class MetricsReport:
         out = []
         for tech in sorted(self.sco_by_tech):
             out.append((self.combo, "sco", tech, self.sco_by_tech[tech]))
-        for name in ("mse_cap", "mse_profit", "mse_emiss", "rmse_cap",
-                     "rmse_profit", "rmse_emiss", "total_cost", "fixed_cost",
+        for name in ("mse_cap", "mse_profit", "mse_emiss", "total_cost", "fixed_cost",
                      "variable_cost", "nse_cost", "abatement_fee", "total_nse",
                      "total_emissions"):
             out.append((self.combo, name, "", getattr(self, name)))
@@ -235,37 +192,30 @@ def build_report(
 ) -> MetricsReport:
     """Score a combo's dispatched build against the baseline's, with its
     phase-1 summary (see phase_summary) and the fixed cost of its build."""
-    fin = financials(build.operations, build.portfolio.case)
+    ops = build.operations
+    fin = financials(ops, build.portfolio.case)
     hrb_fin = financials(baseline.operations, baseline.portfolio.case)
-    line_capacity = build.portfolio.line_capacity
-    hrb_line_capacity = baseline.portfolio.line_capacity
-
     techs = sorted({s.tech for s in fine.sites})
     sco_by_tech = {t: sco(build.allocation, baseline.allocation, t, fine) for t in techs}
 
-    report = MetricsReport(
+    return MetricsReport(
         combo=combo,
         sco_by_tech=sco_by_tech,
-        mse_cap=mse_lines(line_capacity, hrb_line_capacity),
+        mse_cap=mse_lines(build.portfolio.line_capacity, baseline.portfolio.line_capacity),
         mse_profit=mse_regional(fin.profit_by_region, hrb_fin.profit_by_region),
-        mse_emiss=mse_regional(fin.emissions_by_region, hrb_fin.emissions_by_region),
-        rmse_cap=rmse({k: v / 1000.0 for k, v in line_capacity.items()},
-                      {k: v / 1000.0 for k, v in hrb_line_capacity.items()}),
-        rmse_profit=rmse(fin.profit_by_region, hrb_fin.profit_by_region),
-        rmse_emiss=rmse(fin.emissions_by_region, hrb_fin.emissions_by_region),
-        total_cost=fixed_cost + fin.variable_cost + fin.nse_cost + fin.abatement_fee,
+        mse_emiss=mse_regional(ops.emissions_by_region, baseline.operations.emissions_by_region),
+        total_cost=fixed_cost + ops.variable_cost + ops.nse_cost + ops.carbon_fee_cost,
         fixed_cost=fixed_cost,
-        variable_cost=fin.variable_cost,
-        nse_cost=fin.nse_cost,
-        abatement_fee=fin.abatement_fee,
-        emissions_by_region=fin.emissions_by_region,
+        variable_cost=ops.variable_cost,
+        nse_cost=ops.nse_cost,
+        abatement_fee=ops.carbon_fee_cost,
+        emissions_by_region=ops.emissions_by_region,
         profit_by_region=fin.profit_by_region,
         price_by_region_hour=fin.price_by_region_hour,
-        phase_delta=phase_compare(phase1, build.operations, build.portfolio.case),
-        total_nse=build.operations.total_nse,
-        total_emissions=float(sum(fin.emissions_by_region.values())),
+        phase_delta=phase_compare(phase1, ops),
+        total_nse=ops.total_nse,
+        total_emissions=ops.total_emissions,
     )
-    return report
 
 
 def sco_column(report: MetricsReport, techs) -> float:

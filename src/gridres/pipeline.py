@@ -470,14 +470,15 @@ def read_bases(combo_dir: str, fine: SystemCase) -> list | None:
 
 
 def write_operations(operations: ExpansionSolution, path: str) -> None:
-    """operations.csv: headline numbers of a fine-resolution dispatch."""
+    """operations.csv: headline numbers of a fine-resolution dispatch, its
+    totals those report.csv gives of it."""
     write_csv(
         path,
         ("metric", "value"),
         (
             ("objective", float(operations.objective)),
             ("variable_cost", float(operations.variable_cost)),
-            ("nse_cost", float(operations.nse_cost_total)),
+            ("nse_cost", float(operations.nse_cost)),
             ("carbon_fee_cost", float(operations.carbon_fee_cost)),
             ("total_nse", float(operations.total_nse)),
             ("total_emissions", float(operations.total_emissions)),

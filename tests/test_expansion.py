@@ -10,6 +10,7 @@ from gridres.expansion import (
     build_operations_lp,
     extract_prices,
     extract_solution,
+    fixed_cost,
     investment_entries,
     placed_basis,
 )
@@ -73,7 +74,7 @@ def test_zero_demand_zero_build():
 def test_objective_breakdown_sums_to_objective():
     case = one_bus_case([10.0, 4.0], fixed_cost=100.0, carbon_fee=200.0)
     sol, _ = _solve(case)
-    total = sol.fixed_cost + sol.variable_cost + sol.nse_cost_total + sol.carbon_fee_cost
+    total = fixed_cost(case, sol.investment) + sol.variable_cost + sol.nse_cost + sol.carbon_fee_cost
     assert total == pytest.approx(sol.objective, rel=1e-9)
 
 
@@ -347,8 +348,8 @@ def test_operations_match_expansion_at_full_resolution():
     portfolio.investment["xg[g1]"] = sol.investment["xg[g1]"]
     lp, ix = build_operations_lp(portfolio)
     ops = extract_solution(case, ix, solve_simplex(lp))
-    ops_cost = ops.variable_cost + ops.nse_cost_total + ops.carbon_fee_cost
-    sol_ops_cost = sol.variable_cost + sol.nse_cost_total + sol.carbon_fee_cost
+    ops_cost = ops.variable_cost + ops.nse_cost + ops.carbon_fee_cost
+    sol_ops_cost = sol.variable_cost + sol.nse_cost + sol.carbon_fee_cost
     assert ops_cost == pytest.approx(sol_ops_cost, rel=1e-9)
 
 
@@ -374,7 +375,7 @@ def test_fixed_cost_is_the_investment_part_of_the_objective(synth_small):
     assert sol.is_optimal
     es = extract_solution(synth_small, ix, sol)
     investment_part = float(lp.obj[ix.inv] @ sol.x[ix.inv]) + lp.obj_offset
-    assert es.fixed_cost == pytest.approx(investment_part, rel=1e-9)
+    assert fixed_cost(synth_small, es.investment) == pytest.approx(investment_part, rel=1e-9)
 
 
 def test_kkt_residuals_equal_the_loop_reference_on_synth_lps(synth_small):

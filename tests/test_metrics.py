@@ -1,8 +1,9 @@
 """Scoring rules pinned to hand arithmetic."""
 
 import csv
-import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from gridres.metrics import (
     mse_regional,
     phase_compare,
     phase_summary,
-    rmse,
     sco,
     write_report,
 )
@@ -136,24 +136,16 @@ def test_regional_error_hand_example():
     assert mse_regional(vals, hrb) == 0.5  # sqrt(4) / 4
 
 
-def test_rmse_rides_along():
-    got = rmse({"l1": 3.0, "l2": 4.0}, {"l1": 0.0, "l2": 0.0})
-    assert got == pytest.approx(math.sqrt(12.5))
-
-
 def test_error_metrics_demand_identical_universes():
     with pytest.raises(ValueError, match="mismatched line universes"):
         mse_lines({"a": 1.0}, {"b": 1.0})
     with pytest.raises(ValueError, match="mismatched region universes"):
         mse_regional({"a": 1.0}, {})
-    with pytest.raises(ValueError, match="mismatched entity universes"):
-        rmse({"a": 1.0}, {"a": 1.0, "b": 2.0})
 
 
 def test_error_metrics_empty_universe_is_zero():
     assert mse_lines({}, {}) == 0.0
     assert mse_regional({}, {}) == 0.0
-    assert rmse({}, {}) == 0.0
 
 
 # -- financials -----------------------------------------------------------------------
@@ -163,20 +155,10 @@ def test_abatement_fee_hand_example():
     # 2500 MWh * 8 MMBtu/MWh * 0.05 t/MMBtu = 1000 t, at 200 $/t
     case = one_bus_case([2500.0, 0.0], fixed_cost=1.0, max_new=5000.0, carbon_fee=200.0)
     sol = _solve(case)
-    fin = financials(sol, case)
+    assert sol.thermal["g1"].energy == pytest.approx(2500.0, rel=1e-12)
+    assert sol.thermal["g1"].emissions == pytest.approx(1000.0, rel=1e-12)
     assert sol.total_emissions == pytest.approx(1000.0, rel=1e-12)
-    assert fin.abatement_fee == pytest.approx(200_000.0, rel=1e-12)
-    assert fin.abatement_fee == pytest.approx(sol.carbon_fee_cost, rel=1e-12)
-
-
-def test_financials_mirror_solution_totals():
-    units = [make_unit("u1", "R1", "g1", 6.0)]
-    case = one_bus_case([10.0, 4.0], existing_units=units, fixed_cost=100.0, carbon_fee=30.0)
-    sol = _solve(case)
-    fin = financials(sol, case)
-    assert fin.variable_cost == sol.variable_cost
-    assert fin.nse_cost == pytest.approx(sol.nse_cost_total, rel=1e-12)
-    assert sum(fin.emissions_by_region.values()) == pytest.approx(sol.total_emissions, rel=1e-12)
+    assert sol.carbon_fee_cost == pytest.approx(200_000.0, rel=1e-12)
 
 
 def test_marginal_generator_earns_zero_profit():
@@ -184,9 +166,11 @@ def test_marginal_generator_earns_zero_profit():
     case = one_bus_case([10.0, 8.0], existing_units=units, fixed_cost=0.0, max_new=0.0)
     sol = _solve(case, reserve=False)
     fin = financials(sol, case)
-    # price equals marginal cost in every hour, so energy margin is zero
-    assert fin.profit_by_region["R1"] == pytest.approx(0.0, abs=1e-6)
-    assert fin.revenue_by_region["R1"] == pytest.approx(25.0 * 18.0, rel=1e-9)
+    # price equals marginal cost (3 $/MMBtu * 8 MMBtu/MWh + 1 $/MWh VOM) in
+    # every hour, so the 18 MWh earn 25 $/MWh and cost as much
+    assert sol.thermal["g1"].energy == pytest.approx(18.0, rel=1e-9)
+    assert sol.thermal["g1"].cost == pytest.approx(18.0 * 25.0, rel=1e-9)
+    assert fin.profit_by_region["R1"] == pytest.approx(25.0 * 18.0 - 18.0 * 25.0, abs=1e-6)
 
 
 def test_hour_of_day_price_means():
@@ -252,7 +236,7 @@ def test_phase_compare_with_itself_is_all_zero():
     units = [make_unit("u1", "R1", "g1", 12.0)]
     case = one_bus_case([10.0, 4.0], existing_units=units, fixed_cost=10.0)
     sol = _solve(case)
-    out = phase_compare(phase_summary([sol], case), sol, case)
+    out = phase_compare(phase_summary([sol]), sol)
     for tech, (p1, p2, delta) in out.items():
         assert p1 == p2
         assert delta == 0.0
@@ -274,7 +258,7 @@ def _self_report(tmp_path=None):
     build = DispatchedBuild(allocation, Portfolio(case=case), sol)
     baseline = DispatchedBuild(allocation, Portfolio(case=case), sol)
     rep = build_report(
-        "identity", phase1=phase_summary([sol], case), fixed_cost=sol.fixed_cost,
+        "identity", phase1=phase_summary([sol]), fixed_cost=fixed_cost(case, sol.investment),
         fine=case, build=build, baseline=baseline,
     )
     return case, sol, rep
@@ -291,6 +275,15 @@ def test_self_report_scores_perfectly():
         assert delta == 0.0
     # the phase rows cover the thermal techs and the variable cost, no VRE tech
     assert set(rep.phase_delta) == {*(c.tech for c in case.thermal_clusters), "variable_cost"}
+
+
+def test_the_readme_defines_every_report_row_and_no_other():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## `report.csv`\n", 1)[1].split("\n## ", 1)[0]
+    defined = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    _, _, rep = _self_report()
+    emitted = list(dict.fromkeys(metric for _case, metric, _key, _value in rep.rows()))
+    assert defined == emitted
 
 
 def test_report_rows_are_long_format():
@@ -393,7 +386,7 @@ def test_report_rows_do_not_depend_on_the_optimal_vertex(
     assert bres.converged
     investment = bres.investment
     cold, warm = _phase1_cold_and_warm(case, investment)
-    want = phase_summary(cold, case)
+    want = phase_summary(cold)
     assert bres.phase1.keys() == want.keys()
     for key, value in want.items():
         assert abs(bres.phase1[key] - value) <= 1e-9 * max(1.0, abs(value)), key
@@ -406,7 +399,7 @@ def test_report_rows_do_not_depend_on_the_optimal_vertex(
         {
             (metric, key): value
             for _case, metric, key, value in build_report(
-                "c", phase_summary(parts, case), fixed_cost(case, investment), fine,
+                "c", phase_summary(parts), fixed_cost(case, investment), fine,
                 DispatchedBuild(allocation, portfolio, operations), baseline,
             ).rows()
         }

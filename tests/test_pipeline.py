@@ -586,6 +586,17 @@ def test_long_report_covers_every_combo(ladder_run):
     assert {r[0] for r in rows[1:]} == set(ALL_COMBOS)
 
 
+def test_operations_totals_are_the_report_rows(ladder_run):
+    # a dispatch is accounted once, so both files write each total alike
+    _, out, _ = ladder_run
+    report_row = {"total_emissions": "total_emissions", "carbon_fee_cost": "abatement_fee",
+                  "nse_cost": "nse_cost", "variable_cost": "variable_cost"}
+    for name in ALL_COMBOS:
+        operations = dict(_read_csv(os.path.join(out, name, "operations.csv"))[1:])
+        report = {r[1]: r[3] for r in _read_csv(os.path.join(out, name, "report.csv"))[1:] if not r[2]}
+        assert {k: operations[k] for k in report_row} == {k: report[v] for k, v in report_row.items()}, name
+
+
 def test_ladder_rerun_is_byte_identical(ladder_run, tmp_path):
     _, out, cfg = ladder_run
     out2 = tmp_path / "out2"
