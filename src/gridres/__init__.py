@@ -37,7 +37,6 @@ from .temporal import (
     select_extreme_periods,
 )
 from .expansion import (
-    BuildOptions,
     ExpansionSolution,
     build_expansion_lp,
     build_operations_lp,
@@ -81,7 +80,6 @@ from .pipeline import (
 
 __all__ = [
     "BendersResult",
-    "BuildOptions",
     "CaseError",
     "Combo",
     "ConfigError",

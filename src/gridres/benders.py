@@ -1,10 +1,11 @@
 """Benders decomposition of the capacity-expansion LP.
 
 Master: investment variables, reserve rows, and a nonnegative cost variable
-per representative period. Subproblem p: the operations LP of period p under
-the case's uc_mode, with every investment pinned to the trial build via
-equal bounds. Non-served energy keeps every subproblem feasible, so only
-optimality cuts arise. The cut for period p at trial x is
+per representative period. Subproblem p: the dispatch of period p that
+expansion.build_lp builds under the case's uc_mode, with every investment
+pinned to the trial build via equal bounds. Non-served energy keeps every
+subproblem feasible, so only optimality cuts arise. The cut for period p at
+trial x is
 
     theta_p >= v_p(x) + sum_j z_j (x_j^new - x_j)
 
@@ -55,9 +56,9 @@ thermal dispatch by tech and the variable cost.
 With ``bases``, the result also holds the last basis each subproblem's
 ReducedModel kept, on the subproblem's full LP as last pinned
 (``ReducedModel.full_basis(lp)``), as status codes, one (cols, rows) pair
-per period. Laid end to end, the
-subproblems of a case with relaxed commitment are its operations LP at the
-same build, but for the previous-hour entries of each period's first hour;
+per period. Laid end to end, the subproblems of a relaxed case are the
+dispatch of all its periods, its operations LP at the same build, but for
+the previous-hour entries of each period's first hour;
 so these bases, concatenated (``expansion.placed_basis``), start the HRB's
 dispatch (``pipeline.dispatch_portfolio``). They fit no other LP, so the
 pipeline asks for them only where they fit (``pipeline.bases_fit``).
@@ -73,7 +74,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expansion import (
-    BuildOptions,
     VarIndex,
     add_investment_columns,
     add_reserve_rows,
@@ -156,14 +156,11 @@ def _pin(lp, inv: slice, values: np.ndarray) -> None:
 
 
 def build_subproblems(case: SystemCase) -> list:
-    """One operations LP per period under the case's uc_mode, as (lp,
+    """The dispatch of each period under the case's uc_mode, as (lp,
     VarIndex), with every investment pinned (at 0 until re-pinned) and no
     investment cost in the objective."""
     pinned = {name: 0.0 for name, *_ in investment_entries(case)}
-    return [
-        build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(p,), fix=pinned))
-        for p in range(case.n_periods)
-    ]
+    return [build_lp(case, periods=(p,), fix=pinned) for p in range(case.n_periods)]
 
 
 def check_options(max_iter, stab_weight, sub_jobs) -> None:

@@ -1,38 +1,37 @@
 """Expansion and operations LPs over a SystemCase.
 
-One builder covers three uses that must stay structurally identical:
+One builder, build_lp, lays out every LP: one chronology block per period
+it is given (every period by default). What kind of LP it builds follows
+from what it is given, by three rules:
 
-* monolithic capacity expansion (investments free, one chronology block per
-  representative period, optional per-region reserve rows),
-* decomposition subproblems (one period, investments pinned by bounds),
-* production-cost runs (year_chronology: every period, its blocks linked
-  end to end, investments pinned from a portfolio, over the portfolio's
-  case, whose lines carry their operating capacity).
+* Without ``fix`` it is a capacity expansion: the investments are free and
+  carry their costs, the fixed O&M of existing capacity is the objective
+  offset, and each block is cyclic on itself (state of charge, ramps and
+  commitment linking wrap from its last hour to its first). Only the
+  monolithic expansion (build_expansion_lp) asks for ``reserve`` rows.
+* With ``fix`` it is a dispatch: the investments fix names are pinned,
+  investment costs and fixed O&M are sunk, and the blocks are linked end
+  to end, cyclic over the whole chronology: the first hour of a block
+  follows the last hour of the block before, and the first block's follows
+  the last block's. A Benders subproblem is the dispatch of one period,
+  where the two chronologies agree; the operations LP (build_operations_lp)
+  is the dispatch of every period of a portfolio's case, whose lines carry
+  their operating capacity.
+* Commitment is the case's uc_mode, read nowhere else: "relaxed" uses a
+  continuous committed-capacity variable with startup costs on increases
+  and gen in [min_output*c, c]; "none" drops commitment and forces gen >=
+  min_output * live capacity. A portfolio's case is relaxed
+  (translate.build_portfolio), so every operations LP is.
 
 A build's investments have one in-memory form: the named vector
 {name: value} over investment_entries(case), in that order, with names
 such as "xv[<cluster>]" and "xg[<cluster>]" (INVESTMENT_PREFIXES).
-ExpansionSolution.investment holds it, BuildOptions.fix pins it,
+ExpansionSolution.investment holds it, build_lp's ``fix`` pins it,
 fixed_cost prices it and investments.csv stores it.
 
-Investment costs and the fixed O&M of existing capacity enter the objective
-only when nothing is pinned (no ``fix``): a pinned LP is an operations LP,
-and its investment costs are sunk.
-
-Every LP has one chronology block per period. Chronology is cyclic within
-each block: state of charge, ramps and commitment linking wrap from the
-last hour of a block to its first. With year_chronology the blocks are
-linked end to end instead, cyclic over the year: the first hour of a block
-follows the last hour of the block before, and the first block's follows
-the last block's. Every balance row carries non-served energy (bounded by
-demand) and a free surplus/dump column, so operations are feasible for any
-capacity vector and balance duals stay inside [0, nse_cost].
-
-Unit commitment modes (BuildOptions.uc): "relaxed" uses a continuous
-committed-capacity variable with startup costs on increases and gen in
-[min_output*c, c]; "none" drops commitment and forces gen >= min_output *
-live capacity. The expansion and its subproblems take the mode from the
-case (SystemCase.uc_mode); the operations LP is always relaxed.
+Every balance row carries non-served energy (bounded by demand) and a free
+surplus/dump column, so operations are feasible for any capacity vector and
+balance duals stay inside [0, nse_cost].
 
 Layout (pinned by tests/test_layout.py). Columns: the investment columns
 first, in investment_entries order; then block by block, and within a
@@ -79,15 +78,6 @@ from .model import SystemCase
 PRICE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class BuildOptions:
-    uc: str = "relaxed"
-    reserve: bool = True
-    periods: tuple[int, ...] | None = None  # None = all representative periods
-    year_chronology: bool = False  # blocks linked end to end, cyclic over the year
-    fix: dict | None = None  # investment var name -> pinned value; costs sunk
-
-
 @dataclass
 class VarIndex:
     """Column and row indices into a built LP.
@@ -95,9 +85,9 @@ class VarIndex:
     inv is the slice of investment columns, in investment_entries order.
     Every other family is an (entities, hours) array of indices: gen over
     case.clusters; commit, start and shut over case.thermal_clusters (no
-    entities unless uc is "relaxed"); charge, discharge and soc over
-    case.storage; flow_fwd and flow_rev over case.interregional_lines; nse,
-    spill and balance_row over case.regions.
+    entities unless the case's uc_mode is "relaxed"); charge, discharge and
+    soc over case.storage; flow_fwd and flow_rev over
+    case.interregional_lines; nse, spill and balance_row over case.regions.
     """
 
     inv: slice | None = None
@@ -223,14 +213,14 @@ def _hourly_rows(b: LpBuilder, nk: int, groups) -> np.ndarray:
     return b.rows(senses, rhs.ravel(), rows.ravel(), cols.ravel(), vals.ravel()).reshape(nk, len(groups))
 
 
-def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIndex]:
+def build_lp(case: SystemCase, periods=None, fix=None, reserve=False) -> tuple[LinearProgram, VarIndex]:
     b = LpBuilder()
     ix = VarIndex()
-    relaxed = opts.uc == "relaxed"
-    inv = add_investment_columns(case, b, ix, opts.fix)
+    relaxed = case.uc_mode == "relaxed"
+    inv = add_investment_columns(case, b, ix, fix)
 
     nk = case.period_length
-    periods = opts.periods if opts.periods is not None else range(case.n_periods)
+    periods = periods if periods is not None else range(case.n_periods)
     # one chronology block per period: its global hours, their weights and its slice of ix.hours
     blocks = [
         (np.arange(p * nk, (p + 1) * nk), np.full(nk, case.period_weights[p]), slice(i * nk, (i + 1) * nk))
@@ -246,11 +236,11 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
 
     def previous(cols: np.ndarray, ks: slice) -> np.ndarray:
         """The column of the hour before each hour of block ks: cyclic over
-        every block (year_chronology) or within the block."""
+        every block in a dispatch (fix), else within the block."""
         block = cols[ks]
         out = np.empty_like(block)
         out[1:] = block[:-1]
-        out[0] = cols[ks.start - 1] if opts.year_chronology else block[-1]  # cols[-1]: the year's last hour
+        out[0] = cols[ks.start - 1] if fix else block[-1]  # cols[-1]: the chronology's last hour
         return out
 
     ix.gen = family(len(case.clusters))
@@ -353,7 +343,7 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
                 (LE, l.capacity, [(ix.flow_fwd[i, ks], 1.0), (xl, -1.0)]),
                 (LE, l.capacity, [(ix.flow_rev[i, ks], 1.0), (xl, -1.0)]),
             ])
-    if opts.reserve:
+    if reserve:
         add_reserve_rows(case, b, inv)
 
     return b.build(), ix
@@ -362,8 +352,8 @@ def build_lp(case: SystemCase, opts: BuildOptions) -> tuple[LinearProgram, VarIn
 def placed_basis(ix: VarIndex, bases: list) -> Basis:
     """The bases of the one-period subproblems of a case's periods, in
     order ((cols, rows) status codes of each, as BendersResult.bases holds
-    them), placed on the LP that build_lp builds over the same case with
-    year_chronology (ix its VarIndex), which is those subproblems laid end
+    them), placed on the dispatch that build_lp builds over every period of
+    the same case (ix its VarIndex), which is those subproblems linked end
     to end: their columns after the investments, which are pinned and
     placed at their lower bound, and their rows. Bases that do not cover
     that LP give a basis of another shape, which fits no warm start
@@ -401,18 +391,16 @@ def add_reserve_rows(case: SystemCase, b: LpBuilder, inv: dict) -> None:
 def build_expansion_lp(case: SystemCase, reserve: bool = True):
     """Monolithic phase-1 LP under the case's uc_mode: weighted operations
     plus free investments."""
-    opts = BuildOptions(uc=case.uc_mode, reserve=reserve)
-    return build_lp(case, opts)
+    return build_lp(case, reserve=reserve)
 
 
 def build_operations_lp(portfolio):
-    """Phase-2 production-cost LP over the portfolio's case: full cyclic
-    chronology with relaxed commitment whatever the case's uc_mode,
-    investments pinned to portfolio.investment (every xl at 0, so each line
-    row bounds a flow by the line's operating capacity), no reserve rows,
-    investment costs sunk (objective is weighted operational cost only)."""
-    opts = BuildOptions(uc="relaxed", reserve=False, year_chronology=True, fix=portfolio.investment)
-    return build_lp(portfolio.case, opts)
+    """Phase-2 production-cost LP: the dispatch of the portfolio's case, whose
+    uc_mode is relaxed, over every period, with investments pinned to
+    portfolio.investment (every xl at 0, so each line row bounds a flow by
+    the line's operating capacity): no reserve rows, and an objective of
+    weighted operating cost only."""
+    return build_lp(portfolio.case, fix=portfolio.investment)
 
 
 # -- solution extraction ------------------------------------------------------

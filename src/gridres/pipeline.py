@@ -18,8 +18,8 @@ carries on.
 
 A combo's commitment mode is stored once, as the uc_mode of its case:
 run_aggregate sets it in coarse/, clustering copies it into reduced/, and
-expansion reads it from there. Dispatch at full resolution is always
-relaxed.
+expansion reads it from there. Dispatch at full resolution is relaxed:
+translate.build_portfolio sets that mode on the portfolio's case.
 
 ladder.csv holds only deterministic columns so reruns with the same seed
 are byte-identical; wall-clock numbers go to side files instead:
@@ -73,7 +73,6 @@ import yaml
 from .benders import STAB_WEIGHT, BendersResult, check_options, solve_benders
 from .caseio import _Table, load_system, read_partition, write_case, write_csv
 from .expansion import (
-    BuildOptions,
     ExpansionSolution,
     build_lp,
     build_operations_lp,
@@ -445,7 +444,7 @@ def read_bases(combo_dir: str, fine: SystemCase) -> list | None:
         return None
     path = os.path.join(combo_dir, "benders_bases.csv")
     table = _Table(path, ("period", "cols", "rows"))
-    lp, _ix = build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(0,)))
+    lp, _ix = build_lp(case, periods=(0,))
     digits = [ord("0") + code for code in STATUS_CODES]
     bases = {}
     for rowno, row in table:
@@ -488,9 +487,10 @@ def write_operations(operations: ExpansionSolution, path: str) -> None:
 
 # -- the per-combo stages, each writing into the combo directory art -------------
 
-# What each stage writes into a combo directory, in stage order. A stage
-# first removes its own and every later stage's files, so no stage reads a
-# file left by an earlier run.
+# What each stage writes into a combo directory, in stage order. Before a
+# stage runs, clear_from removes its own and every later stage's files, so
+# no stage reads a file left by an earlier run: run_case clears from
+# aggregate once, and each CLI stage command from its own stage.
 STAGE_FILES = (
     ("aggregate", ("coarse",)),
     ("cluster", ("reduction.csv", "reduced")),
@@ -515,7 +515,6 @@ def clear_from(stage: str, art: str) -> None:
 def run_aggregate(fine: SystemCase, spec: PartitionSpec | None, uc_mode: str, art: str) -> SystemCase:
     """Aggregate fine onto spec's partition (None: the identity) into coarse/,
     as a case to be expanded under the commitment mode uc_mode."""
-    clear_from("aggregate", art)
     coarse = aggregate_spatial(fine, resolve_partition(fine, spec)).with_updates(uc_mode=uc_mode)
     write_case(coarse, os.path.join(art, "coarse"))
     return coarse
@@ -525,7 +524,6 @@ def run_cluster(rc: RunConfig, coarse: SystemCase, k: int | None, art: str) -> S
     """Reduce coarse to k representative periods into reduction.csv and
     reduced/. A k of None or of at least the period count keeps every
     period and writes nothing."""
-    clear_from("cluster", art)
     if k is None or k >= coarse.n_periods:
         return coarse
     red = cluster_timesteps(coarse, k, force_extremes=rc.force_extremes, seed=rc.seed)
@@ -548,7 +546,6 @@ def run_expand(rc: RunConfig, case: SystemCase, fine: SystemCase, art: str) -> B
     phase1.csv and, where they fit the dispatch on fine (bases_fit), its
     subproblems' last bases to benders_bases.csv; returns the
     BendersResult, whose bases are empty where they do not fit."""
-    clear_from("expand", art)
     bres = solve_benders(
         case,
         reserve=True,
@@ -580,7 +577,6 @@ def run_expand(rc: RunConfig, case: SystemCase, fine: SystemCase, art: str) -> B
 def run_translate(rc: RunConfig, investment: dict, coarse: SystemCase, fine: SystemCase, art: str) -> tuple:
     """Translate the coarse build onto fine into allocation.csv and
     portfolio.csv; returns (allocation, portfolio)."""
-    clear_from("translate", art)
     allocation, portfolio = translate_solution(investment, coarse, fine, beta=rc.beta)
     write_allocation(allocation, os.path.join(art, "allocation.csv"))
     write_portfolio(portfolio, os.path.join(art, "portfolio.csv"))
@@ -594,7 +590,6 @@ def run_operate(
     from baseline, the HRB's record, when given, else from bases, those of
     the combo's own Benders subproblems (dispatch_portfolio). Its solve goes
     to operate_timing.csv."""
-    clear_from("operate", art)
     operations, solve, basis = dispatch_portfolio(portfolio, baseline, bases)
     write_operations(operations, os.path.join(art, "operations.csv"))
     write_csv(os.path.join(art, "operate_timing.csv"), OperateSolve._fields, [solve])
@@ -634,6 +629,7 @@ def run_case(
 
     try:
         with stage("aggregate"):
+            clear_from("aggregate", art)
             coarse = run_aggregate(fine, combo.partition, combo.uc, art)
         out.n_regions = len(coarse.regions)
         with stage("cluster"):

@@ -31,7 +31,9 @@ coarse one that translate_solution reads, and Portfolio.investment on the
 fine case, which build_operations_lp pins as it stands. A fine line's
 operating capacity is not an investment: build_portfolio writes it into
 the line of the portfolio's case (Portfolio.case), so every fine xl is 0
-and the operations LP's line rows bound each flow by that capacity.
+and the operations LP's line rows bound each flow by that capacity. The
+same copy of the case sets its uc_mode to relaxed, the mode of every
+dispatch.
 
 An allocation (SiteAllocation) is the rows of allocation.csv and nothing
 else: each row that is not a line names the coarse entity it came from
@@ -85,7 +87,8 @@ class Portfolio:
     """Fine-resolution capacities implied by a coarse solution."""
 
     # fine case, extended with template clusters if needed, whose
-    # interregional lines carry their operating capacity
+    # interregional lines carry their operating capacity and whose uc_mode
+    # is relaxed, the mode of every dispatch
     case: SystemCase
     # investment name -> value over case's investment_entries; every xl[...]
     # is 0, as the operating line capacity is the line's own
@@ -450,13 +453,13 @@ def build_portfolio(
     The portfolio's investment names every investment of its case, zero if
     untouched, so an empty allocation reproduces the existing system as-is;
     each line of the allocation gets its operating capacity in the
-    portfolio's case, and every xl[...] stays 0. Given the
-    coarse case the allocation was translated from, the template clusters
-    and storage it names (``<region>_<tech>_tpl``, ``<region>_storage_tpl``)
-    are rebuilt from their provenance cluster and added to the portfolio's
-    case; without it, an allocation onto a template is refused. An entity
-    or line the case lacks, or a negative resulting capacity of a cluster,
-    storage or line, is a CaseError.
+    portfolio's case, whose uc_mode is relaxed, and every xl[...] stays 0.
+    Given the coarse case the allocation was translated from, the template
+    clusters and storage it names (``<region>_<tech>_tpl``,
+    ``<region>_storage_tpl``) are rebuilt from their provenance cluster and
+    added to the portfolio's case; without it, an allocation onto a
+    template is refused. An entity or line the case lacks, or a negative
+    resulting capacity of a cluster, storage or line, is a CaseError.
     """
     if coarse is not None:
         fine_case = _with_templates(fine_case, coarse, allocation)
@@ -472,7 +475,8 @@ def build_portfolio(
     if unknown_lines:
         raise CaseError(f"unknown fine interregional lines {unknown_lines}")
     fine_case = fine_case.with_updates(
-        lines=tuple(replace(l, capacity=allocation.line_capacity.get(l.id, l.capacity)) for l in fine_case.lines)
+        lines=tuple(replace(l, capacity=allocation.line_capacity.get(l.id, l.capacity)) for l in fine_case.lines),
+        uc_mode="relaxed",
     )
 
     portfolio = Portfolio(case=fine_case, investment=investment)

@@ -205,7 +205,6 @@ def synth_small_lps(synth_small):
     expansion, one single-period Benders subproblem and the operations LP
     of a portfolio with new gas and an expanded line."""
     from gridres.expansion import (
-        BuildOptions,
         build_expansion_lp,
         build_lp,
         build_operations_lp,
@@ -214,12 +213,7 @@ def synth_small_lps(synth_small):
     from gridres.translate import SiteAllocation, build_portfolio
 
     case = synth_small
-    subproblem = BuildOptions(
-        uc="relaxed",
-        reserve=False,
-        periods=(1,),
-        fix={name: 0.0 for name, *_ in investment_entries(case)},
-    )
+    pinned = {name: 0.0 for name, *_ in investment_entries(case)}
     line = case.interregional_lines[0]
     allocation = SiteAllocation(line_capacity={line.id: 1.5 * line.capacity})
     portfolio = build_portfolio(case, allocation)
@@ -227,7 +221,7 @@ def synth_small_lps(synth_small):
     return {
         "expansion_relaxed": build_expansion_lp(case.with_updates(uc_mode="relaxed"))[0],
         "expansion_none": build_expansion_lp(case.with_updates(uc_mode="none"))[0],
-        "subproblem": build_lp(case, subproblem)[0],
+        "subproblem": build_lp(case, periods=(1,), fix=pinned)[0],
         "operations": build_operations_lp(portfolio)[0],
     }
 

@@ -1,10 +1,11 @@
 """Hand-solvable planning and dispatch LPs covering every constraint family."""
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
 from gridres.expansion import (
-    BuildOptions,
     build_expansion_lp,
     build_lp,
     build_operations_lp,
@@ -410,7 +411,7 @@ def test_the_row_reduced_operations_lp_bounds_each_flow_by_its_line_capacity_exa
 
 
 def _subproblem(case, period, build):
-    return build_lp(case, BuildOptions(uc=case.uc_mode, reserve=False, periods=(period,), fix=build))
+    return build_lp(case, periods=(period,), fix=build)
 
 
 def _line_rows(case, lp, ix, i):
@@ -435,8 +436,14 @@ def test_the_blocks_hold_every_column_but_the_investments_and_every_row_but_the_
     case = synth_small.with_updates(uc_mode=uc)
     zero = {name: 0.0 for name, *_ in investment_entries(case)}
     line = case.interregional_lines[0]
-    portfolio = build_portfolio(case, SiteAllocation(line_capacity={line.id: line.capacity}))
+    allocation = SiteAllocation(line_capacity={line.id: line.capacity})
+    portfolio = build_portfolio(case, allocation)
     relaxed = case.with_updates(uc_mode="relaxed")  # the operations LP's mode, whatever the case's
+    # the portfolio's case carries that mode: its operations LP is the relaxed case's
+    ops, ops_relaxed = (build_operations_lp(build_portfolio(c, allocation))[0] for c in (case, relaxed))
+    assert ops.obj_offset == ops_relaxed.obj_offset
+    for array in ("obj", "lo", "hi", "senses", "rhs", "a_matrix.data", "a_matrix.indices", "a_matrix.indptr"):
+        assert np.array_equal(attrgetter(array)(ops), attrgetter(array)(ops_relaxed)), array
     for (lp, ix), reserve_rows, one in (
         (build_expansion_lp(case), len(case.regions), _subproblem(case, 0, zero)[0]),
         (_subproblem(case, 1, zero), 0, _subproblem(case, 0, zero)[0]),

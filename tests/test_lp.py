@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from gridres import lp as lp_module
-from gridres.expansion import BuildOptions, build_lp, investment_entries
+from gridres.expansion import build_lp, investment_entries
 from gridres.lp import (
     EQ,
     GE,
@@ -676,8 +676,7 @@ def _reduced_solves(synth_small):
     entries = investment_entries(synth_small)
     top = np.array([min(hi, 100.0) for _n, _k, _e, _lo, hi, _c in entries])
     for p in range(synth_small.n_periods):
-        opts = BuildOptions(uc="relaxed", reserve=False, periods=(p,), fix={name: 0.0 for name, *_ in entries})
-        lp, ix = build_lp(synth_small, opts)
+        lp, ix = build_lp(synth_small, periods=(p,), fix={name: 0.0 for name, *_ in entries})
         reduced = ReducedModel()
         solve_simplex(lp, reduced)  # cold, on the full LP
         for _ in range(3):
@@ -743,11 +742,7 @@ def test_a_repinned_lp_solves_from_its_cache_as_a_fresh_build_does(synth_small):
     names = [name for name, *_ in investment_entries(synth_small)]
 
     def subproblem(level):
-        opts = BuildOptions(
-            uc="relaxed", reserve=False, periods=(1,),
-            fix={name: level for name in names},
-        )
-        return build_lp(synth_small, opts)
+        return build_lp(synth_small, periods=(1,), fix={name: level for name in names})
 
     lp, ix = subproblem(0.0)
     reduced, reduced_fresh = ReducedModel(), ReducedModel()

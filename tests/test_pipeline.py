@@ -28,6 +28,7 @@ from gridres.pipeline import (
     STAGE_FILES,
     RunConfig,
     chunk_partition,
+    combo_case_dir,
     load_partition_file,
     rescore_from_artifacts,
     run_case,
@@ -432,6 +433,23 @@ def test_a_failed_combo_times_the_stages_it_reached(tmp_path, monkeypatch):
     assert all(float(r[1]) >= 0.0 for r in rows[1:])
 
 
+def test_run_case_clears_the_files_of_an_earlier_run(tmp_path):
+    # a coarse combo at k all writes no reduced/ and no benders_bases.csv,
+    # so only run_case's own clear removes those an earlier run left, and
+    # the combo's expansion is the one of coarse/
+    rc = RunConfig.from_dict(yaml.safe_load(CONFIG_TEMPLATE.format(out_dir=tmp_path / "out")))
+    fine = rc.load_fine()
+    combos = {c.name: c for c in rc.combos()}
+    art = tmp_path / "out" / "r1-kall-relaxed"
+    (art / "reduced").mkdir(parents=True)
+    (art / "reduced" / "scalars.csv").write_text("stale\n")
+    (art / "benders_bases.csv").write_text("stale\n")
+    hrb = run_case(rc, combos[HRB_NAME], fine)
+    assert run_case(rc, combos["r1-kall-relaxed"], fine, hrb.baseline).ok
+    assert not (art / "reduced").exists() and not (art / "benders_bases.csv").exists()
+    assert combo_case_dir(str(art)) == str(art / "coarse")
+
+
 def test_ladder_needs_a_second_combo(tmp_path):
     rc = RunConfig(out_dir=str(tmp_path), synth=SynthConfig(**TINY_SYNTH))
     with pytest.raises(ConfigError, match="at least one combo besides the baseline"):
@@ -634,9 +652,9 @@ def test_rescoring_solves_only_the_two_operations_lps(ladder_run, monkeypatch):
     built, solved = [], []
     real_build, real_solve = expansion.build_lp, lp_module.solve_simplex
 
-    def build_spy(case, opts):
-        built.append(opts)
-        return real_build(case, opts)
+    def build_spy(case, periods=None, fix=None, reserve=False):
+        built.append((periods, bool(fix), reserve))
+        return real_build(case, periods, fix, reserve)
 
     def solve_spy(lp, warm=None):
         solved.append(lp)
@@ -651,7 +669,7 @@ def test_rescoring_solves_only_the_two_operations_lps(ladder_run, monkeypatch):
         monkeypatch.setattr(module, "solve_simplex", solve_spy)
         monkeypatch.setattr(module, "solve_benders", no_benders)
     rescore_from_artifacts(rc, os.path.join(out, "r1-k1-relaxed"), os.path.join(out, "hrb"))
-    assert [(opts.year_chronology, opts.periods, opts.reserve) for opts in built] == [(True, None, False)] * 2
+    assert built == [(None, True, False)] * 2  # each pinned over every period, with no reserve rows
     assert len(solved) == 2
 
 
