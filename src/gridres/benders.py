@@ -17,7 +17,8 @@ The loop has three parts. ``_Master`` gives a lower bound and an iterate and
 takes cuts. The step makes the trial a convex combination of the iterate and
 the incumbent, with weight ``stab_weight`` on the incumbent (in-out
 separation). ``_Subproblems`` pins the trial in each period's LP, built
-once, and solves them all, serially or on ``sub_jobs`` threads. The loop
+once, and solves them all, serially or on ``sub_jobs`` threads; on the
+first call, period 0 runs alone first, to seed the others. The loop
 keeps the incumbent, the log, the timing and the stop test. ``stab_weight``
 has one default, ``STAB_WEIGHT`` = 0.3, which ``RunConfig`` reads too: at 0,
 pure Benders, round-off sets the path, as a trial moved by ~1e-16 can give a
@@ -30,19 +31,28 @@ one HiGHS model kept for the whole solve (``lp.KeptModel``): cold at first,
 then by dual simplex from the kept basis, or cold again if that optimum is
 not optimal or fails the KKT check.
 
-Each subproblem is solved through its own ``lp.ReducedModel``, not ready
-before its first accepted optimum, so iteration 1 is cold on the full LP.
-Its trial pins every investment at 0, where the dual is degenerate: a
-reduced LP's optimum would be another valid subgradient, and so another cut
-and path. From iteration 2 on, each subproblem is solved on its row-reduced
-LP, whose rows that the pinned investments leave with one free entry are
-column bounds, since HiGHS does no presolve from a basis. A kept basis's
-shape says which LP it fits. Dual simplex starts from the full LP's basis
-of iteration 1, which has the full LP's shape and is mapped onto the
-reduced LP, and then from the last reduced basis, of the reduced LP's
-shape, which stays dual feasible as only the pinned bounds move. A reduced attempt that is not optimal or fails the KKT
-check on the full LP falls back to a cold solve of the full LP
-(``warm_fallbacks`` in the timing), whose basis the next attempt maps.
+Each subproblem is solved through its own ``lp.ReducedModel``. Only
+period 0's first solve has no basis to start from: on the first call it
+runs alone, cold on the full LP, and its optimal basis seeds every other
+period's ReducedModel (``ReducedModel(basis)``), as the HRB's basis seeds a
+combo's dispatch. Every one-period LP of a case has one layout, so that
+basis has each subproblem's full-LP shape. Every other solve is on the
+subproblem's row-reduced LP, whose rows that the pinned investments leave
+with one free entry are column bounds, since HiGHS does no presolve from a
+basis. A kept basis's shape says which LP it fits. Dual simplex starts
+from a basis of the full LP's shape, the seed or a cold solve's, mapped
+onto the reduced LP, and then from the last reduced basis, of the reduced
+LP's shape, which stays dual feasible as only the pinned bounds move. A
+reduced attempt that is not optimal or fails the KKT check on the full LP
+falls back to a cold solve of the full LP (``warm_fallbacks`` in the
+timing), whose basis the next attempt maps.
+
+A seeded or reduced optimum may be another optimal vertex than a cold
+solve's. Measured, that has not moved the path at the default step
+weight: their cut slopes match a cold full-LP solve's within 1e-9
+(tests/test_benders.py), and seeding iteration 1 kept every Benders
+iteration count of both benchmark workloads and moved ladder.csv by at
+most 7.4e-12 relative. What moves the path is the master and the step.
 
 The result holds the incumbent build by name (``investment``) and the
 phase-1 summary of the subproblem solves of the iteration that set it
@@ -182,7 +192,6 @@ class _Subproblems:
         self.case = case
         self.lps = build_subproblems(case)
         self.inv = self.lps[0][1].inv
-        # not ready before a first solve, so iteration 1 is cold on the full LP
         self.reduced = [ReducedModel() for _ in self.lps]
         self.solve_all = solve_all
 
@@ -191,13 +200,21 @@ class _Subproblems:
         the count of reduced attempts that fell through to a cold solve."""
         for lp, _ix in self.lps:
             _pin(lp, self.inv, trial)
-        tried = [r.ready for r in self.reduced]
+        lps = [lp for lp, _ix in self.lps]
+        sols = []
+        if not self.reduced[0].ready:  # the first call: period 0 alone, cold on the full LP
+            sols.append(solve_simplex(lps[0], self.reduced[0]))
+            # every one-period LP of a case has one layout, so period 0's
+            # optimal basis seeds the others, mapped onto their reduced LPs
+            self.reduced[1:] = [ReducedModel(self.reduced[0].basis) for _ in lps[1:]]
+        done = len(sols)
+        tried = [r.ready for r in self.reduced[done:]]
         # each subproblem owns its LP object; solves are independent
-        sols = list(self.solve_all(solve_simplex, [lp for lp, _ix in self.lps], self.reduced))
+        sols += self.solve_all(solve_simplex, lps[done:], self.reduced[done:])
         for p, sol in enumerate(sols):
             if not sol.is_optimal:
                 raise RuntimeError(f"subproblem {p} {sol.status}")
-        return sols, sum(t and not s.stats.warm for t, s in zip(tried, sols))
+        return sols, sum(t and not s.stats.warm for t, s in zip(tried, sols[done:]))
 
     def summary(self, sols, bases: bool):
         """The build pinned in sols, their phase-1 summary, and with bases

@@ -92,19 +92,20 @@ linear programming" (Andersen & Andersen, 1995).
   set (``_ByColumn``), so a re-pin takes each column's tightest bound and
   its lowest tied row with a reduction over the column's run
   (``reduceat``), not a sort.
-- It is not ready until it has kept one accepted optimum, so an LP's
-  first solve is the usual cold solve of the full LP, unless the model is
-  seeded with a basis of the full LP (``ReducedModel(basis)``): a combo's
-  operate solve is seeded with the HRB's. The model keeps the basis of
+- It is not ready until it has kept one accepted optimum, so an LP's first
+  solve is the usual cold solve of the full LP, unless the model is seeded
+  with a basis of the full LP (``ReducedModel(basis)``): a combo's operate
+  solve is seeded with the HRB's, and each Benders subproblem but period
+  0's with period 0's first optimal basis. The model keeps the basis of
   every accepted optimum, and each attempt runs warm from it under the
   warm options (dual simplex, Devex dual edge weights). A basis's shape
-  says which LP it fits. A basis of the full LP's shape (a seed, or a
-  cold solve's: the first one, or one after a fall-through) is mapped
-  onto the reduced LP: every column keeps its status, and each kept row
-  keeps its row's. A removed bound row that is nonbasic and supplies its
-  column's active bound moves that column, if it is basic, to nonbasic at
-  that bound. The mapped basis is passed as alien, so HiGHS repairs what
-  a degenerate row leaves over: a count of basic variables other than the
+  says which LP it fits. A basis of the full LP's shape (a seed, or a cold
+  solve's: the first one, or one after a fall-through) is mapped onto the
+  reduced LP: every column keeps its status, and each kept row keeps its
+  row's. A removed bound row that is nonbasic and supplies its column's
+  active bound moves that column, if it is basic, to nonbasic at that
+  bound. The mapped basis is passed as alien, so HiGHS repairs what a
+  degenerate row leaves over: a count of basic variables other than the
   row count, or a singular basis. A basis of the reduced LP's shape, kept
   under the same fixed set, is passed as it is. Where no row is a bound
   row, the two shapes are one and the mapping is an identity.
@@ -689,9 +690,10 @@ class Basis:
     bindings copy each status list, which takes about 17 ms for the 43,000
     statuses of a 3-week, 2-region operations LP on a 2-core VM. A seed is
     kept long and shared (the HRB's operate basis seeds every combo's
-    operate solve), and its HighsBasis, allocated while the HiGHS model
-    that solved the LP was alive, would hold the top of the heap, and with
-    it the memory that model freed, for as long as it is kept."""
+    operate solve, period 0's first Benders subproblem basis every other
+    period's first solve), and its HighsBasis, allocated while the HiGHS
+    model that solved the LP was alive, would hold the top of the heap, and
+    with it the memory that model freed, for as long as it is kept."""
 
     def __init__(self, basis, shape: tuple[int, int]):
         self.shape = shape

@@ -180,15 +180,19 @@ def test_subproblems_warm_start_after_their_first_solve(monkeypatch):
     assert [row[0] for row in r.timing] == list(range(1, r.iterations + 1))
     assert all(row[4] == row[5] == 0 for row in r.timing)  # no fall-through, no retry
     assert all(given == warm for given, warm in calls)
-    # every master and subproblem solve after the first of its LP comes from
-    # its warm-start object; only the first master and the first subproblem
-    # solves are cold on the full LP, and nothing is solved after the loop
+    # every master solve after the first comes from its warm-start object,
+    # and every subproblem solve but period 0's first; only the first master
+    # and period 0's first subproblem solve are cold on the full LP, and
+    # nothing is solved after the loop
     n = case.n_periods
-    assert sum(warm for _given, warm in calls) == (n + 1) * (r.iterations - 1)
-    assert sum(not warm for _given, warm in calls) == 1 + n
-    # a subproblem's first solve has no basis; its first reduced solve maps
-    # the full LP's basis, and each later one starts from the reduced basis
-    assert based == [(False, False)] * n + [(True, True)] * n + [(True, False)] * n * (r.iterations - 2)
+    assert sum(warm for _given, warm in calls) == (n + 1) * (r.iterations - 1) + n - 1
+    assert sum(not warm for _given, warm in calls) == 1 + 1
+    # period 0's first solve has no basis; its optimal basis, of the full LP,
+    # seeds the other periods' first solves, and period 0's second maps it
+    # too; each later solve starts from its reduced basis
+    assert based == (
+        [(False, False)] + [(True, True)] * n + [(True, False)] * (n * (r.iterations - 1) - 1)
+    )
 
 
 def test_only_the_master_solves_lps_that_build_lp_did_not_build(monkeypatch):
@@ -364,7 +368,8 @@ def test_reduced_subproblems_give_the_full_lps_cut_slopes(monkeypatch):
     case = generate(SynthConfig(n_regions=2, periods=3, period_length=12), seed=7)
     seen = _reduced_solves(monkeypatch)
     r = solve_benders(case, stab_weight=RunConfig.stab_weight)
-    assert len(seen) == case.n_periods * (r.iterations - 1) > 0
+    n = case.n_periods
+    assert len(seen) == n * (r.iterations - 1) + n - 1 > 0
     inv = slice(0, len(r.investment))  # investment columns come first
     for lp, sol in seen:
         full = solve_simplex(lp)
@@ -387,8 +392,8 @@ def test_failed_reduced_attempts_fall_back_and_are_counted(monkeypatch):
     r = solve_benders(case)
     n = case.n_periods
     assert r.converged
-    assert len(tried) == n * (r.iterations - 1)
-    assert [row[4] for row in r.timing] == [0] + [n] * (r.iterations - 1)
+    assert len(tried) == n * (r.iterations - 1) + n - 1
+    assert [row[4] for row in r.timing] == [n - 1] + [n] * (r.iterations - 1)
     assert all(row[5] == 0 for row in r.timing)
     # the full cold solves may take another path to another near-optimal build
     assert r.objective >= plain.lower_bound - 1e-9 * abs(plain.lower_bound)
@@ -408,7 +413,7 @@ def test_interior_point_retries_are_counted(monkeypatch):
     r = solve_benders(case)
     n = case.n_periods
     assert r.converged
-    assert [row[4] for row in r.timing] == [0] + [n] * (r.iterations - 1)
+    assert [row[4] for row in r.timing] == [n - 1] + [n] * (r.iterations - 1)
     assert [row[5] for row in r.timing] == [n] * r.iterations
 
 
