@@ -38,7 +38,6 @@ from .temporal import (
 )
 from .expansion import (
     ExpansionSolution,
-    build_expansion_lp,
     build_operations_lp,
     extract_prices,
     extract_solution,
@@ -111,7 +110,6 @@ __all__ = [
     "allocate_thermal",
     "allocate_vre",
     "apply_temporal",
-    "build_expansion_lp",
     "build_operations_lp",
     "build_portfolio",
     "build_report",

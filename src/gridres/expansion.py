@@ -7,8 +7,9 @@ from what it is given, by three rules:
 * Without ``fix`` it is a capacity expansion: the investments are free and
   carry their costs, the fixed O&M of existing capacity is the objective
   offset, and each block is cyclic on itself (state of charge, ramps and
-  commitment linking wrap from its last hour to its first). Only the
-  monolithic expansion (build_expansion_lp) asks for ``reserve`` rows.
+  commitment linking wrap from its last hour to its first). Only a
+  monolithic expansion, the LP a Benders solve with reserves decomposes,
+  asks for ``reserve`` rows.
 * With ``fix`` it is a dispatch: the investments fix names are pinned,
   investment costs and fixed O&M are sunk, and the blocks are linked end
   to end, cyclic over the whole chronology: the first hour of a block
@@ -27,7 +28,8 @@ A build's investments have one in-memory form: the named vector
 {name: value} over investment_entries(case), in that order, with names
 such as "xv[<cluster>]" and "xg[<cluster>]" (INVESTMENT_PREFIXES).
 ExpansionSolution.investment holds it, build_lp's ``fix`` pins it,
-fixed_cost prices it and investments.csv stores it.
+fixed_cost prices it with the expansion LP's own coefficients (its
+investment costs and objective offset) and investments.csv stores it.
 
 Every balance row carries non-served energy (bounded by demand) and a free
 surplus/dump column, so operations are feasible for any capacity vector and
@@ -152,26 +154,17 @@ def investment_entries(case: SystemCase):
     return entries
 
 
+def existing_fom(case: SystemCase) -> float:
+    """The fixed O&M of existing capacity: the expansion LP's objective
+    offset, summed cluster by cluster in case order."""
+    return sum((c.fom_cost * c.existing_capacity for c in case.clusters), 0.0)
+
+
 def fixed_cost(case: SystemCase, values: dict) -> float:
-    """Annualized investment plus fixed O&M on live capacity for named
-    investment values, summed entity by entity in case order."""
-
-    def v(kind, eid):
-        return values[investment_name(kind, eid)]
-
-    total = 0.0
-    for c in case.vre_clusters:
-        new = v("vre_new", c.id)
-        total += c.fixed_cost * new + c.fom_cost * (c.existing_capacity + new)
-    for c in case.thermal_clusters:
-        new = v("thermal_new", c.id)
-        live = c.existing_capacity - v("thermal_retired", c.id) + new
-        total += c.fixed_cost * new + c.fom_cost * live
-    for s in case.storage:
-        total += s.power_cost * v("storage_new_power", s.id) + s.energy_cost * v("storage_new_energy", s.id)
-    for l in case.interregional_lines:
-        total += l.expansion_cost * v("line_expansion", l.id)
-    return total
+    """The investment part of the expansion LP's objective at the named
+    investment values: existing_fom plus each investment_entries cost
+    times its value, in that order."""
+    return sum((cost * values[name] for name, *_, cost in investment_entries(case)), existing_fom(case))
 
 
 def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=None) -> dict:
@@ -188,8 +181,7 @@ def add_investment_columns(case: SystemCase, b: LpBuilder, ix: VarIndex, fix=Non
     cols = b.vars(len(entries), lo, hi, cost)
     ix.inv = slice(int(cols[0]), int(cols[-1]) + 1) if len(cols) else slice(0, 0)
     if charge:
-        for c in case.clusters:
-            b.obj_offset += c.fom_cost * c.existing_capacity
+        b.obj_offset += existing_fom(case)
     inv = {kind: [] for kind in INVESTMENT_PREFIXES}
     for (_n, kind, *_), col in zip(entries, cols.tolist()):
         inv[kind].append(col)
@@ -386,12 +378,6 @@ def add_reserve_rows(case: SystemCase, b: LpBuilder, inv: dict) -> None:
                 terms.append((inv["storage_new_power"][i], 1.0))
                 rhs -= s.existing_power
         b.row(f"reserve[{r.id}]", GE, rhs, terms)
-
-
-def build_expansion_lp(case: SystemCase, reserve: bool = True):
-    """Monolithic phase-1 LP under the case's uc_mode: weighted operations
-    plus free investments."""
-    return build_lp(case, reserve=reserve)
 
 
 def build_operations_lp(portfolio):

@@ -8,8 +8,10 @@ tCO2): despite the name, not a mean squared error.
 
 A dispatch's energy, emissions and costs are totals of its
 ExpansionSolution (one expansion.ThermalAccount per thermal cluster);
-this module adds only regional profit and hour-of-day prices. Fixed costs
-are priced apart (expansion.fixed_cost).
+this module adds only regional profit and hour-of-day prices. A build's
+fixed cost comes in priced by expansion.fixed_cost, the investment part
+of the expansion LP's objective. HEADLINE_COLUMNS and headline define the
+headline numbers once, for ladder.csv and the printed summary alike.
 """
 
 from __future__ import annotations
@@ -229,23 +231,34 @@ def write_report(reports, path: str) -> None:
     write_csv(path, ("case", "metric", "key", "value"), (row for rep in reports for row in rep.rows()))
 
 
+# the headline numbers, as ladder.csv and the printed summary name them
+HEADLINE_COLUMNS = ("sco_solar", "sco_wind", "mse_cap", "mse_profit", "mse_emiss", "total_cost", "nse", "emissions")
+
+
+def headline(report: MetricsReport) -> tuple:
+    """The report's values of HEADLINE_COLUMNS, in that order: the mean
+    SCO over solar and over the wind techs, then its mse_cap, mse_profit,
+    mse_emiss, total_cost, total_nse and total_emissions."""
+    return (
+        float(sco_column(report, ("solar",))),
+        float(sco_column(report, WIND_TECHS)),
+        float(report.mse_cap),
+        float(report.mse_profit),
+        float(report.mse_emiss),
+        float(report.total_cost),
+        float(report.total_nse),
+        float(report.total_emissions),
+    )
+
+
 def format_summary(reports) -> str:
-    """Human-readable table of the headline numbers."""
-    headers = ("case", "sco_solar", "sco_wind", "mse_cap_gw", "mse_profit",
-               "mse_emiss", "total_cost", "nse_mwh", "emissions_t")
+    """Human-readable table of the headline numbers, SCO to one decimal
+    and the others to six significant digits."""
+    headers = ("case", *HEADLINE_COLUMNS)
     rows = [headers]
     for r in reports:
-        rows.append((
-            r.combo,
-            f"{sco_column(r, ('solar',)):.1f}",
-            f"{sco_column(r, WIND_TECHS):.1f}",
-            f"{r.mse_cap:.6g}",
-            f"{r.mse_profit:.6g}",
-            f"{r.mse_emiss:.6g}",
-            f"{r.total_cost:.6g}",
-            f"{r.total_nse:.6g}",
-            f"{r.total_emissions:.6g}",
-        ))
+        cells = zip(HEADLINE_COLUMNS, headline(r))
+        rows.append((r.combo, *(f"{v:.1f}" if name.startswith("sco_") else f"{v:.6g}" for name, v in cells)))
     widths = [max(len(str(row[i])) for row in rows) for i in range(len(headers))]
     lines = []
     for row in rows:

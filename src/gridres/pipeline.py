@@ -64,7 +64,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -83,14 +83,15 @@ from .expansion import (
 )
 from .lp import PRIMAL_TOL, STATUS_CODES, Basis, ReducedModel, solve_simplex
 from .metrics import (
+    HEADLINE_COLUMNS,
     DispatchedBuild,
     MetricsReport,
     build_report,
     format_summary,
-    sco_column,
+    headline,
     write_report,
 )
-from .model import UC_MODES, VRE_TECHS, WIND_TECHS, CaseError, SystemCase
+from .model import UC_MODES, VRE_TECHS, CaseError, SystemCase
 from .spatial import RegionPartition, aggregate_spatial
 from .syngen import PATHWAY_CARBON_FEE, SynthConfig, generate
 from .temporal import apply_temporal, cluster_timesteps, write_reduction
@@ -349,7 +350,8 @@ class RunConfig:
             for k in self.k_values:
                 kk = None if k == "all" else int(k)
                 for uc in self.uc_modes:
-                    out.append(Combo(f"{p.name}-k{'all' if kk is None else kk}-{uc}", p, kk, uc))
+                    combo = Combo("", p, kk, uc)
+                    out.append(replace(combo, name=f"{p.name}-k{combo.k_label}-{uc}"))
         return out
 
 
@@ -672,28 +674,11 @@ def run_case(
     return out
 
 
-LADDER_COLUMNS = (
-    "combo", "n_regions", "k", "uc", "sco_solar", "sco_wind", "mse_cap",
-    "mse_profit", "mse_emiss", "total_cost", "nse", "emissions",
-)
+LADDER_COLUMNS = ("combo", "n_regions", "k", "uc", *HEADLINE_COLUMNS)
 
 
 def _ladder_row(res: CaseResult):
-    r = res.report
-    return (
-        res.combo.name,
-        res.n_regions,
-        res.combo.k_label,
-        res.combo.uc,
-        float(sco_column(r, ("solar",))),
-        float(sco_column(r, WIND_TECHS)),
-        float(r.mse_cap),
-        float(r.mse_profit),
-        float(r.mse_emiss),
-        float(r.total_cost),
-        float(r.total_nse),
-        float(r.total_emissions),
-    )
+    return (res.combo.name, res.n_regions, res.combo.k_label, res.combo.uc, *headline(res.report))
 
 
 @dataclass

@@ -205,7 +205,6 @@ def synth_small_lps(synth_small):
     expansion, one single-period Benders subproblem and the operations LP
     of a portfolio with new gas and an expanded line."""
     from gridres.expansion import (
-        build_expansion_lp,
         build_lp,
         build_operations_lp,
         investment_entries,
@@ -219,8 +218,8 @@ def synth_small_lps(synth_small):
     portfolio = build_portfolio(case, allocation)
     portfolio.investment[f"xg[{case.thermal_clusters[0].id}]"] = 25.0
     return {
-        "expansion_relaxed": build_expansion_lp(case.with_updates(uc_mode="relaxed"))[0],
-        "expansion_none": build_expansion_lp(case.with_updates(uc_mode="none"))[0],
+        "expansion_relaxed": build_lp(case.with_updates(uc_mode="relaxed"), reserve=True)[0],
+        "expansion_none": build_lp(case.with_updates(uc_mode="none"), reserve=True)[0],
         "subproblem": build_lp(case, periods=(1,), fix=pinned)[0],
         "operations": build_operations_lp(portfolio)[0],
     }

@@ -14,7 +14,7 @@ from gridres.expansion import (
     VarIndex,
     add_investment_columns,
     add_reserve_rows,
-    build_expansion_lp,
+    build_lp,
     extract_solution,
 )
 from gridres.lp import GE, Attempt, KeptModel, LpBuilder, ReducedModel, solve_simplex
@@ -25,7 +25,7 @@ from conftest import make_unit, one_bus_case
 
 
 def _monolithic(case, reserve=True):
-    lp, ix = build_expansion_lp(case, reserve=reserve)
+    lp, ix = build_lp(case, reserve=reserve)
     sol = solve_simplex(lp)
     assert sol.is_optimal
     return extract_solution(case, ix, sol)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gridres.expansion import (
-    build_expansion_lp,
     build_lp,
     build_operations_lp,
     extract_prices,
@@ -38,7 +37,7 @@ MC = 25.0
 
 
 def _solve(case, reserve=True):
-    lp, ix = build_expansion_lp(case, reserve=reserve)
+    lp, ix = build_lp(case, reserve=reserve)
     sol = solve_simplex(lp)
     assert sol.is_optimal
     return extract_solution(case, ix, sol), ix
@@ -371,7 +370,7 @@ def test_operations_lp_couples_periods_cyclically():
 
 
 def test_fixed_cost_is_the_investment_part_of_the_objective(synth_small):
-    lp, ix = build_expansion_lp(synth_small)
+    lp, ix = build_lp(synth_small, reserve=True)
     sol = solve_simplex(lp)
     assert sol.is_optimal
     es = extract_solution(synth_small, ix, sol)
@@ -381,7 +380,7 @@ def test_fixed_cost_is_the_investment_part_of_the_objective(synth_small):
 
 def test_kkt_residuals_equal_the_loop_reference_on_synth_lps(synth_small):
     portfolio = build_portfolio(synth_small, SiteAllocation())
-    for lp, _ix in (build_expansion_lp(synth_small), build_operations_lp(portfolio)):
+    for lp, _ix in (build_lp(synth_small, reserve=True), build_operations_lp(portfolio)):
         sol = solve_simplex(lp)
         assert sol.is_optimal
         x, y = sol.x, sol.row_duals
@@ -445,7 +444,7 @@ def test_the_blocks_hold_every_column_but_the_investments_and_every_row_but_the_
     for array in ("obj", "lo", "hi", "senses", "rhs", "a_matrix.data", "a_matrix.indices", "a_matrix.indptr"):
         assert np.array_equal(attrgetter(array)(ops), attrgetter(array)(ops_relaxed)), array
     for (lp, ix), reserve_rows, one in (
-        (build_expansion_lp(case), len(case.regions), _subproblem(case, 0, zero)[0]),
+        (build_lp(case, reserve=True), len(case.regions), _subproblem(case, 0, zero)[0]),
         (_subproblem(case, 1, zero), 0, _subproblem(case, 0, zero)[0]),
         (build_operations_lp(portfolio), 0, _subproblem(relaxed, 0, zero)[0]),
     ):

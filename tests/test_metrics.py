@@ -10,7 +10,7 @@ import pytest
 
 from gridres import lp as lp_module
 from gridres.benders import _pin, build_subproblems, solve_benders
-from gridres.expansion import build_expansion_lp, extract_solution, fixed_cost
+from gridres.expansion import build_lp, extract_solution, fixed_cost
 from gridres.lp import ReducedModel, solve_simplex
 from gridres.metrics import (
     DispatchedBuild,
@@ -25,7 +25,7 @@ from gridres.metrics import (
     write_report,
 )
 from gridres.model import Region
-from gridres.pipeline import chunk_partition, dispatch_portfolio
+from gridres.pipeline import LADDER_COLUMNS, CaseResult, Combo, _ladder_row, chunk_partition, dispatch_portfolio
 from gridres.spatial import aggregate_spatial
 from gridres.syngen import SynthConfig, generate
 from gridres.temporal import apply_temporal, cluster_timesteps
@@ -46,7 +46,7 @@ from oracles import cost_recovery
 
 
 def _solve(case, reserve=True):
-    lp, ix = build_expansion_lp(case, reserve=reserve)
+    lp, ix = build_lp(case, reserve=reserve)
     sol = solve_simplex(lp)
     assert sol.is_optimal
     return extract_solution(case, ix, sol)
@@ -321,13 +321,17 @@ def test_summary_table_mentions_the_headline_columns():
 
 
 def test_summary_sco_wind_averages_every_wind_tech_as_the_ladder_does():
-    # ladder.csv's sco_wind is the mean over onshore and both offshore
-    # techs; the printed summary must show the same number
+    # the printed summary shows ladder.csv's headline columns and, for the
+    # same report, ladder.csv's values: the SCO to .1f, the others to .6g;
+    # sco_wind is the mean over onshore and both offshore techs
     _, _, rep = _self_report()
     rep = replace(rep, sco_by_tech={
         "solar": 80.0, "onshore_wind": 100.0, "offshore_fixed": 40.0, "offshore_floating": 30.0,
     })
     header, row = (line.split() for line in format_summary([rep]).splitlines())
+    assert header == ["case", *LADDER_COLUMNS[4:]]
+    values = _ladder_row(CaseResult(Combo(rep.combo, None, None, "relaxed"), 1, rep))[4:]
+    assert row == [rep.combo, *(f"{v:.1f}" for v in values[:2]), *(f"{v:.6g}" for v in values[2:])]
     cols = dict(zip(header, row))
     assert cols["sco_solar"] == "80.0"
     assert cols["sco_wind"] == "56.7"  # (100 + 40 + 30) / 3

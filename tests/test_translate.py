@@ -341,10 +341,10 @@ def test_portfolio_rejects_negative_resulting_capacity(synth_small):
 
 
 def _solved(case):
-    from gridres.expansion import build_expansion_lp, extract_solution
+    from gridres.expansion import build_lp, extract_solution
     from gridres.lp import solve_simplex
 
-    lp, ix = build_expansion_lp(case)
+    lp, ix = build_lp(case, reserve=True)
     sol = solve_simplex(lp)
     assert sol.is_optimal
     return extract_solution(case, ix, sol)

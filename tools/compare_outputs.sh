@@ -18,10 +18,13 @@
 # warm_fallbacks, ipm_retries, status) are compared with every other byte.
 #
 # When outputs differ, the differences are printed, and then, for each
-# ladder.csv and report.csv that differs, the largest relative difference
-# in each numeric column, |change - parent| / max(1, |parent|) over its
-# rows, with the row it occurs in. For ladder.csv that is the quantity the
-# benchmark's correctness gate bounds by 10 * gap_tol (ladderbench/gate.py).
+# CSV file that differs, the largest relative difference in each numeric
+# column, |change - parent| / max(1, |parent|) over its rows, with the row
+# it occurs in: named by the row's text cells, or "row <n>" (counting data
+# rows from 1) when it has none. A file whose header differs, or whose row
+# count does (both counts are printed), gets that said instead. For
+# ladder.csv that is the quantity the benchmark's correctness gate bounds
+# by 10 * gap_tol (ladderbench/gate.py).
 #
 # Exits 0 when no output differs, 1 when one does, and 2 when a commit
 # cannot be exported or a run fails.
@@ -100,21 +103,24 @@ def relative(a, b):
     return math.inf if math.isnan(d) else d
 
 
-for old in sorted(p for name in ("ladder.csv", "report.csv") for p in parent.rglob(name)):
+for old in sorted(parent.rglob("*.csv")):
     new = change / old.relative_to(parent)
     if not new.is_file() or old.read_bytes() == new.read_bytes():
         continue
     a, b = read(old), read(new)
     print(f"{old.relative_to(parent)}: largest |change - parent| / max(1, |parent|) per numeric column")
-    if a[0] != b[0] or len(a) != len(b):
-        print("  the header or the row count differs")
+    if a[:1] != b[:1]:
+        print("  the header differs")
+        continue
+    if len(a) != len(b):
+        print(f"  the row count differs: parent {len(a) - 1}, change {len(b) - 1}")
         continue
     rows = list(zip(a[1:], b[1:]))
     for col, name in enumerate(a[0]):
         if not rows or not all(numeric(r[col]) and numeric(s[col]) for r, s in rows):
             continue  # a text column
-        worst, row = max(((relative(r[col], s[col]), r) for r, s in rows), key=lambda t: t[0])
-        where = "/".join(c for c in row if not numeric(c))  # the row's text cells
+        worst, n, row = max(((relative(r[col], s[col]), n, r) for n, (r, s) in enumerate(rows, 1)), key=lambda t: t[0])
+        where = "/".join(c for c in row if not numeric(c)) or f"row {n}"
         print(f"  {name}: {worst:.3g}" + (f" ({where})" if worst > 0 else ""))
 EOF
     exit 1
